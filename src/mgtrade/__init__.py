@@ -22,7 +22,6 @@ from .controller import (
     marginal_value,
     post_trade_settlement,
     slot_objective,
-    slot_objective_with_settlement,
     solve_slot_program,
 )
 from .errors import (
@@ -105,7 +104,6 @@ __all__ = [
     "run",
     "scale_wind",
     "slot_objective",
-    "slot_objective_with_settlement",
     "solve_slot_program",
     "step",
 ]

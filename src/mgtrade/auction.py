@@ -19,9 +19,11 @@ pairs is exact and cheap.
 
 from __future__ import annotations
 
-import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from .controller import BidPair, TradeAllocation
 from .errors import InvariantViolation, MarketError
@@ -73,30 +75,47 @@ class OrderBook:
 
 @dataclass(frozen=True)
 class ClearingOutcome:
-    accepted_buyers: frozenset[int]
-    accepted_sellers: frozenset[int]
     buy_clearing_price: float
     sell_clearing_price: float
     allocations: dict[tuple[int, int], float] = field(default_factory=dict)
-    scale_factors: dict[tuple[int, int], float] = field(default_factory=dict)
 
     @classmethod
     def empty(cls) -> "ClearingOutcome":
-        return cls(frozenset(), frozenset(), 0.0, 0.0, {}, {})
+        return cls(0.0, 0.0)
+
+    @property
+    def accepted_buyers(self) -> frozenset[int]:
+        return frozenset(b for b, _ in self.allocations)
+
+    @property
+    def accepted_sellers(self) -> frozenset[int]:
+        return frozenset(s for _, s in self.allocations)
 
     def total_volume(self) -> float:
         return sum(self.allocations.values())
 
+    @cached_property
+    def trades(self) -> dict[int, TradeAllocation]:
+        """Cleared quantity and unit price of every MG that trades, by MG id.
+
+        Built once per outcome. Each MG's pairs are summed in allocation
+        order; the logged quantities depend on that order to the last bit.
+        """
+        bought: dict[int, float] = {}
+        sold: dict[int, float] = {}
+        for (b, s), q in self.allocations.items():
+            bought[b] = bought.get(b, 0.0) + q
+            sold[s] = sold.get(s, 0.0) + q
+        out = {
+            b: TradeAllocation(b, q, 0.0, self.buy_clearing_price, 0.0)
+            for b, q in bought.items()
+        }
+        for s, q in sold.items():
+            out[s] = TradeAllocation(s, 0.0, q, 0.0, self.sell_clearing_price)
+        return out
+
     def allocation_for(self, mg_id: int) -> TradeAllocation:
-        bought = sum(q for (b, _), q in self.allocations.items() if b == mg_id)
-        sold = sum(q for (_, s), q in self.allocations.items() if s == mg_id)
-        return TradeAllocation(
-            mg_id=mg_id,
-            bought_kwh=bought,
-            sold_kwh=sold,
-            buy_unit_price=self.buy_clearing_price if bought > 0 else 0.0,
-            sell_unit_price=self.sell_clearing_price if sold > 0 else 0.0,
-        )
+        return self.trades.get(mg_id) or TradeAllocation.none(mg_id)
 
 
 def pair_quantity(
@@ -119,18 +138,17 @@ def _greedy_allocation(
     sell_price: float,
     rho1: float,
     rho2: float,
-) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float], float]:
+) -> tuple[dict[tuple[int, int], float], float]:
     """Match winners best-first, each pair capped at its welfare stationary point.
 
-    Returns (allocations, scale factors, realized welfare score). Pairwise
-    balance holds by construction: one number per (buyer, seller) pair.
+    Returns (allocations, realized welfare score). Pairwise balance holds by
+    construction: one number per (buyer, seller) pair.
     """
     if sell_price > 0:
         x_star = pair_quantity(buy_price, sell_price, rho1, rho2)
     else:
         x_star = math.inf
     alloc: dict[tuple[int, int], float] = {}
-    scales: dict[tuple[int, int], float] = {}
     score = 0.0
     remaining_s = [qty for _, _, qty in sellers]
     for buyer_id, _, buy_qty in buyers:
@@ -145,26 +163,22 @@ def _greedy_allocation(
             if x <= DUST_KWH:
                 continue
             alloc[(buyer_id, seller_id)] = x
-            scales[(buyer_id, seller_id)] = 1.0 if math.isinf(x_star) else x / x_star
             score += rho1 * buy_price * math.log(x) - rho2 * sell_price * x * x / 2.0
             rem_b -= x
             remaining_s[k] -= x
-    return alloc, scales, score
+    return alloc, score
 
 
-def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
-    """Run the double auction for one slot.
+def _candidates(
+    book: OrderBook, grid_price: float
+) -> Iterator[tuple[int, int, dict[tuple[int, int], float], float]]:
+    """Yield (mi, ml, allocations, score) for every feasible marginal pair.
 
-    Scans every marginal index pair; winners are the bids strictly ahead of
-    the marginal ones, so at least two bids per side are needed for any
-    volume. A book that never crosses, or whose best candidate scores a
-    nonpositive welfare, clears empty rather than erroring.
+    Winners are the bids strictly ahead of the marginal ones, so a book needs
+    at least two bids per side to yield anything. Pairs come in scan order:
+    marginal buy index outer, marginal sell index inner.
     """
     buys, sells = book.buy_bids, book.sell_bids
-    if len(buys) < 2 or len(sells) < 2:
-        return ClearingOutcome.empty()
-
-    best = None  # (score, mi, ml, alloc, scales)
     for mi in range(1, len(buys)):
         buy_price = buys[mi][1]
         if buy_price > grid_price:
@@ -173,43 +187,29 @@ def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
             sell_price = sells[ml][1]
             if not buy_price > sell_price:
                 break  # sells ascend: later ml only worse
-            alloc, scales, score = _greedy_allocation(
+            alloc, score = _greedy_allocation(
                 buys[:mi], sells[:ml], buy_price, sell_price, book.rho1, book.rho2
             )
-            if alloc and (best is None or score > best[0] + 1e-12):
-                best = (score, mi, ml, alloc, scales)
-
-    if best is None or best[0] <= 0.0:
-        return ClearingOutcome.empty()
-    score, mi, ml, alloc, scales = best
-    return ClearingOutcome(
-        accepted_buyers=frozenset(b for b, _ in alloc),
-        accepted_sellers=frozenset(s for _, s in alloc),
-        buy_clearing_price=buys[mi][1],
-        sell_clearing_price=sells[ml][1],
-        allocations=alloc,
-        scale_factors=scales,
-    )
-
-
-def candidate_scores(
-    book: OrderBook, grid_price: float
-) -> list[tuple[int, int, float]]:
-    """Score every feasible marginal pair (audit hook for optimality checks)."""
-    out = []
-    buys, sells = book.buy_bids, book.sell_bids
-    for mi in range(1, len(buys)):
-        if buys[mi][1] > grid_price:
-            continue
-        for ml in range(1, len(sells)):
-            if not buys[mi][1] > sells[ml][1]:
-                break
-            alloc, _, score = _greedy_allocation(
-                buys[:mi], sells[:ml], buys[mi][1], sells[ml][1], book.rho1, book.rho2
-            )
             if alloc:
-                out.append((mi, ml, score))
-    return out
+                yield mi, ml, alloc, score
+
+
+def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
+    """Run the double auction for one slot.
+
+    Picks the best-scoring candidate marginal pair; a later pair must beat
+    the best so far by more than 1e-12 to replace it. A book that never
+    crosses, or whose best candidate scores a nonpositive welfare, clears
+    empty rather than erroring.
+    """
+    best = None
+    for cand in _candidates(book, grid_price):
+        if best is None or cand[3] > best[3] + 1e-12:
+            best = cand
+    if best is None or best[3] <= 0.0:
+        return ClearingOutcome.empty()
+    mi, ml, alloc, _ = best
+    return ClearingOutcome(book.buy_bids[mi][1], book.sell_bids[ml][1], alloc)
 
 
 def budget_check(outcome: ClearingOutcome) -> float:
@@ -227,69 +227,32 @@ def budget_check(outcome: ClearingOutcome) -> float:
     return surplus
 
 
-AUDIT_HEADER = (
-    "slot",
-    "mg_id",
-    "side",
-    "price",
-    "quantity",
-    "accepted",
-    "cleared_price",
-    "cleared_quantity",
-)
+class AuditRow(NamedTuple):
+    """One bid of a slot's book with its acceptance and fill."""
+
+    slot: int
+    mg_id: int
+    side: str
+    price: float
+    quantity: float
+    accepted: int
+    cleared_price: float
+    cleared_quantity: float
 
 
-def audit_rows(slot: int, book: OrderBook, outcome: ClearingOutcome) -> list[tuple]:
-    rows: list[tuple] = []
-    for mg_id, price, qty in book.buy_bids:
-        won = mg_id in outcome.accepted_buyers
-        got = outcome.allocation_for(mg_id).bought_kwh if won else 0.0
-        rows.append(
-            (
-                slot,
-                mg_id,
-                "buy",
-                price,
-                qty,
-                int(won),
-                outcome.buy_clearing_price if won else 0.0,
-                got,
-            )
-        )
-    for mg_id, price, qty in book.sell_bids:
-        won = mg_id in outcome.accepted_sellers
-        got = outcome.allocation_for(mg_id).sold_kwh if won else 0.0
-        rows.append(
-            (
-                slot,
-                mg_id,
-                "sell",
-                price,
-                qty,
-                int(won),
-                outcome.sell_clearing_price if won else 0.0,
-                got,
-            )
-        )
+def audit_rows(slot: int, book: OrderBook, outcome: ClearingOutcome) -> list[AuditRow]:
+    """One row per bid, buys then sells in book order."""
+    trades = outcome.trades
+    rows: list[AuditRow] = []
+    for side, bids, cleared in (
+        ("buy", book.buy_bids, outcome.buy_clearing_price),
+        ("sell", book.sell_bids, outcome.sell_clearing_price),
+    ):
+        for mg_id, price, qty in bids:
+            trade = trades.get(mg_id)
+            if trade is None:
+                rows.append(AuditRow(slot, mg_id, side, price, qty, 0, 0.0, 0.0))
+            else:
+                got = trade.bought_kwh if side == "buy" else trade.sold_kwh
+                rows.append(AuditRow(slot, mg_id, side, price, qty, 1, cleared, got))
     return rows
-
-
-def write_audit_csv(path, rows: list[tuple], append: bool = False) -> None:
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if not append:
-            writer.writerow(AUDIT_HEADER)
-        for slot, mg_id, side, price, qty, won, cp, cq in rows:
-            writer.writerow(
-                (
-                    slot,
-                    mg_id,
-                    side,
-                    f"{price:.6f}",
-                    f"{qty:.6f}",
-                    won,
-                    f"{cp:.6f}",
-                    f"{cq:.6f}",
-                )
-            )

@@ -16,12 +16,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
 
-from .auction import write_audit_csv
 from .errors import ConfigError, InvariantViolation, ParseError, SimError
 from .ingest import LoadModel, Trace, load_trace, scale_wind
 from .model import MGParams, PriceBounds, compute_a_const, compute_v_max
@@ -40,6 +40,7 @@ from .sim import (
     realized_inputs,
     run,
     verify_log_rows,
+    write_audit_csv,
     write_slots_csv,
     write_summary_csv,
 )
@@ -53,42 +54,75 @@ OUT_ENV = "MGTRADE_OUT"
 
 _MODE_FLAG = {"auction": MODE_AUCTION, "solo": MODE_SOLO}
 
+# Every key a config document may hold; anything else is a typo.
+_TOP_KEYS = frozenset(
+    {"seed", "horizon_slots", "mode", "rho1", "rho2", "price_bounds",
+     "initial_battery_kwh", "mgs", "price_trace", "renewable_traces"}
+)
+_PRICE_BOUND_KEYS = frozenset({"p_min", "p_max"})
+_MG_KEYS = frozenset(
+    {"id", "mg_type", "battery_capacity_kwh", "charge_rate_max_kwh",
+     "discharge_rate_max_kwh", "serve_rate_max_kwh", "dt_load_max_kwh",
+     "epsilon", "epsilon_max", "price_floor", "v_weight", "v_fraction",
+     "load_low_kwh", "load_high_kwh", "dt_share", "load_seed",
+     "renewable_mean_kwh"}
+)
+
 _TYPE_DEFAULTS = {
     "type1": {"load_low_kwh": 100.0, "load_high_kwh": 200.0, "renewable_mean_kwh": 200.0},
     "type2": {"load_low_kwh": 200.0, "load_high_kwh": 400.0, "renewable_mean_kwh": 600.0},
 }
 
 
+def _check_keys(where: str, d, allowed: frozenset) -> None:
+    """Reject a block that is not an object or names a key nobody reads."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(d) - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+
+
+def _number(d: dict, key: str, default: float | None = None) -> float:
+    """``d[key]`` as a finite float; ``default`` stands in for an absent key."""
+    value = d[key] if default is None else d.get(key, default)
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
 def _mg_from_dict(d: dict, seed: int, index: int, pb: PriceBounds) -> MGSpec:
+    _check_keys(f"mgs[{index}]", d, _MG_KEYS)
     mg_type = d.get("mg_type", "type1")
     if mg_type not in _TYPE_DEFAULTS:
         raise ConfigError(f"mg {d.get('id', index)}: unknown mg_type {mg_type!r}")
     merged = dict(_TYPE_DEFAULTS[mg_type])
     merged.update(d)
     mg_id = int(merged.get("id", index + 1))
-    dt_share = float(merged.get("dt_share", 0.5))
-    low = float(merged["load_low_kwh"])
-    high = float(merged["load_high_kwh"])
-    dt_load_max = float(merged.get("dt_load_max_kwh", 2.0 * dt_share * high))
-    epsilon = float(merged.get("epsilon", 2.0 * dt_share * low))
-    epsilon_max = float(merged.get("epsilon_max", epsilon))
+    dt_share = _number(merged, "dt_share", 0.5)
+    low = _number(merged, "load_low_kwh")
+    high = _number(merged, "load_high_kwh")
+    dt_load_max = _number(merged, "dt_load_max_kwh", 2.0 * dt_share * high)
+    epsilon = _number(merged, "epsilon", 2.0 * dt_share * low)
+    epsilon_max = _number(merged, "epsilon_max", epsilon)
 
     probe = MGParams(
         id=mg_id,
-        battery_capacity_kwh=float(merged["battery_capacity_kwh"]),
-        charge_rate_max_kwh=float(merged["charge_rate_max_kwh"]),
-        discharge_rate_max_kwh=float(merged["discharge_rate_max_kwh"]),
-        serve_rate_max_kwh=float(merged["serve_rate_max_kwh"]),
+        battery_capacity_kwh=_number(merged, "battery_capacity_kwh"),
+        charge_rate_max_kwh=_number(merged, "charge_rate_max_kwh"),
+        discharge_rate_max_kwh=_number(merged, "discharge_rate_max_kwh"),
+        serve_rate_max_kwh=_number(merged, "serve_rate_max_kwh"),
         dt_load_max_kwh=dt_load_max,
         epsilon=epsilon,
         epsilon_max=epsilon_max,
-        price_floor=float(merged.get("price_floor", 1.0)),
+        price_floor=_number(merged, "price_floor", 1.0),
         v_weight=1.0,
     )
     if "v_weight" in merged:
-        v_weight = float(merged["v_weight"])
+        v_weight = _number(merged, "v_weight")
     else:
-        fraction = float(merged.get("v_fraction", 1.0))
+        fraction = _number(merged, "v_fraction", 1.0)
         if not 0 < fraction <= 1:
             raise ConfigError(f"mg {mg_id}: v_fraction must be in (0, 1]")
         v_weight = fraction * compute_v_max(probe, pb)
@@ -103,7 +137,7 @@ def _mg_from_dict(d: dict, seed: int, index: int, pb: PriceBounds) -> MGSpec:
             rng_seed=load_seed,
             dt_share=dt_share,
         ),
-        renewable_mean_kwh=float(merged["renewable_mean_kwh"]),
+        renewable_mean_kwh=_number(merged, "renewable_mean_kwh"),
     )
 
 
@@ -111,29 +145,34 @@ def config_from_dict(doc: dict) -> tuple[ScenarioConfig, dict]:
     """Build a ScenarioConfig from a parsed JSON document.
 
     Returns the config plus the trace-path block (possibly empty) so callers
-    can materialize file-backed traces.
+    can materialize file-backed traces. Unknown keys and non-finite numbers
+    are rejected here, so a typo never falls back to a default silently.
     """
+    _check_keys("config", doc, _TOP_KEYS)
     try:
         pb_doc = doc.get("price_bounds", {})
+        _check_keys("price_bounds", pb_doc, _PRICE_BOUND_KEYS)
         pb = PriceBounds(
-            p_min=float(pb_doc.get("p_min", 2.0)), p_max=float(pb_doc.get("p_max", 16.0))
+            p_min=_number(pb_doc, "p_min", 2.0), p_max=_number(pb_doc, "p_max", 16.0)
         )
         seed = int(doc.get("seed", 0))
         mgs = tuple(
             _mg_from_dict(d, seed, k, pb) for k, d in enumerate(doc.get("mgs", []))
         )
         init_b = doc.get("initial_battery_kwh")
+        if init_b is not None:
+            init_b = _number(doc, "initial_battery_kwh")
         config = ScenarioConfig(
             mgs=mgs,
             price_bounds=pb,
             horizon_slots=int(doc.get("horizon_slots", 120)),
-            rho1=float(doc.get("rho1", 1000.0)),
-            rho2=float(doc.get("rho2", 0.0001)),
+            rho1=_number(doc, "rho1", 1000.0),
+            rho2=_number(doc, "rho2", 0.0001),
             mode=str(doc.get("mode", MODE_AUCTION)),
             seed=seed,
-            initial_battery_kwh=None if init_b is None else float(init_b),
+            initial_battery_kwh=init_b,
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad config document: {e}") from e
     traces_doc = {
         "price_trace": doc.get("price_trace"),

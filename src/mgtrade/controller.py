@@ -26,7 +26,6 @@ from .model import (
     ControlAction,
     MGParams,
     MGState,
-    PriceBounds,
     SlotInputs,
 )
 
@@ -161,7 +160,6 @@ def solve_slot_program(
     inputs: SlotInputs,
     trade: TradeAllocation,
     params: MGParams,
-    pb: PriceBounds,
 ) -> ControlAction:
     """Exact minimizer of the drift-plus-penalty slot objective.
 
@@ -245,20 +243,6 @@ def slot_objective(
         state.virtual_battery_kwh * (action.charge_kwh - action.discharge_kwh)
         - qz * action.serve_dt_kwh
         + params.v_weight * inputs.grid_price * action.grid_purchase_kwh
-    )
-
-
-def slot_objective_with_settlement(
-    state: MGState,
-    inputs: SlotInputs,
-    action: ControlAction,
-    trade: TradeAllocation,
-    params: MGParams,
-) -> float:
-    """Slot objective including the V-weighted trade payments (deviation metric)."""
-    return slot_objective(state, inputs, action, params) + params.v_weight * (
-        trade.buy_unit_price * trade.bought_kwh
-        - trade.sell_unit_price * trade.sold_kwh
     )
 
 

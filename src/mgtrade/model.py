@@ -18,7 +18,6 @@ against every simulated slot by the audit machinery in :mod:`mgtrade.sim`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, RejectedAction
@@ -98,9 +97,9 @@ class MGState:
     """Dynamic per-slot state of one microgrid.
 
     ``pending_jobs`` is a FIFO of ``(arrival_slot, remaining_kwh)`` pairs
-    backing the aggregate backlog ``demand_queue_kwh``; it exists so tests can
-    audit the worst-case job age claim literally rather than trusting the
-    aggregate queue bound.
+    backing the aggregate backlog ``demand_queue_kwh``, ordered by arrival; it
+    exists so the worst-case job age claim is audited literally rather than
+    trusted from the aggregate queue bound.
     """
 
     battery_kwh: float
@@ -108,9 +107,6 @@ class MGState:
     delay_queue_kwh: float
     virtual_battery_kwh: float
     pending_jobs: tuple[tuple[int, float], ...] = ()
-
-    def pending_total_kwh(self) -> float:
-        return sum(r for _, r in self.pending_jobs)
 
     def oldest_pending_age(self, slot: int) -> int:
         """Age in slots of the oldest unserved job, 0 if none pending."""
@@ -226,25 +222,20 @@ def battery_step(state: MGState, action: ControlAction, params: MGParams) -> MGS
 
 def fifo_serve(
     pending: tuple[tuple[int, float], ...], serve_kwh: float
-) -> tuple[tuple[tuple[int, float], ...], tuple[int, ...]]:
-    """Drain pending jobs oldest-first by serve_kwh.
-
-    Returns the remaining FIFO and the arrival slots of jobs fully served.
-    """
+) -> tuple[tuple[int, float], ...]:
+    """Drain pending jobs oldest-first by serve_kwh; return the remaining FIFO."""
     remaining = serve_kwh
     kept: list[tuple[int, float]] = []
-    completed: list[int] = []
     for arrival, job in pending:
         if remaining <= FEAS_TOL:
             kept.append((arrival, job))
             continue
         if job <= remaining + FEAS_TOL:
             remaining -= job
-            completed.append(arrival)
         else:
             kept.append((arrival, job - remaining))
             remaining = 0.0
-    return tuple(kept), tuple(completed)
+    return tuple(kept)
 
 
 def demand_queue_step(
@@ -254,7 +245,7 @@ def demand_queue_step(
     if action.serve_dt_kwh < 0:
         raise RejectedAction(f"serve_dt_kwh {action.serve_dt_kwh} < 0")
     new_q = max(state.demand_queue_kwh - action.serve_dt_kwh, 0.0) + inputs.dt_load_kwh
-    jobs, _ = fifo_serve(state.pending_jobs, action.serve_dt_kwh)
+    jobs = fifo_serve(state.pending_jobs, action.serve_dt_kwh)
     if inputs.dt_load_kwh > 0:
         jobs = jobs + ((slot, inputs.dt_load_kwh),)
     return replace(state, demand_queue_kwh=new_q, pending_jobs=jobs)
@@ -356,12 +347,3 @@ def virtual_range(params: MGParams, bounds: DerivedBounds) -> tuple[float, float
 
 def within(value: float, low: float, high: float, tol: float = FEAS_TOL) -> bool:
     return low - tol <= value <= high + tol
-
-
-def job_ages_ok(state: MGState, slot: int, delta_max: float) -> bool:
-    """True when no pending job is older than the worst-case age bound."""
-    return all(slot - arrival <= delta_max + FEAS_TOL for arrival, _ in state.pending_jobs)
-
-
-def isclose_kwh(a: float, b: float, tol: float = FEAS_TOL) -> bool:
-    return math.isclose(a, b, rel_tol=0.0, abs_tol=tol)

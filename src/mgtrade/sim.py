@@ -16,13 +16,23 @@ stay within a_const / v_weight of it.
 from __future__ import annotations
 
 import csv
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .auction import ClearingOutcome, OrderBook, audit_rows, budget_check, clear
+from .auction import (
+    AuditRow,
+    ClearingOutcome,
+    OrderBook,
+    audit_rows,
+    budget_check,
+    clear,
+)
 from .controller import (
     make_bids,
     post_trade_settlement,
@@ -43,7 +53,6 @@ from .model import (
     compute_bounds,
     delay_queue_step,
     demand_queue_step,
-    fifo_serve,
     initial_state,
     virtual_range,
     within,
@@ -224,9 +233,10 @@ class MGSlotRow:
 
 @dataclass(frozen=True)
 class MarketRow:
-    slot: int
-    buy_clearing_price: float
-    sell_clearing_price: float
+    """The slot's clearing prices, volume and auctioneer surplus."""
+
+    buy_price: float
+    sell_price: float
     volume_kwh: float
     surplus: float
 
@@ -237,8 +247,7 @@ class SlotRecord:
     rows: tuple[MGSlotRow, ...]
     market: MarketRow
     violations: tuple[str, ...]
-    served_ages: tuple[tuple[int, ...], ...]  # per MG, ages of jobs finished now
-    market_audit: tuple[tuple, ...] = ()  # book-ordered bid/fill lines
+    market_audit: tuple[AuditRow, ...] = ()  # book-ordered bid/fill lines
 
 
 def _monitor(
@@ -248,8 +257,13 @@ def _monitor(
     new_state: MGState,
     action: ControlAction,
     spill: float,
+    oldest_age: int,
 ) -> list[str]:
-    """Check every queue/battery bound after the slot's updates."""
+    """Check every queue/battery bound after the slot's updates.
+
+    ``oldest_age`` is the age of the oldest pending job at the start of the
+    next slot; the FIFO is ordered by arrival, so no other job is older.
+    """
     bad: list[str] = []
     tag = f"slot {slot} mg {params.id}"
     if not within(new_state.battery_kwh, 0.0, params.battery_capacity_kwh):
@@ -267,11 +281,9 @@ def _monitor(
         bad.append(f"{tag}: charge and discharge both positive")
     if spill < -FEAS_TOL:
         bad.append(f"{tag}: energy balance short by {-spill}")
-    for arrival, _ in new_state.pending_jobs:
-        age = (slot + 1) - arrival
-        if age > b.delta_max_slots + FEAS_TOL:
-            bad.append(f"{tag}: job from slot {arrival} is {age} slots old")
-            break
+    if oldest_age > b.delta_max_slots + FEAS_TOL:
+        arrival = slot + 1 - oldest_age
+        bad.append(f"{tag}: job from slot {arrival} is {oldest_age} slots old")
     return bad
 
 
@@ -302,23 +314,21 @@ def step(world: World, inputs: tuple[SlotInputs, ...]) -> tuple[World, SlotRecor
     new_states: list[MGState] = []
     rows: list[MGSlotRow] = []
     violations: list[str] = []
-    served_ages: list[tuple[int, ...]] = []
     for k, (st, ins, m, b) in enumerate(
         zip(world.states, inputs, cfg.mgs, world.bounds)
     ):
         try:
             trade = outcome.allocation_for(m.params.id)
-            action = solve_slot_program(st, ins, trade, m.params, cfg.price_bounds)
+            action = solve_slot_program(st, ins, trade, m.params)
             cost = post_trade_settlement(action, trade, ins)
             spill = spilled_kwh(ins, action)
-            _, completed = fifo_serve(st.pending_jobs, action.serve_dt_kwh)
             after = battery_step(st, action, m.params)
             after = delay_queue_step(after, action, m.params)
             after = demand_queue_step(after, action, ins, t)
         except Exception as e:
             raise SimError(f"slot {t} mg {m.params.id}: {e}") from e
-        violations.extend(_monitor(t, m.params, b, after, action, spill))
-        served_ages.append(tuple(t - arr for arr in completed))
+        oldest_age = after.oldest_pending_age(t + 1)
+        violations.extend(_monitor(t, m.params, b, after, action, spill, oldest_age))
         new_states.append(after)
         rows.append(
             MGSlotRow(
@@ -346,7 +356,7 @@ def step(world: World, inputs: tuple[SlotInputs, ...]) -> tuple[World, SlotRecor
                 grid_kwh=action.grid_purchase_kwh,
                 spill_kwh=spill,
                 cost=cost,
-                oldest_pending_age=after.oldest_pending_age(t + 1),
+                oldest_pending_age=oldest_age,
             )
         )
 
@@ -354,14 +364,12 @@ def step(world: World, inputs: tuple[SlotInputs, ...]) -> tuple[World, SlotRecor
         slot=t,
         rows=tuple(rows),
         market=MarketRow(
-            slot=t,
-            buy_clearing_price=outcome.buy_clearing_price,
-            sell_clearing_price=outcome.sell_clearing_price,
+            buy_price=outcome.buy_clearing_price,
+            sell_price=outcome.sell_clearing_price,
             volume_kwh=outcome.total_volume(),
             surplus=surplus,
         ),
         violations=tuple(violations),
-        served_ages=tuple(served_ages),
         market_audit=tuple(audit_rows(t, book, outcome)),
     )
     new_world = World(
@@ -379,7 +387,6 @@ class MGSummary:
     total_bought_kwh: float
     total_sold_kwh: float
     total_served_kwh: float
-    total_dt_arrived_kwh: float
     max_q_kwh: float
     max_z_kwh: float
     min_b_kwh: float
@@ -405,9 +412,14 @@ class RunSummary:
         return max((s.max_job_age_slots for s in self.per_mg.values()), default=0)
 
 
-def summarize(
-    config: ScenarioConfig, records: list[SlotRecord], final: World
-) -> RunSummary:
+def summarize(config: ScenarioConfig, records: list[SlotRecord]) -> RunSummary:
+    """Per-MG totals and extremes of a run.
+
+    The worst job age is the largest logged ``oldest_pending_age``: a run
+    starts with an empty FIFO, jobs are served oldest first and never in the
+    slot they arrive, so a served job is never older than the oldest job
+    pending at the end of the slot before.
+    """
     horizon = len(records)
     per_mg: dict[int, MGSummary] = {}
     violations: list[str] = []
@@ -416,10 +428,6 @@ def summarize(
     for k, m in enumerate(config.mgs):
         mid = m.params.id
         rows = [rec.rows[k] for rec in records]
-        ages = [a for rec in records for a in rec.served_ages[k]]
-        final_state = final.states[k]
-        pend_age = final_state.oldest_pending_age(horizon)
-        max_age = max(ages + [pend_age], default=0)
         per_mg[mid] = MGSummary(
             mg_id=mid,
             time_avg_cost=sum(r.cost for r in rows) / horizon,
@@ -428,12 +436,11 @@ def summarize(
             total_bought_kwh=sum(r.bought_kwh for r in rows),
             total_sold_kwh=sum(r.sold_kwh for r in rows),
             total_served_kwh=sum(r.serve_kwh for r in rows),
-            total_dt_arrived_kwh=sum(r.dt_load_kwh for r in rows),
             max_q_kwh=max(r.demand_queue_kwh for r in rows),
             max_z_kwh=max(r.delay_queue_kwh for r in rows),
             min_b_kwh=min(r.battery_kwh for r in rows),
             max_b_kwh=max(r.battery_kwh for r in rows),
-            max_job_age_slots=max_age,
+            max_job_age_slots=max(r.oldest_pending_age for r in rows),
         )
     return RunSummary(
         mode=config.mode,
@@ -459,7 +466,7 @@ def run(
     for t in range(config.horizon_slots):
         world, rec = step(world, inputs[t])
         records.append(rec)
-    return summarize(config, records, world), records
+    return summarize(config, records), records
 
 
 @dataclass(frozen=True)
@@ -686,37 +693,25 @@ def bound_audit(
     return AuditReport(lines=tuple(lines))
 
 
-SLOTS_HEADER = (
-    "slot",
-    "mg_id",
-    "battery_kwh",
-    "demand_queue_kwh",
-    "delay_queue_kwh",
-    "virtual_kwh",
-    "renewable_kwh",
-    "di_load_kwh",
-    "dt_load_kwh",
-    "grid_price",
-    "bid_sell_price",
-    "bid_buy_price",
-    "bid_sell_qty",
-    "bid_buy_qty",
-    "bought_kwh",
-    "sold_kwh",
-    "buy_unit_price",
-    "sell_unit_price",
-    "charge_kwh",
-    "discharge_kwh",
-    "serve_kwh",
-    "grid_kwh",
-    "spill_kwh",
-    "cost",
-    "oldest_pending_age",
-    "market_buy_price",
-    "market_sell_price",
-    "market_volume_kwh",
-    "market_surplus",
-)
+def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], Callable]:
+    """Column names of a log record class and a renderer for one record.
+
+    The record's annotated fields are the columns, in order. Fields declared
+    ``float`` are written at 6 decimals, every other field as it is.
+    """
+    hints = get_type_hints(cls)
+    get = attrgetter(*hints)
+    specs = tuple(".6f" if t is float else "" for t in hints.values())
+
+    def render(record) -> list[str]:
+        return list(map(format, get(record), specs))
+
+    return tuple(prefix + n for n in hints), render
+
+
+_MG_COLUMNS, _render_mg_row = _log_columns(MGSlotRow)
+_MARKET_COLUMNS, _render_market = _log_columns(MarketRow, prefix="market_")
+SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
 
 
 def write_slots_csv(path, records: list[SlotRecord]) -> None:
@@ -724,64 +719,12 @@ def write_slots_csv(path, records: list[SlotRecord]) -> None:
         w = csv.writer(fh)
         w.writerow(SLOTS_HEADER)
         for rec in records:
-            for row in rec.rows:
-                w.writerow(
-                    [rec.slot, row.mg_id]
-                    + [
-                        f"{v:.6f}"
-                        for v in (
-                            row.battery_kwh,
-                            row.demand_queue_kwh,
-                            row.delay_queue_kwh,
-                            row.virtual_kwh,
-                            row.renewable_kwh,
-                            row.di_load_kwh,
-                            row.dt_load_kwh,
-                            row.grid_price,
-                            row.bid_sell_price,
-                            row.bid_buy_price,
-                            row.bid_sell_qty,
-                            row.bid_buy_qty,
-                            row.bought_kwh,
-                            row.sold_kwh,
-                            row.buy_unit_price,
-                            row.sell_unit_price,
-                            row.charge_kwh,
-                            row.discharge_kwh,
-                            row.serve_kwh,
-                            row.grid_kwh,
-                            row.spill_kwh,
-                            row.cost,
-                        )
-                    ]
-                    + [row.oldest_pending_age]
-                    + [
-                        f"{v:.6f}"
-                        for v in (
-                            rec.market.buy_clearing_price,
-                            rec.market.sell_clearing_price,
-                            rec.market.volume_kwh,
-                            rec.market.surplus,
-                        )
-                    ]
-                )
+            market = _render_market(rec.market)
+            w.writerows(_render_mg_row(row) + market for row in rec.rows)
 
 
-SUMMARY_HEADER = (
-    "mg_id",
-    "time_avg_cost",
-    "total_cost",
-    "total_grid_kwh",
-    "total_bought_kwh",
-    "total_sold_kwh",
-    "total_served_kwh",
-    "max_q_kwh",
-    "max_z_kwh",
-    "min_b_kwh",
-    "max_b_kwh",
-    "max_job_age_slots",
-    "violations",
-)
+_SUMMARY_COLUMNS, _render_summary = _log_columns(MGSummary)
+SUMMARY_HEADER = _SUMMARY_COLUMNS + ("violations",)
 
 
 def write_summary_csv(path, summary: RunSummary) -> None:
@@ -789,26 +732,17 @@ def write_summary_csv(path, summary: RunSummary) -> None:
         w = csv.writer(fh)
         w.writerow(SUMMARY_HEADER)
         for mid in sorted(summary.per_mg):
-            s = summary.per_mg[mid]
-            w.writerow(
-                [mid]
-                + [
-                    f"{v:.6f}"
-                    for v in (
-                        s.time_avg_cost,
-                        s.total_cost,
-                        s.total_grid_kwh,
-                        s.total_bought_kwh,
-                        s.total_sold_kwh,
-                        s.total_served_kwh,
-                        s.max_q_kwh,
-                        s.max_z_kwh,
-                        s.min_b_kwh,
-                        s.max_b_kwh,
-                    )
-                ]
-                + [s.max_job_age_slots, summary.violation_count]
-            )
+            w.writerow(_render_summary(summary.per_mg[mid]) + [summary.violation_count])
+
+
+AUDIT_HEADER, _render_audit = _log_columns(AuditRow)
+
+
+def write_audit_csv(path, rows: list[AuditRow]) -> None:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(AUDIT_HEADER)
+        w.writerows(map(_render_audit, rows))
 
 
 def read_slots_csv(path) -> list[dict[str, float]]:
@@ -834,7 +768,8 @@ def verify_log_rows(
     """Re-derive every per-slot invariant from a written log alone.
 
     Works on the 6-decimal CSV rendering, so the tolerance is loose relative
-    to the in-memory checks but still far below any physical quantity.
+    to the in-memory checks but still far below any physical quantity. The
+    recomputed cost also allows for the rounding of its six operands.
     """
     problems: list[str] = []
     bounds_all = {m.params.id: b for m, b in zip(config.mgs, config.bounds())}
@@ -869,7 +804,17 @@ def verify_log_rows(
                 + r["buy_unit_price"] * r["bought_kwh"]
                 - r["sell_unit_price"] * r["sold_kwh"]
             )
-            if abs(expected_cost - r["cost"]) > max(tol, 1e-5 * abs(expected_cost)):
+            # each operand is off by at most 5e-7 after 6-decimal rounding, so
+            # a product a*b is off by at most 5e-7 * (|a| + |b|)
+            rounding = 5e-7 * (
+                abs(r["grid_price"])
+                + abs(r["grid_kwh"])
+                + abs(r["buy_unit_price"])
+                + abs(r["bought_kwh"])
+                + abs(r["sell_unit_price"])
+                + abs(r["sold_kwh"])
+            )
+            if abs(expected_cost - r["cost"]) > tol + rounding:
                 problems.append(
                     f"{tag}: cost {r['cost']} != recomputed {expected_cost}"
                 )

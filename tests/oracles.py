@@ -190,3 +190,20 @@ def brute_force_two_slot_cost(
                     cost = p0 * g0 + p1 * g1
                     best = min(best, cost / 2.0)
     return best
+
+
+def slot_objective_with_settlement(state, inputs, action, trade, params) -> float:
+    """Slot objective plus the V-weighted trade payments (deviation metric).
+
+    X*(C - D) - (Q + Z)*J + V*P*G + V*(p_buy*bought - p_sell*sold), written
+    from the formula rather than from ``mgtrade.controller.slot_objective``.
+    """
+    qz = state.demand_queue_kwh + state.delay_queue_kwh
+    return (
+        state.virtual_battery_kwh * (action.charge_kwh - action.discharge_kwh)
+        - qz * action.serve_dt_kwh
+        + params.v_weight * inputs.grid_price * action.grid_purchase_kwh
+    ) + params.v_weight * (
+        trade.buy_unit_price * trade.bought_kwh
+        - trade.sell_unit_price * trade.sold_kwh
+    )

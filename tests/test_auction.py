@@ -8,18 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mgtrade.auction import (
-    AUDIT_HEADER,
     ClearingOutcome,
     OrderBook,
+    _candidates,
     audit_rows,
     budget_check,
-    candidate_scores,
     clear,
     pair_quantity,
-    write_audit_csv,
 )
 from mgtrade.controller import BidPair
 from mgtrade.errors import InvariantViolation, MarketError
+from mgtrade.sim import AUDIT_HEADER, write_audit_csv
 
 from oracles import clearing_score, enumerate_clearings
 
@@ -155,8 +154,8 @@ def test_clear_zero_ask_marginal_is_cap_bound():
     )
     out = clear(b, grid_price=10.0)
     assert out.sell_clearing_price == 0.0
-    assert out.total_volume() == pytest.approx(50.0)
-    assert out.scale_factors[(1, 3)] == 1.0
+    # a zero ask has no stationary quantity: the bid caps bind
+    assert out.allocations == {(1, 3): 50.0}
     assert budget_check(out) == pytest.approx(150.0)
 
 
@@ -177,7 +176,7 @@ def test_candidate_scores_cover_all_feasible_pairs():
         buys=[(1, 5.0, 100.0), (2, 3.0, 100.0), (3, 2.5, 100.0)],
         sells=[(4, 1.0, 100.0), (5, 2.0, 100.0), (6, 2.2, 100.0)],
     )
-    pairs = {(mi, ml) for mi, ml, _ in candidate_scores(b, grid_price=10.0)}
+    pairs = {(mi, ml) for mi, ml, _, _ in _candidates(b, grid_price=10.0)}
     assert pairs == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
@@ -190,24 +189,18 @@ def test_budget_check_empty_outcome():
 
 def test_budget_check_reference_surplus():
     out = ClearingOutcome(
-        accepted_buyers=frozenset({1}),
-        accepted_sellers=frozenset({2}),
         buy_clearing_price=2.0,
         sell_clearing_price=1.0,
         allocations={(1, 2): math.sqrt(2.0)},
-        scale_factors={(1, 2): 1.0},
     )
     assert budget_check(out) == pytest.approx(math.sqrt(2.0))
 
 
 def test_budget_check_raises_on_deficit():
     out = ClearingOutcome(
-        accepted_buyers=frozenset({1}),
-        accepted_sellers=frozenset({2}),
         buy_clearing_price=1.0,
         sell_clearing_price=2.0,
         allocations={(1, 2): 5.0},
-        scale_factors={},
     )
     with pytest.raises(InvariantViolation):
         budget_check(out)
@@ -215,12 +208,9 @@ def test_budget_check_raises_on_deficit():
 
 def test_budget_check_raises_on_non_crossing_volume():
     out = ClearingOutcome(
-        accepted_buyers=frozenset({1}),
-        accepted_sellers=frozenset({2}),
         buy_clearing_price=2.0,
         sell_clearing_price=2.0,
         allocations={(1, 2): 5.0},
-        scale_factors={},
     )
     with pytest.raises(InvariantViolation):
         budget_check(out)
@@ -310,10 +300,12 @@ def test_audit_rows_cover_every_bid(tmp_path):
     out = clear(b, grid_price=10.0)
     rows = audit_rows(7, b, out)
     assert len(rows) == 4
-    by_mg = {r[1]: r for r in rows}
-    assert by_mg[1][5] == 1 and by_mg[2][5] == 0  # winner and marginal buyer
-    assert by_mg[3][5] == 1 and by_mg[4][5] == 0
-    assert by_mg[1][0] == 7
+    by_mg = {r.mg_id: r for r in rows}
+    assert by_mg[1].accepted == 1 and by_mg[2].accepted == 0  # winner and marginal buyer
+    assert by_mg[3].accepted == 1 and by_mg[4].accepted == 0
+    assert by_mg[1].slot == 7
+    assert by_mg[1].cleared_quantity == by_mg[3].cleared_quantity == out.total_volume()
+    assert by_mg[2].cleared_price == by_mg[2].cleared_quantity == 0.0
 
     path = tmp_path / "audit.csv"
     write_audit_csv(path, rows)
@@ -321,7 +313,4 @@ def test_audit_rows_cover_every_bid(tmp_path):
         got = list(csv.reader(fh))
     assert tuple(got[0]) == AUDIT_HEADER
     assert len(got) == 5
-
-    write_audit_csv(path, rows, append=True)
-    with open(path, newline="") as fh:
-        assert len(list(csv.reader(fh))) == 9
+    assert got[1] == ["7", "1", "buy", "5.000000", "100.000000", "1", "3.000000", "100.000000"]

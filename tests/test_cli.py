@@ -1,6 +1,7 @@
 """End-to-end command behavior: artifacts, exit codes, audits, sweeps."""
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from mgtrade.cli import (
     load_config,
     main,
 )
+from mgtrade.errors import ConfigError
 from mgtrade.model import compute_v_max
 from mgtrade.sim import MODE_AUCTION
 
@@ -49,6 +51,59 @@ def test_config_round_trip():
     doc = config_to_dict(cfg, traces_doc)
     cfg2, _ = config_from_dict(doc)
     assert cfg2 == cfg
+
+
+def test_every_shipped_config_and_emitted_key_loads():
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        load_config(path)
+    traces_doc = {"price_trace": "p.csv", "renewable_traces": ["w.csv"] * 6}
+    doc = config_to_dict(default_scenario(), traces_doc)
+    cfg, got_traces = config_from_dict(json.loads(json.dumps(doc)))
+    assert cfg == default_scenario()
+    assert got_traces == traces_doc
+
+
+def reference_doc() -> dict:
+    return json.loads((CONFIG_DIR / "sv_synthetic.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("horizon_slot",), 5, "horizon_slot"),
+        (("mgs", 2, "v_fracton"), 0.2, r"mgs\[2\].*v_fracton"),
+        (("price_bounds", "pmax"), 20.0, "pmax"),
+        (("mgs", 0, "battery_capacity_kwh"), float("nan"), "battery_capacity_kwh"),
+        (("rho1",), float("inf"), "rho1"),
+        (("seed",), float("inf"), "infinity"),
+    ],
+    ids=[
+        "unknown-top-level-key",
+        "unknown-mg-key",
+        "unknown-price-bounds-key",
+        "nan-battery-capacity",
+        "infinite-rho1",
+        "infinite-seed",
+    ],
+)
+def test_config_rejects_bad_document(path, value, message):
+    doc = reference_doc()
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(doc)
+
+
+def test_run_with_misspelled_key_is_data_error(tmp_path, capsys):
+    path = tmp_path / "typo.json"
+    doc = reference_doc()
+    doc["mgs"][0]["v_fracton"] = 0.2
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_DATA
+    assert "v_fracton" in capsys.readouterr().err
+    assert not (tmp_path / "auction").exists()
 
 
 def test_load_config_missing_file():
@@ -171,6 +226,28 @@ def test_audit_catches_tampered_log(tmp_path, capsys):
     assert f"slot {tampered_slot} mg {tampered_mg}" in out
 
 
+def test_audit_catches_a_cent_on_a_large_cost(tmp_path, capsys):
+    run_cli(
+        "run", "--out", str(tmp_path), "--mode", "auction",
+        "--horizon", "20", "--seed", "4",
+    )
+    slots = tmp_path / "auction" / "slots.csv"
+    with open(slots, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("cost")
+    k = max(range(1, len(rows)), key=lambda i: abs(float(rows[i][col])))
+    cost = float(rows[k][col])
+    assert abs(cost) > 1000.0  # where 1e-5 of the cost would forgive 0.01
+    rows[k][col] = f"{cost + 0.01:.6f}"
+    with open(slots, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    code = run_cli("audit", str(tmp_path / "auction"))
+    out = capsys.readouterr().out
+    assert code == EXIT_INVARIANT
+    assert f"slot {rows[k][0]} mg {rows[k][1]}: cost" in out
+
+
 def test_audit_missing_dir_is_usage_error(tmp_path):
     assert run_cli("audit", str(tmp_path / "missing")) == EXIT_USAGE
 
@@ -226,3 +303,27 @@ def test_emitted_config_reproduces_the_run(tmp_path):
         (rerun / "auction" / "slots.csv").read_bytes()
         == (tmp_path / "auction" / "slots.csv").read_bytes()
     )
+
+
+# ---------------------------------------------------------------- golden bytes
+
+# sha256 of the built-in reference run (seed 7, 120 slots, both modes). Any
+# change to a simulated number or to the log format changes them; re-pin them
+# only in a change that means to alter the output.
+GOLDEN_SHA256 = {
+    "auction/slots.csv": "c351b45ad6e1d71e8977c972d857f6423219e7d4f6dced7b2601b54b6cdd1df8",
+    "auction/summary.csv": "a61699fc069e90d23f992b3d96eaf93b4241175937e00fee430aadb72c27e2d1",
+    "auction/auction_audit.csv": "49a89cc732ebe9f5719ab9e7e2d2024067b9425415d3cb8205649866ebfffdb3",
+    "solo/slots.csv": "bec38e04b2bff11740213bfcfc69a5fe14b92dbbc5a1eb152abbaf19a89232ee",
+    "solo/summary.csv": "3dd0866e2983317576da3c25e150ca692912253a94d9fb099adc51bb7eac53c2",
+    "solo/auction_audit.csv": "32040dabdac14923500d990254bd0311743c50ac019d7c74cbe81232a3cd2cb7",
+}
+
+
+def test_reference_run_matches_golden_bytes(tmp_path):
+    assert run_cli("run", "--out", str(tmp_path)) == EXIT_OK
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in GOLDEN_SHA256
+    }
+    assert got == GOLDEN_SHA256

@@ -11,7 +11,6 @@ from mgtrade.controller import (
     marginal_value,
     post_trade_settlement,
     slot_objective,
-    slot_objective_with_settlement,
     solve_slot_program,
     spilled_kwh,
 )
@@ -20,12 +19,11 @@ from mgtrade.model import (
     ControlAction,
     MGParams,
     MGState,
-    PriceBounds,
     SlotInputs,
     check_action,
 )
 
-from oracles import brute_force_slot_objective
+from oracles import brute_force_slot_objective, slot_objective_with_settlement
 
 
 def mg(**overrides) -> MGParams:
@@ -56,7 +54,6 @@ def inputs(r=0.0, di=0.0, dt=0.0, price=1.0) -> SlotInputs:
 
 
 NO_TRADE = TradeAllocation.none(1)
-PB = PriceBounds(1.0, 2.0)
 
 
 # -------------------------------------------------------------------- bidding
@@ -159,7 +156,7 @@ def test_program_charges_cheap_energy():
     # theta = 1*2 + 10 + 10 = 22, so an empty battery sits at X = -72
     s = state(b=0.0, x=-72.0)
     ins = inputs(r=30.0, price=1.0)
-    action = solve_slot_program(s, ins, NO_TRADE, p, PB)
+    action = solve_slot_program(s, ins, NO_TRADE, p)
     assert action.charge_kwh == pytest.approx(50.0)
     assert action.discharge_kwh == 0.0
     assert action.grid_purchase_kwh == pytest.approx(20.0)
@@ -174,27 +171,27 @@ def test_program_grid_covers_deficit_exactly():
     )
     s = state(b=50.0, x=28.0)  # above the setpoint: no appetite to charge
     ins = inputs(r=10.0, di=50.0, price=1.5)
-    action = solve_slot_program(s, ins, NO_TRADE, p, PB)
+    action = solve_slot_program(s, ins, NO_TRADE, p)
     assert action.charge_kwh == 0.0
     assert action.serve_dt_kwh == 0.0
     assert action.grid_purchase_kwh == pytest.approx(40.0)
 
 
 def test_program_idle_on_zero_state():
-    action = solve_slot_program(state(), inputs(), NO_TRADE, mg(), PB)
+    action = solve_slot_program(state(), inputs(), NO_TRADE, mg())
     assert action == ControlAction.idle()
 
 
 def test_program_rejects_two_sided_trade():
     trade = TradeAllocation(1, bought_kwh=5.0, sold_kwh=5.0, buy_unit_price=1.0, sell_unit_price=1.0)
     with pytest.raises(MarketError):
-        solve_slot_program(state(), inputs(), trade, mg(), PB)
+        solve_slot_program(state(), inputs(), trade, mg())
 
 
 def test_program_rejects_negative_trade():
     trade = TradeAllocation(1, bought_kwh=-1.0, sold_kwh=0.0, buy_unit_price=0.0, sell_unit_price=0.0)
     with pytest.raises(MarketError):
-        solve_slot_program(state(), inputs(), trade, mg(), PB)
+        solve_slot_program(state(), inputs(), trade, mg())
 
 
 int_qty = st.integers(0, 15).map(float)
@@ -234,7 +231,7 @@ def program_instances(draw):
 def test_program_beats_integer_grid(inst):
     """The exact solver is never worse than a unit-grid search of the same box."""
     p, s, ins, trade = inst
-    action = solve_slot_program(s, ins, trade, p, PB)
+    action = solve_slot_program(s, ins, trade, p)
     check_action(s, action, p)
     assert action.serve_dt_kwh <= min(p.serve_rate_max_kwh, s.demand_queue_kwh) + 1e-9
     got = slot_objective(s, ins, action, p)
@@ -261,7 +258,7 @@ def test_program_beats_integer_grid(inst):
 @settings(max_examples=150, deadline=None)
 def test_program_never_spills_negative(inst):
     p, s, ins, trade = inst
-    action = solve_slot_program(s, ins, trade, p, PB)
+    action = solve_slot_program(s, ins, trade, p)
     assert spilled_kwh(ins, action) >= -1e-9
 
 
@@ -270,7 +267,7 @@ def test_program_never_spills_negative(inst):
 def test_threshold_structure(inst):
     """Above the setpoint charging never pays; far enough below, discharging never does."""
     p, s, ins, trade = inst
-    action = solve_slot_program(s, ins, trade, p, PB)
+    action = solve_slot_program(s, ins, trade, p)
     if s.virtual_battery_kwh > 0:
         assert action.charge_kwh == 0.0
     if s.virtual_battery_kwh < -p.v_weight * ins.grid_price:

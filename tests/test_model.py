@@ -23,11 +23,18 @@ from mgtrade.model import (
     demand_queue_step,
     fifo_serve,
     initial_state,
-    isclose_kwh,
-    job_ages_ok,
     virtual_range,
     within,
 )
+
+
+def isclose_kwh(a: float, b: float, tol: float = FEAS_TOL) -> bool:
+    return math.isclose(a, b, rel_tol=0.0, abs_tol=tol)
+
+
+def job_ages_ok(state: MGState, slot: int, delta_max: float) -> bool:
+    """True when no pending job is older than the worst-case age bound."""
+    return all(slot - arrival <= delta_max + FEAS_TOL for arrival, _ in state.pending_jobs)
 
 
 def big_mg(**overrides) -> MGParams:
@@ -196,21 +203,18 @@ def inputs(r=0.0, di=0.0, dt=0.0, price=1.0) -> SlotInputs:
 
 
 def test_fifo_serve_oldest_first():
-    kept, done = fifo_serve(((0, 5.0), (1, 3.0)), 6.0)
-    assert done == (0,)
+    kept = fifo_serve(((0, 5.0), (1, 3.0)), 6.0)
     assert len(kept) == 1
     assert kept[0][0] == 1
     assert math.isclose(kept[0][1], 2.0)
 
 
 def test_fifo_serve_nothing():
-    kept, done = fifo_serve(((2, 4.0),), 0.0)
-    assert kept == ((2, 4.0),) and done == ()
+    assert fifo_serve(((2, 4.0),), 0.0) == ((2, 4.0),)
 
 
 def test_fifo_serve_everything():
-    kept, done = fifo_serve(((0, 1.0), (1, 2.0), (2, 3.0)), 10.0)
-    assert kept == () and done == (0, 1, 2)
+    assert fifo_serve(((0, 1.0), (1, 2.0), (2, 3.0)), 10.0) == ()
 
 
 @given(
@@ -224,7 +228,8 @@ def test_backlog_always_equals_pending_jobs(steps):
     s = state()
     for t, (j, dt) in enumerate(steps):
         s = demand_queue_step(s, act(j=j), inputs(dt=dt), slot=t)
-        assert math.isclose(s.demand_queue_kwh, s.pending_total_kwh(), abs_tol=1e-6)
+        pending = sum(r for _, r in s.pending_jobs)
+        assert math.isclose(s.demand_queue_kwh, pending, abs_tol=1e-6)
         assert s.demand_queue_kwh >= 0.0
 
 
@@ -496,6 +501,11 @@ def test_job_ages_ok_flags_stale_jobs():
     s = state(jobs=((0, 1.0), (4, 2.0)))
     assert job_ages_ok(s, slot=5, delta_max=5.0)
     assert not job_ages_ok(s, slot=8, delta_max=5.0)
+    # the FIFO is ordered by arrival, so the oldest job decides: the one
+    # check the simulator's monitor makes agrees with the full scan
+    for slot in range(4, 12):
+        ok = s.oldest_pending_age(slot) <= 5.0 + FEAS_TOL
+        assert ok == job_ages_ok(s, slot=slot, delta_max=5.0)
 
 
 def test_oldest_pending_age():

@@ -11,6 +11,7 @@ from mgtrade.model import MGParams, PriceBounds, SlotInputs, compute_v_max
 from mgtrade.sim import (
     MODE_AUCTION,
     MODE_SOLO,
+    SLOTS_HEADER,
     MGSpec,
     ScenarioConfig,
     World,
@@ -240,8 +241,8 @@ def test_step_crossing_market_preserves_buyer_battery():
     cfg, world, inputs = crossing_market()
     next_world, rec = step(world, inputs)
     assert rec.market.volume_kwh == pytest.approx(300.0)
-    assert rec.market.buy_clearing_price == pytest.approx(20.0)
-    assert rec.market.sell_clearing_price == 0.0
+    assert rec.market.buy_price == pytest.approx(20.0)
+    assert rec.market.sell_price == 0.0
     assert rec.violations == ()
 
     solo_cfg = dataclasses.replace(cfg, mode=MODE_SOLO)
@@ -509,6 +510,69 @@ def test_verify_log_rows_catches_corruption(tmp_path):
     assert any(f"slot {slot} mg {mg}" in p for p in problems)
 
 
+# Two rows of valid 96-MG auction runs. Each cost is a small difference of
+# products of a few hundred kWh and ~10/kWh prices, so the 6-decimal operands
+# recompute it 1.3e-4 off the recorded value; 1e-5 of the cost would not cover
+# that.
+ROUNDING_ROWS = (
+    "11,46,2799.970311,704.430192,300.000000,-2085.743974,433.112131,170.051096,"
+    "195.127849,10.375345,5.208157,5.208157,263.061035,0.000000,0.000000,"
+    "263.061035,0.000000,7.839810,200.029689,0.000000,0.000000,200.029689,"
+    "0.000000,13.028364,6,7.984933,7.839810,11345.203443,1646.447546",
+    "82,10,2781.862651,621.503411,400.000000,-2060.994492,645.053043,287.897396,"
+    "201.746251,11.920093,5.958770,5.958770,357.155647,0.000000,0.000000,"
+    "357.155647,0.000000,7.279452,218.137349,0.000000,0.000000,218.137349,"
+    "-0.000000,0.320225,3,8.008383,7.279452,13684.940384,9975.384787",
+)
+
+
+def rounding_config() -> ScenarioConfig:
+    """The two MGs of ROUNDING_ROWS: reference battery, type1 and type2 loads."""
+    mgs = []
+    for mg_id, mg_type, low, high, renewable, v in (
+        (46, "type1", 100.0, 200.0, 200.0, 192.85714285714286),
+        (10, "type2", 200.0, 400.0, 600.0, 171.42857142857142),
+    ):
+        params = MGParams(
+            id=mg_id,
+            battery_capacity_kwh=3000.0,
+            charge_rate_max_kwh=1500.0,
+            discharge_rate_max_kwh=1500.0,
+            serve_rate_max_kwh=1500.0,
+            dt_load_max_kwh=high,
+            epsilon=low,
+            epsilon_max=low,
+            price_floor=1.0,
+            v_weight=v,
+        )
+        mgs.append(MGSpec(params, LoadModel(mg_type, low, high, rng_seed=0), renewable))
+    return ScenarioConfig(
+        mgs=tuple(mgs), price_bounds=PB, horizon_slots=120,
+        rho1=1000.0, rho2=1e-4, mode=MODE_AUCTION, seed=0,
+    )
+
+
+def test_verify_log_rows_allows_cost_rounding_of_large_products(tmp_path):
+    path = tmp_path / "slots.csv"
+    path.write_text("\n".join((",".join(SLOTS_HEADER),) + ROUNDING_ROWS) + "\n")
+    rows = read_slots_csv(path)
+    cfg = rounding_config()
+    assert verify_log_rows(cfg, rows) == []
+    for r in rows:
+        recomputed = (
+            r["grid_price"] * r["grid_kwh"]
+            + r["buy_unit_price"] * r["bought_kwh"]
+            - r["sell_unit_price"] * r["sold_kwh"]
+        )
+        assert abs(recomputed - r["cost"]) > max(1e-4, 1e-5 * abs(recomputed))
+    # the rounding allowance stays far below an edit of a thousandth
+    for r in rows:
+        r["cost"] += 1e-3
+    problems = verify_log_rows(cfg, rows)
+    assert len(problems) == 2
+    assert all("cost" in p for p in problems)
+
+
 def test_read_slots_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "slots.csv"
     path.write_text("a,b,c\n1,2,3\n")
@@ -518,8 +582,8 @@ def test_read_slots_csv_rejects_foreign_header(tmp_path):
 
 def test_summarize_counts_trades_and_ages():
     cfg, world, inputs = crossing_market()
-    after, rec = step(world, inputs)
-    summary = summarize(cfg, [rec], after)
+    _, rec = step(world, inputs)
+    summary = summarize(cfg, [rec])
     assert summary.total_traded_kwh == pytest.approx(300.0)
     assert summary.per_mg[1].total_bought_kwh == pytest.approx(300.0)
     assert summary.per_mg[3].total_sold_kwh == pytest.approx(300.0)
