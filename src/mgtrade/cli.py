@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 usage (bad flags, missing files), 3 data
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -92,14 +93,22 @@ def _number(d: dict, key: str, default: float | None = None) -> float:
     return x
 
 
+def _integer(d: dict, key: str, default: int | None = None) -> int:
+    """``d[key]`` as an int; a number with a fractional part is rejected."""
+    value = d[key] if default is None else d.get(key, default)
+    x = value if isinstance(value, int) else _number(d, key, default)  # ints exact
+    if x != int(x):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(x)
+
+
 def _mg_from_dict(d: dict, seed: int, index: int, pb: PriceBounds) -> MGSpec:
     _check_keys(f"mgs[{index}]", d, _MG_KEYS)
+    mg_id = _integer(d, "id", index + 1)
     mg_type = d.get("mg_type", "type1")
     if mg_type not in _TYPE_DEFAULTS:
-        raise ConfigError(f"mg {d.get('id', index)}: unknown mg_type {mg_type!r}")
-    merged = dict(_TYPE_DEFAULTS[mg_type])
-    merged.update(d)
-    mg_id = int(merged.get("id", index + 1))
+        raise ConfigError(f"mg {mg_id}: unknown mg_type {mg_type!r}")
+    merged = {**_TYPE_DEFAULTS[mg_type], **d}
     dt_share = _number(merged, "dt_share", 0.5)
     low = _number(merged, "load_low_kwh")
     high = _number(merged, "load_high_kwh")
@@ -127,7 +136,7 @@ def _mg_from_dict(d: dict, seed: int, index: int, pb: PriceBounds) -> MGSpec:
             raise ConfigError(f"mg {mg_id}: v_fraction must be in (0, 1]")
         v_weight = fraction * compute_v_max(probe, pb)
     params = dataclasses.replace(probe, v_weight=v_weight)
-    load_seed = int(merged.get("load_seed", mg_subseed(seed, index)))
+    load_seed = _integer(merged, "load_seed", mg_subseed(seed, index))
     return MGSpec(
         params=params,
         load_model=LoadModel(
@@ -155,7 +164,7 @@ def config_from_dict(doc: dict) -> tuple[ScenarioConfig, dict]:
         pb = PriceBounds(
             p_min=_number(pb_doc, "p_min", 2.0), p_max=_number(pb_doc, "p_max", 16.0)
         )
-        seed = int(doc.get("seed", 0))
+        seed = _integer(doc, "seed", 0)
         mgs = tuple(
             _mg_from_dict(d, seed, k, pb) for k, d in enumerate(doc.get("mgs", []))
         )
@@ -165,7 +174,7 @@ def config_from_dict(doc: dict) -> tuple[ScenarioConfig, dict]:
         config = ScenarioConfig(
             mgs=mgs,
             price_bounds=pb,
-            horizon_slots=int(doc.get("horizon_slots", 120)),
+            horizon_slots=_integer(doc, "horizon_slots", 120),
             rho1=_number(doc, "rho1", 1000.0),
             rho2=_number(doc, "rho2", 0.0001),
             mode=str(doc.get("mode", MODE_AUCTION)),
@@ -423,10 +432,8 @@ def cmd_audit(args) -> int:
 
 
 def _audit_sweep(sweep_csv: Path) -> int:
-    import csv as _csv
-
     with open(sweep_csv, newline="") as fh:
-        rows = list(_csv.DictReader(fh))
+        rows = list(csv.DictReader(fh))
     if not rows:
         raise SimError(f"{sweep_csv}: empty")
     by_mg: dict[str, list[dict]] = {}
@@ -508,10 +515,8 @@ def cmd_sweep(args) -> int:
             )
         print(f"fraction {f:.3f}: total cost {summary.total_cost:.4f}")
 
-    import csv as _csv
-
     with open(out_root / "sweep.csv", "w", newline="") as fh:
-        writer = _csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
     (out_root / "config.json").write_text(

@@ -6,14 +6,16 @@ whose prices equal its marginal valuation of serving backlog, (Q + Z) / V
 
     minimize  X*(C - D) - (Q + Z)*J + V*P*G
 
-over feasible (C, D, J, G) with the traded quantities fixed. The trade
-payments are constants at that stage and are excluded from the argmin; they
-re-enter through :func:`post_trade_settlement`.
+over feasible (C, D, J, G) with the traded quantities fixed. The caller
+passes X = B - theta - D_max, derived by :func:`mgtrade.model.virtual_battery`.
+The trade payments are constants at that stage and are excluded from the
+argmin; they re-enter through :func:`post_trade_settlement`.
 
 The program is a tiny nonconvex LP (the charge/discharge exclusivity). It is
-solved exactly by splitting on the exclusive pair and enumerating the vertex
-candidates of each 2-variable piecewise-linear branch, which is deterministic
-and avoids iterative-solver noise in replay-sensitive tests.
+solved exactly by splitting on the exclusive pair and scanning the explicit
+vertices of each 2-variable piecewise-linear branch: the box bounds crossed
+with the two balance breakpoints. This is deterministic and avoids
+iterative-solver noise in replay-sensitive tests.
 """
 
 from __future__ import annotations
@@ -102,68 +104,17 @@ def make_bids(state: MGState, inputs: SlotInputs, params: MGParams) -> BidPair:
     )
 
 
-def _intersections(
-    lines: list[tuple[float, float, float]], xmax: float, ymax: float
-) -> list[tuple[float, float]]:
-    """All pairwise line intersections clipped to the box [0,xmax]x[0,ymax]."""
-    pts: dict[tuple[float, float], tuple[float, float]] = {}
-    n = len(lines)
-    for a in range(n):
-        a1, a2, b1 = lines[a]
-        for b in range(a + 1, n):
-            c1, c2, b2 = lines[b]
-            det = a1 * c2 - a2 * c1
-            if abs(det) < 1e-12:
-                continue
-            x = (b1 * c2 - b2 * a2) / det
-            y = (a1 * b2 - b1 * c1) / det
-            if -FEAS_TOL <= x <= xmax + FEAS_TOL and -FEAS_TOL <= y <= ymax + FEAS_TOL:
-                x = min(max(x, 0.0), xmax)
-                y = min(max(y, 0.0), ymax)
-                pts.setdefault((round(x, 9), round(y, 9)), (x, y))
-    return sorted(pts.values())
-
-
-def _branch_minimum(
-    coef_v: float,
-    coef_j: float,
-    vp: float,
-    ub_v: float,
-    ub_j: float,
-    need_lines: list[tuple[float, float, float]],
-    need_fns,
-) -> tuple[float, float, float, float]:
-    """Minimize coef_v*v + coef_j*j + vp*max(0, needs...) over the box.
-
-    The objective is convex piecewise-linear, so the minimum sits on an
-    intersection of constraint/breakpoint lines; candidates are enumerated
-    in lexicographic order so ties resolve toward inaction.
-    """
-    lines = [
-        (1.0, 0.0, 0.0),
-        (1.0, 0.0, ub_v),
-        (0.0, 1.0, 0.0),
-        (0.0, 1.0, ub_j),
-    ] + need_lines
-    best = None
-    for v, j in _intersections(lines, ub_v, ub_j):
-        g = max(0.0, *(fn(v, j) for fn in need_fns))
-        obj = coef_v * v + coef_j * j + vp * g
-        if best is None or obj < best[0] - 1e-12:
-            best = (obj, v, j, g)
-    assert best is not None  # the box corners always qualify
-    return best
-
-
 def solve_slot_program(
     state: MGState,
+    x: float,
     inputs: SlotInputs,
     trade: TradeAllocation,
     params: MGParams,
 ) -> ControlAction:
     """Exact minimizer of the drift-plus-penalty slot objective.
 
-    Feasible set: 0 <= C <= min(capacity - B, C_max), 0 <= D <= min(B, D_max),
+    ``x`` is the virtual battery queue X of ``state``. Feasible set:
+    0 <= C <= min(capacity - B, C_max), 0 <= D <= min(B, D_max),
     C*D = 0, 0 <= J <= min(J_max, Q), G >= 0, and the energy balance
     I + J + sold + C <= R + G + D + bought. Purchased auction energy may serve
     loads but never charge the battery, which adds C + sold <= R + G + D.
@@ -173,12 +124,7 @@ def solve_slot_program(
     if trade.bought_kwh > 0 and trade.sold_kwh > 0:
         raise MarketError(f"mg {params.id}: trade on both sides in one slot")
 
-    b, q, z, x = (
-        state.battery_kwh,
-        state.demand_queue_kwh,
-        state.delay_queue_kwh,
-        state.virtual_battery_kwh,
-    )
+    b, q, z = state.battery_kwh, state.demand_queue_kwh, state.delay_queue_kwh
     r, i = inputs.renewable_kwh, inputs.di_load_kwh
     bought, sold = trade.bought_kwh, trade.sold_kwh
     qz = q + z
@@ -191,31 +137,41 @@ def solve_slot_program(
     s1 = r + bought - i - sold  # slack before grid import, loads covered
     s2 = r - sold  # slack available to charging (no auction energy)
 
-    # branch D = 0: minimize over (c, j)
-    obj_c, c_opt, j_c, g_c = _branch_minimum(
-        x,
-        -qz,
-        vp,
-        ub_c,
-        ub_j,
-        [(1.0, 1.0, s1), (1.0, 0.0, s2), (0.0, 1.0, s1 - s2)],
-        (lambda c, j: c + j - s1, lambda c, j: c - s2),
-    )
-    # branch C = 0: minimize over (d, j)
-    obj_d, d_opt, j_d, g_d = _branch_minimum(
-        -x,
-        -qz,
-        vp,
-        ub_d,
-        ub_j,
-        [(-1.0, 1.0, s1), (1.0, 0.0, -s2), (0.0, 1.0, s1 - s2)],
-        (lambda d, j: j - d - s1, lambda d, j: -d - s2),
-    )
+    def branch_minimum(sign: int, ub_v: float) -> tuple[float, float, float]:
+        """Minimize (sign*x)*v - qz*j + vp*max(0, u + j - s1, u - s2) over the box.
 
-    if obj_d < obj_c - 1e-12:
-        c, d, j = 0.0, d_opt, j_d
-    else:
-        c, d, j = c_opt, 0.0, j_c
+        ``u = sign*v`` is the battery flow: sign +1 for the charge branch
+        (v = C), -1 for the discharge branch (v = D). The objective is convex
+        piecewise-linear, so the minimum sits on a vertex of the box edges and
+        the breakpoint lines u = s2, j = s1 - s2 and u + j = s1. The vertices
+        are scanned in lexicographic order, so ties resolve toward inaction.
+        """
+        vs = (0.0, ub_v, sign * s2)
+        js = (0.0, ub_j, s1 - s2)
+        # the diagonal meets j = s1 - s2 at (sign*s2, s1 - s2), already listed;
+        # a recomputed copy can be an ulp off and win the scan instead
+        candidates = (
+            [(v, j) for v in vs for j in js]
+            + [(v, s1 - sign * v) for v in vs]
+            + [(sign * (s1 - j), j) for j in js[:2]]
+        )
+        best = None
+        for v, j in sorted(
+            (min(max(v, 0.0), ub_v), min(max(j, 0.0), ub_j))
+            for v, j in candidates
+            if -FEAS_TOL <= v <= ub_v + FEAS_TOL and -FEAS_TOL <= j <= ub_j + FEAS_TOL
+        ):
+            u = sign * v
+            obj = sign * x * v - qz * j + vp * max(0.0, u + j - s1, u - s2)
+            if best is None or obj < best[0] - 1e-12:
+                best = (obj, v, j)
+        assert best is not None  # the box corners always qualify
+        return best
+
+    obj_c, c_opt, j_c = branch_minimum(1, ub_c)
+    obj_d, d_opt, j_d = branch_minimum(-1, ub_d)
+
+    c, d, j = (0.0, d_opt, j_d) if obj_d < obj_c - 1e-12 else (c_opt, 0.0, j_c)
 
     # snap to bounds and recompute the exact minimal grid purchase
     c = 0.0 if c < FEAS_TOL else min(c, ub_c)
@@ -235,12 +191,16 @@ def solve_slot_program(
 
 
 def slot_objective(
-    state: MGState, inputs: SlotInputs, action: ControlAction, params: MGParams
+    state: MGState,
+    x: float,
+    inputs: SlotInputs,
+    action: ControlAction,
+    params: MGParams,
 ) -> float:
-    """Value of the slot program objective for a given action."""
+    """Value of the slot program objective for an action, given the state's X."""
     qz = state.demand_queue_kwh + state.delay_queue_kwh
     return (
-        state.virtual_battery_kwh * (action.charge_kwh - action.discharge_kwh)
+        x * (action.charge_kwh - action.discharge_kwh)
         - qz * action.serve_dt_kwh
         + params.v_weight * inputs.grid_price * action.grid_purchase_kwh
     )

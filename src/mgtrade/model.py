@@ -7,7 +7,8 @@ Each microgrid (MG) carries four coupled queues:
 * a delay-aware virtual queue ``Z``, advanced by ``Z' = max(Z - J, 0) + eps``
   whenever backlog existed at the start of the slot,
 * a shifted battery queue ``X = B - theta - D_max`` so that drift analysis
-  applies to a signed quantity centred near zero.
+  applies to a signed quantity centred near zero. X is derived from ``B``
+  by :func:`virtual_battery` whenever it is needed, never stored.
 
 Charging and discharging are mutually exclusive and rate-limited, the battery
 is capacity-limited, and the service allocation ``J`` drains both ``Q`` and
@@ -105,7 +106,6 @@ class MGState:
     battery_kwh: float
     demand_queue_kwh: float
     delay_queue_kwh: float
-    virtual_battery_kwh: float
     pending_jobs: tuple[tuple[int, float], ...] = ()
 
     def oldest_pending_age(self, slot: int) -> int:
@@ -198,12 +198,7 @@ def check_action(
 
 
 def battery_step(state: MGState, action: ControlAction, params: MGParams) -> MGState:
-    """Advance the battery queue: B' = B - D + C.
-
-    The virtual queue moves with the battery by the same delta (their
-    difference is the constant theta + D_max), so no bound parameters are
-    needed here beyond the feasibility check.
-    """
+    """Advance the battery queue: B' = B - D + C."""
     check_action(state, action, params)
     delta = action.charge_kwh - action.discharge_kwh
     new_b = state.battery_kwh + delta
@@ -213,11 +208,7 @@ def battery_step(state: MGState, action: ControlAction, params: MGParams) -> MGS
     cap = params.battery_capacity_kwh
     if cap < new_b < cap + FEAS_TOL:
         new_b = cap
-    return replace(
-        state,
-        battery_kwh=new_b,
-        virtual_battery_kwh=state.virtual_battery_kwh + (new_b - state.battery_kwh),
-    )
+    return replace(state, battery_kwh=new_b)
 
 
 def fifo_serve(
@@ -334,15 +325,15 @@ def initial_state(
         battery_kwh=b0,
         demand_queue_kwh=0.0,
         delay_queue_kwh=0.0,
-        virtual_battery_kwh=b0 - bounds.theta - params.discharge_rate_max_kwh,
         pending_jobs=(),
     )
 
 
-def virtual_range(params: MGParams, bounds: DerivedBounds) -> tuple[float, float]:
-    """Admissible interval for the virtual battery queue."""
-    shift = bounds.theta + params.discharge_rate_max_kwh
-    return (-shift, params.battery_capacity_kwh - shift)
+def virtual_battery(
+    battery_kwh: float, params: MGParams, bounds: DerivedBounds
+) -> float:
+    """The virtual battery queue X = B - theta - D_max of a battery level."""
+    return battery_kwh - bounds.theta - params.discharge_rate_max_kwh
 
 
 def within(value: float, low: float, high: float, tol: float = FEAS_TOL) -> bool:

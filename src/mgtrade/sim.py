@@ -54,7 +54,7 @@ from .model import (
     delay_queue_step,
     demand_queue_step,
     initial_state,
-    virtual_range,
+    virtual_battery,
     within,
 )
 
@@ -272,11 +272,6 @@ def _monitor(
         bad.append(f"{tag}: Q {new_state.demand_queue_kwh} > q_max {b.q_max}")
     if new_state.delay_queue_kwh > b.z_max + FEAS_TOL:
         bad.append(f"{tag}: Z {new_state.delay_queue_kwh} > z_max {b.z_max}")
-    lo, hi = virtual_range(params, b)
-    if not within(new_state.virtual_battery_kwh, lo, hi):
-        bad.append(
-            f"{tag}: X {new_state.virtual_battery_kwh} outside [{lo}, {hi}]"
-        )
     if min(action.charge_kwh, action.discharge_kwh) > FEAS_TOL:
         bad.append(f"{tag}: charge and discharge both positive")
     if spill < -FEAS_TOL:
@@ -319,7 +314,8 @@ def step(world: World, inputs: tuple[SlotInputs, ...]) -> tuple[World, SlotRecor
     ):
         try:
             trade = outcome.allocation_for(m.params.id)
-            action = solve_slot_program(st, ins, trade, m.params)
+            x = virtual_battery(st.battery_kwh, m.params, b)
+            action = solve_slot_program(st, x, ins, trade, m.params)
             cost = post_trade_settlement(action, trade, ins)
             spill = spilled_kwh(ins, action)
             after = battery_step(st, action, m.params)
@@ -337,7 +333,7 @@ def step(world: World, inputs: tuple[SlotInputs, ...]) -> tuple[World, SlotRecor
                 battery_kwh=st.battery_kwh,
                 demand_queue_kwh=st.demand_queue_kwh,
                 delay_queue_kwh=st.delay_queue_kwh,
-                virtual_kwh=st.virtual_battery_kwh,
+                virtual_kwh=x,
                 renewable_kwh=ins.renewable_kwh,
                 di_load_kwh=ins.di_load_kwh,
                 dt_load_kwh=ins.dt_load_kwh,
@@ -762,11 +758,19 @@ def read_slots_csv(path) -> list[dict[str, float]]:
     return out
 
 
+# the recorded cost's operands: grid price and kWh, buy and sell price and kWh
+_COST_OPERANDS = (
+    "grid_price", "grid_kwh", "buy_unit_price", "bought_kwh", "sell_unit_price",
+    "sold_kwh",
+)
+
+
 def verify_log_rows(
     config: ScenarioConfig, rows: list[dict[str, float]], tol: float = 1e-4
 ) -> list[str]:
     """Re-derive every per-slot invariant from a written log alone.
 
+    Every configured MG must log exactly one row per slot of the horizon.
     Works on the 6-decimal CSV rendering, so the tolerance is loose relative
     to the in-memory checks but still far below any physical quantity. The
     recomputed cost also allows for the rounding of its six operands.
@@ -778,13 +782,22 @@ def verify_log_rows(
     for row in rows:
         by_mg.setdefault(int(row["mg_id"]), []).append(row)
 
+    horizon = range(config.horizon_slots)
+    for mid in params_all:
+        slots = sorted(int(r["slot"]) for r in by_mg.get(mid, ()))
+        if slots != list(horizon):
+            problems.append(
+                f"mg {mid}: logged slots are not 0..{horizon[-1]}: "
+                f"{len(set(horizon) - set(slots))} missing, "
+                f"{len(slots) - len(set(slots))} repeated"
+            )
+
     for mid, mg_rows in by_mg.items():
         if mid not in params_all:
             problems.append(f"mg {mid}: not in config")
             continue
         p = params_all[mid]
         db = bounds_all[mid]
-        lo, hi = virtual_range(p, db)
         mg_rows.sort(key=lambda r: r["slot"])
         for r in mg_rows:
             t = int(r["slot"])
@@ -795,25 +808,16 @@ def verify_log_rows(
                 problems.append(f"{tag}: Q {r['demand_queue_kwh']} > {db.q_max}")
             if r["delay_queue_kwh"] > db.z_max + tol:
                 problems.append(f"{tag}: Z {r['delay_queue_kwh']} > {db.z_max}")
-            if not within(r["virtual_kwh"], lo, hi, tol):
-                problems.append(f"{tag}: X {r['virtual_kwh']} out of range")
+            if abs(r["virtual_kwh"] - virtual_battery(r["battery_kwh"], p, db)) > tol:
+                problems.append(f"{tag}: X {r['virtual_kwh']} != B - theta - D_max")
             if min(r["charge_kwh"], r["discharge_kwh"]) > tol:
                 problems.append(f"{tag}: simultaneous charge and discharge")
-            expected_cost = (
-                r["grid_price"] * r["grid_kwh"]
-                + r["buy_unit_price"] * r["bought_kwh"]
-                - r["sell_unit_price"] * r["sold_kwh"]
-            )
+            operands = [r[k] for k in _COST_OPERANDS]
+            pg, grid, pb, bought, ps, sold = operands
+            expected_cost = pg * grid + pb * bought - ps * sold
             # each operand is off by at most 5e-7 after 6-decimal rounding, so
             # a product a*b is off by at most 5e-7 * (|a| + |b|)
-            rounding = 5e-7 * (
-                abs(r["grid_price"])
-                + abs(r["grid_kwh"])
-                + abs(r["buy_unit_price"])
-                + abs(r["bought_kwh"])
-                + abs(r["sell_unit_price"])
-                + abs(r["sold_kwh"])
-            )
+            rounding = 5e-7 * sum(map(abs, operands))
             if abs(expected_cost - r["cost"]) > tol + rounding:
                 problems.append(
                     f"{tag}: cost {r['cost']} != recomputed {expected_cost}"

@@ -192,7 +192,7 @@ def brute_force_two_slot_cost(
     return best
 
 
-def slot_objective_with_settlement(state, inputs, action, trade, params) -> float:
+def slot_objective_with_settlement(state, x, inputs, action, trade, params) -> float:
     """Slot objective plus the V-weighted trade payments (deviation metric).
 
     X*(C - D) - (Q + Z)*J + V*P*G + V*(p_buy*bought - p_sell*sold), written
@@ -200,7 +200,7 @@ def slot_objective_with_settlement(state, inputs, action, trade, params) -> floa
     """
     qz = state.demand_queue_kwh + state.delay_queue_kwh
     return (
-        state.virtual_battery_kwh * (action.charge_kwh - action.discharge_kwh)
+        x * (action.charge_kwh - action.discharge_kwh)
         - qz * action.serve_dt_kwh
         + params.v_weight * inputs.grid_price * action.grid_purchase_kwh
     ) + params.v_weight * (

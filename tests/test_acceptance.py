@@ -35,7 +35,7 @@ from mgtrade.model import (
     compute_a_const,
     compute_bounds,
     compute_v_max,
-    virtual_range,
+    virtual_battery,
 )
 from mgtrade.sim import (
     MODE_AUCTION,
@@ -315,14 +315,14 @@ def test_criterion_4_slot_program_beats_exhaustive_grid():
             price_floor=1.0,
             v_weight=v,
         )
-        state = MGState(battery, q, z, x, ((0, q),) if q > 0 else ())
+        state = MGState(battery, q, z, ((0, q),) if q > 0 else ())
         inputs = SlotInputs(renewable, di, 0.0, price)
         # a one-sided allocation at zero prices: settlement is not part of
         # the objective under test
         trade = TradeAllocation(1, bought, sold, 0.0, 0.0)
 
-        action = solve_slot_program(state, inputs, trade, params)
-        got = slot_objective(state, inputs, action, params)
+        action = solve_slot_program(state, x, inputs, trade, params)
+        got = slot_objective(state, x, inputs, action, params)
         best_grid = brute_force_slot_objective(
             battery, q, z, x, renewable, di, price, bought, sold,
             capacity, c_max, d_max, j_max, v, step=1.0,
@@ -420,9 +420,11 @@ def test_criterion_5_clearing_maximizes_welfare_with_clean_settlement():
 # ------------------------------------------------------------- criterion 6
 
 
+MARKET_PRICES = PriceBounds(1.0, 20.0)
+
+
 def _random_market(rng: np.random.Generator, n_mgs: int):
     """One slot of a market: per-MG params, state, inputs at a shared price."""
-    pb = PriceBounds(1.0, 20.0)
     price = float(rng.uniform(2.0, 12.0))
     market = []
     for k in range(1, n_mgs + 1):
@@ -442,11 +444,10 @@ def _random_market(rng: np.random.Generator, n_mgs: int):
         )
         params = dataclasses.replace(
             base,
-            v_weight=float(rng.uniform(0.2, 1.0)) * compute_v_max(base, pb),
+            v_weight=float(rng.uniform(0.2, 1.0)) * compute_v_max(base, MARKET_PRICES),
         )
-        bounds = compute_bounds(params, pb)
+        bounds = compute_bounds(params, MARKET_PRICES)
         battery = float(rng.uniform(0.0, capacity))
-        lo, _ = virtual_range(params, bounds)
         if surplus_role:
             q = 0.0 if rng.random() < 0.5 else float(rng.uniform(0.0, 5.0))
             z = 0.0
@@ -460,7 +461,7 @@ def _random_market(rng: np.random.Generator, n_mgs: int):
             q = backlog - z
             renewable = float(rng.uniform(0.0, 25.0))
             di = float(rng.uniform(20.0, 80.0))
-        state = MGState(battery, q, z, lo + battery, ((0, q),) if q > 0 else ())
+        state = MGState(battery, q, z, ((0, q),) if q > 0 else ())
         market.append((params, state, SlotInputs(renewable, di, 0.0, price)))
     return market
 
@@ -488,8 +489,11 @@ def _tweaked_bid(bid: BidPair, delta: float) -> BidPair | None:
 
 def _realized_value(params, state, inputs, outcome) -> float:
     trade = outcome.allocation_for(params.id)
-    action = solve_slot_program(state, inputs, trade, params)
-    return slot_objective_with_settlement(state, inputs, action, trade, params)
+    x = virtual_battery(
+        state.battery_kwh, params, compute_bounds(params, MARKET_PRICES)
+    )
+    action = solve_slot_program(state, x, inputs, trade, params)
+    return slot_objective_with_settlement(state, x, inputs, action, trade, params)
 
 
 def _declared_surplus(params, state, outcome) -> float:

@@ -75,7 +75,7 @@ def reference_doc() -> dict:
         (("price_bounds", "pmax"), 20.0, "pmax"),
         (("mgs", 0, "battery_capacity_kwh"), float("nan"), "battery_capacity_kwh"),
         (("rho1",), float("inf"), "rho1"),
-        (("seed",), float("inf"), "infinity"),
+        (("seed",), float("inf"), "seed must be a finite number"),
     ],
     ids=[
         "unknown-top-level-key",
@@ -94,6 +94,38 @@ def test_config_rejects_bad_document(path, value, message):
     block[path[-1]] = value
     with pytest.raises(ConfigError, match=message):
         config_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("seed",), 3.5),
+        (("horizon_slots",), 2.9),
+        (("mgs", 0, "id"), 1.5),
+        (("mgs", 0, "load_seed"), 7.25),
+    ],
+    ids=["seed", "horizon_slots", "mg-id", "load_seed"],
+)
+def test_config_rejects_fractional_integer(path, value):
+    doc = reference_doc()
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = float(int(value))
+    config_from_dict(doc)  # an integral float still loads
+    block[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"{path[-1]} must be an integer"):
+        config_from_dict(doc)
+
+
+def test_unknown_mg_type_names_the_default_id(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    doc = reference_doc()
+    doc["mgs"] = [{k: v for k, v in doc["mgs"][0].items() if k != "id"}]
+    doc["mgs"][0]["mg_type"] = "type3"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == EXIT_DATA
+    assert "mg 1: unknown mg_type 'type3'" in capsys.readouterr().err
 
 
 def test_run_with_misspelled_key_is_data_error(tmp_path, capsys):
@@ -246,6 +278,65 @@ def test_audit_catches_a_cent_on_a_large_cost(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_INVARIANT
     assert f"slot {rows[k][0]} mg {rows[k][1]}: cost" in out
+
+
+def solo_log(tmp_path) -> tuple[Path, list[list[str]]]:
+    """A 24-slot solo run of the reference scenario and its slots.csv rows."""
+    run_cli(
+        "run", "--out", str(tmp_path), "--mode", "solo",
+        "--horizon", "24", "--seed", "4",
+    )
+    slots = tmp_path / "solo" / "slots.csv"
+    with open(slots, newline="") as fh:
+        return slots, list(csv.reader(fh))
+
+
+def audit_rewritten(slots: Path, rows: list[list[str]], capsys) -> tuple[int, str]:
+    with open(slots, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    code = run_cli("audit", str(slots.parent))
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (
+            lambda rows: [r for r in rows if r[1] != "3"],
+            "mg 3: logged slots are not 0..23: 24 missing, 0 repeated",
+        ),
+        (
+            lambda rows: [r for r in rows if r[0] != "23"],
+            "mg 5: logged slots are not 0..23: 1 missing, 0 repeated",
+        ),
+        (
+            lambda rows: rows[:40] + [rows[39]] + rows[40:],
+            "logged slots are not 0..23: 0 missing, 1 repeated",
+        ),
+    ],
+    ids=["mg-deleted", "slot-deleted", "row-duplicated"],
+)
+def test_audit_catches_incomplete_log(tmp_path, capsys, tamper, message):
+    slots, rows = solo_log(tmp_path)
+    code, out = audit_rewritten(slots, rows[:1] + tamper(rows[1:]), capsys)
+    assert code == EXIT_INVARIANT
+    assert message in out
+
+
+def test_audit_catches_edited_virtual_queue(tmp_path, capsys):
+    slots, rows = solo_log(tmp_path)
+    col = rows[0].index("virtual_kwh")
+    # an interior row with the battery mid-range: X + 100 stays inside the
+    # range of X over [0, capacity], so only the B - theta - D_max identity
+    # can catch the edit
+    k = next(
+        i for i in range(7, len(rows) - 6) if 200.0 < float(rows[i][2]) < 2800.0
+    )
+    rows[k][col] = f"{float(rows[k][col]) + 100.0:.6f}"
+    code, out = audit_rewritten(slots, rows, capsys)
+    assert code == EXIT_INVARIANT
+    assert f"slot {rows[k][0]} mg {rows[k][1]}: X" in out
 
 
 def test_audit_missing_dir_is_usage_error(tmp_path):

@@ -43,10 +43,8 @@ def mg(**overrides) -> MGParams:
     return MGParams(**base)
 
 
-def state(b=0.0, q=0.0, z=0.0, x=0.0) -> MGState:
-    return MGState(
-        battery_kwh=b, demand_queue_kwh=q, delay_queue_kwh=z, virtual_battery_kwh=x
-    )
+def state(b=0.0, q=0.0, z=0.0) -> MGState:
+    return MGState(battery_kwh=b, demand_queue_kwh=q, delay_queue_kwh=z)
 
 
 def inputs(r=0.0, di=0.0, dt=0.0, price=1.0) -> SlotInputs:
@@ -107,7 +105,6 @@ state_strategy = st.builds(
     b=st.floats(0.0, 100.0),
     q=st.floats(0.0, 300.0),
     z=st.floats(0.0, 300.0),
-    x=st.floats(-200.0, 100.0),
 )
 inputs_strategy = st.builds(
     inputs,
@@ -133,7 +130,6 @@ def test_bid_prices_grow_with_backlog(s, ins, extra):
         battery_kwh=s.battery_kwh,
         demand_queue_kwh=s.demand_queue_kwh + extra,
         delay_queue_kwh=s.delay_queue_kwh,
-        virtual_battery_kwh=s.virtual_battery_kwh,
     )
     high = make_bids(bumped, ins, p)
     assert high.sell_price >= low.sell_price
@@ -154,9 +150,9 @@ def test_program_charges_cheap_energy():
         v_weight=1.0,
     )
     # theta = 1*2 + 10 + 10 = 22, so an empty battery sits at X = -72
-    s = state(b=0.0, x=-72.0)
+    s = state(b=0.0)
     ins = inputs(r=30.0, price=1.0)
-    action = solve_slot_program(s, ins, NO_TRADE, p)
+    action = solve_slot_program(s, -72.0, ins, NO_TRADE, p)
     assert action.charge_kwh == pytest.approx(50.0)
     assert action.discharge_kwh == 0.0
     assert action.grid_purchase_kwh == pytest.approx(20.0)
@@ -169,29 +165,42 @@ def test_program_grid_covers_deficit_exactly():
         epsilon_max=10.0,
         v_weight=1.0,
     )
-    s = state(b=50.0, x=28.0)  # above the setpoint: no appetite to charge
+    s = state(b=50.0)
     ins = inputs(r=10.0, di=50.0, price=1.5)
-    action = solve_slot_program(s, ins, NO_TRADE, p)
+    # X = 28 is above the setpoint: no appetite to charge
+    action = solve_slot_program(s, 28.0, ins, NO_TRADE, p)
     assert action.charge_kwh == 0.0
     assert action.serve_dt_kwh == 0.0
     assert action.grid_purchase_kwh == pytest.approx(40.0)
 
 
 def test_program_idle_on_zero_state():
-    action = solve_slot_program(state(), inputs(), NO_TRADE, mg())
+    action = solve_slot_program(state(), 0.0, inputs(), NO_TRADE, mg())
+    assert action == ControlAction.idle()
+
+
+def test_program_prefers_inaction_on_ties():
+    """When charging neither gains nor costs, the battery stays idle."""
+    p = mg(v_weight=10.0)
+    # X = 0: storing free renewable energy is worth exactly nothing
+    action = solve_slot_program(state(b=40.0), 0.0, inputs(r=30.0), NO_TRADE, p)
+    assert action == ControlAction.idle()
+    # X = -V*P with no slack: the drift gain of grid charging equals its cost
+    ins = inputs(price=2.0)
+    action = solve_slot_program(state(b=40.0), -10.0 * 2.0, ins, NO_TRADE, p)
     assert action == ControlAction.idle()
 
 
 def test_program_rejects_two_sided_trade():
     trade = TradeAllocation(1, bought_kwh=5.0, sold_kwh=5.0, buy_unit_price=1.0, sell_unit_price=1.0)
     with pytest.raises(MarketError):
-        solve_slot_program(state(), inputs(), trade, mg())
+        solve_slot_program(state(), 0.0, inputs(), trade, mg())
 
 
 def test_program_rejects_negative_trade():
     trade = TradeAllocation(1, bought_kwh=-1.0, sold_kwh=0.0, buy_unit_price=0.0, sell_unit_price=0.0)
     with pytest.raises(MarketError):
-        solve_slot_program(state(), inputs(), trade, mg())
+        solve_slot_program(state(), 0.0, inputs(), trade, mg())
 
 
 int_qty = st.integers(0, 15).map(float)
@@ -212,8 +221,8 @@ def program_instances(draw):
         battery_kwh=b,
         demand_queue_kwh=float(draw(st.integers(0, 15))),
         delay_queue_kwh=float(draw(st.integers(0, 15))),
-        virtual_battery_kwh=float(draw(st.integers(-20, 20))),
     )
+    x = float(draw(st.integers(-20, 20)))
     ins = inputs(
         r=float(draw(st.integers(0, 15))),
         di=float(draw(st.integers(0, 15))),
@@ -223,23 +232,23 @@ def program_instances(draw):
         trade = TradeAllocation(1, float(draw(int_qty)), 0.0, 1.0, 0.0)
     else:
         trade = TradeAllocation(1, 0.0, float(draw(int_qty)), 0.0, 1.0)
-    return p, s, ins, trade
+    return p, s, x, ins, trade
 
 
 @given(inst=program_instances())
 @settings(max_examples=150, deadline=None)
 def test_program_beats_integer_grid(inst):
     """The exact solver is never worse than a unit-grid search of the same box."""
-    p, s, ins, trade = inst
-    action = solve_slot_program(s, ins, trade, p)
+    p, s, x, ins, trade = inst
+    action = solve_slot_program(s, x, ins, trade, p)
     check_action(s, action, p)
     assert action.serve_dt_kwh <= min(p.serve_rate_max_kwh, s.demand_queue_kwh) + 1e-9
-    got = slot_objective(s, ins, action, p)
+    got = slot_objective(s, x, ins, action, p)
     grid = brute_force_slot_objective(
         battery=s.battery_kwh,
         q=s.demand_queue_kwh,
         z=s.delay_queue_kwh,
-        x=s.virtual_battery_kwh,
+        x=x,
         renewable=ins.renewable_kwh,
         di=ins.di_load_kwh,
         price=ins.grid_price,
@@ -257,8 +266,8 @@ def test_program_beats_integer_grid(inst):
 @given(inst=program_instances())
 @settings(max_examples=150, deadline=None)
 def test_program_never_spills_negative(inst):
-    p, s, ins, trade = inst
-    action = solve_slot_program(s, ins, trade, p)
+    p, s, x, ins, trade = inst
+    action = solve_slot_program(s, x, ins, trade, p)
     assert spilled_kwh(ins, action) >= -1e-9
 
 
@@ -266,11 +275,11 @@ def test_program_never_spills_negative(inst):
 @settings(max_examples=150, deadline=None)
 def test_threshold_structure(inst):
     """Above the setpoint charging never pays; far enough below, discharging never does."""
-    p, s, ins, trade = inst
-    action = solve_slot_program(s, ins, trade, p)
-    if s.virtual_battery_kwh > 0:
+    p, s, x, ins, trade = inst
+    action = solve_slot_program(s, x, ins, trade, p)
+    if x > 0:
         assert action.charge_kwh == 0.0
-    if s.virtual_battery_kwh < -p.v_weight * ins.grid_price:
+    if x < -p.v_weight * ins.grid_price:
         assert action.discharge_kwh == 0.0
 
 
@@ -291,17 +300,17 @@ def test_settlement_examples():
 
 
 def test_objective_with_settlement_adds_weighted_payments():
-    s = state(q=5.0, z=5.0, x=-3.0)
+    s = state(q=5.0, z=5.0)
     ins = inputs(price=2.0)
     a = ControlAction(1.0, 0.0, 2.0, 4.0, bought_kwh=3.0)
     trade = TradeAllocation(1, 3.0, 0.0, 1.5, 0.0)
-    base = slot_objective(s, ins, a, mg())
-    full = slot_objective_with_settlement(s, ins, a, trade, mg())
+    base = slot_objective(s, -3.0, ins, a, mg())
+    full = slot_objective_with_settlement(s, -3.0, ins, a, trade, mg())
     assert full == pytest.approx(base + 10.0 * 1.5 * 3.0)
 
 
 def test_slot_objective_formula():
-    s = state(q=4.0, z=6.0, x=2.0)
+    s = state(q=4.0, z=6.0)
     a = ControlAction(3.0, 0.0, 5.0, 7.0)
-    # 2*3 - 10*5 + 10*1.0*7
-    assert slot_objective(s, inputs(price=1.0), a, mg()) == pytest.approx(26.0)
+    # X = 2: 2*3 - 10*5 + 10*1.0*7
+    assert slot_objective(s, 2.0, inputs(price=1.0), a, mg()) == pytest.approx(26.0)

@@ -23,7 +23,7 @@ from mgtrade.model import (
     demand_queue_step,
     fifo_serve,
     initial_state,
-    virtual_range,
+    virtual_battery,
     within,
 )
 
@@ -54,13 +54,9 @@ def big_mg(**overrides) -> MGParams:
     return MGParams(**base)
 
 
-def state(b=0.0, q=0.0, z=0.0, x=0.0, jobs=()) -> MGState:
+def state(b=0.0, q=0.0, z=0.0, jobs=()) -> MGState:
     return MGState(
-        battery_kwh=b,
-        demand_queue_kwh=q,
-        delay_queue_kwh=z,
-        virtual_battery_kwh=x,
-        pending_jobs=jobs,
+        battery_kwh=b, demand_queue_kwh=q, delay_queue_kwh=z, pending_jobs=jobs
     )
 
 
@@ -150,31 +146,6 @@ def test_check_action_rejects_simultaneous_charge_discharge():
 def test_check_action_rejects_negative_quantities():
     with pytest.raises(RejectedAction):
         check_action(state(), act(j=-2.0), big_mg())
-
-
-def test_battery_step_moves_virtual_queue_in_lockstep():
-    p = big_mg()
-    s = state(b=500.0, x=-60.0)
-    after = battery_step(s, act(d=120.0), p)
-    assert after.battery_kwh == 380.0
-    assert after.virtual_battery_kwh == -180.0
-
-
-@given(
-    b=st.floats(0.0, 3000.0),
-    x=st.floats(-5000.0, 3000.0),
-    c=st.floats(0.0, 1500.0),
-    d=st.floats(0.0, 1500.0),
-)
-def test_battery_minus_virtual_is_invariant(b, x, c, d):
-    """The shift between B and X never changes, whatever the action."""
-    p = big_mg()
-    c = min(c, p.battery_capacity_kwh - b)
-    d = min(d, b)
-    if c > 0 and d > 0:
-        d = 0.0
-    after = battery_step(state(b=b, x=x), act(c=c, d=d), p)
-    assert math.isclose(after.battery_kwh - after.virtual_battery_kwh, b - x, abs_tol=1e-9)
 
 
 # -------------------------------------------------------------- demand queue
@@ -449,7 +420,7 @@ def test_initial_state_hits_zero_virtual_when_it_fits():
     s = initial_state(p, db)
     # theta + D_max = 0.5*2 + 2 + 2 + 1 = 6 fits inside the 10 kWh battery
     assert s.battery_kwh == pytest.approx(6.0)
-    assert s.virtual_battery_kwh == pytest.approx(0.0)
+    assert virtual_battery(s.battery_kwh, p, db) == pytest.approx(0.0)
 
 
 def test_initial_state_clamps_to_capacity():
@@ -466,7 +437,7 @@ def test_initial_state_clamps_to_capacity():
     db = compute_bounds(p, PriceBounds(1.0, 2.0))
     s = initial_state(p, db)
     assert s.battery_kwh == 10.0
-    assert s.virtual_battery_kwh == pytest.approx(10.0 - 16.0 - 5.0)
+    assert virtual_battery(s.battery_kwh, p, db) == pytest.approx(10.0 - 16.0 - 5.0)
 
 
 def test_initial_state_rejects_out_of_range_battery():
@@ -481,9 +452,10 @@ def test_initial_state_rejects_out_of_range_battery():
 def test_virtual_range_brackets_initial_state():
     p = big_mg()
     db = compute_bounds(p, PriceBounds(2.0, 16.0))
-    lo, hi = virtual_range(p, db)
+    # X over the battery range [0, capacity]
+    lo, hi = (virtual_battery(b, p, db) for b in (0.0, p.battery_capacity_kwh))
     s = initial_state(p, db)
-    assert lo <= s.virtual_battery_kwh <= hi
+    assert lo <= virtual_battery(s.battery_kwh, p, db) <= hi
     assert hi - lo == pytest.approx(p.battery_capacity_kwh)
 
 

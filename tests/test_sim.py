@@ -527,7 +527,10 @@ ROUNDING_ROWS = (
 
 
 def rounding_config() -> ScenarioConfig:
-    """The two MGs of ROUNDING_ROWS: reference battery, type1 and type2 loads."""
+    """The two MGs of ROUNDING_ROWS: reference battery, type1 and type2 loads.
+
+    The horizon is one slot: each MG logs one row, relabelled as slot 0.
+    """
     mgs = []
     for mg_id, mg_type, low, high, renewable, v in (
         (46, "type1", 100.0, 200.0, 200.0, 192.85714285714286),
@@ -547,7 +550,7 @@ def rounding_config() -> ScenarioConfig:
         )
         mgs.append(MGSpec(params, LoadModel(mg_type, low, high, rng_seed=0), renewable))
     return ScenarioConfig(
-        mgs=tuple(mgs), price_bounds=PB, horizon_slots=120,
+        mgs=tuple(mgs), price_bounds=PB, horizon_slots=1,
         rho1=1000.0, rho2=1e-4, mode=MODE_AUCTION, seed=0,
     )
 
@@ -556,6 +559,8 @@ def test_verify_log_rows_allows_cost_rounding_of_large_products(tmp_path):
     path = tmp_path / "slots.csv"
     path.write_text("\n".join((",".join(SLOTS_HEADER),) + ROUNDING_ROWS) + "\n")
     rows = read_slots_csv(path)
+    for r in rows:
+        r["slot"] = 0.0  # one row per MG: a complete log of a one-slot run
     cfg = rounding_config()
     assert verify_log_rows(cfg, rows) == []
     for r in rows:
