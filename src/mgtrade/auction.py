@@ -13,16 +13,28 @@ pair wins. A pair is feasible only when its buy price stays at or below the
 grid price and strictly above its sell price, so every trade beats buying
 from the grid and the auctioneer never runs a deficit.
 
-Books are tiny (one bid pair per MG), so exhaustive scanning of marginal
-pairs is exact and cheap.
+Winners are matched greedily, buyers in book order each filling sellers in
+book order, every pair capped at the marginal pair's stationary quantity x*.
+Without the cap this fill is one northwest-corner path through the book,
+monotone in both the buyer and the seller index, so the uncapped allocation
+of every candidate is a prefix of it: the pairs whose buyer and seller are
+both ahead of the marginal bids. The path is built once per book. A
+candidate takes its prefix whenever x* is at least every quantity in it,
+since the cap then changes no step; otherwise (a binding cap) it reruns the
+capped greedy fill on its own winners. A prefix is scored with the same
+float operations, in the same order, as the greedy fill would use, so every
+score is bitwise the one the from-scratch fill gives.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import accumulate
+from operator import add, sub
 from typing import NamedTuple
 
 from .controller import BidPair, TradeAllocation
@@ -71,6 +83,33 @@ class OrderBook:
             if b.sell_quantity_kwh > 0.0
         ]
         return cls(tuple(buys), tuple(sells), rho1, rho2)
+
+    @cached_property
+    def fill_path(self) -> tuple[tuple[int, int, float], ...]:
+        """The uncapped greedy fill as (buyer index, seller index, kWh) steps.
+
+        Buyers in book order fill sellers in book order, each step trading
+        min(buyer remaining, seller remaining) with the greedy fill's dust
+        rules. A buyer starts at the first seller that is not exhausted, so
+        both indices are nondecreasing along the path.
+        """
+        path: list[tuple[int, int, float]] = []
+        remaining_s = [qty for _, _, qty in self.sell_bids]
+        first = 0
+        for i, (_, _, rem_b) in enumerate(self.buy_bids):
+            while first < len(remaining_s) and remaining_s[first] <= DUST_KWH:
+                first += 1
+            for k in range(first, len(remaining_s)):
+                if rem_b <= DUST_KWH:
+                    break
+                rem_s = remaining_s[k]
+                if rem_s <= DUST_KWH:
+                    continue
+                x = min(rem_b, rem_s)
+                path.append((i, k, x))
+                rem_b -= x
+                remaining_s[k] -= x
+        return tuple(path)
 
 
 @dataclass(frozen=True)
@@ -171,27 +210,57 @@ def _greedy_allocation(
 
 def _candidates(
     book: OrderBook, grid_price: float
-) -> Iterator[tuple[int, int, dict[tuple[int, int], float], float]]:
-    """Yield (mi, ml, allocations, score) for every feasible marginal pair.
+) -> Iterator[tuple[int, int, int | dict[tuple[int, int], float], float]]:
+    """Yield (mi, ml, fill, score) for every feasible marginal pair.
 
-    Winners are the bids strictly ahead of the marginal ones, so a book needs
-    at least two bids per side to yield anything. Pairs come in scan order:
-    marginal buy index outer, marginal sell index inner.
+    ``fill`` is the length of the candidate's prefix of ``book.fill_path``,
+    or, when the x* cap binds inside that prefix, the allocation the capped
+    greedy fill gives. Winners are the bids strictly ahead of the marginal
+    ones, so a book needs at least two bids per side to yield anything.
+    Pairs come in scan order: marginal buy index outer, marginal sell index
+    inner.
     """
     buys, sells = book.buy_bids, book.sell_bids
+    rho1, rho2 = book.rho1, book.rho2
+    path = book.fill_path
+    buyer_at = [i for i, _, _ in path]
+    seller_at = [k for _, k, _ in path]
+    xs = [x for _, _, x in path]
+    logs = list(map(math.log, xs))
+    top = list(accumulate(xs, max, initial=0.0))  # top[p]: largest x of p pairs
+    # Python evaluates the greedy fill's term rho1*bp*ln(x) - rho2*sp*x*x/2
+    # as (rho1*bp)*ln(x) - ((rho2*sp)*x)*x/2, so the two halves are kept per
+    # pair: gains for the marginal buy price, losses[ml - 1] for the
+    # marginal sell price, over the pairs whose buyer (seller) is ahead.
+    losses: list[list[float]] = []
     for mi in range(1, len(buys)):
         buy_price = buys[mi][1]
         if buy_price > grid_price:
             continue
+        by_buyer = bisect_left(buyer_at, mi)
+        a = rho1 * buy_price
+        gains = [a * lx for lx in logs[:by_buyer]]
         for ml in range(1, len(sells)):
             sell_price = sells[ml][1]
             if not buy_price > sell_price:
                 break  # sells ascend: later ml only worse
-            alloc, score = _greedy_allocation(
-                buys[:mi], sells[:ml], buy_price, sell_price, book.rho1, book.rho2
-            )
-            if alloc:
-                yield mi, ml, alloc, score
+            if len(losses) < ml:
+                c = rho2 * sell_price
+                by_seller = bisect_left(seller_at, ml)
+                losses.append([c * x * x / 2.0 for x in xs[:by_seller]])
+            loss = losses[ml - 1]
+            p = min(by_buyer, len(loss))
+            if not p:
+                continue
+            if sell_price > 0 and pair_quantity(buy_price, sell_price, rho1, rho2) < top[p]:
+                alloc, score = _greedy_allocation(
+                    buys[:mi], sells[:ml], buy_price, sell_price, rho1, rho2
+                )
+                if alloc:
+                    yield mi, ml, alloc, score
+            else:
+                # map stops after p terms; reduce is the fill's score += term
+                yield mi, ml, p, reduce(add, map(sub, gains, loss), 0.0)
 
 
 def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
@@ -208,8 +277,11 @@ def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
             best = cand
     if best is None or best[3] <= 0.0:
         return ClearingOutcome.empty()
-    mi, ml, alloc, _ = best
-    return ClearingOutcome(book.buy_bids[mi][1], book.sell_bids[ml][1], alloc)
+    mi, ml, fill, _ = best
+    buys, sells = book.buy_bids, book.sell_bids
+    if isinstance(fill, int):
+        fill = {(buys[i][0], sells[k][0]): x for i, k, x in book.fill_path[:fill]}
+    return ClearingOutcome(buys[mi][1], sells[ml][1], fill)
 
 
 def budget_check(outcome: ClearingOutcome) -> float:

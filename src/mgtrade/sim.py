@@ -779,8 +779,10 @@ def verify_log_rows(
     bounds_all = {m.params.id: b for m, b in zip(config.mgs, config.bounds())}
     params_all = {m.params.id: m.params for m in config.mgs}
     by_mg: dict[int, list[dict[str, float]]] = {}
+    by_slot: dict[int, list[dict[str, float]]] = {}
     for row in rows:
         by_mg.setdefault(int(row["mg_id"]), []).append(row)
+        by_slot.setdefault(int(row["slot"]), []).append(row)
 
     horizon = range(config.horizon_slots)
     for mid in params_all:
@@ -867,4 +869,48 @@ def verify_log_rows(
                 problems.append(
                     f"{tag}: Z {cur['delay_queue_kwh']} != step {candidates}"
                 )
+    for t in sorted(by_slot):
+        problems.extend(_market_problems(t, by_slot[t], tol))
+    return problems
+
+
+def _market_problems(t: int, rows: list[dict[str, float]], tol: float) -> list[str]:
+    """Check one slot's market columns against each other and its MG rows.
+
+    Rounding to 6 decimals keeps the order of two values, and renders two
+    copies of one in-memory number identically, so the price checks are
+    exact; sums and products allow for the rounding of their operands.
+    """
+    problems: list[str] = []
+    first = rows[0]
+    market = [first[k] for k in _MARKET_COLUMNS]
+    pb, ps = first["market_buy_price"], first["market_sell_price"]
+    volume, surplus = first["market_volume_kwh"], first["market_surplus"]
+    bought = sold = 0.0
+    grid = first["grid_price"]
+    for r in rows:
+        tag = f"slot {t} mg {int(r['mg_id'])}"
+        if [r[k] for k in _MARKET_COLUMNS] != market:
+            problems.append(f"{tag}: market columns differ from the slot's first row")
+        if r["buy_unit_price"] not in (0.0, pb) or r["sell_unit_price"] not in (0.0, ps):
+            problems.append(f"{tag}: unit price is not the market price")
+        if r["bought_kwh"] > 0.0 and r["sold_kwh"] > 0.0:
+            problems.append(f"{tag}: both bought and sold")
+        bought += r["bought_kwh"]
+        sold += r["sold_kwh"]
+        grid = min(grid, r["grid_price"])
+    tag = f"slot {t}"
+    # every logged kWh is off by at most 5e-7
+    slack = tol + 5e-7 * (len(rows) + 1)
+    if abs(bought - volume) > slack or abs(sold - volume) > slack:
+        problems.append(
+            f"{tag}: bought {bought:.6f} / sold {sold:.6f} kWh != market volume {volume}"
+        )
+    if volume > 0.0 and pb > grid:
+        problems.append(f"{tag}: market buy price {pb} above grid price {grid}")
+    if volume > 0.0 and pb < ps:
+        problems.append(f"{tag}: market buy price {pb} below sell price {ps}")
+    # pb - ps is off by at most 1e-6 and the volume by 5e-7
+    if abs((pb - ps) * volume - surplus) > tol + 5e-7 * (2 * abs(volume) + abs(pb - ps)):
+        problems.append(f"{tag}: surplus {surplus} != (buy - sell price) * volume")
     return problems

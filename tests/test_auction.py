@@ -2,11 +2,13 @@
 
 import csv
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgtrade import auction
 from mgtrade.auction import (
     ClearingOutcome,
     OrderBook,
@@ -20,7 +22,7 @@ from mgtrade.controller import BidPair
 from mgtrade.errors import InvariantViolation, MarketError
 from mgtrade.sim import AUDIT_HEADER, write_audit_csv
 
-from oracles import clearing_score, enumerate_clearings
+from oracles import enumerate_clearings
 
 RHO1, RHO2 = 1000.0, 1e-4
 
@@ -218,47 +220,94 @@ def test_budget_check_raises_on_non_crossing_volume():
 
 # ------------------------------------------------------------------ properties
 
-ids = st.permutations(list(range(1, 11)))
+MAX_SIDE = 12
+ids = st.permutations(list(range(1, 2 * MAX_SIDE + 1)))
+# few distinct prices, so ties are common on both sides
+SELL_PRICES = [0.0, 0.3, 0.9, 1.7, 2.5, 4.0, 8.0]
+BUY_PRICES = st.one_of(st.sampled_from([0.9, 2.5, 4.0, 6.0]), st.floats(0.1, 10.0))
+QUANTITIES = st.one_of(
+    st.floats(0.0, 300.0), st.sampled_from([1e-12, 5e-10, 1e-9, 2e-9])
+)
 
 
 @st.composite
 def random_books(draw):
     mg_ids = draw(ids)
-    n_buy = draw(st.integers(0, 5))
-    n_sell = draw(st.integers(0, 5))
-    buys = []
-    for k in range(n_buy):
-        price = draw(st.floats(0.1, 10.0))
-        qty = draw(st.floats(0.0, 300.0))
-        buys.append((mg_ids[k], price, qty))
-    sells = []
-    for k in range(n_sell):
-        price = draw(st.sampled_from([0.0, 0.3, 0.9, 1.7, 2.5, 4.0, 8.0]))
-        qty = draw(st.floats(0.0, 300.0))
-        sells.append((mg_ids[5 + k], price, qty))
-    rho1 = draw(st.sampled_from([1.0, 1000.0]))
-    rho2 = draw(st.sampled_from([1e-4, 1.0]))
+    n_buy = draw(st.integers(0, MAX_SIDE))
+    n_sell = draw(st.integers(0, MAX_SIDE))
+    buys = [
+        (mg_ids[k], draw(BUY_PRICES), draw(QUANTITIES)) for k in range(n_buy)
+    ]
+    sells = [
+        (mg_ids[MAX_SIDE + k], draw(st.sampled_from(SELL_PRICES)), draw(QUANTITIES))
+        for k in range(n_sell)
+    ]
+    # at (1, 1e-4) x* is 100*sqrt(beta/alpha) kWh: it binds for some
+    # candidates of a book and not for others
+    rho1, rho2 = draw(
+        st.sampled_from([(1.0, 1e-4), (1000.0, 1e-4), (1.0, 1.0), (1000.0, 1.0)])
+    )
     grid = draw(st.floats(0.5, 12.0))
     return OrderBook(tuple(buys), tuple(sells), rho1, rho2), grid
+
+
+def assert_clears_like_oracle(b: OrderBook, grid: float) -> None:
+    """Prices and allocation items of ``clear`` equal the oracle's exactly."""
+    out = clear(b, grid)
+    best_score, best_alloc, buy_price, sell_price = enumerate_clearings(
+        list(b.buy_bids), list(b.sell_bids), b.rho1, b.rho2, grid
+    )
+    if best_score is None or best_score <= 0.0:
+        assert out == ClearingOutcome.empty()
+        return
+    assert (out.buy_clearing_price, out.sell_clearing_price) == (buy_price, sell_price)
+    assert list(out.allocations.items()) == list(best_alloc.items())
 
 
 @given(bg=random_books())
 @settings(max_examples=300, deadline=None)
 def test_clear_matches_exhaustive_enumeration(bg):
-    b, grid = bg
-    out = clear(b, grid)
-    best_score, best_alloc, _, _ = enumerate_clearings(
-        list(b.buy_bids), list(b.sell_bids), b.rho1, b.rho2, grid
+    assert_clears_like_oracle(*bg)
+
+
+def test_cap_binds_for_some_candidates_only():
+    """One book scored partly from the shared path, partly by the capped fill."""
+    b = book(
+        buys=[(1, 6.0, 150.0), (2, 5.0, 90.0), (3, 4.0, 300.0), (4, 2.0, 10.0)],
+        sells=[(5, 0.9, 120.0), (6, 1.7, 80.0), (7, 2.5, 200.0), (8, 4.0, 50.0)],
+        rho1=1.0,
     )
-    if out.total_volume() == 0.0:
-        assert best_score is None or best_score <= 0.0 + 1e-12
-        return
-    got = clearing_score(
-        out.allocations, out.buy_clearing_price, out.sell_clearing_price, b.rho1, b.rho2
+    fills = {type(fill) for _, _, fill, _ in _candidates(b, grid_price=10.0)}
+    assert fills == {int, dict}
+    assert_clears_like_oracle(b, 10.0)
+
+
+def test_dust_bids_never_fill():
+    b = book(
+        buys=[(1, 6.0, 100.0), (2, 5.0, 1e-10), (3, 5.0, 100.0), (4, 4.0, 50.0)],
+        sells=[(5, 1.0, 60.0), (6, 1.0, 1e-10), (7, 1.5, 80.0), (8, 3.0, 10.0)],
     )
-    assert best_score is not None
-    assert got == pytest.approx(best_score, abs=1e-9)
-    assert out.allocations.keys() == best_alloc.keys()
+    out = clear(b, grid_price=10.0)
+    assert out.allocations == {(1, 5): 60.0, (1, 7): 40.0, (3, 7): 40.0}
+    assert_clears_like_oracle(b, 10.0)
+
+
+def test_clear_without_binding_cap_never_refills(monkeypatch):
+    """A wide book at the reference weights is scored from its path alone."""
+    rng = random.Random(160)
+    buys = [(k, rng.uniform(2.0, 16.0), rng.uniform(1.0, 1000.0)) for k in range(80)]
+    sells = [
+        (80 + k, rng.uniform(1.0, 10.0), rng.uniform(1.0, 1000.0)) for k in range(80)
+    ]
+    b = book(buys, sells)
+    refills = []
+    real = auction._greedy_allocation
+    monkeypatch.setattr(
+        auction, "_greedy_allocation", lambda *a: refills.append(a) or real(*a)
+    )
+    assert sum(1 for _ in _candidates(b, grid_price=16.0)) > 1000
+    assert_clears_like_oracle(b, 16.0)
+    assert refills == []
 
 
 @given(bg=random_books())

@@ -339,6 +339,52 @@ def test_audit_catches_edited_virtual_queue(tmp_path, capsys):
     assert f"slot {rows[k][0]} mg {rows[k][1]}: X" in out
 
 
+def auction_log(tmp_path) -> tuple[Path, list[list[str]]]:
+    """A 24-slot auction run of the reference scenario and its slots.csv rows."""
+    run_cli(
+        "run", "--out", str(tmp_path), "--mode", "auction",
+        "--horizon", "24", "--seed", "4",
+    )
+    slots = tmp_path / "auction" / "slots.csv"
+    with open(slots, newline="") as fh:
+        return slots, list(csv.reader(fh))
+
+
+@pytest.mark.parametrize(
+    "which, column, value, message",
+    [
+        ("last", "market_surplus", lambda v: v("market_surplus") + 1.0,
+         "market columns differ from the slot's first row"),
+        ("all", "market_volume_kwh", lambda v: 99999.0, "kWh != market volume"),
+        ("all", "market_buy_price", lambda v: v("grid_price") + 1.0,
+         "above grid price"),
+        ("all", "market_sell_price", lambda v: v("market_buy_price") + 1.0,
+         "below sell price"),
+        ("all", "market_surplus", lambda v: v("market_surplus") + 1.0,
+         "!= (buy - sell price) * volume"),
+        ("buyer", "buy_unit_price", lambda v: v("buy_unit_price") + 0.5,
+         "unit price is not the market price"),
+        ("buyer", "sold_kwh", lambda v: 1.0, "both bought and sold"),
+    ],
+    ids=[
+        "columns-differ", "volume", "above-grid", "below-sell", "surplus",
+        "unit-price", "both-sides",
+    ],
+)
+def test_audit_catches_edited_market(tmp_path, capsys, which, column, value, message):
+    slots, rows = auction_log(tmp_path)
+    col = rows[0].index
+    trade = next(r for r in rows[1:] if float(r[col("market_volume_kwh")]) > 0.0)
+    slot_rows = [r for r in rows[1:] if r[0] == trade[0]]
+    buyer = next(r for r in slot_rows if float(r[col("bought_kwh")]) > 0.0)
+    edited = {"last": slot_rows[-1:], "all": slot_rows, "buyer": [buyer]}[which]
+    for r in edited:
+        r[col(column)] = f"{value(lambda name: float(r[col(name)])):.6f}"
+    code, out = audit_rewritten(slots, rows, capsys)
+    assert code == EXIT_INVARIANT
+    assert message in out
+
+
 def test_audit_missing_dir_is_usage_error(tmp_path):
     assert run_cli("audit", str(tmp_path / "missing")) == EXIT_USAGE
 
