@@ -886,19 +886,20 @@ def _market_problems(t: int, rows: list[dict[str, float]], tol: float) -> list[s
     market = [first[k] for k in _MARKET_COLUMNS]
     pb, ps = first["market_buy_price"], first["market_sell_price"]
     volume, surplus = first["market_volume_kwh"], first["market_surplus"]
-    bought = sold = 0.0
     grid = first["grid_price"]
+    bought = sold = 0.0
     for r in rows:
         tag = f"slot {t} mg {int(r['mg_id'])}"
         if [r[k] for k in _MARKET_COLUMNS] != market:
             problems.append(f"{tag}: market columns differ from the slot's first row")
+        if r["grid_price"] != grid:
+            problems.append(f"{tag}: grid price differs from the slot's first row")
         if r["buy_unit_price"] not in (0.0, pb) or r["sell_unit_price"] not in (0.0, ps):
             problems.append(f"{tag}: unit price is not the market price")
         if r["bought_kwh"] > 0.0 and r["sold_kwh"] > 0.0:
             problems.append(f"{tag}: both bought and sold")
         bought += r["bought_kwh"]
         sold += r["sold_kwh"]
-        grid = min(grid, r["grid_price"])
     tag = f"slot {t}"
     # every logged kWh is off by at most 5e-7
     slack = tol + 5e-7 * (len(rows) + 1)

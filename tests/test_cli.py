@@ -355,6 +355,8 @@ def auction_log(tmp_path) -> tuple[Path, list[list[str]]]:
     [
         ("last", "market_surplus", lambda v: v("market_surplus") + 1.0,
          "market columns differ from the slot's first row"),
+        ("last", "grid_price", lambda v: v("grid_price") + 1.0,
+         "grid price differs from the slot's first row"),
         ("all", "market_volume_kwh", lambda v: 99999.0, "kWh != market volume"),
         ("all", "market_buy_price", lambda v: v("grid_price") + 1.0,
          "above grid price"),
@@ -367,7 +369,7 @@ def auction_log(tmp_path) -> tuple[Path, list[list[str]]]:
         ("buyer", "sold_kwh", lambda v: 1.0, "both bought and sold"),
     ],
     ids=[
-        "columns-differ", "volume", "above-grid", "below-sell", "surplus",
+        "columns-differ", "grid-differs", "volume", "above-grid", "below-sell", "surplus",
         "unit-price", "both-sides",
     ],
 )

@@ -562,9 +562,15 @@ def test_verify_log_rows_allows_cost_rounding_of_large_products(tmp_path):
     for r in rows:
         r["slot"] = 0.0  # one row per MG: a complete log of a one-slot run
     cfg = rounding_config()
-    # the rows come from two slots, so as one slot their market columns
-    # disagree; none of the costs is flagged
-    assert not [p for p in verify_log_rows(cfg, rows) if "cost" in p]
+    # the rows come from two slots of one log, so as one slot their markets
+    # disagree; these are the only problems, and no cost is flagged
+    market_problems = [
+        "slot 0 mg 10: market columns differ from the slot's first row",
+        "slot 0 mg 10: grid price differs from the slot's first row",
+        "slot 0 mg 10: unit price is not the market price",
+        "slot 0: bought 0.000000 / sold 620.216682 kWh != market volume 11345.203443",
+    ]
+    assert verify_log_rows(cfg, rows) == market_problems
     for r in rows:
         recomputed = (
             r["grid_price"] * r["grid_kwh"]
@@ -575,8 +581,10 @@ def test_verify_log_rows_allows_cost_rounding_of_large_products(tmp_path):
     # the rounding allowance stays far below an edit of a thousandth
     for r in rows:
         r["cost"] += 1e-3
-    problems = [p for p in verify_log_rows(cfg, rows) if "cost" in p]
-    assert len(problems) == 2
+    problems = verify_log_rows(cfg, rows)
+    assert len(problems) == 2 + len(market_problems)
+    assert all("cost" in p for p in problems[:2])
+    assert problems[2:] == market_problems
 
 
 def test_read_slots_csv_rejects_foreign_header(tmp_path):
