@@ -55,11 +55,11 @@ class OrderBook:
     def __post_init__(self) -> None:
         if self.rho1 <= 0 or self.rho2 <= 0:
             raise MarketError("welfare weights rho1, rho2 must be > 0")
-        buys = tuple(b for b in self.buy_bids if b[2] > 0.0)
-        sells = tuple(s for s in self.sell_bids if s[2] > 0.0)
-        for mg_id, price, qty in buys + sells:
+        for mg_id, price, qty in self.buy_bids + self.sell_bids:
             if price < 0 or qty < 0:
                 raise MarketError(f"mg {mg_id}: negative bid price or quantity")
+        buys = tuple(b for b in self.buy_bids if b[2] > 0.0)
+        sells = tuple(s for s in self.sell_bids if s[2] > 0.0)
         buys = tuple(sorted(buys, key=lambda b: (-b[1], b[0])))
         sells = tuple(sorted(sells, key=lambda s: (s[1], s[0])))
         seen: set[int] = set()
@@ -72,17 +72,9 @@ class OrderBook:
 
     @classmethod
     def from_bids(cls, bids: list[BidPair], rho1: float, rho2: float) -> "OrderBook":
-        buys = [
-            (b.mg_id, b.buy_price, b.buy_quantity_kwh)
-            for b in bids
-            if b.buy_quantity_kwh > 0.0
-        ]
-        sells = [
-            (b.mg_id, b.sell_price, b.sell_quantity_kwh)
-            for b in bids
-            if b.sell_quantity_kwh > 0.0
-        ]
-        return cls(tuple(buys), tuple(sells), rho1, rho2)
+        buys = tuple((b.mg_id, b.buy_price, b.buy_quantity_kwh) for b in bids)
+        sells = tuple((b.mg_id, b.sell_price, b.sell_quantity_kwh) for b in bids)
+        return cls(buys, sells, rho1, rho2)
 
     @cached_property
     def fill_path(self) -> tuple[tuple[int, int, float], ...]:
@@ -121,14 +113,6 @@ class ClearingOutcome:
     @classmethod
     def empty(cls) -> "ClearingOutcome":
         return cls(0.0, 0.0)
-
-    @property
-    def accepted_buyers(self) -> frozenset[int]:
-        return frozenset(b for b, _ in self.allocations)
-
-    @property
-    def accepted_sellers(self) -> frozenset[int]:
-        return frozenset(s for _, s in self.allocations)
 
     def total_volume(self) -> float:
         return sum(self.allocations.values())

@@ -441,24 +441,36 @@ def _audit_sweep(sweep_csv: Path) -> int:
         by_mg.setdefault(r["mg_id"], []).append(r)
     print(f"{'fraction':>8} {'mg':>4} {'v_weight':>12} {'online':>12} "
           f"{'oracle':>12} {'gap':>12} {'a_over_v':>12}")
-    ok = True
+    monotone = True
+    problems: list[str] = []
     for mid, group in sorted(by_mg.items()):
         group.sort(key=lambda r: float(r["fraction"]))
         prev_av = None
         for r in group:
+            online = float(r["online_time_avg_cost"])
+            av = float(r["a_over_v"])
             print(
                 f"{float(r['fraction']):>8.3f} {mid:>4} "
-                f"{float(r['v_weight']):>12.4f} "
-                f"{float(r['online_time_avg_cost']):>12.4f} "
-                f"{r['oracle_time_avg_cost']:>12} {r['gap']:>12} "
-                f"{float(r['a_over_v']):>12.4f}"
+                f"{float(r['v_weight']):>12.4f} {online:>12.4f} "
+                f"{r['oracle_time_avg_cost']:>12} {r['gap']:>12} {av:>12.4f}"
             )
-            av = float(r["a_over_v"])
             if prev_av is not None and av > prev_av + 1e-12:
-                ok = False
+                monotone = False
             prev_av = av
-    print("a_over_v monotone: " + ("PASS" if ok else "FAIL"))
-    return EXIT_OK if ok else EXIT_INVARIANT
+            if not r["oracle_time_avg_cost"]:
+                continue  # the oracle was skipped: nothing to bound
+            tag = f"fraction {r['fraction']} mg {mid}"
+            gap = float(r["gap"])
+            # each logged value is off by at most 5e-7 after 6-decimal rounding
+            if abs(gap - (online - float(r["oracle_time_avg_cost"]))) > 1.5e-6:
+                problems.append(f"{tag}: gap {r['gap']} != online - oracle")
+            if gap > av + 1e-6:
+                problems.append(f"{tag}: gap {r['gap']} above a_over_v {r['a_over_v']}")
+    print("a_over_v monotone: " + ("PASS" if monotone else "FAIL"))
+    print(f"gap within a_over_v: {'FAIL' if problems else 'PASS'}")
+    for p in problems:
+        print(f"  {p}")
+    return EXIT_OK if monotone and not problems else EXIT_INVARIANT
 
 
 def cmd_sweep(args) -> int:
@@ -475,10 +487,8 @@ def cmd_sweep(args) -> int:
 
     out_root = _resolve_out(args)
     out_root.mkdir(parents=True, exist_ok=True)
-    mode = MODE_SOLO if args.mode == "both" else _MODE_FLAG[args.mode]
-
     rows = []
-    base = _apply_overrides(config, args, mode)
+    base = _apply_overrides(config, args, _MODE_FLAG[args.mode])
     for f in fractions:
         mgs = []
         for m in base.mgs:
@@ -520,7 +530,7 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     (out_root / "config.json").write_text(
-        json.dumps(config_to_dict(config, traces_doc), indent=2) + "\n"
+        json.dumps(config_to_dict(base, traces_doc), indent=2) + "\n"
     )
     print(f"wrote {out_root / 'sweep.csv'}")
     return EXIT_OK
@@ -551,9 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="scenario JSON (built-in default if omitted)")
     p_sweep.add_argument("--out", help=f"output dir (default ${OUT_ENV} or ./out)")
     p_sweep.add_argument("--fractions", default="0.2,0.4,0.6,0.8,1.0")
-    p_sweep.add_argument(
-        "--mode", choices=["auction", "solo", "both"], default="solo"
-    )
+    p_sweep.add_argument("--mode", choices=sorted(_MODE_FLAG), default="solo")
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--horizon", type=int)
     p_sweep.set_defaults(func=cmd_sweep)

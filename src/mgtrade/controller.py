@@ -190,22 +190,6 @@ def solve_slot_program(
     )
 
 
-def slot_objective(
-    state: MGState,
-    x: float,
-    inputs: SlotInputs,
-    action: ControlAction,
-    params: MGParams,
-) -> float:
-    """Value of the slot program objective for an action, given the state's X."""
-    qz = state.demand_queue_kwh + state.delay_queue_kwh
-    return (
-        x * (action.charge_kwh - action.discharge_kwh)
-        - qz * action.serve_dt_kwh
-        + params.v_weight * inputs.grid_price * action.grid_purchase_kwh
-    )
-
-
 def post_trade_settlement(
     action: ControlAction, trade: TradeAllocation, inputs: SlotInputs
 ) -> float:

@@ -73,22 +73,22 @@ class LoadModel:
             raise ConfigError("rng_seed must be >= 0")
 
 
-def load_trace(path, column: str = "value") -> Trace:
-    """Parse a two-column CSV trace; bad cells are reported by line number."""
+def load_trace(path) -> Trace:
+    """Parse a `slot,value` CSV trace; bad cells are reported by line number."""
     p = Path(path)
     if not p.exists():
         raise ParseError(f"trace file not found: {p}")
     values: list[float] = []
     with open(p, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or column not in reader.fieldnames:
-            raise ParseError(f"{p}: missing column {column!r} in header")
+        if reader.fieldnames is None or "value" not in reader.fieldnames:
+            raise ParseError(f"{p}: missing column 'value' in header")
         for lineno, row in enumerate(reader, start=2):
-            raw = row.get(column)
+            raw = row.get("value")
             try:
                 v = float(raw)  # type: ignore[arg-type]
             except (TypeError, ValueError):
-                raise ParseError(f"{p}: non-numeric {column!r}={raw!r} at line {lineno}")
+                raise ParseError(f"{p}: non-numeric 'value'={raw!r} at line {lineno}")
             if not math.isfinite(v) or v < 0:
                 raise ParseError(f"{p}: bad value {v} at line {lineno}")
             values.append(v)

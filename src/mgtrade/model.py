@@ -145,10 +145,6 @@ class ControlAction:
     bought_kwh: float = 0.0
     sold_kwh: float = 0.0
 
-    @classmethod
-    def idle(cls) -> "ControlAction":
-        return cls(0.0, 0.0, 0.0, 0.0)
-
 
 @dataclass(frozen=True)
 class DerivedBounds:

@@ -22,9 +22,6 @@ from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-from scipy.optimize import linprog
-
 from .auction import (
     AuditRow,
     ClearingOutcome,
@@ -468,7 +465,6 @@ def run(
 @dataclass(frozen=True)
 class OracleResult:
     per_mg: dict[int, float]
-    total_time_avg: float
 
 
 def offline_oracle(
@@ -481,8 +477,12 @@ def offline_oracle(
     min(C, D) from each without changing the battery path, the balance slack,
     or the cost, so the relaxation loses nothing. Service is capped by the
     pre-arrival backlog exactly as online, and all work that arrives before
-    the final slot must be finished by the horizon.
+    the final slot must be finished by the horizon. scipy is imported here,
+    so runs and audits never load it.
     """
+    import numpy as np
+    from scipy.optimize import linprog
+
     horizon = len(inputs)
     if horizon > ORACLE_MAX_SLOTS:
         raise SimError(f"oracle limited to {ORACLE_MAX_SLOTS} slots, got {horizon}")
@@ -559,7 +559,7 @@ def offline_oracle(
             raise SimError(f"oracle LP failed for mg {p.id}: {res.message}")
         per_mg[p.id] = float(res.fun) / h
 
-    return OracleResult(per_mg=per_mg, total_time_avg=sum(per_mg.values()))
+    return OracleResult(per_mg=per_mg)
 
 
 @dataclass(frozen=True)
@@ -764,16 +764,17 @@ _COST_OPERANDS = (
     "sold_kwh",
 )
 
+# Tolerance of the log checks. Logs hold 6-decimal renderings, so this is loose
+# relative to the in-memory checks but still far below any physical quantity.
+LOG_TOL = 1e-4
 
-def verify_log_rows(
-    config: ScenarioConfig, rows: list[dict[str, float]], tol: float = 1e-4
-) -> list[str]:
+
+def verify_log_rows(config: ScenarioConfig, rows: list[dict[str, float]]) -> list[str]:
     """Re-derive every per-slot invariant from a written log alone.
 
     Every configured MG must log exactly one row per slot of the horizon.
-    Works on the 6-decimal CSV rendering, so the tolerance is loose relative
-    to the in-memory checks but still far below any physical quantity. The
-    recomputed cost also allows for the rounding of its six operands.
+    Quantities are compared within `LOG_TOL`; the recomputed cost also
+    allows for the rounding of its six operands.
     """
     problems: list[str] = []
     bounds_all = {m.params.id: b for m, b in zip(config.mgs, config.bounds())}
@@ -804,15 +805,15 @@ def verify_log_rows(
         for r in mg_rows:
             t = int(r["slot"])
             tag = f"slot {t} mg {mid}"
-            if not within(r["battery_kwh"], 0.0, p.battery_capacity_kwh, tol):
+            if not within(r["battery_kwh"], 0.0, p.battery_capacity_kwh, LOG_TOL):
                 problems.append(f"{tag}: battery {r['battery_kwh']} out of range")
-            if r["demand_queue_kwh"] > db.q_max + tol:
+            if r["demand_queue_kwh"] > db.q_max + LOG_TOL:
                 problems.append(f"{tag}: Q {r['demand_queue_kwh']} > {db.q_max}")
-            if r["delay_queue_kwh"] > db.z_max + tol:
+            if r["delay_queue_kwh"] > db.z_max + LOG_TOL:
                 problems.append(f"{tag}: Z {r['delay_queue_kwh']} > {db.z_max}")
-            if abs(r["virtual_kwh"] - virtual_battery(r["battery_kwh"], p, db)) > tol:
+            if abs(r["virtual_kwh"] - virtual_battery(r["battery_kwh"], p, db)) > LOG_TOL:
                 problems.append(f"{tag}: X {r['virtual_kwh']} != B - theta - D_max")
-            if min(r["charge_kwh"], r["discharge_kwh"]) > tol:
+            if min(r["charge_kwh"], r["discharge_kwh"]) > LOG_TOL:
                 problems.append(f"{tag}: simultaneous charge and discharge")
             operands = [r[k] for k in _COST_OPERANDS]
             pg, grid, pb, bought, ps, sold = operands
@@ -820,7 +821,7 @@ def verify_log_rows(
             # each operand is off by at most 5e-7 after 6-decimal rounding, so
             # a product a*b is off by at most 5e-7 * (|a| + |b|)
             rounding = 5e-7 * sum(map(abs, operands))
-            if abs(expected_cost - r["cost"]) > tol + rounding:
+            if abs(expected_cost - r["cost"]) > LOG_TOL + rounding:
                 problems.append(
                     f"{tag}: cost {r['cost']} != recomputed {expected_cost}"
                 )
@@ -834,19 +835,19 @@ def verify_log_rows(
                 - r["sold_kwh"]
                 - r["charge_kwh"]
             )
-            if balance < -tol:
+            if balance < -LOG_TOL:
                 problems.append(f"{tag}: balance short by {-balance}")
-            if abs(balance - r["spill_kwh"]) > tol:
+            if abs(balance - r["spill_kwh"]) > LOG_TOL:
                 problems.append(
                     f"{tag}: spill {r['spill_kwh']} != balance slack {balance}"
                 )
-            if r["oldest_pending_age"] > db.delta_max_slots + tol:
+            if r["oldest_pending_age"] > db.delta_max_slots + LOG_TOL:
                 problems.append(f"{tag}: pending job age {r['oldest_pending_age']}")
         for prev, cur in zip(mg_rows, mg_rows[1:]):
             t = int(cur["slot"])
             tag = f"slot {t} mg {mid}"
             want_b = prev["battery_kwh"] - prev["discharge_kwh"] + prev["charge_kwh"]
-            if abs(cur["battery_kwh"] - want_b) > tol:
+            if abs(cur["battery_kwh"] - want_b) > LOG_TOL:
                 problems.append(
                     f"{tag}: battery {cur['battery_kwh']} != step {want_b}"
                 )
@@ -854,27 +855,27 @@ def verify_log_rows(
                 max(prev["demand_queue_kwh"] - prev["serve_kwh"], 0.0)
                 + prev["dt_load_kwh"]
             )
-            if abs(cur["demand_queue_kwh"] - want_q) > tol:
+            if abs(cur["demand_queue_kwh"] - want_q) > LOG_TOL:
                 problems.append(
                     f"{tag}: Q {cur['demand_queue_kwh']} != step {want_q}"
                 )
             base_z = max(prev["delay_queue_kwh"] - prev["serve_kwh"], 0.0)
-            if prev["demand_queue_kwh"] > tol:
+            if prev["demand_queue_kwh"] > LOG_TOL:
                 candidates = (base_z + p.epsilon,)
             else:
                 # backlog indistinguishable from zero at log precision; the
                 # indicator could have read either way in memory
                 candidates = (base_z, base_z + p.epsilon)
-            if all(abs(cur["delay_queue_kwh"] - w) > tol for w in candidates):
+            if all(abs(cur["delay_queue_kwh"] - w) > LOG_TOL for w in candidates):
                 problems.append(
                     f"{tag}: Z {cur['delay_queue_kwh']} != step {candidates}"
                 )
     for t in sorted(by_slot):
-        problems.extend(_market_problems(t, by_slot[t], tol))
+        problems.extend(_market_problems(t, by_slot[t]))
     return problems
 
 
-def _market_problems(t: int, rows: list[dict[str, float]], tol: float) -> list[str]:
+def _market_problems(t: int, rows: list[dict[str, float]]) -> list[str]:
     """Check one slot's market columns against each other and its MG rows.
 
     Rounding to 6 decimals keeps the order of two values, and renders two
@@ -902,7 +903,7 @@ def _market_problems(t: int, rows: list[dict[str, float]], tol: float) -> list[s
         sold += r["sold_kwh"]
     tag = f"slot {t}"
     # every logged kWh is off by at most 5e-7
-    slack = tol + 5e-7 * (len(rows) + 1)
+    slack = LOG_TOL + 5e-7 * (len(rows) + 1)
     if abs(bought - volume) > slack or abs(sold - volume) > slack:
         problems.append(
             f"{tag}: bought {bought:.6f} / sold {sold:.6f} kWh != market volume {volume}"
@@ -912,6 +913,6 @@ def _market_problems(t: int, rows: list[dict[str, float]], tol: float) -> list[s
     if volume > 0.0 and pb < ps:
         problems.append(f"{tag}: market buy price {pb} below sell price {ps}")
     # pb - ps is off by at most 1e-6 and the volume by 5e-7
-    if abs((pb - ps) * volume - surplus) > tol + 5e-7 * (2 * abs(volume) + abs(pb - ps)):
+    if abs((pb - ps) * volume - surplus) > LOG_TOL + 5e-7 * (2 * abs(volume) + abs(pb - ps)):
         problems.append(f"{tag}: surplus {surplus} != (buy - sell price) * volume")
     return problems

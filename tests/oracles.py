@@ -192,18 +192,22 @@ def brute_force_two_slot_cost(
     return best
 
 
-def slot_objective_with_settlement(state, x, inputs, action, trade, params) -> float:
-    """Slot objective plus the V-weighted trade payments (deviation metric).
-
-    X*(C - D) - (Q + Z)*J + V*P*G + V*(p_buy*bought - p_sell*sold), written
-    from the formula rather than from ``mgtrade.controller.slot_objective``.
-    """
+def slot_objective(state, x, inputs, action, params) -> float:
+    """Slot program objective X*(C - D) - (Q + Z)*J + V*P*G of an action."""
     qz = state.demand_queue_kwh + state.delay_queue_kwh
     return (
         x * (action.charge_kwh - action.discharge_kwh)
         - qz * action.serve_dt_kwh
         + params.v_weight * inputs.grid_price * action.grid_purchase_kwh
-    ) + params.v_weight * (
+    )
+
+
+def slot_objective_with_settlement(state, x, inputs, action, trade, params) -> float:
+    """Slot objective plus the V-weighted trade payments (deviation metric).
+
+    X*(C - D) - (Q + Z)*J + V*P*G + V*(p_buy*bought - p_sell*sold).
+    """
+    return slot_objective(state, x, inputs, action, params) + params.v_weight * (
         trade.buy_unit_price * trade.bought_kwh
         - trade.sell_unit_price * trade.sold_kwh
     )

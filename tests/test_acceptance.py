@@ -23,7 +23,6 @@ from mgtrade.controller import (
     TradeAllocation,
     make_bids,
     marginal_value,
-    slot_objective,
     solve_slot_program,
 )
 from mgtrade.ingest import LoadModel, Trace
@@ -53,6 +52,7 @@ from oracles import (
     brute_force_slot_objective,
     clearing_score,
     enumerate_clearings,
+    slot_objective,
     slot_objective_with_settlement,
 )
 
@@ -390,23 +390,21 @@ def test_criterion_5_clearing_maximizes_welfare_with_clean_settlement():
         # settlement invariants on every positive-volume clearing
         assert outcome.buy_clearing_price > outcome.sell_clearing_price
         assert budget_check(outcome) >= 0.0
-        bought = sum(
-            outcome.allocation_for(b).bought_kwh for b in outcome.accepted_buyers
-        )
-        sold = sum(
-            outcome.allocation_for(s).sold_kwh for s in outcome.accepted_sellers
-        )
+        buyers = {b for b, _ in outcome.allocations}
+        sellers = {s for _, s in outcome.allocations}
+        bought = sum(outcome.allocation_for(b).bought_kwh for b in buyers)
+        sold = sum(outcome.allocation_for(s).sold_kwh for s in sellers)
         assert abs(bought - sold) <= 1e-9
         assert abs(bought - outcome.total_volume()) <= 1e-9
         buy_px = {m: p for m, p, _ in book.buy_bids}
         buy_cap = {m: qty for m, _, qty in book.buy_bids}
         sell_px = {m: p for m, p, _ in book.sell_bids}
         sell_cap = {m: qty for m, _, qty in book.sell_bids}
-        for b in outcome.accepted_buyers:
+        for b in buyers:
             # individual rationality and quantity caps
             assert buy_px[b] >= outcome.buy_clearing_price - 1e-12
             assert outcome.allocation_for(b).bought_kwh <= buy_cap[b] + 1e-9
-        for s in outcome.accepted_sellers:
+        for s in sellers:
             assert sell_px[s] <= outcome.sell_clearing_price + 1e-12
             assert outcome.allocation_for(s).sold_kwh <= sell_cap[s] + 1e-9
     assert cleared >= 20
@@ -592,8 +590,8 @@ def test_criterion_7_lone_pair_clears_the_stationary_quantity():
     assert outcome.sell_clearing_price == pytest.approx(1.0)
     volume = outcome.total_volume()
     assert volume == pytest.approx(want, rel=1e-6)
-    assert outcome.accepted_buyers == frozenset({1})
-    assert outcome.accepted_sellers == frozenset({3})
+    assert {b for b, _ in outcome.allocations} == {1}
+    assert {s for _, s in outcome.allocations} == {3}
     _verdict(
         7,
         f"volume {volume:.6f} vs sqrt(rho1*beta/(rho2*alpha)) = {want:.6f} "

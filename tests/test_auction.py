@@ -86,6 +86,9 @@ def test_book_rejects_duplicate_mg():
 def test_book_rejects_negative_price():
     with pytest.raises(MarketError):
         book(buys=[(1, -5.0, 1.0)], sells=[])
+    # a negative quantity is rejected, not dropped with the zero-quantity bids
+    with pytest.raises(MarketError, match="mg 1: negative"):
+        book(buys=[(1, 5.0, -3.0), (2, 4.0, 2.0)], sells=[(3, 1.0, 2.0)])
 
 
 def test_book_rejects_bad_weights():
@@ -113,8 +116,8 @@ def test_clear_marginal_pair_prices_the_market():
         sells=[(4, 1.0, 100.0), (5, 2.0, 100.0), (6, 4.0, 100.0)],
     )
     out = clear(b, grid_price=10.0)
-    assert out.accepted_buyers == frozenset({1})
-    assert out.accepted_sellers == frozenset({4})
+    assert {b for b, _ in out.allocations} == {1}
+    assert {s for _, s in out.allocations} == {4}
     assert out.buy_clearing_price == 3.0
     assert out.sell_clearing_price == 2.0
     # stationary quantity sqrt(1000*3/(1e-4*2)) ~ 3873 kWh, so caps bind
@@ -127,7 +130,7 @@ def test_clear_single_pair_book_stays_empty():
     b = book(buys=[(1, 2.0, 10.0)], sells=[(2, 1.0, 10.0)], rho1=1.0, rho2=1.0)
     out = clear(b, grid_price=5.0)
     assert out.total_volume() == 0.0
-    assert out.accepted_buyers == frozenset()
+    assert {b for b, _ in out.allocations} == set()
     # the stationary quantity for that pair is still well-defined
     assert pair_quantity(2.0, 1.0, 1.0, 1.0) == pytest.approx(math.sqrt(2.0))
 
@@ -326,14 +329,16 @@ def test_clear_outcome_invariants(bg):
     sell_prices = {m: p for m, p, _ in b.sell_bids}
     buy_qty = {m: q for m, _, q in b.buy_bids}
     sell_qty = {m: q for m, _, q in b.sell_bids}
-    for m in out.accepted_buyers:
+    buyers = {b for b, _ in out.allocations}
+    sellers = {s for _, s in out.allocations}
+    for m in buyers:
         assert buy_prices[m] >= out.buy_clearing_price
         assert out.allocation_for(m).bought_kwh <= buy_qty[m] + 1e-9
-    for m in out.accepted_sellers:
+    for m in sellers:
         assert sell_prices[m] <= out.sell_clearing_price
         assert out.allocation_for(m).sold_kwh <= sell_qty[m] + 1e-9
-    total_bought = sum(out.allocation_for(m).bought_kwh for m in out.accepted_buyers)
-    total_sold = sum(out.allocation_for(m).sold_kwh for m in out.accepted_sellers)
+    total_bought = sum(out.allocation_for(m).bought_kwh for m in buyers)
+    total_sold = sum(out.allocation_for(m).sold_kwh for m in sellers)
     assert total_bought == pytest.approx(total_sold, abs=1e-9)
     assert total_bought == pytest.approx(out.total_volume(), abs=1e-9)
 

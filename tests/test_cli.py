@@ -3,6 +3,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,7 +24,7 @@ from mgtrade.cli import (
 )
 from mgtrade.errors import ConfigError
 from mgtrade.model import compute_v_max
-from mgtrade.sim import MODE_AUCTION
+from mgtrade.sim import MODE_AUCTION, mg_subseed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIG = str(CONFIG_DIR / "sweep_small.json")
@@ -420,6 +423,75 @@ def test_sweep_rejects_bad_fraction(tmp_path):
         "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", "1.5"
     )
     assert code == EXIT_DATA
+
+
+def test_sweep_rejects_mode_both(tmp_path):
+    """A sweep runs one mode; `both` is a `run` option only."""
+    code = run_cli("sweep", "--config", CONFIG, "--out", str(tmp_path), "--mode", "both")
+    assert code == EXIT_USAGE
+
+
+def test_sweep_config_records_the_overrides(tmp_path):
+    code = run_cli(
+        "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", "1.0",
+        "--horizon", "10", "--seed", "5", "--mode", "auction",
+    )
+    assert code == EXIT_OK
+    cfg, _ = config_from_dict(json.loads((tmp_path / "config.json").read_text()))
+    assert (cfg.horizon_slots, cfg.seed, cfg.mode) == (10, 5, MODE_AUCTION)
+    assert [m.load_model.rng_seed for m in cfg.mgs] == [mg_subseed(5, 0), mg_subseed(5, 1)]
+
+
+@pytest.mark.parametrize(
+    "cells, code, message",
+    [
+        ({"online_time_avg_cost": "999999.000000", "gap": "999999.000000"},
+         EXIT_INVARIANT, "above a_over_v"),
+        ({"gap": "0.000000"}, EXIT_INVARIANT, "!= online - oracle"),
+        ({"oracle_time_avg_cost": "", "gap": "", "online_time_avg_cost": "999999.000000"},
+         EXIT_OK, "gap within a_over_v: PASS"),
+    ],
+    ids=["above-bound", "gap-differs", "blank-oracle"],
+)
+def test_sweep_audit_checks_the_gap(tmp_path, capsys, cells, code, message):
+    assert run_cli(
+        "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", "0.5,1.0"
+    ) == EXIT_OK
+    sweep_csv = tmp_path / "sweep.csv"
+    with open(sweep_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    for column, value in cells.items():
+        rows[1][rows[0].index(column)] = value
+    got, out = audit_rewritten(sweep_csv, rows, capsys)
+    assert got == code
+    assert message in out
+    assert "a_over_v monotone: PASS" in out
+
+
+def test_only_the_oracle_loads_scipy(tmp_path):
+    """Runs and audits never import scipy; the sweep's oracle still runs."""
+    script = f"""
+import csv, sys
+from mgtrade import run
+import mgtrade.cli as cli
+assert cli.main(["run", "--horizon", "4", "--out", {str(tmp_path / "run")!r}]) == 0
+assert cli.main(["audit", {str(tmp_path / "run")!r}]) == 0
+assert "scipy" not in sys.modules, "run or audit loaded scipy"
+assert run is cli.run
+sweep = {str(tmp_path / "sweep")!r}
+assert cli.main(["sweep", "--config", {CONFIG!r}, "--fractions", "1.0", "--out", sweep]) == 0
+with open(sweep + "/sweep.csv", newline="") as fh:
+    assert all(r["oracle_time_avg_cost"] for r in csv.DictReader(fh))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------- round trips

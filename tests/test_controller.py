@@ -10,7 +10,6 @@ from mgtrade.controller import (
     make_bids,
     marginal_value,
     post_trade_settlement,
-    slot_objective,
     solve_slot_program,
     spilled_kwh,
 )
@@ -23,7 +22,11 @@ from mgtrade.model import (
     check_action,
 )
 
-from oracles import brute_force_slot_objective, slot_objective_with_settlement
+from oracles import (
+    brute_force_slot_objective,
+    slot_objective,
+    slot_objective_with_settlement,
+)
 
 
 def mg(**overrides) -> MGParams:
@@ -52,6 +55,7 @@ def inputs(r=0.0, di=0.0, dt=0.0, price=1.0) -> SlotInputs:
 
 
 NO_TRADE = TradeAllocation.none(1)
+IDLE = ControlAction(0.0, 0.0, 0.0, 0.0)
 
 
 # -------------------------------------------------------------------- bidding
@@ -176,7 +180,7 @@ def test_program_grid_covers_deficit_exactly():
 
 def test_program_idle_on_zero_state():
     action = solve_slot_program(state(), 0.0, inputs(), NO_TRADE, mg())
-    assert action == ControlAction.idle()
+    assert action == IDLE
 
 
 def test_program_prefers_inaction_on_ties():
@@ -184,11 +188,11 @@ def test_program_prefers_inaction_on_ties():
     p = mg(v_weight=10.0)
     # X = 0: storing free renewable energy is worth exactly nothing
     action = solve_slot_program(state(b=40.0), 0.0, inputs(r=30.0), NO_TRADE, p)
-    assert action == ControlAction.idle()
+    assert action == IDLE
     # X = -V*P with no slack: the drift gain of grid charging equals its cost
     ins = inputs(price=2.0)
     action = solve_slot_program(state(b=40.0), -10.0 * 2.0, ins, NO_TRADE, p)
-    assert action == ControlAction.idle()
+    assert action == IDLE
 
 
 def test_program_rejects_two_sided_trade():

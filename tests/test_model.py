@@ -100,13 +100,8 @@ def test_slot_inputs_reject_negative():
 
 
 def test_idle_action_is_all_zero():
-    a = ControlAction.idle()
-    assert (a.charge_kwh, a.discharge_kwh, a.serve_dt_kwh, a.grid_purchase_kwh) == (
-        0.0,
-        0.0,
-        0.0,
-        0.0,
-    )
+    """The traded quantities default to zero, so four zeros make an idle action."""
+    a = ControlAction(0.0, 0.0, 0.0, 0.0)
     assert a.bought_kwh == 0.0 and a.sold_kwh == 0.0
 
 
@@ -121,7 +116,7 @@ def test_battery_step_charges():
 
 def test_battery_step_identity_when_idle():
     p = big_mg()
-    after = battery_step(state(b=100.0), ControlAction.idle(), p)
+    after = battery_step(state(b=100.0), act(), p)
     assert after.battery_kwh == 100.0
 
 
@@ -164,7 +159,7 @@ def test_demand_queue_step_clips_overserve():
 
 
 def test_demand_queue_step_pure_arrival():
-    after = demand_queue_step(state(), ControlAction.idle(), inputs(dt=7.0), slot=3)
+    after = demand_queue_step(state(), act(), inputs(dt=7.0), slot=3)
     assert after.demand_queue_kwh == 7.0
     assert after.pending_jobs == ((3, 7.0),)
 
@@ -221,7 +216,7 @@ def test_delay_queue_idle_when_backlog_empty():
 
 def test_delay_queue_growth_from_zero():
     p = big_mg(epsilon=2.0, epsilon_max=2.0)
-    after = delay_queue_step(state(q=1.0, z=0.0), ControlAction.idle(), p)
+    after = delay_queue_step(state(q=1.0, z=0.0), act(), p)
     assert after.delay_queue_kwh == 2.0
 
 
@@ -229,10 +224,10 @@ def test_delay_queue_reads_pre_arrival_backlog():
     # order matters: the indicator must see Q before this slot's arrival
     p = big_mg(epsilon=2.0, epsilon_max=2.0)
     s = state(q=0.0, z=0.0)
-    s = delay_queue_step(s, ControlAction.idle(), p)
-    s = demand_queue_step(s, ControlAction.idle(), inputs(dt=9.0), slot=0)
+    s = delay_queue_step(s, act(), p)
+    s = demand_queue_step(s, act(), inputs(dt=9.0), slot=0)
     assert s.delay_queue_kwh == 0.0  # backlog was empty when the slot started
-    s2 = delay_queue_step(s, ControlAction.idle(), p)
+    s2 = delay_queue_step(s, act(), p)
     assert s2.delay_queue_kwh == 2.0
 
 

@@ -377,7 +377,7 @@ def test_oracle_two_slot_hand_instance():
     ]
     result = offline_oracle(cfg, inputs)
     assert result.per_mg[1] == pytest.approx(1.5, abs=1e-9)
-    assert result.total_time_avg == pytest.approx(1.5, abs=1e-9)
+    assert sum(result.per_mg.values()) == pytest.approx(1.5, abs=1e-9)
 
 
 def test_oracle_zero_demand_costs_nothing():
@@ -386,7 +386,7 @@ def test_oracle_zero_demand_costs_nothing():
         (SlotInputs(0.0, 0.0, 0.0, 3.0),),
         (SlotInputs(0.0, 0.0, 0.0, 1.0),),
     ]
-    assert offline_oracle(cfg, inputs).total_time_avg == 0.0
+    assert sum(offline_oracle(cfg, inputs).per_mg.values()) == 0.0
 
 
 def test_oracle_matches_two_slot_grid_search():
