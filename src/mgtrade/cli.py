@@ -35,6 +35,8 @@ from .sim import (
     ScenarioTraces,
     bound_audit,
     build_traces,
+    log_lines,
+    log_number,
     mg_subseed,
     offline_oracle,
     read_slots_csv,
@@ -54,6 +56,13 @@ EXIT_INVARIANT = 4
 OUT_ENV = "MGTRADE_OUT"
 
 _MODE_FLAG = {"auction": MODE_AUCTION, "solo": MODE_SOLO}
+
+SWEEP_HEADER = (
+    "fraction", "mg_id", "v_weight", "online_time_avg_cost", "oracle_time_avg_cost",
+    "gap", "a_over_v",
+)
+# blank in every row of a sweep whose scenario is too large for the oracle LP
+_ORACLE_COLUMNS = ("oracle_time_avg_cost", "gap")
 
 # Every key a config document may hold; anything else is a typo.
 _TOP_KEYS = frozenset(
@@ -431,27 +440,50 @@ def cmd_audit(args) -> int:
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 
-def _audit_sweep(sweep_csv: Path) -> int:
+def _read_sweep(sweep_csv: Path) -> list[tuple[dict[str, str], dict[str, float]]]:
+    """Each sweep row as written, and its cells as numbers.
+
+    The oracle's two cells may both be blank (the oracle was skipped); every
+    other cell must be a number.
+    """
+    rows = []
     with open(sweep_csv, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header != SWEEP_HEADER:
+            raise ParseError(f"{sweep_csv}: unexpected header {list(header)}")
+        for line, cells in log_lines(sweep_csv, reader, len(header)):
+            text = dict(zip(header, cells))
+            skip = _ORACLE_COLUMNS if not text["oracle_time_avg_cost"] else ()
+            nums = {
+                c: log_number(sweep_csv, line, c, v)
+                for c, v in text.items()
+                if c not in skip
+            }
+            rows.append((text, nums))
+    return rows
+
+
+def _audit_sweep(sweep_csv: Path) -> int:
+    rows = _read_sweep(sweep_csv)
     if not rows:
         raise SimError(f"{sweep_csv}: empty")
-    by_mg: dict[str, list[dict]] = {}
-    for r in rows:
-        by_mg.setdefault(r["mg_id"], []).append(r)
+    by_mg: dict[str, list] = {}
+    for r, x in rows:
+        by_mg.setdefault(r["mg_id"], []).append((r, x))
     print(f"{'fraction':>8} {'mg':>4} {'v_weight':>12} {'online':>12} "
           f"{'oracle':>12} {'gap':>12} {'a_over_v':>12}")
     monotone = True
     problems: list[str] = []
     for mid, group in sorted(by_mg.items()):
-        group.sort(key=lambda r: float(r["fraction"]))
+        group.sort(key=lambda row: row[1]["fraction"])
         prev_av = None
-        for r in group:
-            online = float(r["online_time_avg_cost"])
-            av = float(r["a_over_v"])
+        for r, x in group:
+            online = x["online_time_avg_cost"]
+            av = x["a_over_v"]
             print(
-                f"{float(r['fraction']):>8.3f} {mid:>4} "
-                f"{float(r['v_weight']):>12.4f} {online:>12.4f} "
+                f"{x['fraction']:>8.3f} {mid:>4} "
+                f"{x['v_weight']:>12.4f} {online:>12.4f} "
                 f"{r['oracle_time_avg_cost']:>12} {r['gap']:>12} {av:>12.4f}"
             )
             if prev_av is not None and av > prev_av + 1e-12:
@@ -460,9 +492,9 @@ def _audit_sweep(sweep_csv: Path) -> int:
             if not r["oracle_time_avg_cost"]:
                 continue  # the oracle was skipped: nothing to bound
             tag = f"fraction {r['fraction']} mg {mid}"
-            gap = float(r["gap"])
+            gap = x["gap"]
             # each logged value is off by at most 5e-7 after 6-decimal rounding
-            if abs(gap - (online - float(r["oracle_time_avg_cost"]))) > 1.5e-6:
+            if abs(gap - (online - x["oracle_time_avg_cost"])) > 1.5e-6:
                 problems.append(f"{tag}: gap {r['gap']} != online - oracle")
             if gap > av + 1e-6:
                 problems.append(f"{tag}: gap {r['gap']} above a_over_v {r['a_over_v']}")
@@ -526,7 +558,7 @@ def cmd_sweep(args) -> int:
         print(f"fraction {f:.3f}: total cost {summary.total_cost:.4f}")
 
     with open(out_root / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_HEADER)
         writer.writeheader()
         writer.writerows(rows)
     (out_root / "config.json").write_text(

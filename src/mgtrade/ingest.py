@@ -6,8 +6,12 @@ scaled to a target mean and a daily sinusoid price with noise, clipped to the
 configured price band. Loads are uniform draws, independently for the
 inflexible (DI) and deferrable (DT) components.
 
-All randomness goes through numpy Generators seeded with (seed, stream, slot)
-tuples so that any single slot can be re-drawn without replaying a sequence.
+All randomness comes from numpy's PCG64 seeded with (seed, stream) or
+(seed, stream, slot) tuples, so any single slot can be re-drawn without
+replaying a sequence. Traces go through a Generator; a slot's loads read the
+PCG64 stream directly, two raw words turned into doubles exactly as
+`Generator.uniform` does. numpy is imported only inside the functions that
+draw, so reading configs and auditing logs never load it.
 """
 
 from __future__ import annotations
@@ -17,14 +21,14 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, ParseError
 from .model import PriceBounds
 
 _STREAM_WIND = 1
 _STREAM_PRICE = 2
 _STREAM_LOAD = 3
+
+_TO_UNIT = 2.0**-53  # a 53-bit integer times this is a double in [0, 1)
 
 
 @dataclass(frozen=True)
@@ -65,8 +69,8 @@ class LoadModel:
     def __post_init__(self) -> None:
         if self.mg_type not in ("type1", "type2"):
             raise ConfigError(f"unknown mg_type {self.mg_type!r}")
-        if not 0 <= self.low_kwh <= self.high_kwh:
-            raise ConfigError("load bounds need 0 <= low <= high")
+        if not 0 <= self.low_kwh <= self.high_kwh < math.inf:
+            raise ConfigError("load bounds need 0 <= low <= high < inf")
         if not 0 < self.dt_share < 1:
             raise ConfigError("dt_share must lie strictly between 0 and 1")
         if self.rng_seed < 0:
@@ -109,13 +113,24 @@ def scale_wind(trace: Trace, target_mean_kwh: float) -> Trace:
 
 
 def draw_loads(model: LoadModel, slot: int) -> tuple[float, float]:
-    """One slot's (di_kwh, dt_kwh), reproducible per (seed, slot)."""
-    rng = np.random.default_rng((model.rng_seed, _STREAM_LOAD, slot))
+    """One slot's (di_kwh, dt_kwh), reproducible per (seed, slot).
+
+    Bit-equal to two `uniform(lo, hi)` calls on `default_rng((seed, 3, slot))`:
+    each raw 64-bit word keeps its top 53 bits as a double u in [0, 1), and
+    the draw is `lo + (hi - lo) * u`, the same arithmetic as numpy's.
+    """
+    import numpy as np
+
+    seq = (model.rng_seed, _STREAM_LOAD, slot)
+    x_di, x_dt = np.random.PCG64(seq).random_raw(2).tolist()
     di_scale = 2.0 * (1.0 - model.dt_share)
     dt_scale = 2.0 * model.dt_share
-    di = rng.uniform(di_scale * model.low_kwh, di_scale * model.high_kwh)
-    dt = rng.uniform(dt_scale * model.low_kwh, dt_scale * model.high_kwh)
-    return float(di), float(dt)
+    di_lo, di_hi = di_scale * model.low_kwh, di_scale * model.high_kwh
+    dt_lo, dt_hi = dt_scale * model.low_kwh, dt_scale * model.high_kwh
+    return (
+        di_lo + (di_hi - di_lo) * ((x_di >> 11) * _TO_UNIT),
+        dt_lo + (dt_hi - dt_lo) * ((x_dt >> 11) * _TO_UNIT),
+    )
 
 
 def synthetic_wind(slot_count: int, mean_kwh: float, seed: int) -> Trace:
@@ -124,6 +139,8 @@ def synthetic_wind(slot_count: int, mean_kwh: float, seed: int) -> Trace:
         raise ConfigError("slot_count must be >= 1")
     if mean_kwh <= 0:
         raise ConfigError("mean_kwh must be > 0")
+    import numpy as np
+
     rng = np.random.default_rng((seed, _STREAM_WIND))
     raw = rng.lognormal(mean=0.0, sigma=0.6, size=slot_count)
     raw *= mean_kwh / raw.mean()
@@ -134,6 +151,8 @@ def synthetic_price(slot_count: int, pb: PriceBounds, seed: int) -> Trace:
     """Daily sinusoid with noise, clipped into [p_min, p_max]."""
     if slot_count < 1:
         raise ConfigError("slot_count must be >= 1")
+    import numpy as np
+
     rng = np.random.default_rng((seed, _STREAM_PRICE))
     spread = pb.p_max - pb.p_min
     mid = 0.5 * (pb.p_min + pb.p_max)

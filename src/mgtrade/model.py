@@ -19,7 +19,7 @@ against every simulated slot by the audit machinery in :mod:`mgtrade.sim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConfigError, RejectedAction
 
@@ -204,7 +204,9 @@ def battery_step(state: MGState, action: ControlAction, params: MGParams) -> MGS
     cap = params.battery_capacity_kwh
     if cap < new_b < cap + FEAS_TOL:
         new_b = cap
-    return replace(state, battery_kwh=new_b)
+    return MGState(
+        new_b, state.demand_queue_kwh, state.delay_queue_kwh, state.pending_jobs
+    )
 
 
 def fifo_serve(
@@ -235,7 +237,7 @@ def demand_queue_step(
     jobs = fifo_serve(state.pending_jobs, action.serve_dt_kwh)
     if inputs.dt_load_kwh > 0:
         jobs = jobs + ((slot, inputs.dt_load_kwh),)
-    return replace(state, demand_queue_kwh=new_q, pending_jobs=jobs)
+    return MGState(state.battery_kwh, new_q, state.delay_queue_kwh, jobs)
 
 
 def delay_queue_step(state: MGState, action: ControlAction, params: MGParams) -> MGState:
@@ -246,7 +248,9 @@ def delay_queue_step(state: MGState, action: ControlAction, params: MGParams) ->
     """
     grow = params.epsilon if state.demand_queue_kwh > 0 else 0.0
     new_z = max(state.delay_queue_kwh - action.serve_dt_kwh, 0.0) + grow
-    return replace(state, delay_queue_kwh=new_z)
+    return MGState(
+        state.battery_kwh, state.demand_queue_kwh, new_z, state.pending_jobs
+    )
 
 
 def compute_a_const(params: MGParams) -> float:

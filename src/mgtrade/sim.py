@@ -16,6 +16,7 @@ stay within a_const / v_weight of it.
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -36,7 +37,7 @@ from .controller import (
     solve_slot_program,
     spilled_kwh,
 )
-from .errors import ConfigError, SimError
+from .errors import ConfigError, ParseError, SimError
 from .ingest import LoadModel, Trace, draw_loads, synthetic_price, synthetic_wind
 from .model import (
     FEAS_TOL,
@@ -741,18 +742,51 @@ def write_audit_csv(path, rows: list[AuditRow]) -> None:
         w.writerows(map(_render_audit, rows))
 
 
+def log_number(path, line: int, column: str, cell: str) -> float:
+    """A logged finite number; any other cell is a ParseError naming where it sits."""
+    try:
+        x = float(cell)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ParseError(
+            f"{path}: line {line}, column {column!r}: {cell!r} is not a finite number"
+        )
+    return x
+
+
+def log_lines(path, reader, width: int):
+    """A log's nonblank rows as (line, cells); a ragged row is a ParseError."""
+    for cells in reader:
+        if len(cells) != width:
+            if not cells:
+                continue
+            raise ParseError(
+                f"{path}: line {reader.line_num}: {len(cells)} cells, header has {width}"
+            )
+        yield reader.line_num, cells
+
+
 def read_slots_csv(path) -> list[dict[str, float]]:
-    """Parse a slots log back into numeric dict rows (ids and slots as ints)."""
+    """Parse a slots log back into numeric dict rows (ids and slots as floats)."""
     p = Path(path)
     if not p.exists():
         raise SimError(f"missing log: {p}")
     out: list[dict[str, float]] = []
     with open(p, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != SLOTS_HEADER:
-            raise SimError(f"{p}: unexpected header {reader.fieldnames}")
-        for row in reader:
-            out.append({k: float(v) for k, v in row.items()})
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != SLOTS_HEADER:
+            raise SimError(f"{p}: unexpected header {header}")
+        for line, cells in log_lines(p, reader, len(SLOTS_HEADER)):
+            try:
+                values = list(map(float, cells))
+                ok = math.isfinite(sum(values))
+            except ValueError:
+                ok = False
+            if not ok:  # parse cell by cell, which names the bad cell
+                values = [log_number(p, line, *cc) for cc in zip(SLOTS_HEADER, cells)]
+            out.append(dict(zip(SLOTS_HEADER, values)))
     if not out:
         raise SimError(f"{p}: no rows")
     return out

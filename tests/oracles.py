@@ -211,3 +211,18 @@ def slot_objective_with_settlement(state, x, inputs, action, trade, params) -> f
         trade.buy_unit_price * trade.bought_kwh
         - trade.sell_unit_price * trade.sold_kwh
     )
+
+
+def reference_draw_loads(
+    seed: int, low: float, high: float, dt_share: float, slot: int
+) -> tuple[float, float]:
+    """One slot's (di, dt) as two `Generator.uniform` draws on (seed, 3, slot).
+
+    DI is drawn from 2*(1-share)*[low, high], then DT from 2*share*[low, high].
+    """
+    rng = np.random.default_rng((seed, 3, slot))
+    di_scale = 2.0 * (1.0 - dt_share)
+    dt_scale = 2.0 * dt_share
+    di = rng.uniform(di_scale * low, di_scale * high)
+    dt = rng.uniform(dt_scale * low, dt_scale * high)
+    return float(di), float(dt)

@@ -390,6 +390,31 @@ def test_audit_catches_edited_market(tmp_path, capsys, which, column, value, mes
     assert message in out
 
 
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("xyz", "column 'battery_kwh': 'xyz' is not a finite number"),
+        ("nan", "column 'battery_kwh': 'nan' is not a finite number"),
+        (None, "line 8: 28 cells, header has 29"),
+    ],
+    ids=["non-numeric", "nan", "short-row"],
+)
+def test_audit_rejects_unparseable_slots_log(tmp_path, capsys, cell, message):
+    """A cell that is no finite number is a data error naming file, line, column."""
+    slots, rows = solo_log(tmp_path)
+    if cell is None:
+        rows[7].pop()
+    else:
+        rows[7][rows[0].index("battery_kwh")] = cell
+    with open(slots, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert run_cli("audit", str(slots.parent)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{slots}: line 8" in err
+    assert message in err
+
+
 def test_audit_missing_dir_is_usage_error(tmp_path):
     assert run_cli("audit", str(tmp_path / "missing")) == EXIT_USAGE
 
@@ -468,6 +493,61 @@ def test_sweep_audit_checks_the_gap(tmp_path, capsys, cells, code, message):
     assert "a_over_v monotone: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("online_time_avg_cost", "abc", "column 'online_time_avg_cost': 'abc'"),
+        ("gap", "", "column 'gap': ''"),  # blank only where the oracle is blank
+        ("a_over_v", "inf", "column 'a_over_v': 'inf'"),
+    ],
+    ids=["non-numeric", "blank-gap", "inf"],
+)
+def test_sweep_audit_rejects_unparseable_cells(tmp_path, capsys, column, cell, message):
+    assert run_cli(
+        "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", "0.5,1.0"
+    ) == EXIT_OK
+    sweep_csv = tmp_path / "sweep.csv"
+    with open(sweep_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][rows[0].index(column)] = cell
+    with open(sweep_csv, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert run_cli("audit", str(tmp_path)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{sweep_csv}: line 3, {message}" in err
+
+
+def test_audit_loads_neither_numpy_nor_scipy(tmp_path):
+    """Auditing a run and a sweep needs no random draws and no LP."""
+    run_dir, sweep_dir = str(tmp_path / "run"), str(tmp_path / "sweep")
+    assert run_cli("run", "--horizon", "4", "--out", run_dir) == EXIT_OK
+    assert run_cli(
+        "sweep", "--config", CONFIG, "--fractions", "1.0", "--out", sweep_dir
+    ) == EXIT_OK
+    script = f"""
+import sys
+import mgtrade.cli as cli
+assert cli.main(["audit", {run_dir!r}]) == 0
+assert cli.main(["audit", {sweep_dir!r}]) == 0
+loaded = {{"numpy", "scipy"}} & set(sys.modules)
+assert not loaded, f"audit loaded {{sorted(loaded)}}"
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's `src` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+
+
 def test_only_the_oracle_loads_scipy(tmp_path):
     """Runs and audits never import scipy; the sweep's oracle still runs."""
     script = f"""
@@ -483,12 +563,8 @@ assert cli.main(["sweep", "--config", {CONFIG!r}, "--fractions", "1.0", "--out",
 with open(sweep + "/sweep.csv", newline="") as fh:
     assert all(r["oracle_time_avg_cost"] for r in csv.DictReader(fh))
 """
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
         timeout=120,
     )
     assert done.returncode == 0, done.stderr

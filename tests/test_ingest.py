@@ -1,5 +1,7 @@
 """Trace parsing, scaling, and the seeded synthetic generators."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,6 +18,7 @@ from mgtrade.ingest import (
     synthetic_wind,
 )
 from mgtrade.model import PriceBounds
+from oracles import reference_draw_loads
 
 
 def write_csv(path, rows, header="slot,value"):
@@ -119,6 +122,8 @@ def test_load_model_validation():
     with pytest.raises(ConfigError):
         LoadModel("type1", 5.0, 2.0, rng_seed=0)
     with pytest.raises(ConfigError):
+        LoadModel("type1", 1.0, float("inf"), rng_seed=0)
+    with pytest.raises(ConfigError):
         LoadModel("type1", 1.0, 2.0, rng_seed=0, dt_share=0.0)
     with pytest.raises(ConfigError):
         LoadModel("type1", 1.0, 2.0, rng_seed=-1)
@@ -157,6 +162,35 @@ def test_draw_loads_means_converge():
     draws = np.array([draw_loads(m, s) for s in range(10_000)])
     assert abs(draws[:, 0].mean() - 150.0) / 150.0 < 0.02
     assert abs(draws[:, 1].mean() - 150.0) / 150.0 < 0.02
+
+
+def test_draw_loads_bit_equal_to_generator_uniform():
+    """The raw PCG64 draw equals two `Generator.uniform` calls, bit for bit."""
+    rnd = random.Random(20261018)
+    cases = [
+        (0, 100.0, 200.0, 0.5, 0),
+        (2**32, 100.0, 200.0, 0.5, 0),
+        (2**64 + 7, 0.0, 1.0, 0.5, 3),
+        (5, 150.0, 150.0, 0.5, 11),  # low == high
+        (5, 0.0, 0.0, 0.3, 12),
+        (9, 100.0, 200.0, 1e-12, 1),  # dt_share near 0 and near 1
+        (9, 100.0, 200.0, 1.0 - 1e-12, 1),
+        (9, 100.0, 200.0, 0.5 + 1e-16, 2),
+    ]
+    for _ in range(20_000):
+        seed = rnd.choice((rnd.randrange(10_000), rnd.randrange(2**32, 2**40),
+                           rnd.randrange(2**64)))
+        low = rnd.choice((0.0, rnd.uniform(0.0, 500.0)))
+        high = rnd.choice((low, low + rnd.uniform(0.0, 1000.0), low + rnd.random() * 1e-9))
+        near_0 = rnd.uniform(1e-12, 1e-6)
+        share = rnd.choice((rnd.uniform(near_0, 1.0 - near_0), near_0, 1.0 - near_0))
+        cases.append((seed, low, high, share, rnd.choice((0, rnd.randrange(10**6)))))
+    for seed, low, high, share, slot in cases:
+        m = LoadModel("type1", low, high, rng_seed=seed, dt_share=share)
+        got = draw_loads(m, slot)
+        want = reference_draw_loads(seed, low, high, share, slot)
+        assert got == want, (seed, low, high, share, slot)
+        assert all(type(v) is float for v in got)
 
 
 # ------------------------------------------------------------------ synthetics
