@@ -8,7 +8,8 @@ generators; CSV paths can be supplied instead (renewables are rescaled to
 the configured mean, prices are clipped into the configured band).
 
 Exit codes: 0 success, 2 usage (bad flags, missing files), 3 data
-(unparseable config or trace, malformed logs), 4 invariant violations.
+(unparseable config or trace, malformed logs), 4 invariant violations or a
+failed oracle LP.
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ SWEEP_HEADER = (
     "fraction", "mg_id", "v_weight", "online_time_avg_cost", "oracle_time_avg_cost",
     "gap", "a_over_v",
 )
-# blank in every row of a sweep whose scenario is too large for the oracle LP
-_ORACLE_COLUMNS = ("oracle_time_avg_cost", "gap")
 
 # Every key a config document may hold; anything else is a typo.
 _TOP_KEYS = frozenset(
@@ -441,11 +440,7 @@ def cmd_audit(args) -> int:
 
 
 def _read_sweep(sweep_csv: Path) -> list[tuple[dict[str, str], dict[str, float]]]:
-    """Each sweep row as written, and its cells as numbers.
-
-    The oracle's two cells may both be blank (the oracle was skipped); every
-    other cell must be a number.
-    """
+    """Each sweep row as written, and its cells as numbers."""
     rows = []
     with open(sweep_csv, newline="") as fh:
         reader = csv.reader(fh)
@@ -454,12 +449,7 @@ def _read_sweep(sweep_csv: Path) -> list[tuple[dict[str, str], dict[str, float]]
             raise ParseError(f"{sweep_csv}: unexpected header {list(header)}")
         for line, cells in log_lines(sweep_csv, reader, len(header)):
             text = dict(zip(header, cells))
-            skip = _ORACLE_COLUMNS if not text["oracle_time_avg_cost"] else ()
-            nums = {
-                c: log_number(sweep_csv, line, c, v)
-                for c, v in text.items()
-                if c not in skip
-            }
+            nums = {c: log_number(sweep_csv, line, c, v) for c, v in text.items()}
             rows.append((text, nums))
     return rows
 
@@ -489,8 +479,6 @@ def _audit_sweep(sweep_csv: Path) -> int:
             if prev_av is not None and av > prev_av + 1e-12:
                 monotone = False
             prev_av = av
-            if not r["oracle_time_avg_cost"]:
-                continue  # the oracle was skipped: nothing to bound
             tag = f"fraction {r['fraction']} mg {mid}"
             gap = x["gap"]
             # each logged value is off by at most 5e-7 after 6-decimal rounding
@@ -512,7 +500,10 @@ def cmd_sweep(args) -> int:
         config, traces_doc = default_scenario(), {}
     fractions = []
     for tok in args.fractions.split(","):
-        f = float(tok)
+        try:
+            f = float(tok)
+        except ValueError:
+            raise ConfigError(f"sweep fraction {tok!r} is not a number") from None
         if not 0 < f <= 1:
             raise ConfigError(f"sweep fraction {f} outside (0, 1]")
         fractions.append(f)
@@ -533,23 +524,19 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(base, mgs=tuple(mgs))
         traces = materialize_traces(cfg, traces_doc)
         summary, _ = run(cfg, traces)
-        oracle = None
-        try:
-            oracle = offline_oracle(cfg, realized_inputs(cfg, traces))
-        except SimError:
-            pass  # scenario too large for the clairvoyant LP; leave blank
+        oracle = offline_oracle(cfg, realized_inputs(cfg, traces))
         for spec in cfg.mgs:
             mid = spec.params.id
             online = summary.per_mg[mid].time_avg_cost
-            orc = oracle.per_mg[mid] if oracle else None
+            orc = oracle[mid]
             rows.append(
                 {
                     "fraction": f"{f:.6f}",
                     "mg_id": mid,
                     "v_weight": f"{spec.params.v_weight:.6f}",
                     "online_time_avg_cost": f"{online:.6f}",
-                    "oracle_time_avg_cost": "" if orc is None else f"{orc:.6f}",
-                    "gap": "" if orc is None else f"{online - orc:.6f}",
+                    "oracle_time_avg_cost": f"{orc:.6f}",
+                    "gap": f"{online - orc:.6f}",
                     "a_over_v": (
                         f"{compute_a_const(spec.params) / spec.params.v_weight:.6f}"
                     ),

@@ -59,9 +59,6 @@ from .model import (
 MODE_AUCTION = "with_auction"
 MODE_SOLO = "no_auction"
 
-ORACLE_MAX_SLOTS = 48
-ORACLE_MAX_MGS = 3
-
 
 @dataclass(frozen=True)
 class MGSpec:
@@ -463,104 +460,73 @@ def run(
     return summarize(config, records), records
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    per_mg: dict[int, float]
-
-
 def offline_oracle(
     config: ScenarioConfig, inputs: list[tuple[SlotInputs, ...]]
-) -> OracleResult:
+) -> dict[int, float]:
     """Clairvoyant per-MG optimum over the realized inputs, trading disabled.
 
-    One LP per MG over all slots' (C, D, J, G). The charge/discharge
-    exclusivity is dropped: any plan running both in one slot can shed
-    min(C, D) from each without changing the battery path, the balance slack,
-    or the cost, so the relaxation loses nothing. Service is capped by the
-    pre-arrival backlog exactly as online, and all work that arrives before
-    the final slot must be finished by the horizon. scipy is imported here,
-    so runs and audits never load it.
+    One LP per MG over all slots, with variables [C | D | J | G | B | S]:
+    the slot's charge, discharge, delay-tolerant service and grid purchase,
+    the battery B_t at the start of slot t (B_0 = b0, B_t = B_{t-1} +
+    C_{t-1} - D_{t-1}), and the work S_t served through slot t (S_t =
+    S_{t-1} + J_t). Every row is banded, so the matrix is sparse and shared
+    by all MGs. Service is capped by the pre-arrival backlog exactly as
+    online (S_t at most the work arrived before t), and all work that
+    arrives before the final slot must be finished by the horizon (the last
+    S is pinned to it). The charge/discharge exclusivity is dropped: any plan
+    running both in one slot can shed min(C, D) from each without changing
+    the battery path, the balance slack, or the cost, so the relaxation
+    loses nothing. Returns each MG's time-average cost. scipy is imported
+    here, so runs and audits never load it.
     """
     import numpy as np
     from scipy.optimize import linprog
+    from scipy.sparse import bmat, eye
 
-    horizon = len(inputs)
-    if horizon > ORACLE_MAX_SLOTS:
-        raise SimError(f"oracle limited to {ORACLE_MAX_SLOTS} slots, got {horizon}")
-    if len(config.mgs) > ORACLE_MAX_MGS:
-        raise SimError(f"oracle limited to {ORACLE_MAX_MGS} MGs, got {len(config.mgs)}")
-    if horizon < 1:
+    h = len(inputs)
+    if h < 1:
         raise SimError("oracle needs at least one slot")
+    one, lag = eye(h), eye(h, k=-1)  # lag reads the previous slot
+    rows = bmat(
+        [
+            [one, None, None, None, one, None],  # C + B <= B_max
+            [None, one, None, None, -one, None],  # D <= B
+            [one, -one, one, -one, None, None],  # I + J + C <= R + G + D
+            [-lag, lag, None, None, one - lag, None],  # battery step, B_0 = b0
+            [None, None, -one, None, None, one - lag],  # S_t = S_{t-1} + J_t
+        ],
+        format="csr",
+    )
+    a_ub, a_eq = rows[: 3 * h], rows[3 * h :]
+    b_eq = np.zeros(2 * h)
 
-    bounds_all = config.bounds()
+    slot_row = attrgetter("renewable_kwh", "di_load_kwh", "dt_load_kwh", "grid_price")
     per_mg: dict[int, float] = {}
-    for k, (m, db) in enumerate(zip(config.mgs, bounds_all)):
+    for k, (m, db) in enumerate(zip(config.mgs, config.bounds())):
         p = m.params
-        b0 = initial_state(p, db, config.initial_battery_kwh).battery_kwh
-        r = np.array([inputs[t][k].renewable_kwh for t in range(horizon)])
-        di = np.array([inputs[t][k].di_load_kwh for t in range(horizon)])
-        dt = np.array([inputs[t][k].dt_load_kwh for t in range(horizon)])
-        price = np.array([inputs[t][k].grid_price for t in range(horizon)])
-
-        h = horizon
-        n = 4 * h  # [C | D | J | G]
-        cost_vec = np.zeros(n)
-        cost_vec[3 * h :] = price
-
-        rows: list[np.ndarray] = []
-        rhs: list[float] = []
-        lower = np.tril(np.ones((h, h)))  # includes the diagonal
-        strict = lower - np.eye(h)  # tau < t only
-
-        # C_t + B_t <= B_max  where B_t = b0 + sum_{tau<t} (C - D)
-        block = np.zeros((h, n))
-        block[:, 0:h] = lower
-        block[:, h : 2 * h] = -strict
-        rows.append(block)
-        rhs.extend([p.battery_capacity_kwh - b0] * h)
-
-        # D_t <= B_t
-        block = np.zeros((h, n))
-        block[:, h : 2 * h] = lower
-        block[:, 0:h] = -strict
-        rows.append(block)
-        rhs.extend([b0] * h)
-
-        # sum_{tau<=t} J_tau <= sum_{tau<t} T_tau (pre-arrival backlog cap)
-        block = np.zeros((h, n))
-        block[:, 2 * h : 3 * h] = lower
-        rows.append(block)
-        rhs.extend(list(strict @ dt))
-
-        # finish everything that arrived before the last slot
-        block = np.zeros((1, n))
-        block[0, 2 * h : 3 * h] = -1.0
-        rows.append(block)
-        rhs.append(-float(dt[:-1].sum()) if h > 1 else 0.0)
-
-        # I + J + C <= R + G + D
-        block = np.zeros((h, n))
-        block[:, 0:h] = np.eye(h)
-        block[:, h : 2 * h] = -np.eye(h)
-        block[:, 2 * h : 3 * h] = np.eye(h)
-        block[:, 3 * h :] = -np.eye(h)
-        rows.append(block)
-        rhs.extend(list(r - di))
-
-        a_ub = np.vstack(rows)
-        b_ub = np.array(rhs)
-        var_bounds = (
-            [(0.0, p.charge_rate_max_kwh)] * h
-            + [(0.0, p.discharge_rate_max_kwh)] * h
-            + [(0.0, p.serve_rate_max_kwh)] * h
-            + [(0.0, None)] * h
+        b_eq[0] = initial_state(p, db, config.initial_battery_kwh).battery_kwh
+        r, di, dt, price = np.array([slot_row(slot[k]) for slot in inputs]).T
+        arrived = np.concatenate(([0.0], np.cumsum(dt[:-1])))  # before each slot
+        # every variable is nonnegative (for B and S their rows imply it), and
+        # the last S is pinned to the work that arrived before the final slot
+        lo = np.zeros(6 * h)
+        lo[-1] = arrived[-1]
+        hi = np.concatenate((
+            np.repeat([p.charge_rate_max_kwh, p.discharge_rate_max_kwh,
+                       p.serve_rate_max_kwh, np.inf, np.inf], h),
+            arrived,
+        ))
+        b_ub = np.concatenate((np.full(h, p.battery_capacity_kwh), np.zeros(h), r - di))
+        cost = np.concatenate((np.zeros(3 * h), price, np.zeros(2 * h)))
+        res = linprog(
+            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+            bounds=np.column_stack((lo, hi)), method="highs",
         )
-        res = linprog(cost_vec, A_ub=a_ub, b_ub=b_ub, bounds=var_bounds, method="highs")
         if not res.success:
             raise SimError(f"oracle LP failed for mg {p.id}: {res.message}")
         per_mg[p.id] = float(res.fun) / h
 
-    return OracleResult(per_mg=per_mg)
+    return per_mg
 
 
 @dataclass(frozen=True)
@@ -591,7 +557,7 @@ class AuditReport:
 def bound_audit(
     summary: RunSummary,
     config: ScenarioConfig,
-    oracle: OracleResult | None = None,
+    oracle: dict[int, float] | None = None,
 ) -> AuditReport:
     """Assert the stability guarantees on a finished run.
 
@@ -663,12 +629,12 @@ def bound_audit(
                 AuditLine(
                     check=f"mg{mid} cost gap vs oracle",
                     status="SKIP",
-                    detail="no oracle for this scenario scale",
+                    detail="`mgtrade run` does not solve the oracle; `mgtrade sweep` does",
                 )
             )
         else:
             gap_cap = db.a_const / m.params.v_weight
-            bound = oracle.per_mg[mid] + gap_cap
+            bound = oracle[mid] + gap_cap
             ok = s.time_avg_cost <= bound + 1e-6
             lines.append(
                 AuditLine(
@@ -676,7 +642,7 @@ def bound_audit(
                     status="PASS" if ok else "FAIL",
                     detail=(
                         f"online={s.time_avg_cost:.6f} "
-                        f"oracle={oracle.per_mg[mid]:.6f} a/v={gap_cap:.6f}"
+                        f"oracle={oracle[mid]:.6f} a/v={gap_cap:.6f}"
                     ),
                 )
             )
@@ -709,6 +675,10 @@ def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], Callable]:
 _MG_COLUMNS, _render_mg_row = _log_columns(MGSlotRow)
 _MARKET_COLUMNS, _render_market = _log_columns(MarketRow, prefix="market_")
 SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
+# positions of the fields declared ``int``, whose logged values must be whole
+_WHOLE_CELLS = tuple(
+    SLOTS_HEADER.index(n) for n, t in get_type_hints(MGSlotRow).items() if t is int
+)
 
 
 def write_slots_csv(path, records: list[SlotRecord]) -> None:
@@ -768,7 +738,10 @@ def log_lines(path, reader, width: int):
 
 
 def read_slots_csv(path) -> list[dict[str, float]]:
-    """Parse a slots log back into numeric dict rows (ids and slots as floats)."""
+    """Parse a slots log back into numeric dict rows (ids and slots as floats).
+
+    A column of an ``int`` field must hold a whole number.
+    """
     p = Path(path)
     if not p.exists():
         raise SimError(f"missing log: {p}")
@@ -786,6 +759,12 @@ def read_slots_csv(path) -> list[dict[str, float]]:
                 ok = False
             if not ok:  # parse cell by cell, which names the bad cell
                 values = [log_number(p, line, *cc) for cc in zip(SLOTS_HEADER, cells)]
+            for i in _WHOLE_CELLS:
+                if not values[i].is_integer():
+                    raise ParseError(
+                        f"{p}: line {line}, column {SLOTS_HEADER[i]!r}: "
+                        f"{cells[i]!r} is not a whole number"
+                    )
             out.append(dict(zip(SLOTS_HEADER, values)))
     if not out:
         raise SimError(f"{p}: no rows")

@@ -192,6 +192,80 @@ def brute_force_two_slot_cost(
     return best
 
 
+def reference_offline_oracle(
+    b0: float,
+    capacity: float,
+    c_max: float,
+    d_max: float,
+    j_max: float,
+    inputs: list[tuple[float, float, float, float]],  # (R, I, T, P) per slot
+) -> float:
+    """Clairvoyant time-average grid cost as one dense LP over (C, D, J, G).
+
+    The battery and the served work are written out as running sums over
+    lower-triangular blocks, so the LP needs O(h^2) memory: a reference for
+    small horizons only. Service is capped by the work that arrived before
+    each slot, and everything that arrived before the final slot is served.
+    """
+    from scipy.optimize import linprog
+
+    r, di, dt, price = (np.array(col, dtype=float) for col in zip(*inputs))
+    h = len(inputs)
+    n = 4 * h  # [C | D | J | G]
+    cost_vec = np.zeros(n)
+    cost_vec[3 * h :] = price
+
+    rows: list[np.ndarray] = []
+    rhs: list[float] = []
+    lower = np.tril(np.ones((h, h)))  # includes the diagonal
+    strict = lower - np.eye(h)  # tau < t only
+
+    # C_t + B_t <= B_max  where B_t = b0 + sum_{tau<t} (C - D)
+    block = np.zeros((h, n))
+    block[:, 0:h] = lower
+    block[:, h : 2 * h] = -strict
+    rows.append(block)
+    rhs.extend([capacity - b0] * h)
+
+    # D_t <= B_t
+    block = np.zeros((h, n))
+    block[:, h : 2 * h] = lower
+    block[:, 0:h] = -strict
+    rows.append(block)
+    rhs.extend([b0] * h)
+
+    # sum_{tau<=t} J_tau <= sum_{tau<t} T_tau (pre-arrival backlog cap)
+    block = np.zeros((h, n))
+    block[:, 2 * h : 3 * h] = lower
+    rows.append(block)
+    rhs.extend(list(strict @ dt))
+
+    # finish everything that arrived before the last slot
+    block = np.zeros((1, n))
+    block[0, 2 * h : 3 * h] = -1.0
+    rows.append(block)
+    rhs.append(-float(dt[:-1].sum()) if h > 1 else 0.0)
+
+    # I + J + C <= R + G + D
+    block = np.zeros((h, n))
+    block[:, 0:h] = np.eye(h)
+    block[:, h : 2 * h] = -np.eye(h)
+    block[:, 2 * h : 3 * h] = np.eye(h)
+    block[:, 3 * h :] = -np.eye(h)
+    rows.append(block)
+    rhs.extend(list(r - di))
+
+    var_bounds = (
+        [(0.0, c_max)] * h + [(0.0, d_max)] * h + [(0.0, j_max)] * h + [(0.0, None)] * h
+    )
+    res = linprog(
+        cost_vec, A_ub=np.vstack(rows), b_ub=np.array(rhs), bounds=var_bounds,
+        method="highs",
+    )
+    assert res.success, res.message
+    return float(res.fun) / h
+
+
 def slot_objective(state, x, inputs, action, params) -> float:
     """Slot program objective X*(C - D) - (Q + Z)*J + V*P*G of an action."""
     qz = state.demand_queue_kwh + state.delay_queue_kwh

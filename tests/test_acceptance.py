@@ -260,12 +260,12 @@ def test_criterion_3_cost_gap_shrinks_like_a_over_v(v_sweep):
             # so the comparison is only fair if the online run does too
             arrived_before_last = sum(s[k].dt_load_kwh for s in inputs[:-1])
             assert mg_sum.total_served_kwh >= arrived_before_last - 1e-6
-            bound = oracle.per_mg[mid] + compute_a_const(m.params) / m.params.v_weight
+            bound = oracle[mid] + compute_a_const(m.params) / m.params.v_weight
             assert mg_sum.time_avg_cost <= bound + 1e-6, (
                 f"fraction {fraction} mg {mid}: online {mg_sum.time_avg_cost} "
                 f"exceeds oracle-plus-gap bound {bound}"
             )
-            gap += mg_sum.time_avg_cost - oracle.per_mg[mid]
+            gap += mg_sum.time_avg_cost - oracle[mid]
         gaps.append(gap)
     pairs = len(gaps) - 1
     nonincreasing = sum(1 for i in range(pairs) if gaps[i + 1] <= gaps[i] + 1e-6)

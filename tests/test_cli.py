@@ -415,6 +415,19 @@ def test_audit_rejects_unparseable_slots_log(tmp_path, capsys, cell, message):
     assert message in err
 
 
+def test_audit_rejects_a_fractional_slot(tmp_path, capsys):
+    """An ``int`` column must hold a whole number, not one that truncates to it."""
+    slots, rows = solo_log(tmp_path)
+    assert rows[6][:2] == ["0", "6"]  # slot 0 of MG 6, which int() would keep
+    rows[6][0] = "0.5"
+    with open(slots, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    assert run_cli("audit", str(slots.parent)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{slots}: line 7, column 'slot': '0.5' is not a whole number" in err
+
+
 def test_audit_missing_dir_is_usage_error(tmp_path):
     assert run_cli("audit", str(tmp_path / "missing")) == EXIT_USAGE
 
@@ -434,7 +447,7 @@ def test_sweep_writes_table_and_audits(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4  # 2 fractions x 2 MGs
     for r in rows:
-        assert r["oracle_time_avg_cost"] != ""  # small enough for the LP
+        assert r["oracle_time_avg_cost"] != ""
         assert float(r["a_over_v"]) > 0
     capsys.readouterr()
     code = run_cli("audit", str(tmp_path))
@@ -443,11 +456,47 @@ def test_sweep_writes_table_and_audits(tmp_path, capsys):
     assert "a_over_v monotone: PASS" in out
 
 
-def test_sweep_rejects_bad_fraction(tmp_path):
+def test_sweep_fills_every_oracle_cell_of_the_reference_scenario(tmp_path, capsys):
+    """The built-in 6-MG x 120-slot scenario is solved, not left blank."""
+    assert run_cli("sweep", "--out", str(tmp_path), "--fractions", "1.0") == EXIT_OK
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["mg_id"] for r in rows] == ["1", "2", "3", "4", "5", "6"]
+    for r in rows:
+        assert float(r["oracle_time_avg_cost"]) >= 0.0
+    capsys.readouterr()
+    assert run_cli("audit", str(tmp_path)) == EXIT_OK
+    assert "gap within a_over_v: PASS" in capsys.readouterr().out
+
+
+def test_sweep_fails_on_an_infeasible_oracle(tmp_path, capsys):
+    """Serving 10 kWh a slot cannot clear the backlog by the horizon: exit 4."""
+    doc = {
+        "horizon_slots": 4,
+        "mgs": [
+            {"id": 1, "battery_capacity_kwh": 300.0, "charge_rate_max_kwh": 150.0,
+             "discharge_rate_max_kwh": 150.0, "serve_rate_max_kwh": 10.0,
+             "load_low_kwh": 10.0, "load_high_kwh": 20.0, "renewable_mean_kwh": 5.0},
+        ],
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    capsys.readouterr()
     code = run_cli(
-        "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", "1.5"
+        "sweep", "--config", str(config), "--out", str(tmp_path / "out"),
+        "--fractions", "1.0",
     )
-    assert code == EXIT_DATA
+    assert code == EXIT_INVARIANT
+    assert "oracle LP failed for mg 1" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_rejects_bad_fraction(tmp_path):
+    for bad in ("1.5", "abc"):
+        code = run_cli(
+            "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", bad
+        )
+        assert code == EXIT_DATA
 
 
 def test_sweep_rejects_mode_both(tmp_path):
@@ -473,10 +522,8 @@ def test_sweep_config_records_the_overrides(tmp_path):
         ({"online_time_avg_cost": "999999.000000", "gap": "999999.000000"},
          EXIT_INVARIANT, "above a_over_v"),
         ({"gap": "0.000000"}, EXIT_INVARIANT, "!= online - oracle"),
-        ({"oracle_time_avg_cost": "", "gap": "", "online_time_avg_cost": "999999.000000"},
-         EXIT_OK, "gap within a_over_v: PASS"),
     ],
-    ids=["above-bound", "gap-differs", "blank-oracle"],
+    ids=["above-bound", "gap-differs"],
 )
 def test_sweep_audit_checks_the_gap(tmp_path, capsys, cells, code, message):
     assert run_cli(
@@ -497,10 +544,11 @@ def test_sweep_audit_checks_the_gap(tmp_path, capsys, cells, code, message):
     "column, cell, message",
     [
         ("online_time_avg_cost", "abc", "column 'online_time_avg_cost': 'abc'"),
-        ("gap", "", "column 'gap': ''"),  # blank only where the oracle is blank
+        ("gap", "", "column 'gap': ''"),
+        ("oracle_time_avg_cost", "", "column 'oracle_time_avg_cost': ''"),
         ("a_over_v", "inf", "column 'a_over_v': 'inf'"),
     ],
-    ids=["non-numeric", "blank-gap", "inf"],
+    ids=["non-numeric", "blank-gap", "blank-oracle", "inf"],
 )
 def test_sweep_audit_rejects_unparseable_cells(tmp_path, capsys, column, cell, message):
     assert run_cli(

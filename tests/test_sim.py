@@ -7,7 +7,7 @@ import pytest
 
 from mgtrade.errors import ConfigError, SimError
 from mgtrade.ingest import LoadModel
-from mgtrade.model import MGParams, PriceBounds, SlotInputs, compute_v_max
+from mgtrade.model import MGParams, PriceBounds, SlotInputs, compute_v_max, initial_state
 from mgtrade.sim import (
     MODE_AUCTION,
     MODE_SOLO,
@@ -28,7 +28,7 @@ from mgtrade.sim import (
     write_slots_csv,
 )
 
-from oracles import brute_force_two_slot_cost
+from oracles import brute_force_two_slot_cost, reference_offline_oracle
 
 PB = PriceBounds(2.0, 16.0)
 
@@ -376,8 +376,7 @@ def test_oracle_two_slot_hand_instance():
         (SlotInputs(renewable_kwh=0.0, di_load_kwh=2.0, dt_load_kwh=0.0, grid_price=1.0),),
     ]
     result = offline_oracle(cfg, inputs)
-    assert result.per_mg[1] == pytest.approx(1.5, abs=1e-9)
-    assert sum(result.per_mg.values()) == pytest.approx(1.5, abs=1e-9)
+    assert result == pytest.approx({1: 1.5}, abs=1e-9)
 
 
 def test_oracle_zero_demand_costs_nothing():
@@ -386,7 +385,7 @@ def test_oracle_zero_demand_costs_nothing():
         (SlotInputs(0.0, 0.0, 0.0, 3.0),),
         (SlotInputs(0.0, 0.0, 0.0, 1.0),),
     ]
-    assert sum(offline_oracle(cfg, inputs).per_mg.values()) == 0.0
+    assert offline_oracle(cfg, inputs) == {1: 0.0}
 
 
 def test_oracle_matches_two_slot_grid_search():
@@ -412,7 +411,7 @@ def test_oracle_matches_two_slot_grid_search():
         slot_ins = [
             (SlotInputs(r, i, t, pr),) for (r, i, t, pr) in ins
         ]
-        lp = offline_oracle(cfg, slot_ins).per_mg[1]
+        lp = offline_oracle(cfg, slot_ins)[1]
         bf = brute_force_two_slot_cost(
             b0,
             p.battery_capacity_kwh,
@@ -424,18 +423,68 @@ def test_oracle_matches_two_slot_grid_search():
         assert lp <= bf + 1e-9
 
 
+@pytest.mark.parametrize(
+    "horizon, n_mgs, seed, initial_battery",
+    [(1, 1, 0, 0.0), (1, 3, 1, None), (2, 2, 2, 0.0), (7, 3, 3, 10.0),
+     (24, 2, 4, 300.0), (48, 3, 5, None), (48, 1, 6, 40.0)],
+)
+def test_oracle_matches_dense_reference(horizon, n_mgs, seed, initial_battery):
+    """The banded sparse LP and the dense running-sum LP find the same optimum."""
+    base = small_scenario(seed=seed, horizon=horizon, n_mgs=n_mgs)
+    # renewables short of the load, so most MGs must buy from the grid
+    cfg = dataclasses.replace(
+        base,
+        initial_battery_kwh=initial_battery,
+        mgs=tuple(dataclasses.replace(m, renewable_mean_kwh=5.0) for m in base.mgs),
+    )
+    inputs = realized_inputs(cfg, build_traces(cfg))
+    got = offline_oracle(cfg, inputs)
+    assert sorted(got) == [m.params.id for m in cfg.mgs]
+    for k, (m, db) in enumerate(zip(cfg.mgs, cfg.bounds())):
+        p = m.params
+        want = reference_offline_oracle(
+            initial_state(p, db, initial_battery).battery_kwh,
+            p.battery_capacity_kwh,
+            p.charge_rate_max_kwh,
+            p.discharge_rate_max_kwh,
+            p.serve_rate_max_kwh,
+            [(s[k].renewable_kwh, s[k].di_load_kwh, s[k].dt_load_kwh, s[k].grid_price)
+             for s in inputs],
+        )
+        assert got[p.id] == pytest.approx(want, abs=1e-6)
+
+
+def overload_dt(inputs, k, kwh=200.0):
+    """Give MG k more delay-tolerant work each slot than its serve rate clears."""
+    return [
+        tuple(dataclasses.replace(s, dt_load_kwh=kwh) if j == k else s
+              for j, s in enumerate(slot))
+        for slot in inputs
+    ]
+
+
 def test_oracle_refuses_large_scenarios():
+    """Size is no reason to refuse: past 48 slots only an infeasible LP is."""
     cfg = small_scenario(horizon=60)
-    traces = build_traces(cfg)
-    with pytest.raises(SimError, match="slots"):
-        offline_oracle(cfg, realized_inputs(cfg, traces))
+    inputs = realized_inputs(cfg, build_traces(cfg))
+    assert sorted(offline_oracle(cfg, inputs)) == [1, 2]
+    with pytest.raises(SimError, match="oracle LP failed for mg 2"):
+        offline_oracle(cfg, overload_dt(inputs, 1))
 
 
 def test_oracle_refuses_many_mgs():
+    """Past 3 MGs the oracle solves each one and refuses the infeasible one by id."""
     cfg = small_scenario(horizon=10, n_mgs=4)
-    traces = build_traces(cfg)
-    with pytest.raises(SimError, match="MGs"):
-        offline_oracle(cfg, realized_inputs(cfg, traces))
+    inputs = realized_inputs(cfg, build_traces(cfg))
+    assert sorted(offline_oracle(cfg, inputs)) == [1, 2, 3, 4]
+    with pytest.raises(SimError, match="oracle LP failed for mg 3"):
+        offline_oracle(cfg, overload_dt(inputs, 2))
+
+
+def test_oracle_needs_a_slot():
+    cfg = small_scenario(horizon=1)
+    with pytest.raises(SimError, match="at least one slot"):
+        offline_oracle(cfg, [])
 
 
 def test_online_run_never_beats_oracle():
@@ -458,7 +507,7 @@ def test_online_run_never_beats_oracle():
     arrived_before_last = sum(s[0].dt_load_kwh for s in inputs[:-1])
     assert served >= arrived_before_last - 1e-6
     oracle = offline_oracle(cfg, inputs)
-    assert oracle.per_mg[1] <= summary.per_mg[1].time_avg_cost + 1e-6
+    assert oracle[1] <= summary.per_mg[1].time_avg_cost + 1e-6
 
 
 # --------------------------------------------------------------------- audits
@@ -471,7 +520,7 @@ def test_bound_audit_passes_on_clean_run():
     assert report.passed
     text = report.render()
     assert "ALL CHECKS PASSED" in text
-    assert "SKIP" in text  # no oracle supplied at this scale
+    assert "SKIP" in text  # no oracle supplied
 
 
 def test_bound_audit_flags_injected_v_weight():
