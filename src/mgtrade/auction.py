@@ -21,21 +21,26 @@ of every candidate is a prefix of it: the pairs whose buyer and seller are
 both ahead of the marginal bids. The path is built once per book. A
 candidate takes its prefix whenever x* is at least every quantity in it,
 since the cap then changes no step; otherwise (a binding cap) it reruns the
-capped greedy fill on its own winners. A prefix is scored with the same
-float operations, in the same order, as the greedy fill would use, so every
-score is bitwise the one the from-scratch fill gives.
+capped greedy fill on its own winners.
+
+A prefix's score factors into prefix sums along the path, so one numpy
+expression scores every (marginal buy, marginal sell) pair of the book.
+Factoring changes the last bits of a score, and the scan keeps a later pair
+only if it beats the best so far by more than 1e-12, so the choice is not
+made on the factored scores: a forward error bound on them picks the few
+candidates that can still win, and only those are scored with the greedy
+fill's own float operations, in its order, and scanned. The outcome is
+bitwise the one scanning every pair with from-scratch fills gives. numpy is
+imported when a book is scored, so audits never load it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import accumulate
 from operator import add, sub
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 from .controller import BidPair, TradeAllocation
 from .errors import InvariantViolation, MarketError
@@ -192,77 +197,160 @@ def _greedy_allocation(
     return alloc, score
 
 
-def _candidates(
-    book: OrderBook, grid_price: float
-) -> Iterator[tuple[int, int, int | dict[tuple[int, int], float], float]]:
-    """Yield (mi, ml, fill, score) for every feasible marginal pair.
+class _Candidates(NamedTuple):
+    """Every feasible marginal pair of a book, in scan order, with its score.
 
-    ``fill`` is the length of the candidate's prefix of ``book.fill_path``,
-    or, when the x* cap binds inside that prefix, the allocation the capped
-    greedy fill gives. Winners are the bids strictly ahead of the marginal
-    ones, so a book needs at least two bids per side to yield anything.
-    Pairs come in scan order: marginal buy index outer, marginal sell index
-    inner.
+    Scan order is marginal buy index outer, marginal sell index inner; the
+    first three fields are numpy int arrays, one entry per pair. A pair whose
+    greedy fill is its prefix of the fill path has that prefix's length in
+    ``prefix`` and its factored score in ``estimate``. A pair whose x* cap
+    binds has its (allocation, score) from the capped greedy fill in
+    ``capped``, and that score as its estimate (-inf if the fill allocates
+    nothing). Every estimate lies within ``error`` of the greedy fill's
+    score. ``logs`` is ln(x) of each path step.
     """
+
+    mi: Any
+    ml: Any
+    prefix: Any
+    estimate: Any
+    error: float
+    capped: dict[int, tuple[dict[tuple[int, int], float], float]]
+    logs: list[float]
+
+
+def _candidates(book: OrderBook, grid_price: float) -> _Candidates:
+    """Score every feasible marginal pair (mi, ml) of the book at once.
+
+    On a saturated prefix of p path pairs the greedy fill's score is the sum
+    of a*ln(x) - c*x*x/2 with a = rho1*bp and c = rho2*sp. Factored, that is
+    a*L[p] - c*Q[p], with L and Q the prefix sums of ln(x) and x*x/2 along
+    the path, so the whole (mi, ml) grid is one array expression. A pair is
+    feasible when bp <= grid price, bp > sp for it and every sell ahead of it
+    (sells ascend, so the first sell at or above bp ends the row) and its
+    prefix is nonempty. The cap binds when x* is below the prefix's largest
+    quantity; only those pairs rerun the greedy fill, in Python.
+
+    ``error`` bounds |estimate - greedy score| by the forward error bounds of
+    recursive summation (Higham, Accuracy and Stability of Numerical
+    Algorithms, ch. 3-4), gamma_k = k*u/(1 - k*u), u = 2**-53. Each greedy
+    term carries at most gamma_3 of relative error and its fold gamma_(p-1)
+    more; L and Q carry gamma_(p-1) and gamma_p and the last multiplies and
+    subtraction gamma_2. So both scores lie within gamma_(p+2)*W of the exact
+    real sum, W = a*sum|ln x| + c*sum x*x/2 over the prefix, and differ by at
+    most gamma_(2p+4)*W. One bound serves the whole book: p <= n, the path's
+    length, and a, c <= rho times the grid price, so (2n + 8)*u*W_max with
+    W_max taken over the whole path leaves room for rounding W_max and the
+    band's arithmetic; n*2**-1070 covers underflow. Both scores use the
+    same `math.log` values.
+    """
+    import numpy as np
+
     buys, sells = book.buy_bids, book.sell_bids
-    rho1, rho2 = book.rho1, book.rho2
-    path = book.fill_path
-    buyer_at = [i for i, _, _ in path]
-    seller_at = [k for _, k, _ in path]
-    xs = [x for _, _, x in path]
+    buyer_at, seller_at, xs = zip(*book.fill_path)
     logs = list(map(math.log, xs))
-    top = list(accumulate(xs, max, initial=0.0))  # top[p]: largest x of p pairs
-    # Python evaluates the greedy fill's term rho1*bp*ln(x) - rho2*sp*x*x/2
-    # as (rho1*bp)*ln(x) - ((rho2*sp)*x)*x/2, so the two halves are kept per
-    # pair: gains for the marginal buy price, losses[ml - 1] for the
-    # marginal sell price, over the pairs whose buyer (seller) is ahead.
-    losses: list[list[float]] = []
-    for mi in range(1, len(buys)):
-        buy_price = buys[mi][1]
-        if buy_price > grid_price:
-            continue
-        by_buyer = bisect_left(buyer_at, mi)
-        a = rho1 * buy_price
-        gains = [a * lx for lx in logs[:by_buyer]]
-        for ml in range(1, len(sells)):
-            sell_price = sells[ml][1]
-            if not buy_price > sell_price:
-                break  # sells ascend: later ml only worse
-            if len(losses) < ml:
-                c = rho2 * sell_price
-                by_seller = bisect_left(seller_at, ml)
-                losses.append([c * x * x / 2.0 for x in xs[:by_seller]])
-            loss = losses[ml - 1]
-            p = min(by_buyer, len(loss))
-            if not p:
-                continue
-            if sell_price > 0 and pair_quantity(buy_price, sell_price, rho1, rho2) < top[p]:
-                alloc, score = _greedy_allocation(
-                    buys[:mi], sells[:ml], buy_price, sell_price, rho1, rho2
-                )
-                if alloc:
-                    yield mi, ml, alloc, score
-            else:
-                # map stops after p terms; reduce is the fill's score += term
-                yield mi, ml, p, reduce(add, map(sub, gains, loss), 0.0)
+    n = len(xs)
+    xs = np.array(xs, dtype=float)
+    sums = np.zeros((2, n + 1))  # L and Q: the sums of the first p pairs at [:, p]
+    np.cumsum((logs, xs * xs / 2.0), axis=1, out=sums[:, 1:])
+    top = np.zeros(n + 1)  # top[p]: largest x of the first p pairs
+    np.maximum.accumulate(xs, out=top[1:])
+    w_max = grid_price * (book.rho1 * sum(map(abs, logs)) + book.rho2 * sums[1, n])
+    error = (2 * n + 8) * 2.0**-53 * w_max + n * 2.0**-1070
+
+    by_buyer = np.searchsorted(buyer_at, np.arange(1, len(buys)))
+    by_seller = np.searchsorted(seller_at, np.arange(1, len(sells)))
+    bp = np.array([price for _, price, _ in buys[1:]])
+    sp = np.array([price for _, price, _ in sells[1:]])
+    p = np.minimum(by_buyer[:, None], by_seller)
+    feasible = np.logical_and.accumulate(bp[:, None] > sp, axis=1)
+    feasible &= (bp <= grid_price)[:, None] & (p > 0)
+    cells = np.flatnonzero(feasible)
+    mi, ml = np.divmod(cells, len(sp))
+    p = p.ravel()[cells]
+    a, c = book.rho1 * bp[mi], book.rho2 * sp[ml]  # the greedy fill's rho1*bp, rho2*sp
+    ln_sum, sq_sum = sums[:, p]
+    estimate = a * ln_sum - c * sq_sum
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cap_binds = (c > 0) & (np.sqrt(a / c) < top[p])  # pair_quantity's x*
+    mi += 1
+    ml += 1
+    capped = {}
+    for k in np.flatnonzero(cap_binds).tolist():
+        i, j = int(mi[k]), int(ml[k])
+        alloc, score = _greedy_allocation(
+            buys[:i], sells[:j], buys[i][1], sells[j][1], book.rho1, book.rho2
+        )
+        capped[k] = alloc, score
+        estimate[k] = score if alloc else -math.inf
+    return _Candidates(mi, ml, p, estimate, error, capped, logs)
+
+
+def _band(estimate, error: float) -> list[int]:
+    """Candidates, in scan order, among which the full scan picks its winner.
+
+    Every exact score lies within ``error`` of its estimate. Rank the
+    estimates and cut at the first gap wider than 2*error + 1e-12, plus room
+    for the rounding of `best + 1e-12`, and the band is the candidates above
+    the cut. It holds the top estimate, and with it every candidate within
+    1e-12 of the best exact score. Each band member's exact score beats
+    every other candidate's by more than 1e-12, so the full scan's first band
+    member replaces whatever best the scan held, and no candidate outside
+    the band ever replaces a band member: from there the scan over the band
+    alone makes the same choices as the full scan. Without such a gap (or
+    with a bound that is not finite) the band is everything.
+    """
+    import numpy as np
+
+    order = np.argsort(-estimate, kind="stable")
+    ranked = estimate[order]
+    with np.errstate(invalid="ignore"):  # -inf - -inf: no gap there
+        gap = ranked[:-1] - ranked[1:]
+    margin = 2 * error + 1e-12 + 2.0**-50 * (np.abs(ranked[1:]) + error + 1e-12)
+    clears = gap > margin
+    size = int(clears.argmax()) + 1 if clears.any() else len(order)
+    return sorted(order[:size].tolist())
 
 
 def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
     """Run the double auction for one slot.
 
-    Picks the best-scoring candidate marginal pair; a later pair must beat
-    the best so far by more than 1e-12 to replace it. A book that never
-    crosses, or whose best candidate scores a nonpositive welfare, clears
-    empty rather than erroring.
+    Picks the best-scoring candidate marginal pair, scanning pairs in order;
+    a later pair must beat the best so far by more than 1e-12 to replace it.
+    A book that never crosses, or whose best candidate scores a nonpositive
+    welfare, clears empty rather than erroring. Only the candidates of
+    `_band` are scanned, each with the greedy fill's exact score (a prefix's
+    is refolded bitwise), which picks the same pair as scanning them all.
+    The helpers import numpy when they run, so audits never load it.
     """
+    buys, sells = book.buy_bids, book.sell_bids
+    # winners sit strictly ahead of the marginal bids and fill along the path
+    if len(buys) < 2 or len(sells) < 2 or not book.fill_path:
+        return ClearingOutcome.empty()
+    cand = _candidates(book, grid_price)
     best = None
-    for cand in _candidates(book, grid_price):
-        if best is None or cand[3] > best[3] + 1e-12:
-            best = cand
+    folded: dict[tuple[float, float, int], float] = {}  # prices and prefix fix a fold
+    for k in _band(cand.estimate, cand.error):
+        mi, ml = int(cand.mi[k]), int(cand.ml[k])
+        if k in cand.capped:
+            fill, score = cand.capped[k]
+            if not fill:
+                continue
+        else:
+            fill = p = int(cand.prefix[k])
+            key = buys[mi][1], sells[ml][1], p
+            if key not in folded:
+                a, c = book.rho1 * key[0], book.rho2 * key[1]
+                gains = [a * lx for lx in cand.logs[:p]]
+                losses = [c * x * x / 2.0 for _, _, x in book.fill_path[:p]]
+                # the greedy fill's `score += term`, term by term in path order
+                folded[key] = reduce(add, map(sub, gains, losses), 0.0)
+            score = folded[key]
+        if best is None or score > best[3] + 1e-12:
+            best = mi, ml, fill, score
     if best is None or best[3] <= 0.0:
         return ClearingOutcome.empty()
     mi, ml, fill, _ = best
-    buys, sells = book.buy_bids, book.sell_bids
     if isinstance(fill, int):
         fill = {(buys[i][0], sells[k][0]): x for i, k, x in book.fill_path[:fill]}
     return ClearingOutcome(buys[mi][1], sells[ml][1], fill)

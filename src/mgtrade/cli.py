@@ -512,6 +512,7 @@ def cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
     base = _apply_overrides(config, args, _MODE_FLAG[args.mode])
+    solved: dict[tuple[int, float], float] = {}  # oracle costs by (MG id, b0)
     for f in fractions:
         mgs = []
         for m in base.mgs:
@@ -524,7 +525,7 @@ def cmd_sweep(args) -> int:
         cfg = dataclasses.replace(base, mgs=tuple(mgs))
         traces = materialize_traces(cfg, traces_doc)
         summary, _ = run(cfg, traces)
-        oracle = offline_oracle(cfg, realized_inputs(cfg, traces))
+        oracle = offline_oracle(cfg, realized_inputs(cfg, traces), solved)
         for spec in cfg.mgs:
             mid = spec.params.id
             online = summary.per_mg[mid].time_avg_cost

@@ -19,6 +19,7 @@ import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -38,7 +39,7 @@ from .controller import (
     spilled_kwh,
 )
 from .errors import ConfigError, ParseError, SimError
-from .ingest import LoadModel, Trace, draw_loads, synthetic_price, synthetic_wind
+from .ingest import LoadModel, Trace, draw_load_grid, synthetic_price, synthetic_wind
 from .model import (
     FEAS_TOL,
     ControlAction,
@@ -138,28 +139,13 @@ def build_traces(config: ScenarioConfig) -> ScenarioTraces:
     return ScenarioTraces(renewables=renewables, prices=prices)
 
 
-def slot_inputs(
-    config: ScenarioConfig, traces: ScenarioTraces, slot: int
-) -> tuple[SlotInputs, ...]:
-    price = traces.prices.values[slot]
-    out = []
-    for k, m in enumerate(config.mgs):
-        di, dt = draw_loads(m.load_model, slot)
-        out.append(
-            SlotInputs(
-                renewable_kwh=traces.renewables[k].values[slot],
-                di_load_kwh=di,
-                dt_load_kwh=dt,
-                grid_price=price,
-            )
-        )
-    return tuple(out)
-
-
 def realized_inputs(
     config: ScenarioConfig, traces: ScenarioTraces
 ) -> list[tuple[SlotInputs, ...]]:
-    """All slots' inputs, materialized once so oracles see the same draws."""
+    """All slots' inputs, materialized once so oracles see the same draws.
+
+    The loads of every MG and slot come from one `draw_load_grid` call.
+    """
     if traces.prices.slot_count < config.horizon_slots:
         raise ConfigError(
             f"price trace covers {traces.prices.slot_count} slots, "
@@ -175,7 +161,16 @@ def realized_inputs(
         raise ConfigError(
             f"{len(traces.renewables)} renewable traces for {len(config.mgs)} MGs"
         )
-    return [slot_inputs(config, traces, t) for t in range(config.horizon_slots)]
+    di, dt = draw_load_grid(
+        [m.load_model for m in config.mgs], range(config.horizon_slots)
+    )
+    renewables = zip(*(tr.values for tr in traces.renewables))
+    return [
+        tuple(map(SlotInputs, renewable, di_t, dt_t, repeat(price)))
+        for renewable, di_t, dt_t, price in zip(
+            renewables, zip(*di), zip(*dt), traces.prices.values
+        )
+    ]
 
 
 @dataclass(frozen=True)
@@ -461,7 +456,9 @@ def run(
 
 
 def offline_oracle(
-    config: ScenarioConfig, inputs: list[tuple[SlotInputs, ...]]
+    config: ScenarioConfig,
+    inputs: list[tuple[SlotInputs, ...]],
+    solved: dict[tuple[int, float], float] | None = None,
 ) -> dict[int, float]:
     """Clairvoyant per-MG optimum over the realized inputs, trading disabled.
 
@@ -478,6 +475,11 @@ def offline_oracle(
     the battery path, the balance slack, or the cost, so the relaxation
     loses nothing. Returns each MG's time-average cost. scipy is imported
     here, so runs and audits never load it.
+
+    V enters the LP only through the initial battery b0. Calls that share
+    everything else (a sweep over V) can pass one `solved` dict, keyed by
+    (MG id, b0): an MG found there is not solved again, and each solve is
+    added to it.
     """
     import numpy as np
     from scipy.optimize import linprog
@@ -502,9 +504,14 @@ def offline_oracle(
 
     slot_row = attrgetter("renewable_kwh", "di_load_kwh", "dt_load_kwh", "grid_price")
     per_mg: dict[int, float] = {}
+    solved = {} if solved is None else solved
     for k, (m, db) in enumerate(zip(config.mgs, config.bounds())):
         p = m.params
-        b_eq[0] = initial_state(p, db, config.initial_battery_kwh).battery_kwh
+        key = p.id, initial_state(p, db, config.initial_battery_kwh).battery_kwh
+        if key in solved:
+            per_mg[p.id] = solved[key]
+            continue
+        b_eq[0] = key[1]
         r, di, dt, price = np.array([slot_row(slot[k]) for slot in inputs]).T
         arrived = np.concatenate(([0.0], np.cumsum(dt[:-1])))  # before each slot
         # every variable is nonnegative (for B and S their rows imply it), and
@@ -524,7 +531,7 @@ def offline_oracle(
         )
         if not res.success:
             raise SimError(f"oracle LP failed for mg {p.id}: {res.message}")
-        per_mg[p.id] = float(res.fun) / h
+        per_mg[p.id] = solved[key] = float(res.fun) / h
 
     return per_mg
 

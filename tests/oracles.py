@@ -300,3 +300,102 @@ def reference_draw_loads(
     di = rng.uniform(di_scale * low, di_scale * high)
     dt = rng.uniform(dt_scale * low, dt_scale * high)
     return float(di), float(dt)
+
+
+def reference_clear(
+    buys: tuple[tuple[int, float, float], ...],
+    sells: tuple[tuple[int, float, float], ...],
+    rho1: float,
+    rho2: float,
+    grid_price: float,
+) -> tuple[float, float, dict[tuple[int, int], float]]:
+    """The clearing as one scan that scores every candidate bitwise.
+
+    `buys` and `sells` are a book's sorted bids. Returns (buy price, sell
+    price, allocations), (0.0, 0.0, {}) for an empty clearing. A frozen copy
+    of the prefix scan that `mgtrade.auction.clear` used before it scored
+    candidates in bulk: one northwest-corner fill path per book, each
+    uncapped candidate's score folded term by term over its prefix, a capped
+    candidate's from its own greedy fill, and a later candidate wins only by
+    more than 1e-12.
+    """
+    from bisect import bisect_left
+    from functools import reduce
+    from itertools import accumulate
+    from operator import add, sub
+
+    dust = 1e-9
+
+    def greedy(buyers, sellers, bp, sp):
+        x_star = math.sqrt(rho1 * bp / (rho2 * sp)) if sp > 0 else math.inf
+        alloc, score = {}, 0.0
+        rem_s = [q for _, _, q in sellers]
+        for buyer_id, _, rem_b in buyers:
+            for k, (seller_id, _, _) in enumerate(sellers):
+                if rem_b <= dust:
+                    break
+                if rem_s[k] <= dust:
+                    continue
+                x = min(x_star, rem_b, rem_s[k])
+                if x <= dust:
+                    continue
+                alloc[(buyer_id, seller_id)] = x
+                score += rho1 * bp * math.log(x) - rho2 * sp * x * x / 2.0
+                rem_b -= x
+                rem_s[k] -= x
+        return alloc, score
+
+    path = []
+    rem_s = [q for _, _, q in sells]
+    first = 0
+    for i, (_, _, rem_b) in enumerate(buys):
+        while first < len(rem_s) and rem_s[first] <= dust:
+            first += 1
+        for k in range(first, len(rem_s)):
+            if rem_b <= dust:
+                break
+            if rem_s[k] <= dust:
+                continue
+            x = min(rem_b, rem_s[k])
+            path.append((i, k, x))
+            rem_b -= x
+            rem_s[k] -= x
+
+    buyer_at = [i for i, _, _ in path]
+    seller_at = [k for _, k, _ in path]
+    xs = [x for _, _, x in path]
+    logs = list(map(math.log, xs))
+    top = list(accumulate(xs, max, initial=0.0))
+    losses: list[list[float]] = []  # losses[ml - 1], built once per ml
+    best = None
+    for mi in range(1, len(buys)):
+        bp = buys[mi][1]
+        if bp > grid_price:
+            continue
+        by_buyer = bisect_left(buyer_at, mi)
+        gains = [rho1 * bp * lx for lx in logs[:by_buyer]]
+        for ml in range(1, len(sells)):
+            sp = sells[ml][1]
+            if not bp > sp:
+                break
+            if len(losses) < ml:
+                c = rho2 * sp
+                losses.append([c * x * x / 2.0 for x in xs[: bisect_left(seller_at, ml)]])
+            loss = losses[ml - 1]
+            p = min(by_buyer, len(loss))
+            if not p:
+                continue
+            if sp > 0 and math.sqrt(rho1 * bp / (rho2 * sp)) < top[p]:
+                fill, score = greedy(buys[:mi], sells[:ml], bp, sp)
+                if not fill:
+                    continue
+            else:
+                fill, score = p, reduce(add, map(sub, gains, loss), 0.0)
+            if best is None or score > best[3] + 1e-12:
+                best = bp, sp, fill, score
+    if best is None or best[3] <= 0.0:
+        return 0.0, 0.0, {}
+    bp, sp, fill, _ = best
+    if isinstance(fill, int):
+        fill = {(buys[i][0], sells[k][0]): x for i, k, x in path[:fill]}
+    return bp, sp, fill

@@ -22,7 +22,7 @@ from mgtrade.controller import BidPair
 from mgtrade.errors import InvariantViolation, MarketError
 from mgtrade.sim import AUDIT_HEADER, write_audit_csv
 
-from oracles import enumerate_clearings
+from oracles import enumerate_clearings, reference_clear
 
 RHO1, RHO2 = 1000.0, 1e-4
 
@@ -181,7 +181,9 @@ def test_candidate_scores_cover_all_feasible_pairs():
         buys=[(1, 5.0, 100.0), (2, 3.0, 100.0), (3, 2.5, 100.0)],
         sells=[(4, 1.0, 100.0), (5, 2.0, 100.0), (6, 2.2, 100.0)],
     )
-    pairs = {(mi, ml) for mi, ml, _, _ in _candidates(b, grid_price=10.0)}
+    cand = _candidates(b, grid_price=10.0)
+    pairs = set(zip(cand.mi, cand.ml))
+    assert len(cand.mi) == len(pairs)
     assert pairs == {(1, 1), (1, 2), (2, 1), (2, 2)}
 
 
@@ -280,8 +282,8 @@ def test_cap_binds_for_some_candidates_only():
         sells=[(5, 0.9, 120.0), (6, 1.7, 80.0), (7, 2.5, 200.0), (8, 4.0, 50.0)],
         rho1=1.0,
     )
-    fills = {type(fill) for _, _, fill, _ in _candidates(b, grid_price=10.0)}
-    assert fills == {int, dict}
+    cand = _candidates(b, grid_price=10.0)
+    assert 0 < len(cand.capped) < len(cand.mi)
     assert_clears_like_oracle(b, 10.0)
 
 
@@ -308,7 +310,7 @@ def test_clear_without_binding_cap_never_refills(monkeypatch):
     monkeypatch.setattr(
         auction, "_greedy_allocation", lambda *a: refills.append(a) or real(*a)
     )
-    assert sum(1 for _ in _candidates(b, grid_price=16.0)) > 1000
+    assert len(_candidates(b, grid_price=16.0).mi) > 1000
     assert_clears_like_oracle(b, 16.0)
     assert refills == []
 
@@ -341,6 +343,221 @@ def test_clear_outcome_invariants(bg):
     total_sold = sum(out.allocation_for(m).sold_kwh for m in sellers)
     assert total_bought == pytest.approx(total_sold, abs=1e-9)
     assert total_bought == pytest.approx(out.total_volume(), abs=1e-9)
+
+
+# ------------------------------------------------- bulk scoring, exact choice
+
+
+def assert_clears_like_reference(b: OrderBook, grid: float) -> ClearingOutcome:
+    """``clear`` gives the outcome of the one-at-a-time prefix scan, exactly."""
+    out = clear(b, grid)
+    buy_price, sell_price, alloc = reference_clear(
+        b.buy_bids, b.sell_bids, b.rho1, b.rho2, grid
+    )
+    assert out == ClearingOutcome(buy_price, sell_price, alloc)
+    assert (out.buy_clearing_price, out.sell_clearing_price) == (buy_price, sell_price)
+    assert list(out.allocations.items()) == list(alloc.items())
+    return out
+
+
+def assert_estimates_bound_exact_scores(b: OrderBook, grid: float) -> None:
+    """Each factored score lies within its error of the greedy fill's score.
+
+    An uncapped pair's greedy fill is its prefix of the fill path, so the
+    score is the greedy fill's sum, term by term, over that prefix.
+    """
+    if len(b.buy_bids) < 2 or len(b.sell_bids) < 2 or not b.fill_path:
+        return  # clear never scores such a book
+    cand = _candidates(b, grid)
+    for k, (mi, ml, p) in enumerate(zip(cand.mi, cand.ml, cand.prefix)):
+        if k in cand.capped:
+            continue
+        bp, sp = b.buy_bids[mi][1], b.sell_bids[ml][1]
+        exact = 0.0
+        for _, _, x in b.fill_path[:p]:
+            exact += b.rho1 * bp * math.log(x) - b.rho2 * sp * x * x / 2.0
+        assert abs(exact - cand.estimate[k]) <= cand.error, (mi, ml, p)
+
+
+# a few price levels, each also bumped by a few ulps: candidates tie exactly
+# or sit within 1e-12 of each other, on both sides of the scan's margin
+WIDE_SELL_LEVELS = [0.0, 0.9, 1.7, 2.5, 4.0]
+WIDE_BUY_LEVELS = [2.5, 4.0, 6.0, 9.0]
+ULPS = [0, 1, 2, 8, 64, 512, 4096]
+# every bid stays in the book; dust bids never fill
+WIDE_QUANTITIES = st.one_of(st.floats(0.5, 300.0), st.sampled_from([5e-10, 1e-9, 2e-9]))
+
+
+def bumped(price: float, ulps: int) -> float:
+    for _ in range(ulps if price else 0):  # a zero ask stays zero
+        price = math.nextafter(price, math.inf)
+    return price
+
+
+@st.composite
+def wide_books(draw):
+    n_buy, n_sell = draw(st.integers(20, 28)), draw(st.integers(20, 28))
+    levels = st.tuples(st.sampled_from(WIDE_BUY_LEVELS), st.sampled_from(ULPS))
+    buys = [(k, bumped(*draw(levels)), draw(WIDE_QUANTITIES)) for k in range(n_buy)]
+    levels = st.tuples(st.sampled_from(WIDE_SELL_LEVELS), st.sampled_from(ULPS))
+    sells = [(100 + k, bumped(*draw(levels)), draw(WIDE_QUANTITIES)) for k in range(n_sell)]
+    # at (1, 1e-4) and (1e-4, 1e-8) x* is 100*sqrt(beta/alpha) kWh and binds
+    # for some pairs; at rho1 = 1 scores are small enough for 1e-12 to be
+    # several ulps, and at rho1 = 1e-4 1e-12 outweighs the rounding bound
+    rho1, rho2 = draw(
+        st.sampled_from([(1.0, 1e-4), (1000.0, 1e-4), (1.0, 1e-6), (1e-4, 1e-8)])
+    )
+    grid = draw(st.sampled_from([3.0, 6.0, 9.0, 12.0]))
+    return OrderBook(tuple(buys), tuple(sells), rho1, rho2), grid
+
+
+def seeded_wide_book(rng: random.Random, rho1: float, rho2: float) -> OrderBook:
+    """24 bids a side on the wide-book price levels, from a seeded generator."""
+    buys = [
+        (k, bumped(rng.choice(WIDE_BUY_LEVELS), rng.choice(ULPS)), rng.uniform(1.0, 300.0))
+        for k in range(24)
+    ]
+    sells = [
+        (100 + k, bumped(rng.choice(WIDE_SELL_LEVELS), rng.choice(ULPS)), rng.uniform(1.0, 300.0))
+        for k in range(24)
+    ]
+    return book(buys, sells, rho1=rho1, rho2=rho2)
+
+
+@given(bg=wide_books())
+@settings(max_examples=120, deadline=None)
+def test_wide_books_clear_like_the_reference_scan(bg):
+    b, grid = bg
+    assert len(b.buy_bids) + len(b.sell_bids) >= 40
+    assert_clears_like_reference(b, grid)
+    assert_estimates_bound_exact_scores(b, grid)
+
+
+@given(bg=wide_books())
+@settings(max_examples=10, deadline=None)
+def test_wide_books_clear_like_exhaustive_enumeration(bg):
+    """The from-scratch fill of every candidate agrees too (slow, so few books)."""
+    assert_clears_like_oracle(*bg)
+
+
+def test_wide_books_cover_caps_zero_asks_and_near_ties():
+    """The wide-book strategy reaches the cases the band has to get right."""
+    rng = random.Random(41)
+    seen = {"capped": 0, "zero_ask": 0, "near_tie": 0, "band_over_1": 0}
+    for _ in range(60):
+        b = seeded_wide_book(rng, rho1=1.0, rho2=RHO2)
+        assert_clears_like_reference(b, 12.0)
+        cand = _candidates(b, 12.0)
+        seen["capped"] += bool(cand.capped)
+        seen["zero_ask"] += any(b.sell_bids[ml][1] == 0.0 for ml in cand.ml)
+        finite = sorted(e for e in cand.estimate.tolist() if e > -math.inf)
+        seen["near_tie"] += any(0 < y - x < 1e-12 for x, y in zip(finite, finite[1:]))
+        seen["band_over_1"] += len(auction._band(cand.estimate, cand.error)) > 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("rho1, rho2", [(1.0, 1e-4), (1e-4, 1e-8)])
+def test_scan_keeps_an_earlier_pair_that_a_later_one_beats_by_under_1e_12(rho1, rho2):
+    """Books where the 1e-12 margin, not the largest score, picks the winner.
+
+    At rho1 = 1e-4 scores are about 0.1 and their rounding bound far below
+    1e-12, so the band must widen by the margin itself.
+    """
+    decided_by_margin = 0
+    for seed in range(50):
+        rng = random.Random(seed)
+        b = seeded_wide_book(rng, rho1, rho2)
+        out = assert_clears_like_reference(b, 12.0)
+        cand = _candidates(b, 12.0)
+        top = max(range(len(cand.mi)), key=lambda k: cand.estimate[k])
+        top_prices = (b.buy_bids[cand.mi[top]][1], b.sell_bids[cand.ml[top]][1])
+        if (out.buy_clearing_price, out.sell_clearing_price) != top_prices:
+            decided_by_margin += 1
+    assert decided_by_margin >= 3
+
+
+def flat_book(seed: int, n_buys: int = 30) -> OrderBook:
+    """A book whose candidates all score within a few ulps of each other.
+
+    One large cheap seller fills every buyer, so the candidate with marginal
+    buyer m scores rho1*bp_m*L[m] - rho2*sp*Q[m] over the first m buyers;
+    each bp_m is solved for the same target score. The factored and the
+    bitwise scores then order the candidates differently, and only the
+    refold decides which of them the scan keeps.
+    """
+    rng = random.Random(seed)
+    qs = [rng.uniform(50.0, 150.0) for _ in range(n_buys)]
+    sp = 1.0
+    ln_sum, sq_sum = [0.0], [0.0]
+    for q in qs:
+        ln_sum.append(ln_sum[-1] + math.log(q))
+        sq_sum.append(sq_sum[-1] + q * q / 2.0)
+    target = RHO1 * 8.0 * ln_sum[1] - RHO2 * sp * sq_sum[1]
+    prices = [9.0] + [
+        (target + RHO2 * sp * sq_sum[m]) / (RHO1 * ln_sum[m]) for m in range(1, n_buys)
+    ]
+    buys = [(k, price, q) for k, (price, q) in enumerate(zip(prices, qs))]
+    return book(buys, [(1000, 0.5, 1e6), (1001, sp, 1e6)])
+
+
+def test_near_tied_candidates_are_decided_by_their_bitwise_scores():
+    by_estimate_differs = 0
+    for seed in range(30):
+        b = flat_book(seed)
+        out = assert_clears_like_reference(b, 12.0)
+        cand = _candidates(b, 12.0)
+        assert len(auction._band(cand.estimate, cand.error)) > 1
+        best = None
+        for k, score in enumerate(cand.estimate.tolist()):
+            if best is None or score > cand.estimate[best] + 1e-12:
+                best = k
+        by_estimate = b.buy_bids[cand.mi[best]][1], b.sell_bids[cand.ml[best]][1]
+        by_estimate_differs += by_estimate != (out.buy_clearing_price, out.sell_clearing_price)
+    assert by_estimate_differs >= 5
+
+
+def test_books_without_two_bids_a_side_skip_scoring(monkeypatch):
+    monkeypatch.setattr(auction, "_candidates", lambda *a: pytest.fail("scored"))
+    one_buy = book(buys=[(1, 5.0, 100.0)], sells=[(2, 1.0, 100.0), (3, 2.0, 100.0)])
+    one_sell = book(buys=[(1, 5.0, 100.0), (2, 4.0, 100.0)], sells=[(3, 1.0, 100.0)])
+    assert clear(one_buy, 10.0) == clear(one_sell, 10.0) == ClearingOutcome.empty()
+
+
+def recorded_books(n_mgs: int, seed: int, monkeypatch) -> list[tuple[OrderBook, float]]:
+    """Every (book, grid price) a 24-slot auction run of n_mgs MGs clears."""
+    from mgtrade import sim
+    from mgtrade.cli import config_from_dict
+
+    rng = random.Random(f"books:{n_mgs}:{seed}")
+    types = ["type1"] * (n_mgs // 2) + ["type2"] * (n_mgs - n_mgs // 2)
+    rng.shuffle(types)
+    doc = {
+        "seed": seed, "horizon_slots": 24, "mode": "with_auction",
+        "rho1": 1000.0, "rho2": 0.0001,
+        "mgs": [
+            {"id": k + 1, "mg_type": t, "battery_capacity_kwh": 3000.0,
+             "charge_rate_max_kwh": 1500.0, "discharge_rate_max_kwh": 1500.0,
+             "serve_rate_max_kwh": 1500.0, "price_floor": 1.0, "v_fraction": 1.0}
+            for k, t in enumerate(types)
+        ],
+    }
+    books = []
+    real = sim.clear
+    monkeypatch.setattr(sim, "clear", lambda b, g: books.append((b, g)) or real(b, g))
+    sim.run(config_from_dict(doc)[0])
+    monkeypatch.setattr(sim, "clear", real)
+    return books
+
+
+@pytest.mark.parametrize("n_mgs", [24, 96, 200])
+def test_recorded_books_clear_like_the_reference_scan(n_mgs, monkeypatch):
+    books = recorded_books(n_mgs, seed=n_mgs, monkeypatch=monkeypatch)
+    assert len(books) == 24
+    assert max(len(b.buy_bids) + len(b.sell_bids) for b, _ in books) >= 0.8 * n_mgs
+    filled = 0
+    for b, grid in books:
+        filled += bool(assert_clears_like_reference(b, grid).allocations)
+    assert filled >= 12
 
 
 # ----------------------------------------------------------------- audit trail

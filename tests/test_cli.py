@@ -1,6 +1,7 @@
 """End-to-end command behavior: artifacts, exit codes, audits, sweeps."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -24,7 +25,7 @@ from mgtrade.cli import (
 )
 from mgtrade.errors import ConfigError
 from mgtrade.model import compute_v_max
-from mgtrade.sim import MODE_AUCTION, mg_subseed
+from mgtrade.sim import MODE_AUCTION, MODE_SOLO, mg_subseed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIG = str(CONFIG_DIR / "sweep_small.json")
@@ -467,6 +468,43 @@ def test_sweep_fills_every_oracle_cell_of_the_reference_scenario(tmp_path, capsy
     capsys.readouterr()
     assert run_cli("audit", str(tmp_path)) == EXIT_OK
     assert "gap within a_over_v: PASS" in capsys.readouterr().out
+
+
+def test_sweep_solves_one_oracle_lp_per_initial_battery(tmp_path, monkeypatch):
+    """V reaches the oracle LP only through b0, so equal b0s share one solve.
+
+    The default sweep (6 MGs, 5 fractions) solves one LP per distinct
+    (MG, b0), and writes the same sweep.csv as solving all 30.
+    """
+    import scipy.optimize
+
+    from mgtrade import cli
+    from mgtrade.model import compute_bounds, initial_state
+
+    base = default_scenario(mode=MODE_SOLO)
+    b0s = set()
+    for f in (0.2, 0.4, 0.6, 0.8, 1.0):
+        for m in base.mgs:
+            v = f * compute_v_max(m.params, base.price_bounds)
+            params = dataclasses.replace(m.params, v_weight=v)
+            db = compute_bounds(params, base.price_bounds)
+            b0s.add((params.id, initial_state(params, db, base.initial_battery_kwh).battery_kwh))
+    assert len(b0s) < 30
+
+    solves = []
+    real_linprog = scipy.optimize.linprog
+    monkeypatch.setattr(
+        scipy.optimize, "linprog", lambda *a, **k: solves.append(1) or real_linprog(*a, **k)
+    )
+    assert run_cli("sweep", "--out", str(tmp_path / "shared")) == EXIT_OK
+    assert len(solves) == len(b0s)
+
+    real_oracle = cli.offline_oracle
+    monkeypatch.setattr(cli, "offline_oracle", lambda cfg, inputs, _: real_oracle(cfg, inputs))
+    assert run_cli("sweep", "--out", str(tmp_path / "each")) == EXIT_OK
+    assert len(solves) == len(b0s) + 30
+    shared, each = ((tmp_path / d / "sweep.csv").read_bytes() for d in ("shared", "each"))
+    assert shared == each
 
 
 def test_sweep_fails_on_an_infeasible_oracle(tmp_path, capsys):

@@ -11,7 +11,7 @@ from mgtrade.errors import ConfigError, ParseError
 from mgtrade.ingest import (
     LoadModel,
     Trace,
-    draw_loads,
+    draw_load_grid,
     load_trace,
     scale_wind,
     synthetic_price,
@@ -129,17 +129,24 @@ def test_load_model_validation():
         LoadModel("type1", 1.0, 2.0, rng_seed=-1)
 
 
+def draw_loads(model: LoadModel, slot: int) -> tuple[float, float]:
+    """One slot's (di, dt): a one-cell grid."""
+    (di,), (dt,) = draw_load_grid([model], [slot])
+    return di[0], dt[0]
+
+
 def test_draw_loads_stay_in_bounds():
     m = LoadModel("type1", 100.0, 200.0, rng_seed=3)
-    for slot in range(500):
-        di, dt = draw_loads(m, slot)
+    (di_row,), (dt_row,) = draw_load_grid([m], range(500))
+    for di, dt in zip(di_row, dt_row):
         assert 100.0 <= di <= 200.0
         assert 100.0 <= dt <= 200.0
 
 
 def test_draw_loads_type2_bounds():
     m = LoadModel("type2", 200.0, 400.0, rng_seed=9)
-    draws = [draw_loads(m, s) for s in range(200)]
+    (di_row,), (dt_row,) = draw_load_grid([m], range(200))
+    draws = list(zip(di_row, dt_row))
     assert all(200.0 <= di <= 400.0 and 200.0 <= dt <= 400.0 for di, dt in draws)
 
 
@@ -147,50 +154,85 @@ def test_draw_loads_reproducible_per_slot():
     m = LoadModel("type1", 100.0, 200.0, rng_seed=3)
     assert draw_loads(m, 17) == draw_loads(m, 17)
     assert draw_loads(m, 17) != draw_loads(m, 18)
+    # a slot's draw does not depend on which other slots or models share the call
+    other = LoadModel("type2", 200.0, 400.0, rng_seed=2**40)
+    di, dt = draw_load_grid([other, m], [5, 17, 0])
+    assert (di[1][1], dt[1][1]) == draw_loads(m, 17)
 
 
 def test_draw_loads_dt_share_tilts_bounds():
     m = LoadModel("type1", 100.0, 200.0, rng_seed=3, dt_share=0.25)
-    for slot in range(200):
-        di, dt = draw_loads(m, slot)
+    (di_row,), (dt_row,) = draw_load_grid([m], range(200))
+    for di, dt in zip(di_row, dt_row):
         assert 150.0 <= di <= 300.0
         assert 50.0 <= dt <= 100.0
 
 
 def test_draw_loads_means_converge():
     m = LoadModel("type1", 100.0, 200.0, rng_seed=11)
-    draws = np.array([draw_loads(m, s) for s in range(10_000)])
-    assert abs(draws[:, 0].mean() - 150.0) / 150.0 < 0.02
-    assert abs(draws[:, 1].mean() - 150.0) / 150.0 < 0.02
+    draws = np.array(draw_load_grid([m], range(10_000)))[:, 0, :]
+    assert abs(draws[0].mean() - 150.0) / 150.0 < 0.02
+    assert abs(draws[1].mean() - 150.0) / 150.0 < 0.02
 
 
 def test_draw_loads_bit_equal_to_generator_uniform():
-    """The raw PCG64 draw equals two `Generator.uniform` calls, bit for bit."""
+    """Every cell of the grid equals two `Generator.uniform` calls, bit for bit.
+
+    200 models by 100 slots (20,000 cases) in one call: seeds of one, two and
+    three 32-bit words mixed, slot 0 among random slots, low == high, and
+    dt_share near 0 and near 1.
+    """
     rnd = random.Random(20261018)
-    cases = [
-        (0, 100.0, 200.0, 0.5, 0),
-        (2**32, 100.0, 200.0, 0.5, 0),
-        (2**64 + 7, 0.0, 1.0, 0.5, 3),
-        (5, 150.0, 150.0, 0.5, 11),  # low == high
-        (5, 0.0, 0.0, 0.3, 12),
-        (9, 100.0, 200.0, 1e-12, 1),  # dt_share near 0 and near 1
-        (9, 100.0, 200.0, 1.0 - 1e-12, 1),
-        (9, 100.0, 200.0, 0.5 + 1e-16, 2),
+    models = [
+        LoadModel("type1", 100.0, 200.0, rng_seed=0),
+        LoadModel("type1", 100.0, 200.0, rng_seed=2**32),
+        LoadModel("type1", 0.0, 1.0, rng_seed=2**64 + 7),
+        LoadModel("type1", 150.0, 150.0, rng_seed=5),  # low == high
+        LoadModel("type1", 0.0, 0.0, rng_seed=5, dt_share=0.3),
+        LoadModel("type1", 100.0, 200.0, rng_seed=9, dt_share=1e-12),
+        LoadModel("type1", 100.0, 200.0, rng_seed=9, dt_share=1.0 - 1e-12),
+        LoadModel("type1", 100.0, 200.0, rng_seed=9, dt_share=0.5 + 1e-16),
     ]
-    for _ in range(20_000):
+    while len(models) < 200:
         seed = rnd.choice((rnd.randrange(10_000), rnd.randrange(2**32, 2**40),
-                           rnd.randrange(2**64)))
+                           rnd.randrange(2**64), rnd.randrange(2**64, 2**100)))
         low = rnd.choice((0.0, rnd.uniform(0.0, 500.0)))
         high = rnd.choice((low, low + rnd.uniform(0.0, 1000.0), low + rnd.random() * 1e-9))
         near_0 = rnd.uniform(1e-12, 1e-6)
         share = rnd.choice((rnd.uniform(near_0, 1.0 - near_0), near_0, 1.0 - near_0))
-        cases.append((seed, low, high, share, rnd.choice((0, rnd.randrange(10**6)))))
-    for seed, low, high, share, slot in cases:
-        m = LoadModel("type1", low, high, rng_seed=seed, dt_share=share)
-        got = draw_loads(m, slot)
-        want = reference_draw_loads(seed, low, high, share, slot)
-        assert got == want, (seed, low, high, share, slot)
-        assert all(type(v) is float for v in got)
+        models.append(LoadModel("type1", low, high, rng_seed=seed, dt_share=share))
+    slots = [0, 1, 2, 3, 11, 12] + [rnd.randrange(10**6) for _ in range(94)]
+    di, dt = draw_load_grid(models, slots)
+    for k, m in enumerate(models):
+        for j, slot in enumerate(slots):
+            got = di[k][j], dt[k][j]
+            want = reference_draw_loads(m.rng_seed, m.low_kwh, m.high_kwh, m.dt_share, slot)
+            assert got == want, (m, slot)
+            assert all(type(v) is float for v in got)
+
+
+def test_realized_inputs_mix_seed_word_lengths():
+    """One config whose MGs' load seeds take one, two and three 32-bit words."""
+    from mgtrade.cli import config_from_dict
+    from mgtrade.sim import build_traces, realized_inputs
+
+    seeds = [7, 2**32 - 1, 2**32, 2**48 + 3, 2**64 - 1, 2**64, 2**80 + 11]
+    doc = {
+        "seed": 3, "horizon_slots": 30, "mode": "no_auction",
+        "mgs": [
+            {"id": k + 1, "mg_type": ("type1", "type2")[k % 2], "load_seed": seed,
+             "battery_capacity_kwh": 3000.0, "charge_rate_max_kwh": 1500.0,
+             "discharge_rate_max_kwh": 1500.0, "serve_rate_max_kwh": 1500.0}
+            for k, seed in enumerate(seeds)
+        ],
+    }
+    cfg = config_from_dict(doc)[0]
+    inputs = realized_inputs(cfg, build_traces(cfg))
+    for slot, row in enumerate(inputs):
+        for m, got in zip(cfg.mgs, row):
+            lm = m.load_model
+            want = reference_draw_loads(lm.rng_seed, lm.low_kwh, lm.high_kwh, lm.dt_share, slot)
+            assert (got.di_load_kwh, got.dt_load_kwh) == want
 
 
 # ------------------------------------------------------------------ synthetics
