@@ -42,7 +42,7 @@ from functools import cached_property, reduce
 from operator import add, sub
 from typing import Any, NamedTuple
 
-from .controller import BidPair, TradeAllocation
+from .controller import Bids, TradeAllocation
 from .errors import InvariantViolation, MarketError
 
 DUST_KWH = 1e-9
@@ -76,9 +76,10 @@ class OrderBook:
         object.__setattr__(self, "sell_bids", sells)
 
     @classmethod
-    def from_bids(cls, bids: list[BidPair], rho1: float, rho2: float) -> "OrderBook":
-        buys = tuple((b.mg_id, b.buy_price, b.buy_quantity_kwh) for b in bids)
-        sells = tuple((b.mg_id, b.sell_price, b.sell_quantity_kwh) for b in bids)
+    def from_bids(cls, ids: list[int], bids: Bids, rho1: float, rho2: float) -> "OrderBook":
+        """The book of every MG's bid pair: ``ids[k]`` posted entry k of each column."""
+        buys = tuple(zip(ids, bids.buy_price.tolist(), bids.buy_quantity_kwh.tolist()))
+        sells = tuple(zip(ids, bids.sell_price.tolist(), bids.sell_quantity_kwh.tolist()))
         return cls(buys, sells, rho1, rho2)
 
     @cached_property

@@ -43,6 +43,7 @@ from .sim import (
     read_slots_csv,
     realized_inputs,
     run,
+    simulate,
     verify_log_rows,
     write_audit_csv,
     write_slots_csv,
@@ -512,6 +513,8 @@ def cmd_sweep(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
     base = _apply_overrides(config, args, _MODE_FLAG[args.mode])
+    # V changes no draw: one set of inputs serves every fraction and its oracle
+    inputs = realized_inputs(base, materialize_traces(base, traces_doc))
     solved: dict[tuple[int, float], float] = {}  # oracle costs by (MG id, b0)
     for f in fractions:
         mgs = []
@@ -523,9 +526,8 @@ def cmd_sweep(args) -> int:
                 )
             )
         cfg = dataclasses.replace(base, mgs=tuple(mgs))
-        traces = materialize_traces(cfg, traces_doc)
-        summary, _ = run(cfg, traces)
-        oracle = offline_oracle(cfg, realized_inputs(cfg, traces), solved)
+        summary, _ = simulate(cfg, inputs)
+        oracle = offline_oracle(cfg, inputs, solved)
         for spec in cfg.mgs:
             mid = spec.params.id
             online = summary.per_mg[mid].time_avg_cost

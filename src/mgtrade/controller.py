@@ -1,8 +1,9 @@
-"""Per-MG drift-plus-penalty agent: truthful bids and the per-slot program.
+"""Drift-plus-penalty agents: truthful bids and the per-slot program.
 
-The agent does two things each slot. Before clearing it posts a bid pair
+The agents do two things each slot. Before clearing each posts a bid pair
 whose prices equal its marginal valuation of serving backlog, (Q + Z) / V
-(buy side floored at the configured minimum price). After clearing it solves
+(buy side floored at the configured minimum price). After clearing each
+solves
 
     minimize  X*(C - D) - (Q + Z)*J + V*P*G
 
@@ -10,6 +11,12 @@ over feasible (C, D, J, G) with the traded quantities fixed. The caller
 passes X = B - theta - D_max, derived by :func:`mgtrade.model.virtual_battery`.
 The trade payments are constants at that stage and are excluded from the
 argmin; they re-enter through :func:`post_trade_settlement`.
+
+Every function here takes columns, one entry per MG (see
+:class:`mgtrade.model.Fleet`), so one call serves every MG of a slot; the
+arithmetic is each MG's scalar arithmetic, operation for operation, so the
+results are the same floats a per-MG loop gives. numpy is imported inside
+the functions, so audits never load it.
 
 The program is a tiny nonconvex LP (the charge/discharge exclusivity). It is
 solved exactly by splitting on the exclusive pair and scanning the explicit
@@ -21,36 +28,18 @@ iterative-solver noise in replay-sensitive tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
-from .errors import MarketError
-from .model import (
-    FEAS_TOL,
-    ControlAction,
-    MGParams,
-    MGState,
-    SlotInputs,
-)
+from .model import FEAS_TOL, ControlAction, Fleet, _max
 
 
-@dataclass(frozen=True)
-class BidPair:
-    """One MG's sell and buy bids for a slot; a zero quantity marks an absent side."""
+class Bids(NamedTuple):
+    """Every MG's sell and buy bid for a slot; a zero quantity marks an absent side."""
 
-    mg_id: int
-    sell_price: float
-    buy_price: float
-    sell_quantity_kwh: float
-    buy_quantity_kwh: float
-
-    def __post_init__(self) -> None:
-        if self.sell_price < 0 or self.buy_price < 0:
-            raise MarketError(f"mg {self.mg_id}: bid prices must be >= 0")
-        if self.sell_quantity_kwh < 0 or self.buy_quantity_kwh < 0:
-            raise MarketError(f"mg {self.mg_id}: bid quantities must be >= 0")
-        if self.sell_quantity_kwh > 0 and self.buy_quantity_kwh > 0:
-            raise MarketError(
-                f"mg {self.mg_id}: cannot bid on both market sides in one slot"
-            )
+    sell_price: Any
+    buy_price: Any
+    sell_quantity_kwh: Any
+    buy_quantity_kwh: Any
 
 
 @dataclass(frozen=True)
@@ -70,13 +59,8 @@ class TradeAllocation:
         return cls(mg_id, 0.0, 0.0, 0.0, 0.0)
 
 
-def marginal_value(state: MGState, params: MGParams) -> float:
-    """The MG's per-kWh valuation of serving backlog now: (Q + Z) / V."""
-    return (state.demand_queue_kwh + state.delay_queue_kwh) / params.v_weight
-
-
-def make_bids(state: MGState, inputs: SlotInputs, params: MGParams) -> BidPair:
-    """Truthful bid pair for the slot.
+def make_bids(demand_kwh, delay_kwh, renewable_kwh, di_load_kwh, fleet: Fleet) -> Bids:
+    """Truthful bid pairs for the slot.
 
     Prices are always the valuation formulas (sell at (Q+Z)/V, buy at the
     same floored at price_floor). Quantities decide which side is present:
@@ -85,133 +69,126 @@ def make_bids(state: MGState, inputs: SlotInputs, params: MGParams) -> BidPair:
     clamped to its backlog since buying beyond it wastes money. A side with
     zero quantity is absent, so no rational MG ever sits on both.
     """
-    value = marginal_value(state, params)
-    buy_price = max(value, params.price_floor)
-    surplus = inputs.renewable_kwh - inputs.di_load_kwh
-    sell_qty = 0.0
-    buy_qty = 0.0
-    if surplus > 0:
-        sell_qty = surplus
-    else:
-        headroom = max(params.serve_rate_max_kwh - inputs.renewable_kwh, 0.0)
-        buy_qty = min(headroom, state.demand_queue_kwh)
-    return BidPair(
-        mg_id=params.id,
+    import numpy as np
+
+    value = (demand_kwh + delay_kwh) / fleet.v_weight
+    surplus = renewable_kwh - di_load_kwh
+    sells = surplus > 0
+    headroom = _max(fleet.serve_rate_max_kwh - renewable_kwh, 0.0)
+    wanted = np.where(demand_kwh < headroom, demand_kwh, headroom)  # min(headroom, Q)
+    return Bids(
         sell_price=value,
-        buy_price=buy_price,
-        sell_quantity_kwh=sell_qty,
-        buy_quantity_kwh=buy_qty,
+        buy_price=_max(value, fleet.price_floor),
+        sell_quantity_kwh=np.where(sells, surplus, 0.0),
+        buy_quantity_kwh=np.where(sells, 0.0, wanted),
     )
 
 
 def solve_slot_program(
-    state: MGState,
-    x: float,
-    inputs: SlotInputs,
-    trade: TradeAllocation,
-    params: MGParams,
+    battery_kwh,
+    demand_kwh,
+    delay_kwh,
+    x,
+    renewable_kwh,
+    di_load_kwh,
+    grid_price,
+    bought_kwh,
+    sold_kwh,
+    fleet: Fleet,
 ) -> ControlAction:
-    """Exact minimizer of the drift-plus-penalty slot objective.
+    """Exact minimizer of every MG's drift-plus-penalty slot objective.
 
-    ``x`` is the virtual battery queue X of ``state``. Feasible set:
+    ``x`` is the virtual battery queue X of ``battery_kwh``. Feasible set:
     0 <= C <= min(capacity - B, C_max), 0 <= D <= min(B, D_max),
     C*D = 0, 0 <= J <= min(J_max, Q), G >= 0, and the energy balance
     I + J + sold + C <= R + G + D + bought. Purchased auction energy may serve
     loads but never charge the battery, which adds C + sold <= R + G + D.
+
+    In each branch (charge: sign +1, v = C; discharge: sign -1, v = D) the
+    objective (sign*x)*v - qz*j + vp*max(0, u + j - s1, u - s2), with
+    battery flow u = sign*v, is convex piecewise-linear, so its minimum sits
+    on a vertex of the box edges and the breakpoint lines u = s2,
+    j = s1 - s2 and u + j = s1. Every MG's two branches are columns of one
+    table of those 14 vertices, each column scanned in lexicographic (v, j)
+    order; a later vertex wins only by more than 1e-12, so ties resolve
+    toward inaction.
     """
-    if trade.bought_kwh < 0 or trade.sold_kwh < 0:
-        raise MarketError(f"mg {params.id}: negative trade quantities")
-    if trade.bought_kwh > 0 and trade.sold_kwh > 0:
-        raise MarketError(f"mg {params.id}: trade on both sides in one slot")
+    import numpy as np
 
-    b, q, z = state.battery_kwh, state.demand_queue_kwh, state.delay_queue_kwh
-    r, i = inputs.renewable_kwh, inputs.di_load_kwh
-    bought, sold = trade.bought_kwh, trade.sold_kwh
-    qz = q + z
-    vp = params.v_weight * inputs.grid_price
+    n = len(battery_kwh)
+    qz = demand_kwh + delay_kwh
+    vp = fleet.v_weight * grid_price
 
-    ub_c = max(min(params.battery_capacity_kwh - b, params.charge_rate_max_kwh), 0.0)
-    ub_d = max(min(b, params.discharge_rate_max_kwh), 0.0)
-    ub_j = max(min(params.serve_rate_max_kwh, q), 0.0)
+    cap = fleet.battery_capacity_kwh
+    ub_c = np.maximum(np.minimum(cap - battery_kwh, fleet.charge_rate_max_kwh), 0.0)
+    ub_d = np.maximum(np.minimum(battery_kwh, fleet.discharge_rate_max_kwh), 0.0)
+    ub_j = np.maximum(np.minimum(fleet.serve_rate_max_kwh, demand_kwh), 0.0)
 
-    s1 = r + bought - i - sold  # slack before grid import, loads covered
-    s2 = r - sold  # slack available to charging (no auction energy)
+    s1 = renewable_kwh + bought_kwh - di_load_kwh - sold_kwh  # slack before grid import, loads covered
+    s2 = renewable_kwh - sold_kwh  # slack available to charging (no auction energy)
 
-    def branch_minimum(sign: int, ub_v: float) -> tuple[float, float, float]:
-        """Minimize (sign*x)*v - qz*j + vp*max(0, u + j - s1, u - s2) over the box.
+    # (vertex, branch, MG) tables, the charge branch first
+    sign = np.array(((1.0,), (-1.0,)))
+    ub_v = np.array((ub_c, ub_d))
+    v = np.empty((14, 2, n))
+    j = np.empty((14, 2, n))
+    # the box and breakpoint crossings: (v, j) for v in (0, ub_v, sign*s2)
+    # for j in (0, ub_j, s1 - s2)
+    v[0:3], v[3:6], v[6:9] = 0.0, ub_v, sign * s2
+    j[0:9:3], j[1:9:3], j[2:9:3] = 0.0, ub_j, s1 - s2
+    # the diagonal u + j = s1 from each of those v, and from j = 0 and j =
+    # ub_j; it meets j = s1 - s2 at (sign*s2, s1 - s2), already listed, and
+    # a recomputed copy can be an ulp off and win the scan instead
+    v[9:12] = v[0:9:3]
+    j[9:12] = s1 - sign * v[9:12]
+    j[12:14] = j[0:2]
+    v[12:14] = sign * (s1 - j[12:14])
 
-        ``u = sign*v`` is the battery flow: sign +1 for the charge branch
-        (v = C), -1 for the discharge branch (v = D). The objective is convex
-        piecewise-linear, so the minimum sits on a vertex of the box edges and
-        the breakpoint lines u = s2, j = s1 - s2 and u + j = s1. The vertices
-        are scanned in lexicographic order, so ties resolve toward inaction.
-        """
-        vs = (0.0, ub_v, sign * s2)
-        js = (0.0, ub_j, s1 - s2)
-        # the diagonal meets j = s1 - s2 at (sign*s2, s1 - s2), already listed;
-        # a recomputed copy can be an ulp off and win the scan instead
-        candidates = (
-            [(v, j) for v in vs for j in js]
-            + [(v, s1 - sign * v) for v in vs]
-            + [(sign * (s1 - j), j) for j in js[:2]]
-        )
-        best = None
-        for v, j in sorted(
-            (min(max(v, 0.0), ub_v), min(max(j, 0.0), ub_j))
-            for v, j in candidates
-            if -FEAS_TOL <= v <= ub_v + FEAS_TOL and -FEAS_TOL <= j <= ub_j + FEAS_TOL
-        ):
-            u = sign * v
-            obj = sign * x * v - qz * j + vp * max(0.0, u + j - s1, u - s2)
-            if best is None or obj < best[0] - 1e-12:
-                best = (obj, v, j)
-        assert best is not None  # the box corners always qualify
-        return best
+    ok = (-FEAS_TOL <= v) & (v <= ub_v + FEAS_TOL) & (-FEAS_TOL <= j) & (j <= ub_j + FEAS_TOL)
+    v = np.minimum(np.maximum(v, 0.0), ub_v)
+    j = np.minimum(np.maximum(j, 0.0), ub_j)
+    u = sign * v
+    obj = (sign * x) * v - qz * j + vp * np.maximum(np.maximum(0.0, u + j - s1), u - s2)
+    obj[~ok] = np.inf
 
-    obj_c, c_opt, j_c = branch_minimum(1, ub_c)
-    obj_d, d_opt, j_d = branch_minimum(-1, ub_d)
-
-    c, d, j = (0.0, d_opt, j_d) if obj_d < obj_c - 1e-12 else (c_opt, 0.0, j_c)
-
-    # snap to bounds and recompute the exact minimal grid purchase
-    c = 0.0 if c < FEAS_TOL else min(c, ub_c)
-    d = 0.0 if d < FEAS_TOL else min(d, ub_d)
-    j = 0.0 if j < FEAS_TOL else min(j, ub_j)
-    g = max(0.0, i + j + sold + c - r - d - bought, c + sold - r - d)
-    if g < FEAS_TOL:
-        g = 0.0
-    return ControlAction(
-        charge_kwh=c,
-        discharge_kwh=d,
-        serve_dt_kwh=j,
-        grid_purchase_kwh=g,
-        bought_kwh=bought,
-        sold_kwh=sold,
+    # the scan, in (v, j) order (the sort is stable). An infeasible vertex
+    # never takes the lead and the first feasible one always does (obj < inf
+    # - 1e-12), so this is the scan over feasible vertices alone
+    v, j, obj = (a.reshape(14, 2 * n) for a in (v, j, obj))
+    cols = np.arange(2 * n)
+    order = np.lexsort((j, v), axis=0)
+    obj = obj[order, cols]
+    limit = obj - 1e-12
+    bar = limit[0].copy()
+    took = np.zeros((14, 2 * n), dtype=bool)
+    for o, lim, t in zip(obj[1:], limit[1:], took[1:]):
+        np.less(o, bar, out=t)
+        np.copyto(bar, lim, where=t)
+    lead = np.where(took.any(axis=0), 13 - took[::-1].argmax(axis=0), 0)
+    obj, best = obj[lead, cols], order[lead, cols]
+    # snap to zero (the vertices already lie within their bounds), then
+    # pick each MG's branch and recompute the exact minimal grid purchase
+    v, j = (np.where(a < FEAS_TOL, 0.0, a) for a in (v[best, cols], j[best, cols]))
+    discharge = obj[n:] < obj[:n] - 1e-12
+    c = np.where(discharge, 0.0, v[:n])
+    d = np.where(discharge, v[n:], 0.0)
+    j = np.where(discharge, j[n:], j[:n])
+    r, i, bought, sold = renewable_kwh, di_load_kwh, bought_kwh, sold_kwh
+    g = np.maximum(
+        np.maximum(0.0, i + j + sold + c - r - d - bought), c + sold - r - d
     )
+    g = np.where(g < FEAS_TOL, 0.0, g)
+    return ControlAction(c, d, j, g, bought, sold)
 
 
 def post_trade_settlement(
-    action: ControlAction, trade: TradeAllocation, inputs: SlotInputs
-) -> float:
+    grid_price, grid_kwh, buy_unit_price, bought_kwh, sell_unit_price, sold_kwh
+):
     """Realized slot cost: grid purchases plus trade payments minus trade revenue."""
-    return (
-        inputs.grid_price * action.grid_purchase_kwh
-        + trade.buy_unit_price * trade.bought_kwh
-        - trade.sell_unit_price * trade.sold_kwh
-    )
+    return grid_price * grid_kwh + buy_unit_price * bought_kwh - sell_unit_price * sold_kwh
 
 
-def spilled_kwh(
-    inputs: SlotInputs, action: ControlAction
-) -> float:
+def spilled_kwh(renewable_kwh, di_load_kwh, action: ControlAction):
     """Renewable energy left unused by the slot's allocation (logged, not priced)."""
-    return (
-        inputs.renewable_kwh
-        + action.grid_purchase_kwh
-        + action.discharge_kwh
-        + action.bought_kwh
-        - inputs.di_load_kwh
-        - action.serve_dt_kwh
-        - action.sold_kwh
-        - action.charge_kwh
-    )
+    c, d, j, g, bought, sold = action
+    return renewable_kwh + g + d + bought - di_load_kwh - j - sold - c

@@ -15,11 +15,21 @@ is capacity-limited, and the service allocation ``J`` drains both ``Q`` and
 ``Z``. The derived constants (``a_const``, ``theta``, the queue ceilings and
 the worst-case job age) are computed once from static parameters and checked
 against every simulated slot by the audit machinery in :mod:`mgtrade.sim`.
+
+The slot step advances every MG at once, so the queue functions here take
+columns: numpy arrays with one entry per MG, in config order. A `Fleet`
+holds the parameters the same way, built once per run. The backlog's jobs
+are never stored one by one. Jobs are served oldest first, so the work
+served so far and the horizon's arrival prefix sums name the oldest pending
+job (:func:`oldest_pending_age`). numpy is imported inside the functions
+that need it, so audits never load it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Any, NamedTuple
 
 from .errors import ConfigError, RejectedAction
 
@@ -93,57 +103,56 @@ class MGParams:
             raise ConfigError(f"mg {self.id}: v_weight must be > 0")
 
 
-@dataclass(frozen=True)
-class MGState:
-    """Dynamic per-slot state of one microgrid.
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
+class SlotInputs:
+    """Exogenous randomness of a horizon: row t of each field is slot t, column k MG k.
 
-    ``pending_jobs`` is a FIFO of ``(arrival_slot, remaining_kwh)`` pairs
-    backing the aggregate backlog ``demand_queue_kwh``, ordered by arrival; it
-    exists so the worst-case job age claim is audited literally rather than
-    trusted from the aggregate queue bound.
+    Each field becomes a 2-D float array of one (slots, MGs) shape.
     """
 
-    battery_kwh: float
-    demand_queue_kwh: float
-    delay_queue_kwh: float
-    pending_jobs: tuple[tuple[int, float], ...] = ()
-
-    def oldest_pending_age(self, slot: int) -> int:
-        """Age in slots of the oldest unserved job, 0 if none pending."""
-        if not self.pending_jobs:
-            return 0
-        return slot - self.pending_jobs[0][0]
-
-
-@dataclass(frozen=True)
-class SlotInputs:
-    """Exogenous randomness for one MG in one slot."""
-
-    renewable_kwh: float
-    di_load_kwh: float
-    dt_load_kwh: float
-    grid_price: float
+    renewable_kwh: Any
+    di_load_kwh: Any
+    dt_load_kwh: Any
+    grid_price: Any
 
     def __post_init__(self) -> None:
-        for name in ("renewable_kwh", "di_load_kwh", "dt_load_kwh", "grid_price"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"slot input {name} must be >= 0")
+        import numpy as np
+
+        for f in fields(self):
+            values = np.ascontiguousarray(getattr(self, f.name), dtype=float)
+            if (values < 0).any():
+                raise ConfigError(f"slot input {f.name} must be >= 0")
+            object.__setattr__(self, f.name, values)
+        shapes = {getattr(self, f.name).shape for f in fields(self)}
+        if len(shapes) != 1 or len(next(iter(shapes))) != 2:
+            raise ConfigError(f"slot inputs need one (slots, MGs) shape, got {shapes}")
+
+    def __len__(self) -> int:
+        return len(self.renewable_kwh)
+
+    def slot(self, t: int) -> tuple:
+        """Every MG's four inputs in slot t: row t of each field."""
+        return self.renewable_kwh[t], self.di_load_kwh[t], self.dt_load_kwh[t], self.grid_price[t]
+
+    @cached_property
+    def arrived_kwh(self):
+        """Work arrived by the end of each slot: the running sum of dt down each column."""
+        return self.dt_load_kwh.cumsum(axis=0)
 
 
-@dataclass(frozen=True)
-class ControlAction:
-    """One MG's decisions for a slot.
+class ControlAction(NamedTuple):
+    """The MGs' decisions for a slot: floats for one MG, or columns for many.
 
     ``bought_kwh``/``sold_kwh`` come from the auction and are fixed by the
     time the remaining four quantities are chosen.
     """
 
-    charge_kwh: float
-    discharge_kwh: float
-    serve_dt_kwh: float
-    grid_purchase_kwh: float
-    bought_kwh: float = 0.0
-    sold_kwh: float = 0.0
+    charge_kwh: Any
+    discharge_kwh: Any
+    serve_dt_kwh: Any
+    grid_purchase_kwh: Any
+    bought_kwh: Any = 0.0
+    sold_kwh: Any = 0.0
 
 
 @dataclass(frozen=True)
@@ -164,93 +173,119 @@ class DerivedBounds:
     v_max: float
 
 
-def check_action(
-    state: MGState, action: ControlAction, params: MGParams
-) -> None:
-    """Raise RejectedAction naming the first violated feasibility constraint."""
-    c, d = action.charge_kwh, action.discharge_kwh
-    if c < -FEAS_TOL:
-        raise RejectedAction(f"charge_kwh {c} < 0")
-    if d < -FEAS_TOL:
-        raise RejectedAction(f"discharge_kwh {d} < 0")
-    if action.serve_dt_kwh < -FEAS_TOL:
-        raise RejectedAction(f"serve_dt_kwh {action.serve_dt_kwh} < 0")
-    if action.grid_purchase_kwh < -FEAS_TOL:
-        raise RejectedAction(f"grid_purchase_kwh {action.grid_purchase_kwh} < 0")
-    if c > FEAS_TOL and d > FEAS_TOL:
-        raise RejectedAction(f"charge {c} and discharge {d} both positive")
-    charge_cap = min(
-        params.battery_capacity_kwh - state.battery_kwh, params.charge_rate_max_kwh
+class Fleet(NamedTuple):
+    """The MGParams and DerivedBounds fields a slot step reads, as columns.
+
+    Entry k of each array belongs to the config's MG k, and each field has
+    its scalar record's name, so a formula written for one MG's records
+    (such as :func:`virtual_battery`) reads a Fleet unchanged. Built once
+    per run by :meth:`of`.
+    """
+
+    id: list[int]
+    battery_capacity_kwh: Any
+    charge_rate_max_kwh: Any
+    discharge_rate_max_kwh: Any
+    serve_rate_max_kwh: Any
+    epsilon: Any
+    price_floor: Any
+    v_weight: Any
+    theta: Any
+    q_max: Any
+    z_max: Any
+    delta_max_slots: Any
+
+    @classmethod
+    def of(cls, params: list[MGParams], bounds: list[DerivedBounds]) -> "Fleet":
+        import numpy as np
+
+        def column(name: str):
+            records = params if hasattr(params[0], name) else bounds
+            return np.array([getattr(r, name) for r in records], dtype=float)
+
+        return cls([p.id for p in params], *map(column, cls._fields[1:]))
+
+
+def _max(a, b):
+    """Python's ``max(a, b)`` elementwise: ``a`` unless ``b > a``. ``np.maximum``
+    returns its second operand on a tie, so ``max(-0.0, 0.0)`` would lose its sign."""
+    import numpy as np
+
+    return np.where(b > a, b, a)
+
+
+def check_action(battery_kwh, action: ControlAction, fleet: Fleet) -> None:
+    """Raise RejectedAction naming the first MG that breaks a feasibility
+    constraint, and the first constraint it breaks."""
+    import numpy as np
+
+    c, d, j, g = action[:4]
+    charge_cap = np.minimum(fleet.battery_capacity_kwh - battery_kwh, fleet.charge_rate_max_kwh)
+    discharge_cap = np.minimum(battery_kwh, fleet.discharge_rate_max_kwh)
+    broken = np.array([
+        c < -FEAS_TOL, d < -FEAS_TOL, j < -FEAS_TOL, g < -FEAS_TOL,
+        (c > FEAS_TOL) & (d > FEAS_TOL),
+        c > charge_cap + FEAS_TOL, d > discharge_cap + FEAS_TOL,
+    ])
+    if not broken.any():
+        return
+    k = int(broken.any(axis=0).argmax())
+    c, d, j, g, charge_cap, discharge_cap = (
+        float(a[k]) for a in (c, d, j, g, charge_cap, discharge_cap)
     )
-    if c > charge_cap + FEAS_TOL:
-        raise RejectedAction(
-            f"charge {c} exceeds min(capacity - B, charge rate) = {charge_cap}"
-        )
-    discharge_cap = min(state.battery_kwh, params.discharge_rate_max_kwh)
-    if d > discharge_cap + FEAS_TOL:
-        raise RejectedAction(
-            f"discharge {d} exceeds min(B, discharge rate) = {discharge_cap}"
-        )
+    reasons = (
+        f"charge_kwh {c} < 0",
+        f"discharge_kwh {d} < 0",
+        f"serve_dt_kwh {j} < 0",
+        f"grid_purchase_kwh {g} < 0",
+        f"charge {c} and discharge {d} both positive",
+        f"charge {c} exceeds min(capacity - B, charge rate) = {charge_cap}",
+        f"discharge {d} exceeds min(B, discharge rate) = {discharge_cap}",
+    )
+    raise RejectedAction(f"mg {fleet.id[k]}: {reasons[int(broken[:, k].argmax())]}")
 
 
-def battery_step(state: MGState, action: ControlAction, params: MGParams) -> MGState:
-    """Advance the battery queue: B' = B - D + C."""
-    check_action(state, action, params)
-    delta = action.charge_kwh - action.discharge_kwh
-    new_b = state.battery_kwh + delta
+def battery_step(battery_kwh, action: ControlAction, fleet: Fleet):
+    """Advance the battery queue: B' = B - D + C, after `check_action`."""
+    import numpy as np
+
+    check_action(battery_kwh, action, fleet)
+    new_b = battery_kwh + (action.charge_kwh - action.discharge_kwh)
     # snap float residue at the physical walls
-    if -FEAS_TOL < new_b < 0:
-        new_b = 0.0
-    cap = params.battery_capacity_kwh
-    if cap < new_b < cap + FEAS_TOL:
-        new_b = cap
-    return MGState(
-        new_b, state.demand_queue_kwh, state.delay_queue_kwh, state.pending_jobs
-    )
+    new_b = np.where((-FEAS_TOL < new_b) & (new_b < 0), 0.0, new_b)
+    cap = fleet.battery_capacity_kwh
+    return np.where((cap < new_b) & (new_b < cap + FEAS_TOL), cap, new_b)
 
 
-def fifo_serve(
-    pending: tuple[tuple[int, float], ...], serve_kwh: float
-) -> tuple[tuple[int, float], ...]:
-    """Drain pending jobs oldest-first by serve_kwh; return the remaining FIFO."""
-    remaining = serve_kwh
-    kept: list[tuple[int, float]] = []
-    for arrival, job in pending:
-        if remaining <= FEAS_TOL:
-            kept.append((arrival, job))
-            continue
-        if job <= remaining + FEAS_TOL:
-            remaining -= job
-        else:
-            kept.append((arrival, job - remaining))
-            remaining = 0.0
-    return tuple(kept)
+def demand_queue_step(demand_kwh, serve_kwh, arrival_kwh):
+    """Advance the backlog: Q' = max(Q - J, 0) + T."""
+    return _max(demand_kwh - serve_kwh, 0.0) + arrival_kwh
 
 
-def demand_queue_step(
-    state: MGState, action: ControlAction, inputs: SlotInputs, slot: int
-) -> MGState:
-    """Advance the backlog: Q' = max(Q - J, 0) + T, FIFO jobs served first."""
-    if action.serve_dt_kwh < 0:
-        raise RejectedAction(f"serve_dt_kwh {action.serve_dt_kwh} < 0")
-    new_q = max(state.demand_queue_kwh - action.serve_dt_kwh, 0.0) + inputs.dt_load_kwh
-    jobs = fifo_serve(state.pending_jobs, action.serve_dt_kwh)
-    if inputs.dt_load_kwh > 0:
-        jobs = jobs + ((slot, inputs.dt_load_kwh),)
-    return MGState(state.battery_kwh, new_q, state.delay_queue_kwh, jobs)
-
-
-def delay_queue_step(state: MGState, action: ControlAction, params: MGParams) -> MGState:
+def delay_queue_step(delay_kwh, demand_kwh, serve_kwh, fleet: Fleet):
     """Advance the delay queue: Z' = max(Z - J, 0) + eps * 1{Q > 0}.
 
-    Must be applied before demand_queue_step: the indicator reads the backlog
-    as it stood at the start of the slot, before this slot's arrival.
+    ``demand_kwh`` is the backlog at the start of the slot, before this
+    slot's arrival.
     """
-    grow = params.epsilon if state.demand_queue_kwh > 0 else 0.0
-    new_z = max(state.delay_queue_kwh - action.serve_dt_kwh, 0.0) + grow
-    return MGState(
-        state.battery_kwh, state.demand_queue_kwh, new_z, state.pending_jobs
-    )
+    import numpy as np
+
+    grow = np.where(demand_kwh > 0, fleet.epsilon, 0.0)
+    return _max(delay_kwh - serve_kwh, 0.0) + grow
+
+
+def oldest_pending_age(arrived_kwh, served_kwh, slot: int):
+    """Age at the start of `slot` of each MG's oldest unserved job, 0 if none.
+
+    ``arrived_kwh[a]`` is the work arrived by the end of slot a, for the
+    slots before `slot`; ``served_kwh`` the work served in them. Jobs are
+    served oldest first, so the oldest pending job is the first one whose
+    cumulative arrival exceeds served + FEAS_TOL: a job finished to within
+    FEAS_TOL counts as done, as a FIFO serving each job to within FEAS_TOL
+    would have it. The rows are nondecreasing, so the count of those at or
+    below the threshold is that job's slot.
+    """
+    return slot - (arrived_kwh[:slot] <= served_kwh + FEAS_TOL).sum(axis=0)
 
 
 def compute_a_const(params: MGParams) -> float:
@@ -305,14 +340,14 @@ def compute_bounds(params: MGParams, pb: PriceBounds) -> DerivedBounds:
     )
 
 
-def initial_state(
+def initial_battery(
     params: MGParams, bounds: DerivedBounds, battery_kwh: float | None = None
-) -> MGState:
-    """Fresh state with empty queues.
+) -> float:
+    """Battery level of a fresh MG, whose queues start empty.
 
-    The default battery level targets theta + D_max (zero virtual queue) but
-    is clamped to capacity: at v_weight = v_max with p_min > 0 the target
-    exceeds the physical capacity, so the zero point is not always reachable.
+    The default targets theta + D_max (zero virtual queue) but is clamped to
+    capacity: at v_weight = v_max with p_min > 0 the target exceeds the
+    physical capacity, so the zero point is not always reachable.
     """
     target = bounds.theta + params.discharge_rate_max_kwh
     b0 = min(target, params.battery_capacity_kwh) if battery_kwh is None else battery_kwh
@@ -321,18 +356,14 @@ def initial_state(
             f"mg {params.id}: initial battery {b0} outside [0, "
             f"{params.battery_capacity_kwh}]"
         )
-    return MGState(
-        battery_kwh=b0,
-        demand_queue_kwh=0.0,
-        delay_queue_kwh=0.0,
-        pending_jobs=(),
-    )
+    return b0
 
 
-def virtual_battery(
-    battery_kwh: float, params: MGParams, bounds: DerivedBounds
-) -> float:
-    """The virtual battery queue X = B - theta - D_max of a battery level."""
+def virtual_battery(battery_kwh, params: MGParams | Fleet, bounds: DerivedBounds | Fleet):
+    """The virtual battery queue X = B - theta - D_max of a battery level.
+
+    Reads one MG's records, or a Fleet twice for every MG's column at once.
+    """
     return battery_kwh - bounds.theta - params.discharge_rate_max_kwh
 
 

@@ -3,9 +3,11 @@
 Each slot runs a two-stage protocol: every MG computes its bid pair from its
 queues, the auctioneer clears (unless the run is in no_auction mode), then
 every MG solves its slot program with the cleared trade fixed and the queues
-advance. Everything is pure-functional: `step` maps a world and the slot's
-exogenous inputs to a new world plus a flat record, so replays and golden
-logs are exact.
+advance. Everything is pure-functional: `step` maps a world and the
+horizon's exogenous inputs to the next slot's world plus a flat record, so
+replays and golden logs are exact. A world holds every MG's state as
+columns, and each stage of a step is one array expression over all MGs; the
+log rows are the only per-MG Python objects a step builds.
 
 The offline oracle solves the whole horizon as one linear program per MG with
 all randomness known and trading disabled. It is the benchmark the
@@ -17,12 +19,10 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Callable
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import Any, NamedTuple, get_type_hints
 
 from .auction import (
     AuditRow,
@@ -38,21 +38,21 @@ from .controller import (
     solve_slot_program,
     spilled_kwh,
 )
-from .errors import ConfigError, ParseError, SimError
+from .errors import ConfigError, ParseError, RejectedAction, SimError
 from .ingest import LoadModel, Trace, draw_load_grid, synthetic_price, synthetic_wind
 from .model import (
     FEAS_TOL,
-    ControlAction,
     DerivedBounds,
+    Fleet,
     MGParams,
-    MGState,
     PriceBounds,
     SlotInputs,
     battery_step,
     compute_bounds,
     delay_queue_step,
     demand_queue_step,
-    initial_state,
+    initial_battery,
+    oldest_pending_age,
     virtual_battery,
     within,
 )
@@ -139,13 +139,13 @@ def build_traces(config: ScenarioConfig) -> ScenarioTraces:
     return ScenarioTraces(renewables=renewables, prices=prices)
 
 
-def realized_inputs(
-    config: ScenarioConfig, traces: ScenarioTraces
-) -> list[tuple[SlotInputs, ...]]:
+def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInputs:
     """All slots' inputs, materialized once so oracles see the same draws.
 
     The loads of every MG and slot come from one `draw_load_grid` call.
     """
+    import numpy as np
+
     if traces.prices.slot_count < config.horizon_slots:
         raise ConfigError(
             f"price trace covers {traces.prices.slot_count} slots, "
@@ -161,37 +161,42 @@ def realized_inputs(
         raise ConfigError(
             f"{len(traces.renewables)} renewable traces for {len(config.mgs)} MGs"
         )
-    di, dt = draw_load_grid(
-        [m.load_model for m in config.mgs], range(config.horizon_slots)
-    )
-    renewables = zip(*(tr.values for tr in traces.renewables))
-    return [
-        tuple(map(SlotInputs, renewable, di_t, dt_t, repeat(price)))
-        for renewable, di_t, dt_t, price in zip(
-            renewables, zip(*di), zip(*dt), traces.prices.values
-        )
-    ]
+    h = config.horizon_slots
+    di, dt = draw_load_grid([m.load_model for m in config.mgs], range(h))
+    renewable = [tr.values[:h] for tr in traces.renewables]
+    price = np.array(traces.prices.values[:h])[:, None].repeat(len(config.mgs), axis=1)
+    return SlotInputs(np.array(renewable).T, np.array(di).T, np.array(dt).T, price)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class World:
+    """Every MG's state at the start of `slot`, as columns: entry k is MG k.
+
+    ``served_kwh`` is the delay-tolerant work each MG served before `slot`.
+    With the horizon's arrival prefix sums it names the oldest pending job,
+    so the job FIFO itself is never stored.
+    """
+
     config: ScenarioConfig
-    bounds: tuple[DerivedBounds, ...]
-    states: tuple[MGState, ...]
+    fleet: Fleet
+    battery_kwh: Any
+    demand_queue_kwh: Any
+    delay_queue_kwh: Any
+    served_kwh: Any
     slot: int
 
     @classmethod
     def initial(cls, config: ScenarioConfig) -> "World":
-        bounds = config.bounds()
-        states = tuple(
-            initial_state(m.params, b, config.initial_battery_kwh)
-            for m, b in zip(config.mgs, bounds)
-        )
-        return cls(config=config, bounds=bounds, states=states, slot=0)
+        import numpy as np
+
+        params, bounds = [m.params for m in config.mgs], config.bounds()
+        b0 = config.initial_battery_kwh
+        battery = np.array([initial_battery(p, b, b0) for p, b in zip(params, bounds)])
+        empty = (np.zeros(len(params)) for _ in range(3))  # Q, Z, served
+        return cls(config, Fleet.of(params, bounds), battery, *empty, slot=0)
 
 
-@dataclass(frozen=True)
-class MGSlotRow:
+class MGSlotRow(NamedTuple):
     """One MG's full accounting for one slot (state is start-of-slot)."""
 
     slot: int
@@ -221,8 +226,7 @@ class MGSlotRow:
     oldest_pending_age: int
 
 
-@dataclass(frozen=True)
-class MarketRow:
+class MarketRow(NamedTuple):
     """The slot's clearing prices, volume and auctioneer surplus."""
 
     buy_price: float
@@ -231,63 +235,87 @@ class MarketRow:
     surplus: float
 
 
-@dataclass(frozen=True)
+# the float fields of a log row: all but the slot, the MG id and the age
+_ROW_FLOATS = MGSlotRow._fields[2:-1]
+
+
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class SlotRecord:
+    """One slot of a run, its MGs' log rows held as columns.
+
+    ``columns[i, k]`` is field ``_ROW_FLOATS[i]`` of MG k's row, in config
+    order; ``rows`` builds the rows from them.
+    """
+
     slot: int
-    rows: tuple[MGSlotRow, ...]
+    mg_ids: list[int]
+    columns: Any
+    oldest_age: Any
     market: MarketRow
     violations: tuple[str, ...]
     market_audit: tuple[AuditRow, ...] = ()  # book-ordered bid/fill lines
 
+    @property
+    def rows(self) -> tuple[MGSlotRow, ...]:
+        cells = zip(self.mg_ids, self.columns.T.tolist(), self.oldest_age.tolist())
+        return tuple(MGSlotRow(self.slot, mid, *row, age) for mid, row, age in cells)
+
 
 def _monitor(
-    slot: int,
-    params: MGParams,
-    b: DerivedBounds,
-    new_state: MGState,
-    action: ControlAction,
-    spill: float,
-    oldest_age: int,
+    slot: int, fleet: Fleet, battery_kwh, demand_kwh, delay_kwh, action, spill, oldest_age
 ) -> list[str]:
-    """Check every queue/battery bound after the slot's updates.
+    """Check every MG's queue/battery bounds after the slot's updates.
 
-    ``oldest_age`` is the age of the oldest pending job at the start of the
-    next slot; the FIFO is ordered by arrival, so no other job is older.
+    ``oldest_age`` is the age of each MG's oldest pending job at the start
+    of the next slot; jobs are served oldest first, so no other job is older.
     """
+    import numpy as np
+
+    c, d = action.charge_kwh, action.discharge_kwh
+    failed = np.array([
+        ~((-FEAS_TOL <= battery_kwh) & (battery_kwh <= fleet.battery_capacity_kwh + FEAS_TOL)),
+        demand_kwh > fleet.q_max + FEAS_TOL, delay_kwh > fleet.z_max + FEAS_TOL,
+        np.minimum(c, d) > FEAS_TOL, spill < -FEAS_TOL,
+        oldest_age > fleet.delta_max_slots + FEAS_TOL,
+    ])
+    if not failed.any():
+        return []
     bad: list[str] = []
-    tag = f"slot {slot} mg {params.id}"
-    if not within(new_state.battery_kwh, 0.0, params.battery_capacity_kwh):
-        bad.append(f"{tag}: battery {new_state.battery_kwh} outside [0, capacity]")
-    if new_state.demand_queue_kwh > b.q_max + FEAS_TOL:
-        bad.append(f"{tag}: Q {new_state.demand_queue_kwh} > q_max {b.q_max}")
-    if new_state.delay_queue_kwh > b.z_max + FEAS_TOL:
-        bad.append(f"{tag}: Z {new_state.delay_queue_kwh} > z_max {b.z_max}")
-    if min(action.charge_kwh, action.discharge_kwh) > FEAS_TOL:
-        bad.append(f"{tag}: charge and discharge both positive")
-    if spill < -FEAS_TOL:
-        bad.append(f"{tag}: energy balance short by {-spill}")
-    if oldest_age > b.delta_max_slots + FEAS_TOL:
-        arrival = slot + 1 - oldest_age
-        bad.append(f"{tag}: job from slot {arrival} is {oldest_age} slots old")
+    for k in np.flatnonzero(failed.any(axis=0)).tolist():
+        age = int(oldest_age[k])
+        reasons = (
+            f"battery {float(battery_kwh[k])} outside [0, capacity]",
+            f"Q {float(demand_kwh[k])} > q_max {float(fleet.q_max[k])}",
+            f"Z {float(delay_kwh[k])} > z_max {float(fleet.z_max[k])}",
+            "charge and discharge both positive",
+            f"energy balance short by {-float(spill[k])}",
+            f"job from slot {slot + 1 - age} is {age} slots old",
+        )
+        tag = f"slot {slot} mg {fleet.id[k]}"
+        bad.extend(f"{tag}: {why}" for why, hit in zip(reasons, failed[:, k]) if hit)
     return bad
 
 
-def step(world: World, inputs: tuple[SlotInputs, ...]) -> tuple[World, SlotRecord]:
-    """Advance one slot: bids, clearing, per-MG slot programs, queue updates."""
-    cfg = world.config
-    t = world.slot
-    if len(inputs) != len(cfg.mgs):
-        raise SimError(f"slot {t}: got {len(inputs)} inputs for {len(cfg.mgs)} MGs")
+def step(world: World, inputs: SlotInputs) -> tuple[World, SlotRecord]:
+    """Advance every MG one slot: bids, clearing, slot programs, queue updates.
 
-    grid_price = inputs[0].grid_price
-    if any(ins.grid_price != grid_price for ins in inputs):
+    ``inputs`` holds the whole horizon; the step reads its row ``world.slot``,
+    and the arrival prefix sums up to it for the job ages.
+    """
+    import numpy as np
+
+    cfg, fleet, t = world.config, world.fleet, world.slot
+    n, got = len(fleet.id), inputs.renewable_kwh.shape[1]
+    if got != n:
+        raise SimError(f"slot {t}: got {got} inputs for {n} MGs")
+    r, di, dt, price = inputs.slot(t)
+    grid_price = float(price[0])
+    if (price != grid_price).any():
         raise SimError(f"slot {t}: MGs disagree on the grid price")
+    b, q, z = world.battery_kwh, world.demand_queue_kwh, world.delay_queue_kwh
     try:
-        bids = tuple(
-            make_bids(s, ins, m.params)
-            for s, ins, m in zip(world.states, inputs, cfg.mgs)
-        )
-        book = OrderBook.from_bids(list(bids), cfg.rho1, cfg.rho2)
+        bids = make_bids(q, z, r, di, fleet)
+        book = OrderBook.from_bids(fleet.id, bids, cfg.rho1, cfg.rho2)
         if cfg.mode == MODE_AUCTION:
             outcome = clear(book, grid_price)
         else:
@@ -296,76 +324,42 @@ def step(world: World, inputs: tuple[SlotInputs, ...]) -> tuple[World, SlotRecor
     except Exception as e:
         raise SimError(f"slot {t}: market stage failed: {e}") from e
 
-    new_states: list[MGState] = []
-    rows: list[MGSlotRow] = []
-    violations: list[str] = []
-    for k, (st, ins, m, b) in enumerate(
-        zip(world.states, inputs, cfg.mgs, world.bounds)
-    ):
-        try:
-            trade = outcome.allocation_for(m.params.id)
-            x = virtual_battery(st.battery_kwh, m.params, b)
-            action = solve_slot_program(st, x, ins, trade, m.params)
-            cost = post_trade_settlement(action, trade, ins)
-            spill = spilled_kwh(ins, action)
-            after = battery_step(st, action, m.params)
-            after = delay_queue_step(after, action, m.params)
-            after = demand_queue_step(after, action, ins, t)
-        except Exception as e:
-            raise SimError(f"slot {t} mg {m.params.id}: {e}") from e
-        oldest_age = after.oldest_pending_age(t + 1)
-        violations.extend(_monitor(t, m.params, b, after, action, spill, oldest_age))
-        new_states.append(after)
-        rows.append(
-            MGSlotRow(
-                slot=t,
-                mg_id=m.params.id,
-                battery_kwh=st.battery_kwh,
-                demand_queue_kwh=st.demand_queue_kwh,
-                delay_queue_kwh=st.delay_queue_kwh,
-                virtual_kwh=x,
-                renewable_kwh=ins.renewable_kwh,
-                di_load_kwh=ins.di_load_kwh,
-                dt_load_kwh=ins.dt_load_kwh,
-                grid_price=ins.grid_price,
-                bid_sell_price=bids[k].sell_price,
-                bid_buy_price=bids[k].buy_price,
-                bid_sell_qty=bids[k].sell_quantity_kwh,
-                bid_buy_qty=bids[k].buy_quantity_kwh,
-                bought_kwh=trade.bought_kwh,
-                sold_kwh=trade.sold_kwh,
-                buy_unit_price=trade.buy_unit_price,
-                sell_unit_price=trade.sell_unit_price,
-                charge_kwh=action.charge_kwh,
-                discharge_kwh=action.discharge_kwh,
-                serve_kwh=action.serve_dt_kwh,
-                grid_kwh=action.grid_purchase_kwh,
-                spill_kwh=spill,
-                cost=cost,
-                oldest_pending_age=oldest_age,
-            )
-        )
+    trades = np.zeros((4, n))  # bought, sold, buy and sell unit price
+    at = {mid: k for k, mid in enumerate(fleet.id)} if outcome.allocations else {}
+    for mid, a in outcome.trades.items():
+        trades[:, at[mid]] = a.bought_kwh, a.sold_kwh, a.buy_unit_price, a.sell_unit_price
+    bought, sold, buy_unit, sell_unit = trades
+    x = virtual_battery(b, fleet, fleet)
+    action = solve_slot_program(b, q, z, x, r, di, price, bought, sold, fleet)
+    try:
+        new_b = battery_step(b, action, fleet)
+    except RejectedAction as e:
+        raise SimError(f"slot {t} {e}") from e
+    c, d, j, g = action[:4]
+    cost = post_trade_settlement(price, g, buy_unit, bought, sell_unit, sold)
+    spill = spilled_kwh(r, di, action)
+    new_z = delay_queue_step(z, q, j, fleet)
+    new_q = demand_queue_step(q, j, dt)
+    served = world.served_kwh + j
+    oldest_age = oldest_pending_age(inputs.arrived_kwh, served, t + 1)
+    violations = _monitor(t, fleet, new_b, new_q, new_z, action, spill, oldest_age)
 
+    columns = np.array((
+        b, q, z, x, r, di, dt, price, *bids, bought, sold, buy_unit, sell_unit,
+        c, d, j, g, spill, cost,
+    ))
+    market = MarketRow(
+        outcome.buy_clearing_price, outcome.sell_clearing_price,
+        outcome.total_volume(), surplus,
+    )
     record = SlotRecord(
-        slot=t,
-        rows=tuple(rows),
-        market=MarketRow(
-            buy_price=outcome.buy_clearing_price,
-            sell_price=outcome.sell_clearing_price,
-            volume_kwh=outcome.total_volume(),
-            surplus=surplus,
-        ),
-        violations=tuple(violations),
-        market_audit=tuple(audit_rows(t, book, outcome)),
+        t, fleet.id, columns, oldest_age, market, tuple(violations),
+        tuple(audit_rows(t, book, outcome)),
     )
-    new_world = World(
-        config=cfg, bounds=world.bounds, states=tuple(new_states), slot=t + 1
-    )
-    return new_world, record
+    return World(cfg, fleet, new_b, new_q, new_z, served, t + 1), record
 
 
-@dataclass(frozen=True)
-class MGSummary:
+class MGSummary(NamedTuple):
     mg_id: int
     time_avg_cost: float
     total_cost: float
@@ -402,32 +396,34 @@ def summarize(config: ScenarioConfig, records: list[SlotRecord]) -> RunSummary:
     """Per-MG totals and extremes of a run.
 
     The worst job age is the largest logged ``oldest_pending_age``: a run
-    starts with an empty FIFO, jobs are served oldest first and never in the
+    starts with no backlog, jobs are served oldest first and never in the
     slot they arrive, so a served job is never older than the oldest job
     pending at the end of the slot before.
     """
+    import numpy as np
+
     horizon = len(records)
-    per_mg: dict[int, MGSummary] = {}
     violations: list[str] = []
     for rec in records:
         violations.extend(rec.violations)
-    for k, m in enumerate(config.mgs):
-        mid = m.params.id
-        rows = [rec.rows[k] for rec in records]
-        per_mg[mid] = MGSummary(
-            mg_id=mid,
-            time_avg_cost=sum(r.cost for r in rows) / horizon,
-            total_cost=sum(r.cost for r in rows),
-            total_grid_kwh=sum(r.grid_kwh for r in rows),
-            total_bought_kwh=sum(r.bought_kwh for r in rows),
-            total_sold_kwh=sum(r.sold_kwh for r in rows),
-            total_served_kwh=sum(r.serve_kwh for r in rows),
-            max_q_kwh=max(r.demand_queue_kwh for r in rows),
-            max_z_kwh=max(r.delay_queue_kwh for r in rows),
-            min_b_kwh=min(r.battery_kwh for r in rows),
-            max_b_kwh=max(r.battery_kwh for r in rows),
-            max_job_age_slots=max(r.oldest_pending_age for r in rows),
+    logged = np.array([rec.columns for rec in records])  # (slot, field, MG)
+
+    def each_mg(reduce, field: str) -> list:
+        """`reduce` of each MG's logged `field`, its slots in order."""
+        return list(map(reduce, logged[:, _ROW_FLOATS.index(field)].T.tolist()))
+
+    costs = each_mg(sum, "cost")
+    ages = map(max, np.array([rec.oldest_age for rec in records]).T.tolist())
+    per_mg = {
+        m.params.id: MGSummary(m.params.id, cost / horizon, cost, *totals, age)
+        for m, cost, *totals, age in zip(
+            config.mgs, costs,
+            each_mg(sum, "grid_kwh"), each_mg(sum, "bought_kwh"),
+            each_mg(sum, "sold_kwh"), each_mg(sum, "serve_kwh"),
+            each_mg(max, "demand_queue_kwh"), each_mg(max, "delay_queue_kwh"),
+            each_mg(min, "battery_kwh"), each_mg(max, "battery_kwh"), ages,
         )
+    }
     return RunSummary(
         mode=config.mode,
         horizon_slots=horizon,
@@ -446,18 +442,26 @@ def run(
     """Simulate the whole horizon; deterministic for a fixed config and seed."""
     if traces is None:
         traces = build_traces(config)
-    inputs = realized_inputs(config, traces)
+    return simulate(config, realized_inputs(config, traces))
+
+
+def simulate(
+    config: ScenarioConfig, inputs: SlotInputs
+) -> tuple[RunSummary, list[SlotRecord]]:
+    """Simulate the whole horizon on inputs already drawn."""
+    if len(inputs) < config.horizon_slots:
+        raise SimError(f"inputs cover {len(inputs)} slots of {config.horizon_slots}")
     world = World.initial(config)
     records: list[SlotRecord] = []
-    for t in range(config.horizon_slots):
-        world, rec = step(world, inputs[t])
+    for _ in range(config.horizon_slots):
+        world, rec = step(world, inputs)
         records.append(rec)
     return summarize(config, records), records
 
 
 def offline_oracle(
     config: ScenarioConfig,
-    inputs: list[tuple[SlotInputs, ...]],
+    inputs: SlotInputs,
     solved: dict[tuple[int, float], float] | None = None,
 ) -> dict[int, float]:
     """Clairvoyant per-MG optimum over the realized inputs, trading disabled.
@@ -502,17 +506,17 @@ def offline_oracle(
     a_ub, a_eq = rows[: 3 * h], rows[3 * h :]
     b_eq = np.zeros(2 * h)
 
-    slot_row = attrgetter("renewable_kwh", "di_load_kwh", "dt_load_kwh", "grid_price")
     per_mg: dict[int, float] = {}
     solved = {} if solved is None else solved
     for k, (m, db) in enumerate(zip(config.mgs, config.bounds())):
         p = m.params
-        key = p.id, initial_state(p, db, config.initial_battery_kwh).battery_kwh
+        key = p.id, initial_battery(p, db, config.initial_battery_kwh)
         if key in solved:
             per_mg[p.id] = solved[key]
             continue
         b_eq[0] = key[1]
-        r, di, dt, price = np.array([slot_row(slot[k]) for slot in inputs]).T
+        columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh, inputs.grid_price
+        r, di, dt, price = (a[:, k] for a in columns)
         arrived = np.concatenate(([0.0], np.cumsum(dt[:-1])))  # before each slot
         # every variable is nonnegative (for B and S their rows imply it), and
         # the last S is pinned to the work that arrived before the final slot
@@ -573,6 +577,11 @@ def bound_audit(
     worst-case ceiling, and the v_weight <= v_max precondition.
     """
     lines: list[AuditLine] = []
+
+    def check(name: str, ok: bool | None, detail: str) -> None:
+        status = "SKIP" if ok is None else "PASS" if ok else "FAIL"
+        lines.append(AuditLine(check=name, status=status, detail=detail))
+
     for m in config.mgs:
         mid = m.params.id
         s = summary.per_mg[mid]
@@ -581,106 +590,66 @@ def bound_audit(
         except ConfigError as e:
             # e.g. a v_weight pushed past v_max after construction: flag the
             # precondition breach instead of crashing the audit
-            lines.append(
-                AuditLine(
-                    check=f"mg{mid} v_weight precondition",
-                    status="FAIL",
-                    detail=str(e),
-                )
-            )
+            check(f"mg{mid} v_weight precondition", False, str(e))
             continue
-        lines.append(
-            AuditLine(
-                check=f"mg{mid} v_weight precondition",
-                status="PASS",
-                detail=f"v={m.params.v_weight:.6f} v_max={db.v_max:.6f}",
-            )
+        check(
+            f"mg{mid} v_weight precondition", True,
+            f"v={m.params.v_weight:.6f} v_max={db.v_max:.6f}",
         )
-        lines.append(
-            AuditLine(
-                check=f"mg{mid} demand queue ceiling",
-                status="PASS" if s.max_q_kwh <= db.q_max + FEAS_TOL else "FAIL",
-                detail=f"max Q={s.max_q_kwh:.6f} q_max={db.q_max:.6f}",
-            )
+        check(
+            f"mg{mid} demand queue ceiling", s.max_q_kwh <= db.q_max + FEAS_TOL,
+            f"max Q={s.max_q_kwh:.6f} q_max={db.q_max:.6f}",
         )
-        lines.append(
-            AuditLine(
-                check=f"mg{mid} delay queue ceiling",
-                status="PASS" if s.max_z_kwh <= db.z_max + FEAS_TOL else "FAIL",
-                detail=f"max Z={s.max_z_kwh:.6f} z_max={db.z_max:.6f}",
-            )
+        check(
+            f"mg{mid} delay queue ceiling", s.max_z_kwh <= db.z_max + FEAS_TOL,
+            f"max Z={s.max_z_kwh:.6f} z_max={db.z_max:.6f}",
         )
         b_ok = (
             s.min_b_kwh >= -FEAS_TOL
             and s.max_b_kwh <= m.params.battery_capacity_kwh + FEAS_TOL
         )
-        lines.append(
-            AuditLine(
-                check=f"mg{mid} battery range",
-                status="PASS" if b_ok else "FAIL",
-                detail=f"B in [{s.min_b_kwh:.6f}, {s.max_b_kwh:.6f}]",
-            )
+        check(
+            f"mg{mid} battery range", b_ok, f"B in [{s.min_b_kwh:.6f}, {s.max_b_kwh:.6f}]"
         )
-        age_ok = s.max_job_age_slots <= db.delta_max_slots + FEAS_TOL
-        lines.append(
-            AuditLine(
-                check=f"mg{mid} worst job age",
-                status="PASS" if age_ok else "FAIL",
-                detail=(
-                    f"age={s.max_job_age_slots} bound={db.delta_max_slots:.3f}"
-                ),
-            )
+        check(
+            f"mg{mid} worst job age", s.max_job_age_slots <= db.delta_max_slots + FEAS_TOL,
+            f"age={s.max_job_age_slots} bound={db.delta_max_slots:.3f}",
         )
         if oracle is None:
-            lines.append(
-                AuditLine(
-                    check=f"mg{mid} cost gap vs oracle",
-                    status="SKIP",
-                    detail="`mgtrade run` does not solve the oracle; `mgtrade sweep` does",
-                )
+            check(
+                f"mg{mid} cost gap vs oracle", None,
+                "`mgtrade run` does not solve the oracle; `mgtrade sweep` does",
             )
         else:
             gap_cap = db.a_const / m.params.v_weight
-            bound = oracle[mid] + gap_cap
-            ok = s.time_avg_cost <= bound + 1e-6
-            lines.append(
-                AuditLine(
-                    check=f"mg{mid} cost gap vs oracle",
-                    status="PASS" if ok else "FAIL",
-                    detail=(
-                        f"online={s.time_avg_cost:.6f} "
-                        f"oracle={oracle[mid]:.6f} a/v={gap_cap:.6f}"
-                    ),
-                )
+            check(
+                f"mg{mid} cost gap vs oracle",
+                s.time_avg_cost <= oracle[mid] + gap_cap + 1e-6,
+                f"online={s.time_avg_cost:.6f} oracle={oracle[mid]:.6f} a/v={gap_cap:.6f}",
             )
-    lines.append(
-        AuditLine(
-            check="recorded violations",
-            status="PASS" if summary.violation_count == 0 else "FAIL",
-            detail=f"count={summary.violation_count}",
-        )
+    check(
+        "recorded violations", summary.violation_count == 0,
+        f"count={summary.violation_count}",
     )
     return AuditReport(lines=tuple(lines))
 
 
-def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], Callable]:
-    """Column names of a log record class and a renderer for one record.
+def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], str]:
+    """Column names of a log record class and the %-format of one record's cells.
 
     The record's annotated fields are the columns, in order. Fields declared
-    ``float`` are written at 6 decimals, every other field as it is.
+    ``float`` are written at 6 decimals (``%.6f`` renders as ``format(x,
+    ".6f")`` does), every other field as it is. No cell needs CSV quoting.
     """
     hints = get_type_hints(cls)
-    get = attrgetter(*hints)
-    specs = tuple(".6f" if t is float else "" for t in hints.values())
-
-    def render(record) -> list[str]:
-        return list(map(format, get(record), specs))
-
-    return tuple(prefix + n for n in hints), render
+    cells = ",".join("%.6f" if t is float else "%s" for t in hints.values())
+    return tuple(prefix + n for n in hints), cells
 
 
-_MG_COLUMNS, _render_mg_row = _log_columns(MGSlotRow)
-_MARKET_COLUMNS, _render_market = _log_columns(MarketRow, prefix="market_")
+# lines end as csv.writer ends them
+_EOL = "\r\n"
+_MG_COLUMNS, _MG_CELLS = _log_columns(MGSlotRow)
+_MARKET_COLUMNS, _MARKET_CELLS = _log_columns(MarketRow, prefix="market_")
 SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
 # positions of the fields declared ``int``, whose logged values must be whole
 _WHOLE_CELLS = tuple(
@@ -690,33 +659,32 @@ _WHOLE_CELLS = tuple(
 
 def write_slots_csv(path, records: list[SlotRecord]) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SLOTS_HEADER)
+        fh.write(",".join(SLOTS_HEADER) + _EOL)
         for rec in records:
-            market = _render_market(rec.market)
-            w.writerows(_render_mg_row(row) + market for row in rec.rows)
+            line = _MG_CELLS + "," + _MARKET_CELLS % rec.market + _EOL
+            fh.writelines(line % row for row in rec.rows)
 
 
-_SUMMARY_COLUMNS, _render_summary = _log_columns(MGSummary)
+_SUMMARY_COLUMNS, _SUMMARY_CELLS = _log_columns(MGSummary)
 SUMMARY_HEADER = _SUMMARY_COLUMNS + ("violations",)
 
 
 def write_summary_csv(path, summary: RunSummary) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SUMMARY_HEADER)
+        fh.write(",".join(SUMMARY_HEADER) + _EOL)
+        line = _SUMMARY_CELLS + f",{summary.violation_count}" + _EOL
         for mid in sorted(summary.per_mg):
-            w.writerow(_render_summary(summary.per_mg[mid]) + [summary.violation_count])
+            fh.write(line % summary.per_mg[mid])
 
 
-AUDIT_HEADER, _render_audit = _log_columns(AuditRow)
+AUDIT_HEADER, _AUDIT_CELLS = _log_columns(AuditRow)
 
 
 def write_audit_csv(path, rows: list[AuditRow]) -> None:
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(AUDIT_HEADER)
-        w.writerows(map(_render_audit, rows))
+        fh.write(",".join(AUDIT_HEADER) + _EOL)
+        line = _AUDIT_CELLS + _EOL
+        fh.writelines(line % row for row in rows)
 
 
 def log_number(path, line: int, column: str, cell: str) -> float:
@@ -794,7 +762,9 @@ def verify_log_rows(config: ScenarioConfig, rows: list[dict[str, float]]) -> lis
 
     Every configured MG must log exactly one row per slot of the horizon.
     Quantities are compared within `LOG_TOL`; the recomputed cost also
-    allows for the rounding of its six operands.
+    allows for the rounding of its six operands. Each row's
+    ``oldest_pending_age`` is re-derived, as the run derives it, from the
+    prefix sums of the logged ``dt_load_kwh`` and ``serve_kwh``.
     """
     problems: list[str] = []
     bounds_all = {m.params.id: b for m, b in zip(config.mgs, config.bounds())}
@@ -822,9 +792,23 @@ def verify_log_rows(config: ScenarioConfig, rows: list[dict[str, float]]) -> lis
         p = params_all[mid]
         db = bounds_all[mid]
         mg_rows.sort(key=lambda r: r["slot"])
+        arrived: list[float] = []  # logged work arrived by the end of each slot
+        served = 0.0
         for r in mg_rows:
             t = int(r["slot"])
             tag = f"slot {t} mg {mid}"
+            arrived.append((arrived[-1] if arrived else 0.0) + r["dt_load_kwh"])
+            served += r["serve_kwh"]
+            # the age as `oldest_pending_age` derives it; every logged kWh is off
+            # by up to 5e-7 and each sum by its rounding, so a job boundary that
+            # close to the threshold admits either side
+            slack = len(arrived) * (1e-6 + 2.0**-52 * (arrived[-1] + abs(served)))
+            ages = [t + 1 - bisect_right(arrived, served + FEAS_TOL + e) for e in (slack, -slack)]
+            if not ages[0] <= r["oldest_pending_age"] <= ages[1]:
+                problems.append(
+                    f"{tag}: oldest pending age {r['oldest_pending_age']:.0f} is not "
+                    f"{ages[0]}..{ages[1]}, from the logged serves and arrivals"
+                )
             if not within(r["battery_kwh"], 0.0, p.battery_capacity_kwh, LOG_TOL):
                 problems.append(f"{tag}: battery {r['battery_kwh']} out of range")
             if r["demand_queue_kwh"] > db.q_max + LOG_TOL:

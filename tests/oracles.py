@@ -3,12 +3,14 @@
 Everything here is deliberately written from the problem statement rather
 than from the package modules: grid searches and exhaustive enumerations
 whose only shared vocabulary with the implementation is plain numbers. Tests
-compare the fast implementations against these.
+compare the fast implementations against these. The last section is the
+exception: frozen copies of the scalar slot step the columnar one replaced.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -399,3 +401,178 @@ def reference_clear(
     if isinstance(fill, int):
         fill = {(buys[i][0], sells[k][0]): x for i, k, x in path[:fill]}
     return bp, sp, fill
+
+
+# --------------------------------------------------------------------------
+# The scalar slot step, frozen: one MG at a time, with the job FIFO stored.
+#
+# Frozen copies of the per-MG records and functions that `mgtrade.model` and
+# `mgtrade.controller` used before the slot step became columnar. The
+# columnar step must reproduce `make_bids` and `solve_slot_program` bit for
+# bit, and its prefix-sum job age must name the job `fifo_serve` keeps first.
+
+FEAS_TOL = 1e-9
+
+
+class SlotInputs(NamedTuple):
+    """Exogenous randomness for one MG in one slot."""
+
+    renewable_kwh: float
+    di_load_kwh: float
+    dt_load_kwh: float
+    grid_price: float
+
+
+class MGState(NamedTuple):
+    """Dynamic per-slot state of one MG, with its FIFO of (arrival slot, kWh) jobs."""
+
+    battery_kwh: float
+    demand_queue_kwh: float
+    delay_queue_kwh: float
+    pending_jobs: tuple[tuple[int, float], ...] = ()
+
+    def oldest_pending_age(self, slot: int) -> int:
+        """Age in slots of the oldest unserved job, 0 if none pending."""
+        if not self.pending_jobs:
+            return 0
+        return slot - self.pending_jobs[0][0]
+
+
+class BidPair(NamedTuple):
+    """One MG's sell and buy bids for a slot; a zero quantity marks an absent side."""
+
+    mg_id: int
+    sell_price: float
+    buy_price: float
+    sell_quantity_kwh: float
+    buy_quantity_kwh: float
+
+
+def fifo_serve(
+    pending: tuple[tuple[int, float], ...], serve_kwh: float
+) -> tuple[tuple[int, float], ...]:
+    """Drain pending jobs oldest-first by serve_kwh; return the remaining FIFO."""
+    remaining = serve_kwh
+    kept: list[tuple[int, float]] = []
+    for arrival, job in pending:
+        if remaining <= FEAS_TOL:
+            kept.append((arrival, job))
+            continue
+        if job <= remaining + FEAS_TOL:
+            remaining -= job
+        else:
+            kept.append((arrival, job - remaining))
+            remaining = 0.0
+    return tuple(kept)
+
+
+def marginal_value(state: MGState, params) -> float:
+    """The MG's per-kWh valuation of serving backlog now: (Q + Z) / V."""
+    return (state.demand_queue_kwh + state.delay_queue_kwh) / params.v_weight
+
+
+def make_bids(state: MGState, inputs: SlotInputs, params) -> BidPair:
+    """Truthful bid pair: sell any slot surplus, else ask for service headroom."""
+    value = marginal_value(state, params)
+    buy_price = max(value, params.price_floor)
+    surplus = inputs.renewable_kwh - inputs.di_load_kwh
+    sell_qty = 0.0
+    buy_qty = 0.0
+    if surplus > 0:
+        sell_qty = surplus
+    else:
+        headroom = max(params.serve_rate_max_kwh - inputs.renewable_kwh, 0.0)
+        buy_qty = min(headroom, state.demand_queue_kwh)
+    return BidPair(params.id, value, buy_price, sell_qty, buy_qty)
+
+
+def solve_slot_program(state: MGState, x: float, inputs: SlotInputs, trade, params):
+    """Exact minimizer of the drift-plus-penalty slot objective for one MG.
+
+    Returns a `mgtrade.model.ControlAction` of floats. Splits on the exclusive
+    charge/discharge pair and scans each branch's vertices in lexicographic
+    order; a later vertex wins only by more than 1e-12.
+    """
+    from mgtrade.errors import MarketError
+    from mgtrade.model import ControlAction
+
+    if trade.bought_kwh < 0 or trade.sold_kwh < 0:
+        raise MarketError(f"mg {params.id}: negative trade quantities")
+    if trade.bought_kwh > 0 and trade.sold_kwh > 0:
+        raise MarketError(f"mg {params.id}: trade on both sides in one slot")
+
+    b, q, z = state.battery_kwh, state.demand_queue_kwh, state.delay_queue_kwh
+    r, i = inputs.renewable_kwh, inputs.di_load_kwh
+    bought, sold = trade.bought_kwh, trade.sold_kwh
+    qz = q + z
+    vp = params.v_weight * inputs.grid_price
+
+    ub_c = max(min(params.battery_capacity_kwh - b, params.charge_rate_max_kwh), 0.0)
+    ub_d = max(min(b, params.discharge_rate_max_kwh), 0.0)
+    ub_j = max(min(params.serve_rate_max_kwh, q), 0.0)
+
+    s1 = r + bought - i - sold  # slack before grid import, loads covered
+    s2 = r - sold  # slack available to charging (no auction energy)
+
+    def branch_minimum(sign: int, ub_v: float) -> tuple[float, float, float]:
+        vs = (0.0, ub_v, sign * s2)
+        js = (0.0, ub_j, s1 - s2)
+        candidates = (
+            [(v, j) for v in vs for j in js]
+            + [(v, s1 - sign * v) for v in vs]
+            + [(sign * (s1 - j), j) for j in js[:2]]
+        )
+        best = None
+        for v, j in sorted(
+            (min(max(v, 0.0), ub_v), min(max(j, 0.0), ub_j))
+            for v, j in candidates
+            if -FEAS_TOL <= v <= ub_v + FEAS_TOL and -FEAS_TOL <= j <= ub_j + FEAS_TOL
+        ):
+            u = sign * v
+            obj = sign * x * v - qz * j + vp * max(0.0, u + j - s1, u - s2)
+            if best is None or obj < best[0] - 1e-12:
+                best = (obj, v, j)
+        assert best is not None  # the box corners always qualify
+        return best
+
+    obj_c, c_opt, j_c = branch_minimum(1, ub_c)
+    obj_d, d_opt, j_d = branch_minimum(-1, ub_d)
+
+    c, d, j = (0.0, d_opt, j_d) if obj_d < obj_c - 1e-12 else (c_opt, 0.0, j_c)
+
+    c = 0.0 if c < FEAS_TOL else min(c, ub_c)
+    d = 0.0 if d < FEAS_TOL else min(d, ub_d)
+    j = 0.0 if j < FEAS_TOL else min(j, ub_j)
+    g = max(0.0, i + j + sold + c - r - d - bought, c + sold - r - d)
+    if g < FEAS_TOL:
+        g = 0.0
+    return ControlAction(c, d, j, g, bought, sold)
+
+
+def check_action(state: MGState, action, params) -> None:
+    """Raise RejectedAction naming the first violated feasibility constraint."""
+    from mgtrade.errors import RejectedAction
+
+    c, d = action.charge_kwh, action.discharge_kwh
+    if c < -FEAS_TOL:
+        raise RejectedAction(f"charge_kwh {c} < 0")
+    if d < -FEAS_TOL:
+        raise RejectedAction(f"discharge_kwh {d} < 0")
+    if action.serve_dt_kwh < -FEAS_TOL:
+        raise RejectedAction(f"serve_dt_kwh {action.serve_dt_kwh} < 0")
+    if action.grid_purchase_kwh < -FEAS_TOL:
+        raise RejectedAction(f"grid_purchase_kwh {action.grid_purchase_kwh} < 0")
+    if c > FEAS_TOL and d > FEAS_TOL:
+        raise RejectedAction(f"charge {c} and discharge {d} both positive")
+    charge_cap = min(
+        params.battery_capacity_kwh - state.battery_kwh, params.charge_rate_max_kwh
+    )
+    if c > charge_cap + FEAS_TOL:
+        raise RejectedAction(
+            f"charge {c} exceeds min(capacity - B, charge rate) = {charge_cap}"
+        )
+    discharge_cap = min(state.battery_kwh, params.discharge_rate_max_kwh)
+    if d > discharge_cap + FEAS_TOL:
+        raise RejectedAction(
+            f"discharge {d} exceeds min(B, discharge rate) = {discharge_cap}"
+        )

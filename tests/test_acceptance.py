@@ -18,19 +18,11 @@ import pytest
 
 from mgtrade.auction import OrderBook, budget_check, clear, pair_quantity
 from mgtrade.cli import default_scenario
-from mgtrade.controller import (
-    BidPair,
-    TradeAllocation,
-    make_bids,
-    marginal_value,
-    solve_slot_program,
-)
+from mgtrade.controller import Bids, TradeAllocation
 from mgtrade.ingest import LoadModel, Trace
 from mgtrade.model import (
     MGParams,
-    MGState,
     PriceBounds,
-    SlotInputs,
     compute_a_const,
     compute_bounds,
     compute_v_max,
@@ -48,10 +40,15 @@ from mgtrade.sim import (
     run,
     write_slots_csv,
 )
+from columnar import bid_all, solve_one
 from oracles import (
+    BidPair,
+    MGState,
+    SlotInputs,
     brute_force_slot_objective,
     clearing_score,
     enumerate_clearings,
+    marginal_value,
     slot_objective,
     slot_objective_with_settlement,
 )
@@ -258,7 +255,7 @@ def test_criterion_3_cost_gap_shrinks_like_a_over_v(v_sweep):
             mg_sum = summary.per_mg[mid]
             # the oracle must finish all work arriving before the final slot,
             # so the comparison is only fair if the online run does too
-            arrived_before_last = sum(s[k].dt_load_kwh for s in inputs[:-1])
+            arrived_before_last = inputs.arrived_kwh[-2, k]
             assert mg_sum.total_served_kwh >= arrived_before_last - 1e-6
             bound = oracle[mid] + compute_a_const(m.params) / m.params.v_weight
             assert mg_sum.time_avg_cost <= bound + 1e-6, (
@@ -321,7 +318,7 @@ def test_criterion_4_slot_program_beats_exhaustive_grid():
         # the objective under test
         trade = TradeAllocation(1, bought, sold, 0.0, 0.0)
 
-        action = solve_slot_program(state, x, inputs, trade, params)
+        action = solve_one(state, x, inputs, trade, params)
         got = slot_objective(state, x, inputs, action, params)
         best_grid = brute_force_slot_objective(
             battery, q, z, x, renewable, di, price, bought, sold,
@@ -464,6 +461,17 @@ def _random_market(rng: np.random.Generator, n_mgs: int):
     return market
 
 
+def _bids(market) -> dict[int, BidPair]:
+    """Every MG's bid pair, from one columnar `make_bids` call."""
+    cells = bid_all([(s, ins, p) for p, s, ins in market])
+    return {p.id: BidPair(p.id, *bid) for (p, _, _), bid in zip(market, cells)}
+
+
+def _book(bids: list[BidPair]) -> OrderBook:
+    columns = Bids(*(np.array(side) for side in list(zip(*bids))[1:]))
+    return OrderBook.from_bids([b.mg_id for b in bids], columns, 1000.0, 1e-4)
+
+
 def _tweaked_bid(bid: BidPair, delta: float) -> BidPair | None:
     """The bid with its present side's price scaled by delta."""
     if bid.buy_quantity_kwh > 0:
@@ -490,7 +498,7 @@ def _realized_value(params, state, inputs, outcome) -> float:
     x = virtual_battery(
         state.battery_kwh, params, compute_bounds(params, MARKET_PRICES)
     )
-    action = solve_slot_program(state, x, inputs, trade, params)
+    action = solve_one(state, x, inputs, trade, params)
     return slot_objective_with_settlement(state, x, inputs, action, trade, params)
 
 
@@ -514,9 +522,9 @@ def test_criterion_6_truthful_bidding_is_unimprovable():
     improvements = 0
     for _ in range(100):
         market = _random_market(rng, 3)
-        bids = {p.id: make_bids(s, ins, p) for p, s, ins in market}
+        bids = _bids(market)
         grid = market[0][2].grid_price
-        truthful = clear(OrderBook.from_bids(list(bids.values()), 1000.0, 1e-4), grid)
+        truthful = clear(_book(list(bids.values())), grid)
         assert truthful.total_volume() == 0.0
         for params, state, inputs in market:
             base_value = _realized_value(params, state, inputs, truthful)
@@ -525,9 +533,7 @@ def test_criterion_6_truthful_bidding_is_unimprovable():
                 if tweaked is None:
                     continue
                 others = [b for m, b in bids.items() if m != params.id]
-                deviated = clear(
-                    OrderBook.from_bids(others + [tweaked], 1000.0, 1e-4), grid
-                )
+                deviated = clear(_book(others + [tweaked]), grid)
                 value = _realized_value(params, state, inputs, deviated)
                 deviations += 1
                 if value < base_value - 1e-9:
@@ -545,9 +551,9 @@ def test_criterion_6_truthful_bidding_is_unimprovable():
     cleared = 0
     for _ in range(200):
         market = _random_market(rng, 4)
-        bids = {p.id: make_bids(s, ins, p) for p, s, ins in market}
+        bids = _bids(market)
         grid = market[0][2].grid_price
-        truthful = clear(OrderBook.from_bids(list(bids.values()), 1000.0, 1e-4), grid)
+        truthful = clear(_book(list(bids.values())), grid)
         if truthful.total_volume() > 0:
             cleared += 1
         for params, state, inputs in market:
@@ -557,9 +563,7 @@ def test_criterion_6_truthful_bidding_is_unimprovable():
                 if tweaked is None:
                     continue
                 others = [b for m, b in bids.items() if m != params.id]
-                deviated = clear(
-                    OrderBook.from_bids(others + [tweaked], 1000.0, 1e-4), grid
-                )
+                deviated = clear(_book(others + [tweaked]), grid)
                 surplus_deviations += 1
                 if _declared_surplus(params, state, deviated) > base + 1e-9:
                     surplus_improvements += 1

@@ -4,6 +4,7 @@ import csv
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,7 @@ from mgtrade.auction import (
     clear,
     pair_quantity,
 )
-from mgtrade.controller import BidPair
+from mgtrade.controller import Bids
 from mgtrade.errors import InvariantViolation, MarketError
 from mgtrade.sim import AUDIT_HEADER, write_audit_csv
 
@@ -97,12 +98,13 @@ def test_book_rejects_bad_weights():
 
 
 def test_from_bids_splits_sides():
-    bids = [
-        BidPair(1, sell_price=0.0, buy_price=4.0, sell_quantity_kwh=0.0, buy_quantity_kwh=10.0),
-        BidPair(2, sell_price=1.0, buy_price=1.0, sell_quantity_kwh=25.0, buy_quantity_kwh=0.0),
-        BidPair(3, sell_price=0.5, buy_price=1.0, sell_quantity_kwh=0.0, buy_quantity_kwh=0.0),
-    ]
-    b = OrderBook.from_bids(bids, RHO1, RHO2)
+    bids = Bids(
+        sell_price=np.array([0.0, 1.0, 0.5]),
+        buy_price=np.array([4.0, 1.0, 1.0]),
+        sell_quantity_kwh=np.array([0.0, 25.0, 0.0]),
+        buy_quantity_kwh=np.array([10.0, 0.0, 0.0]),
+    )
+    b = OrderBook.from_bids([1, 2, 3], bids, RHO1, RHO2)
     assert [x[0] for x in b.buy_bids] == [1]
     assert [x[0] for x in b.sell_bids] == [2]
 

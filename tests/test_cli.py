@@ -284,6 +284,32 @@ def test_audit_catches_a_cent_on_a_large_cost(tmp_path, capsys):
     assert f"slot {rows[k][0]} mg {rows[k][1]}: cost" in out
 
 
+def test_audit_rederives_job_ages(tmp_path, capsys):
+    """An age raised by 3 on one row, and zeroed on the next, fails the audit."""
+    run_cli(
+        "run", "--out", str(tmp_path), "--mode", "solo",
+        "--horizon", "48", "--seed", "4",
+    )
+    slots = tmp_path / "solo" / "slots.csv"
+    with open(slots, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index("oldest_pending_age")
+    mg_rows = [k for k in range(1, len(rows)) if rows[k][1] == "1"]
+    first, second = mg_rows[20], mg_rows[21]
+    assert int(rows[second][col]) > 0
+    rows[first][col] = str(int(rows[first][col]) + 3)
+    rows[second][col] = "0"
+    with open(slots, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    capsys.readouterr()
+    code = run_cli("audit", str(tmp_path / "solo"))
+    out = capsys.readouterr().out
+    assert code == EXIT_INVARIANT
+    for k in (first, second):
+        assert f"slot {rows[k][0]} mg 1: oldest pending age {rows[k][col]} is not" in out
+    assert out.count("oldest pending age") == 2
+
+
 def solo_log(tmp_path) -> tuple[Path, list[list[str]]]:
     """A 24-slot solo run of the reference scenario and its slots.csv rows."""
     run_cli(
@@ -479,7 +505,7 @@ def test_sweep_solves_one_oracle_lp_per_initial_battery(tmp_path, monkeypatch):
     import scipy.optimize
 
     from mgtrade import cli
-    from mgtrade.model import compute_bounds, initial_state
+    from mgtrade.model import compute_bounds, initial_battery
 
     base = default_scenario(mode=MODE_SOLO)
     b0s = set()
@@ -488,7 +514,7 @@ def test_sweep_solves_one_oracle_lp_per_initial_battery(tmp_path, monkeypatch):
             v = f * compute_v_max(m.params, base.price_bounds)
             params = dataclasses.replace(m.params, v_weight=v)
             db = compute_bounds(params, base.price_bounds)
-            b0s.add((params.id, initial_state(params, db, base.initial_battery_kwh).battery_kwh))
+            b0s.add((params.id, initial_battery(params, db, base.initial_battery_kwh)))
     assert len(b0s) < 30
 
     solves = []
@@ -505,6 +531,27 @@ def test_sweep_solves_one_oracle_lp_per_initial_battery(tmp_path, monkeypatch):
     assert len(solves) == len(b0s) + 30
     shared, each = ((tmp_path / d / "sweep.csv").read_bytes() for d in ("shared", "each"))
     assert shared == each
+
+
+def test_sweep_draws_its_inputs_once(tmp_path, monkeypatch):
+    """V changes no draw: a 10-fraction sweep draws its inputs once, not twice
+    per fraction, and writes the sweep.csv that drawing them 20 times did."""
+    from mgtrade import cli, sim
+
+    draws = []
+
+    def counted(draw):
+        return lambda *a: draws.append(1) or draw(*a)
+
+    monkeypatch.setattr(cli, "realized_inputs", counted(cli.realized_inputs))
+    monkeypatch.setattr(sim, "realized_inputs", counted(sim.realized_inputs))
+    fractions = ",".join(f"{k / 10:.1f}" for k in range(1, 11))
+    assert run_cli("sweep", "--fractions", fractions, "--out", str(tmp_path)) == EXIT_OK
+    assert len(draws) <= 11
+    # the sha256 the sweep had when every fraction drew its inputs twice
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == (
+        "cf0176b0e31c7b0698411309c5826cf54288958d03b4175a36e2f8f63be0c4b2"
+    )
 
 
 def test_sweep_fails_on_an_infeasible_oracle(tmp_path, capsys):

@@ -1,31 +1,40 @@
-"""Bid construction and the per-slot drift-plus-penalty program."""
+"""Bid construction and the per-slot drift-plus-penalty program.
 
+The one-MG cases exercise the scalar references frozen in `oracles`; the
+columnar functions the simulator runs must equal them bit for bit
+(`test_columnar_slot_equals_the_scalar_references`).
+"""
+
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgtrade import run
+from mgtrade.auction import OrderBook
+from mgtrade.cli import default_scenario
 from mgtrade.controller import (
-    BidPair,
+    Bids,
     TradeAllocation,
-    make_bids,
-    marginal_value,
     post_trade_settlement,
-    solve_slot_program,
     spilled_kwh,
 )
 from mgtrade.errors import MarketError
-from mgtrade.model import (
-    ControlAction,
-    MGParams,
+from mgtrade.model import ControlAction, MGParams
+
+from columnar import bid_all, solve_all
+from oracles import (
     MGState,
     SlotInputs,
-    check_action,
-)
-
-from oracles import (
     brute_force_slot_objective,
+    check_action,
+    make_bids,
+    marginal_value,
     slot_objective,
     slot_objective_with_settlement,
+    solve_slot_program,
 )
 
 
@@ -69,14 +78,18 @@ def test_marginal_value_examples():
     )
 
 
+def one_bid(*cells) -> Bids:
+    return Bids(*(np.array([c]) for c in cells))
+
+
 def test_bid_pair_rejects_negative_price():
     with pytest.raises(MarketError):
-        BidPair(1, sell_price=-1.0, buy_price=0.0, sell_quantity_kwh=1.0, buy_quantity_kwh=0.0)
+        OrderBook.from_bids([1], one_bid(-1.0, 0.0, 1.0, 0.0), 1.0, 1.0)
 
 
 def test_bid_pair_rejects_two_sided():
     with pytest.raises(MarketError):
-        BidPair(1, sell_price=1.0, buy_price=1.0, sell_quantity_kwh=1.0, buy_quantity_kwh=1.0)
+        OrderBook.from_bids([1], one_bid(1.0, 1.0, 1.0, 1.0), 1.0, 1.0)
 
 
 def test_surplus_mg_sells_its_surplus():
@@ -272,7 +285,7 @@ def test_program_beats_integer_grid(inst):
 def test_program_never_spills_negative(inst):
     p, s, x, ins, trade = inst
     action = solve_slot_program(s, x, ins, trade, p)
-    assert spilled_kwh(ins, action) >= -1e-9
+    assert spilled_kwh(ins.renewable_kwh, ins.di_load_kwh, action) >= -1e-9
 
 
 @given(inst=program_instances())
@@ -290,17 +303,24 @@ def test_threshold_structure(inst):
 # ------------------------------------------------------------------ accounting
 
 
+def settle(action: ControlAction, trade: TradeAllocation, ins: SlotInputs) -> float:
+    return post_trade_settlement(
+        ins.grid_price, action.grid_purchase_kwh, trade.buy_unit_price,
+        trade.bought_kwh, trade.sell_unit_price, trade.sold_kwh,
+    )
+
+
 def test_settlement_examples():
     g = ControlAction(0.0, 0.0, 0.0, 100.0)
-    assert post_trade_settlement(g, NO_TRADE, inputs(price=0.05)) == pytest.approx(5.0)
+    assert settle(g, NO_TRADE, inputs(price=0.05)) == pytest.approx(5.0)
 
     buy = TradeAllocation(1, 50.0, 0.0, 2.0, 0.0)
     a = ControlAction(0.0, 0.0, 0.0, 0.0, bought_kwh=50.0)
-    assert post_trade_settlement(a, buy, inputs(price=1.0)) == pytest.approx(100.0)
+    assert settle(a, buy, inputs(price=1.0)) == pytest.approx(100.0)
 
     sell = TradeAllocation(1, 0.0, 80.0, 0.0, 1.5)
     a = ControlAction(0.0, 0.0, 0.0, 0.0, sold_kwh=80.0)
-    assert post_trade_settlement(a, sell, inputs(price=1.0)) == pytest.approx(-120.0)
+    assert settle(a, sell, inputs(price=1.0)) == pytest.approx(-120.0)
 
 
 def test_objective_with_settlement_adds_weighted_payments():
@@ -318,3 +338,96 @@ def test_slot_objective_formula():
     a = ControlAction(3.0, 0.0, 5.0, 7.0)
     # X = 2: 2*3 - 10*5 + 10*1.0*7
     assert slot_objective(s, 2.0, inputs(price=1.0), a, mg()) == pytest.approx(26.0)
+
+
+# ------------------------------------------------- columnar against scalar
+
+
+amounts = st.one_of(
+    st.integers(0, 40).map(float),
+    st.floats(0.0, 400.0, allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1e-6),
+)
+
+
+@st.composite
+def slot_cases(draw):
+    """One MG of a random slot, often with two of its breakpoints on one value.
+
+    The program's vertices sit at the box bounds and at s2 = R - sold and
+    s1 - s2 = bought - I; a case may put bought - I on Q, on J_max or on 0,
+    or s2 on the charge or discharge bound, where a vertex reached two ways
+    can differ by an ulp.
+    """
+    capacity = draw(st.floats(1.0, 500.0))
+    b = draw(st.floats(0.0, 1.0)) * capacity
+    p = mg(
+        battery_capacity_kwh=capacity,
+        charge_rate_max_kwh=draw(st.floats(0.0, 1.0)) * capacity,
+        discharge_rate_max_kwh=draw(amounts),
+        serve_rate_max_kwh=draw(amounts),
+        price_floor=draw(st.floats(0.0, 5.0)),
+        v_weight=draw(st.floats(0.01, 50.0)),
+    )
+    q, z, r, di = (draw(amounts) for _ in range(4))
+    bought = sold = 0.0
+    side = draw(st.sampled_from(["none", "buy", "sell"]))
+    if side == "buy":
+        bought = draw(amounts)
+        landing = draw(st.sampled_from(["free", "q", "j_max", "zero"]))
+        target = {"free": bought - di, "q": q, "j_max": p.serve_rate_max_kwh, "zero": 0.0}
+        bought = max(target[landing] + di, 0.0)
+    elif side == "sell":
+        sold = draw(amounts)
+        landing = draw(st.sampled_from(["free", "charge", "discharge"]))
+        ub_c = min(capacity - b, p.charge_rate_max_kwh)
+        ub_d = min(b, p.discharge_rate_max_kwh)
+        target = {"free": r - sold, "charge": ub_c, "discharge": -ub_d}
+        r = max(target[landing] + sold, 0.0)
+    # X near zero puts the two branches' optima within 1e-12 of each other
+    x = draw(st.one_of(st.floats(-2.0, 2.0).map(lambda f: f * p.v_weight * 16.0),
+                       st.floats(-1e-13, 1e-13)))
+    state = MGState(b, q, z)
+    return state, x, (r, di), TradeAllocation(1, bought, sold, 0.0, 0.0), p
+
+
+@given(cases=st.lists(slot_cases(), min_size=1, max_size=12), price=st.floats(0.1, 16.0))
+@settings(max_examples=300, deadline=None)
+def test_columnar_slot_equals_the_scalar_references(cases, price):
+    """One columnar call per slot returns each MG's scalar (C, D, J, G) and bids."""
+    cases = [
+        (s, x, SlotInputs(r, di, 0.0, price), trade, p)
+        for s, x, (r, di), trade, p in cases
+    ]
+    got = solve_all(cases)
+    bids = bid_all([(s, ins, p) for s, _, ins, _, p in cases])
+    for case, action, bid in zip(cases, got, bids):
+        want = solve_slot_program(*case)
+        assert repr(action[:4]) == repr(want[:4]), case
+        s, _, ins, _, p = case
+        assert repr(bid) == repr(tuple(make_bids(s, ins, p)[1:])), case
+
+
+def test_simulated_rows_equal_the_scalar_references():
+    """Every MG-slot of a 24-MG auction run is the scalar references' choice."""
+    base = default_scenario(seed=5, horizon=24)
+    mgs = tuple(
+        dataclasses.replace(m, params=dataclasses.replace(m.params, id=k + 1))
+        for k, m in enumerate(base.mgs * 4)
+    )
+    _, records = run(dataclasses.replace(base, mgs=mgs))
+    params = {m.params.id: m.params for m in mgs}
+    traded = 0
+    for rec in records:
+        for row in rec.rows:
+            p = params[row.mg_id]
+            state = MGState(row.battery_kwh, row.demand_queue_kwh, row.delay_queue_kwh)
+            ins = SlotInputs(row.renewable_kwh, row.di_load_kwh, row.dt_load_kwh, row.grid_price)
+            trade = TradeAllocation(p.id, row.bought_kwh, row.sold_kwh, 0.0, 0.0)
+            want = solve_slot_program(state, row.virtual_kwh, ins, trade, p)
+            got = (row.charge_kwh, row.discharge_kwh, row.serve_kwh, row.grid_kwh)
+            assert repr(got) == repr(tuple(want[:4])), row
+            bid = (row.bid_sell_price, row.bid_buy_price, row.bid_sell_qty, row.bid_buy_qty)
+            assert repr(bid) == repr(tuple(make_bids(state, ins, p)[1:])), row
+            traded += row.bought_kwh > 0
+    assert traded > 0

@@ -228,11 +228,11 @@ def test_realized_inputs_mix_seed_word_lengths():
     }
     cfg = config_from_dict(doc)[0]
     inputs = realized_inputs(cfg, build_traces(cfg))
-    for slot, row in enumerate(inputs):
-        for m, got in zip(cfg.mgs, row):
+    for slot, (di_row, dt_row) in enumerate(zip(inputs.di_load_kwh, inputs.dt_load_kwh)):
+        for m, got in zip(cfg.mgs, zip(di_row.tolist(), dt_row.tolist())):
             lm = m.load_model
             want = reference_draw_loads(lm.rng_seed, lm.low_kwh, lm.high_kwh, lm.dt_share, slot)
-            assert (got.di_load_kwh, got.dt_load_kwh) == want
+            assert got == want
 
 
 # ------------------------------------------------------------------ synthetics

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,6 @@ from mgtrade.model import (
     FEAS_TOL,
     ControlAction,
     MGParams,
-    MGState,
     PriceBounds,
     SlotInputs,
     battery_step,
@@ -21,11 +21,14 @@ from mgtrade.model import (
     check_action,
     delay_queue_step,
     demand_queue_step,
-    fifo_serve,
-    initial_state,
+    initial_battery,
+    oldest_pending_age,
     virtual_battery,
     within,
 )
+
+from columnar import fleet_of
+from oracles import MGState, fifo_serve
 
 
 def isclose_kwh(a: float, b: float, tol: float = FEAS_TOL) -> bool:
@@ -54,14 +57,19 @@ def big_mg(**overrides) -> MGParams:
     return MGParams(**base)
 
 
-def state(b=0.0, q=0.0, z=0.0, jobs=()) -> MGState:
-    return MGState(
-        battery_kwh=b, demand_queue_kwh=q, delay_queue_kwh=z, pending_jobs=jobs
-    )
+def col(*values) -> np.ndarray:
+    """A column of one entry per MG."""
+    return np.array(values, dtype=float)
 
 
 def act(c=0.0, d=0.0, j=0.0, g=0.0, bought=0.0, sold=0.0) -> ControlAction:
-    return ControlAction(c, d, j, g, bought, sold)
+    """One MG's action, as the columns the queue functions take."""
+    return ControlAction(*map(col, (c, d, j, g, bought, sold)))
+
+
+def arrivals(*dt: float) -> np.ndarray:
+    """One MG's arrival prefix sums, from its work arriving in each slot."""
+    return np.cumsum(dt)[:, None]
 
 
 # ---------------------------------------------------------------- validation
@@ -110,62 +118,67 @@ def test_idle_action_is_all_zero():
 
 def test_battery_step_charges():
     p = big_mg()
-    after = battery_step(state(b=100.0), act(c=50.0), p)
-    assert after.battery_kwh == 150.0
+    after = battery_step(col(100.0), act(c=50.0), fleet_of([p]))
+    assert after[0] == 150.0
 
 
 def test_battery_step_identity_when_idle():
     p = big_mg()
-    after = battery_step(state(b=100.0), act(), p)
-    assert after.battery_kwh == 100.0
+    after = battery_step(col(100.0), act(), fleet_of([p]))
+    assert after[0] == 100.0
 
 
 def test_battery_step_rejects_overflow():
     # headroom is 100 kWh, not the 1500 kWh rate
     p = big_mg()
     with pytest.raises(RejectedAction):
-        battery_step(state(b=2900.0), act(c=200.0), p)
+        battery_step(col(2900.0), act(c=200.0), fleet_of([p]))
 
 
 def test_battery_step_rejects_overdraw():
     p = big_mg()
     with pytest.raises(RejectedAction):
-        battery_step(state(b=30.0), act(d=50.0), p)
+        battery_step(col(30.0), act(d=50.0), fleet_of([p]))
 
 
 def test_check_action_rejects_simultaneous_charge_discharge():
     with pytest.raises(RejectedAction):
-        check_action(state(b=100.0), act(c=1.0, d=1.0), big_mg())
+        check_action(col(100.0), act(c=1.0, d=1.0), fleet_of([big_mg()]))
 
 
 def test_check_action_rejects_negative_quantities():
     with pytest.raises(RejectedAction):
-        check_action(state(), act(j=-2.0), big_mg())
+        check_action(col(0.0), act(j=-2.0), fleet_of([big_mg()]))
+
+
+def test_check_action_names_the_first_offending_mg():
+    ids = [big_mg(id=k) for k in (4, 5, 6)]
+    action = ControlAction(col(0.0, 1.0, 5.0), col(0.0, 1.0, 0.0), col(0.0, 0.0, -1.0),
+                           col(0.0, 0.0, 0.0))
+    with pytest.raises(RejectedAction, match="^mg 5: charge 1.0 and discharge 1.0 both"):
+        check_action(col(100.0, 100.0, 100.0), action, fleet_of(ids))
 
 
 # -------------------------------------------------------------- demand queue
 
 
 def test_demand_queue_step_serves_and_arrives():
-    s = state(q=10.0)
-    after = demand_queue_step(s, act(j=4.0), inputs(dt=3.0), slot=0)
-    assert after.demand_queue_kwh == 9.0
+    after = demand_queue_step(col(10.0), col(4.0), col(3.0))
+    assert after[0] == 9.0
 
 
 def test_demand_queue_step_clips_overserve():
-    s = state(q=2.0)
-    after = demand_queue_step(s, act(j=5.0), inputs(dt=0.0), slot=0)
-    assert after.demand_queue_kwh == 0.0
+    after = demand_queue_step(col(2.0), col(5.0), col(0.0))
+    assert after[0] == 0.0
 
 
 def test_demand_queue_step_pure_arrival():
-    after = demand_queue_step(state(), act(), inputs(dt=7.0), slot=3)
-    assert after.demand_queue_kwh == 7.0
-    assert after.pending_jobs == ((3, 7.0),)
-
-
-def inputs(r=0.0, di=0.0, dt=0.0, price=1.0) -> SlotInputs:
-    return SlotInputs(renewable_kwh=r, di_load_kwh=di, dt_load_kwh=dt, grid_price=price)
+    after = demand_queue_step(col(0.0), col(0.0), col(7.0))
+    assert after[0] == 7.0
+    # the only pending job: 7 kWh from slot 3, one slot old at slot 4
+    arrived = arrivals(0.0, 0.0, 0.0, 7.0)
+    assert oldest_pending_age(arrived, col(0.0), 4)[0] == 1
+    assert arrived[-1, 0] - 0.0 == 7.0
 
 
 def test_fifo_serve_oldest_first():
@@ -190,45 +203,50 @@ def test_fifo_serve_everything():
 )
 @settings(max_examples=200)
 def test_backlog_always_equals_pending_jobs(steps):
-    """The aggregate Q and the job FIFO are two views of the same backlog."""
-    s = state()
-    for t, (j, dt) in enumerate(steps):
-        s = demand_queue_step(s, act(j=j), inputs(dt=dt), slot=t)
-        pending = sum(r for _, r in s.pending_jobs)
-        assert math.isclose(s.demand_queue_kwh, pending, abs_tol=1e-6)
-        assert s.demand_queue_kwh >= 0.0
+    """The aggregate Q and the arrived-minus-served work are two views of one backlog.
+
+    The slot program never serves more than the backlog, so neither does this.
+    """
+    q, served, arrived = col(0.0), col(0.0), 0.0
+    for j, dt in steps:
+        j = np.minimum(j, q)
+        q = demand_queue_step(q, j, col(dt))
+        served = served + j
+        arrived += dt
+        assert math.isclose(q[0], arrived - served[0], abs_tol=1e-6)
+        assert q[0] >= 0.0
 
 
 # --------------------------------------------------------------- delay queue
 
 
 def test_delay_queue_grows_while_backlogged():
-    p = big_mg(epsilon=1.0, epsilon_max=1.0)
-    after = delay_queue_step(state(q=3.0, z=5.0), act(j=2.0), p)
-    assert after.delay_queue_kwh == 4.0
+    p = fleet_of([big_mg(epsilon=1.0, epsilon_max=1.0)])
+    after = delay_queue_step(col(5.0), col(3.0), col(2.0), p)
+    assert after[0] == 4.0
 
 
 def test_delay_queue_idle_when_backlog_empty():
-    p = big_mg(epsilon=1.0, epsilon_max=1.0)
-    after = delay_queue_step(state(q=0.0, z=5.0), act(j=2.0), p)
-    assert after.delay_queue_kwh == 3.0
+    p = fleet_of([big_mg(epsilon=1.0, epsilon_max=1.0)])
+    after = delay_queue_step(col(5.0), col(0.0), col(2.0), p)
+    assert after[0] == 3.0
 
 
 def test_delay_queue_growth_from_zero():
-    p = big_mg(epsilon=2.0, epsilon_max=2.0)
-    after = delay_queue_step(state(q=1.0, z=0.0), act(), p)
-    assert after.delay_queue_kwh == 2.0
+    p = fleet_of([big_mg(epsilon=2.0, epsilon_max=2.0)])
+    after = delay_queue_step(col(0.0), col(1.0), col(0.0), p)
+    assert after[0] == 2.0
 
 
 def test_delay_queue_reads_pre_arrival_backlog():
     # order matters: the indicator must see Q before this slot's arrival
-    p = big_mg(epsilon=2.0, epsilon_max=2.0)
-    s = state(q=0.0, z=0.0)
-    s = delay_queue_step(s, act(), p)
-    s = demand_queue_step(s, act(), inputs(dt=9.0), slot=0)
-    assert s.delay_queue_kwh == 0.0  # backlog was empty when the slot started
-    s2 = delay_queue_step(s, act(), p)
-    assert s2.delay_queue_kwh == 2.0
+    p = fleet_of([big_mg(epsilon=2.0, epsilon_max=2.0)])
+    q, z = col(0.0), col(0.0)
+    z = delay_queue_step(z, q, col(0.0), p)
+    q = demand_queue_step(q, col(0.0), col(9.0))
+    assert z[0] == 0.0  # backlog was empty when the slot started
+    z2 = delay_queue_step(z, q, col(0.0), p)
+    assert z2[0] == 2.0
 
 
 # ---------------------------------------------------------- derived constants
@@ -412,10 +430,10 @@ def test_initial_state_hits_zero_virtual_when_it_fits():
         v_weight=0.5,
     )
     db = compute_bounds(p, PriceBounds(1.0, 2.0))
-    s = initial_state(p, db)
+    b0 = initial_battery(p, db)
     # theta + D_max = 0.5*2 + 2 + 2 + 1 = 6 fits inside the 10 kWh battery
-    assert s.battery_kwh == pytest.approx(6.0)
-    assert virtual_battery(s.battery_kwh, p, db) == pytest.approx(0.0)
+    assert b0 == pytest.approx(6.0)
+    assert virtual_battery(b0, p, db) == pytest.approx(0.0)
 
 
 def test_initial_state_clamps_to_capacity():
@@ -430,18 +448,18 @@ def test_initial_state_clamps_to_capacity():
         v_weight=6.0,
     )
     db = compute_bounds(p, PriceBounds(1.0, 2.0))
-    s = initial_state(p, db)
-    assert s.battery_kwh == 10.0
-    assert virtual_battery(s.battery_kwh, p, db) == pytest.approx(10.0 - 16.0 - 5.0)
+    b0 = initial_battery(p, db)
+    assert b0 == 10.0
+    assert virtual_battery(b0, p, db) == pytest.approx(10.0 - 16.0 - 5.0)
 
 
 def test_initial_state_rejects_out_of_range_battery():
     p = big_mg()
     db = compute_bounds(p, PriceBounds(2.0, 16.0))
     with pytest.raises(ConfigError):
-        initial_state(p, db, battery_kwh=-5.0)
+        initial_battery(p, db, battery_kwh=-5.0)
     with pytest.raises(ConfigError):
-        initial_state(p, db, battery_kwh=4000.0)
+        initial_battery(p, db, battery_kwh=4000.0)
 
 
 def test_virtual_range_brackets_initial_state():
@@ -449,8 +467,8 @@ def test_virtual_range_brackets_initial_state():
     db = compute_bounds(p, PriceBounds(2.0, 16.0))
     # X over the battery range [0, capacity]
     lo, hi = (virtual_battery(b, p, db) for b in (0.0, p.battery_capacity_kwh))
-    s = initial_state(p, db)
-    assert lo <= virtual_battery(s.battery_kwh, p, db) <= hi
+    b0 = initial_battery(p, db)
+    assert lo <= virtual_battery(b0, p, db) <= hi
     assert hi - lo == pytest.approx(p.battery_capacity_kwh)
 
 
@@ -465,17 +483,118 @@ def test_within_and_isclose_tolerances():
 
 
 def test_job_ages_ok_flags_stale_jobs():
-    s = state(jobs=((0, 1.0), (4, 2.0)))
+    s = MGState(0.0, 3.0, 0.0, ((0, 1.0), (4, 2.0)))
     assert job_ages_ok(s, slot=5, delta_max=5.0)
     assert not job_ages_ok(s, slot=8, delta_max=5.0)
-    # the FIFO is ordered by arrival, so the oldest job decides: the one
+    # jobs are served in arrival order, so the oldest job decides: the one
     # check the simulator's monitor makes agrees with the full scan
+    arrived = arrivals(1.0, 0.0, 0.0, 0.0, 2.0, *[0.0] * 7)
     for slot in range(4, 12):
-        ok = s.oldest_pending_age(slot) <= 5.0 + FEAS_TOL
+        ok = oldest_pending_age(arrived, col(0.0), slot)[0] <= 5.0 + FEAS_TOL
         assert ok == job_ages_ok(s, slot=slot, delta_max=5.0)
 
 
 def test_oldest_pending_age():
-    s = state(jobs=((3, 1.0),))
-    assert s.oldest_pending_age(10) == 7
-    assert state().oldest_pending_age(10) == 0
+    arrived = arrivals(*[0.0] * 3, 1.0, *[0.0] * 6)
+    assert oldest_pending_age(arrived, col(0.0), 10)[0] == 7
+    assert oldest_pending_age(arrived * 0.0, col(0.0), 10)[0] == 0
+
+
+# ------------------------------------------------ the FIFO, derived from sums
+#
+# The simulator stores no job FIFO. With A_k the work arrived by the end of
+# slot k and S the work served so far, it takes the oldest pending job to be
+# the first k with A_k > S + FEAS_TOL (`oldest_pending_age`). The reference
+# `fifo_serve` drains jobs one by one and counts a job done once the serve
+# left for it is within FEAS_TOL of it. In exact arithmetic:
+#
+# * Let C be the FIFO's consumption, the sum of the jobs it removed and of
+#   its partial serves. Its head is the first job with A_k > C: every removed
+#   job ends at or below C, and the job it stopped in ends above it.
+# * A slot's serve s moves C by s - R, where R is what the FIFO leaves of s.
+#   R = 0 when the slot ends inside a job (a partial serve), and |R| <=
+#   FEAS_TOL when it ends within FEAS_TOL of a job boundary. So C - S is
+#   minus the sum of those leftovers.
+# * Hence the rules name different jobs only when some A_k lies between C
+#   and S + FEAS_TOL. If every serve ends within FEAS_TOL/2 of a boundary or
+#   more than 3*FEAS_TOL inside a job, every leftover keeps |C - S| <=
+#   FEAS_TOL/2, and the rules agree: a job ended within FEAS_TOL/2 is done
+#   under both, and the job a serve stops in is pending under both.
+#
+# Float rounding moves these margins by a few ulps of the sums, far below
+# FEAS_TOL at the sizes tested here.
+
+
+@st.composite
+def serve_sequences(draw, landing: float):
+    """Arrivals per slot and serves whose running sum lands near job boundaries.
+
+    Each slot serves nothing, or up to within ``landing`` of a job boundary
+    (exactly on it included), or to a point more than 3.5*FEAS_TOL inside a
+    job. Only work that arrived before the slot is served.
+    """
+    dts = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 50.0)), min_size=2, max_size=30))
+    bounds = np.cumsum(dts).tolist()
+    serves, served = [], 0.0
+    for t in range(len(dts)):
+        ahead = [a for a in bounds[:t] if a > served + 4 * FEAS_TOL]
+        kind = draw(st.sampled_from(["none", "boundary", "inside"])) if ahead else "none"
+        target = served
+        if kind == "boundary":
+            offset = draw(st.one_of(st.just(0.0), st.floats(-landing, landing)))
+            target = draw(st.sampled_from(ahead)) + offset
+        elif kind == "inside":
+            end = draw(st.sampled_from(ahead))
+            start = max([a for a in bounds[:t] if a < end] + [0.0, served])
+            if end - start > 8 * FEAS_TOL:
+                share = draw(st.floats(0.0, 1.0))
+                target = start + 3.5 * FEAS_TOL + share * (end - start - 7 * FEAS_TOL)
+        serve = max(target - served, 0.0)
+        serves.append(serve)
+        served += serve
+    return dts, serves
+
+
+def fifo_and_prefix_heads(dts, serves):
+    """Per slot: the FIFO's oldest age, the prefix rule's, the FIFO's consumption C and S."""
+    pending: tuple = ()
+    arrived = np.cumsum(dts)[:, None]
+    served = 0.0
+    for t, (dt, serve) in enumerate(zip(dts, serves)):
+        pending = fifo_serve(pending, serve)
+        if dt > 0:
+            pending = pending + ((t, dt),)
+        served += serve
+        fifo_age = MGState(0.0, 0.0, 0.0, pending).oldest_pending_age(t + 1)
+        prefix_age = int(oldest_pending_age(arrived, col(served), t + 1)[0])
+        consumed = arrived[t, 0] - sum(r for _, r in pending)
+        yield t, fifo_age, prefix_age, consumed, served
+
+
+@given(seq=serve_sequences(landing=0.45 * FEAS_TOL))
+@settings(max_examples=400, deadline=None)
+def test_prefix_sum_age_names_the_fifo_head(seq):
+    """Serves ending within FEAS_TOL/2 of a boundary or well inside a job: same age."""
+    for t, fifo_age, prefix_age, _, _ in fifo_and_prefix_heads(*seq):
+        assert prefix_age == fifo_age, t
+
+
+@given(seq=serve_sequences(landing=FEAS_TOL))
+@settings(max_examples=400, deadline=None)
+def test_prefix_sum_age_differs_only_across_the_fifo_drift(seq):
+    """Serves ending anywhere within FEAS_TOL of a boundary: ages differ only
+    where an arrival prefix sum lies between the FIFO's consumption and S + FEAS_TOL."""
+    arrived = np.cumsum(seq[0])
+    for t, fifo_age, prefix_age, consumed, served in fifo_and_prefix_heads(*seq):
+        if prefix_age != fifo_age:
+            lo, hi = sorted((consumed, served + FEAS_TOL))
+            rounding = 1e-12 * (1.0 + arrived[t])
+            between = (arrived[: t + 1] > lo - rounding) & (arrived[: t + 1] <= hi + rounding)
+            assert between.any(), t
+
+
+def test_a_serve_short_of_a_boundary_by_under_feas_tol_finishes_the_job():
+    """5 kWh arrives in slot 0; slot 1 serves 0.5e-9 kWh less: the job is done."""
+    dts, serves = [5.0, 0.0, 2.0], [0.0, 5.0 - 0.5e-9, 0.0]
+    ages = [(f, p) for _, f, p, _, _ in fifo_and_prefix_heads(dts, serves)]
+    assert ages == [(1, 1), (0, 0), (1, 1)]

@@ -3,11 +3,12 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from mgtrade.errors import ConfigError, SimError
 from mgtrade.ingest import LoadModel
-from mgtrade.model import MGParams, PriceBounds, SlotInputs, compute_v_max, initial_state
+from mgtrade.model import MGParams, PriceBounds, SlotInputs, compute_v_max, initial_battery
 from mgtrade.sim import (
     MODE_AUCTION,
     MODE_SOLO,
@@ -127,9 +128,9 @@ def test_realized_inputs_share_the_grid_price():
     cfg = small_scenario(horizon=12)
     inputs = realized_inputs(cfg, build_traces(cfg))
     assert len(inputs) == 12
-    for slot in inputs:
+    for slot in inputs.grid_price:
         assert len(slot) == 2
-        assert slot[0].grid_price == slot[1].grid_price
+        assert slot[0] == slot[1]
 
 
 def test_realized_inputs_rejects_short_traces():
@@ -162,10 +163,15 @@ def idle_band_config() -> ScenarioConfig:
     )
 
 
+def slots(*rows) -> SlotInputs:
+    """Inputs from one tuple per slot of each MG's (R, I, T, P)."""
+    return SlotInputs(*np.array(rows, dtype=float).transpose(2, 0, 1))
+
+
 def test_step_all_zero_slot_is_free():
     cfg = idle_band_config()
     world = World.initial(cfg)
-    zeros = (SlotInputs(0.0, 0.0, 0.0, 0.0),) * 2
+    zeros = slots([(0.0, 0.0, 0.0, 0.0)] * 2)
     after, rec = step(world, zeros)
     assert rec.market.volume_kwh == 0.0
     for row in rec.rows:
@@ -173,14 +179,15 @@ def test_step_all_zero_slot_is_free():
         assert row.charge_kwh == row.discharge_kwh == row.serve_kwh == 0.0
         assert row.grid_kwh == 0.0
     assert rec.violations == ()
-    assert after.states == world.states
+    for queue in ("battery_kwh", "demand_queue_kwh", "delay_queue_kwh", "served_kwh"):
+        assert (getattr(after, queue) == getattr(world, queue)).all()
     assert after.slot == 1
 
 
 def test_step_rejects_wrong_input_count():
     cfg = small_scenario()
     with pytest.raises(SimError):
-        step(World.initial(cfg), (SlotInputs(0, 0, 0, 2.0),))
+        step(World.initial(cfg), slots([(0, 0, 0, 2.0)]))
 
 
 def test_step_rejects_disagreeing_prices():
@@ -188,11 +195,11 @@ def test_step_rejects_disagreeing_prices():
     with pytest.raises(SimError, match="grid price"):
         step(
             World.initial(cfg),
-            (SlotInputs(0, 0, 0, 2.0), SlotInputs(0, 0, 0, 3.0)),
+            slots([(0, 0, 0, 2.0), (0, 0, 0, 3.0)]),
         )
 
 
-def crossing_market() -> tuple[ScenarioConfig, World, tuple[SlotInputs, ...]]:
+def crossing_market() -> tuple[ScenarioConfig, World, SlotInputs]:
     """Two backlogged buyers, two free sellers, grid price in between."""
     pb = PriceBounds(1.0, 40.0)
     mgs = []
@@ -219,20 +226,16 @@ def crossing_market() -> tuple[ScenarioConfig, World, tuple[SlotInputs, ...]]:
         rho1=1000.0, rho2=1e-4, mode=MODE_AUCTION, seed=0,
     )
     world = World.initial(cfg)
-    states = list(world.states)
-    states[0] = dataclasses.replace(
-        states[0], demand_queue_kwh=300.0, pending_jobs=((0, 300.0),)
-    )
-    states[1] = dataclasses.replace(
-        states[1], demand_queue_kwh=200.0, pending_jobs=((0, 200.0),)
-    )
-    world = dataclasses.replace(world, states=tuple(states))
-    inputs = (
-        SlotInputs(0.0, 0.0, 0.0, 25.0),
-        SlotInputs(0.0, 0.0, 0.0, 25.0),
-        SlotInputs(500.0, 100.0, 0.0, 25.0),
-        SlotInputs(500.0, 100.0, 0.0, 25.0),
-    )
+    # the buyers' backlogs: jobs that arrived before slot 0, so the work
+    # served so far starts that far below the arrivals counted from slot 0
+    backlog = np.array([300.0, 200.0, 0.0, 0.0])
+    world = dataclasses.replace(world, demand_queue_kwh=backlog, served_kwh=-backlog)
+    inputs = slots([
+        (0.0, 0.0, 0.0, 25.0),
+        (0.0, 0.0, 0.0, 25.0),
+        (500.0, 100.0, 0.0, 25.0),
+        (500.0, 100.0, 0.0, 25.0),
+    ])
     return cfg, world, inputs
 
 
@@ -258,7 +261,7 @@ def test_step_crossing_market_preserves_buyer_battery():
     assert buyer.serve_kwh == buyer_solo.serve_kwh == pytest.approx(300.0)
     assert buyer.discharge_kwh == 0.0
     assert buyer_solo.discharge_kwh == pytest.approx(300.0)
-    assert next_world.states[0].battery_kwh > solo_next.states[0].battery_kwh
+    assert next_world.battery_kwh[0] > solo_next.battery_kwh[0]
     assert len(rec.market_audit) == 4
 
 
@@ -371,20 +374,14 @@ def oracle_config(horizon=2, initial_battery=None) -> ScenarioConfig:
 def test_oracle_two_slot_hand_instance():
     """Worked example: discharge what the battery holds, buy the 1 kWh gap dearly."""
     cfg = oracle_config()
-    inputs = [
-        (SlotInputs(renewable_kwh=0.0, di_load_kwh=6.0, dt_load_kwh=3.0, grid_price=3.0),),
-        (SlotInputs(renewable_kwh=0.0, di_load_kwh=2.0, dt_load_kwh=0.0, grid_price=1.0),),
-    ]
+    inputs = slots([(0.0, 6.0, 3.0, 3.0)], [(0.0, 2.0, 0.0, 1.0)])
     result = offline_oracle(cfg, inputs)
     assert result == pytest.approx({1: 1.5}, abs=1e-9)
 
 
 def test_oracle_zero_demand_costs_nothing():
     cfg = oracle_config()
-    inputs = [
-        (SlotInputs(0.0, 0.0, 0.0, 3.0),),
-        (SlotInputs(0.0, 0.0, 0.0, 1.0),),
-    ]
+    inputs = slots([(0.0, 0.0, 0.0, 3.0)], [(0.0, 0.0, 0.0, 1.0)])
     assert offline_oracle(cfg, inputs) == {1: 0.0}
 
 
@@ -408,9 +405,7 @@ def test_oracle_matches_two_slot_grid_search():
             )
         ins[0] = (ins[0][0], ins[0][1], float(rng.integers(0, 5)), ins[0][3])
         cfg = oracle_config(initial_battery=b0)
-        slot_ins = [
-            (SlotInputs(r, i, t, pr),) for (r, i, t, pr) in ins
-        ]
+        slot_ins = slots(*([cell] for cell in ins))
         lp = offline_oracle(cfg, slot_ins)[1]
         bf = brute_force_two_slot_cost(
             b0,
@@ -424,17 +419,17 @@ def test_oracle_matches_two_slot_grid_search():
 
 
 @pytest.mark.parametrize(
-    "horizon, n_mgs, seed, initial_battery",
+    "horizon, n_mgs, seed, initial_battery_kwh",
     [(1, 1, 0, 0.0), (1, 3, 1, None), (2, 2, 2, 0.0), (7, 3, 3, 10.0),
      (24, 2, 4, 300.0), (48, 3, 5, None), (48, 1, 6, 40.0)],
 )
-def test_oracle_matches_dense_reference(horizon, n_mgs, seed, initial_battery):
+def test_oracle_matches_dense_reference(horizon, n_mgs, seed, initial_battery_kwh):
     """The banded sparse LP and the dense running-sum LP find the same optimum."""
     base = small_scenario(seed=seed, horizon=horizon, n_mgs=n_mgs)
     # renewables short of the load, so most MGs must buy from the grid
     cfg = dataclasses.replace(
         base,
-        initial_battery_kwh=initial_battery,
+        initial_battery_kwh=initial_battery_kwh,
         mgs=tuple(dataclasses.replace(m, renewable_mean_kwh=5.0) for m in base.mgs),
     )
     inputs = realized_inputs(cfg, build_traces(cfg))
@@ -443,24 +438,23 @@ def test_oracle_matches_dense_reference(horizon, n_mgs, seed, initial_battery):
     for k, (m, db) in enumerate(zip(cfg.mgs, cfg.bounds())):
         p = m.params
         want = reference_offline_oracle(
-            initial_state(p, db, initial_battery).battery_kwh,
+            initial_battery(p, db, initial_battery_kwh),
             p.battery_capacity_kwh,
             p.charge_rate_max_kwh,
             p.discharge_rate_max_kwh,
             p.serve_rate_max_kwh,
-            [(s[k].renewable_kwh, s[k].di_load_kwh, s[k].dt_load_kwh, s[k].grid_price)
-             for s in inputs],
+            list(zip(*(f[:, k].tolist() for f in
+                       (inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh,
+                        inputs.grid_price)))),
         )
         assert got[p.id] == pytest.approx(want, abs=1e-6)
 
 
 def overload_dt(inputs, k, kwh=200.0):
     """Give MG k more delay-tolerant work each slot than its serve rate clears."""
-    return [
-        tuple(dataclasses.replace(s, dt_load_kwh=kwh) if j == k else s
-              for j, s in enumerate(slot))
-        for slot in inputs
-    ]
+    dt = inputs.dt_load_kwh.copy()
+    dt[:, k] = kwh
+    return dataclasses.replace(inputs, dt_load_kwh=dt)
 
 
 def test_oracle_refuses_large_scenarios():
@@ -504,7 +498,7 @@ def test_online_run_never_beats_oracle():
     # the bound needs the online trajectory to be oracle-feasible: nothing
     # older than the final slot may still be pending at the horizon
     served = summary.per_mg[1].total_served_kwh
-    arrived_before_last = sum(s[0].dt_load_kwh for s in inputs[:-1])
+    arrived_before_last = inputs.arrived_kwh[-2, 0]
     assert served >= arrived_before_last - 1e-6
     oracle = offline_oracle(cfg, inputs)
     assert oracle[1] <= summary.per_mg[1].time_avg_cost + 1e-6
@@ -609,7 +603,10 @@ def test_verify_log_rows_allows_cost_rounding_of_large_products(tmp_path):
     path.write_text("\n".join((",".join(SLOTS_HEADER),) + ROUNDING_ROWS) + "\n")
     rows = read_slots_csv(path)
     for r in rows:
-        r["slot"] = 0.0  # one row per MG: a complete log of a one-slot run
+        # one row per MG: a complete log of a one-slot run, whose one pending
+        # job is the slot's own arrival
+        r["slot"] = 0.0
+        r["oldest_pending_age"] = 1.0
     cfg = rounding_config()
     # the rows come from two slots of one log, so as one slot their markets
     # disagree; these are the only problems, and no cost is flagged
