@@ -1,5 +1,10 @@
 """Uniform-price double auction over per-slot microgrid bid pairs.
 
+A slot's market is held as columns indexed by fleet position, as the slot
+step holds its MGs: the book keeps every MG's bid columns and the book order
+of each side, the fills name MGs by position, and each MG's bought and sold
+kWh, unit prices and audit lines come from them as columns.
+
 The auctioneer sorts buy bids descending and sell bids ascending, then picks
 a marginal pair (one buy bid, one sell bid) that prices the slot: everyone
 strictly ahead of the marginal bid on their side wins, winners trade at the
@@ -21,7 +26,7 @@ of every candidate is a prefix of it: the pairs whose buyer and seller are
 both ahead of the marginal bids. The path is built once per book. A
 candidate takes its prefix whenever x* is at least every quantity in it,
 since the cap then changes no step; otherwise (a binding cap) it reruns the
-capped greedy fill on its own winners.
+greedy fill on its own winners with the cap.
 
 A prefix's score factors into prefix sums along the path, so one numpy
 expression scores every (marginal buy, marginal sell) pair of the book.
@@ -37,114 +42,117 @@ imported when a book is scored, so audits never load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import add, sub
+from itertools import repeat
+from operator import add
 from typing import Any, NamedTuple
 
-from .controller import Bids, TradeAllocation
+from .controller import Bids
 from .errors import InvariantViolation, MarketError
 
 DUST_KWH = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class OrderBook:
-    """Sorted one-shot order book: (mg_id, price, quantity) per bid."""
+    """A slot's bids by fleet position, and the book order of each side.
 
-    buy_bids: tuple[tuple[int, float, float], ...]
-    sell_bids: tuple[tuple[int, float, float], ...]
+    ``bids`` holds every MG's bid pair and ``ids`` its MG id: entry k of
+    each column belongs to the MG at position k of the fleet. ``buy_bids``
+    lists the positions of the live buy bids in book order, price descending
+    with ties by MG id; ``sell_bids`` the live sell bids, price ascending
+    with ties by MG id. A bid is live when its quantity is positive.
+    """
+
+    ids: Any
+    bids: Bids
+    buy_bids: Any
+    sell_bids: Any
     rho1: float
     rho2: float
 
-    def __post_init__(self) -> None:
-        if self.rho1 <= 0 or self.rho2 <= 0:
-            raise MarketError("welfare weights rho1, rho2 must be > 0")
-        for mg_id, price, qty in self.buy_bids + self.sell_bids:
-            if price < 0 or qty < 0:
-                raise MarketError(f"mg {mg_id}: negative bid price or quantity")
-        buys = tuple(b for b in self.buy_bids if b[2] > 0.0)
-        sells = tuple(s for s in self.sell_bids if s[2] > 0.0)
-        buys = tuple(sorted(buys, key=lambda b: (-b[1], b[0])))
-        sells = tuple(sorted(sells, key=lambda s: (s[1], s[0])))
-        seen: set[int] = set()
-        for mg_id, _, _ in buys + sells:
-            if mg_id in seen:
-                raise MarketError(f"mg {mg_id}: appears more than once in the book")
-            seen.add(mg_id)
-        object.__setattr__(self, "buy_bids", buys)
-        object.__setattr__(self, "sell_bids", sells)
-
     @classmethod
-    def from_bids(cls, ids: list[int], bids: Bids, rho1: float, rho2: float) -> "OrderBook":
-        """The book of every MG's bid pair: ``ids[k]`` posted entry k of each column."""
-        buys = tuple(zip(ids, bids.buy_price.tolist(), bids.buy_quantity_kwh.tolist()))
-        sells = tuple(zip(ids, bids.sell_price.tolist(), bids.sell_quantity_kwh.tolist()))
-        return cls(buys, sells, rho1, rho2)
+    def from_bids(cls, ids, bids: Bids, rho1: float, rho2: float) -> "OrderBook":
+        """The book of every MG's bid pair: ``ids[k]`` posted entry k of each column.
+
+        Rejects welfare weights that are not positive, a negative price or
+        quantity on either side of any bid, live or not (naming the first MG
+        with one), and an MG live twice or on both sides.
+        """
+        import numpy as np
+
+        if rho1 <= 0 or rho2 <= 0:
+            raise MarketError("welfare weights rho1, rho2 must be > 0")
+        ids = np.asarray(ids)
+        if len(ids) and np.min(bids) < 0:
+            bad = (np.array(bids) < 0).any(axis=0).argmax()
+            raise MarketError(f"mg {ids[bad]}: negative bid price or quantity")
+        sell_price, buy_price, sell_kwh, buy_kwh = bids
+        buys, sells = np.flatnonzero(buy_kwh > 0.0), np.flatnonzero(sell_kwh > 0.0)
+        live = ids[np.concatenate((buys, sells))].tolist()
+        if len(set(live)) < len(live):
+            twice = next(m for k, m in enumerate(live) if m in live[:k])
+            raise MarketError(f"mg {twice}: appears more than once in the book")
+        buys = buys[np.lexsort((ids[buys], -buy_price[buys]))]
+        sells = sells[np.lexsort((ids[sells], sell_price[sells]))]
+        return cls(ids, bids, buys, sells, rho1, rho2)
+
+    @cached_property
+    def floats(self) -> tuple[list[float], list[float], list[float], list[float]]:
+        """Buy prices, buy kWh, sell prices and sell kWh in book order, as
+        Python floats: the per-bid loops do the greedy fill's arithmetic."""
+        sell_price, buy_price, sell_kwh, buy_kwh = self.bids
+        buys = [column[self.buy_bids].tolist() for column in (buy_price, buy_kwh)]
+        sells = [column[self.sell_bids].tolist() for column in (sell_price, sell_kwh)]
+        return (*buys, *sells)
 
     @cached_property
     def fill_path(self) -> tuple[tuple[int, int, float], ...]:
-        """The uncapped greedy fill as (buyer index, seller index, kWh) steps.
-
-        Buyers in book order fill sellers in book order, each step trading
-        min(buyer remaining, seller remaining) with the greedy fill's dust
-        rules. A buyer starts at the first seller that is not exhausted, so
-        both indices are nondecreasing along the path.
-        """
-        path: list[tuple[int, int, float]] = []
-        remaining_s = [qty for _, _, qty in self.sell_bids]
-        first = 0
-        for i, (_, _, rem_b) in enumerate(self.buy_bids):
-            while first < len(remaining_s) and remaining_s[first] <= DUST_KWH:
-                first += 1
-            for k in range(first, len(remaining_s)):
-                if rem_b <= DUST_KWH:
-                    break
-                rem_s = remaining_s[k]
-                if rem_s <= DUST_KWH:
-                    continue
-                x = min(rem_b, rem_s)
-                path.append((i, k, x))
-                rem_b -= x
-                remaining_s[k] -= x
-        return tuple(path)
+        """The uncapped greedy fill, one northwest-corner path through the book."""
+        _, buy_kwh, _, sell_kwh = self.floats
+        return tuple(_greedy_fill(buy_kwh, sell_kwh))
 
 
 @dataclass(frozen=True)
 class ClearingOutcome:
+    """A slot's clearing prices and trades.
+
+    ``allocations`` holds one (buyer, seller, kWh) entry per matched pair,
+    in fill order, each MG named by its fleet position; it is empty when
+    nothing clears.
+    """
+
     buy_clearing_price: float
     sell_clearing_price: float
-    allocations: dict[tuple[int, int], float] = field(default_factory=dict)
+    allocations: tuple[tuple[int, int, float], ...] = ()
 
     @classmethod
     def empty(cls) -> "ClearingOutcome":
         return cls(0.0, 0.0)
 
     def total_volume(self) -> float:
-        return sum(self.allocations.values())
+        return sum(x for _, _, x in self.allocations)
 
-    @cached_property
-    def trades(self) -> dict[int, TradeAllocation]:
-        """Cleared quantity and unit price of every MG that trades, by MG id.
+    def fills(self, n: int):
+        """Every MG's (bought, sold, buy unit price, sell unit price), as four columns.
 
-        Built once per outcome. Each MG's pairs are summed in allocation
-        order; the logged quantities depend on that order to the last bit.
+        Entry k of each column belongs to fleet position k of n. `bincount`
+        adds each MG's trades in fill order, one after another from 0.0; the
+        logged quantities depend on that order to the last bit. An MG that
+        traded on a side pays or earns that side's clearing price; every
+        other unit price is zero.
         """
-        bought: dict[int, float] = {}
-        sold: dict[int, float] = {}
-        for (b, s), q in self.allocations.items():
-            bought[b] = bought.get(b, 0.0) + q
-            sold[s] = sold.get(s, 0.0) + q
-        out = {
-            b: TradeAllocation(b, q, 0.0, self.buy_clearing_price, 0.0)
-            for b, q in bought.items()
-        }
-        for s, q in sold.items():
-            out[s] = TradeAllocation(s, 0.0, q, 0.0, self.sell_clearing_price)
-        return out
+        import numpy as np
 
-    def allocation_for(self, mg_id: int) -> TradeAllocation:
-        return self.trades.get(mg_id) or TradeAllocation.none(mg_id)
+        fills = np.zeros((4, n))
+        if self.allocations:
+            buyer, seller, kwh = zip(*self.allocations)
+            fills[0] = np.bincount(buyer, weights=kwh, minlength=n)
+            fills[1] = np.bincount(seller, weights=kwh, minlength=n)
+            fills[2] = np.where(fills[0] > 0.0, self.buy_clearing_price, 0.0)
+            fills[3] = np.where(fills[1] > 0.0, self.sell_clearing_price, 0.0)
+        return fills
 
 
 def pair_quantity(
@@ -160,29 +168,26 @@ def pair_quantity(
     return math.sqrt(rho1 * buy_price / (rho2 * sell_price))
 
 
-def _greedy_allocation(
-    buyers: tuple[tuple[int, float, float], ...],
-    sellers: tuple[tuple[int, float, float], ...],
-    buy_price: float,
-    sell_price: float,
-    rho1: float,
-    rho2: float,
-) -> tuple[dict[tuple[int, int], float], float]:
-    """Match winners best-first, each pair capped at its welfare stationary point.
+def _greedy_fill(
+    buy_kwh: list[float], sell_kwh: list[float], x_star: float = math.inf
+) -> list[tuple[int, int, float]]:
+    """Match winners best-first, each pair capped at x_star: (buyer, seller, kWh) steps.
 
-    Returns (allocations, realized welfare score). Pairwise balance holds by
-    construction: one number per (buyer, seller) pair.
+    ``buy_kwh`` and ``sell_kwh`` are the winners' quantities in book order,
+    and the steps index them. Buyers in book order fill sellers in book
+    order, each step trading min(x_star, buyer remaining, seller remaining)
+    unless that is dust. A buyer starts at the first seller that is not
+    exhausted, so uncapped both indices are nondecreasing along the fill.
+    Pairwise balance holds by construction: one number per (buyer, seller)
+    pair.
     """
-    if sell_price > 0:
-        x_star = pair_quantity(buy_price, sell_price, rho1, rho2)
-    else:
-        x_star = math.inf
-    alloc: dict[tuple[int, int], float] = {}
-    score = 0.0
-    remaining_s = [qty for _, _, qty in sellers]
-    for buyer_id, _, buy_qty in buyers:
-        rem_b = buy_qty
-        for k, (seller_id, _, _) in enumerate(sellers):
+    fill: list[tuple[int, int, float]] = []
+    remaining_s = list(sell_kwh)
+    first = 0
+    for i, rem_b in enumerate(buy_kwh):
+        while first < len(remaining_s) and remaining_s[first] <= DUST_KWH:
+            first += 1
+        for k in range(first, len(remaining_s)):
             if rem_b <= DUST_KWH:
                 break
             rem_s = remaining_s[k]
@@ -191,11 +196,16 @@ def _greedy_allocation(
             x = min(x_star, rem_b, rem_s)
             if x <= DUST_KWH:
                 continue
-            alloc[(buyer_id, seller_id)] = x
-            score += rho1 * buy_price * math.log(x) - rho2 * sell_price * x * x / 2.0
+            fill.append((i, k, x))
             rem_b -= x
             remaining_s[k] -= x
-    return alloc, score
+    return fill
+
+
+def _score(fill, buy_price: float, sell_price: float, rho1: float, rho2: float) -> float:
+    """A fill's realized welfare: rho1*bp*ln(x) - rho2*sp*x*x/2 added up step by step."""
+    a, c = rho1 * buy_price, rho2 * sell_price
+    return reduce(add, (a * math.log(x) - c * x * x / 2.0 for _, _, x in fill), 0.0)
 
 
 class _Candidates(NamedTuple):
@@ -205,10 +215,9 @@ class _Candidates(NamedTuple):
     first three fields are numpy int arrays, one entry per pair. A pair whose
     greedy fill is its prefix of the fill path has that prefix's length in
     ``prefix`` and its factored score in ``estimate``. A pair whose x* cap
-    binds has its (allocation, score) from the capped greedy fill in
-    ``capped``, and that score as its estimate (-inf if the fill allocates
-    nothing). Every estimate lies within ``error`` of the greedy fill's
-    score. ``logs`` is ln(x) of each path step.
+    binds has its (fill, score) from the capped greedy fill in ``capped``,
+    and that score as its estimate (-inf if the fill allocates nothing).
+    Every estimate lies within ``error`` of the greedy fill's score.
     """
 
     mi: Any
@@ -216,8 +225,7 @@ class _Candidates(NamedTuple):
     prefix: Any
     estimate: Any
     error: float
-    capped: dict[int, tuple[dict[tuple[int, int], float], float]]
-    logs: list[float]
+    capped: dict[int, tuple[list[tuple[int, int, float]], float]]
 
 
 def _candidates(book: OrderBook, grid_price: float) -> _Candidates:
@@ -247,7 +255,8 @@ def _candidates(book: OrderBook, grid_price: float) -> _Candidates:
     """
     import numpy as np
 
-    buys, sells = book.buy_bids, book.sell_bids
+    buy_price, buy_kwh, sell_price, sell_kwh = book.floats
+    rho = book.rho1, book.rho2
     buyer_at, seller_at, xs = zip(*book.fill_path)
     logs = list(map(math.log, xs))
     n = len(xs)
@@ -259,10 +268,9 @@ def _candidates(book: OrderBook, grid_price: float) -> _Candidates:
     w_max = grid_price * (book.rho1 * sum(map(abs, logs)) + book.rho2 * sums[1, n])
     error = (2 * n + 8) * 2.0**-53 * w_max + n * 2.0**-1070
 
-    by_buyer = np.searchsorted(buyer_at, np.arange(1, len(buys)))
-    by_seller = np.searchsorted(seller_at, np.arange(1, len(sells)))
-    bp = np.array([price for _, price, _ in buys[1:]])
-    sp = np.array([price for _, price, _ in sells[1:]])
+    by_buyer = np.searchsorted(buyer_at, np.arange(1, len(buy_kwh)))
+    by_seller = np.searchsorted(seller_at, np.arange(1, len(sell_kwh)))
+    bp, sp = np.array(buy_price[1:]), np.array(sell_price[1:])
     p = np.minimum(by_buyer[:, None], by_seller)
     feasible = np.logical_and.accumulate(bp[:, None] > sp, axis=1)
     feasible &= (bp <= grid_price)[:, None] & (p > 0)
@@ -279,12 +287,12 @@ def _candidates(book: OrderBook, grid_price: float) -> _Candidates:
     capped = {}
     for k in np.flatnonzero(cap_binds).tolist():
         i, j = int(mi[k]), int(ml[k])
-        alloc, score = _greedy_allocation(
-            buys[:i], sells[:j], buys[i][1], sells[j][1], book.rho1, book.rho2
-        )
-        capped[k] = alloc, score
-        estimate[k] = score if alloc else -math.inf
-    return _Candidates(mi, ml, p, estimate, error, capped, logs)
+        bp_i, sp_j = buy_price[i], sell_price[j]
+        fill = _greedy_fill(buy_kwh[:i], sell_kwh[:j], pair_quantity(bp_i, sp_j, *rho))
+        score = _score(fill, bp_i, sp_j, *rho)
+        capped[k] = fill, score
+        estimate[k] = score if fill else -math.inf
+    return _Candidates(mi, ml, p, estimate, error, capped)
 
 
 def _band(estimate, error: float) -> list[int]:
@@ -324,10 +332,10 @@ def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
     is refolded bitwise), which picks the same pair as scanning them all.
     The helpers import numpy when they run, so audits never load it.
     """
-    buys, sells = book.buy_bids, book.sell_bids
     # winners sit strictly ahead of the marginal bids and fill along the path
-    if len(buys) < 2 or len(sells) < 2 or not book.fill_path:
+    if len(book.buy_bids) < 2 or len(book.sell_bids) < 2 or not book.fill_path:
         return ClearingOutcome.empty()
+    buy_price, _, sell_price, _ = book.floats
     cand = _candidates(book, grid_price)
     best = None
     folded: dict[tuple[float, float, int], float] = {}  # prices and prefix fix a fold
@@ -338,23 +346,19 @@ def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
             if not fill:
                 continue
         else:
-            fill = p = int(cand.prefix[k])
-            key = buys[mi][1], sells[ml][1], p
+            fill = book.fill_path[: int(cand.prefix[k])]
+            key = buy_price[mi], sell_price[ml], len(fill)
             if key not in folded:
-                a, c = book.rho1 * key[0], book.rho2 * key[1]
-                gains = [a * lx for lx in cand.logs[:p]]
-                losses = [c * x * x / 2.0 for _, _, x in book.fill_path[:p]]
-                # the greedy fill's `score += term`, term by term in path order
-                folded[key] = reduce(add, map(sub, gains, losses), 0.0)
+                folded[key] = _score(fill, *key[:2], book.rho1, book.rho2)
             score = folded[key]
         if best is None or score > best[3] + 1e-12:
             best = mi, ml, fill, score
     if best is None or best[3] <= 0.0:
         return ClearingOutcome.empty()
     mi, ml, fill, _ = best
-    if isinstance(fill, int):
-        fill = {(buys[i][0], sells[k][0]): x for i, k, x in book.fill_path[:fill]}
-    return ClearingOutcome(buys[mi][1], sells[ml][1], fill)
+    buyer, seller = book.buy_bids.tolist(), book.sell_bids.tolist()
+    trades = tuple((buyer[i], seller[k], x) for i, k, x in fill)
+    return ClearingOutcome(buy_price[mi], sell_price[ml], trades)
 
 
 def budget_check(outcome: ClearingOutcome) -> float:
@@ -372,32 +376,25 @@ def budget_check(outcome: ClearingOutcome) -> float:
     return surplus
 
 
-class AuditRow(NamedTuple):
-    """One bid of a slot's book with its acceptance and fill."""
+def audit_rows(slot: int, book: OrderBook, bought, sold, buy_unit, sell_unit) -> list[tuple]:
+    """The slot's audit lines: every live bid, buys then sells, each side in book order.
 
-    slot: int
-    mg_id: int
-    side: str
-    price: float
-    quantity: float
-    accepted: int
-    cleared_price: float
-    cleared_quantity: float
-
-
-def audit_rows(slot: int, book: OrderBook, outcome: ClearingOutcome) -> list[AuditRow]:
-    """One row per bid, buys then sells in book order."""
-    trades = outcome.trades
-    rows: list[AuditRow] = []
-    for side, bids, cleared in (
-        ("buy", book.buy_bids, outcome.buy_clearing_price),
-        ("sell", book.sell_bids, outcome.sell_clearing_price),
+    A line is (slot, MG id, side, price, quantity, accepted, cleared price,
+    cleared quantity). The fill columns are by fleet position, as
+    `ClearingOutcome.fills` returns them. A bid is accepted when its MG
+    traded on its side; its cleared price is then its unit price and its
+    cleared quantity its fill, and both are zero otherwise.
+    """
+    buy_price, buy_kwh, sell_price, sell_kwh = book.floats
+    rows: list[tuple] = []
+    for side, at, price, kwh, fill, unit in (
+        ("buy", book.buy_bids, buy_price, buy_kwh, bought, buy_unit),
+        ("sell", book.sell_bids, sell_price, sell_kwh, sold, sell_unit),
     ):
-        for mg_id, price, qty in bids:
-            trade = trades.get(mg_id)
-            if trade is None:
-                rows.append(AuditRow(slot, mg_id, side, price, qty, 0, 0.0, 0.0))
-            else:
-                got = trade.bought_kwh if side == "buy" else trade.sold_kwh
-                rows.append(AuditRow(slot, mg_id, side, price, qty, 1, cleared, got))
+        got = fill[at]
+        accepted = (got > 0.0).astype(int).tolist()
+        rows.extend(zip(
+            repeat(slot), book.ids[at].tolist(), repeat(side), price, kwh, accepted,
+            unit[at].tolist(), got.tolist(),
+        ))
     return rows

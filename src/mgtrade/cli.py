@@ -37,13 +37,14 @@ from .sim import (
     bound_audit,
     build_traces,
     log_lines,
-    log_number,
+    log_numbers,
     mg_subseed,
     offline_oracle,
     read_slots_csv,
     realized_inputs,
     run,
     simulate,
+    verify_audit_csv,
     verify_log_rows,
     write_audit_csv,
     write_slots_csv,
@@ -215,15 +216,8 @@ def config_to_dict(config: ScenarioConfig, traces_doc: dict | None = None) -> di
             {
                 "id": m.params.id,
                 "mg_type": m.load_model.mg_type,
-                "battery_capacity_kwh": m.params.battery_capacity_kwh,
-                "charge_rate_max_kwh": m.params.charge_rate_max_kwh,
-                "discharge_rate_max_kwh": m.params.discharge_rate_max_kwh,
-                "serve_rate_max_kwh": m.params.serve_rate_max_kwh,
-                "dt_load_max_kwh": m.params.dt_load_max_kwh,
-                "epsilon": m.params.epsilon,
-                "epsilon_max": m.params.epsilon_max,
-                "price_floor": m.params.price_floor,
-                "v_weight": m.params.v_weight,
+                # the MGParams fields in order ("id" keeps its place above)
+                **dataclasses.asdict(m.params),
                 "load_low_kwh": m.load_model.low_kwh,
                 "load_high_kwh": m.load_model.high_kwh,
                 "dt_share": m.load_model.dt_share,
@@ -399,14 +393,14 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _audit_one(run_dir: Path) -> tuple[bool, list[str]]:
+def _audit_one(run_dir: Path) -> list[str]:
+    """The problems of a run directory: its logs against its config and each other."""
     config_path = run_dir / "config.json"
-    slots_path = run_dir / "slots.csv"
-    if not config_path.exists() or not slots_path.exists():
-        raise SimError(f"{run_dir}: missing config.json or slots.csv")
+    if not config_path.exists():
+        raise SimError(f"{run_dir}: missing config.json")
     config, _ = config_from_dict(json.loads(config_path.read_text()))
-    problems = verify_log_rows(config, read_slots_csv(slots_path))
-    return not problems, problems
+    rows = read_slots_csv(run_dir / "slots.csv")
+    return verify_log_rows(config, rows) + verify_audit_csv(run_dir / "auction_audit.csv", rows)
 
 
 def cmd_audit(args) -> int:
@@ -418,7 +412,6 @@ def cmd_audit(args) -> int:
     if sweep_csv.exists() and not (root / "slots.csv").exists():
         return _audit_sweep(sweep_csv)
 
-    targets = []
     if (root / "slots.csv").exists():
         targets = [root]
     else:
@@ -430,38 +423,24 @@ def cmd_audit(args) -> int:
 
     all_ok = True
     for t in targets:
-        ok, problems = _audit_one(t)
-        print(f"{t}: {'PASS' if ok else 'FAIL'} ({len(problems)} problems)")
+        problems = _audit_one(t)
+        print(f"{t}: {'FAIL' if problems else 'PASS'} ({len(problems)} problems)")
         for p in problems[:20]:
             print(f"  {p}")
         if len(problems) > 20:
             print(f"  ... {len(problems) - 20} more")
-        all_ok = all_ok and ok
+        all_ok = all_ok and not problems
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 
-def _read_sweep(sweep_csv: Path) -> list[tuple[dict[str, str], dict[str, float]]]:
-    """Each sweep row as written, and its cells as numbers."""
-    rows = []
-    with open(sweep_csv, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != SWEEP_HEADER:
-            raise ParseError(f"{sweep_csv}: unexpected header {list(header)}")
-        for line, cells in log_lines(sweep_csv, reader, len(header)):
-            text = dict(zip(header, cells))
-            nums = {c: log_number(sweep_csv, line, c, v) for c, v in text.items()}
-            rows.append((text, nums))
-    return rows
-
-
 def _audit_sweep(sweep_csv: Path) -> int:
-    rows = _read_sweep(sweep_csv)
-    if not rows:
+    by_mg: dict[str, list] = {}  # each MG's rows, as written and as numbers
+    for line, cells in log_lines(sweep_csv, SWEEP_HEADER, ParseError):
+        row = dict(zip(SWEEP_HEADER, cells))
+        numbers = log_numbers(sweep_csv, line, SWEEP_HEADER, cells)
+        by_mg.setdefault(row["mg_id"], []).append((row, dict(zip(SWEEP_HEADER, numbers))))
+    if not by_mg:
         raise SimError(f"{sweep_csv}: empty")
-    by_mg: dict[str, list] = {}
-    for r, x in rows:
-        by_mg.setdefault(r["mg_id"], []).append((r, x))
     print(f"{'fraction':>8} {'mg':>4} {'v_weight':>12} {'online':>12} "
           f"{'oracle':>12} {'gap':>12} {'a_over_v':>12}")
     monotone = True

@@ -15,7 +15,9 @@ argmin; they re-enter through :func:`post_trade_settlement`.
 Every function here takes columns, one entry per MG (see
 :class:`mgtrade.model.Fleet`), so one call serves every MG of a slot; the
 arithmetic is each MG's scalar arithmetic, operation for operation, so the
-results are the same floats a per-MG loop gives. numpy is imported inside
+results are the same floats a per-MG loop gives. The bid columns go to the
+order book as they are, and the traded quantities come back as columns
+(:meth:`mgtrade.auction.ClearingOutcome.fills`). numpy is imported inside
 the functions, so audits never load it.
 
 The program is a tiny nonconvex LP (the charge/discharge exclusivity). It is
@@ -27,7 +29,6 @@ iterative-solver noise in replay-sensitive tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, NamedTuple
 
 from .model import FEAS_TOL, ControlAction, Fleet, _max
@@ -40,23 +41,6 @@ class Bids(NamedTuple):
     buy_price: Any
     sell_quantity_kwh: Any
     buy_quantity_kwh: Any
-
-
-@dataclass(frozen=True)
-class TradeAllocation:
-    """Cleared quantities and uniform unit prices for one MG.
-
-    Prices are zero on a side the MG lost (or never bid)."""
-
-    mg_id: int
-    bought_kwh: float
-    sold_kwh: float
-    buy_unit_price: float
-    sell_unit_price: float
-
-    @classmethod
-    def none(cls, mg_id: int) -> "TradeAllocation":
-        return cls(mg_id, 0.0, 0.0, 0.0, 0.0)
 
 
 def make_bids(demand_kwh, delay_kwh, renewable_kwh, di_load_kwh, fleet: Fleet) -> Bids:

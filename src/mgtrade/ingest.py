@@ -24,6 +24,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from .errors import ConfigError, ParseError
 from .model import PriceBounds
@@ -56,13 +57,6 @@ class Trace:
         for k, v in enumerate(self.values):
             if not math.isfinite(v) or v < 0:
                 raise ParseError(f"trace {self.name!r}: bad value {v!r} at slot {k}")
-
-    @property
-    def slot_count(self) -> int:
-        return len(self.values)
-
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values)
 
 
 @dataclass(frozen=True)
@@ -119,7 +113,7 @@ def scale_wind(trace: Trace, target_mean_kwh: float) -> Trace:
     """Scale a trace linearly so its mean hits the target."""
     if target_mean_kwh < 0:
         raise ConfigError("target mean must be >= 0")
-    m = trace.mean()
+    m = sum(trace.values) / len(trace.values)
     if m <= 0:
         raise ConfigError(f"trace {trace.name!r}: cannot scale an all-zero trace")
     factor = target_mean_kwh / m
@@ -128,17 +122,17 @@ def scale_wind(trace: Trace, target_mean_kwh: float) -> Trace:
 
 def draw_load_grid(
     models: Sequence[LoadModel], slots: Iterable[int]
-) -> tuple[list[list[float]], list[list[float]]]:
-    """(di, dt) of every model at every slot: di[k][j] is model k at slots[j].
+) -> tuple[Any, Any]:
+    """(di, dt) of every model at every slot, as (models, slots) float arrays.
 
-    Cell (k, j) is bit-equal to two `uniform(lo, hi)` calls on
-    `default_rng((seed_k, 3, slots[j]))`: each raw 64-bit word keeps its top
-    53 bits as a double u in [0, 1), and the draw is `lo + (hi - lo) * u`,
-    the same arithmetic as numpy's. The words come from `_pcg64_first_two`,
-    one block of the grid per call. A block's cells share how many 32-bit
-    words their seed and slot take, since that fixes the seeding's hash
-    schedule, and it holds about _BLOCK_CELLS cells, which bounds the
-    kernel's temporaries.
+    Cell (k, j), model k at slots[j], is bit-equal to two `uniform(lo, hi)`
+    calls on `default_rng((seed_k, 3, slots[j]))`: each raw 64-bit word
+    keeps its top 53 bits as a double u in [0, 1), and the draw is
+    `lo + (hi - lo) * u`, the same arithmetic as numpy's. The words come
+    from `_pcg64_first_two`, one block of the grid per call. A block's cells
+    share how many 32-bit words their seed and slot take, since that fixes
+    the seeding's hash schedule, and it holds about _BLOCK_CELLS cells,
+    which bounds the kernel's temporaries.
     """
     import numpy as np
 
@@ -165,7 +159,7 @@ def draw_load_grid(
             cells = np.ix_(row, col)
             di[cells] = di_lo + (di_hi - di_lo) * ((x_di >> 11) * _TO_UNIT)
             dt[cells] = dt_lo + (dt_hi - dt_lo) * ((x_dt >> 11) * _TO_UNIT)
-    return di.tolist(), dt.tolist()
+    return di, dt
 
 
 def _words(n: int) -> list[int]:

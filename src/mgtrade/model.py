@@ -75,18 +75,10 @@ class MGParams:
     v_weight: float
 
     def __post_init__(self) -> None:
-        energies = {
-            "battery_capacity_kwh": self.battery_capacity_kwh,
-            "charge_rate_max_kwh": self.charge_rate_max_kwh,
-            "discharge_rate_max_kwh": self.discharge_rate_max_kwh,
-            "serve_rate_max_kwh": self.serve_rate_max_kwh,
-            "dt_load_max_kwh": self.dt_load_max_kwh,
-            "epsilon": self.epsilon,
-            "epsilon_max": self.epsilon_max,
-        }
-        for name, value in energies.items():
+        for f in fields(self)[1:8]:  # the energies, from battery_capacity_kwh to epsilon_max
+            value = getattr(self, f.name)
             if value < 0:
-                raise ConfigError(f"mg {self.id}: {name} must be >= 0, got {value}")
+                raise ConfigError(f"mg {self.id}: {f.name} must be >= 0, got {value}")
         if self.charge_rate_max_kwh > self.battery_capacity_kwh:
             raise ConfigError(
                 f"mg {self.id}: charge rate {self.charge_rate_max_kwh} exceeds "

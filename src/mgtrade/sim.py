@@ -6,8 +6,10 @@ every MG solves its slot program with the cleared trade fixed and the queues
 advance. Everything is pure-functional: `step` maps a world and the
 horizon's exogenous inputs to the next slot's world plus a flat record, so
 replays and golden logs are exact. A world holds every MG's state as
-columns, and each stage of a step is one array expression over all MGs; the
-log rows are the only per-MG Python objects a step builds.
+columns, and each stage of a step is one array expression over all MGs,
+the market's included; only the clearing's per-bid loops read Python
+floats. A record keeps the slot's columns and book, and its log rows and
+audit lines are built from them when they are written.
 
 The offline oracle solves the whole horizon as one linear program per MG with
 all randomness known and trading disabled. It is the benchmark the
@@ -17,21 +19,14 @@ stay within a_const / v_weight of it.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, NamedTuple, get_type_hints
 
-from .auction import (
-    AuditRow,
-    ClearingOutcome,
-    OrderBook,
-    audit_rows,
-    budget_check,
-    clear,
-)
+from .auction import ClearingOutcome, OrderBook, audit_rows, budget_check, clear
 from .controller import (
     make_bids,
     post_trade_settlement,
@@ -146,26 +141,17 @@ def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInput
     """
     import numpy as np
 
-    if traces.prices.slot_count < config.horizon_slots:
-        raise ConfigError(
-            f"price trace covers {traces.prices.slot_count} slots, "
-            f"horizon needs {config.horizon_slots}"
-        )
-    for k, tr in enumerate(traces.renewables):
-        if tr.slot_count < config.horizon_slots:
-            raise ConfigError(
-                f"renewable trace {k} covers {tr.slot_count} slots, "
-                f"horizon needs {config.horizon_slots}"
-            )
-    if len(traces.renewables) != len(config.mgs):
-        raise ConfigError(
-            f"{len(traces.renewables)} renewable traces for {len(config.mgs)} MGs"
-        )
     h = config.horizon_slots
+    for k, tr in enumerate((traces.prices, *traces.renewables)):
+        if len(tr.values) < h:
+            name = f"renewable trace {k - 1}" if k else "price trace"
+            raise ConfigError(f"{name} covers {len(tr.values)} slots, horizon needs {h}")
+    if len(traces.renewables) != len(config.mgs):
+        raise ConfigError(f"{len(traces.renewables)} renewable traces for {len(config.mgs)} MGs")
     di, dt = draw_load_grid([m.load_model for m in config.mgs], range(h))
     renewable = [tr.values[:h] for tr in traces.renewables]
     price = np.array(traces.prices.values[:h])[:, None].repeat(len(config.mgs), axis=1)
-    return SlotInputs(np.array(renewable).T, np.array(di).T, np.array(dt).T, price)
+    return SlotInputs(np.array(renewable).T, di.T, dt.T, price)
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -237,6 +223,8 @@ class MarketRow(NamedTuple):
 
 # the float fields of a log row: all but the slot, the MG id and the age
 _ROW_FLOATS = MGSlotRow._fields[2:-1]
+# the fill columns: bought and sold kWh, buy and sell unit price
+_FILLS = slice(_ROW_FLOATS.index("bought_kwh"), _ROW_FLOATS.index("sell_unit_price") + 1)
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -244,21 +232,25 @@ class SlotRecord:
     """One slot of a run, its MGs' log rows held as columns.
 
     ``columns[i, k]`` is field ``_ROW_FLOATS[i]`` of MG k's row, in config
-    order; ``rows`` builds the rows from them.
+    order; ``rows`` builds the rows from them, and ``market_audit`` the
+    slot's auction_audit.csv lines from them and the slot's book.
     """
 
     slot: int
-    mg_ids: list[int]
     columns: Any
     oldest_age: Any
     market: MarketRow
     violations: tuple[str, ...]
-    market_audit: tuple[AuditRow, ...] = ()  # book-ordered bid/fill lines
+    book: OrderBook
 
     @property
     def rows(self) -> tuple[MGSlotRow, ...]:
-        cells = zip(self.mg_ids, self.columns.T.tolist(), self.oldest_age.tolist())
+        cells = zip(self.book.ids.tolist(), self.columns.T.tolist(), self.oldest_age.tolist())
         return tuple(MGSlotRow(self.slot, mid, *row, age) for mid, row, age in cells)
+
+    @property
+    def market_audit(self) -> list[tuple]:
+        return audit_rows(self.slot, self.book, *self.columns[_FILLS])
 
 
 def _monitor(
@@ -316,19 +308,12 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, SlotRecord]:
     try:
         bids = make_bids(q, z, r, di, fleet)
         book = OrderBook.from_bids(fleet.id, bids, cfg.rho1, cfg.rho2)
-        if cfg.mode == MODE_AUCTION:
-            outcome = clear(book, grid_price)
-        else:
-            outcome = ClearingOutcome.empty()
+        outcome = clear(book, grid_price) if cfg.mode == MODE_AUCTION else ClearingOutcome.empty()
         surplus = budget_check(outcome)
     except Exception as e:
         raise SimError(f"slot {t}: market stage failed: {e}") from e
 
-    trades = np.zeros((4, n))  # bought, sold, buy and sell unit price
-    at = {mid: k for k, mid in enumerate(fleet.id)} if outcome.allocations else {}
-    for mid, a in outcome.trades.items():
-        trades[:, at[mid]] = a.bought_kwh, a.sold_kwh, a.buy_unit_price, a.sell_unit_price
-    bought, sold, buy_unit, sell_unit = trades
+    bought, sold, buy_unit, sell_unit = outcome.fills(n)
     x = virtual_battery(b, fleet, fleet)
     action = solve_slot_program(b, q, z, x, r, di, price, bought, sold, fleet)
     try:
@@ -352,10 +337,7 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, SlotRecord]:
         outcome.buy_clearing_price, outcome.sell_clearing_price,
         outcome.total_volume(), surplus,
     )
-    record = SlotRecord(
-        t, fleet.id, columns, oldest_age, market, tuple(violations),
-        tuple(audit_rows(t, book, outcome)),
-    )
+    record = SlotRecord(t, columns, oldest_age, market, tuple(violations), book)
     return World(cfg, fleet, new_b, new_q, new_z, served, t + 1), record
 
 
@@ -677,10 +659,15 @@ def write_summary_csv(path, summary: RunSummary) -> None:
             fh.write(line % summary.per_mg[mid])
 
 
-AUDIT_HEADER, _AUDIT_CELLS = _log_columns(AuditRow)
+# auction_audit.csv: the fields of an `audit_rows` line and their cells
+AUDIT_HEADER = (
+    "slot", "mg_id", "side", "price", "quantity", "accepted", "cleared_price",
+    "cleared_quantity",
+)
+_AUDIT_CELLS = "%s,%s,%s,%.6f,%.6f,%s,%.6f,%.6f"
 
 
-def write_audit_csv(path, rows: list[AuditRow]) -> None:
+def write_audit_csv(path, rows: list[tuple]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(AUDIT_HEADER) + _EOL)
         line = _AUDIT_CELLS + _EOL
@@ -700,16 +687,39 @@ def log_number(path, line: int, column: str, cell: str) -> float:
     return x
 
 
-def log_lines(path, reader, width: int):
-    """A log's nonblank rows as (line, cells); a ragged row is a ParseError."""
-    for cells in reader:
-        if len(cells) != width:
-            if not cells:
-                continue
-            raise ParseError(
-                f"{path}: line {reader.line_num}: {len(cells)} cells, header has {width}"
-            )
-        yield reader.line_num, cells
+def log_numbers(path, line: int, columns, cells) -> list[float]:
+    """A log line's cells as finite numbers, each checked by `log_number` if need be."""
+    try:
+        values = list(map(float, cells))
+        if math.isfinite(sum(values)):
+            return values
+    except ValueError:
+        pass
+    return [log_number(path, line, *cc) for cc in zip(columns, cells)]
+
+
+def log_lines(path, header: tuple[str, ...], error=SimError):
+    """A log's nonblank rows after its header, as (line, cells).
+
+    Logs quote no cell (see `_log_columns`), so a row is its line split at
+    the commas. A missing log or a different header raises `error`; a
+    ragged row is a ParseError.
+    """
+    if not Path(path).exists():
+        raise error(f"missing log: {path}")
+    with open(path, newline="") as fh:
+        found = fh.readline().rstrip("\r\n").split(",")
+        if tuple(found) != header:
+            raise error(f"{path}: unexpected header {found}")
+        for line, text in enumerate(fh, 2):
+            cells = text.rstrip("\r\n").split(",")
+            if len(cells) != len(header):
+                if cells == [""]:
+                    continue
+                raise ParseError(
+                    f"{path}: line {line}: {len(cells)} cells, header has {len(header)}"
+                )
+            yield line, cells
 
 
 def read_slots_csv(path) -> list[dict[str, float]]:
@@ -717,40 +727,82 @@ def read_slots_csv(path) -> list[dict[str, float]]:
 
     A column of an ``int`` field must hold a whole number.
     """
-    p = Path(path)
-    if not p.exists():
-        raise SimError(f"missing log: {p}")
     out: list[dict[str, float]] = []
-    with open(p, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != SLOTS_HEADER:
-            raise SimError(f"{p}: unexpected header {header}")
-        for line, cells in log_lines(p, reader, len(SLOTS_HEADER)):
-            try:
-                values = list(map(float, cells))
-                ok = math.isfinite(sum(values))
-            except ValueError:
-                ok = False
-            if not ok:  # parse cell by cell, which names the bad cell
-                values = [log_number(p, line, *cc) for cc in zip(SLOTS_HEADER, cells)]
-            for i in _WHOLE_CELLS:
-                if not values[i].is_integer():
-                    raise ParseError(
-                        f"{p}: line {line}, column {SLOTS_HEADER[i]!r}: "
-                        f"{cells[i]!r} is not a whole number"
-                    )
-            out.append(dict(zip(SLOTS_HEADER, values)))
+    for line, cells in log_lines(path, SLOTS_HEADER):
+        values = log_numbers(path, line, SLOTS_HEADER, cells)
+        for i in _WHOLE_CELLS:
+            if not values[i].is_integer():
+                raise ParseError(
+                    f"{path}: line {line}, column {SLOTS_HEADER[i]!r}: "
+                    f"{cells[i]!r} is not a whole number"
+                )
+        out.append(dict(zip(SLOTS_HEADER, values)))
     if not out:
-        raise SimError(f"{p}: no rows")
+        raise SimError(f"{path}: no rows")
     return out
 
 
+# each side's bid price and kWh, fill, unit price and market price in slots.csv
+_SIDE_COLUMNS = {
+    side: itemgetter(f"bid_{side}_price", f"bid_{side}_qty", fill, f"{side}_unit_price",
+                     f"market_{side}_price")
+    for side, fill in (("buy", "bought_kwh"), ("sell", "sold_kwh"))
+}
+
+
+def verify_audit_csv(path, rows: list[dict[str, float]]) -> list[str]:
+    """Check auction_audit.csv line by line against the slots log `rows`.
+
+    Every bid logged with a positive quantity has one line, buys then sells
+    in book order (rounding may tie prices), with the MG's logged bid, fill
+    and, when accepted, the market price. A line is accepted when its fill or
+    unit price is nonzero: in memory a fill is positive exactly when the unit
+    price is the positive market price.
+    """
+    logged = {(r["slot"], r["mg_id"]): r for r in rows}
+    listed: dict[tuple[float, float], str] = {}  # the side of each listed bid
+    problems: list[str] = []
+
+    def problem(why: str) -> None:  # about the line being read
+        problems.append(f"auction_audit.csv line {line}: slot {cells[0]} mg {cells[1]}: {why}")
+
+    last = (-math.inf,)  # the book order key of the line before
+    for line, cells in log_lines(path, AUDIT_HEADER):
+        try:  # a cell that is not finite matches no logged number
+            slot, mid, price, kwh, accepted, paid, got = map(float, cells[:2] + cells[3:])
+        except ValueError:  # which `log_numbers` names
+            log_numbers(path, line, AUDIT_HEADER[:2] + AUDIT_HEADER[3:], cells[:2] + cells[3:])
+        side, key = cells[2], (slot, mid)
+        r, columns = logged.get(key), _SIDE_COLUMNS.get(side)
+        if r is None or columns is None or key in listed:
+            problem("no such bid in slots.csv, or listed twice")
+            continue
+        listed[key] = side
+        at = (slot, side, price if side == "sell" else -price)  # "buy" < "sell"
+        if at < last:
+            problem("out of book order")
+        last = at
+        bid_price, bid_kwh, fill, unit, market = columns(r)
+        won = fill != 0.0 or unit != 0.0
+        want = bid_price, bid_kwh, won, market if won else 0.0, fill
+        if (price, kwh, accepted, paid, got) != want:
+            problem(f"{cells[3:]} != {_AUDIT_CELLS[9:] % want} from slots.csv")
+    for key, r in logged.items():
+        side = "buy" if r["bid_buy_qty"] > 0.0 else "sell" if r["bid_sell_qty"] > 0.0 else None
+        if side and listed.get(key) != side:
+            problems.append(f"slot {key[0]:.0f} mg {key[1]:.0f}: no audit line for its {side} bid")
+    return problems
+
+
 # the recorded cost's operands: grid price and kWh, buy and sell price and kWh
-_COST_OPERANDS = (
+_COST_OPERANDS = itemgetter(
     "grid_price", "grid_kwh", "buy_unit_price", "bought_kwh", "sell_unit_price",
     "sold_kwh",
 )
+
+# a bid's columns, and the logged columns `make_bids` posts it from
+_BID_COLUMNS = itemgetter("bid_sell_price", "bid_buy_price", "bid_sell_qty", "bid_buy_qty")
+_BID_OPERANDS = itemgetter("demand_queue_kwh", "delay_queue_kwh", "renewable_kwh", "di_load_kwh")
 
 # Tolerance of the log checks. Logs hold 6-decimal renderings, so this is loose
 # relative to the in-memory checks but still far below any physical quantity.
@@ -819,50 +871,50 @@ def verify_log_rows(config: ScenarioConfig, rows: list[dict[str, float]]) -> lis
                 problems.append(f"{tag}: X {r['virtual_kwh']} != B - theta - D_max")
             if min(r["charge_kwh"], r["discharge_kwh"]) > LOG_TOL:
                 problems.append(f"{tag}: simultaneous charge and discharge")
-            operands = [r[k] for k in _COST_OPERANDS]
+            operands = _COST_OPERANDS(r)
             pg, grid, pb, bought, ps, sold = operands
             expected_cost = pg * grid + pb * bought - ps * sold
             # each operand is off by at most 5e-7 after 6-decimal rounding, so
             # a product a*b is off by at most 5e-7 * (|a| + |b|)
             rounding = 5e-7 * sum(map(abs, operands))
             if abs(expected_cost - r["cost"]) > LOG_TOL + rounding:
-                problems.append(
-                    f"{tag}: cost {r['cost']} != recomputed {expected_cost}"
-                )
+                problems.append(f"{tag}: cost {r['cost']} != recomputed {expected_cost}")
             balance = (
-                r["renewable_kwh"]
-                + r["grid_kwh"]
-                + r["discharge_kwh"]
-                + r["bought_kwh"]
-                - r["di_load_kwh"]
-                - r["serve_kwh"]
-                - r["sold_kwh"]
-                - r["charge_kwh"]
+                r["renewable_kwh"] + r["grid_kwh"] + r["discharge_kwh"] + r["bought_kwh"]
+                - r["di_load_kwh"] - r["serve_kwh"] - r["sold_kwh"] - r["charge_kwh"]
             )
             if balance < -LOG_TOL:
                 problems.append(f"{tag}: balance short by {-balance}")
             if abs(balance - r["spill_kwh"]) > LOG_TOL:
-                problems.append(
-                    f"{tag}: spill {r['spill_kwh']} != balance slack {balance}"
-                )
+                problems.append(f"{tag}: spill {r['spill_kwh']} != balance slack {balance}")
             if r["oldest_pending_age"] > db.delta_max_slots + LOG_TOL:
                 problems.append(f"{tag}: pending job age {r['oldest_pending_age']}")
+            # the bids `make_bids` posts from the logged Q, Z, R and I. Those and
+            # the logged bids are off by up to 5e-7 each, so a price (Q + Z) / V
+            # by 5e-7 + 1e-6 / V and a quantity by 1.5e-6, plus float rounding;
+            # within that of R - I = 0 the MG may have sold or bought
+            q, z, renewable, di = _BID_OPERANDS(r)
+            sell_price, buy_price, sell_kwh, buy_kwh = bids = _BID_COLUMNS(r)
+            value, surplus = (q + z) / p.v_weight, renewable - di
+            slack = 1.5e-6 + 1e-6 / p.v_weight + 2.0**-50 * (value + q + renewable + di)
+            wanted = min(max(p.serve_rate_max_kwh - renewable, 0.0), q)
+            as_seller = abs(sell_kwh - surplus) <= slack and abs(buy_kwh) <= slack
+            as_buyer = abs(sell_kwh) <= slack and abs(buy_kwh - wanted) <= slack
+            if not (
+                abs(sell_price - value) <= slack
+                and abs(buy_price - max(value, p.price_floor)) <= slack
+                and (surplus > -slack and as_seller or surplus < slack and as_buyer)
+            ):
+                problems.append(f"{tag}: bids {list(bids)} != make_bids of the logged Q, Z, R, I")
         for prev, cur in zip(mg_rows, mg_rows[1:]):
             t = int(cur["slot"])
             tag = f"slot {t} mg {mid}"
             want_b = prev["battery_kwh"] - prev["discharge_kwh"] + prev["charge_kwh"]
             if abs(cur["battery_kwh"] - want_b) > LOG_TOL:
-                problems.append(
-                    f"{tag}: battery {cur['battery_kwh']} != step {want_b}"
-                )
-            want_q = (
-                max(prev["demand_queue_kwh"] - prev["serve_kwh"], 0.0)
-                + prev["dt_load_kwh"]
-            )
+                problems.append(f"{tag}: battery {cur['battery_kwh']} != step {want_b}")
+            want_q = max(prev["demand_queue_kwh"] - prev["serve_kwh"], 0.0) + prev["dt_load_kwh"]
             if abs(cur["demand_queue_kwh"] - want_q) > LOG_TOL:
-                problems.append(
-                    f"{tag}: Q {cur['demand_queue_kwh']} != step {want_q}"
-                )
+                problems.append(f"{tag}: Q {cur['demand_queue_kwh']} != step {want_q}")
             base_z = max(prev["delay_queue_kwh"] - prev["serve_kwh"], 0.0)
             if prev["demand_queue_kwh"] > LOG_TOL:
                 candidates = (base_z + p.epsilon,)
@@ -871,9 +923,7 @@ def verify_log_rows(config: ScenarioConfig, rows: list[dict[str, float]]) -> lis
                 # indicator could have read either way in memory
                 candidates = (base_z, base_z + p.epsilon)
             if all(abs(cur["delay_queue_kwh"] - w) > LOG_TOL for w in candidates):
-                problems.append(
-                    f"{tag}: Z {cur['delay_queue_kwh']} != step {candidates}"
-                )
+                problems.append(f"{tag}: Z {cur['delay_queue_kwh']} != step {candidates}")
     for t in sorted(by_slot):
         problems.extend(_market_problems(t, by_slot[t]))
     return problems

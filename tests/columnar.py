@@ -1,18 +1,21 @@
 """Run the columnar slot functions on lists of one-MG instances.
 
 Tests state their cases one MG at a time, as records of floats (the scalar
-references' `MGState` and `SlotInputs`, `TradeAllocation`, `MGParams`).
-These helpers stack a list of such cases into columns, make one call to the
-package's columnar function, and split the result back into one tuple of
-floats per case.
+references' `MGState` and `SlotInputs`, `TradeAllocation`, `MGParams`, and
+(mg_id, price, kWh) bids). These helpers stack a list of such cases into
+columns, make one call to the package's columnar function, and split the
+result back into one tuple of floats per case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from mgtrade.controller import make_bids, solve_slot_program
+from mgtrade.auction import ClearingOutcome, OrderBook
+from mgtrade.controller import Bids, make_bids, solve_slot_program
 from mgtrade.model import ControlAction, DerivedBounds, Fleet
+
+from oracles import TradeAllocation
 
 # the bid and the slot program read no derived bound
 NO_BOUNDS = DerivedBounds(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -59,3 +62,42 @@ def bid_all(cases) -> list[tuple[float, float, float, float]]:
         fleet_of(params),
     )
     return list(zip(*(b.tolist() for b in bids)))
+
+
+def book_of(buys, sells, rho1: float, rho2: float) -> OrderBook:
+    """`OrderBook.from_bids` on (mg_id, price, kWh) bids, one MG per bid.
+
+    The buys take the first fleet positions and the sells the rest; each
+    MG's other side has price and quantity 0.0.
+    """
+    buys, sells = list(buys), list(sells)
+    ids = [b[0] for b in buys] + [s[0] for s in sells]
+    zeros = [0.0] * len(sells)
+    bids = Bids(
+        sell_price=column([0.0] * len(buys) + [s[1] for s in sells]),
+        buy_price=column([b[1] for b in buys] + zeros),
+        sell_quantity_kwh=column([0.0] * len(buys) + [s[2] for s in sells]),
+        buy_quantity_kwh=column([b[2] for b in buys] + zeros),
+    )
+    return OrderBook.from_bids(ids, bids, rho1, rho2)
+
+
+def book_sides(book: OrderBook) -> tuple[list, list]:
+    """The live buys and sells as (mg_id, price, kWh) tuples, in book order."""
+    buy_price, buy_kwh, sell_price, sell_kwh = book.floats
+    ids = book.ids.tolist()
+    buys = [(ids[k], p, q) for k, p, q in zip(book.buy_bids.tolist(), buy_price, buy_kwh)]
+    sells = [(ids[k], p, q) for k, p, q in zip(book.sell_bids.tolist(), sell_price, sell_kwh)]
+    return buys, sells
+
+
+def allocations_by_id(book: OrderBook, outcome: ClearingOutcome) -> dict[tuple[int, int], float]:
+    """The outcome's trades keyed by (buyer id, seller id), in fill order."""
+    ids = book.ids.tolist()
+    return {(ids[b], ids[s]): x for b, s, x in outcome.allocations}
+
+
+def trade_of(book: OrderBook, outcome: ClearingOutcome, mg_id: int) -> TradeAllocation:
+    """One MG's column entries of `outcome.fills`."""
+    k = book.ids.tolist().index(mg_id)
+    return TradeAllocation(mg_id, *outcome.fills(len(book.ids))[:, k].tolist())

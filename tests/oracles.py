@@ -3,13 +3,15 @@
 Everything here is deliberately written from the problem statement rather
 than from the package modules: grid searches and exhaustive enumerations
 whose only shared vocabulary with the implementation is plain numbers. Tests
-compare the fast implementations against these. The last section is the
-exception: frozen copies of the scalar slot step the columnar one replaced.
+compare the fast implementations against these. The last two sections are
+the exception: frozen copies of the scalar slot step and of the tuple market
+stage that the columnar ones replaced.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -576,3 +578,119 @@ def check_action(state: MGState, action, params) -> None:
         raise RejectedAction(
             f"discharge {d} exceeds min(B, discharge rate) = {discharge_cap}"
         )
+
+
+# --------------------------------------------------------------------------
+# The market stage, frozen: the book as sorted tuples, fills by MG id.
+#
+# Frozen copies of the tuple `OrderBook`, `ClearingOutcome.trades` and
+# `audit_rows` that `mgtrade.auction` used before the book became columns
+# indexed by fleet position. With `reference_clear` they make the whole
+# market stage of one slot; the columnar stage must reproduce its book order,
+# fills, unit prices and audit lines bit for bit.
+
+
+@dataclass(frozen=True)
+class TradeAllocation:
+    """Cleared quantities and uniform unit prices for one MG.
+
+    Prices are zero on a side the MG lost (or never bid)."""
+
+    mg_id: int
+    bought_kwh: float
+    sold_kwh: float
+    buy_unit_price: float
+    sell_unit_price: float
+
+    @classmethod
+    def none(cls, mg_id: int) -> "TradeAllocation":
+        return cls(mg_id, 0.0, 0.0, 0.0, 0.0)
+
+
+@dataclass(frozen=True)
+class TupleBook:
+    """Sorted one-shot order book: (mg_id, price, quantity) per bid."""
+
+    buy_bids: tuple[tuple[int, float, float], ...]
+    sell_bids: tuple[tuple[int, float, float], ...]
+    rho1: float
+    rho2: float
+
+    def __post_init__(self) -> None:
+        from mgtrade.errors import MarketError
+
+        if self.rho1 <= 0 or self.rho2 <= 0:
+            raise MarketError("welfare weights rho1, rho2 must be > 0")
+        for mg_id, price, qty in self.buy_bids + self.sell_bids:
+            if price < 0 or qty < 0:
+                raise MarketError(f"mg {mg_id}: negative bid price or quantity")
+        buys = tuple(b for b in self.buy_bids if b[2] > 0.0)
+        sells = tuple(s for s in self.sell_bids if s[2] > 0.0)
+        buys = tuple(sorted(buys, key=lambda b: (-b[1], b[0])))
+        sells = tuple(sorted(sells, key=lambda s: (s[1], s[0])))
+        seen: set[int] = set()
+        for mg_id, _, _ in buys + sells:
+            if mg_id in seen:
+                raise MarketError(f"mg {mg_id}: appears more than once in the book")
+            seen.add(mg_id)
+        object.__setattr__(self, "buy_bids", buys)
+        object.__setattr__(self, "sell_bids", sells)
+
+    @classmethod
+    def from_bids(cls, ids, bids, rho1: float, rho2: float) -> "TupleBook":
+        """The book of every MG's bid pair: ``ids[k]`` posted entry k of each column."""
+        buys = tuple(zip(ids, bids.buy_price.tolist(), bids.buy_quantity_kwh.tolist()))
+        sells = tuple(zip(ids, bids.sell_price.tolist(), bids.sell_quantity_kwh.tolist()))
+        return cls(buys, sells, rho1, rho2)
+
+
+def reference_trades(
+    buy_price: float, sell_price: float, allocations: dict[tuple[int, int], float]
+) -> dict[int, TradeAllocation]:
+    """Cleared quantity and unit price of every MG that trades, by MG id.
+
+    Each MG's pairs are summed in allocation order; the logged quantities
+    depend on that order to the last bit.
+    """
+    bought: dict[int, float] = {}
+    sold: dict[int, float] = {}
+    for (b, s), q in allocations.items():
+        bought[b] = bought.get(b, 0.0) + q
+        sold[s] = sold.get(s, 0.0) + q
+    out = {b: TradeAllocation(b, q, 0.0, buy_price, 0.0) for b, q in bought.items()}
+    for s, q in sold.items():
+        out[s] = TradeAllocation(s, 0.0, q, 0.0, sell_price)
+    return out
+
+
+class AuditRow(NamedTuple):
+    """One bid of a slot's book with its acceptance and fill."""
+
+    slot: int
+    mg_id: int
+    side: str
+    price: float
+    quantity: float
+    accepted: int
+    cleared_price: float
+    cleared_quantity: float
+
+
+def reference_audit_rows(
+    slot: int, book: TupleBook, buy_price: float, sell_price: float,
+    trades: dict[int, TradeAllocation],
+) -> list[AuditRow]:
+    """One row per bid, buys then sells in book order."""
+    rows: list[AuditRow] = []
+    for side, bids, cleared in (
+        ("buy", book.buy_bids, buy_price),
+        ("sell", book.sell_bids, sell_price),
+    ):
+        for mg_id, price, qty in bids:
+            trade = trades.get(mg_id)
+            if trade is None:
+                rows.append(AuditRow(slot, mg_id, side, price, qty, 0, 0.0, 0.0))
+            else:
+                got = trade.bought_kwh if side == "buy" else trade.sold_kwh
+                rows.append(AuditRow(slot, mg_id, side, price, qty, 1, cleared, got))
+    return rows

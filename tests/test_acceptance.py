@@ -16,9 +16,9 @@ import time
 import numpy as np
 import pytest
 
-from mgtrade.auction import OrderBook, budget_check, clear, pair_quantity
+from mgtrade.auction import ClearingOutcome, OrderBook, budget_check, clear, pair_quantity
 from mgtrade.cli import default_scenario
-from mgtrade.controller import Bids, TradeAllocation
+from mgtrade.controller import Bids
 from mgtrade.ingest import LoadModel, Trace
 from mgtrade.model import (
     MGParams,
@@ -40,11 +40,12 @@ from mgtrade.sim import (
     run,
     write_slots_csv,
 )
-from columnar import bid_all, solve_one
+from columnar import allocations_by_id, bid_all, book_of, book_sides, solve_one, trade_of
 from oracles import (
     BidPair,
     MGState,
     SlotInputs,
+    TradeAllocation,
     brute_force_slot_objective,
     clearing_score,
     enumerate_clearings,
@@ -363,7 +364,7 @@ def test_criterion_5_clearing_maximizes_welfare_with_clean_settlement():
         rho2 = float(rng.choice([1e-4, 1.0]))
         grid = float(rng.uniform(0.5, 12.0))
 
-        book = OrderBook(tuple(buys), tuple(sells), rho1, rho2)
+        book = book_of(buys, sells, rho1, rho2)
         outcome = clear(book, grid)
         best_score, best_alloc, _, _ = enumerate_clearings(
             buys, sells, rho1, rho2, grid
@@ -373,8 +374,9 @@ def test_criterion_5_clearing_maximizes_welfare_with_clean_settlement():
             continue
 
         cleared += 1
+        trades = allocations_by_id(book, outcome)
         score = clearing_score(
-            outcome.allocations,
+            trades,
             outcome.buy_clearing_price,
             outcome.sell_clearing_price,
             rho1,
@@ -382,28 +384,29 @@ def test_criterion_5_clearing_maximizes_welfare_with_clean_settlement():
         )
         assert best_score is not None
         assert abs(score - best_score) <= 1e-9
-        assert set(outcome.allocations) == set(best_alloc)
+        assert set(trades) == set(best_alloc)
 
         # settlement invariants on every positive-volume clearing
         assert outcome.buy_clearing_price > outcome.sell_clearing_price
         assert budget_check(outcome) >= 0.0
-        buyers = {b for b, _ in outcome.allocations}
-        sellers = {s for _, s in outcome.allocations}
-        bought = sum(outcome.allocation_for(b).bought_kwh for b in buyers)
-        sold = sum(outcome.allocation_for(s).sold_kwh for s in sellers)
+        buyers = {b for b, _ in trades}
+        sellers = {s for _, s in trades}
+        bought = sum(trade_of(book, outcome, b).bought_kwh for b in buyers)
+        sold = sum(trade_of(book, outcome, s).sold_kwh for s in sellers)
         assert abs(bought - sold) <= 1e-9
         assert abs(bought - outcome.total_volume()) <= 1e-9
-        buy_px = {m: p for m, p, _ in book.buy_bids}
-        buy_cap = {m: qty for m, _, qty in book.buy_bids}
-        sell_px = {m: p for m, p, _ in book.sell_bids}
-        sell_cap = {m: qty for m, _, qty in book.sell_bids}
+        buy_bids, sell_bids = book_sides(book)
+        buy_px = {m: p for m, p, _ in buy_bids}
+        buy_cap = {m: qty for m, _, qty in buy_bids}
+        sell_px = {m: p for m, p, _ in sell_bids}
+        sell_cap = {m: qty for m, _, qty in sell_bids}
         for b in buyers:
             # individual rationality and quantity caps
             assert buy_px[b] >= outcome.buy_clearing_price - 1e-12
-            assert outcome.allocation_for(b).bought_kwh <= buy_cap[b] + 1e-9
+            assert trade_of(book, outcome, b).bought_kwh <= buy_cap[b] + 1e-9
         for s in sellers:
             assert sell_px[s] <= outcome.sell_clearing_price + 1e-12
-            assert outcome.allocation_for(s).sold_kwh <= sell_cap[s] + 1e-9
+            assert trade_of(book, outcome, s).sold_kwh <= sell_cap[s] + 1e-9
     assert cleared >= 20
     _verdict(
         5,
@@ -467,9 +470,12 @@ def _bids(market) -> dict[int, BidPair]:
     return {p.id: BidPair(p.id, *bid) for (p, _, _), bid in zip(market, cells)}
 
 
-def _book(bids: list[BidPair]) -> OrderBook:
+def _clear(bids: list[BidPair], grid: float) -> tuple[ClearingOutcome, dict[int, TradeAllocation]]:
+    """The clearing of a book of these bids, and every MG's trade by MG id."""
     columns = Bids(*(np.array(side) for side in list(zip(*bids))[1:]))
-    return OrderBook.from_bids([b.mg_id for b in bids], columns, 1000.0, 1e-4)
+    book = OrderBook.from_bids([b.mg_id for b in bids], columns, 1000.0, 1e-4)
+    outcome = clear(book, grid)
+    return outcome, {b.mg_id: trade_of(book, outcome, b.mg_id) for b in bids}
 
 
 def _tweaked_bid(bid: BidPair, delta: float) -> BidPair | None:
@@ -493,8 +499,8 @@ def _tweaked_bid(bid: BidPair, delta: float) -> BidPair | None:
     return None
 
 
-def _realized_value(params, state, inputs, outcome) -> float:
-    trade = outcome.allocation_for(params.id)
+def _realized_value(params, state, inputs, trades) -> float:
+    trade = trades[params.id]
     x = virtual_battery(
         state.battery_kwh, params, compute_bounds(params, MARKET_PRICES)
     )
@@ -502,10 +508,10 @@ def _realized_value(params, state, inputs, outcome) -> float:
     return slot_objective_with_settlement(state, x, inputs, action, trade, params)
 
 
-def _declared_surplus(params, state, outcome) -> float:
+def _declared_surplus(params, state, trades) -> float:
     """Trade surplus measured at the declared valuation (Q+Z)/V."""
     value = marginal_value(state, params)
-    a = outcome.allocation_for(params.id)
+    a = trades[params.id]
     return (value - a.buy_unit_price) * a.bought_kwh + (
         a.sell_unit_price - value
     ) * a.sold_kwh
@@ -524,16 +530,16 @@ def test_criterion_6_truthful_bidding_is_unimprovable():
         market = _random_market(rng, 3)
         bids = _bids(market)
         grid = market[0][2].grid_price
-        truthful = clear(_book(list(bids.values())), grid)
+        truthful, trades = _clear(list(bids.values()), grid)
         assert truthful.total_volume() == 0.0
         for params, state, inputs in market:
-            base_value = _realized_value(params, state, inputs, truthful)
+            base_value = _realized_value(params, state, inputs, trades)
             for delta in (0.9, 1.1):
                 tweaked = _tweaked_bid(bids[params.id], delta)
                 if tweaked is None:
                     continue
                 others = [b for m, b in bids.items() if m != params.id]
-                deviated = clear(_book(others + [tweaked]), grid)
+                _, deviated = _clear(others + [tweaked], grid)
                 value = _realized_value(params, state, inputs, deviated)
                 deviations += 1
                 if value < base_value - 1e-9:
@@ -553,17 +559,17 @@ def test_criterion_6_truthful_bidding_is_unimprovable():
         market = _random_market(rng, 4)
         bids = _bids(market)
         grid = market[0][2].grid_price
-        truthful = clear(_book(list(bids.values())), grid)
+        truthful, trades = _clear(list(bids.values()), grid)
         if truthful.total_volume() > 0:
             cleared += 1
         for params, state, inputs in market:
-            base = _declared_surplus(params, state, truthful)
+            base = _declared_surplus(params, state, trades)
             for delta in (0.9, 1.1):
                 tweaked = _tweaked_bid(bids[params.id], delta)
                 if tweaked is None:
                     continue
                 others = [b for m, b in bids.items() if m != params.id]
-                deviated = clear(_book(others + [tweaked]), grid)
+                _, deviated = _clear(others + [tweaked], grid)
                 surplus_deviations += 1
                 if _declared_surplus(params, state, deviated) > base + 1e-9:
                     surplus_improvements += 1
@@ -581,9 +587,9 @@ def test_criterion_6_truthful_bidding_is_unimprovable():
 
 
 def test_criterion_7_lone_pair_clears_the_stationary_quantity():
-    book = OrderBook(
-        buy_bids=((1, 2.2, 6000.0), (2, 2.0, 1.0)),
-        sell_bids=((3, 0.9, 6000.0), (4, 1.0, 1.0)),
+    book = book_of(
+        buys=((1, 2.2, 6000.0), (2, 2.0, 1.0)),
+        sells=((3, 0.9, 6000.0), (4, 1.0, 1.0)),
         rho1=1000.0,
         rho2=1e-4,
     )
@@ -594,8 +600,8 @@ def test_criterion_7_lone_pair_clears_the_stationary_quantity():
     assert outcome.sell_clearing_price == pytest.approx(1.0)
     volume = outcome.total_volume()
     assert volume == pytest.approx(want, rel=1e-6)
-    assert {b for b, _ in outcome.allocations} == {1}
-    assert {s for _, s in outcome.allocations} == {3}
+    assert {b for b, _ in allocations_by_id(book, outcome)} == {1}
+    assert {s for _, s in allocations_by_id(book, outcome)} == {3}
     _verdict(
         7,
         f"volume {volume:.6f} vs sqrt(rho1*beta/(rho2*alpha)) = {want:.6f} "

@@ -1,8 +1,10 @@
 """Double-auction clearing, pricing, budget balance, and audit output."""
 
 import csv
+import functools
 import math
 import random
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -23,13 +25,21 @@ from mgtrade.controller import Bids
 from mgtrade.errors import InvariantViolation, MarketError
 from mgtrade.sim import AUDIT_HEADER, write_audit_csv
 
-from oracles import enumerate_clearings, reference_clear
+from columnar import allocations_by_id, book_of, book_sides, trade_of
+from oracles import (
+    TradeAllocation,
+    TupleBook,
+    enumerate_clearings,
+    reference_audit_rows,
+    reference_clear,
+    reference_trades,
+)
 
 RHO1, RHO2 = 1000.0, 1e-4
 
 
 def book(buys, sells, rho1=RHO1, rho2=RHO2) -> OrderBook:
-    return OrderBook(tuple(buys), tuple(sells), rho1, rho2)
+    return book_of(buys, sells, rho1, rho2)
 
 
 # ------------------------------------------------------------- pair quantity
@@ -69,14 +79,15 @@ def test_book_sorts_and_breaks_ties_by_id():
         buys=[(3, 5.0, 1.0), (1, 7.0, 1.0), (2, 7.0, 1.0)],
         sells=[(6, 2.0, 1.0), (4, 2.0, 1.0), (5, 1.0, 1.0)],
     )
-    assert [x[0] for x in b.buy_bids] == [1, 2, 3]
-    assert [x[0] for x in b.sell_bids] == [5, 4, 6]
+    buys, sells = book_sides(b)
+    assert [x[0] for x in buys] == [1, 2, 3]
+    assert [x[0] for x in sells] == [5, 4, 6]
 
 
 def test_book_drops_zero_quantity_bids():
     b = book(buys=[(1, 5.0, 0.0), (2, 4.0, 3.0)], sells=[])
     assert len(b.buy_bids) == 1
-    assert b.buy_bids[0][0] == 2
+    assert book_sides(b)[0][0][0] == 2
 
 
 def test_book_rejects_duplicate_mg():
@@ -105,8 +116,9 @@ def test_from_bids_splits_sides():
         buy_quantity_kwh=np.array([10.0, 0.0, 0.0]),
     )
     b = OrderBook.from_bids([1, 2, 3], bids, RHO1, RHO2)
-    assert [x[0] for x in b.buy_bids] == [1]
-    assert [x[0] for x in b.sell_bids] == [2]
+    buys, sells = book_sides(b)
+    assert [x[0] for x in buys] == [1]
+    assert [x[0] for x in sells] == [2]
 
 
 # -------------------------------------------------------------------- clearing
@@ -118,13 +130,14 @@ def test_clear_marginal_pair_prices_the_market():
         sells=[(4, 1.0, 100.0), (5, 2.0, 100.0), (6, 4.0, 100.0)],
     )
     out = clear(b, grid_price=10.0)
-    assert {b for b, _ in out.allocations} == {1}
-    assert {s for _, s in out.allocations} == {4}
+    trades = allocations_by_id(b, out)
+    assert {b for b, _ in trades} == {1}
+    assert {s for _, s in trades} == {4}
     assert out.buy_clearing_price == 3.0
     assert out.sell_clearing_price == 2.0
     # stationary quantity sqrt(1000*3/(1e-4*2)) ~ 3873 kWh, so caps bind
     assert out.total_volume() == pytest.approx(100.0)
-    assert out.allocations == {(1, 4): pytest.approx(100.0)}
+    assert trades == {(1, 4): pytest.approx(100.0)}
 
 
 def test_clear_single_pair_book_stays_empty():
@@ -132,7 +145,7 @@ def test_clear_single_pair_book_stays_empty():
     b = book(buys=[(1, 2.0, 10.0)], sells=[(2, 1.0, 10.0)], rho1=1.0, rho2=1.0)
     out = clear(b, grid_price=5.0)
     assert out.total_volume() == 0.0
-    assert {b for b, _ in out.allocations} == set()
+    assert {buyer for buyer, _ in allocations_by_id(b, out)} == set()
     # the stationary quantity for that pair is still well-defined
     assert pair_quantity(2.0, 1.0, 1.0, 1.0) == pytest.approx(math.sqrt(2.0))
 
@@ -162,7 +175,7 @@ def test_clear_zero_ask_marginal_is_cap_bound():
     out = clear(b, grid_price=10.0)
     assert out.sell_clearing_price == 0.0
     # a zero ask has no stationary quantity: the bid caps bind
-    assert out.allocations == {(1, 3): 50.0}
+    assert allocations_by_id(b, out) == {(1, 3): 50.0}
     assert budget_check(out) == pytest.approx(150.0)
 
 
@@ -200,7 +213,7 @@ def test_budget_check_reference_surplus():
     out = ClearingOutcome(
         buy_clearing_price=2.0,
         sell_clearing_price=1.0,
-        allocations={(1, 2): math.sqrt(2.0)},
+        allocations=((0, 1, math.sqrt(2.0)),),
     )
     assert budget_check(out) == pytest.approx(math.sqrt(2.0))
 
@@ -209,7 +222,7 @@ def test_budget_check_raises_on_deficit():
     out = ClearingOutcome(
         buy_clearing_price=1.0,
         sell_clearing_price=2.0,
-        allocations={(1, 2): 5.0},
+        allocations=((0, 1, 5.0),),
     )
     with pytest.raises(InvariantViolation):
         budget_check(out)
@@ -219,7 +232,7 @@ def test_budget_check_raises_on_non_crossing_volume():
     out = ClearingOutcome(
         buy_clearing_price=2.0,
         sell_clearing_price=2.0,
-        allocations={(1, 2): 5.0},
+        allocations=((0, 1, 5.0),),
     )
     with pytest.raises(InvariantViolation):
         budget_check(out)
@@ -255,20 +268,20 @@ def random_books(draw):
         st.sampled_from([(1.0, 1e-4), (1000.0, 1e-4), (1.0, 1.0), (1000.0, 1.0)])
     )
     grid = draw(st.floats(0.5, 12.0))
-    return OrderBook(tuple(buys), tuple(sells), rho1, rho2), grid
+    return book_of(buys, sells, rho1, rho2), grid
 
 
 def assert_clears_like_oracle(b: OrderBook, grid: float) -> None:
     """Prices and allocation items of ``clear`` equal the oracle's exactly."""
     out = clear(b, grid)
     best_score, best_alloc, buy_price, sell_price = enumerate_clearings(
-        list(b.buy_bids), list(b.sell_bids), b.rho1, b.rho2, grid
+        *book_sides(b), b.rho1, b.rho2, grid
     )
     if best_score is None or best_score <= 0.0:
         assert out == ClearingOutcome.empty()
         return
     assert (out.buy_clearing_price, out.sell_clearing_price) == (buy_price, sell_price)
-    assert list(out.allocations.items()) == list(best_alloc.items())
+    assert list(allocations_by_id(b, out).items()) == list(best_alloc.items())
 
 
 @given(bg=random_books())
@@ -295,7 +308,7 @@ def test_dust_bids_never_fill():
         sells=[(5, 1.0, 60.0), (6, 1.0, 1e-10), (7, 1.5, 80.0), (8, 3.0, 10.0)],
     )
     out = clear(b, grid_price=10.0)
-    assert out.allocations == {(1, 5): 60.0, (1, 7): 40.0, (3, 7): 40.0}
+    assert allocations_by_id(b, out) == {(1, 5): 60.0, (1, 7): 40.0, (3, 7): 40.0}
     assert_clears_like_oracle(b, 10.0)
 
 
@@ -307,10 +320,10 @@ def test_clear_without_binding_cap_never_refills(monkeypatch):
         (80 + k, rng.uniform(1.0, 10.0), rng.uniform(1.0, 1000.0)) for k in range(80)
     ]
     b = book(buys, sells)
-    refills = []
-    real = auction._greedy_allocation
+    refills = []  # greedy fills with an x* cap; the path itself has none
+    real = auction._greedy_fill
     monkeypatch.setattr(
-        auction, "_greedy_allocation", lambda *a: refills.append(a) or real(*a)
+        auction, "_greedy_fill", lambda *a: len(a) > 2 and refills.append(a) or real(*a)
     )
     assert len(_candidates(b, grid_price=16.0).mi) > 1000
     assert_clears_like_oracle(b, 16.0)
@@ -329,20 +342,22 @@ def test_clear_outcome_invariants(bg):
         return
     assert out.buy_clearing_price > out.sell_clearing_price
     assert out.buy_clearing_price <= grid + 1e-12
-    buy_prices = {m: p for m, p, _ in b.buy_bids}
-    sell_prices = {m: p for m, p, _ in b.sell_bids}
-    buy_qty = {m: q for m, _, q in b.buy_bids}
-    sell_qty = {m: q for m, _, q in b.sell_bids}
-    buyers = {b for b, _ in out.allocations}
-    sellers = {s for _, s in out.allocations}
+    buy_bids, sell_bids = book_sides(b)
+    buy_prices = {m: p for m, p, _ in buy_bids}
+    sell_prices = {m: p for m, p, _ in sell_bids}
+    buy_qty = {m: q for m, _, q in buy_bids}
+    sell_qty = {m: q for m, _, q in sell_bids}
+    trades = allocations_by_id(b, out)
+    buyers = {b for b, _ in trades}
+    sellers = {s for _, s in trades}
     for m in buyers:
         assert buy_prices[m] >= out.buy_clearing_price
-        assert out.allocation_for(m).bought_kwh <= buy_qty[m] + 1e-9
+        assert trade_of(b, out, m).bought_kwh <= buy_qty[m] + 1e-9
     for m in sellers:
         assert sell_prices[m] <= out.sell_clearing_price
-        assert out.allocation_for(m).sold_kwh <= sell_qty[m] + 1e-9
-    total_bought = sum(out.allocation_for(m).bought_kwh for m in buyers)
-    total_sold = sum(out.allocation_for(m).sold_kwh for m in sellers)
+        assert trade_of(b, out, m).sold_kwh <= sell_qty[m] + 1e-9
+    total_bought = sum(trade_of(b, out, m).bought_kwh for m in buyers)
+    total_sold = sum(trade_of(b, out, m).sold_kwh for m in sellers)
     assert total_bought == pytest.approx(total_sold, abs=1e-9)
     assert total_bought == pytest.approx(out.total_volume(), abs=1e-9)
 
@@ -353,12 +368,9 @@ def test_clear_outcome_invariants(bg):
 def assert_clears_like_reference(b: OrderBook, grid: float) -> ClearingOutcome:
     """``clear`` gives the outcome of the one-at-a-time prefix scan, exactly."""
     out = clear(b, grid)
-    buy_price, sell_price, alloc = reference_clear(
-        b.buy_bids, b.sell_bids, b.rho1, b.rho2, grid
-    )
-    assert out == ClearingOutcome(buy_price, sell_price, alloc)
+    buy_price, sell_price, alloc = reference_clear(*book_sides(b), b.rho1, b.rho2, grid)
     assert (out.buy_clearing_price, out.sell_clearing_price) == (buy_price, sell_price)
-    assert list(out.allocations.items()) == list(alloc.items())
+    assert list(allocations_by_id(b, out).items()) == list(alloc.items())
     return out
 
 
@@ -371,10 +383,11 @@ def assert_estimates_bound_exact_scores(b: OrderBook, grid: float) -> None:
     if len(b.buy_bids) < 2 or len(b.sell_bids) < 2 or not b.fill_path:
         return  # clear never scores such a book
     cand = _candidates(b, grid)
+    buy_price, _, sell_price, _ = b.floats
     for k, (mi, ml, p) in enumerate(zip(cand.mi, cand.ml, cand.prefix)):
         if k in cand.capped:
             continue
-        bp, sp = b.buy_bids[mi][1], b.sell_bids[ml][1]
+        bp, sp = buy_price[mi], sell_price[ml]
         exact = 0.0
         for _, _, x in b.fill_path[:p]:
             exact += b.rho1 * bp * math.log(x) - b.rho2 * sp * x * x / 2.0
@@ -410,7 +423,7 @@ def wide_books(draw):
         st.sampled_from([(1.0, 1e-4), (1000.0, 1e-4), (1.0, 1e-6), (1e-4, 1e-8)])
     )
     grid = draw(st.sampled_from([3.0, 6.0, 9.0, 12.0]))
-    return OrderBook(tuple(buys), tuple(sells), rho1, rho2), grid
+    return book_of(buys, sells, rho1, rho2), grid
 
 
 def seeded_wide_book(rng: random.Random, rho1: float, rho2: float) -> OrderBook:
@@ -451,7 +464,7 @@ def test_wide_books_cover_caps_zero_asks_and_near_ties():
         assert_clears_like_reference(b, 12.0)
         cand = _candidates(b, 12.0)
         seen["capped"] += bool(cand.capped)
-        seen["zero_ask"] += any(b.sell_bids[ml][1] == 0.0 for ml in cand.ml)
+        seen["zero_ask"] += any(b.floats[2][ml] == 0.0 for ml in cand.ml)
         finite = sorted(e for e in cand.estimate.tolist() if e > -math.inf)
         seen["near_tie"] += any(0 < y - x < 1e-12 for x, y in zip(finite, finite[1:]))
         seen["band_over_1"] += len(auction._band(cand.estimate, cand.error)) > 1
@@ -472,7 +485,7 @@ def test_scan_keeps_an_earlier_pair_that_a_later_one_beats_by_under_1e_12(rho1, 
         out = assert_clears_like_reference(b, 12.0)
         cand = _candidates(b, 12.0)
         top = max(range(len(cand.mi)), key=lambda k: cand.estimate[k])
-        top_prices = (b.buy_bids[cand.mi[top]][1], b.sell_bids[cand.ml[top]][1])
+        top_prices = (b.floats[0][cand.mi[top]], b.floats[2][cand.ml[top]])
         if (out.buy_clearing_price, out.sell_clearing_price) != top_prices:
             decided_by_margin += 1
     assert decided_by_margin >= 3
@@ -513,7 +526,7 @@ def test_near_tied_candidates_are_decided_by_their_bitwise_scores():
         for k, score in enumerate(cand.estimate.tolist()):
             if best is None or score > cand.estimate[best] + 1e-12:
                 best = k
-        by_estimate = b.buy_bids[cand.mi[best]][1], b.sell_bids[cand.ml[best]][1]
+        by_estimate = b.floats[0][cand.mi[best]], b.floats[2][cand.ml[best]]
         by_estimate_differs += by_estimate != (out.buy_clearing_price, out.sell_clearing_price)
     assert by_estimate_differs >= 5
 
@@ -525,8 +538,9 @@ def test_books_without_two_bids_a_side_skip_scoring(monkeypatch):
     assert clear(one_buy, 10.0) == clear(one_sell, 10.0) == ClearingOutcome.empty()
 
 
-def recorded_books(n_mgs: int, seed: int, monkeypatch) -> list[tuple[OrderBook, float]]:
-    """Every (book, grid price) a 24-slot auction run of n_mgs MGs clears."""
+@functools.cache
+def recorded_books(n_mgs: int, seed: int) -> tuple[tuple[OrderBook, float], ...]:
+    """Every (book, grid price) a 24-slot auction run of n_mgs MGs clears, by slot."""
     from mgtrade import sim
     from mgtrade.cli import config_from_dict
 
@@ -545,15 +559,17 @@ def recorded_books(n_mgs: int, seed: int, monkeypatch) -> list[tuple[OrderBook, 
     }
     books = []
     real = sim.clear
-    monkeypatch.setattr(sim, "clear", lambda b, g: books.append((b, g)) or real(b, g))
-    sim.run(config_from_dict(doc)[0])
-    monkeypatch.setattr(sim, "clear", real)
-    return books
+    sim.clear = lambda b, g: books.append((b, g)) or real(b, g)
+    try:
+        sim.run(config_from_dict(doc)[0])
+    finally:
+        sim.clear = real
+    return tuple(books)
 
 
 @pytest.mark.parametrize("n_mgs", [24, 96, 200])
-def test_recorded_books_clear_like_the_reference_scan(n_mgs, monkeypatch):
-    books = recorded_books(n_mgs, seed=n_mgs, monkeypatch=monkeypatch)
+def test_recorded_books_clear_like_the_reference_scan(n_mgs):
+    books = recorded_books(n_mgs, seed=n_mgs)
     assert len(books) == 24
     assert max(len(b.buy_bids) + len(b.sell_bids) for b, _ in books) >= 0.8 * n_mgs
     filled = 0
@@ -571,7 +587,8 @@ def test_audit_rows_cover_every_bid(tmp_path):
         sells=[(3, 1.0, 100.0), (4, 2.0, 100.0)],
     )
     out = clear(b, grid_price=10.0)
-    rows = audit_rows(7, b, out)
+    line = namedtuple("line", AUDIT_HEADER)
+    rows = list(map(line._make, audit_rows(7, b, *out.fills(len(b.ids)))))
     assert len(rows) == 4
     by_mg = {r.mg_id: r for r in rows}
     assert by_mg[1].accepted == 1 and by_mg[2].accepted == 0  # winner and marginal buyer
@@ -587,3 +604,75 @@ def test_audit_rows_cover_every_bid(tmp_path):
     assert tuple(got[0]) == AUDIT_HEADER
     assert len(got) == 5
     assert got[1] == ["7", "1", "buy", "5.000000", "100.000000", "1", "3.000000", "100.000000"]
+
+
+# ------------------------------------------- the tuple market stage, frozen
+
+
+def assert_market_stage_equals_the_reference(slot: int, b: OrderBook, grid: float) -> None:
+    """Book order, fills, unit prices and audit lines equal the tuple stage's, by repr.
+
+    The reference rebuilds the book as sorted tuples from the same bid
+    columns, clears it with the frozen scan and joins fills to bids by MG id.
+    Both the cleared outcome and the empty one (a solo run's) are compared.
+    """
+    ids = b.ids.tolist()
+    ref = TupleBook.from_bids(ids, b.bids, b.rho1, b.rho2)
+    assert repr(book_sides(b)) == repr((list(ref.buy_bids), list(ref.sell_bids)))
+    cleared = reference_clear(ref.buy_bids, ref.sell_bids, b.rho1, b.rho2, grid)
+    for out, (bp, sp, alloc) in (
+        (clear(b, grid), cleared),
+        (ClearingOutcome.empty(), (0.0, 0.0, {})),
+    ):
+        fills = out.fills(len(ids))
+        trades = reference_trades(bp, sp, alloc)
+        want = [trades.get(m, TradeAllocation.none(m)) for m in ids]
+        assert repr(fills.T.tolist()) == repr([
+            [t.bought_kwh, t.sold_kwh, t.buy_unit_price, t.sell_unit_price] for t in want
+        ])
+        rows = reference_audit_rows(slot, ref, bp, sp, trades)
+        assert repr(audit_rows(slot, b, *fills)) == repr([tuple(r) for r in rows])
+
+
+@pytest.mark.parametrize("n_mgs", [24, 96, 200])
+def test_recorded_market_stages_equal_the_tuple_reference(n_mgs):
+    books = recorded_books(n_mgs, seed=n_mgs)
+    for slot, (b, grid) in enumerate(books):
+        assert_market_stage_equals_the_reference(slot, b, grid)
+
+
+# few price levels, 0.0 among them, so ties between MGs are common
+TIED_SELL_PRICES = [0.0, 0.0, 0.5, 1.0, 2.5]
+TIED_BUY_PRICES = [0.0, 1.0, 1.0, 2.5, 4.0]
+TIED_QUANTITIES = st.one_of(
+    st.sampled_from([0.0, 0.0, 1e-10, 50.0, 100.0]), st.floats(0.0, 300.0)
+)
+
+
+@st.composite
+def fleet_books(draw):
+    """A book from fleet columns: each MG buys, sells or bids nothing at all.
+
+    Every MG posts both prices, as `make_bids` does, and at most one positive
+    quantity; sides may be empty, and a side's quantity may be zero.
+    """
+    n = draw(st.integers(1, 12))
+    mg_ids = draw(st.permutations(list(range(1, 25))))[:n]
+    sides = draw(st.sampled_from(["both", "buy", "sell"]))
+    cells = []
+    for _ in range(n):
+        sell_price = draw(st.sampled_from(TIED_SELL_PRICES))
+        buy_price = draw(st.sampled_from(TIED_BUY_PRICES))
+        kwh = draw(TIED_QUANTITIES)
+        sells = {"both": draw(st.booleans()), "buy": False, "sell": True}[sides]
+        cells.append((sell_price, buy_price, kwh if sells else 0.0, 0.0 if sells else kwh))
+    bids = Bids(*(np.array(c, dtype=float) for c in zip(*cells)))
+    rho1, rho2 = draw(st.sampled_from([(1.0, 1e-4), (1000.0, 1e-4), (1.0, 1.0)]))
+    grid = draw(st.sampled_from([0.5, 2.5, 3.0, 12.0]))
+    return OrderBook.from_bids(mg_ids, bids, rho1, rho2), grid
+
+
+@given(bg=fleet_books(), slot=st.integers(0, 10_000))
+@settings(max_examples=300, deadline=None)
+def test_market_stage_equals_the_tuple_reference_on_tied_books(bg, slot):
+    assert_market_stage_equals_the_reference(slot, *bg)

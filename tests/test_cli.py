@@ -417,6 +417,112 @@ def test_audit_catches_edited_market(tmp_path, capsys, which, column, value, mes
     assert message in out
 
 
+def test_audit_rederives_bids(tmp_path, capsys):
+    """Bids that do not follow from the logged queues and loads fail the audit."""
+    run_cli(
+        "run", "--out", str(tmp_path), "--mode", "auction",
+        "--horizon", "48", "--seed", "3",
+    )
+    slots = tmp_path / "auction" / "slots.csv"
+    with open(slots, newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = rows[0].index
+    for r in rows[1:]:
+        r[col("bid_buy_price")] = "15.999999"
+        r[col("bid_sell_price")] = "0.000001"
+    code, out = audit_rewritten(slots, rows, capsys)
+    assert code == EXIT_INVARIANT
+    assert "slot 0 mg 1: bids [1e-06, 15.999999, " in out
+    assert "!= make_bids of the logged Q, Z, R, I" in out
+
+
+def audit_lines_of(run_dir: Path) -> list[list[str]]:
+    with open(run_dir / "auction_audit.csv", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def swap_first_tie(lines):
+    """Swap two adjacent buy lines of one slot with different prices."""
+    k = next(
+        k for k in range(1, len(lines) - 1)
+        if lines[k][:1] == lines[k + 1][:1] and lines[k][2] == lines[k + 1][2] == "buy"
+        and lines[k][3] != lines[k + 1][3]
+    )
+    lines[k], lines[k + 1] = lines[k + 1], lines[k]
+
+
+def winner(lines):
+    return next(r for r in lines[1:] if r[5] == "1")
+
+
+def set_cell(row, k, value):
+    row[k] = value
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda lines: [set_cell(r, 6, "99.000000") for r in lines[1:]],
+         "from slots.csv"),
+        (lambda lines: set_cell(winner(lines), 5, "0"), "from slots.csv"),
+        (lambda lines: set_cell(winner(lines), 7, "0.000000"), "from slots.csv"),
+        (lambda lines: set_cell(lines[1], 3, "7.000000"), "from slots.csv"),
+        (lambda lines: lines.remove(winner(lines)), "no audit line for its"),
+        (lambda lines: lines.append(lines[-1]), "or listed twice"),
+        (lambda lines: set_cell(lines[1], 2, {"buy": "sell", "sell": "buy"}[lines[1][2]]),
+         "no audit line for its"),
+        (swap_first_tie, "out of book order"),
+    ],
+    ids=[
+        "cleared-price", "accepted", "cleared-quantity", "price", "line-deleted",
+        "line-repeated", "side", "book-order",
+    ],
+)
+def test_audit_checks_the_auction_audit(tmp_path, capsys, tamper, message):
+    """auction_audit.csv must list the logged bids and fills of slots.csv."""
+    run_cli(
+        "run", "--out", str(tmp_path), "--mode", "auction",
+        "--horizon", "48", "--seed", "3",
+    )
+    run_dir = tmp_path / "auction"
+    lines = audit_lines_of(run_dir)
+    tamper(lines)
+    with open(run_dir / "auction_audit.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(lines)
+    capsys.readouterr()
+    code = run_cli("audit", str(run_dir))
+    out = capsys.readouterr().out
+    assert code == EXIT_INVARIANT
+    assert message in out
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [("abc", "line 4, column 'price': 'abc' is not a finite number"), (None, "line 4: 7 cells")],
+    ids=["non-numeric", "short-line"],
+)
+def test_audit_rejects_an_unparseable_auction_audit(tmp_path, capsys, cell, message):
+    run_cli("run", "--out", str(tmp_path), "--mode", "auction", "--horizon", "8")
+    run_dir = tmp_path / "auction"
+    lines = audit_lines_of(run_dir)
+    if cell is None:
+        lines[3].pop()
+    else:
+        lines[3][3] = cell
+    with open(run_dir / "auction_audit.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(lines)
+    capsys.readouterr()
+    assert run_cli("audit", str(run_dir)) == EXIT_DATA
+    assert f"auction_audit.csv: {message}" in capsys.readouterr().err
+
+
+def test_audit_needs_the_auction_audit(tmp_path, capsys):
+    run_cli("run", "--out", str(tmp_path), "--mode", "solo", "--horizon", "8")
+    (tmp_path / "solo" / "auction_audit.csv").unlink()
+    assert run_cli("audit", str(tmp_path / "solo")) == EXIT_INVARIANT
+    assert "missing log" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "cell, message",
     [

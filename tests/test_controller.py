@@ -15,12 +15,7 @@ from hypothesis import strategies as st
 from mgtrade import run
 from mgtrade.auction import OrderBook
 from mgtrade.cli import default_scenario
-from mgtrade.controller import (
-    Bids,
-    TradeAllocation,
-    post_trade_settlement,
-    spilled_kwh,
-)
+from mgtrade.controller import Bids, post_trade_settlement, spilled_kwh
 from mgtrade.errors import MarketError
 from mgtrade.model import ControlAction, MGParams
 
@@ -28,6 +23,7 @@ from columnar import bid_all, solve_all
 from oracles import (
     MGState,
     SlotInputs,
+    TradeAllocation,
     brute_force_slot_objective,
     check_action,
     make_bids,

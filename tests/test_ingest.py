@@ -1,6 +1,7 @@
 """Trace parsing, scaling, and the seeded synthetic generators."""
 
 import random
+from statistics import mean
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def write_csv(path, rows, header="slot,value"):
 def test_load_trace_reads_values(tmp_path):
     p = write_csv(tmp_path / "wind.csv", [f"{k},{100 + k}" for k in range(120)])
     tr = load_trace(p)
-    assert tr.slot_count == 120
+    assert len(tr.values) == 120
     assert tr.values[0] == 100.0
     assert tr.name == "wind"
 
@@ -83,7 +84,7 @@ def test_trace_rejects_bad_values():
 def test_scale_wind_hits_target_mean():
     tr = Trace("t", (25.0, 75.0))  # mean 50
     scaled = scale_wind(tr, 200.0)
-    assert scaled.mean() == pytest.approx(200.0)
+    assert mean(scaled.values) == pytest.approx(200.0)
     assert scaled.values == (100.0, 300.0)  # factor 4 applied pointwise
 
 
@@ -203,12 +204,18 @@ def test_draw_loads_bit_equal_to_generator_uniform():
         models.append(LoadModel("type1", low, high, rng_seed=seed, dt_share=share))
     slots = [0, 1, 2, 3, 11, 12] + [rnd.randrange(10**6) for _ in range(94)]
     di, dt = draw_load_grid(models, slots)
+    wants = []
     for k, m in enumerate(models):
         for j, slot in enumerate(slots):
-            got = di[k][j], dt[k][j]
+            got = di[k, j], dt[k, j]
             want = reference_draw_loads(m.rng_seed, m.low_kwh, m.high_kwh, m.dt_share, slot)
             assert got == want, (m, slot)
-            assert all(type(v) is float for v in got)
+            wants.append(want)
+    # two float64 arrays of one (models, slots) shape, every bit as drawn
+    assert di.dtype == dt.dtype == np.float64
+    assert di.shape == dt.shape == (len(models), len(slots))
+    want_di, want_dt = np.array(wants).T.reshape(2, len(models), len(slots))
+    assert di.tobytes() == want_di.tobytes() and dt.tobytes() == want_dt.tobytes()
 
 
 def test_realized_inputs_mix_seed_word_lengths():
@@ -244,9 +251,9 @@ def test_synthetic_wind_exact_mean_and_determinism():
     c = synthetic_wind(240, 600.0, seed=6)
     assert a.values == b.values
     assert a.values != c.values
-    assert a.mean() == pytest.approx(600.0, rel=1e-12)
+    assert mean(a.values) == pytest.approx(600.0, rel=1e-12)
     assert min(a.values) >= 0.0
-    assert a.slot_count == 240
+    assert len(a.values) == 240
 
 
 def test_synthetic_wind_validation():
@@ -259,7 +266,7 @@ def test_synthetic_wind_validation():
 def test_synthetic_price_stays_in_band():
     pb = PriceBounds(2.0, 16.0)
     tr = synthetic_price(480, pb, seed=7)
-    assert tr.slot_count == 480
+    assert len(tr.values) == 480
     assert all(2.0 <= v <= 16.0 for v in tr.values)
     assert tr.values == synthetic_price(480, pb, seed=7).values
     # the daily shape should actually move around inside the band

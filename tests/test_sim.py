@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from statistics import mean
 
 import numpy as np
 import pytest
@@ -117,11 +118,11 @@ def test_mg_subseed_distinct():
 def test_build_traces_shapes_and_means():
     cfg = small_scenario(horizon=240)
     traces = build_traces(cfg)
-    assert traces.prices.slot_count == 240
+    assert len(traces.prices.values) == 240
     assert len(traces.renewables) == 2
     for tr in traces.renewables:
-        assert tr.slot_count == 240
-        assert tr.mean() == pytest.approx(25.0, rel=1e-12)
+        assert len(tr.values) == 240
+        assert mean(tr.values) == pytest.approx(25.0, rel=1e-12)
 
 
 def test_realized_inputs_share_the_grid_price():
