@@ -8,8 +8,8 @@ generators; CSV paths can be supplied instead (renewables are rescaled to
 the configured mean, prices are clipped into the configured band).
 
 Exit codes: 0 success, 2 usage (bad flags, missing files), 3 data
-(unparseable config or trace, malformed logs), 4 invariant violations or a
-failed oracle LP.
+(unparseable config or trace, malformed logs), 4 invariant violations or an
+infeasible oracle.
 """
 
 from __future__ import annotations

@@ -14,7 +14,10 @@ audit lines are built from them when they are written.
 The offline oracle solves the whole horizon as one linear program per MG with
 all randomness known and trading disabled. It is the benchmark the
 drift-plus-penalty bound is audited against: online time-average cost must
-stay within a_const / v_weight of it.
+stay within a_const / v_weight of it. The LP is a min-cost flow over a
+time-expanded network (a bus, a battery and a service node per slot, fed by
+one grid source and drained by one sink), solved exactly by
+`flow.min_cost_flow` in pure Python, so no command loads an LP solver.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, mul
 from pathlib import Path
 from typing import Any, NamedTuple, get_type_hints
 
@@ -34,6 +37,7 @@ from .controller import (
     spilled_kwh,
 )
 from .errors import ConfigError, ParseError, RejectedAction, SimError
+from .flow import min_cost_flow
 from .ingest import LoadModel, Trace, draw_load_grid, synthetic_price, synthetic_wind
 from .model import (
     FEAS_TOL,
@@ -448,77 +452,74 @@ def offline_oracle(
 ) -> dict[int, float]:
     """Clairvoyant per-MG optimum over the realized inputs, trading disabled.
 
-    One LP per MG over all slots, with variables [C | D | J | G | B | S]:
-    the slot's charge, discharge, delay-tolerant service and grid purchase,
-    the battery B_t at the start of slot t (B_0 = b0, B_t = B_{t-1} +
-    C_{t-1} - D_{t-1}), and the work S_t served through slot t (S_t =
-    S_{t-1} + J_t). Every row is banded, so the matrix is sparse and shared
-    by all MGs. Service is capped by the pre-arrival backlog exactly as
-    online (S_t at most the work arrived before t), and all work that
-    arrives before the final slot must be finished by the horizon (the last
-    S is pinned to it). The charge/discharge exclusivity is dropped: any plan
-    running both in one slot can shed min(C, D) from each without changing
-    the battery path, the balance slack, or the cost, so the relaxation
-    loses nothing. Returns each MG's time-average cost. scipy is imported
-    here, so runs and audits never load it.
+    The LP over each slot's charge C, discharge D, delay-tolerant service J
+    and grid purchase G is a pure min-cost flow, solved by `min_cost_flow`.
+    Per slot t the network has three nodes:
 
-    V enters the LP only through the initial battery b0. Calls that share
-    everything else (a sweep over V) can pass one `solved` dict, keyed by
-    (MG id, b0): an MG found there is not solved again, and each solve is
+    - the bus, with net supply R_t - I_t: a grid arc from one grid source at
+      cost P_t, uncapped, and a spill arc to one sink at cost 0;
+    - the battery: a charge arc from the bus (cap C_max) and a discharge arc
+      to it (cap D_max), and a carry arc (cap B_max) to the next slot's
+      battery, or to the sink after the last slot. Battery 0 supplies b0;
+    - the service node W_t, which takes in the work dt_{t-1} arrived in the
+      slot before: a service arc from the bus (cap J_max) and an uncapped
+      arc W_t -> W_{t-1}. Work served at t can only meet work arrived
+      before t, so the work S_t served through slot t stays at most the
+      work arrived before it, and all work arrived before the final slot is
+      served by the horizon (the last S is pinned), exactly as online.
+
+    The grid source supplies every node's shortfall and sends what is not
+    bought to the sink at cost 0. A plan that charges and discharges in one
+    slot can shed min(C, D) from both without changing the battery path,
+    the balance or the cost, so the flow loses nothing by allowing it.
+    Returns each MG's time-average cost, the cheapest grid bill over the
+    horizon divided by its slots.
+
+    V enters the network only through the initial battery b0. Calls that
+    share everything else (a sweep over V) can pass one `solved` dict, keyed
+    by (MG id, b0): an MG found there is not solved again, and each solve is
     added to it.
     """
-    import numpy as np
-    from scipy.optimize import linprog
-    from scipy.sparse import bmat, eye
-
     h = len(inputs)
     if h < 1:
         raise SimError("oracle needs at least one slot")
-    one, lag = eye(h), eye(h, k=-1)  # lag reads the previous slot
-    rows = bmat(
-        [
-            [one, None, None, None, one, None],  # C + B <= B_max
-            [None, one, None, None, -one, None],  # D <= B
-            [one, -one, one, -one, None, None],  # I + J + C <= R + G + D
-            [-lag, lag, None, None, one - lag, None],  # battery step, B_0 = b0
-            [None, None, -one, None, None, one - lag],  # S_t = S_{t-1} + J_t
-        ],
-        format="csr",
-    )
-    a_ub, a_eq = rows[: 3 * h], rows[3 * h :]
-    b_eq = np.zeros(2 * h)
-
+    grid, sink = 3 * h, 3 * h + 1  # bus 3t, battery 3t + 1 and W_t 3t + 2 for slot t
+    columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh, inputs.grid_price
     per_mg: dict[int, float] = {}
     solved = {} if solved is None else solved
     for k, (m, db) in enumerate(zip(config.mgs, config.bounds())):
         p = m.params
-        key = p.id, initial_battery(p, db, config.initial_battery_kwh)
-        if key in solved:
-            per_mg[p.id] = solved[key]
+        b0 = initial_battery(p, db, config.initial_battery_kwh)
+        if (p.id, b0) in solved:
+            per_mg[p.id] = solved[p.id, b0]
             continue
-        b_eq[0] = key[1]
-        columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh, inputs.grid_price
-        r, di, dt, price = (a[:, k] for a in columns)
-        arrived = np.concatenate(([0.0], np.cumsum(dt[:-1])))  # before each slot
-        # every variable is nonnegative (for B and S their rows imply it), and
-        # the last S is pinned to the work that arrived before the final slot
-        lo = np.zeros(6 * h)
-        lo[-1] = arrived[-1]
-        hi = np.concatenate((
-            np.repeat([p.charge_rate_max_kwh, p.discharge_rate_max_kwh,
-                       p.serve_rate_max_kwh, np.inf, np.inf], h),
-            arrived,
-        ))
-        b_ub = np.concatenate((np.full(h, p.battery_capacity_kwh), np.zeros(h), r - di))
-        cost = np.concatenate((np.zeros(3 * h), price, np.zeros(2 * h)))
-        res = linprog(
-            cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=np.column_stack((lo, hi)), method="highs",
-        )
-        if not res.success:
-            raise SimError(f"oracle LP failed for mg {p.id}: {res.message}")
-        per_mg[p.id] = solved[key] = float(res.fun) / h
-
+        r, di, dt, price = (a[:, k].tolist() for a in columns)
+        arcs = [(grid, 3 * t, math.inf, price[t]) for t in range(h)]  # arc t buys in slot t
+        supply = [0.0] * (3 * h + 2)
+        for t in range(h):
+            bus, battery, service = 3 * t, 3 * t + 1, 3 * t + 2
+            arcs += [
+                (bus, sink, math.inf, 0.0),
+                (bus, battery, p.charge_rate_max_kwh, 0.0),
+                (battery, bus, p.discharge_rate_max_kwh, 0.0),
+                (battery, battery + 3 if t + 1 < h else sink, p.battery_capacity_kwh, 0.0),
+                (bus, service, p.serve_rate_max_kwh, 0.0),
+            ]
+            supply[bus] = r[t] - di[t]
+            if t:
+                arcs.append((service, service - 3, math.inf, 0.0))
+                supply[service] = -dt[t - 1]
+        arcs.append((grid, sink, math.inf, 0.0))  # what the grid is not asked for
+        supply[1] += b0
+        supply[grid] = -sum(v for v in supply if v < 0.0)
+        supply[sink] = -sum(supply)
+        flows = min_cost_flow(supply, arcs)
+        if flows is None:
+            raise SimError(
+                f"oracle LP failed for mg {p.id}: no plan serves every load and, "
+                "by the horizon, all work arrived before the final slot"
+            )
+        per_mg[p.id] = solved[p.id, b0] = sum(map(mul, price, flows)) / h
     return per_mg
 
 
@@ -816,7 +817,8 @@ def verify_log_rows(config: ScenarioConfig, rows: list[dict[str, float]]) -> lis
     Quantities are compared within `LOG_TOL`; the recomputed cost also
     allows for the rounding of its six operands. Each row's
     ``oldest_pending_age`` is re-derived, as the run derives it, from the
-    prefix sums of the logged ``dt_load_kwh`` and ``serve_kwh``.
+    prefix sums of the logged ``dt_load_kwh`` and ``serve_kwh``, and each
+    MG's slot-0 battery must be the ``initial_battery`` of the config.
     """
     problems: list[str] = []
     bounds_all = {m.params.id: b for m, b in zip(config.mgs, config.bounds())}
@@ -844,6 +846,11 @@ def verify_log_rows(config: ScenarioConfig, rows: list[dict[str, float]]) -> lis
         p = params_all[mid]
         db = bounds_all[mid]
         mg_rows.sort(key=lambda r: r["slot"])
+        # the run starts from `initial_battery`, which the log renders to 6 decimals
+        b0 = initial_battery(p, db, config.initial_battery_kwh)
+        first = mg_rows[0]["battery_kwh"]
+        if mg_rows[0]["slot"] == 0 and abs(first - b0) > 5e-7 + 2.0**-50 * b0:
+            problems.append(f"slot 0 mg {mid}: battery {first} != initial battery {b0}")
         arrived: list[float] = []  # logged work arrived by the end of each slot
         served = 0.0
         for r in mg_rows:

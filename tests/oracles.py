@@ -270,6 +270,59 @@ def reference_offline_oracle(
     return float(res.fun) / h
 
 
+def reference_sparse_oracle(
+    b0: float,
+    capacity: float,
+    c_max: float,
+    d_max: float,
+    j_max: float,
+    inputs: list[tuple[float, float, float, float]],  # (R, I, T, P) per slot
+) -> float | None:
+    """The same optimum as one banded sparse LP, or None when it is infeasible.
+
+    Variables [C | D | J | G | B | S]: the slot's charge, discharge,
+    delay-tolerant service and grid purchase, the battery B_t at the start of
+    slot t (B_0 = b0, B_t = B_{t-1} + C_{t-1} - D_{t-1}), and the work S_t
+    served through slot t (S_t = S_{t-1} + J_t). Service is capped by the
+    work that arrived before each slot (S_t at most it), and the last S is
+    pinned to all the work that arrived before the final slot. Every row is
+    banded, so the LP needs O(h) memory: a reference for long horizons.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import bmat, eye
+
+    r, di, dt, price = (np.array(col, dtype=float) for col in zip(*inputs))
+    h = len(inputs)
+    one, lag = eye(h), eye(h, k=-1)  # lag reads the previous slot
+    rows = bmat(
+        [
+            [one, None, None, None, one, None],  # C + B <= B_max
+            [None, one, None, None, -one, None],  # D <= B
+            [one, -one, one, -one, None, None],  # I + J + C <= R + G + D
+            [-lag, lag, None, None, one - lag, None],  # battery step, B_0 = b0
+            [None, None, -one, None, None, one - lag],  # S_t = S_{t-1} + J_t
+        ],
+        format="csr",
+    )
+    b_eq = np.zeros(2 * h)
+    b_eq[0] = b0
+    arrived = np.concatenate(([0.0], np.cumsum(dt[:-1])))  # before each slot
+    # every variable is nonnegative (for B and S their rows imply it)
+    lo = np.zeros(6 * h)
+    lo[-1] = arrived[-1]
+    hi = np.concatenate((np.repeat([c_max, d_max, j_max, np.inf, np.inf], h), arrived))
+    res = linprog(
+        np.concatenate((np.zeros(3 * h), price, np.zeros(2 * h))),
+        A_ub=rows[: 3 * h],
+        b_ub=np.concatenate((np.full(h, capacity), np.zeros(h), r - di)),
+        A_eq=rows[3 * h :],
+        b_eq=b_eq,
+        bounds=np.column_stack((lo, hi)),
+        method="highs",
+    )
+    return float(res.fun) / h if res.success else None
+
+
 def slot_objective(state, x, inputs, action, params) -> float:
     """Slot program objective X*(C - D) - (Q + Z)*J + V*P*G of an action."""
     qz = state.demand_queue_kwh + state.delay_queue_kwh

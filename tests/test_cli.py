@@ -369,6 +369,36 @@ def test_audit_catches_edited_virtual_queue(tmp_path, capsys):
     assert f"slot {rows[k][0]} mg {rows[k][1]}: X" in out
 
 
+def test_audit_checks_the_first_battery_level(tmp_path, capsys):
+    """One MG's battery path shifted by 1 kWh keeps every step, but not its start.
+
+    The initial battery is 4.9e-7 kWh from its 6-decimal rendering, so the
+    clean run's audit needs the rounding slack.
+    """
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**reference_doc(), "initial_battery_kwh": 1234.56789149}))
+    assert run_cli(
+        "run", "--config", str(config), "--out", str(tmp_path), "--mode", "solo",
+        "--horizon", "24",
+    ) == EXIT_OK
+    slots = tmp_path / "solo" / "slots.csv"
+    with open(slots, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][rows[0].index("battery_kwh")] == "1234.567891"
+    capsys.readouterr()
+    assert run_cli("audit", str(tmp_path / "solo")) == EXIT_OK
+    mg_rows = [r for r in rows[1:] if r[1] == "2"]
+    levels = [float(r[rows[0].index("battery_kwh")]) for r in mg_rows]
+    shift = -1.0 if min(levels) >= 1.0 else 1.0
+    for r in mg_rows:
+        for col in (rows[0].index("battery_kwh"), rows[0].index("virtual_kwh")):
+            r[col] = f"{float(r[col]) + shift:.6f}"
+    code, out = audit_rewritten(slots, rows, capsys)
+    assert code == EXIT_INVARIANT
+    assert f"slot 0 mg 2: battery {levels[0] + shift} != initial battery" in out
+    assert "FAIL (1 problems)" in out
+
+
 def auction_log(tmp_path) -> tuple[Path, list[list[str]]]:
     """A 24-slot auction run of the reference scenario and its slots.csv rows."""
     run_cli(
@@ -605,12 +635,10 @@ def test_sweep_fills_every_oracle_cell_of_the_reference_scenario(tmp_path, capsy
 def test_sweep_solves_one_oracle_lp_per_initial_battery(tmp_path, monkeypatch):
     """V reaches the oracle LP only through b0, so equal b0s share one solve.
 
-    The default sweep (6 MGs, 5 fractions) solves one LP per distinct
-    (MG, b0), and writes the same sweep.csv as solving all 30.
+    The default sweep (6 MGs, 5 fractions) solves one min-cost flow per
+    distinct (MG, b0), and writes the same sweep.csv as solving all 30.
     """
-    import scipy.optimize
-
-    from mgtrade import cli
+    from mgtrade import cli, sim
     from mgtrade.model import compute_bounds, initial_battery
 
     base = default_scenario(mode=MODE_SOLO)
@@ -624,9 +652,9 @@ def test_sweep_solves_one_oracle_lp_per_initial_battery(tmp_path, monkeypatch):
     assert len(b0s) < 30
 
     solves = []
-    real_linprog = scipy.optimize.linprog
+    real_flow = sim.min_cost_flow
     monkeypatch.setattr(
-        scipy.optimize, "linprog", lambda *a, **k: solves.append(1) or real_linprog(*a, **k)
+        sim, "min_cost_flow", lambda *a: solves.append(1) or real_flow(*a)
     )
     assert run_cli("sweep", "--out", str(tmp_path / "shared")) == EXIT_OK
     assert len(solves) == len(b0s)
@@ -787,20 +815,22 @@ def src_env() -> dict[str, str]:
     )}
 
 
-def test_only_the_oracle_loads_scipy(tmp_path):
-    """Runs and audits never import scipy; the sweep's oracle still runs."""
+def test_no_command_loads_scipy(tmp_path):
+    """Runs, audits and sweeps never import scipy; the sweep's oracle still runs."""
     script = f"""
 import csv, sys
 from mgtrade import run
 import mgtrade.cli as cli
 assert cli.main(["run", "--horizon", "4", "--out", {str(tmp_path / "run")!r}]) == 0
 assert cli.main(["audit", {str(tmp_path / "run")!r}]) == 0
-assert "scipy" not in sys.modules, "run or audit loaded scipy"
 assert run is cli.run
 sweep = {str(tmp_path / "sweep")!r}
-assert cli.main(["sweep", "--config", {CONFIG!r}, "--fractions", "1.0", "--out", sweep]) == 0
+assert cli.main(["sweep", "--config", {CONFIG!r}, "--fractions", "0.5,1.0", "--out", sweep]) == 0
+assert cli.main(["audit", sweep]) == 0
+assert "scipy" not in sys.modules, "a command loaded scipy"
 with open(sweep + "/sweep.csv", newline="") as fh:
-    assert all(r["oracle_time_avg_cost"] for r in csv.DictReader(fh))
+    rows = list(csv.DictReader(fh))
+assert len(rows) == 4 and all(float(r["oracle_time_avg_cost"]) >= 0.0 for r in rows)
 """
     done = subprocess.run(
         [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,

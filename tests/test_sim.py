@@ -2,14 +2,24 @@
 
 import dataclasses
 import math
+from pathlib import Path
 from statistics import mean
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgtrade.errors import ConfigError, SimError
 from mgtrade.ingest import LoadModel
-from mgtrade.model import MGParams, PriceBounds, SlotInputs, compute_v_max, initial_battery
+from mgtrade.model import (
+    MGParams,
+    PriceBounds,
+    SlotInputs,
+    compute_v_max,
+    initial_battery,
+    virtual_battery,
+)
 from mgtrade.sim import (
     MODE_AUCTION,
     MODE_SOLO,
@@ -30,7 +40,11 @@ from mgtrade.sim import (
     write_slots_csv,
 )
 
-from oracles import brute_force_two_slot_cost, reference_offline_oracle
+from oracles import (
+    brute_force_two_slot_cost,
+    reference_offline_oracle,
+    reference_sparse_oracle,
+)
 
 PB = PriceBounds(2.0, 16.0)
 
@@ -436,10 +450,17 @@ def test_oracle_matches_dense_reference(horizon, n_mgs, seed, initial_battery_kw
     inputs = realized_inputs(cfg, build_traces(cfg))
     got = offline_oracle(cfg, inputs)
     assert sorted(got) == [m.params.id for m in cfg.mgs]
+    for mid, want in reference_costs(reference_offline_oracle, cfg, inputs).items():
+        assert got[mid] == pytest.approx(want, abs=1e-6)
+
+
+def reference_costs(reference, cfg, inputs) -> dict:
+    """Each MG's cost by a reference oracle over plain numbers."""
+    costs = {}
     for k, (m, db) in enumerate(zip(cfg.mgs, cfg.bounds())):
         p = m.params
-        want = reference_offline_oracle(
-            initial_battery(p, db, initial_battery_kwh),
+        costs[p.id] = reference(
+            initial_battery(p, db, cfg.initial_battery_kwh),
             p.battery_capacity_kwh,
             p.charge_rate_max_kwh,
             p.discharge_rate_max_kwh,
@@ -448,7 +469,68 @@ def test_oracle_matches_dense_reference(horizon, n_mgs, seed, initial_battery_kw
                        (inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh,
                         inputs.grid_price)))),
         )
-        assert got[p.id] == pytest.approx(want, abs=1e-6)
+    return costs
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [("reference", 0, 120), ("reference", 3, 120), ("reference", 7, 240),
+     ("reference", 0, 720), ("sweep_small",)],
+    ids=["ref-120-seed0", "ref-120-seed3", "ref-240", "ref-720", "sweep_small"],
+)
+def test_flow_equals_the_sparse_lp(scenario):
+    """The min-cost flow finds the banded sparse LP's optimum on CLI-sized runs."""
+    from mgtrade.cli import default_scenario, load_config
+
+    if scenario[0] == "reference":
+        cfg = default_scenario(seed=scenario[1], mode=MODE_SOLO, horizon=scenario[2])
+    else:
+        cfg, _ = load_config(Path(__file__).parent.parent / "configs" / "sweep_small.json")
+    inputs = realized_inputs(cfg, build_traces(cfg))
+    got = offline_oracle(cfg, inputs)
+    want = reference_costs(reference_sparse_oracle, cfg, inputs)
+    assert got == pytest.approx(want, rel=1e-9)
+    assert max(want.values()) > 0.0  # some MG buys from the grid
+
+
+@st.composite
+def small_mgs(draw):
+    """One MG's physics, its initial battery and 1-6 slots of (R, I, T, P)."""
+    capacity = draw(st.sampled_from([0.5, 2.5, 10.0]))
+    c_max = draw(st.sampled_from([0.0, capacity / 2, capacity]))
+    d_max, j_max = draw(st.lists(st.sampled_from([0.0, 1.0, 3.0]), min_size=2, max_size=2))
+    b0 = draw(st.sampled_from([0.0, capacity / 3, capacity]))
+    kwh = st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0])
+    cells = st.tuples(kwh, kwh, kwh, st.sampled_from([0.0, 1.0, 2.5, 16.0]))
+    return capacity, c_max, d_max, j_max, b0, draw(st.lists(cells, min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_mgs())
+@example((10.0, 5.0, 3.0, 3.0, 10.0, [(0.0, 4.0, 2.0, 2.5)]))  # one slot, full battery
+@example((10.0, 0.0, 0.0, 0.0, 0.0, [(1.0, 2.0, 0.0, 1.0), (0.0, 4.0, 4.0, 2.5)]))
+@example((2.5, 2.5, 1.0, 0.0, 2.5, [(0.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 1.0)]))  # stuck work
+def test_flow_equals_the_sparse_lp_on_small_mgs(mg):
+    """Equal optima, or both infeasible, on small MGs with zero rates and edge b0s."""
+    capacity, c_max, d_max, j_max, b0, cells = mg
+    # queue bounds small enough for every drawn capacity: it must exceed
+    # dt_load_max + epsilon_max, and the oracle needs the bounds only to exist
+    p = dataclasses.replace(
+        oracle_params(), battery_capacity_kwh=capacity, charge_rate_max_kwh=c_max,
+        discharge_rate_max_kwh=d_max, serve_rate_max_kwh=j_max, dt_load_max_kwh=0.0,
+        epsilon=0.1, epsilon_max=0.1, v_weight=0.01,
+    )
+    spec = MGSpec(p, LoadModel("type1", 0.0, 0.0, rng_seed=0), renewable_mean_kwh=0.0)
+    cfg = dataclasses.replace(
+        oracle_config(horizon=len(cells), initial_battery=b0), mgs=(spec,)
+    )
+    want = reference_sparse_oracle(b0, capacity, c_max, d_max, j_max, cells)
+    if want is None:
+        with pytest.raises(SimError, match="oracle LP failed for mg 1"):
+            offline_oracle(cfg, slots(*([c] for c in cells)))
+    else:
+        got = offline_oracle(cfg, slots(*([c] for c in cells)))
+        assert got[1] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def overload_dt(inputs, k, kwh=200.0):
@@ -603,12 +685,14 @@ def test_verify_log_rows_allows_cost_rounding_of_large_products(tmp_path):
     path = tmp_path / "slots.csv"
     path.write_text("\n".join((",".join(SLOTS_HEADER),) + ROUNDING_ROWS) + "\n")
     rows = read_slots_csv(path)
-    for r in rows:
-        # one row per MG: a complete log of a one-slot run, whose one pending
-        # job is the slot's own arrival
+    cfg = rounding_config()
+    for r, m, db in zip(rows, cfg.mgs, cfg.bounds()):
+        # one row per MG: a complete log of a one-slot run, which starts from
+        # the initial battery and whose one pending job is the slot's own arrival
         r["slot"] = 0.0
         r["oldest_pending_age"] = 1.0
-    cfg = rounding_config()
+        r["battery_kwh"] = initial_battery(m.params, db)
+        r["virtual_kwh"] = virtual_battery(r["battery_kwh"], m.params, db)
     # the rows come from two slots of one log, so as one slot their markets
     # disagree; these are the only problems, and no cost is flagged
     market_problems = [
