@@ -3,7 +3,8 @@
 A slot's market is held as columns indexed by fleet position, as the slot
 step holds its MGs: the book keeps every MG's bid columns and the book order
 of each side, the fills name MGs by position, and each MG's bought and sold
-kWh, unit prices and audit lines come from them as columns.
+kWh and unit prices come from them as columns. The slot's record keeps the
+book order, from which `mgtrade.sim.audit_rows` lists the bids.
 
 The auctioneer sorts buy bids descending and sell bids ascending, then picks
 a marginal pair (one buy bid, one sell bid) that prices the slot: everyone
@@ -44,7 +45,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import repeat
 from operator import add
 from typing import Any, NamedTuple
 
@@ -338,7 +338,6 @@ def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
     buy_price, _, sell_price, _ = book.floats
     cand = _candidates(book, grid_price)
     best = None
-    folded: dict[tuple[float, float, int], float] = {}  # prices and prefix fix a fold
     for k in _band(cand.estimate, cand.error):
         mi, ml = int(cand.mi[k]), int(cand.ml[k])
         if k in cand.capped:
@@ -347,10 +346,7 @@ def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
                 continue
         else:
             fill = book.fill_path[: int(cand.prefix[k])]
-            key = buy_price[mi], sell_price[ml], len(fill)
-            if key not in folded:
-                folded[key] = _score(fill, *key[:2], book.rho1, book.rho2)
-            score = folded[key]
+            score = _score(fill, buy_price[mi], sell_price[ml], book.rho1, book.rho2)
         if best is None or score > best[3] + 1e-12:
             best = mi, ml, fill, score
     if best is None or best[3] <= 0.0:
@@ -374,27 +370,3 @@ def budget_check(outcome: ClearingOutcome) -> float:
     if volume > DUST_KWH and outcome.buy_clearing_price <= outcome.sell_clearing_price:
         raise InvariantViolation("positive volume with non-crossing clearing prices")
     return surplus
-
-
-def audit_rows(slot: int, book: OrderBook, bought, sold, buy_unit, sell_unit) -> list[tuple]:
-    """The slot's audit lines: every live bid, buys then sells, each side in book order.
-
-    A line is (slot, MG id, side, price, quantity, accepted, cleared price,
-    cleared quantity). The fill columns are by fleet position, as
-    `ClearingOutcome.fills` returns them. A bid is accepted when its MG
-    traded on its side; its cleared price is then its unit price and its
-    cleared quantity its fill, and both are zero otherwise.
-    """
-    buy_price, buy_kwh, sell_price, sell_kwh = book.floats
-    rows: list[tuple] = []
-    for side, at, price, kwh, fill, unit in (
-        ("buy", book.buy_bids, buy_price, buy_kwh, bought, buy_unit),
-        ("sell", book.sell_bids, sell_price, sell_kwh, sold, sell_unit),
-    ):
-        got = fill[at]
-        accepted = (got > 0.0).astype(int).tolist()
-        rows.extend(zip(
-            repeat(slot), book.ids[at].tolist(), repeat(side), price, kwh, accepted,
-            unit[at].tolist(), got.tolist(),
-        ))
-    return rows

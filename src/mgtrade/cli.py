@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation, ParseError, SimError
-from .ingest import LoadModel, Trace, load_trace, scale_wind
+from .ingest import LoadModel
 from .model import MGParams, PriceBounds, compute_a_const, compute_v_max
 from .sim import (
     MODE_AUCTION,
@@ -33,7 +33,6 @@ from .sim import (
     MGSpec,
     RunSummary,
     ScenarioConfig,
-    ScenarioTraces,
     bound_audit,
     build_traces,
     log_lines,
@@ -42,7 +41,6 @@ from .sim import (
     offline_oracle,
     read_slots_csv,
     realized_inputs,
-    run,
     simulate,
     verify_audit_csv,
     verify_log_rows,
@@ -193,11 +191,16 @@ def config_from_dict(doc: dict) -> tuple[ScenarioConfig, dict]:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"bad config document: {e}") from e
-    traces_doc = {
-        "price_trace": doc.get("price_trace"),
-        "renewable_traces": doc.get("renewable_traces"),
-    }
-    return config, traces_doc
+    price_path, renewable_paths = doc.get("price_trace"), doc.get("renewable_traces")
+    if not (price_path is None or isinstance(price_path, str)):
+        raise ConfigError(f"price_trace must be null or a path, got {price_path!r}")
+    if not (renewable_paths is None or isinstance(renewable_paths, list) and all(
+        p is None or isinstance(p, str) for p in renewable_paths
+    )):
+        raise ConfigError(
+            f"renewable_traces must be null or a list of paths and nulls, got {renewable_paths!r}"
+        )
+    return config, {"price_trace": price_path, "renewable_traces": renewable_paths}
 
 
 def config_to_dict(config: ScenarioConfig, traces_doc: dict | None = None) -> dict:
@@ -274,31 +277,8 @@ def default_scenario(
     return config
 
 
-def materialize_traces(
-    config: ScenarioConfig, traces_doc: dict
-) -> ScenarioTraces:
-    """Build traces from files when paths are configured, else synthesize."""
-    synthetic = build_traces(config)
-    price_path = traces_doc.get("price_trace")
-    renewable_paths = traces_doc.get("renewable_traces")
-    prices = synthetic.prices
-    renewables = list(synthetic.renewables)
-    if price_path:
-        raw = load_trace(price_path)
-        pb = config.price_bounds
-        clipped = tuple(min(max(v, pb.p_min), pb.p_max) for v in raw.values)
-        prices = Trace(name=raw.name, values=clipped)
-    if renewable_paths:
-        if len(renewable_paths) != len(config.mgs):
-            raise ConfigError(
-                f"{len(renewable_paths)} renewable traces for {len(config.mgs)} MGs"
-            )
-        for k, rp in enumerate(renewable_paths):
-            if rp:
-                renewables[k] = scale_wind(
-                    load_trace(rp), config.mgs[k].renewable_mean_kwh
-                )
-    return ScenarioTraces(renewables=tuple(renewables), prices=prices)
+# the name the benchmark's setup and sim probes build traces by
+materialize_traces = build_traces
 
 
 def _emit_run(
@@ -311,8 +291,7 @@ def _emit_run(
     out_dir.mkdir(parents=True, exist_ok=True)
     write_slots_csv(out_dir / "slots.csv", records)
     write_summary_csv(out_dir / "summary.csv", summary)
-    audit_lines = [row for rec in records for row in rec.market_audit]
-    write_audit_csv(out_dir / "auction_audit.csv", audit_lines)
+    write_audit_csv(out_dir / "auction_audit.csv", records)
     report = bound_audit(summary, config, oracle=None)
     (out_dir / "audit.txt").write_text(report.render() + "\n")
     (out_dir / "config.json").write_text(
@@ -349,11 +328,13 @@ def cmd_run(args) -> int:
 
     modes = [MODE_AUCTION, MODE_SOLO] if args.mode == "both" else [_MODE_FLAG[args.mode]]
     results: dict[str, RunSummary] = {}
+    base = _apply_overrides(config, args, modes[0])
+    # the mode changes no draw: one set of inputs serves both modes
+    inputs = realized_inputs(base, build_traces(base, traces_doc))
     for mode in modes:
-        cfg = _apply_overrides(config, args, mode)
-        traces = materialize_traces(cfg, traces_doc)
+        cfg = dataclasses.replace(base, mode=mode)
         t0 = time.perf_counter()
-        summary, records = run(cfg, traces)
+        summary, records = simulate(cfg, inputs)
         elapsed = time.perf_counter() - t0
         sub = out_root / ("auction" if mode == MODE_AUCTION else "solo")
         _emit_run(sub, cfg, traces_doc, summary, records)
@@ -493,7 +474,7 @@ def cmd_sweep(args) -> int:
     rows = []
     base = _apply_overrides(config, args, _MODE_FLAG[args.mode])
     # V changes no draw: one set of inputs serves every fraction and its oracle
-    inputs = realized_inputs(base, materialize_traces(base, traces_doc))
+    inputs = realized_inputs(base, build_traces(base, traces_doc))
     solved: dict[tuple[int, float], float] = {}  # oracle costs by (MG id, b0)
     for f in fractions:
         mgs = []

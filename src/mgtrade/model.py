@@ -18,11 +18,12 @@ against every simulated slot by the audit machinery in :mod:`mgtrade.sim`.
 
 The slot step advances every MG at once, so the queue functions here take
 columns: numpy arrays with one entry per MG, in config order. A `Fleet`
-holds the parameters the same way, built once per run. The backlog's jobs
-are never stored one by one. Jobs are served oldest first, so the work
-served so far and the horizon's arrival prefix sums name the oldest pending
-job (:func:`oldest_pending_age`). numpy is imported inside the functions
-that need it, so audits never load it.
+holds the parameters the same way, built once per run, and `SlotInputs` the
+horizon's inputs by slot and MG, with one grid price per slot for all MGs.
+The backlog's jobs are never stored one by one. Jobs are served oldest
+first, so the work served so far and the horizon's arrival prefix sums name
+the oldest pending job (:func:`oldest_pending_age`). numpy is imported
+inside the functions that need it, so audits never load it.
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ class MGParams:
 class SlotInputs:
     """Exogenous randomness of a horizon: row t of each field is slot t, column k MG k.
 
-    Each field becomes a 2-D float array of one (slots, MGs) shape.
+    The per-MG fields become 2-D float arrays of one (slots, MGs) shape. The
+    grid price is one price per slot that every MG pays, a (slots,) column.
     """
 
     renewable_kwh: Any
@@ -115,15 +117,17 @@ class SlotInputs:
             if (values < 0).any():
                 raise ConfigError(f"slot input {f.name} must be >= 0")
             object.__setattr__(self, f.name, values)
-        shapes = {getattr(self, f.name).shape for f in fields(self)}
+        shapes = {getattr(self, f.name).shape for f in fields(self)[:3]}
         if len(shapes) != 1 or len(next(iter(shapes))) != 2:
             raise ConfigError(f"slot inputs need one (slots, MGs) shape, got {shapes}")
+        if self.grid_price.shape != (len(self),):
+            raise ConfigError(f"grid_price needs one entry per slot, got {self.grid_price.shape}")
 
     def __len__(self) -> int:
         return len(self.renewable_kwh)
 
     def slot(self, t: int) -> tuple:
-        """Every MG's four inputs in slot t: row t of each field."""
+        """Slot t's inputs: every MG's renewable, DI and DT load, and the grid price."""
         return self.renewable_kwh[t], self.di_load_kwh[t], self.dt_load_kwh[t], self.grid_price[t]
 
     @cached_property

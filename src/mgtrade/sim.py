@@ -8,8 +8,8 @@ horizon's exogenous inputs to the next slot's world plus a flat record, so
 replays and golden logs are exact. A world holds every MG's state as
 columns, and each stage of a step is one array expression over all MGs,
 the market's included; only the clearing's per-bid loops read Python
-floats. A record keeps the slot's columns and book, and its log rows and
-audit lines are built from them when they are written.
+floats. A record keeps the slot's columns and book order, not its book, and
+its log rows and audit lines are built from them when they are written.
 
 The offline oracle solves the whole horizon as one linear program per MG with
 all randomness known and trading disabled. It is the benchmark the
@@ -25,11 +25,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import itemgetter, mul
 from pathlib import Path
 from typing import Any, NamedTuple, get_type_hints
 
-from .auction import ClearingOutcome, OrderBook, audit_rows, budget_check, clear
+from .auction import ClearingOutcome, OrderBook, budget_check, clear
 from .controller import (
     make_bids,
     post_trade_settlement,
@@ -38,7 +39,15 @@ from .controller import (
 )
 from .errors import ConfigError, ParseError, RejectedAction, SimError
 from .flow import min_cost_flow
-from .ingest import LoadModel, Trace, draw_load_grid, synthetic_price, synthetic_wind
+from .ingest import (
+    LoadModel,
+    Trace,
+    draw_load_grid,
+    load_trace,
+    scale_wind,
+    synthetic_price,
+    synthetic_wind,
+)
 from .model import (
     FEAS_TOL,
     DerivedBounds,
@@ -124,18 +133,33 @@ def mg_subseed(seed: int, index: int) -> int:
     return seed * 1009 + index
 
 
-def build_traces(config: ScenarioConfig) -> ScenarioTraces:
-    """Synthetic renewable and price traces for a config (seeded, exact means)."""
-    renewables = tuple(
-        synthetic_wind(
-            config.horizon_slots,
-            m.renewable_mean_kwh,
-            mg_subseed(config.seed, k),
-        )
-        for k, m in enumerate(config.mgs)
-    )
-    prices = synthetic_price(config.horizon_slots, config.price_bounds, config.seed)
-    return ScenarioTraces(renewables=renewables, prices=prices)
+def build_traces(config: ScenarioConfig, traces_doc: dict | None = None) -> ScenarioTraces:
+    """Each trace of a config once: from the file its trace block names, else synthetic.
+
+    ``traces_doc`` is the trace block `config_from_dict` returns. A price
+    file is clipped into the config's band and a renewable file scaled to
+    its MG's mean; without a file the trace is the seeded synthetic one, at
+    exactly the MG's mean, which must then be positive.
+    """
+    doc = traces_doc or {}
+    h, pb = config.horizon_slots, config.price_bounds
+    paths = doc.get("renewable_traces") or [None] * len(config.mgs)
+    if len(paths) != len(config.mgs):
+        raise ConfigError(f"{len(paths)} renewable traces for {len(config.mgs)} MGs")
+    renewables = []
+    for k, (m, path) in enumerate(zip(config.mgs, paths)):
+        if path:
+            renewables.append(scale_wind(load_trace(path), m.renewable_mean_kwh))
+        elif m.renewable_mean_kwh > 0:
+            renewables.append(synthetic_wind(h, m.renewable_mean_kwh, mg_subseed(config.seed, k)))
+        else:
+            raise ConfigError(f"mg {m.params.id}: renewable_mean_kwh 0 needs a trace file")
+    if doc.get("price_trace"):
+        raw = load_trace(doc["price_trace"])
+        prices = Trace(raw.name, tuple(min(max(v, pb.p_min), pb.p_max) for v in raw.values))
+    else:
+        prices = synthetic_price(h, pb, config.seed)
+    return ScenarioTraces(renewables=tuple(renewables), prices=prices)
 
 
 def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInputs:
@@ -150,12 +174,9 @@ def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInput
         if len(tr.values) < h:
             name = f"renewable trace {k - 1}" if k else "price trace"
             raise ConfigError(f"{name} covers {len(tr.values)} slots, horizon needs {h}")
-    if len(traces.renewables) != len(config.mgs):
-        raise ConfigError(f"{len(traces.renewables)} renewable traces for {len(config.mgs)} MGs")
     di, dt = draw_load_grid([m.load_model for m in config.mgs], range(h))
     renewable = [tr.values[:h] for tr in traces.renewables]
-    price = np.array(traces.prices.values[:h])[:, None].repeat(len(config.mgs), axis=1)
-    return SlotInputs(np.array(renewable).T, di.T, dt.T, price)
+    return SlotInputs(np.array(renewable).T, di.T, dt.T, traces.prices.values[:h])
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -227,8 +248,6 @@ class MarketRow(NamedTuple):
 
 # the float fields of a log row: all but the slot, the MG id and the age
 _ROW_FLOATS = MGSlotRow._fields[2:-1]
-# the fill columns: bought and sold kWh, buy and sell unit price
-_FILLS = slice(_ROW_FLOATS.index("bought_kwh"), _ROW_FLOATS.index("sell_unit_price") + 1)
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -236,8 +255,9 @@ class SlotRecord:
     """One slot of a run, its MGs' log rows held as columns.
 
     ``columns[i, k]`` is field ``_ROW_FLOATS[i]`` of MG k's row, in config
-    order; ``rows`` builds the rows from them, and ``market_audit`` the
-    slot's auction_audit.csv lines from them and the slot's book.
+    order, and ``ids[k]`` its MG id. ``buy_bids`` and ``sell_bids`` are the
+    positions of the slot's live bids in book order. ``rows`` builds the log
+    rows from them, and `audit_rows` the slot's auction_audit.csv lines.
     """
 
     slot: int
@@ -245,34 +265,31 @@ class SlotRecord:
     oldest_age: Any
     market: MarketRow
     violations: tuple[str, ...]
-    book: OrderBook
+    ids: list[int]
+    buy_bids: Any
+    sell_bids: Any
 
     @property
     def rows(self) -> tuple[MGSlotRow, ...]:
-        cells = zip(self.book.ids.tolist(), self.columns.T.tolist(), self.oldest_age.tolist())
+        cells = zip(self.ids, self.columns.T.tolist(), self.oldest_age.tolist())
         return tuple(MGSlotRow(self.slot, mid, *row, age) for mid, row, age in cells)
-
-    @property
-    def market_audit(self) -> list[tuple]:
-        return audit_rows(self.slot, self.book, *self.columns[_FILLS])
 
 
 def _monitor(
-    slot: int, fleet: Fleet, battery_kwh, demand_kwh, delay_kwh, action, spill, oldest_age
+    slot: int, fleet: Fleet, battery_kwh, demand_kwh, delay_kwh, spill, oldest_age
 ) -> list[str]:
     """Check every MG's queue/battery bounds after the slot's updates.
 
     ``oldest_age`` is the age of each MG's oldest pending job at the start
     of the next slot; jobs are served oldest first, so no other job is older.
+    `battery_step` has already rejected charging and discharging at once.
     """
     import numpy as np
 
-    c, d = action.charge_kwh, action.discharge_kwh
     failed = np.array([
         ~((-FEAS_TOL <= battery_kwh) & (battery_kwh <= fleet.battery_capacity_kwh + FEAS_TOL)),
         demand_kwh > fleet.q_max + FEAS_TOL, delay_kwh > fleet.z_max + FEAS_TOL,
-        np.minimum(c, d) > FEAS_TOL, spill < -FEAS_TOL,
-        oldest_age > fleet.delta_max_slots + FEAS_TOL,
+        spill < -FEAS_TOL, oldest_age > fleet.delta_max_slots + FEAS_TOL,
     ])
     if not failed.any():
         return []
@@ -283,7 +300,6 @@ def _monitor(
             f"battery {float(battery_kwh[k])} outside [0, capacity]",
             f"Q {float(demand_kwh[k])} > q_max {float(fleet.q_max[k])}",
             f"Z {float(delay_kwh[k])} > z_max {float(fleet.z_max[k])}",
-            "charge and discharge both positive",
             f"energy balance short by {-float(spill[k])}",
             f"job from slot {slot + 1 - age} is {age} slots old",
         )
@@ -305,14 +321,11 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, SlotRecord]:
     if got != n:
         raise SimError(f"slot {t}: got {got} inputs for {n} MGs")
     r, di, dt, price = inputs.slot(t)
-    grid_price = float(price[0])
-    if (price != grid_price).any():
-        raise SimError(f"slot {t}: MGs disagree on the grid price")
     b, q, z = world.battery_kwh, world.demand_queue_kwh, world.delay_queue_kwh
     try:
         bids = make_bids(q, z, r, di, fleet)
         book = OrderBook.from_bids(fleet.id, bids, cfg.rho1, cfg.rho2)
-        outcome = clear(book, grid_price) if cfg.mode == MODE_AUCTION else ClearingOutcome.empty()
+        outcome = clear(book, price) if cfg.mode == MODE_AUCTION else ClearingOutcome.empty()
         surplus = budget_check(outcome)
     except Exception as e:
         raise SimError(f"slot {t}: market stage failed: {e}") from e
@@ -331,17 +344,19 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, SlotRecord]:
     new_q = demand_queue_step(q, j, dt)
     served = world.served_kwh + j
     oldest_age = oldest_pending_age(inputs.arrived_kwh, served, t + 1)
-    violations = _monitor(t, fleet, new_b, new_q, new_z, action, spill, oldest_age)
+    violations = _monitor(t, fleet, new_b, new_q, new_z, spill, oldest_age)
 
     columns = np.array((
-        b, q, z, x, r, di, dt, price, *bids, bought, sold, buy_unit, sell_unit,
+        b, q, z, x, r, di, dt, np.full(n, price), *bids, bought, sold, buy_unit, sell_unit,
         c, d, j, g, spill, cost,
     ))
     market = MarketRow(
         outcome.buy_clearing_price, outcome.sell_clearing_price,
         outcome.total_volume(), surplus,
     )
-    record = SlotRecord(t, columns, oldest_age, market, tuple(violations), book)
+    record = SlotRecord(
+        t, columns, oldest_age, market, tuple(violations), fleet.id, book.buy_bids, book.sell_bids
+    )
     return World(cfg, fleet, new_b, new_q, new_z, served, t + 1), record
 
 
@@ -484,7 +499,8 @@ def offline_oracle(
     if h < 1:
         raise SimError("oracle needs at least one slot")
     grid, sink = 3 * h, 3 * h + 1  # bus 3t, battery 3t + 1 and W_t 3t + 2 for slot t
-    columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh, inputs.grid_price
+    columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh
+    price = inputs.grid_price.tolist()
     per_mg: dict[int, float] = {}
     solved = {} if solved is None else solved
     for k, (m, db) in enumerate(zip(config.mgs, config.bounds())):
@@ -493,7 +509,7 @@ def offline_oracle(
         if (p.id, b0) in solved:
             per_mg[p.id] = solved[p.id, b0]
             continue
-        r, di, dt, price = (a[:, k].tolist() for a in columns)
+        r, di, dt = (a[:, k].tolist() for a in columns)
         arcs = [(grid, 3 * t, math.inf, price[t]) for t in range(h)]  # arc t buys in slot t
         supply = [0.0] * (3 * h + 2)
         for t in range(h):
@@ -666,13 +682,40 @@ AUDIT_HEADER = (
     "cleared_quantity",
 )
 _AUDIT_CELLS = "%s,%s,%s,%.6f,%.6f,%s,%.6f,%.6f"
+# each side's bid price and kWh, fill and unit price, as the log rows name them
+_SIDE_FIELDS = {
+    side: (f"bid_{side}_price", f"bid_{side}_qty", fill, f"{side}_unit_price")
+    for side, fill in (("buy", "bought_kwh"), ("sell", "sold_kwh"))
+}
+# and the rows of a record's columns that hold them
+_SIDE_ROWS = {side: list(map(_ROW_FLOATS.index, names)) for side, names in _SIDE_FIELDS.items()}
 
 
-def write_audit_csv(path, rows: list[tuple]) -> None:
+def audit_rows(record: SlotRecord) -> list[tuple]:
+    """The slot's audit lines: every live bid, buys then sells, each side in book order.
+
+    A line is (slot, MG id, side, price, quantity, accepted, cleared price,
+    cleared quantity), read from the record's columns. A bid is accepted
+    when its MG traded on its side; its cleared price is then its unit price
+    and its cleared quantity its fill, and both are zero otherwise.
+    """
+    rows: list[tuple] = []
+    for side, at in (("buy", record.buy_bids), ("sell", record.sell_bids)):
+        price, kwh, got, unit = record.columns[_SIDE_ROWS[side]][:, at]
+        rows.extend(zip(
+            repeat(record.slot), [record.ids[k] for k in at.tolist()], repeat(side),
+            price.tolist(), kwh.tolist(), (got > 0.0).astype(int).tolist(), unit.tolist(),
+            got.tolist(),
+        ))
+    return rows
+
+
+def write_audit_csv(path, records: list[SlotRecord]) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(AUDIT_HEADER) + _EOL)
         line = _AUDIT_CELLS + _EOL
-        fh.writelines(line % row for row in rows)
+        for rec in records:
+            fh.writelines(line % row for row in audit_rows(rec))
 
 
 def log_number(path, line: int, column: str, cell: str) -> float:
@@ -745,9 +788,7 @@ def read_slots_csv(path) -> list[dict[str, float]]:
 
 # each side's bid price and kWh, fill, unit price and market price in slots.csv
 _SIDE_COLUMNS = {
-    side: itemgetter(f"bid_{side}_price", f"bid_{side}_qty", fill, f"{side}_unit_price",
-                     f"market_{side}_price")
-    for side, fill in (("buy", "bought_kwh"), ("sell", "sold_kwh"))
+    side: itemgetter(*names, f"market_{side}_price") for side, names in _SIDE_FIELDS.items()
 }
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from mgtrade.auction import ClearingOutcome, OrderBook
 from mgtrade.controller import Bids, make_bids, solve_slot_program
 from mgtrade.model import ControlAction, DerivedBounds, Fleet
+from mgtrade.sim import MarketRow, MGSlotRow, SlotRecord
 
 from oracles import TradeAllocation
 
@@ -101,3 +102,16 @@ def trade_of(book: OrderBook, outcome: ClearingOutcome, mg_id: int) -> TradeAllo
     """One MG's column entries of `outcome.fills`."""
     k = book.ids.tolist().index(mg_id)
     return TradeAllocation(mg_id, *outcome.fills(len(book.ids))[:, k].tolist())
+
+
+def record_of(slot: int, book: OrderBook, fills) -> SlotRecord:
+    """A slot record of the book's bids and `fills` (as `ClearingOutcome.fills`
+    returns them); its other columns are zero."""
+    fields = MGSlotRow._fields[2:-1]  # the record's column rows
+    columns = np.zeros((len(fields), len(book.ids)))
+    bids = fields.index("bid_sell_price")
+    columns[bids : bids + 8] = (*book.bids, *fills)  # four bid fields, then four fills
+    return SlotRecord(
+        slot, columns, np.zeros(len(book.ids), dtype=int), MarketRow(0.0, 0.0, 0.0, 0.0), (),
+        book.ids.tolist(), book.buy_bids, book.sell_bids,
+    )

@@ -16,16 +16,15 @@ from mgtrade.auction import (
     ClearingOutcome,
     OrderBook,
     _candidates,
-    audit_rows,
     budget_check,
     clear,
     pair_quantity,
 )
 from mgtrade.controller import Bids
 from mgtrade.errors import InvariantViolation, MarketError
-from mgtrade.sim import AUDIT_HEADER, write_audit_csv
+from mgtrade.sim import AUDIT_HEADER, audit_rows, write_audit_csv
 
-from columnar import allocations_by_id, book_of, book_sides, trade_of
+from columnar import allocations_by_id, book_of, book_sides, record_of, trade_of
 from oracles import (
     TradeAllocation,
     TupleBook,
@@ -588,7 +587,8 @@ def test_audit_rows_cover_every_bid(tmp_path):
     )
     out = clear(b, grid_price=10.0)
     line = namedtuple("line", AUDIT_HEADER)
-    rows = list(map(line._make, audit_rows(7, b, *out.fills(len(b.ids)))))
+    record = record_of(7, b, out.fills(len(b.ids)))
+    rows = list(map(line._make, audit_rows(record)))
     assert len(rows) == 4
     by_mg = {r.mg_id: r for r in rows}
     assert by_mg[1].accepted == 1 and by_mg[2].accepted == 0  # winner and marginal buyer
@@ -598,7 +598,7 @@ def test_audit_rows_cover_every_bid(tmp_path):
     assert by_mg[2].cleared_price == by_mg[2].cleared_quantity == 0.0
 
     path = tmp_path / "audit.csv"
-    write_audit_csv(path, rows)
+    write_audit_csv(path, [record])
     with open(path, newline="") as fh:
         got = list(csv.reader(fh))
     assert tuple(got[0]) == AUDIT_HEADER
@@ -631,7 +631,7 @@ def assert_market_stage_equals_the_reference(slot: int, b: OrderBook, grid: floa
             [t.bought_kwh, t.sold_kwh, t.buy_unit_price, t.sell_unit_price] for t in want
         ])
         rows = reference_audit_rows(slot, ref, bp, sp, trades)
-        assert repr(audit_rows(slot, b, *fills)) == repr([tuple(r) for r in rows])
+        assert repr(audit_rows(record_of(slot, b, fills))) == repr([tuple(r) for r in rows])
 
 
 @pytest.mark.parametrize("n_mgs", [24, 96, 200])

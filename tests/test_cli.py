@@ -122,6 +122,42 @@ def test_config_rejects_fractional_integer(path, value):
         config_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("renewable_traces", [3]), ("price_trace", 5), ("renewable_traces", "w.csv")],
+    ids=["renewable-number", "price-number", "renewable-string"],
+)
+def test_config_rejects_trace_paths_that_are_not_paths(tmp_path, capsys, key, value):
+    """A trace path is a string or null, and renewable_traces a list of them: exit 3."""
+    doc = reference_doc()
+    doc["mgs"] = doc["mgs"][:1]
+    doc[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == EXIT_DATA
+    assert f"error: {key} must be null or a" in capsys.readouterr().err
+
+
+def test_zero_renewable_mean_needs_a_trace_file(tmp_path, capsys):
+    """No synthetic trace has mean 0, so the error names the MG (exit 3); a
+    trace file scaled to mean 0 runs."""
+    doc = reference_doc()
+    doc["horizon_slots"] = 6
+    doc["mgs"][1]["renewable_mean_kwh"] = 0.0
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(doc))
+    argv = ("run", "--config", str(path), "--mode", "solo", "--out", str(tmp_path / "out"))
+    assert run_cli(*argv) == EXIT_DATA
+    assert "error: mg 2: renewable_mean_kwh 0 needs a trace file" in capsys.readouterr().err
+    wind = tmp_path / "wind.csv"
+    wind.write_text("slot,value\n" + "".join(f"{t},{10.0 + t}\n" for t in range(6)))
+    doc["renewable_traces"] = [None, str(wind), None, None, None, None]
+    path.write_text(json.dumps(doc))
+    assert run_cli(*argv) == EXIT_OK
+    rows = csv.DictReader((tmp_path / "out" / "solo" / "slots.csv").read_text().splitlines())
+    assert {float(r["renewable_kwh"]) for r in rows if r["mg_id"] == "2"} == {0.0}
+
+
 def test_unknown_mg_type_names_the_default_id(tmp_path, capsys):
     path = tmp_path / "one.json"
     doc = reference_doc()
@@ -688,6 +724,31 @@ def test_sweep_draws_its_inputs_once(tmp_path, monkeypatch):
     )
 
 
+def test_run_both_draws_its_inputs_once(tmp_path, monkeypatch):
+    """The mode changes no draw: `run --mode both` builds its traces and draws its
+    inputs once, after --seed and --horizon, and writes the slots.csv files that
+    drawing them once per mode did."""
+    from mgtrade import cli, sim
+
+    calls = []
+
+    def counted(name):
+        real = getattr(sim, name)
+        return lambda *a: calls.append(name) or real(*a)
+
+    for name in ("build_traces", "realized_inputs"):
+        monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(sim, name, counted(name))
+    argv = ("run", "--seed", "3", "--horizon", "48", "--out", str(tmp_path))
+    assert run_cli(*argv) == EXIT_OK
+    assert sorted(calls) == ["build_traces", "realized_inputs"]
+    # the sha256 each had when every mode built its own traces and inputs
+    assert {m: sha256(tmp_path / m / "slots.csv") for m in ("auction", "solo")} == {
+        "auction": "ec82e70224b14d20c442261c59ac552f8d4e0f89fb84d5406deef3754055e342",
+        "solo": "642d2e9ac96c4b30a4a3c3dcccb2ed9f6e80bcba22d244d7d787de6f7f69cf50",
+    }
+
+
 def test_sweep_fails_on_an_infeasible_oracle(tmp_path, capsys):
     """Serving 10 kWh a slot cannot clear the backlog by the horizon: exit 4."""
     doc = {
@@ -821,9 +882,10 @@ def test_no_command_loads_scipy(tmp_path):
 import csv, sys
 from mgtrade import run
 import mgtrade.cli as cli
+import mgtrade.sim as sim
 assert cli.main(["run", "--horizon", "4", "--out", {str(tmp_path / "run")!r}]) == 0
 assert cli.main(["audit", {str(tmp_path / "run")!r}]) == 0
-assert run is cli.run
+assert run is sim.run
 sweep = {str(tmp_path / "sweep")!r}
 assert cli.main(["sweep", "--config", {CONFIG!r}, "--fractions", "0.5,1.0", "--out", sweep]) == 0
 assert cli.main(["audit", sweep]) == 0
@@ -874,6 +936,41 @@ GOLDEN_SHA256 = {
     "solo/summary.csv": "3dd0866e2983317576da3c25e150ca692912253a94d9fb099adc51bb7eac53c2",
     "solo/auction_audit.csv": "32040dabdac14923500d990254bd0311743c50ac019d7c74cbe81232a3cd2cb7",
 }
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def trace_files_config(tmp_path) -> Path:
+    """A 24-slot reference config naming a price file and renewable files for MGs 1
+    and 4, null for the rest. The prices run from 1.0 to 18.25, past both ends of
+    the [2, 16] band they are clipped into."""
+    prices, wind_1, wind_4 = (tmp_path / n for n in ("prices.csv", "wind1.csv", "wind4.csv"))
+    for path, value in (
+        (prices, lambda t: 1.0 + 0.75 * t),
+        (wind_1, lambda t: 50.0 + 30.0 * (t % 5)),
+        (wind_4, lambda t: 400.0 - 12.5 * t),
+    ):
+        path.write_text("slot,value\n" + "".join(f"{t},{value(t)}\n" for t in range(24)))
+    doc = reference_doc()
+    doc["horizon_slots"] = 24
+    doc["price_trace"] = str(prices)
+    doc["renewable_traces"] = [str(wind_1), None, None, str(wind_4), None, None]
+    path = tmp_path / "files.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_run_reads_trace_files(tmp_path):
+    """File traces, clipped or scaled, beside synthetic ones for the MGs with none."""
+    config = trace_files_config(tmp_path)
+    assert run_cli("run", "--config", str(config), "--out", str(tmp_path / "out")) == EXIT_OK
+    # the sha256 each had when every synthetic trace was drawn, then replaced by a file's
+    assert {m: sha256(tmp_path / "out" / m / "slots.csv") for m in ("auction", "solo")} == {
+        "auction": "d0d560cd20697d44500bb7bd155085f207c2c5578b3131e816e3f770315a167f",
+        "solo": "9d3166e84f5564257732cd47d87aa3de1a078c689873425e4456e55269d45371",
+    }
 
 
 def test_reference_run_matches_golden_bytes(tmp_path):

@@ -27,6 +27,7 @@ from mgtrade.sim import (
     MGSpec,
     ScenarioConfig,
     World,
+    audit_rows,
     bound_audit,
     build_traces,
     mg_subseed,
@@ -141,11 +142,10 @@ def test_build_traces_shapes_and_means():
 
 def test_realized_inputs_share_the_grid_price():
     cfg = small_scenario(horizon=12)
-    inputs = realized_inputs(cfg, build_traces(cfg))
+    traces = build_traces(cfg)
+    inputs = realized_inputs(cfg, traces)
     assert len(inputs) == 12
-    for slot in inputs.grid_price:
-        assert len(slot) == 2
-        assert slot[0] == slot[1]
+    assert inputs.grid_price.tolist() == list(traces.prices.values[:12])
 
 
 def test_realized_inputs_rejects_short_traces():
@@ -179,8 +179,10 @@ def idle_band_config() -> ScenarioConfig:
 
 
 def slots(*rows) -> SlotInputs:
-    """Inputs from one tuple per slot of each MG's (R, I, T, P)."""
-    return SlotInputs(*np.array(rows, dtype=float).transpose(2, 0, 1))
+    """Inputs from one tuple per slot of each MG's (R, I, T, P); a slot's MGs share P."""
+    r, di, dt, price = np.array(rows, dtype=float).transpose(2, 0, 1)
+    assert (price == price[:, :1]).all(), "one grid price per slot"
+    return SlotInputs(r, di, dt, price[:, 0])
 
 
 def test_step_all_zero_slot_is_free():
@@ -205,13 +207,13 @@ def test_step_rejects_wrong_input_count():
         step(World.initial(cfg), slots([(0, 0, 0, 2.0)]))
 
 
-def test_step_rejects_disagreeing_prices():
-    cfg = small_scenario()
-    with pytest.raises(SimError, match="grid price"):
-        step(
-            World.initial(cfg),
-            slots([(0, 0, 0, 2.0), (0, 0, 0, 3.0)]),
-        )
+def test_slot_inputs_take_one_grid_price_per_slot():
+    """Every MG pays the slot's one grid price: a (slots,) column, nothing else."""
+    loads = np.zeros((1, 2))  # one slot, two MGs
+    assert SlotInputs(loads, loads, loads, [2.0]).grid_price.tolist() == [2.0]
+    for price in ([[2.0, 2.0]], [2.0, 3.0], []):  # per MG, two for one slot, none
+        with pytest.raises(ConfigError, match="grid_price"):
+            SlotInputs(loads, loads, loads, price)
 
 
 def crossing_market() -> tuple[ScenarioConfig, World, SlotInputs]:
@@ -277,7 +279,7 @@ def test_step_crossing_market_preserves_buyer_battery():
     assert buyer.discharge_kwh == 0.0
     assert buyer_solo.discharge_kwh == pytest.approx(300.0)
     assert next_world.battery_kwh[0] > solo_next.battery_kwh[0]
-    assert len(rec.market_audit) == 4
+    assert len(audit_rows(rec)) == 4
 
 
 def test_step_one_sided_books_make_modes_identical():
@@ -466,8 +468,8 @@ def reference_costs(reference, cfg, inputs) -> dict:
             p.discharge_rate_max_kwh,
             p.serve_rate_max_kwh,
             list(zip(*(f[:, k].tolist() for f in
-                       (inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh,
-                        inputs.grid_price)))),
+                       (inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh)),
+                     inputs.grid_price.tolist())),
         )
     return costs
 
