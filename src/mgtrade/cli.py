@@ -35,15 +35,15 @@ from .sim import (
     ScenarioConfig,
     bound_audit,
     build_traces,
-    log_lines,
-    log_numbers,
     mg_subseed,
     offline_oracle,
+    read_log,
     read_slots_csv,
     realized_inputs,
     simulate,
     verify_audit_csv,
     verify_log_rows,
+    verify_summary_csv,
     write_audit_csv,
     write_slots_csv,
     write_summary_csv,
@@ -281,6 +281,19 @@ def default_scenario(
 materialize_traces = build_traces
 
 
+def _absolute(traces_doc: dict) -> dict:
+    """The trace block with each path absolute, as it resolves from here.
+
+    A run or sweep directory records its trace files this way, so its
+    config.json reruns from any directory.
+    """
+    price, renewables = traces_doc.get("price_trace"), traces_doc.get("renewable_traces")
+    return {
+        "price_trace": price and os.path.abspath(price),
+        "renewable_traces": renewables and [p and os.path.abspath(p) for p in renewables],
+    }
+
+
 def _emit_run(
     out_dir: Path,
     config: ScenarioConfig,
@@ -295,7 +308,7 @@ def _emit_run(
     report = bound_audit(summary, config, oracle=None)
     (out_dir / "audit.txt").write_text(report.render() + "\n")
     (out_dir / "config.json").write_text(
-        json.dumps(config_to_dict(config, traces_doc), indent=2) + "\n"
+        json.dumps(config_to_dict(config, _absolute(traces_doc)), indent=2) + "\n"
     )
 
 
@@ -380,8 +393,12 @@ def _audit_one(run_dir: Path) -> list[str]:
     if not config_path.exists():
         raise SimError(f"{run_dir}: missing config.json")
     config, _ = config_from_dict(json.loads(config_path.read_text()))
-    rows = read_slots_csv(run_dir / "slots.csv")
-    return verify_log_rows(config, rows) + verify_audit_csv(run_dir / "auction_audit.csv", rows)
+    log = read_slots_csv(run_dir / "slots.csv")
+    return (
+        verify_log_rows(config, log)
+        + verify_audit_csv(run_dir / "auction_audit.csv", log)
+        + verify_summary_csv(run_dir / "summary.csv", config, log)
+    )
 
 
 def cmd_audit(args) -> int:
@@ -415,38 +432,42 @@ def cmd_audit(args) -> int:
 
 
 def _audit_sweep(sweep_csv: Path) -> int:
-    by_mg: dict[str, list] = {}  # each MG's rows, as written and as numbers
-    for line, cells in log_lines(sweep_csv, SWEEP_HEADER, ParseError):
-        row = dict(zip(SWEEP_HEADER, cells))
-        numbers = log_numbers(sweep_csv, line, SWEEP_HEADER, cells)
-        by_mg.setdefault(row["mg_id"], []).append((row, dict(zip(SWEEP_HEADER, numbers))))
-    if not by_mg:
+    log = read_log(sweep_csv, SWEEP_HEADER, error=ParseError)
+    if not len(log):
         raise SimError(f"{sweep_csv}: empty")
+    fraction, v, online, oracle, gap, av = (
+        log[n] for n in ("fraction", "v_weight", "online_time_avg_cost",
+                         "oracle_time_avg_cost", "gap", "a_over_v")
+    )
+    # the cells as written, which the table and the problems quote
+    written = [dict(zip(SWEEP_HEADER, log.row(k))) for k in range(len(log))]
+    by_mg: dict[str, list[int]] = {}  # each MG's rows, by its id as written
+    for k, cells in enumerate(written):
+        by_mg.setdefault(cells["mg_id"], []).append(k)
     print(f"{'fraction':>8} {'mg':>4} {'v_weight':>12} {'online':>12} "
           f"{'oracle':>12} {'gap':>12} {'a_over_v':>12}")
     monotone = True
     problems: list[str] = []
-    for mid, group in sorted(by_mg.items()):
-        group.sort(key=lambda row: row[1]["fraction"])
+    for mid, rows in sorted(by_mg.items()):
+        rows.sort(key=fraction.__getitem__)
         prev_av = None
-        for r, x in group:
-            online = x["online_time_avg_cost"]
-            av = x["a_over_v"]
+        for k in rows:
             print(
-                f"{x['fraction']:>8.3f} {mid:>4} "
-                f"{x['v_weight']:>12.4f} {online:>12.4f} "
-                f"{r['oracle_time_avg_cost']:>12} {r['gap']:>12} {av:>12.4f}"
+                f"{fraction[k]:>8.3f} {mid:>4} "
+                f"{v[k]:>12.4f} {online[k]:>12.4f} "
+                f"{written[k]['oracle_time_avg_cost']:>12} {written[k]['gap']:>12} {av[k]:>12.4f}"
             )
-            if prev_av is not None and av > prev_av + 1e-12:
+            if prev_av is not None and av[k] > prev_av + 1e-12:
                 monotone = False
-            prev_av = av
-            tag = f"fraction {r['fraction']} mg {mid}"
-            gap = x["gap"]
+            prev_av = av[k]
+            tag = f"fraction {written[k]['fraction']} mg {mid}"
             # each logged value is off by at most 5e-7 after 6-decimal rounding
-            if abs(gap - (online - x["oracle_time_avg_cost"])) > 1.5e-6:
-                problems.append(f"{tag}: gap {r['gap']} != online - oracle")
-            if gap > av + 1e-6:
-                problems.append(f"{tag}: gap {r['gap']} above a_over_v {r['a_over_v']}")
+            if abs(gap[k] - (online[k] - oracle[k])) > 1.5e-6:
+                problems.append(f"{tag}: gap {written[k]['gap']} != online - oracle")
+            if gap[k] > av[k] + 1e-6:
+                problems.append(
+                    f"{tag}: gap {written[k]['gap']} above a_over_v {written[k]['a_over_v']}"
+                )
     print("a_over_v monotone: " + ("PASS" if monotone else "FAIL"))
     print(f"gap within a_over_v: {'FAIL' if problems else 'PASS'}")
     for p in problems:
@@ -512,7 +533,7 @@ def cmd_sweep(args) -> int:
         writer.writeheader()
         writer.writerows(rows)
     (out_root / "config.json").write_text(
-        json.dumps(config_to_dict(base, traces_doc), indent=2) + "\n"
+        json.dumps(config_to_dict(base, _absolute(traces_doc)), indent=2) + "\n"
     )
     print(f"wrote {out_root / 'sweep.csv'}")
     return EXIT_OK

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter, mul
 from pathlib import Path
 from typing import Any, NamedTuple, get_type_hints
@@ -62,7 +64,6 @@ from .model import (
     initial_battery,
     oldest_pending_age,
     virtual_battery,
-    within,
 )
 
 MODE_AUCTION = "with_auction"
@@ -170,10 +171,12 @@ def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInput
     import numpy as np
 
     h = config.horizon_slots
-    for k, tr in enumerate((traces.prices, *traces.renewables)):
+    named = [("price trace", traces.prices)] + [
+        (f"mg {m.params.id}: renewable trace", tr) for m, tr in zip(config.mgs, traces.renewables)
+    ]
+    for what, tr in named:
         if len(tr.values) < h:
-            name = f"renewable trace {k - 1}" if k else "price trace"
-            raise ConfigError(f"{name} covers {len(tr.values)} slots, horizon needs {h}")
+            raise ConfigError(f"{what} {tr.name!r} covers {len(tr.values)} slots, horizon needs {h}")
     di, dt = draw_load_grid([m.load_model for m in config.mgs], range(h))
     renewable = [tr.values[:h] for tr in traces.renewables]
     return SlotInputs(np.array(renewable).T, di.T, dt.T, traces.prices.values[:h])
@@ -650,10 +653,6 @@ _EOL = "\r\n"
 _MG_COLUMNS, _MG_CELLS = _log_columns(MGSlotRow)
 _MARKET_COLUMNS, _MARKET_CELLS = _log_columns(MarketRow, prefix="market_")
 SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
-# positions of the fields declared ``int``, whose logged values must be whole
-_WHOLE_CELLS = tuple(
-    SLOTS_HEADER.index(n) for n, t in get_type_hints(MGSlotRow).items() if t is int
-)
 
 
 def write_slots_csv(path, records: list[SlotRecord]) -> None:
@@ -718,140 +717,296 @@ def write_audit_csv(path, records: list[SlotRecord]) -> None:
             fh.writelines(line % row for row in audit_rows(rec))
 
 
-def log_number(path, line: int, column: str, cell: str) -> float:
-    """A logged finite number; any other cell is a ParseError naming where it sits."""
-    try:
-        x = float(cell)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise ParseError(
-            f"{path}: line {line}, column {column!r}: {cell!r} is not a finite number"
-        )
-    return x
+@dataclass(frozen=True, eq=False)  # columns are lists, compared by no one
+class Log:
+    """A log read back as columns (see `read_log`), its rows in file order.
+
+    ``log[name]`` is a column: a list of floats, or of the cells as written
+    for a text column. ``len(log)`` is the row count, ``log.row(k)`` row k's
+    cells as written and ``log.lines[k]`` its line in the file.
+    """
+
+    header: tuple[str, ...]
+    rows: list[str]
+    columns: dict[str, list]
+    lines: Sequence[int]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, name: str) -> list:
+        return self.columns[name]
+
+    def row(self, k: int) -> list[str]:
+        return self.rows[k].split(",")
 
 
-def log_numbers(path, line: int, columns, cells) -> list[float]:
-    """A log line's cells as finite numbers, each checked by `log_number` if need be."""
-    try:
-        values = list(map(float, cells))
-        if math.isfinite(sum(values)):
-            return values
-    except ValueError:
-        pass
-    return [log_number(path, line, *cc) for cc in zip(columns, cells)]
+# Rows split and converted at a time: a block's cell strings are freed while
+# they are still in cache, and their memory serves the next block.
+_BLOCK_ROWS = 512
 
 
-def log_lines(path, header: tuple[str, ...], error=SimError):
-    """A log's nonblank rows after its header, as (line, cells).
+def read_log(
+    path, header: tuple[str, ...], text=(), whole=(), finite: bool = True, error=SimError
+) -> Log:
+    """Read a log as columns: blocks of rows split into flat cell lists, each one `map(float)`.
 
-    Logs quote no cell (see `_log_columns`), so a row is its line split at
-    the commas. A missing log or a different header raises `error`; a
-    ragged row is a ParseError.
+    Logs quote no cell (see `_log_columns`), so the rows after the header
+    are the nonblank lines (ended by any of LF, CRLF, CR) split at the
+    commas. Every column but the ``text`` ones holds numbers, finite ones if
+    ``finite``, and the ``whole`` ones whole numbers. A missing log or a
+    different header raises `error`; a row of the wrong width or a bad cell
+    is a ParseError naming the line (and column) of the first in the file.
     """
     if not Path(path).exists():
         raise error(f"missing log: {path}")
-    with open(path, newline="") as fh:
-        found = fh.readline().rstrip("\r\n").split(",")
-        if tuple(found) != header:
-            raise error(f"{path}: unexpected header {found}")
-        for line, text in enumerate(fh, 2):
-            cells = text.rstrip("\r\n").split(",")
-            if len(cells) != len(header):
-                if cells == [""]:
-                    continue
-                raise ParseError(
-                    f"{path}: line {line}: {len(cells)} cells, header has {len(header)}"
-                )
-            yield line, cells
+    with open(path) as fh:  # universal newlines: every line end reads as "\n"
+        head = fh.readline().rstrip("\n").split(",")
+        rows = fh.read().split("\n")
+    if tuple(head) != header:
+        raise error(f"{path}: unexpected header {head}")
+    if not rows[-1]:
+        rows.pop()  # what follows the last line end
+    lines: Sequence[int] = range(2, len(rows) + 2)
+    if "" in rows:  # a blank line holds no row
+        lines = [line for line, row in zip(lines, rows) if row]
+        rows = list(filter(None, rows))
+    width = len(header)
+    commas = list(map(str.count, rows, repeat(",")))
+    whole_rows = len(rows)
+    if commas.count(width - 1) != whole_rows:
+        whole_rows = next(k for k, n in enumerate(commas) if n != width - 1)
+    texts = {header.index(name): [] for name in text}
+    values: list[float] = []
+    for start in range(0, whole_rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, whole_rows)
+        cells = ",".join(rows[start:stop]).split(",")
+        for i, column in texts.items():
+            column += cells[i::width]
+            cells[i::width] = ["0"] * (stop - start)
+        try:
+            block = list(map(float, cells))
+            ok = (not finite or math.isfinite(sum(block))) and all(
+                all(map(float.is_integer, block[header.index(name)::width])) for name in whole
+            )
+        except ValueError:
+            ok = False
+        if not ok:  # find the row at fault, if any (a finite sum may also overflow)
+            _raise_bad_cell(path, header, cells, lines[start:stop], whole, finite)
+        values += block
+    if whole_rows < len(rows):
+        raise ParseError(
+            f"{path}: line {lines[whole_rows]}: {commas[whole_rows] + 1} cells, "
+            f"header has {width}"
+        )
+    columns = {name: texts.get(i) or values[i::width] for i, name in enumerate(header)}
+    return Log(header, rows, columns, lines)
 
 
-def read_slots_csv(path) -> list[dict[str, float]]:
-    """Parse a slots log back into numeric dict rows (ids and slots as floats).
+def _parsed(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
 
-    A column of an ``int`` field must hold a whole number.
+
+def _raise_bad_cell(path, header, cells, lines, whole, finite: bool) -> None:
+    """Raise the ParseError of the first row of the flat `cells` with a bad cell.
+
+    A row with a cell that is no number (or, if ``finite``, no finite one)
+    names its first cell that is no finite number; else its first ``whole``
+    column holding a fraction.
     """
-    out: list[dict[str, float]] = []
-    for line, cells in log_lines(path, SLOTS_HEADER):
-        values = log_numbers(path, line, SLOTS_HEADER, cells)
-        for i in _WHOLE_CELLS:
+    width = len(header)
+    for k, line in enumerate(lines[:len(cells) // width]):
+        row = cells[k * width:(k + 1) * width]
+        values = list(map(_parsed, row))
+        if None in values or finite and not all(map(math.isfinite, values)):
+            i = next(i for i, x in enumerate(values) if x is None or not math.isfinite(x))
+            raise ParseError(
+                f"{path}: line {line}, column {header[i]!r}: {row[i]!r} is not a finite number"
+            )
+        for name in whole:
+            i = header.index(name)
             if not values[i].is_integer():
                 raise ParseError(
-                    f"{path}: line {line}, column {SLOTS_HEADER[i]!r}: "
-                    f"{cells[i]!r} is not a whole number"
+                    f"{path}: line {line}, column {name!r}: {row[i]!r} is not a whole number"
                 )
-        out.append(dict(zip(SLOTS_HEADER, values)))
-    if not out:
+
+
+# the columns of the fields declared ``int``, whose logged values must be whole
+_WHOLE_COLUMNS = tuple(n for n, t in get_type_hints(MGSlotRow).items() if t is int)
+
+
+def read_slots_csv(path) -> Log:
+    """Read a slots log back as columns of floats (ids and slots as floats).
+
+    A column of an ``int`` field must hold whole numbers.
+    """
+    log = read_log(path, SLOTS_HEADER, whole=_WHOLE_COLUMNS)
+    if not len(log):
         raise SimError(f"{path}: no rows")
-    return out
+    return log
 
 
-# each side's bid price and kWh, fill, unit price and market price in slots.csv
-_SIDE_COLUMNS = {
-    side: itemgetter(*names, f"market_{side}_price") for side, names in _SIDE_FIELDS.items()
-}
+def _row_orders(log: Log) -> tuple[list[int], list[int], dict[int, slice]]:
+    """The slots log's rows sorted by slot, and by MG and slot, with each MG's slice.
+
+    Both sorts are stable, so rows tied on the key keep their file order.
+    MGs come in the order they first appear, and each MG's rows form one
+    slice of the second order, in slot order.
+    """
+    slot, mg = log["slot"], log["mg_id"]
+    rows = Counter(mg)  # each MG's row count, in order of first appearance
+    rank = {mid: k for k, mid in enumerate(rows)}
+    by_slot = sorted(range(len(slot)), key=slot.__getitem__)
+    by_mg = sorted(by_slot, key=list(map(rank.__getitem__, mg)).__getitem__)
+    ends = accumulate(rows.values())
+    return by_slot, by_mg, {int(mid): slice(end - n, end) for (mid, n), end in zip(rows.items(), ends)}
 
 
-def verify_audit_csv(path, rows: list[dict[str, float]]) -> list[str]:
-    """Check auction_audit.csv line by line against the slots log `rows`.
+def _reorder(log: Log, order: list[int], names) -> dict[str, Sequence]:
+    """The columns `names` of `log`, their rows taken in `order` by one itemgetter."""
+    if order == list(range(len(order))):  # a log written by a run is in slot order
+        return {name: log[name] for name in names}
+    take = itemgetter(*order)  # of two indices or more, so it returns a tuple
+    return {name: take(log[name]) for name in names}
+
+
+def verify_audit_csv(path, log: Log) -> list[str]:
+    """Check auction_audit.csv line by line against the slots log `log`.
 
     Every bid logged with a positive quantity has one line, buys then sells
     in book order (rounding may tie prices), with the MG's logged bid, fill
     and, when accepted, the market price. A line is accepted when its fill or
     unit price is nonzero: in memory a fill is positive exactly when the unit
-    price is the positive market price.
+    price is the positive market price. A cell that is not finite matches no
+    logged number.
     """
-    logged = {(r["slot"], r["mg_id"]): r for r in rows}
-    listed: dict[tuple[float, float], str] = {}  # the side of each listed bid
+    audit = read_log(path, AUDIT_HEADER, text=("side",), finite=False)
+    logged = dict(zip(zip(log["slot"], log["mg_id"]), range(len(log))))  # (slot, MG) -> row
+    # each side's (bid price, bid kWh, fill, unit price, market price) of each row
+    bids = {
+        side: list(zip(*(log[n] for n in names), log[f"market_{side}_price"]))
+        for side, names in _SIDE_FIELDS.items()
+    }
+    listed: dict[int, str] = {}  # the side of each listed row's bid
     problems: list[str] = []
 
-    def problem(why: str) -> None:  # about the line being read
-        problems.append(f"auction_audit.csv line {line}: slot {cells[0]} mg {cells[1]}: {why}")
+    def problem(why: str) -> None:  # about line k
+        cells = audit.row(k)
+        problems.append(
+            f"auction_audit.csv line {audit.lines[k]}: slot {cells[0]} mg {cells[1]}: {why}"
+        )
 
+    slot = audit["slot"]
     last = (-math.inf,)  # the book order key of the line before
-    for line, cells in log_lines(path, AUDIT_HEADER):
-        try:  # a cell that is not finite matches no logged number
-            slot, mid, price, kwh, accepted, paid, got = map(float, cells[:2] + cells[3:])
-        except ValueError:  # which `log_numbers` names
-            log_numbers(path, line, AUDIT_HEADER[:2] + AUDIT_HEADER[3:], cells[:2] + cells[3:])
-        side, key = cells[2], (slot, mid)
-        r, columns = logged.get(key), _SIDE_COLUMNS.get(side)
-        if r is None or columns is None or key in listed:
+    for k, (r, t, side, line) in enumerate(zip(
+        map(logged.get, zip(slot, audit["mg_id"])), slot, audit["side"],
+        zip(*(audit[n] for n in AUDIT_HEADER[3:])),  # price, kWh, accepted, cleared
+    )):
+        side_bids = bids.get(side)
+        if r is None or side_bids is None or r in listed:
             problem("no such bid in slots.csv, or listed twice")
             continue
-        listed[key] = side
-        at = (slot, side, price if side == "sell" else -price)  # "buy" < "sell"
+        listed[r] = side
+        at = (t, side, line[0] if side == "sell" else -line[0])  # "buy" < "sell"
         if at < last:
             problem("out of book order")
         last = at
-        bid_price, bid_kwh, fill, unit, market = columns(r)
+        bid_price, bid_kwh, fill, unit, market = side_bids[r]
         won = fill != 0.0 or unit != 0.0
         want = bid_price, bid_kwh, won, market if won else 0.0, fill
-        if (price, kwh, accepted, paid, got) != want:
-            problem(f"{cells[3:]} != {_AUDIT_CELLS[9:] % want} from slots.csv")
+        if line != want:
+            problem(f"{audit.row(k)[3:]} != {_AUDIT_CELLS[9:] % want} from slots.csv")
+    buy_kwh, sell_kwh = log["bid_buy_qty"], log["bid_sell_qty"]
     for key, r in logged.items():
-        side = "buy" if r["bid_buy_qty"] > 0.0 else "sell" if r["bid_sell_qty"] > 0.0 else None
-        if side and listed.get(key) != side:
+        side = "buy" if buy_kwh[r] > 0.0 else "sell" if sell_kwh[r] > 0.0 else None
+        if side and listed.get(r) != side:
             problems.append(f"slot {key[0]:.0f} mg {key[1]:.0f}: no audit line for its {side} bid")
     return problems
 
 
-# the recorded cost's operands: grid price and kWh, buy and sell price and kWh
-_COST_OPERANDS = itemgetter(
-    "grid_price", "grid_kwh", "buy_unit_price", "bought_kwh", "sell_unit_price",
-    "sold_kwh",
+# each summary.csv column after the MG id and time average: the reduction of
+# the MG's logged column that `summarize` makes it from
+_SUMMARY_OF = (
+    ("total_cost", sum, "cost"),
+    ("total_grid_kwh", sum, "grid_kwh"),
+    ("total_bought_kwh", sum, "bought_kwh"),
+    ("total_sold_kwh", sum, "sold_kwh"),
+    ("total_served_kwh", sum, "serve_kwh"),
+    ("max_q_kwh", max, "demand_queue_kwh"),
+    ("max_z_kwh", max, "delay_queue_kwh"),
+    ("min_b_kwh", min, "battery_kwh"),
+    ("max_b_kwh", max, "battery_kwh"),
+    ("max_job_age_slots", max, "oldest_pending_age"),
+)
+_SUMMARY_WHOLE = tuple(n for n, t in get_type_hints(MGSummary).items() if t is int) + (
+    "violations",
 )
 
-# a bid's columns, and the logged columns `make_bids` posts it from
-_BID_COLUMNS = itemgetter("bid_sell_price", "bid_buy_price", "bid_sell_qty", "bid_buy_qty")
-_BID_OPERANDS = itemgetter("demand_queue_kwh", "delay_queue_kwh", "renewable_kwh", "di_load_kwh")
+
+def verify_summary_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
+    """Check summary.csv against the config and the slots log `log`.
+
+    It holds one row per configured MG, in id order, and records no
+    violations. Each MG's maxima, minima and worst job age equal those of
+    its logged column exactly: rounding to 6 decimals keeps the order of
+    values, so the rendered extreme is the extreme of the rendered values.
+
+    A total is the in-memory sum of the MG's n values, rendered. Each logged
+    value is off its in-memory one by at most 5e-7, plus 2**-53 of it for
+    reading it back; each of the two sums (in memory, and here of the logged
+    values) errs by at most (n - 1) * 2**-53 * S, S the values' absolute
+    sum; and the rendered total is off by 5e-7 and its reading. So a total
+    lies within 5e-7 * (n + 1) + (2n + 2) * 2**-53 * S of the logged
+    values' sum, and the check allows tol = 5e-7 * (n + 1) + 2**-50 * n * S.
+    ``time_avg_cost`` is the in-memory total cost over the horizon h,
+    rendered: it lies within 5e-7 + tol / h of the logged costs' sum over h.
+    """
+    summary = read_log(path, SUMMARY_HEADER, whole=_SUMMARY_WHOLE)
+    _, by_mg, spans = _row_orders(log)
+    mg_rows = _reorder(log, by_mg, {column for _, _, column in _SUMMARY_OF})
+    problems: list[str] = []
+    ids = sorted(m.params.id for m in config.mgs)
+    if summary["mg_id"] != ids:
+        logged_ids = list(map(int, summary["mg_id"]))
+        problems.append(f"summary.csv: mg ids {logged_ids} are not the configured {ids}")
+    h = config.horizon_slots
+    for k, (mid, line) in enumerate(zip(map(int, summary["mg_id"]), summary.lines)):
+        tag = f"summary.csv line {line}: mg {mid}"
+        if summary["violations"][k]:
+            problems.append(f"{tag}: {summary['violations'][k]:.0f} violations recorded")
+        span = spans.get(mid)
+        if span is None:  # no rows in slots.csv, which `verify_log_rows` reports
+            continue
+        n = span.stop - span.start
+
+        def check(name: str, want: float, tol: float) -> None:
+            got = summary[name][k]
+            if abs(got - want) > tol:
+                problems.append(f"{tag}: {name} {got} != {want} from slots.csv")
+
+        for name, reduce_, column in _SUMMARY_OF:
+            values = mg_rows[column][span]
+            want, tol = reduce_(values), 0.0
+            if reduce_ is sum:  # the rounding a total carries, as derived above
+                tol = 5e-7 * (n + 1) + 2.0**-50 * n * sum(map(abs, values))
+            if name == "total_cost":
+                check("time_avg_cost", want / h, 5e-7 + tol / h)
+            check(name, want, tol)
+    return problems
+
 
 # Tolerance of the log checks. Logs hold 6-decimal renderings, so this is loose
 # relative to the in-memory checks but still far below any physical quantity.
 LOG_TOL = 1e-4
 
+# the columns after the slot and MG id, in the order `_mg_problems` unpacks them
+_ROW_COLUMNS = MGSlotRow._fields[2:]
 
-def verify_log_rows(config: ScenarioConfig, rows: list[dict[str, float]]) -> list[str]:
+
+def verify_log_rows(config: ScenarioConfig, log: Log) -> list[str]:
     """Re-derive every per-slot invariant from a written log alone.
 
     Every configured MG must log exactly one row per slot of the horizon.
@@ -860,152 +1015,170 @@ def verify_log_rows(config: ScenarioConfig, rows: list[dict[str, float]]) -> lis
     ``oldest_pending_age`` is re-derived, as the run derives it, from the
     prefix sums of the logged ``dt_load_kwh`` and ``serve_kwh``, and each
     MG's slot-0 battery must be the ``initial_battery`` of the config.
-    """
-    problems: list[str] = []
-    bounds_all = {m.params.id: b for m, b in zip(config.mgs, config.bounds())}
-    params_all = {m.params.id: m.params for m in config.mgs}
-    by_mg: dict[int, list[dict[str, float]]] = {}
-    by_slot: dict[int, list[dict[str, float]]] = {}
-    for row in rows:
-        by_mg.setdefault(int(row["mg_id"]), []).append(row)
-        by_slot.setdefault(int(row["slot"]), []).append(row)
 
+    The log's rows are sorted once by MG and slot, so each MG's rows are one
+    slice of every column, checked in one pass over the zipped slices; a
+    message is built only for a failing row. Then each slot's market is
+    checked over its own slice.
+    """
+    by_slot, by_mg, spans = _row_orders(log)
+    columns = _reorder(log, by_mg, log.header)
+    problems: list[str] = []
     horizon = range(config.horizon_slots)
-    for mid in params_all:
-        slots = sorted(int(r["slot"]) for r in by_mg.get(mid, ()))
-        if slots != list(horizon):
+    every_slot = list(horizon)
+    for m in config.mgs:
+        mid = m.params.id
+        slots = list(columns["slot"][spans[mid]]) if mid in spans else []
+        if slots != every_slot:
             problems.append(
                 f"mg {mid}: logged slots are not 0..{horizon[-1]}: "
                 f"{len(set(horizon) - set(slots))} missing, "
                 f"{len(slots) - len(set(slots))} repeated"
             )
 
-    for mid, mg_rows in by_mg.items():
-        if mid not in params_all:
+    configured = {m.params.id: (m.params, b) for m, b in zip(config.mgs, config.bounds())}
+    for mid, span in spans.items():
+        if mid not in configured:
             problems.append(f"mg {mid}: not in config")
             continue
-        p = params_all[mid]
-        db = bounds_all[mid]
-        mg_rows.sort(key=lambda r: r["slot"])
-        # the run starts from `initial_battery`, which the log renders to 6 decimals
+        p, db = configured[mid]
         b0 = initial_battery(p, db, config.initial_battery_kwh)
-        first = mg_rows[0]["battery_kwh"]
-        if mg_rows[0]["slot"] == 0 and abs(first - b0) > 5e-7 + 2.0**-50 * b0:
-            problems.append(f"slot 0 mg {mid}: battery {first} != initial battery {b0}")
-        arrived: list[float] = []  # logged work arrived by the end of each slot
-        served = 0.0
-        for r in mg_rows:
-            t = int(r["slot"])
-            tag = f"slot {t} mg {mid}"
-            arrived.append((arrived[-1] if arrived else 0.0) + r["dt_load_kwh"])
-            served += r["serve_kwh"]
-            # the age as `oldest_pending_age` derives it; every logged kWh is off
-            # by up to 5e-7 and each sum by its rounding, so a job boundary that
-            # close to the threshold admits either side
-            slack = len(arrived) * (1e-6 + 2.0**-52 * (arrived[-1] + abs(served)))
-            ages = [t + 1 - bisect_right(arrived, served + FEAS_TOL + e) for e in (slack, -slack)]
-            if not ages[0] <= r["oldest_pending_age"] <= ages[1]:
-                problems.append(
-                    f"{tag}: oldest pending age {r['oldest_pending_age']:.0f} is not "
-                    f"{ages[0]}..{ages[1]}, from the logged serves and arrivals"
-                )
-            if not within(r["battery_kwh"], 0.0, p.battery_capacity_kwh, LOG_TOL):
-                problems.append(f"{tag}: battery {r['battery_kwh']} out of range")
-            if r["demand_queue_kwh"] > db.q_max + LOG_TOL:
-                problems.append(f"{tag}: Q {r['demand_queue_kwh']} > {db.q_max}")
-            if r["delay_queue_kwh"] > db.z_max + LOG_TOL:
-                problems.append(f"{tag}: Z {r['delay_queue_kwh']} > {db.z_max}")
-            if abs(r["virtual_kwh"] - virtual_battery(r["battery_kwh"], p, db)) > LOG_TOL:
-                problems.append(f"{tag}: X {r['virtual_kwh']} != B - theta - D_max")
-            if min(r["charge_kwh"], r["discharge_kwh"]) > LOG_TOL:
-                problems.append(f"{tag}: simultaneous charge and discharge")
-            operands = _COST_OPERANDS(r)
-            pg, grid, pb, bought, ps, sold = operands
-            expected_cost = pg * grid + pb * bought - ps * sold
-            # each operand is off by at most 5e-7 after 6-decimal rounding, so
-            # a product a*b is off by at most 5e-7 * (|a| + |b|)
-            rounding = 5e-7 * sum(map(abs, operands))
-            if abs(expected_cost - r["cost"]) > LOG_TOL + rounding:
-                problems.append(f"{tag}: cost {r['cost']} != recomputed {expected_cost}")
-            balance = (
-                r["renewable_kwh"] + r["grid_kwh"] + r["discharge_kwh"] + r["bought_kwh"]
-                - r["di_load_kwh"] - r["serve_kwh"] - r["sold_kwh"] - r["charge_kwh"]
-            )
-            if balance < -LOG_TOL:
-                problems.append(f"{tag}: balance short by {-balance}")
-            if abs(balance - r["spill_kwh"]) > LOG_TOL:
-                problems.append(f"{tag}: spill {r['spill_kwh']} != balance slack {balance}")
-            if r["oldest_pending_age"] > db.delta_max_slots + LOG_TOL:
-                problems.append(f"{tag}: pending job age {r['oldest_pending_age']}")
-            # the bids `make_bids` posts from the logged Q, Z, R and I. Those and
-            # the logged bids are off by up to 5e-7 each, so a price (Q + Z) / V
-            # by 5e-7 + 1e-6 / V and a quantity by 1.5e-6, plus float rounding;
-            # within that of R - I = 0 the MG may have sold or bought
-            q, z, renewable, di = _BID_OPERANDS(r)
-            sell_price, buy_price, sell_kwh, buy_kwh = bids = _BID_COLUMNS(r)
-            value, surplus = (q + z) / p.v_weight, renewable - di
-            slack = 1.5e-6 + 1e-6 / p.v_weight + 2.0**-50 * (value + q + renewable + di)
-            wanted = min(max(p.serve_rate_max_kwh - renewable, 0.0), q)
-            as_seller = abs(sell_kwh - surplus) <= slack and abs(buy_kwh) <= slack
-            as_buyer = abs(sell_kwh) <= slack and abs(buy_kwh - wanted) <= slack
-            if not (
-                abs(sell_price - value) <= slack
-                and abs(buy_price - max(value, p.price_floor)) <= slack
-                and (surplus > -slack and as_seller or surplus < slack and as_buyer)
-            ):
-                problems.append(f"{tag}: bids {list(bids)} != make_bids of the logged Q, Z, R, I")
-        for prev, cur in zip(mg_rows, mg_rows[1:]):
-            t = int(cur["slot"])
-            tag = f"slot {t} mg {mid}"
-            want_b = prev["battery_kwh"] - prev["discharge_kwh"] + prev["charge_kwh"]
-            if abs(cur["battery_kwh"] - want_b) > LOG_TOL:
-                problems.append(f"{tag}: battery {cur['battery_kwh']} != step {want_b}")
-            want_q = max(prev["demand_queue_kwh"] - prev["serve_kwh"], 0.0) + prev["dt_load_kwh"]
-            if abs(cur["demand_queue_kwh"] - want_q) > LOG_TOL:
-                problems.append(f"{tag}: Q {cur['demand_queue_kwh']} != step {want_q}")
-            base_z = max(prev["delay_queue_kwh"] - prev["serve_kwh"], 0.0)
-            if prev["demand_queue_kwh"] > LOG_TOL:
-                candidates = (base_z + p.epsilon,)
-            else:
-                # backlog indistinguishable from zero at log precision; the
-                # indicator could have read either way in memory
-                candidates = (base_z, base_z + p.epsilon)
-            if all(abs(cur["delay_queue_kwh"] - w) > LOG_TOL for w in candidates):
-                problems.append(f"{tag}: Z {cur['delay_queue_kwh']} != step {candidates}")
-    for t in sorted(by_slot):
-        problems.extend(_market_problems(t, by_slot[t]))
+        problems += _mg_problems(mid, p, db, b0, {n: c[span] for n, c in columns.items()})
+
+    columns = _reorder(log, by_slot, log.header)
+    start = 0
+    for t, n in Counter(columns["slot"]).items():  # slots in ascending order
+        problems += _market_problems(int(t), {k: c[start:start + n] for k, c in columns.items()})
+        start += n
     return problems
 
 
-def _market_problems(t: int, rows: list[dict[str, float]]) -> list[str]:
-    """Check one slot's market columns against each other and its MG rows.
+def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list[str]:
+    """The problems of one MG's rows; ``c`` maps each column to them, in slot order.
 
-    Rounding to 6 decimals keeps the order of two values, and renders two
-    copies of one in-memory number identically, so the price checks are
-    exact; sums and products allow for the rounding of their operands.
+    One pass checks every row, and every step from the row before; the
+    problems of the steps follow those of the rows.
     """
     problems: list[str] = []
-    first = rows[0]
-    market = [first[k] for k in _MARKET_COLUMNS]
-    pb, ps = first["market_buy_price"], first["market_sell_price"]
-    volume, surplus = first["market_volume_kwh"], first["market_surplus"]
-    grid = first["grid_price"]
+    steps: list[str] = []
+
+    def note(found: list[str], why: str) -> None:  # about the row of slot t
+        found.append(f"slot {int(t)} mg {mid}: {why}")
+
+    # the run starts from `initial_battery`, which the log renders to 6 decimals
+    first = c["battery_kwh"][0]
+    if c["slot"][0] == 0 and abs(first - b0) > 5e-7 + 2.0**-50 * b0:
+        problems.append(f"slot 0 mg {mid}: battery {first} != initial battery {b0}")
+    arrived = list(accumulate(c["dt_load_kwh"], initial=0.0))[1:]  # by the end of each slot
+    served = 0.0
+    low, high = 0.0 - LOG_TOL, p.battery_capacity_kwh + LOG_TOL
+    q_max, z_max = db.q_max + LOG_TOL, db.z_max + LOG_TOL
+    v, rounding = p.v_weight, 1.5e-6 + 1e-6 / p.v_weight
+    for n, (
+        t, b, q, z, x, r, di, dt, pg, sell_price, buy_price, sell_kwh, buy_kwh, bought, sold,
+        pb, ps, charge, discharge, j, grid, spill, cost, age,
+    ) in enumerate(zip(c["slot"], *(c[name] for name in _ROW_COLUMNS)), 1):
+        served += j
+        # the age as `oldest_pending_age` derives it; every logged kWh is off
+        # by up to 5e-7 and each sum by its rounding, so a job boundary that
+        # close to the threshold admits either side
+        e = n * (1e-6 + 2.0**-52 * (arrived[n - 1] + abs(served)))
+        young = t + 1 - bisect_right(arrived, served + FEAS_TOL + e, 0, n)
+        old = t + 1 - bisect_right(arrived, served + FEAS_TOL - e, 0, n)
+        if not young <= age <= old:
+            note(problems, f"oldest pending age {age:.0f} is not {young:.0f}..{old:.0f}, "
+                 "from the logged serves and arrivals")
+        if not low <= b <= high:
+            note(problems, f"battery {b} out of range")
+        if q > q_max:
+            note(problems, f"Q {q} > {db.q_max}")
+        if z > z_max:
+            note(problems, f"Z {z} > {db.z_max}")
+        if abs(x - virtual_battery(b, p, db)) > LOG_TOL:
+            note(problems, f"X {x} != B - theta - D_max")
+        if min(charge, discharge) > LOG_TOL:
+            note(problems, "simultaneous charge and discharge")
+        # each operand is off by at most 5e-7 after 6-decimal rounding, so a
+        # product a*b is off by at most 5e-7 * (|a| + |b|)
+        recomputed = pg * grid + pb * bought - ps * sold
+        off = abs(recomputed - cost)
+        if off > LOG_TOL and off > LOG_TOL + 5e-7 * (
+            abs(pg) + abs(grid) + abs(pb) + abs(bought) + abs(ps) + abs(sold)
+        ):
+            note(problems, f"cost {cost} != recomputed {recomputed}")
+        balance = r + grid + discharge + bought - di - j - sold - charge
+        if balance < -LOG_TOL:
+            note(problems, f"balance short by {-balance}")
+        if abs(balance - spill) > LOG_TOL:
+            note(problems, f"spill {spill} != balance slack {balance}")
+        if age > db.delta_max_slots + LOG_TOL:
+            note(problems, f"pending job age {age}")
+        # the bids `make_bids` posts from the logged Q, Z, R and I. Those and
+        # the logged bids are off by up to 5e-7 each, so a price (Q + Z) / V
+        # by 5e-7 + 1e-6 / V and a quantity by 1.5e-6, plus float rounding;
+        # within that of R - I = 0 the MG may have sold or bought
+        value, surplus = (q + z) / v, r - di
+        e = rounding + 2.0**-50 * (value + q + r + di)
+        if not (
+            abs(sell_price - value) <= e
+            and abs(buy_price - max(value, p.price_floor)) <= e
+            and (
+                surplus > -e and abs(sell_kwh - surplus) <= e and abs(buy_kwh) <= e
+                or surplus < e and abs(sell_kwh) <= e
+                and abs(buy_kwh - min(max(p.serve_rate_max_kwh - r, 0.0), q)) <= e
+            )
+        ):
+            note(problems, f"bids {[sell_price, buy_price, sell_kwh, buy_kwh]} != "
+                 "make_bids of the logged Q, Z, R, I")
+        if n > 1:  # the step from the row before
+            want_b = last_b - last_discharge + last_charge
+            if abs(b - want_b) > LOG_TOL:
+                note(steps, f"battery {b} != step {want_b}")
+            want_q = max(last_q - last_j, 0.0) + last_dt
+            if abs(q - want_q) > LOG_TOL:
+                note(steps, f"Q {q} != step {want_q}")
+            base_z = max(last_z - last_j, 0.0)
+            # a backlog indistinguishable from zero at log precision: the
+            # indicator could have read either way in memory
+            want_z = (base_z + p.epsilon,) if last_q > LOG_TOL else (base_z, base_z + p.epsilon)
+            if abs(z - want_z[0]) > LOG_TOL and abs(z - want_z[-1]) > LOG_TOL:
+                note(steps, f"Z {z} != step {want_z}")
+        last_b, last_q, last_z, last_charge, last_discharge, last_j, last_dt = (
+            b, q, z, charge, discharge, j, dt
+        )
+    return problems + steps
+
+
+def _market_problems(t: int, c) -> list[str]:
+    """Check one slot's market columns against each other and its MG rows.
+
+    ``c`` maps each column to the slot's rows, in file order. Rounding to 6
+    decimals keeps the order of two values, and renders two copies of one
+    in-memory number identically, so the price checks are exact; sums and
+    products allow for the rounding of their operands.
+    """
+    problems: list[str] = []
+    market = tuple(c[k][0] for k in _MARKET_COLUMNS)
+    pb, ps, volume, surplus = market
+    grid = c["grid_price"][0]
     bought = sold = 0.0
-    for r in rows:
-        tag = f"slot {t} mg {int(r['mg_id'])}"
-        if [r[k] for k in _MARKET_COLUMNS] != market:
-            problems.append(f"{tag}: market columns differ from the slot's first row")
-        if r["grid_price"] != grid:
-            problems.append(f"{tag}: grid price differs from the slot's first row")
-        if r["buy_unit_price"] not in (0.0, pb) or r["sell_unit_price"] not in (0.0, ps):
-            problems.append(f"{tag}: unit price is not the market price")
-        if r["bought_kwh"] > 0.0 and r["sold_kwh"] > 0.0:
-            problems.append(f"{tag}: both bought and sold")
-        bought += r["bought_kwh"]
-        sold += r["sold_kwh"]
+    for mid, row_market, grid_price, buy_unit, sell_unit, got, gave in zip(
+        c["mg_id"], zip(*(c[k] for k in _MARKET_COLUMNS)), c["grid_price"],
+        c["buy_unit_price"], c["sell_unit_price"], c["bought_kwh"], c["sold_kwh"],
+    ):
+        if row_market != market:
+            problems.append(f"slot {t} mg {int(mid)}: market columns differ from the slot's first row")
+        if grid_price != grid:
+            problems.append(f"slot {t} mg {int(mid)}: grid price differs from the slot's first row")
+        if buy_unit not in (0.0, pb) or sell_unit not in (0.0, ps):
+            problems.append(f"slot {t} mg {int(mid)}: unit price is not the market price")
+        if got > 0.0 and gave > 0.0:
+            problems.append(f"slot {t} mg {int(mid)}: both bought and sold")
+        bought += got
+        sold += gave
     tag = f"slot {t}"
     # every logged kWh is off by at most 5e-7
-    slack = LOG_TOL + 5e-7 * (len(rows) + 1)
+    slack = LOG_TOL + 5e-7 * (len(c["mg_id"]) + 1)
     if abs(bought - volume) > slack or abs(sold - volume) > slack:
         problems.append(
             f"{tag}: bought {bought:.6f} / sold {sold:.6f} kWh != market volume {volume}"

@@ -3,9 +3,9 @@
 Everything here is deliberately written from the problem statement rather
 than from the package modules: grid searches and exhaustive enumerations
 whose only shared vocabulary with the implementation is plain numbers. Tests
-compare the fast implementations against these. The last two sections are
-the exception: frozen copies of the scalar slot step and of the tuple market
-stage that the columnar ones replaced.
+compare the fast implementations against these. The last three sections are
+the exception: frozen copies of the scalar slot step, of the tuple market
+stage and of the row-dict log audit that the columnar ones replaced.
 """
 
 from __future__ import annotations
@@ -747,3 +747,283 @@ def reference_audit_rows(
                 got = trade.bought_kwh if side == "buy" else trade.sold_kwh
                 rows.append(AuditRow(slot, mg_id, side, price, qty, 1, cleared, got))
     return rows
+
+
+# ------------------------------------------------- frozen row-dict log audit
+#
+# `read_slots_csv`, `verify_log_rows` and `verify_audit_csv` as `mgtrade.sim`
+# had them before logs were read as columns: a parser that reads a log line
+# by line, one dict per slots.csv row, and per-row checks. The columnar audit
+# must raise the same errors and report the same problems.
+
+
+def log_number(path, line: int, column: str, cell: str) -> float:
+    """A logged finite number; any other cell is a ParseError naming where it sits."""
+    from mgtrade.errors import ParseError
+
+    try:
+        x = float(cell)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise ParseError(
+            f"{path}: line {line}, column {column!r}: {cell!r} is not a finite number"
+        )
+    return x
+
+
+def log_numbers(path, line: int, columns, cells) -> list[float]:
+    """A log line's cells as finite numbers, each checked by `log_number` if need be."""
+    try:
+        values = list(map(float, cells))
+        if math.isfinite(sum(values)):
+            return values
+    except ValueError:
+        pass
+    return [log_number(path, line, *cc) for cc in zip(columns, cells)]
+
+
+def log_lines(path, header: tuple[str, ...], error=None):
+    """A log's nonblank rows after its header, as (line, cells)."""
+    from pathlib import Path
+
+    from mgtrade.errors import ParseError, SimError
+
+    error = error or SimError
+    if not Path(path).exists():
+        raise error(f"missing log: {path}")
+    with open(path, newline="") as fh:
+        found = fh.readline().rstrip("\r\n").split(",")
+        if tuple(found) != header:
+            raise error(f"{path}: unexpected header {found}")
+        for line, text in enumerate(fh, 2):
+            cells = text.rstrip("\r\n").split(",")
+            if len(cells) != len(header):
+                if cells == [""]:
+                    continue
+                raise ParseError(
+                    f"{path}: line {line}: {len(cells)} cells, header has {len(header)}"
+                )
+            yield line, cells
+
+
+def reference_read_slots_csv(path) -> list[dict[str, float]]:
+    """Parse a slots log back into numeric dict rows (ids and slots as floats)."""
+    from typing import get_type_hints
+
+    from mgtrade.errors import ParseError, SimError
+    from mgtrade.sim import SLOTS_HEADER, MGSlotRow
+
+    whole = [SLOTS_HEADER.index(n) for n, t in get_type_hints(MGSlotRow).items() if t is int]
+    out: list[dict[str, float]] = []
+    for line, cells in log_lines(path, SLOTS_HEADER):
+        values = log_numbers(path, line, SLOTS_HEADER, cells)
+        for i in whole:
+            if not values[i].is_integer():
+                raise ParseError(
+                    f"{path}: line {line}, column {SLOTS_HEADER[i]!r}: "
+                    f"{cells[i]!r} is not a whole number"
+                )
+        out.append(dict(zip(SLOTS_HEADER, values)))
+    if not out:
+        raise SimError(f"{path}: no rows")
+    return out
+
+
+def reference_verify_audit_csv(path, rows: list[dict[str, float]]) -> list[str]:
+    """Check auction_audit.csv line by line against the slots log `rows`."""
+    from operator import itemgetter
+
+    from mgtrade.sim import _AUDIT_CELLS, _SIDE_FIELDS, AUDIT_HEADER
+
+    side_columns = {
+        side: itemgetter(*names, f"market_{side}_price") for side, names in _SIDE_FIELDS.items()
+    }
+    logged = {(r["slot"], r["mg_id"]): r for r in rows}
+    listed: dict[tuple[float, float], str] = {}
+    problems: list[str] = []
+
+    def problem(why: str) -> None:
+        problems.append(f"auction_audit.csv line {line}: slot {cells[0]} mg {cells[1]}: {why}")
+
+    last = (-math.inf,)
+    for line, cells in log_lines(path, AUDIT_HEADER):
+        try:
+            slot, mid, price, kwh, accepted, paid, got = map(float, cells[:2] + cells[3:])
+        except ValueError:
+            log_numbers(path, line, AUDIT_HEADER[:2] + AUDIT_HEADER[3:], cells[:2] + cells[3:])
+        side, key = cells[2], (slot, mid)
+        r, columns = logged.get(key), side_columns.get(side)
+        if r is None or columns is None or key in listed:
+            problem("no such bid in slots.csv, or listed twice")
+            continue
+        listed[key] = side
+        at = (slot, side, price if side == "sell" else -price)
+        if at < last:
+            problem("out of book order")
+        last = at
+        bid_price, bid_kwh, fill, unit, market = columns(r)
+        won = fill != 0.0 or unit != 0.0
+        want = bid_price, bid_kwh, won, market if won else 0.0, fill
+        if (price, kwh, accepted, paid, got) != want:
+            problem(f"{cells[3:]} != {_AUDIT_CELLS[9:] % want} from slots.csv")
+    for key, r in logged.items():
+        side = "buy" if r["bid_buy_qty"] > 0.0 else "sell" if r["bid_sell_qty"] > 0.0 else None
+        if side and listed.get(key) != side:
+            problems.append(f"slot {key[0]:.0f} mg {key[1]:.0f}: no audit line for its {side} bid")
+    return problems
+
+
+def reference_verify_log_rows(config, rows: list[dict[str, float]]) -> list[str]:
+    """Re-derive every per-slot invariant from a written log alone, row by row."""
+    from bisect import bisect_right
+    from operator import itemgetter
+
+    from mgtrade.model import FEAS_TOL, initial_battery, virtual_battery, within
+    from mgtrade.sim import LOG_TOL
+
+    cost_operands = itemgetter(
+        "grid_price", "grid_kwh", "buy_unit_price", "bought_kwh", "sell_unit_price", "sold_kwh"
+    )
+    bid_columns = itemgetter("bid_sell_price", "bid_buy_price", "bid_sell_qty", "bid_buy_qty")
+    bid_operands = itemgetter("demand_queue_kwh", "delay_queue_kwh", "renewable_kwh", "di_load_kwh")
+    problems: list[str] = []
+    bounds_all = {m.params.id: b for m, b in zip(config.mgs, config.bounds())}
+    params_all = {m.params.id: m.params for m in config.mgs}
+    by_mg: dict[int, list[dict[str, float]]] = {}
+    by_slot: dict[int, list[dict[str, float]]] = {}
+    for row in rows:
+        by_mg.setdefault(int(row["mg_id"]), []).append(row)
+        by_slot.setdefault(int(row["slot"]), []).append(row)
+
+    horizon = range(config.horizon_slots)
+    for mid in params_all:
+        slots = sorted(int(r["slot"]) for r in by_mg.get(mid, ()))
+        if slots != list(horizon):
+            problems.append(
+                f"mg {mid}: logged slots are not 0..{horizon[-1]}: "
+                f"{len(set(horizon) - set(slots))} missing, "
+                f"{len(slots) - len(set(slots))} repeated"
+            )
+
+    for mid, mg_rows in by_mg.items():
+        if mid not in params_all:
+            problems.append(f"mg {mid}: not in config")
+            continue
+        p = params_all[mid]
+        db = bounds_all[mid]
+        mg_rows.sort(key=lambda r: r["slot"])
+        b0 = initial_battery(p, db, config.initial_battery_kwh)
+        first = mg_rows[0]["battery_kwh"]
+        if mg_rows[0]["slot"] == 0 and abs(first - b0) > 5e-7 + 2.0**-50 * b0:
+            problems.append(f"slot 0 mg {mid}: battery {first} != initial battery {b0}")
+        arrived: list[float] = []
+        served = 0.0
+        for r in mg_rows:
+            t = int(r["slot"])
+            tag = f"slot {t} mg {mid}"
+            arrived.append((arrived[-1] if arrived else 0.0) + r["dt_load_kwh"])
+            served += r["serve_kwh"]
+            slack = len(arrived) * (1e-6 + 2.0**-52 * (arrived[-1] + abs(served)))
+            ages = [t + 1 - bisect_right(arrived, served + FEAS_TOL + e) for e in (slack, -slack)]
+            if not ages[0] <= r["oldest_pending_age"] <= ages[1]:
+                problems.append(
+                    f"{tag}: oldest pending age {r['oldest_pending_age']:.0f} is not "
+                    f"{ages[0]}..{ages[1]}, from the logged serves and arrivals"
+                )
+            if not within(r["battery_kwh"], 0.0, p.battery_capacity_kwh, LOG_TOL):
+                problems.append(f"{tag}: battery {r['battery_kwh']} out of range")
+            if r["demand_queue_kwh"] > db.q_max + LOG_TOL:
+                problems.append(f"{tag}: Q {r['demand_queue_kwh']} > {db.q_max}")
+            if r["delay_queue_kwh"] > db.z_max + LOG_TOL:
+                problems.append(f"{tag}: Z {r['delay_queue_kwh']} > {db.z_max}")
+            if abs(r["virtual_kwh"] - virtual_battery(r["battery_kwh"], p, db)) > LOG_TOL:
+                problems.append(f"{tag}: X {r['virtual_kwh']} != B - theta - D_max")
+            if min(r["charge_kwh"], r["discharge_kwh"]) > LOG_TOL:
+                problems.append(f"{tag}: simultaneous charge and discharge")
+            operands = cost_operands(r)
+            pg, grid, pb, bought, ps, sold = operands
+            expected_cost = pg * grid + pb * bought - ps * sold
+            rounding = 5e-7 * sum(map(abs, operands))
+            if abs(expected_cost - r["cost"]) > LOG_TOL + rounding:
+                problems.append(f"{tag}: cost {r['cost']} != recomputed {expected_cost}")
+            balance = (
+                r["renewable_kwh"] + r["grid_kwh"] + r["discharge_kwh"] + r["bought_kwh"]
+                - r["di_load_kwh"] - r["serve_kwh"] - r["sold_kwh"] - r["charge_kwh"]
+            )
+            if balance < -LOG_TOL:
+                problems.append(f"{tag}: balance short by {-balance}")
+            if abs(balance - r["spill_kwh"]) > LOG_TOL:
+                problems.append(f"{tag}: spill {r['spill_kwh']} != balance slack {balance}")
+            if r["oldest_pending_age"] > db.delta_max_slots + LOG_TOL:
+                problems.append(f"{tag}: pending job age {r['oldest_pending_age']}")
+            q, z, renewable, di = bid_operands(r)
+            sell_price, buy_price, sell_kwh, buy_kwh = bids = bid_columns(r)
+            value, surplus = (q + z) / p.v_weight, renewable - di
+            slack = 1.5e-6 + 1e-6 / p.v_weight + 2.0**-50 * (value + q + renewable + di)
+            wanted = min(max(p.serve_rate_max_kwh - renewable, 0.0), q)
+            as_seller = abs(sell_kwh - surplus) <= slack and abs(buy_kwh) <= slack
+            as_buyer = abs(sell_kwh) <= slack and abs(buy_kwh - wanted) <= slack
+            if not (
+                abs(sell_price - value) <= slack
+                and abs(buy_price - max(value, p.price_floor)) <= slack
+                and (surplus > -slack and as_seller or surplus < slack and as_buyer)
+            ):
+                problems.append(f"{tag}: bids {list(bids)} != make_bids of the logged Q, Z, R, I")
+        for prev, cur in zip(mg_rows, mg_rows[1:]):
+            t = int(cur["slot"])
+            tag = f"slot {t} mg {mid}"
+            want_b = prev["battery_kwh"] - prev["discharge_kwh"] + prev["charge_kwh"]
+            if abs(cur["battery_kwh"] - want_b) > LOG_TOL:
+                problems.append(f"{tag}: battery {cur['battery_kwh']} != step {want_b}")
+            want_q = max(prev["demand_queue_kwh"] - prev["serve_kwh"], 0.0) + prev["dt_load_kwh"]
+            if abs(cur["demand_queue_kwh"] - want_q) > LOG_TOL:
+                problems.append(f"{tag}: Q {cur['demand_queue_kwh']} != step {want_q}")
+            base_z = max(prev["delay_queue_kwh"] - prev["serve_kwh"], 0.0)
+            if prev["demand_queue_kwh"] > LOG_TOL:
+                candidates = (base_z + p.epsilon,)
+            else:
+                candidates = (base_z, base_z + p.epsilon)
+            if all(abs(cur["delay_queue_kwh"] - w) > LOG_TOL for w in candidates):
+                problems.append(f"{tag}: Z {cur['delay_queue_kwh']} != step {candidates}")
+    for t in sorted(by_slot):
+        problems.extend(_reference_market_problems(t, by_slot[t]))
+    return problems
+
+
+def _reference_market_problems(t: int, rows: list[dict[str, float]]) -> list[str]:
+    """Check one slot's market columns against each other and its MG rows."""
+    from mgtrade.sim import _MARKET_COLUMNS, LOG_TOL
+
+    problems: list[str] = []
+    first = rows[0]
+    market = [first[k] for k in _MARKET_COLUMNS]
+    pb, ps = first["market_buy_price"], first["market_sell_price"]
+    volume, surplus = first["market_volume_kwh"], first["market_surplus"]
+    grid = first["grid_price"]
+    bought = sold = 0.0
+    for r in rows:
+        tag = f"slot {t} mg {int(r['mg_id'])}"
+        if [r[k] for k in _MARKET_COLUMNS] != market:
+            problems.append(f"{tag}: market columns differ from the slot's first row")
+        if r["grid_price"] != grid:
+            problems.append(f"{tag}: grid price differs from the slot's first row")
+        if r["buy_unit_price"] not in (0.0, pb) or r["sell_unit_price"] not in (0.0, ps):
+            problems.append(f"{tag}: unit price is not the market price")
+        if r["bought_kwh"] > 0.0 and r["sold_kwh"] > 0.0:
+            problems.append(f"{tag}: both bought and sold")
+        bought += r["bought_kwh"]
+        sold += r["sold_kwh"]
+    tag = f"slot {t}"
+    slack = LOG_TOL + 5e-7 * (len(rows) + 1)
+    if abs(bought - volume) > slack or abs(sold - volume) > slack:
+        problems.append(
+            f"{tag}: bought {bought:.6f} / sold {sold:.6f} kWh != market volume {volume}"
+        )
+    if volume > 0.0 and pb > grid:
+        problems.append(f"{tag}: market buy price {pb} above grid price {grid}")
+    if volume > 0.0 and pb < ps:
+        problems.append(f"{tag}: market buy price {pb} below sell price {ps}")
+    if abs((pb - ps) * volume - surplus) > LOG_TOL + 5e-7 * (2 * abs(volume) + abs(pb - ps)):
+        problems.append(f"{tag}: surplus {surplus} != (buy - sell price) * volume")
+    return problems

@@ -158,6 +158,19 @@ def test_zero_renewable_mean_needs_a_trace_file(tmp_path, capsys):
     assert {float(r["renewable_kwh"]) for r in rows if r["mg_id"] == "2"} == {0.0}
 
 
+def test_a_short_renewable_trace_names_its_mg_and_file(tmp_path, capsys):
+    doc = reference_doc()
+    doc["horizon_slots"] = 6
+    wind = tmp_path / "gusts.csv"
+    wind.write_text("slot,value\n0,10.0\n1,12.0\n")
+    doc["renewable_traces"] = [None, None, str(wind), None, None, None]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: mg 3: renewable trace 'gusts' covers 2 slots, horizon needs 6" in err
+
+
 def test_unknown_mg_type_names_the_default_id(tmp_path, capsys):
     path = tmp_path / "one.json"
     doc = reference_doc()
@@ -429,6 +442,14 @@ def test_audit_checks_the_first_battery_level(tmp_path, capsys):
     for r in mg_rows:
         for col in (rows[0].index("battery_kwh"), rows[0].index("virtual_kwh")):
             r[col] = f"{float(r[col]) + shift:.6f}"
+    # and summary.csv's battery range with it, so only the start differs
+    summary = slots.parent / "summary.csv"
+    with open(summary, newline="") as fh:
+        lines = list(csv.reader(fh))
+    for col in (lines[0].index("min_b_kwh"), lines[0].index("max_b_kwh")):
+        lines[2][col] = f"{float(lines[2][col]) + shift:.6f}"
+    with open(summary, "w", newline="") as fh:
+        csv.writer(fh).writerows(lines)
     code, out = audit_rewritten(slots, rows, capsys)
     assert code == EXIT_INVARIANT
     assert f"slot 0 mg 2: battery {levels[0] + shift} != initial battery" in out
@@ -562,29 +583,92 @@ def test_audit_checks_the_auction_audit(tmp_path, capsys, tamper, message):
     assert message in out
 
 
+def write_unquoted(path: Path, rows: list[list[str]], eol: str = "\r\n") -> None:
+    """Write rows as a log is written: cells joined by commas, nothing quoted."""
+    path.write_bytes("".join(",".join(row) + eol for row in rows).encode())
+
+
+# A cell that does not parse, or a line of the wrong width, is a data error
+# (exit 3) naming the line; an infinite cell parses and, matching no logged
+# number, is an invariant failure (exit 4) of the line it sits on.
 @pytest.mark.parametrize(
-    "cell, message",
-    [("abc", "line 4, column 'price': 'abc' is not a finite number"), (None, "line 4: 7 cells")],
-    ids=["non-numeric", "short-line"],
+    "cell, code, message",
+    [
+        ("abc", EXIT_DATA, "auction_audit.csv: line 4, column 'price': 'abc' is not a finite number"),
+        (None, EXIT_DATA, "auction_audit.csv: line 4: 7 cells"),
+        ("inf", EXIT_INVARIANT, "auction_audit.csv line 4: slot 0 mg 6: ['inf', '45.443812', "
+         "'0', '0.000000', '0.000000'] != 0.000000,45.443812,False,0.000000,0.000000 from "
+         "slots.csv"),
+        ("-inf", EXIT_INVARIANT, "auction_audit.csv line 4: slot 0 mg 6: out of book order"),
+        ("", EXIT_DATA, "auction_audit.csv: line 4, column 'price': '' is not a finite number"),
+        ('"1.0"', EXIT_DATA,
+         "auction_audit.csv: line 4, column 'price': '\"1.0\"' is not a finite number"),
+        ("30 cells", EXIT_DATA, "auction_audit.csv: line 4: 30 cells, header has 8"),
+    ],
+    ids=["non-numeric", "short-line", "inf", "minus-inf", "blank", "quoted", "long-line"],
 )
-def test_audit_rejects_an_unparseable_auction_audit(tmp_path, capsys, cell, message):
+def test_audit_rejects_an_unparseable_auction_audit(tmp_path, capsys, cell, code, message):
     run_cli("run", "--out", str(tmp_path), "--mode", "auction", "--horizon", "8")
     run_dir = tmp_path / "auction"
     lines = audit_lines_of(run_dir)
     if cell is None:
         lines[3].pop()
+    elif cell == "30 cells":
+        lines[3] += ["0"] * 22
     else:
         lines[3][3] = cell
-    with open(run_dir / "auction_audit.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(lines)
+    write_unquoted(run_dir / "auction_audit.csv", lines)
     capsys.readouterr()
-    assert run_cli("audit", str(run_dir)) == EXIT_DATA
-    assert f"auction_audit.csv: {message}" in capsys.readouterr().err
+    assert run_cli("audit", str(run_dir)) == code
+    captured = capsys.readouterr()
+    assert message in captured.out + captured.err
 
 
 def test_audit_needs_the_auction_audit(tmp_path, capsys):
     run_cli("run", "--out", str(tmp_path), "--mode", "solo", "--horizon", "8")
     (tmp_path / "solo" / "auction_audit.csv").unlink()
+    assert run_cli("audit", str(tmp_path / "solo")) == EXIT_INVARIANT
+    assert "missing log" in capsys.readouterr().err
+
+
+def moved(column: str, by: float):
+    """A tamper moving MG 3's `column` of summary.csv by `by`."""
+
+    def tamper(rows):
+        k = rows[0].index(column)
+        rows[3][k] = f"{float(rows[3][k]) + by:.6f}"
+
+    return tamper
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (moved("total_cost", 0.01), "summary.csv line 4: mg 3: total_cost"),
+        (moved("time_avg_cost", 1e-5), "summary.csv line 4: mg 3: time_avg_cost"),
+        (moved("max_q_kwh", -1e-6), "summary.csv line 4: mg 3: max_q_kwh"),
+        (lambda rows: set_cell(rows[3], 12, "1"), "summary.csv line 4: mg 3: 1 violations"),
+        (lambda rows: rows.pop(3),
+         "summary.csv: mg ids [1, 2, 4, 5, 6] are not the configured [1, 2, 3, 4, 5, 6]"),
+    ],
+    ids=["total-cost", "time-average", "max-q", "violations", "row-deleted"],
+)
+def test_audit_checks_the_summary(tmp_path, capsys, tamper, message):
+    """summary.csv must hold each configured MG's totals and extremes of slots.csv."""
+    run_cli("run", "--out", str(tmp_path), "--mode", "auction", "--horizon", "24", "--seed", "4")
+    summary = tmp_path / "auction" / "summary.csv"
+    with open(summary, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[3][0] == "3" and rows[0][12] == "violations"
+    tamper(rows)
+    code, out = audit_rewritten(summary, rows, capsys)
+    assert code == EXIT_INVARIANT
+    assert message in out
+
+
+def test_audit_needs_the_summary(tmp_path, capsys):
+    run_cli("run", "--out", str(tmp_path), "--mode", "solo", "--horizon", "8")
+    (tmp_path / "solo" / "summary.csv").unlink()
     assert run_cli("audit", str(tmp_path / "solo")) == EXIT_INVARIANT
     assert "missing log" in capsys.readouterr().err
 
@@ -595,23 +679,51 @@ def test_audit_needs_the_auction_audit(tmp_path, capsys):
         ("xyz", "column 'battery_kwh': 'xyz' is not a finite number"),
         ("nan", "column 'battery_kwh': 'nan' is not a finite number"),
         (None, "line 8: 28 cells, header has 29"),
+        ("inf", "column 'battery_kwh': 'inf' is not a finite number"),
+        ("-inf", "column 'battery_kwh': '-inf' is not a finite number"),
+        ("", "column 'battery_kwh': '' is not a finite number"),
+        ('"1.0"', "column 'battery_kwh': '\"1.0\"' is not a finite number"),
+        ("30 cells", "line 8: 30 cells, header has 29"),
     ],
-    ids=["non-numeric", "nan", "short-row"],
+    ids=["non-numeric", "nan", "short-row", "inf", "minus-inf", "blank", "quoted", "long-row"],
 )
 def test_audit_rejects_unparseable_slots_log(tmp_path, capsys, cell, message):
     """A cell that is no finite number is a data error naming file, line, column."""
     slots, rows = solo_log(tmp_path)
     if cell is None:
         rows[7].pop()
+    elif cell == "30 cells":
+        rows[7].append("0.000000")
     else:
         rows[7][rows[0].index("battery_kwh")] = cell
-    with open(slots, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    write_unquoted(slots, rows)
     capsys.readouterr()
     assert run_cli("audit", str(slots.parent)) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{slots}: line 8" in err
     assert message in err
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
+def test_audit_reads_every_line_end_and_skips_blank_lines(tmp_path, capsys, eol):
+    """Logs rewritten with other line ends and a blank line still pass, and a
+    bad cell after the blank line is named by its line in the file."""
+    run_cli("run", "--out", str(tmp_path), "--mode", "auction", "--horizon", "8")
+    run_dir = tmp_path / "auction"
+    logs = {}
+    for name in ("slots.csv", "auction_audit.csv", "summary.csv"):
+        with open(run_dir / name, newline="") as fh:
+            rows = list(csv.reader(fh))
+        logs[name] = rows[:3] + [[]] + rows[3:]  # a blank line 4
+        write_unquoted(run_dir / name, logs[name], eol)
+    capsys.readouterr()
+    assert run_cli("audit", str(run_dir)) == EXIT_OK
+    assert "PASS (0 problems)" in capsys.readouterr().out
+    slots = logs["slots.csv"]
+    slots[9][slots[0].index("grid_kwh")] = "x"  # line 10 of the file, row 8
+    write_unquoted(run_dir / "slots.csv", slots, eol)
+    assert run_cli("audit", str(run_dir)) == EXIT_DATA
+    assert "slots.csv: line 10, column 'grid_kwh': 'x' is not" in capsys.readouterr().err
 
 
 def test_audit_rejects_a_fractional_slot(tmp_path, capsys):
@@ -921,6 +1033,37 @@ def test_emitted_config_reproduces_the_run(tmp_path):
         (rerun / "auction" / "slots.csv").read_bytes()
         == (tmp_path / "auction" / "slots.csv").read_bytes()
     )
+
+
+def test_emitted_config_reruns_relative_trace_paths_from_anywhere(tmp_path, monkeypatch):
+    """Trace paths relative to the working directory are recorded absolute, so
+    a run directory (and a sweep directory) reruns from another directory."""
+    inputs, elsewhere = tmp_path / "inputs", tmp_path / "elsewhere"
+    inputs.mkdir()
+    elsewhere.mkdir()
+    (inputs / "p.csv").write_text("slot,value\n" + "".join(f"{t},{3.0 + t}\n" for t in range(12)))
+    (inputs / "w.csv").write_text("slot,value\n" + "".join(f"{t},{50.0 + 9 * t}\n" for t in range(12)))
+    doc = {**reference_doc(), "horizon_slots": 12, "price_trace": "p.csv",
+           "renewable_traces": [None, "w.csv", None, None, None, None]}
+    (inputs / "files.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(inputs)
+    first = tmp_path / "first"
+    assert run_cli("run", "--config", "files.json", "--out", str(first), "--mode", "auction") == EXIT_OK
+    assert run_cli("sweep", "--config", "files.json", "--out", str(tmp_path / "sweep"),
+                   "--fractions", "1.0") == EXIT_OK
+    for emitted in (first / "auction" / "config.json", tmp_path / "sweep" / "config.json"):
+        recorded = json.loads(emitted.read_text())
+        assert recorded["price_trace"] == str(inputs / "p.csv")
+        assert recorded["renewable_traces"] == [None, str(inputs / "w.csv"), None, None, None, None]
+    monkeypatch.chdir(elsewhere)
+    rerun = tmp_path / "rerun"
+    assert run_cli(
+        "run", "--config", str(first / "auction" / "config.json"), "--out", str(rerun),
+        "--mode", "auction",
+    ) == EXIT_OK
+    assert (rerun / "auction" / "slots.csv").read_bytes() == (
+        first / "auction" / "slots.csv"
+    ).read_bytes()
 
 
 # ---------------------------------------------------------------- golden bytes

@@ -619,9 +619,9 @@ def test_verify_log_rows_accepts_clean_logs(tmp_path):
     _, records = run(cfg)
     path = tmp_path / "slots.csv"
     write_slots_csv(path, records)
-    rows = read_slots_csv(path)
-    assert rows[0]["slot"] == 0.0
-    assert verify_log_rows(cfg, rows) == []
+    log = read_slots_csv(path)
+    assert log["slot"][0] == 0.0
+    assert verify_log_rows(cfg, log) == []
 
 
 def test_verify_log_rows_catches_corruption(tmp_path):
@@ -629,12 +629,12 @@ def test_verify_log_rows_catches_corruption(tmp_path):
     _, records = run(cfg)
     path = tmp_path / "slots.csv"
     write_slots_csv(path, records)
-    rows = read_slots_csv(path)
-    rows[7]["battery_kwh"] = 9e9
-    problems = verify_log_rows(cfg, rows)
+    log = read_slots_csv(path)
+    log["battery_kwh"][7] = 9e9
+    problems = verify_log_rows(cfg, log)
     assert problems
-    slot = int(rows[7]["slot"])
-    mg = int(rows[7]["mg_id"])
+    slot = int(log["slot"][7])
+    mg = int(log["mg_id"][7])
     assert any(f"slot {slot} mg {mg}" in p for p in problems)
 
 
@@ -686,15 +686,15 @@ def rounding_config() -> ScenarioConfig:
 def test_verify_log_rows_allows_cost_rounding_of_large_products(tmp_path):
     path = tmp_path / "slots.csv"
     path.write_text("\n".join((",".join(SLOTS_HEADER),) + ROUNDING_ROWS) + "\n")
-    rows = read_slots_csv(path)
+    log = read_slots_csv(path)
     cfg = rounding_config()
-    for r, m, db in zip(rows, cfg.mgs, cfg.bounds()):
+    for k, (m, db) in enumerate(zip(cfg.mgs, cfg.bounds())):
         # one row per MG: a complete log of a one-slot run, which starts from
         # the initial battery and whose one pending job is the slot's own arrival
-        r["slot"] = 0.0
-        r["oldest_pending_age"] = 1.0
-        r["battery_kwh"] = initial_battery(m.params, db)
-        r["virtual_kwh"] = virtual_battery(r["battery_kwh"], m.params, db)
+        log["slot"][k] = 0.0
+        log["oldest_pending_age"][k] = 1.0
+        log["battery_kwh"][k] = initial_battery(m.params, db)
+        log["virtual_kwh"][k] = virtual_battery(log["battery_kwh"][k], m.params, db)
     # the rows come from two slots of one log, so as one slot their markets
     # disagree; these are the only problems, and no cost is flagged
     market_problems = [
@@ -703,18 +703,18 @@ def test_verify_log_rows_allows_cost_rounding_of_large_products(tmp_path):
         "slot 0 mg 10: unit price is not the market price",
         "slot 0: bought 0.000000 / sold 620.216682 kWh != market volume 11345.203443",
     ]
-    assert verify_log_rows(cfg, rows) == market_problems
-    for r in rows:
+    assert verify_log_rows(cfg, log) == market_problems
+    for k in range(len(log)):
         recomputed = (
-            r["grid_price"] * r["grid_kwh"]
-            + r["buy_unit_price"] * r["bought_kwh"]
-            - r["sell_unit_price"] * r["sold_kwh"]
+            log["grid_price"][k] * log["grid_kwh"][k]
+            + log["buy_unit_price"][k] * log["bought_kwh"][k]
+            - log["sell_unit_price"][k] * log["sold_kwh"][k]
         )
-        assert abs(recomputed - r["cost"]) > max(1e-4, 1e-5 * abs(recomputed))
+        assert abs(recomputed - log["cost"][k]) > max(1e-4, 1e-5 * abs(recomputed))
     # the rounding allowance stays far below an edit of a thousandth
-    for r in rows:
-        r["cost"] += 1e-3
-    problems = verify_log_rows(cfg, rows)
+    for k in range(len(log)):
+        log["cost"][k] += 1e-3
+    problems = verify_log_rows(cfg, log)
     assert len(problems) == 2 + len(market_problems)
     assert all("cost" in p for p in problems[:2])
     assert problems[2:] == market_problems
