@@ -362,6 +362,3 @@ def virtual_battery(battery_kwh, params: MGParams | Fleet, bounds: DerivedBounds
     """
     return battery_kwh - bounds.theta - params.discharge_rate_max_kwh
 
-
-def within(value: float, low: float, high: float, tol: float = FEAS_TOL) -> bool:
-    return low - tol <= value <= high + tol

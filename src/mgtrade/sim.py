@@ -176,7 +176,9 @@ def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInput
     ]
     for what, tr in named:
         if len(tr.values) < h:
-            raise ConfigError(f"{what} {tr.name!r} covers {len(tr.values)} slots, horizon needs {h}")
+            raise ConfigError(
+                f"{what} {tr.name!r} covers {len(tr.values)} slots, horizon needs {h}"
+            )
     di, dt = draw_load_grid([m.load_model for m in config.mgs], range(h))
     renewable = [tr.values[:h] for tr in traces.renewables]
     return SlotInputs(np.array(renewable).T, di.T, dt.T, traces.prices.values[:h])
@@ -862,7 +864,8 @@ def _row_orders(log: Log) -> tuple[list[int], list[int], dict[int, slice]]:
     by_slot = sorted(range(len(slot)), key=slot.__getitem__)
     by_mg = sorted(by_slot, key=list(map(rank.__getitem__, mg)).__getitem__)
     ends = accumulate(rows.values())
-    return by_slot, by_mg, {int(mid): slice(end - n, end) for (mid, n), end in zip(rows.items(), ends)}
+    spans = {int(mid): slice(end - n, end) for (mid, n), end in zip(rows.items(), ends)}
+    return by_slot, by_mg, spans
 
 
 def _reorder(log: Log, order: list[int], names) -> dict[str, Sequence]:
@@ -1166,14 +1169,15 @@ def _market_problems(t: int, c) -> list[str]:
         c["mg_id"], zip(*(c[k] for k in _MARKET_COLUMNS)), c["grid_price"],
         c["buy_unit_price"], c["sell_unit_price"], c["bought_kwh"], c["sold_kwh"],
     ):
+        tag = f"slot {t} mg {int(mid)}"
         if row_market != market:
-            problems.append(f"slot {t} mg {int(mid)}: market columns differ from the slot's first row")
+            problems.append(f"{tag}: market columns differ from the slot's first row")
         if grid_price != grid:
-            problems.append(f"slot {t} mg {int(mid)}: grid price differs from the slot's first row")
+            problems.append(f"{tag}: grid price differs from the slot's first row")
         if buy_unit not in (0.0, pb) or sell_unit not in (0.0, ps):
-            problems.append(f"slot {t} mg {int(mid)}: unit price is not the market price")
+            problems.append(f"{tag}: unit price is not the market price")
         if got > 0.0 and gave > 0.0:
-            problems.append(f"slot {t} mg {int(mid)}: both bought and sold")
+            problems.append(f"{tag}: both bought and sold")
         bought += got
         sold += gave
     tag = f"slot {t}"

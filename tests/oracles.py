@@ -807,6 +807,14 @@ def log_lines(path, header: tuple[str, ...], error=None):
             yield line, cells
 
 
+def within(value: float, low: float, high: float, tol: float | None = None) -> bool:
+    """``low - tol <= value <= high + tol``, the tolerance FEAS_TOL unless given."""
+    from mgtrade.model import FEAS_TOL
+
+    tol = FEAS_TOL if tol is None else tol
+    return low - tol <= value <= high + tol
+
+
 def reference_read_slots_csv(path) -> list[dict[str, float]]:
     """Parse a slots log back into numeric dict rows (ids and slots as floats)."""
     from typing import get_type_hints
@@ -879,14 +887,16 @@ def reference_verify_log_rows(config, rows: list[dict[str, float]]) -> list[str]
     from bisect import bisect_right
     from operator import itemgetter
 
-    from mgtrade.model import FEAS_TOL, initial_battery, virtual_battery, within
+    from mgtrade.model import FEAS_TOL, initial_battery, virtual_battery
     from mgtrade.sim import LOG_TOL
 
     cost_operands = itemgetter(
         "grid_price", "grid_kwh", "buy_unit_price", "bought_kwh", "sell_unit_price", "sold_kwh"
     )
     bid_columns = itemgetter("bid_sell_price", "bid_buy_price", "bid_sell_qty", "bid_buy_qty")
-    bid_operands = itemgetter("demand_queue_kwh", "delay_queue_kwh", "renewable_kwh", "di_load_kwh")
+    bid_operands = itemgetter(
+        "demand_queue_kwh", "delay_queue_kwh", "renewable_kwh", "di_load_kwh"
+    )
     problems: list[str] = []
     bounds_all = {m.params.id: b for m, b in zip(config.mgs, config.bounds())}
     params_all = {m.params.id: m.params for m in config.mgs}

@@ -594,7 +594,8 @@ def write_unquoted(path: Path, rows: list[list[str]], eol: str = "\r\n") -> None
 @pytest.mark.parametrize(
     "cell, code, message",
     [
-        ("abc", EXIT_DATA, "auction_audit.csv: line 4, column 'price': 'abc' is not a finite number"),
+        ("abc", EXIT_DATA,
+         "auction_audit.csv: line 4, column 'price': 'abc' is not a finite number"),
         (None, EXIT_DATA, "auction_audit.csv: line 4: 7 cells"),
         ("inf", EXIT_INVARIANT, "auction_audit.csv line 4: slot 0 mg 6: ['inf', '45.443812', "
          "'0', '0.000000', '0.000000'] != 0.000000,45.443812,False,0.000000,0.000000 from "
@@ -1041,20 +1042,23 @@ def test_emitted_config_reruns_relative_trace_paths_from_anywhere(tmp_path, monk
     inputs, elsewhere = tmp_path / "inputs", tmp_path / "elsewhere"
     inputs.mkdir()
     elsewhere.mkdir()
-    (inputs / "p.csv").write_text("slot,value\n" + "".join(f"{t},{3.0 + t}\n" for t in range(12)))
-    (inputs / "w.csv").write_text("slot,value\n" + "".join(f"{t},{50.0 + 9 * t}\n" for t in range(12)))
+    for name, value in (("p.csv", lambda t: 3.0 + t), ("w.csv", lambda t: 50.0 + 9 * t)):
+        rows = "".join(f"{t},{value(t)}\n" for t in range(12))
+        (inputs / name).write_text("slot,value\n" + rows)
     doc = {**reference_doc(), "horizon_slots": 12, "price_trace": "p.csv",
            "renewable_traces": [None, "w.csv", None, None, None, None]}
     (inputs / "files.json").write_text(json.dumps(doc))
     monkeypatch.chdir(inputs)
     first = tmp_path / "first"
-    assert run_cli("run", "--config", "files.json", "--out", str(first), "--mode", "auction") == EXIT_OK
-    assert run_cli("sweep", "--config", "files.json", "--out", str(tmp_path / "sweep"),
-                   "--fractions", "1.0") == EXIT_OK
+    argv = ("--config", "files.json", "--mode", "auction")
+    assert run_cli("run", *argv, "--out", str(first)) == EXIT_OK
+    sweep = ("sweep", *argv, "--out", str(tmp_path / "sweep"), "--fractions", "1.0")
+    assert run_cli(*sweep) == EXIT_OK
     for emitted in (first / "auction" / "config.json", tmp_path / "sweep" / "config.json"):
         recorded = json.loads(emitted.read_text())
         assert recorded["price_trace"] == str(inputs / "p.csv")
-        assert recorded["renewable_traces"] == [None, str(inputs / "w.csv"), None, None, None, None]
+        wind = str(inputs / "w.csv")
+        assert recorded["renewable_traces"] == [None, wind, None, None, None, None]
     monkeypatch.chdir(elsewhere)
     rerun = tmp_path / "rerun"
     assert run_cli(

@@ -24,11 +24,10 @@ from mgtrade.model import (
     initial_battery,
     oldest_pending_age,
     virtual_battery,
-    within,
 )
 
 from columnar import fleet_of
-from oracles import MGState, fifo_serve
+from oracles import MGState, fifo_serve, within
 
 
 def isclose_kwh(a: float, b: float, tol: float = FEAS_TOL) -> bool:
