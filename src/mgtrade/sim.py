@@ -743,8 +743,8 @@ class Log:
         return self.rows[k].split(",")
 
 
-# Rows split and converted at a time: a block's cell strings are freed while
-# they are still in cache, and their memory serves the next block.
+# How many rows `read_log` splits and converts at once: a block's cell strings
+# are freed while still in cache, and their memory serves the next block.
 _BLOCK_ROWS = 512
 
 
