@@ -719,7 +719,6 @@ def write_audit_csv(path, records: list[SlotRecord]) -> None:
             fh.writelines(line % row for row in audit_rows(rec))
 
 
-@dataclass(frozen=True, eq=False)  # columns are lists, compared by no one
 class Log:
     """A log read back as columns (see `read_log`), its rows in file order.
 
@@ -728,10 +727,13 @@ class Log:
     cells as written and ``log.lines[k]`` its line in the file.
     """
 
-    header: tuple[str, ...]
-    rows: list[str]
-    columns: dict[str, list]
-    lines: Sequence[int]
+    __slots__ = ("header", "rows", "columns", "lines")
+
+    def __init__(
+        self, header: tuple[str, ...], rows: list[str], columns: dict[str, list],
+        lines: Sequence[int],
+    ) -> None:
+        self.header, self.rows, self.columns, self.lines = header, rows, columns, lines
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -888,9 +890,9 @@ def verify_audit_csv(path, log: Log) -> list[str]:
     """
     audit = read_log(path, AUDIT_HEADER, text=("side",), finite=False)
     logged = dict(zip(zip(log["slot"], log["mg_id"]), range(len(log))))  # (slot, MG) -> row
-    # each side's (bid price, bid kWh, fill, unit price, market price) of each row
+    # each side's bid price and kWh, fill, unit price and market price columns
     bids = {
-        side: list(zip(*(log[n] for n in names), log[f"market_{side}_price"]))
+        side: [log[n] for n in (*names, f"market_{side}_price")]
         for side, names in _SIDE_FIELDS.items()
     }
     listed: dict[int, str] = {}  # the side of each listed row's bid
@@ -917,9 +919,10 @@ def verify_audit_csv(path, log: Log) -> list[str]:
         if at < last:
             problem("out of book order")
         last = at
-        bid_price, bid_kwh, fill, unit, market = side_bids[r]
+        prices, kwh, fills, units, markets = side_bids
+        fill, unit = fills[r], units[r]
         won = fill != 0.0 or unit != 0.0
-        want = bid_price, bid_kwh, won, market if won else 0.0, fill
+        want = prices[r], kwh[r], won, markets[r] if won else 0.0, fill
         if line != want:
             problem(f"{audit.row(k)[3:]} != {_AUDIT_CELLS[9:] % want} from slots.csv")
     buy_kwh, sell_kwh = log["bid_buy_qty"], log["bid_sell_qty"]
@@ -1025,7 +1028,7 @@ def verify_log_rows(config: ScenarioConfig, log: Log) -> list[str]:
     checked over its own slice.
     """
     by_slot, by_mg, spans = _row_orders(log)
-    columns = _reorder(log, by_mg, log.header)
+    columns = _reorder(log, by_mg, ("slot", *_ROW_COLUMNS))
     problems: list[str] = []
     horizon = range(config.horizon_slots)
     every_slot = list(horizon)
@@ -1075,8 +1078,9 @@ def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list
     arrived = list(accumulate(c["dt_load_kwh"], initial=0.0))[1:]  # by the end of each slot
     served = 0.0
     low, high = 0.0 - LOG_TOL, p.battery_capacity_kwh + LOG_TOL
-    q_max, z_max = db.q_max + LOG_TOL, db.z_max + LOG_TOL
-    v, rounding = p.v_weight, 1.5e-6 + 1e-6 / p.v_weight
+    q_max, z_max, age_max = db.q_max + LOG_TOL, db.z_max + LOG_TOL, db.delta_max_slots + LOG_TOL
+    v, floor, j_max = p.v_weight, p.price_floor, p.serve_rate_max_kwh
+    rounding = 1.5e-6 + 1e-6 / v
     for n, (
         t, b, q, z, x, r, di, dt, pg, sell_price, buy_price, sell_kwh, buy_kwh, bought, sold,
         pb, ps, charge, discharge, j, grid, spill, cost, age,
@@ -1099,7 +1103,7 @@ def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list
             note(problems, f"Z {z} > {db.z_max}")
         if abs(x - virtual_battery(b, p, db)) > LOG_TOL:
             note(problems, f"X {x} != B - theta - D_max")
-        if min(charge, discharge) > LOG_TOL:
+        if charge > LOG_TOL and discharge > LOG_TOL:
             note(problems, "simultaneous charge and discharge")
         # each operand is off by at most 5e-7 after 6-decimal rounding, so a
         # product a*b is off by at most 5e-7 * (|a| + |b|)
@@ -1114,7 +1118,7 @@ def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list
             note(problems, f"balance short by {-balance}")
         if abs(balance - spill) > LOG_TOL:
             note(problems, f"spill {spill} != balance slack {balance}")
-        if age > db.delta_max_slots + LOG_TOL:
+        if age > age_max:
             note(problems, f"pending job age {age}")
         # the bids `make_bids` posts from the logged Q, Z, R and I. Those and
         # the logged bids are off by up to 5e-7 each, so a price (Q + Z) / V
@@ -1124,11 +1128,11 @@ def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list
         e = rounding + 2.0**-50 * (value + q + r + di)
         if not (
             abs(sell_price - value) <= e
-            and abs(buy_price - max(value, p.price_floor)) <= e
+            and abs(buy_price - (floor if floor > value else value)) <= e  # max(value, floor)
             and (
                 surplus > -e and abs(sell_kwh - surplus) <= e and abs(buy_kwh) <= e
                 or surplus < e and abs(sell_kwh) <= e
-                and abs(buy_kwh - min(max(p.serve_rate_max_kwh - r, 0.0), q)) <= e
+                and abs(buy_kwh - min(max(j_max - r, 0.0), q)) <= e
             )
         ):
             note(problems, f"bids {[sell_price, buy_price, sell_kwh, buy_kwh]} != "
@@ -1137,10 +1141,13 @@ def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list
             want_b = last_b - last_discharge + last_charge
             if abs(b - want_b) > LOG_TOL:
                 note(steps, f"battery {b} != step {want_b}")
-            want_q = max(last_q - last_j, 0.0) + last_dt
+            # `0.0 if 0.0 > d else d` is max(d, 0.0)
+            backlog = last_q - last_j
+            want_q = (0.0 if 0.0 > backlog else backlog) + last_dt
             if abs(q - want_q) > LOG_TOL:
                 note(steps, f"Q {q} != step {want_q}")
-            base_z = max(last_z - last_j, 0.0)
+            base_z = last_z - last_j
+            base_z = 0.0 if 0.0 > base_z else base_z
             # a backlog indistinguishable from zero at log precision: the
             # indicator could have read either way in memory
             want_z = (base_z + p.epsilon,) if last_q > LOG_TOL else (base_z, base_z + p.epsilon)
