@@ -15,7 +15,6 @@ infeasible oracle.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -30,15 +29,17 @@ from .model import MGParams, PriceBounds, compute_a_const, compute_v_max
 from .sim import (
     MODE_AUCTION,
     MODE_SOLO,
+    SWEEP_HEADER,
     MGSpec,
     RunSummary,
     ScenarioConfig,
+    SweepRow,
     bound_audit,
     build_traces,
     mg_subseed,
     offline_oracle,
-    read_log,
     read_slots_csv,
+    read_sweep_csv,
     realized_inputs,
     simulate,
     verify_audit_csv,
@@ -47,6 +48,7 @@ from .sim import (
     write_audit_csv,
     write_slots_csv,
     write_summary_csv,
+    write_sweep_csv,
 )
 
 EXIT_OK = 0
@@ -57,11 +59,6 @@ EXIT_INVARIANT = 4
 OUT_ENV = "MGTRADE_OUT"
 
 _MODE_FLAG = {"auction": MODE_AUCTION, "solo": MODE_SOLO}
-
-SWEEP_HEADER = (
-    "fraction", "mg_id", "v_weight", "online_time_avg_cost", "oracle_time_avg_cost",
-    "gap", "a_over_v",
-)
 
 # Every key a config document may hold; anything else is a typo.
 _TOP_KEYS = frozenset(
@@ -294,6 +291,13 @@ def _absolute(traces_doc: dict) -> dict:
     }
 
 
+def _write_config(out_dir: Path, config: ScenarioConfig, traces_doc: dict) -> None:
+    """The config.json of a run or sweep directory, which reruns it from anywhere."""
+    (out_dir / "config.json").write_text(
+        json.dumps(config_to_dict(config, _absolute(traces_doc)), indent=2) + "\n"
+    )
+
+
 def _emit_run(
     out_dir: Path,
     config: ScenarioConfig,
@@ -307,9 +311,7 @@ def _emit_run(
     write_audit_csv(out_dir / "auction_audit.csv", records)
     report = bound_audit(summary, config, oracle=None)
     (out_dir / "audit.txt").write_text(report.render() + "\n")
-    (out_dir / "config.json").write_text(
-        json.dumps(config_to_dict(config, _absolute(traces_doc)), indent=2) + "\n"
-    )
+    _write_config(out_dir, config, traces_doc)
 
 
 def _resolve_out(args) -> Path:
@@ -332,18 +334,26 @@ def _apply_overrides(config: ScenarioConfig, args, mode: str) -> ScenarioConfig:
     return dataclasses.replace(config, **updates)
 
 
-def cmd_run(args) -> int:
+def _scenario(args, mode: str):
+    """The config of `args` (its file, else the default) in `mode` with the flags
+    applied, its trace block, and its inputs, drawn once.
+
+    Neither the mode nor V changes a draw, so one set of inputs serves every
+    mode of a run and every fraction of a sweep, with its oracle.
+    """
     if args.config:
         config, traces_doc = load_config(args.config)
     else:
         config, traces_doc = default_scenario(), {}
-    out_root = _resolve_out(args)
+    base = _apply_overrides(config, args, mode)
+    return base, traces_doc, realized_inputs(base, build_traces(base, traces_doc))
 
+
+def cmd_run(args) -> int:
     modes = [MODE_AUCTION, MODE_SOLO] if args.mode == "both" else [_MODE_FLAG[args.mode]]
+    base, traces_doc, inputs = _scenario(args, modes[0])
+    out_root = _resolve_out(args)
     results: dict[str, RunSummary] = {}
-    base = _apply_overrides(config, args, modes[0])
-    # the mode changes no draw: one set of inputs serves both modes
-    inputs = realized_inputs(base, build_traces(base, traces_doc))
     for mode in modes:
         cfg = dataclasses.replace(base, mode=mode)
         t0 = time.perf_counter()
@@ -432,42 +442,29 @@ def cmd_audit(args) -> int:
 
 
 def _audit_sweep(sweep_csv: Path) -> int:
-    log = read_log(sweep_csv, SWEEP_HEADER, error=ParseError)
-    if not len(log):
-        raise SimError(f"{sweep_csv}: empty")
-    fraction, v, online, oracle, gap, av = (
-        log[n] for n in ("fraction", "v_weight", "online_time_avg_cost",
-                         "oracle_time_avg_cost", "gap", "a_over_v")
-    )
-    # the cells as written, which the table and the problems quote
-    written = [dict(zip(SWEEP_HEADER, log.row(k))) for k in range(len(log))]
-    by_mg: dict[str, list[int]] = {}  # each MG's rows, by its id as written
-    for k, cells in enumerate(written):
-        by_mg.setdefault(cells["mg_id"], []).append(k)
+    log = read_sweep_csv(sweep_csv)
+    fraction, mg, v, online, oracle, gap, av = (log[n] for n in SWEEP_HEADER)
     print(f"{'fraction':>8} {'mg':>4} {'v_weight':>12} {'online':>12} "
           f"{'oracle':>12} {'gap':>12} {'a_over_v':>12}")
     monotone = True
     problems: list[str] = []
-    for mid, rows in sorted(by_mg.items()):
-        rows.sort(key=fraction.__getitem__)
-        prev_av = None
-        for k in rows:
-            print(
-                f"{fraction[k]:>8.3f} {mid:>4} "
-                f"{v[k]:>12.4f} {online[k]:>12.4f} "
-                f"{written[k]['oracle_time_avg_cost']:>12} {written[k]['gap']:>12} {av[k]:>12.4f}"
-            )
-            if prev_av is not None and av[k] > prev_av + 1e-12:
-                monotone = False
-            prev_av = av[k]
-            tag = f"fraction {written[k]['fraction']} mg {mid}"
-            # each logged value is off by at most 5e-7 after 6-decimal rounding
-            if abs(gap[k] - (online[k] - oracle[k])) > 1.5e-6:
-                problems.append(f"{tag}: gap {written[k]['gap']} != online - oracle")
-            if gap[k] > av[k] + 1e-6:
-                problems.append(
-                    f"{tag}: gap {written[k]['gap']} above a_over_v {written[k]['a_over_v']}"
-                )
+    # each MG's rows in turn, by id and then fraction
+    order = sorted(range(len(log)), key=lambda k: (mg[k], fraction[k]))
+    for before, k in zip([None] + order, order):
+        written = dict(zip(SWEEP_HEADER, log.row(k)))  # the cells the table and problems quote
+        mid = int(mg[k])
+        print(
+            f"{fraction[k]:>8.3f} {mid:>4} {v[k]:>12.4f} {online[k]:>12.4f} "
+            f"{written['oracle_time_avg_cost']:>12} {written['gap']:>12} {av[k]:>12.4f}"
+        )
+        if before is not None and mg[before] == mg[k] and av[k] > av[before] + 1e-12:
+            monotone = False
+        tag = f"fraction {written['fraction']} mg {mid}"
+        # each logged value is off by at most 5e-7 after 6-decimal rounding
+        if abs(gap[k] - (online[k] - oracle[k])) > 1.5e-6:
+            problems.append(f"{tag}: gap {written['gap']} != online - oracle")
+        if gap[k] > av[k] + 1e-6:
+            problems.append(f"{tag}: gap {written['gap']} above a_over_v {written['a_over_v']}")
     print("a_over_v monotone: " + ("PASS" if monotone else "FAIL"))
     print(f"gap within a_over_v: {'FAIL' if problems else 'PASS'}")
     for p in problems:
@@ -476,10 +473,7 @@ def _audit_sweep(sweep_csv: Path) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.config:
-        config, traces_doc = load_config(args.config)
-    else:
-        config, traces_doc = default_scenario(), {}
+    base, traces_doc, inputs = _scenario(args, _MODE_FLAG[args.mode])
     fractions = []
     for tok in args.fractions.split(","):
         try:
@@ -492,10 +486,7 @@ def cmd_sweep(args) -> int:
 
     out_root = _resolve_out(args)
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = []
-    base = _apply_overrides(config, args, _MODE_FLAG[args.mode])
-    # V changes no draw: one set of inputs serves every fraction and its oracle
-    inputs = realized_inputs(base, build_traces(base, traces_doc))
+    rows: list[SweepRow] = []
     solved: dict[tuple[int, float], float] = {}  # oracle costs by (MG id, b0)
     for f in fractions:
         mgs = []
@@ -510,31 +501,16 @@ def cmd_sweep(args) -> int:
         summary, _ = simulate(cfg, inputs)
         oracle = offline_oracle(cfg, inputs, solved)
         for spec in cfg.mgs:
-            mid = spec.params.id
-            online = summary.per_mg[mid].time_avg_cost
-            orc = oracle[mid]
-            rows.append(
-                {
-                    "fraction": f"{f:.6f}",
-                    "mg_id": mid,
-                    "v_weight": f"{spec.params.v_weight:.6f}",
-                    "online_time_avg_cost": f"{online:.6f}",
-                    "oracle_time_avg_cost": f"{orc:.6f}",
-                    "gap": f"{online - orc:.6f}",
-                    "a_over_v": (
-                        f"{compute_a_const(spec.params) / spec.params.v_weight:.6f}"
-                    ),
-                }
-            )
+            p = spec.params
+            online = summary.per_mg[p.id].time_avg_cost
+            rows.append(SweepRow(
+                f, p.id, p.v_weight, online, oracle[p.id], online - oracle[p.id],
+                compute_a_const(p) / p.v_weight,
+            ))
         print(f"fraction {f:.3f}: total cost {summary.total_cost:.4f}")
 
-    with open(out_root / "sweep.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_HEADER)
-        writer.writeheader()
-        writer.writerows(rows)
-    (out_root / "config.json").write_text(
-        json.dumps(config_to_dict(base, _absolute(traces_doc)), indent=2) + "\n"
-    )
+    write_sweep_csv(out_root / "sweep.csv", rows)
+    _write_config(out_root, base, traces_doc)
     print(f"wrote {out_root / 'sweep.csv'}")
     return EXIT_OK
 

@@ -380,6 +380,34 @@ class MGSummary(NamedTuple):
     max_job_age_slots: int
 
 
+# each MGSummary field after the MG id and time average: the reduction of the
+# MG's logged column that it is made from, by `summarize` and again in the audit
+_SUMMARY_OF = (
+    ("total_cost", sum, "cost"),
+    ("total_grid_kwh", sum, "grid_kwh"),
+    ("total_bought_kwh", sum, "bought_kwh"),
+    ("total_sold_kwh", sum, "sold_kwh"),
+    ("total_served_kwh", sum, "serve_kwh"),
+    ("max_q_kwh", max, "demand_queue_kwh"),
+    ("max_z_kwh", max, "delay_queue_kwh"),
+    ("min_b_kwh", min, "battery_kwh"),
+    ("max_b_kwh", max, "battery_kwh"),
+    ("max_job_age_slots", max, "oldest_pending_age"),
+)
+
+
+class SweepRow(NamedTuple):
+    """One MG at one V fraction of a sweep: its online and oracle costs."""
+
+    fraction: float
+    mg_id: int
+    v_weight: float
+    online_time_avg_cost: float
+    oracle_time_avg_cost: float
+    gap: float
+    a_over_v: float
+
+
 @dataclass(frozen=True)
 class RunSummary:
     mode: str
@@ -393,9 +421,6 @@ class RunSummary:
 
     def mean_time_avg_cost(self) -> float:
         return self.total_cost / (len(self.per_mg) * self.horizon_slots)
-
-    def max_job_age(self) -> int:
-        return max((s.max_job_age_slots for s in self.per_mg.values()), default=0)
 
 
 def summarize(config: ScenarioConfig, records: list[SlotRecord]) -> RunSummary:
@@ -413,22 +438,18 @@ def summarize(config: ScenarioConfig, records: list[SlotRecord]) -> RunSummary:
     for rec in records:
         violations.extend(rec.violations)
     logged = np.array([rec.columns for rec in records])  # (slot, field, MG)
+    ages = np.array([rec.oldest_age for rec in records])  # (slot, MG)
 
-    def each_mg(reduce, field: str) -> list:
-        """`reduce` of each MG's logged `field`, its slots in order."""
-        return list(map(reduce, logged[:, _ROW_FLOATS.index(field)].T.tolist()))
+    def each_mg(reduce, column: str) -> list:
+        """`reduce` of each MG's logged `column`, its slots in order."""
+        at = ages if column == "oldest_pending_age" else logged[:, _ROW_FLOATS.index(column)]
+        return list(map(reduce, at.T.tolist()))
 
-    costs = each_mg(sum, "cost")
-    ages = map(max, np.array([rec.oldest_age for rec in records]).T.tolist())
+    reduced = zip(*(each_mg(reduce, column) for _, reduce, column in _SUMMARY_OF))
+    # the time average is the total cost, `_SUMMARY_OF`'s first field, over the horizon
     per_mg = {
-        m.params.id: MGSummary(m.params.id, cost / horizon, cost, *totals, age)
-        for m, cost, *totals, age in zip(
-            config.mgs, costs,
-            each_mg(sum, "grid_kwh"), each_mg(sum, "bought_kwh"),
-            each_mg(sum, "sold_kwh"), each_mg(sum, "serve_kwh"),
-            each_mg(max, "demand_queue_kwh"), each_mg(max, "delay_queue_kwh"),
-            each_mg(min, "battery_kwh"), each_mg(max, "battery_kwh"), ages,
-        )
+        m.params.id: MGSummary(m.params.id, fields[0] / horizon, *fields)
+        for m, fields in zip(config.mgs, reduced)
     }
     return RunSummary(
         mode=config.mode,
@@ -638,43 +659,55 @@ def bound_audit(
     return AuditReport(lines=tuple(lines))
 
 
-def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], str]:
-    """Column names of a log record class and the %-format of one record's cells.
+def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], str, tuple[str, ...]]:
+    """The columns of a log record class, the %-format of one record's cells
+    and the columns that must hold whole numbers.
 
     The record's annotated fields are the columns, in order. Fields declared
     ``float`` are written at 6 decimals (``%.6f`` renders as ``format(x,
-    ".6f")`` does), every other field as it is. No cell needs CSV quoting.
+    ".6f")`` does), every other field as it is, and those declared ``int``
+    are the whole ones. No cell needs CSV quoting.
     """
-    hints = get_type_hints(cls)
+    hints = {prefix + n: t for n, t in get_type_hints(cls).items()}
     cells = ",".join("%.6f" if t is float else "%s" for t in hints.values())
-    return tuple(prefix + n for n in hints), cells
+    return tuple(hints), cells, tuple(n for n, t in hints.items() if t is int)
 
 
-# lines end as csv.writer ends them
-_EOL = "\r\n"
-_MG_COLUMNS, _MG_CELLS = _log_columns(MGSlotRow)
-_MARKET_COLUMNS, _MARKET_CELLS = _log_columns(MarketRow, prefix="market_")
+def _write_log(path, header: tuple[str, ...], blocks) -> None:
+    """Write a log: its header, then the lines of `blocks`, each ended as csv.writer ends it.
+
+    A block is the %-format of one line's cells and the rows it renders, in order.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for cells, rows in blocks:
+            fh.writelines(map((cells + "\r\n").__mod__, rows))
+
+
+_MG_COLUMNS, _MG_CELLS, _WHOLE_COLUMNS = _log_columns(MGSlotRow)
+_MARKET_COLUMNS, _MARKET_CELLS, _ = _log_columns(MarketRow, prefix="market_")
 SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
 
 
 def write_slots_csv(path, records: list[SlotRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SLOTS_HEADER) + _EOL)
-        for rec in records:
-            line = _MG_CELLS + "," + _MARKET_CELLS % rec.market + _EOL
-            fh.writelines(line % row for row in rec.rows)
+    blocks = ((_MG_CELLS + "," + _MARKET_CELLS % rec.market, rec.rows) for rec in records)
+    _write_log(path, SLOTS_HEADER, blocks)
 
 
-_SUMMARY_COLUMNS, _SUMMARY_CELLS = _log_columns(MGSummary)
+_SUMMARY_COLUMNS, _SUMMARY_CELLS, _SUMMARY_WHOLE = _log_columns(MGSummary)
 SUMMARY_HEADER = _SUMMARY_COLUMNS + ("violations",)
 
 
 def write_summary_csv(path, summary: RunSummary) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SUMMARY_HEADER) + _EOL)
-        line = _SUMMARY_CELLS + f",{summary.violation_count}" + _EOL
-        for mid in sorted(summary.per_mg):
-            fh.write(line % summary.per_mg[mid])
+    rows = [summary.per_mg[mid] for mid in sorted(summary.per_mg)]
+    _write_log(path, SUMMARY_HEADER, [(_SUMMARY_CELLS + f",{summary.violation_count}", rows)])
+
+
+SWEEP_HEADER, _SWEEP_CELLS, _SWEEP_WHOLE = _log_columns(SweepRow)
+
+
+def write_sweep_csv(path, rows: list[SweepRow]) -> None:
+    _write_log(path, SWEEP_HEADER, [(_SWEEP_CELLS, rows)])
 
 
 # auction_audit.csv: the fields of an `audit_rows` line and their cells
@@ -712,11 +745,7 @@ def audit_rows(record: SlotRecord) -> list[tuple]:
 
 
 def write_audit_csv(path, records: list[SlotRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(AUDIT_HEADER) + _EOL)
-        line = _AUDIT_CELLS + _EOL
-        for rec in records:
-            fh.writelines(line % row for row in audit_rows(rec))
+    _write_log(path, AUDIT_HEADER, ((_AUDIT_CELLS, audit_rows(rec)) for rec in records))
 
 
 class Log:
@@ -724,16 +753,18 @@ class Log:
 
     ``log[name]`` is a column: a list of floats, or of the cells as written
     for a text column. ``len(log)`` is the row count, ``log.row(k)`` row k's
-    cells as written and ``log.lines[k]`` its line in the file.
+    cells as written and ``log.lines[k]`` its line in the file. A slots log
+    also holds its `_row_orders` as ``log.orders``.
     """
 
-    __slots__ = ("header", "rows", "columns", "lines")
+    __slots__ = ("header", "rows", "columns", "lines", "orders")
 
     def __init__(
         self, header: tuple[str, ...], rows: list[str], columns: dict[str, list],
         lines: Sequence[int],
     ) -> None:
         self.header, self.rows, self.columns, self.lines = header, rows, columns, lines
+        self.orders = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -750,25 +781,24 @@ class Log:
 _BLOCK_ROWS = 512
 
 
-def read_log(
-    path, header: tuple[str, ...], text=(), whole=(), finite: bool = True, error=SimError
-) -> Log:
+def read_log(path, header: tuple[str, ...], text=(), whole=(), finite: bool = True) -> Log:
     """Read a log as columns: blocks of rows split into flat cell lists, each one `map(float)`.
 
     Logs quote no cell (see `_log_columns`), so the rows after the header
     are the nonblank lines (ended by any of LF, CRLF, CR) split at the
     commas. Every column but the ``text`` ones holds numbers, finite ones if
-    ``finite``, and the ``whole`` ones whole numbers. A missing log or a
-    different header raises `error`; a row of the wrong width or a bad cell
-    is a ParseError naming the line (and column) of the first in the file.
+    ``finite``, and the ``whole`` ones whole numbers. A missing log is a
+    SimError. A different header, a row of the wrong width or a bad cell is
+    a ParseError naming the file, and the line (and column) of the first bad
+    row in it.
     """
     if not Path(path).exists():
-        raise error(f"missing log: {path}")
+        raise SimError(f"missing log: {path}")
     with open(path) as fh:  # universal newlines: every line end reads as "\n"
         head = fh.readline().rstrip("\n").split(",")
         rows = fh.read().split("\n")
     if tuple(head) != header:
-        raise error(f"{path}: unexpected header {head}")
+        raise ParseError(f"{path}: unexpected header {head}")
     if not rows[-1]:
         rows.pop()  # what follows the last line end
     lines: Sequence[int] = range(2, len(rows) + 2)
@@ -838,18 +868,23 @@ def _raise_bad_cell(path, header, cells, lines, whole, finite: bool) -> None:
                 )
 
 
-# the columns of the fields declared ``int``, whose logged values must be whole
-_WHOLE_COLUMNS = tuple(n for n, t in get_type_hints(MGSlotRow).items() if t is int)
-
-
 def read_slots_csv(path) -> Log:
-    """Read a slots log back as columns of floats (ids and slots as floats).
+    """Read a slots log back as columns of floats (ids and slots as floats), with its row orders.
 
     A column of an ``int`` field must hold whole numbers.
     """
     log = read_log(path, SLOTS_HEADER, whole=_WHOLE_COLUMNS)
     if not len(log):
         raise SimError(f"{path}: no rows")
+    log.orders = _row_orders(log)
+    return log
+
+
+def read_sweep_csv(path) -> Log:
+    """Read a sweep log back as columns of floats; its MG ids must be whole numbers."""
+    log = read_log(path, SWEEP_HEADER, whole=_SWEEP_WHOLE)
+    if not len(log):
+        raise SimError(f"{path}: empty")
     return log
 
 
@@ -933,25 +968,6 @@ def verify_audit_csv(path, log: Log) -> list[str]:
     return problems
 
 
-# each summary.csv column after the MG id and time average: the reduction of
-# the MG's logged column that `summarize` makes it from
-_SUMMARY_OF = (
-    ("total_cost", sum, "cost"),
-    ("total_grid_kwh", sum, "grid_kwh"),
-    ("total_bought_kwh", sum, "bought_kwh"),
-    ("total_sold_kwh", sum, "sold_kwh"),
-    ("total_served_kwh", sum, "serve_kwh"),
-    ("max_q_kwh", max, "demand_queue_kwh"),
-    ("max_z_kwh", max, "delay_queue_kwh"),
-    ("min_b_kwh", min, "battery_kwh"),
-    ("max_b_kwh", max, "battery_kwh"),
-    ("max_job_age_slots", max, "oldest_pending_age"),
-)
-_SUMMARY_WHOLE = tuple(n for n, t in get_type_hints(MGSummary).items() if t is int) + (
-    "violations",
-)
-
-
 def verify_summary_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
     """Check summary.csv against the config and the slots log `log`.
 
@@ -970,8 +986,8 @@ def verify_summary_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
     ``time_avg_cost`` is the in-memory total cost over the horizon h,
     rendered: it lies within 5e-7 + tol / h of the logged costs' sum over h.
     """
-    summary = read_log(path, SUMMARY_HEADER, whole=_SUMMARY_WHOLE)
-    _, by_mg, spans = _row_orders(log)
+    summary = read_log(path, SUMMARY_HEADER, whole=(*_SUMMARY_WHOLE, "violations"))
+    _, by_mg, spans = log.orders
     mg_rows = _reorder(log, by_mg, {column for _, _, column in _SUMMARY_OF})
     problems: list[str] = []
     ids = sorted(m.params.id for m in config.mgs)
@@ -1027,7 +1043,7 @@ def verify_log_rows(config: ScenarioConfig, log: Log) -> list[str]:
     message is built only for a failing row. Then each slot's market is
     checked over its own slice.
     """
-    by_slot, by_mg, spans = _row_orders(log)
+    by_slot, by_mg, spans = log.orders
     columns = _reorder(log, by_mg, ("slot", *_ROW_COLUMNS))
     problems: list[str] = []
     horizon = range(config.horizon_slots)

@@ -783,19 +783,18 @@ def log_numbers(path, line: int, columns, cells) -> list[float]:
     return [log_number(path, line, *cc) for cc in zip(columns, cells)]
 
 
-def log_lines(path, header: tuple[str, ...], error=None):
+def log_lines(path, header: tuple[str, ...]):
     """A log's nonblank rows after its header, as (line, cells)."""
     from pathlib import Path
 
     from mgtrade.errors import ParseError, SimError
 
-    error = error or SimError
     if not Path(path).exists():
-        raise error(f"missing log: {path}")
+        raise SimError(f"missing log: {path}")
     with open(path, newline="") as fh:
         found = fh.readline().rstrip("\r\n").split(",")
         if tuple(found) != header:
-            raise error(f"{path}: unexpected header {found}")
+            raise ParseError(f"{path}: unexpected header {found}")
         for line, text in enumerate(fh, 2):
             cells = text.rstrip("\r\n").split(",")
             if len(cells) != len(header):

@@ -940,8 +940,9 @@ def test_sweep_audit_checks_the_gap(tmp_path, capsys, cells, code, message):
         ("gap", "", "column 'gap': ''"),
         ("oracle_time_avg_cost", "", "column 'oracle_time_avg_cost': ''"),
         ("a_over_v", "inf", "column 'a_over_v': 'inf'"),
+        ("mg_id", "2.5", "column 'mg_id': '2.5' is not a whole number"),
     ],
-    ids=["non-numeric", "blank-gap", "blank-oracle", "inf"],
+    ids=["non-numeric", "blank-gap", "blank-oracle", "inf", "fractional-mg-id"],
 )
 def test_sweep_audit_rejects_unparseable_cells(tmp_path, capsys, column, cell, message):
     assert run_cli(
@@ -957,6 +958,51 @@ def test_sweep_audit_rejects_unparseable_cells(tmp_path, capsys, column, cell, m
     assert run_cli("audit", str(tmp_path)) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"{sweep_csv}: line 3, {message}" in err
+
+
+def test_sweep_audit_lists_mgs_in_numeric_order(tmp_path, capsys):
+    """A 12-MG sweep's table runs MG 1, 2, ..., 12, not 1, 10, 11, 12, 2, ..."""
+    doc = json.loads(Path(CONFIG).read_text())
+    doc["horizon_slots"] = 12
+    doc["mgs"] = [{**doc["mgs"][k % 2], "id": k + 1} for k in range(12)]
+    config = tmp_path / "twelve.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "sweep"
+    assert run_cli(
+        "sweep", "--config", str(config), "--fractions", "1.0,0.5", "--out", str(out)
+    ) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("audit", str(out)) == EXIT_OK
+    table = capsys.readouterr().out.splitlines()[1:25]
+    assert [line.split()[:2] for line in table] == [
+        [fraction, str(mid)] for mid in range(1, 13) for fraction in ("0.500", "1.000")
+    ]
+
+
+@pytest.mark.parametrize(
+    "log", ["slots.csv", "summary.csv", "auction_audit.csv", "sweep.csv"]
+)
+def test_audit_rejects_a_changed_header(tmp_path, capsys, log):
+    """Every log is read under one header rule: a header that is not the one
+    written is a data error naming the file."""
+    if log == "sweep.csv":
+        run_dir = tmp_path
+        assert run_cli(
+            "sweep", "--config", CONFIG, "--out", str(run_dir), "--fractions", "1.0"
+        ) == EXIT_OK
+    else:
+        run_dir = tmp_path / "auction"
+        assert run_cli(
+            "run", "--out", str(tmp_path), "--mode", "auction", "--horizon", "8"
+        ) == EXIT_OK
+    path = run_dir / log
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[0][rows[0].index("mg_id")] = "mg"
+    write_unquoted(path, rows)
+    capsys.readouterr()
+    assert run_cli("audit", str(run_dir)) == EXIT_DATA
+    assert f"error: {path}: unexpected header" in capsys.readouterr().err
 
 
 def test_audit_loads_neither_numpy_nor_scipy(tmp_path):
@@ -1072,9 +1118,9 @@ def test_emitted_config_reruns_relative_trace_paths_from_anywhere(tmp_path, monk
 
 # ---------------------------------------------------------------- golden bytes
 
-# sha256 of the built-in reference run (seed 7, 120 slots, both modes). Any
-# change to a simulated number or to the log format changes them; re-pin them
-# only in a change that means to alter the output.
+# sha256 of every file the built-in reference run writes (seed 7, 120 slots,
+# both modes). Any change to a simulated number or to an output format changes
+# them; re-pin them only in a change that means to alter the output.
 GOLDEN_SHA256 = {
     "auction/slots.csv": "c351b45ad6e1d71e8977c972d857f6423219e7d4f6dced7b2601b54b6cdd1df8",
     "auction/summary.csv": "a61699fc069e90d23f992b3d96eaf93b4241175937e00fee430aadb72c27e2d1",
@@ -1082,6 +1128,11 @@ GOLDEN_SHA256 = {
     "solo/slots.csv": "bec38e04b2bff11740213bfcfc69a5fe14b92dbbc5a1eb152abbaf19a89232ee",
     "solo/summary.csv": "3dd0866e2983317576da3c25e150ca692912253a94d9fb099adc51bb7eac53c2",
     "solo/auction_audit.csv": "32040dabdac14923500d990254bd0311743c50ac019d7c74cbe81232a3cd2cb7",
+    "auction/audit.txt": "5f28aa63d2f63719938f36b94ef141affbf69d4b460c43d0f8530c806d60025b",
+    "auction/config.json": "a0b3599cc0dd2443b7d88ef9dbcd72c1a8234f320080e3dbef859f2fc2d3aa5c",
+    "solo/audit.txt": "c1b64353c7a804be6f96f7cb483acd2e7becada3ffaea183c72e993cab13b644",
+    "solo/config.json": "1520e0dcc5acfef52ababaa62fd58a1bc7c78c9e7cc732ceed94a24830b1eb95",
+    "comparison.txt": "9ba558b6c7b9e3d5f375a49052e2dc77cbe6495d28658811c8bfbd807ec20b5a",
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mgtrade.errors import ConfigError, SimError
+from mgtrade.errors import ConfigError, ParseError, SimError
 from mgtrade.ingest import LoadModel
 from mgtrade.model import (
     MGParams,
@@ -723,7 +723,7 @@ def test_verify_log_rows_allows_cost_rounding_of_large_products(tmp_path):
 def test_read_slots_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "slots.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(SimError, match="header"):
+    with pytest.raises(ParseError, match="header"):
         read_slots_csv(path)
 
 
