@@ -36,8 +36,7 @@ only if it beats the best so far by more than 1e-12, so the choice is not
 made on the factored scores: a forward error bound on them picks the few
 candidates that can still win, and only those are scored with the greedy
 fill's own float operations, in its order, and scanned. The outcome is
-bitwise the one scanning every pair with from-scratch fills gives. numpy is
-imported when a book is scored, so audits never load it.
+bitwise the one scanning every pair with from-scratch fills gives.
 """
 
 from __future__ import annotations
@@ -47,6 +46,8 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
 from typing import Any, NamedTuple
+
+import numpy as np
 
 from .controller import Bids
 from .errors import InvariantViolation, MarketError
@@ -80,8 +81,6 @@ class OrderBook:
         quantity on either side of any bid, live or not (naming the first MG
         with one), and an MG live twice or on both sides.
         """
-        import numpy as np
-
         if rho1 <= 0 or rho2 <= 0:
             raise MarketError("welfare weights rho1, rho2 must be > 0")
         ids = np.asarray(ids)
@@ -143,8 +142,6 @@ class ClearingOutcome:
         traded on a side pays or earns that side's clearing price; every
         other unit price is zero.
         """
-        import numpy as np
-
         fills = np.zeros((4, n))
         if self.allocations:
             buyer, seller, kwh = zip(*self.allocations)
@@ -253,8 +250,6 @@ def _candidates(book: OrderBook, grid_price: float) -> _Candidates:
     band's arithmetic; n*2**-1070 covers underflow. Both scores use the
     same `math.log` values.
     """
-    import numpy as np
-
     buy_price, buy_kwh, sell_price, sell_kwh = book.floats
     rho = book.rho1, book.rho2
     buyer_at, seller_at, xs = zip(*book.fill_path)
@@ -309,8 +304,6 @@ def _band(estimate, error: float) -> list[int]:
     alone makes the same choices as the full scan. Without such a gap (or
     with a bound that is not finite) the band is everything.
     """
-    import numpy as np
-
     order = np.argsort(-estimate, kind="stable")
     ranked = estimate[order]
     with np.errstate(invalid="ignore"):  # -inf - -inf: no gap there

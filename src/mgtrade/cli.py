@@ -24,24 +24,13 @@ import time
 from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation, ParseError, SimError
-from .ingest import LoadModel
-from .model import MGParams, PriceBounds, compute_a_const, compute_v_max
-from .sim import (
-    MODE_AUCTION,
-    MODE_SOLO,
+from .logs import (
     SWEEP_HEADER,
-    MGSpec,
     RunSummary,
-    ScenarioConfig,
     SweepRow,
     bound_audit,
-    build_traces,
-    mg_subseed,
-    offline_oracle,
     read_slots_csv,
     read_sweep_csv,
-    realized_inputs,
-    simulate,
     verify_audit_csv,
     verify_log_rows,
     verify_summary_csv,
@@ -49,6 +38,18 @@ from .sim import (
     write_slots_csv,
     write_summary_csv,
     write_sweep_csv,
+)
+from .model import (
+    MODE_AUCTION,
+    MODE_SOLO,
+    LoadModel,
+    MGParams,
+    MGSpec,
+    PriceBounds,
+    ScenarioConfig,
+    compute_a_const,
+    compute_v_max,
+    mg_subseed,
 )
 
 EXIT_OK = 0
@@ -274,8 +275,11 @@ def default_scenario(
     return config
 
 
-# the name the benchmark's setup and sim probes build traces by
-materialize_traces = build_traces
+def materialize_traces(config: ScenarioConfig, traces_doc: dict | None = None):
+    """`sim.build_traces`, by the name the benchmark's probes call."""
+    from . import sim
+
+    return sim.build_traces(config, traces_doc)
 
 
 def _absolute(traces_doc: dict) -> dict:
@@ -341,15 +345,19 @@ def _scenario(args, mode: str):
     Neither the mode nor V changes a draw, so one set of inputs serves every
     mode of a run and every fraction of a sweep, with its oracle.
     """
+    from . import sim
+
     if args.config:
         config, traces_doc = load_config(args.config)
     else:
         config, traces_doc = default_scenario(), {}
     base = _apply_overrides(config, args, mode)
-    return base, traces_doc, realized_inputs(base, build_traces(base, traces_doc))
+    return base, traces_doc, sim.realized_inputs(base, sim.build_traces(base, traces_doc))
 
 
 def cmd_run(args) -> int:
+    from . import sim
+
     modes = [MODE_AUCTION, MODE_SOLO] if args.mode == "both" else [_MODE_FLAG[args.mode]]
     base, traces_doc, inputs = _scenario(args, modes[0])
     out_root = _resolve_out(args)
@@ -357,7 +365,7 @@ def cmd_run(args) -> int:
     for mode in modes:
         cfg = dataclasses.replace(base, mode=mode)
         t0 = time.perf_counter()
-        summary, records = simulate(cfg, inputs)
+        summary, records = sim.simulate(cfg, inputs)
         elapsed = time.perf_counter() - t0
         sub = out_root / ("auction" if mode == MODE_AUCTION else "solo")
         _emit_run(sub, cfg, traces_doc, summary, records)
@@ -473,6 +481,8 @@ def _audit_sweep(sweep_csv: Path) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import sim
+
     base, traces_doc, inputs = _scenario(args, _MODE_FLAG[args.mode])
     fractions = []
     for tok in args.fractions.split(","):
@@ -498,8 +508,8 @@ def cmd_sweep(args) -> int:
                 )
             )
         cfg = dataclasses.replace(base, mgs=tuple(mgs))
-        summary, _ = simulate(cfg, inputs)
-        oracle = offline_oracle(cfg, inputs, solved)
+        summary, _ = sim.simulate(cfg, inputs)
+        oracle = sim.offline_oracle(cfg, inputs, solved)
         for spec in cfg.mgs:
             p = spec.params
             online = summary.per_mg[p.id].time_avg_cost

@@ -17,8 +17,7 @@ Every function here takes columns, one entry per MG (see
 arithmetic is each MG's scalar arithmetic, operation for operation, so the
 results are the same floats a per-MG loop gives. The bid columns go to the
 order book as they are, and the traded quantities come back as columns
-(:meth:`mgtrade.auction.ClearingOutcome.fills`). numpy is imported inside
-the functions, so audits never load it.
+(:meth:`mgtrade.auction.ClearingOutcome.fills`).
 
 The program is a tiny nonconvex LP (the charge/discharge exclusivity). It is
 solved exactly by splitting on the exclusive pair and scanning the explicit
@@ -30,6 +29,8 @@ iterative-solver noise in replay-sensitive tests.
 from __future__ import annotations
 
 from typing import Any, NamedTuple
+
+import numpy as np
 
 from .model import FEAS_TOL, ControlAction, Fleet, _max
 
@@ -53,8 +54,6 @@ def make_bids(demand_kwh, delay_kwh, renewable_kwh, di_load_kwh, fleet: Fleet) -
     clamped to its backlog since buying beyond it wastes money. A side with
     zero quantity is absent, so no rational MG ever sits on both.
     """
-    import numpy as np
-
     value = (demand_kwh + delay_kwh) / fleet.v_weight
     surplus = renewable_kwh - di_load_kwh
     sells = surplus > 0
@@ -97,8 +96,6 @@ def solve_slot_program(
     order; a later vertex wins only by more than 1e-12, so ties resolve
     toward inaction.
     """
-    import numpy as np
-
     n = len(battery_kwh)
     qz = demand_kwh + delay_kwh
     vp = fleet.v_weight * grid_price

@@ -13,8 +13,6 @@ per (MG, slot), so `draw_load_grid` seeds the streams of a whole horizon at
 once: numpy's SeedSequence hash and PCG64's seeding and first two outputs
 run as uint32/uint64 array arithmetic over the grid, and each raw word
 becomes a double exactly as `Generator.uniform` makes it, bit for bit.
-numpy is imported only inside the functions that draw, so reading configs
-and auditing logs never load it.
 """
 
 from __future__ import annotations
@@ -26,8 +24,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .errors import ConfigError, ParseError
-from .model import PriceBounds
+from .model import LoadModel, PriceBounds
 
 _STREAM_WIND = 1
 _STREAM_PRICE = 2
@@ -57,32 +57,6 @@ class Trace:
         for k, v in enumerate(self.values):
             if not math.isfinite(v) or v < 0:
                 raise ParseError(f"trace {self.name!r}: bad value {v!r} at slot {k}")
-
-
-@dataclass(frozen=True)
-class LoadModel:
-    """Uniform load generator for one MG.
-
-    dt_share tilts the deferrable fraction of the expected total: DT is drawn
-    from 2*share*[low, high] and DI from 2*(1-share)*[low, high], so the
-    default 0.5 gives two independent draws straight from [low, high].
-    """
-
-    mg_type: str
-    low_kwh: float
-    high_kwh: float
-    rng_seed: int
-    dt_share: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.mg_type not in ("type1", "type2"):
-            raise ConfigError(f"unknown mg_type {self.mg_type!r}")
-        if not 0 <= self.low_kwh <= self.high_kwh < math.inf:
-            raise ConfigError("load bounds need 0 <= low <= high < inf")
-        if not 0 < self.dt_share < 1:
-            raise ConfigError("dt_share must lie strictly between 0 and 1")
-        if self.rng_seed < 0:
-            raise ConfigError("rng_seed must be >= 0")
 
 
 def load_trace(path) -> Trace:
@@ -134,8 +108,6 @@ def draw_load_grid(
     the seeding's hash schedule, and it holds about _BLOCK_CELLS cells,
     which bounds the kernel's temporaries.
     """
-    import numpy as np
-
     slots = list(slots)
     di = np.empty((len(models), len(slots)))
     dt = np.empty_like(di)
@@ -192,8 +164,6 @@ def _pcg64_first_two(entropy):
     of uint64 arrays; uint32 and uint64 array arithmetic wraps, which is the
     modular arithmetic both algorithms are defined in.
     """
-    import numpy as np
-
     consts = _hashmix_constants()
 
     def hashmix(value):
@@ -268,8 +238,6 @@ def synthetic_wind(slot_count: int, mean_kwh: float, seed: int) -> Trace:
         raise ConfigError("slot_count must be >= 1")
     if mean_kwh <= 0:
         raise ConfigError("mean_kwh must be > 0")
-    import numpy as np
-
     rng = np.random.default_rng((seed, _STREAM_WIND))
     raw = rng.lognormal(mean=0.0, sigma=0.6, size=slot_count)
     raw *= mean_kwh / raw.mean()
@@ -280,8 +248,6 @@ def synthetic_price(slot_count: int, pb: PriceBounds, seed: int) -> Trace:
     """Daily sinusoid with noise, clipped into [p_min, p_max]."""
     if slot_count < 1:
         raise ConfigError("slot_count must be >= 1")
-    import numpy as np
-
     rng = np.random.default_rng((seed, _STREAM_PRICE))
     spread = pb.p_max - pb.p_min
     mid = 0.5 * (pb.p_min + pb.p_max)

@@ -14,7 +14,10 @@ Charging and discharging are mutually exclusive and rate-limited, the battery
 is capacity-limited, and the service allocation ``J`` drains both ``Q`` and
 ``Z``. The derived constants (``a_const``, ``theta``, the queue ceilings and
 the worst-case job age) are computed once from static parameters and checked
-against every simulated slot by the audit machinery in :mod:`mgtrade.sim`.
+against every simulated slot by :mod:`mgtrade.sim` and every logged one by
+:mod:`mgtrade.logs`. The scenario config (`ScenarioConfig`, its `MGSpec` and
+`LoadModel` per MG) is declared here too, so reading a config loads no
+simulator.
 
 The slot step advances every MG at once, so the queue functions here take
 columns: numpy arrays with one entry per MG, in config order. A `Fleet`
@@ -28,6 +31,7 @@ inside the functions that need it, so audits never load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any, NamedTuple
@@ -362,3 +366,90 @@ def virtual_battery(battery_kwh, params: MGParams | Fleet, bounds: DerivedBounds
     """
     return battery_kwh - bounds.theta - params.discharge_rate_max_kwh
 
+
+@dataclass(frozen=True)
+class LoadModel:
+    """Uniform load generator for one MG.
+
+    dt_share tilts the deferrable fraction of the expected total: DT is drawn
+    from 2*share*[low, high] and DI from 2*(1-share)*[low, high], so the
+    default 0.5 gives two independent draws straight from [low, high].
+    """
+
+    mg_type: str
+    low_kwh: float
+    high_kwh: float
+    rng_seed: int
+    dt_share: float = 0.5
+
+    def __post_init__(self) -> None:
+        if self.mg_type not in ("type1", "type2"):
+            raise ConfigError(f"unknown mg_type {self.mg_type!r}")
+        if not 0 <= self.low_kwh <= self.high_kwh < math.inf:
+            raise ConfigError("load bounds need 0 <= low <= high < inf")
+        if not 0 < self.dt_share < 1:
+            raise ConfigError("dt_share must lie strictly between 0 and 1")
+        if self.rng_seed < 0:
+            raise ConfigError("rng_seed must be >= 0")
+
+
+MODE_AUCTION = "with_auction"
+MODE_SOLO = "no_auction"
+
+
+@dataclass(frozen=True)
+class MGSpec:
+    """Everything scenario-level about one MG: physics, loads, renewables."""
+
+    params: MGParams
+    load_model: LoadModel
+    renewable_mean_kwh: float
+
+    def __post_init__(self) -> None:
+        if self.renewable_mean_kwh < 0:
+            raise ConfigError(f"mg {self.params.id}: renewable mean must be >= 0")
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    mgs: tuple[MGSpec, ...]
+    price_bounds: PriceBounds
+    horizon_slots: int
+    rho1: float
+    rho2: float
+    mode: str
+    seed: int
+    initial_battery_kwh: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.horizon_slots < 1:
+            raise ConfigError("horizon_slots must be >= 1")
+        if self.mode not in (MODE_AUCTION, MODE_SOLO):
+            raise ConfigError(f"mode must be {MODE_AUCTION!r} or {MODE_SOLO!r}")
+        if self.rho1 <= 0 or self.rho2 <= 0:
+            raise ConfigError("rho1 and rho2 must be > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
+        if not self.mgs:
+            raise ConfigError("need at least one MG")
+        ids = [m.params.id for m in self.mgs]
+        if len(set(ids)) != len(ids):
+            raise ConfigError(f"duplicate mg ids: {ids}")
+        for m in self.mgs:
+            # raises if v_weight > v_max for this price band
+            compute_bounds(m.params, self.price_bounds)
+            lm = m.load_model
+            dt_draw_max = 2.0 * lm.dt_share * lm.high_kwh
+            if m.params.dt_load_max_kwh + FEAS_TOL < dt_draw_max:
+                raise ConfigError(
+                    f"mg {m.params.id}: dt_load_max_kwh {m.params.dt_load_max_kwh} "
+                    f"below the largest possible draw {dt_draw_max}"
+                )
+
+    def bounds(self) -> tuple[DerivedBounds, ...]:
+        return tuple(compute_bounds(m.params, self.price_bounds) for m in self.mgs)
+
+
+def mg_subseed(seed: int, index: int) -> int:
+    """Stable per-MG stream seed; distinct streams come from tags in ingest."""
+    return seed * 1009 + index

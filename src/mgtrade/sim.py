@@ -1,4 +1,4 @@
-"""Slot-by-slot simulation across microgrids, plus oracles and audits.
+"""Slot-by-slot simulation across microgrids, plus the offline oracle.
 
 Each slot runs a two-stage protocol: every MG computes its bid pair from its
 queues, the auctioneer clears (unless the run is in no_auction mode), then
@@ -9,7 +9,8 @@ replays and golden logs are exact. A world holds every MG's state as
 columns, and each stage of a step is one array expression over all MGs,
 the market's included; only the clearing's per-bid loops read Python
 floats. A record keeps the slot's columns and book order, not its book, and
-its log rows and audit lines are built from them when they are written.
+`mgtrade.logs` builds its log rows and audit lines from them when it writes
+them.
 
 The offline oracle solves the whole horizon as one linear program per MG with
 all randomness known and trading disabled. It is the benchmark the
@@ -23,14 +24,11 @@ one grid source and drained by one sink), solved exactly by
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from collections import Counter
-from collections.abc import Sequence
-from dataclasses import dataclass, field
-from itertools import accumulate, repeat
-from operator import itemgetter, mul
-from pathlib import Path
-from typing import Any, NamedTuple, get_type_hints
+from dataclasses import dataclass
+from operator import mul
+from typing import Any
+
+import numpy as np
 
 from .auction import ClearingOutcome, OrderBook, budget_check, clear
 from .controller import (
@@ -39,10 +37,9 @@ from .controller import (
     solve_slot_program,
     spilled_kwh,
 )
-from .errors import ConfigError, ParseError, RejectedAction, SimError
+from .errors import ConfigError, RejectedAction, SimError
 from .flow import min_cost_flow
 from .ingest import (
-    LoadModel,
     Trace,
     draw_load_grid,
     load_trace,
@@ -50,88 +47,29 @@ from .ingest import (
     synthetic_price,
     synthetic_wind,
 )
-from .model import (
+from .logs import _ROW_FLOATS, _SUMMARY_OF, MarketRow, MGSlotRow, MGSummary, RunSummary
+from .model import (  # the scenario names are re-exported
     FEAS_TOL,
-    DerivedBounds,
+    MODE_AUCTION,
+    MODE_SOLO,
     Fleet,
-    MGParams,
-    PriceBounds,
+    MGSpec,
+    ScenarioConfig,
     SlotInputs,
     battery_step,
-    compute_bounds,
     delay_queue_step,
     demand_queue_step,
     initial_battery,
+    mg_subseed,
     oldest_pending_age,
     virtual_battery,
 )
-
-MODE_AUCTION = "with_auction"
-MODE_SOLO = "no_auction"
-
-
-@dataclass(frozen=True)
-class MGSpec:
-    """Everything scenario-level about one MG: physics, loads, renewables."""
-
-    params: MGParams
-    load_model: LoadModel
-    renewable_mean_kwh: float
-
-    def __post_init__(self) -> None:
-        if self.renewable_mean_kwh < 0:
-            raise ConfigError(f"mg {self.params.id}: renewable mean must be >= 0")
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    mgs: tuple[MGSpec, ...]
-    price_bounds: PriceBounds
-    horizon_slots: int
-    rho1: float
-    rho2: float
-    mode: str
-    seed: int
-    initial_battery_kwh: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.horizon_slots < 1:
-            raise ConfigError("horizon_slots must be >= 1")
-        if self.mode not in (MODE_AUCTION, MODE_SOLO):
-            raise ConfigError(f"mode must be {MODE_AUCTION!r} or {MODE_SOLO!r}")
-        if self.rho1 <= 0 or self.rho2 <= 0:
-            raise ConfigError("rho1 and rho2 must be > 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if not self.mgs:
-            raise ConfigError("need at least one MG")
-        ids = [m.params.id for m in self.mgs]
-        if len(set(ids)) != len(ids):
-            raise ConfigError(f"duplicate mg ids: {ids}")
-        for m in self.mgs:
-            # raises if v_weight > v_max for this price band
-            compute_bounds(m.params, self.price_bounds)
-            lm = m.load_model
-            dt_draw_max = 2.0 * lm.dt_share * lm.high_kwh
-            if m.params.dt_load_max_kwh + FEAS_TOL < dt_draw_max:
-                raise ConfigError(
-                    f"mg {m.params.id}: dt_load_max_kwh {m.params.dt_load_max_kwh} "
-                    f"below the largest possible draw {dt_draw_max}"
-                )
-
-    def bounds(self) -> tuple[DerivedBounds, ...]:
-        return tuple(compute_bounds(m.params, self.price_bounds) for m in self.mgs)
 
 
 @dataclass(frozen=True)
 class ScenarioTraces:
     renewables: tuple[Trace, ...]
     prices: Trace
-
-
-def mg_subseed(seed: int, index: int) -> int:
-    """Stable per-MG stream seed; distinct streams come from tags in ingest."""
-    return seed * 1009 + index
 
 
 def build_traces(config: ScenarioConfig, traces_doc: dict | None = None) -> ScenarioTraces:
@@ -168,8 +106,6 @@ def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInput
 
     The loads of every MG and slot come from one `draw_load_grid` call.
     """
-    import numpy as np
-
     h = config.horizon_slots
     named = [("price trace", traces.prices)] + [
         (f"mg {m.params.id}: renewable trace", tr) for m, tr in zip(config.mgs, traces.renewables)
@@ -203,56 +139,12 @@ class World:
 
     @classmethod
     def initial(cls, config: ScenarioConfig) -> "World":
-        import numpy as np
-
         params, bounds = [m.params for m in config.mgs], config.bounds()
         b0 = config.initial_battery_kwh
         battery = np.array([initial_battery(p, b, b0) for p, b in zip(params, bounds)])
         empty = (np.zeros(len(params)) for _ in range(3))  # Q, Z, served
         return cls(config, Fleet.of(params, bounds), battery, *empty, slot=0)
 
-
-class MGSlotRow(NamedTuple):
-    """One MG's full accounting for one slot (state is start-of-slot)."""
-
-    slot: int
-    mg_id: int
-    battery_kwh: float
-    demand_queue_kwh: float
-    delay_queue_kwh: float
-    virtual_kwh: float
-    renewable_kwh: float
-    di_load_kwh: float
-    dt_load_kwh: float
-    grid_price: float
-    bid_sell_price: float
-    bid_buy_price: float
-    bid_sell_qty: float
-    bid_buy_qty: float
-    bought_kwh: float
-    sold_kwh: float
-    buy_unit_price: float
-    sell_unit_price: float
-    charge_kwh: float
-    discharge_kwh: float
-    serve_kwh: float
-    grid_kwh: float
-    spill_kwh: float
-    cost: float
-    oldest_pending_age: int
-
-
-class MarketRow(NamedTuple):
-    """The slot's clearing prices, volume and auctioneer surplus."""
-
-    buy_price: float
-    sell_price: float
-    volume_kwh: float
-    surplus: float
-
-
-# the float fields of a log row: all but the slot, the MG id and the age
-_ROW_FLOATS = MGSlotRow._fields[2:-1]
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -289,8 +181,6 @@ def _monitor(
     of the next slot; jobs are served oldest first, so no other job is older.
     `battery_step` has already rejected charging and discharging at once.
     """
-    import numpy as np
-
     failed = np.array([
         ~((-FEAS_TOL <= battery_kwh) & (battery_kwh <= fleet.battery_capacity_kwh + FEAS_TOL)),
         demand_kwh > fleet.q_max + FEAS_TOL, delay_kwh > fleet.z_max + FEAS_TOL,
@@ -319,8 +209,6 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, SlotRecord]:
     ``inputs`` holds the whole horizon; the step reads its row ``world.slot``,
     and the arrival prefix sums up to it for the job ages.
     """
-    import numpy as np
-
     cfg, fleet, t = world.config, world.fleet, world.slot
     n, got = len(fleet.id), inputs.renewable_kwh.shape[1]
     if got != n:
@@ -365,64 +253,6 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, SlotRecord]:
     return World(cfg, fleet, new_b, new_q, new_z, served, t + 1), record
 
 
-class MGSummary(NamedTuple):
-    mg_id: int
-    time_avg_cost: float
-    total_cost: float
-    total_grid_kwh: float
-    total_bought_kwh: float
-    total_sold_kwh: float
-    total_served_kwh: float
-    max_q_kwh: float
-    max_z_kwh: float
-    min_b_kwh: float
-    max_b_kwh: float
-    max_job_age_slots: int
-
-
-# each MGSummary field after the MG id and time average: the reduction of the
-# MG's logged column that it is made from, by `summarize` and again in the audit
-_SUMMARY_OF = (
-    ("total_cost", sum, "cost"),
-    ("total_grid_kwh", sum, "grid_kwh"),
-    ("total_bought_kwh", sum, "bought_kwh"),
-    ("total_sold_kwh", sum, "sold_kwh"),
-    ("total_served_kwh", sum, "serve_kwh"),
-    ("max_q_kwh", max, "demand_queue_kwh"),
-    ("max_z_kwh", max, "delay_queue_kwh"),
-    ("min_b_kwh", min, "battery_kwh"),
-    ("max_b_kwh", max, "battery_kwh"),
-    ("max_job_age_slots", max, "oldest_pending_age"),
-)
-
-
-class SweepRow(NamedTuple):
-    """One MG at one V fraction of a sweep: its online and oracle costs."""
-
-    fraction: float
-    mg_id: int
-    v_weight: float
-    online_time_avg_cost: float
-    oracle_time_avg_cost: float
-    gap: float
-    a_over_v: float
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    mode: str
-    horizon_slots: int
-    per_mg: dict[int, MGSummary]
-    total_cost: float
-    total_grid_kwh: float
-    total_traded_kwh: float
-    violation_count: int
-    violations: tuple[str, ...] = field(default_factory=tuple)
-
-    def mean_time_avg_cost(self) -> float:
-        return self.total_cost / (len(self.per_mg) * self.horizon_slots)
-
-
 def summarize(config: ScenarioConfig, records: list[SlotRecord]) -> RunSummary:
     """Per-MG totals and extremes of a run.
 
@@ -431,8 +261,6 @@ def summarize(config: ScenarioConfig, records: list[SlotRecord]) -> RunSummary:
     slot they arrive, so a served job is never older than the oldest job
     pending at the end of the slot before.
     """
-    import numpy as np
-
     horizon = len(records)
     violations: list[str] = []
     for rec in records:
@@ -563,658 +391,3 @@ def offline_oracle(
             )
         per_mg[p.id] = solved[p.id, b0] = sum(map(mul, price, flows)) / h
     return per_mg
-
-
-@dataclass(frozen=True)
-class AuditLine:
-    check: str
-    status: str  # PASS / FAIL / SKIP
-    detail: str
-
-
-@dataclass(frozen=True)
-class AuditReport:
-    lines: tuple[AuditLine, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(line.status != "FAIL" for line in self.lines)
-
-    def render(self) -> str:
-        width = max(len(line.check) for line in self.lines)
-        out = [
-            f"{line.check:<{width}}  {line.status:<4}  {line.detail}"
-            for line in self.lines
-        ]
-        verdict = "ALL CHECKS PASSED" if self.passed else "FAILURES PRESENT"
-        return "\n".join(out + [verdict])
-
-
-def bound_audit(
-    summary: RunSummary,
-    config: ScenarioConfig,
-    oracle: dict[int, float] | None = None,
-) -> AuditReport:
-    """Assert the stability guarantees on a finished run.
-
-    Per MG: time-average cost within a_const / v_weight of the oracle (when
-    one is supplied), zero recorded bound violations, job ages under the
-    worst-case ceiling, and the v_weight <= v_max precondition.
-    """
-    lines: list[AuditLine] = []
-
-    def check(name: str, ok: bool | None, detail: str) -> None:
-        status = "SKIP" if ok is None else "PASS" if ok else "FAIL"
-        lines.append(AuditLine(check=name, status=status, detail=detail))
-
-    for m in config.mgs:
-        mid = m.params.id
-        s = summary.per_mg[mid]
-        try:
-            db = compute_bounds(m.params, config.price_bounds)
-        except ConfigError as e:
-            # e.g. a v_weight pushed past v_max after construction: flag the
-            # precondition breach instead of crashing the audit
-            check(f"mg{mid} v_weight precondition", False, str(e))
-            continue
-        check(
-            f"mg{mid} v_weight precondition", True,
-            f"v={m.params.v_weight:.6f} v_max={db.v_max:.6f}",
-        )
-        check(
-            f"mg{mid} demand queue ceiling", s.max_q_kwh <= db.q_max + FEAS_TOL,
-            f"max Q={s.max_q_kwh:.6f} q_max={db.q_max:.6f}",
-        )
-        check(
-            f"mg{mid} delay queue ceiling", s.max_z_kwh <= db.z_max + FEAS_TOL,
-            f"max Z={s.max_z_kwh:.6f} z_max={db.z_max:.6f}",
-        )
-        b_ok = (
-            s.min_b_kwh >= -FEAS_TOL
-            and s.max_b_kwh <= m.params.battery_capacity_kwh + FEAS_TOL
-        )
-        check(
-            f"mg{mid} battery range", b_ok, f"B in [{s.min_b_kwh:.6f}, {s.max_b_kwh:.6f}]"
-        )
-        check(
-            f"mg{mid} worst job age", s.max_job_age_slots <= db.delta_max_slots + FEAS_TOL,
-            f"age={s.max_job_age_slots} bound={db.delta_max_slots:.3f}",
-        )
-        if oracle is None:
-            check(
-                f"mg{mid} cost gap vs oracle", None,
-                "`mgtrade run` does not solve the oracle; `mgtrade sweep` does",
-            )
-        else:
-            gap_cap = db.a_const / m.params.v_weight
-            check(
-                f"mg{mid} cost gap vs oracle",
-                s.time_avg_cost <= oracle[mid] + gap_cap + 1e-6,
-                f"online={s.time_avg_cost:.6f} oracle={oracle[mid]:.6f} a/v={gap_cap:.6f}",
-            )
-    check(
-        "recorded violations", summary.violation_count == 0,
-        f"count={summary.violation_count}",
-    )
-    return AuditReport(lines=tuple(lines))
-
-
-def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], str, tuple[str, ...]]:
-    """The columns of a log record class, the %-format of one record's cells
-    and the columns that must hold whole numbers.
-
-    The record's annotated fields are the columns, in order. Fields declared
-    ``float`` are written at 6 decimals (``%.6f`` renders as ``format(x,
-    ".6f")`` does), every other field as it is, and those declared ``int``
-    are the whole ones. No cell needs CSV quoting.
-    """
-    hints = {prefix + n: t for n, t in get_type_hints(cls).items()}
-    cells = ",".join("%.6f" if t is float else "%s" for t in hints.values())
-    return tuple(hints), cells, tuple(n for n, t in hints.items() if t is int)
-
-
-def _write_log(path, header: tuple[str, ...], blocks) -> None:
-    """Write a log: its header, then the lines of `blocks`, each ended as csv.writer ends it.
-
-    A block is the %-format of one line's cells and the rows it renders, in order.
-    """
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for cells, rows in blocks:
-            fh.writelines(map((cells + "\r\n").__mod__, rows))
-
-
-_MG_COLUMNS, _MG_CELLS, _WHOLE_COLUMNS = _log_columns(MGSlotRow)
-_MARKET_COLUMNS, _MARKET_CELLS, _ = _log_columns(MarketRow, prefix="market_")
-SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
-
-
-def write_slots_csv(path, records: list[SlotRecord]) -> None:
-    blocks = ((_MG_CELLS + "," + _MARKET_CELLS % rec.market, rec.rows) for rec in records)
-    _write_log(path, SLOTS_HEADER, blocks)
-
-
-_SUMMARY_COLUMNS, _SUMMARY_CELLS, _SUMMARY_WHOLE = _log_columns(MGSummary)
-SUMMARY_HEADER = _SUMMARY_COLUMNS + ("violations",)
-
-
-def write_summary_csv(path, summary: RunSummary) -> None:
-    rows = [summary.per_mg[mid] for mid in sorted(summary.per_mg)]
-    _write_log(path, SUMMARY_HEADER, [(_SUMMARY_CELLS + f",{summary.violation_count}", rows)])
-
-
-SWEEP_HEADER, _SWEEP_CELLS, _SWEEP_WHOLE = _log_columns(SweepRow)
-
-
-def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    _write_log(path, SWEEP_HEADER, [(_SWEEP_CELLS, rows)])
-
-
-# auction_audit.csv: the fields of an `audit_rows` line and their cells
-AUDIT_HEADER = (
-    "slot", "mg_id", "side", "price", "quantity", "accepted", "cleared_price",
-    "cleared_quantity",
-)
-_AUDIT_CELLS = "%s,%s,%s,%.6f,%.6f,%s,%.6f,%.6f"
-# each side's bid price and kWh, fill and unit price, as the log rows name them
-_SIDE_FIELDS = {
-    side: (f"bid_{side}_price", f"bid_{side}_qty", fill, f"{side}_unit_price")
-    for side, fill in (("buy", "bought_kwh"), ("sell", "sold_kwh"))
-}
-# and the rows of a record's columns that hold them
-_SIDE_ROWS = {side: list(map(_ROW_FLOATS.index, names)) for side, names in _SIDE_FIELDS.items()}
-
-
-def audit_rows(record: SlotRecord) -> list[tuple]:
-    """The slot's audit lines: every live bid, buys then sells, each side in book order.
-
-    A line is (slot, MG id, side, price, quantity, accepted, cleared price,
-    cleared quantity), read from the record's columns. A bid is accepted
-    when its MG traded on its side; its cleared price is then its unit price
-    and its cleared quantity its fill, and both are zero otherwise.
-    """
-    rows: list[tuple] = []
-    for side, at in (("buy", record.buy_bids), ("sell", record.sell_bids)):
-        price, kwh, got, unit = record.columns[_SIDE_ROWS[side]][:, at]
-        rows.extend(zip(
-            repeat(record.slot), [record.ids[k] for k in at.tolist()], repeat(side),
-            price.tolist(), kwh.tolist(), (got > 0.0).astype(int).tolist(), unit.tolist(),
-            got.tolist(),
-        ))
-    return rows
-
-
-def write_audit_csv(path, records: list[SlotRecord]) -> None:
-    _write_log(path, AUDIT_HEADER, ((_AUDIT_CELLS, audit_rows(rec)) for rec in records))
-
-
-class Log:
-    """A log read back as columns (see `read_log`), its rows in file order.
-
-    ``log[name]`` is a column: a list of floats, or of the cells as written
-    for a text column. ``len(log)`` is the row count, ``log.row(k)`` row k's
-    cells as written and ``log.lines[k]`` its line in the file. A slots log
-    also holds its `_row_orders` as ``log.orders``.
-    """
-
-    __slots__ = ("header", "rows", "columns", "lines", "orders")
-
-    def __init__(
-        self, header: tuple[str, ...], rows: list[str], columns: dict[str, list],
-        lines: Sequence[int],
-    ) -> None:
-        self.header, self.rows, self.columns, self.lines = header, rows, columns, lines
-        self.orders = None
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, name: str) -> list:
-        return self.columns[name]
-
-    def row(self, k: int) -> list[str]:
-        return self.rows[k].split(",")
-
-
-# How many rows `read_log` splits and converts at once: a block's cell strings
-# are freed while still in cache, and their memory serves the next block.
-_BLOCK_ROWS = 512
-
-
-def read_log(path, header: tuple[str, ...], text=(), whole=(), finite: bool = True) -> Log:
-    """Read a log as columns: blocks of rows split into flat cell lists, each one `map(float)`.
-
-    Logs quote no cell (see `_log_columns`), so the rows after the header
-    are the nonblank lines (ended by any of LF, CRLF, CR) split at the
-    commas. Every column but the ``text`` ones holds numbers, finite ones if
-    ``finite``, and the ``whole`` ones whole numbers. A missing log is a
-    SimError. A different header, a row of the wrong width or a bad cell is
-    a ParseError naming the file, and the line (and column) of the first bad
-    row in it.
-    """
-    if not Path(path).exists():
-        raise SimError(f"missing log: {path}")
-    with open(path) as fh:  # universal newlines: every line end reads as "\n"
-        head = fh.readline().rstrip("\n").split(",")
-        rows = fh.read().split("\n")
-    if tuple(head) != header:
-        raise ParseError(f"{path}: unexpected header {head}")
-    if not rows[-1]:
-        rows.pop()  # what follows the last line end
-    lines: Sequence[int] = range(2, len(rows) + 2)
-    if "" in rows:  # a blank line holds no row
-        lines = [line for line, row in zip(lines, rows) if row]
-        rows = list(filter(None, rows))
-    width = len(header)
-    commas = list(map(str.count, rows, repeat(",")))
-    whole_rows = len(rows)
-    if commas.count(width - 1) != whole_rows:
-        whole_rows = next(k for k, n in enumerate(commas) if n != width - 1)
-    texts = {header.index(name): [] for name in text}
-    values: list[float] = []
-    for start in range(0, whole_rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, whole_rows)
-        cells = ",".join(rows[start:stop]).split(",")
-        for i, column in texts.items():
-            column += cells[i::width]
-            cells[i::width] = ["0"] * (stop - start)
-        try:
-            block = list(map(float, cells))
-            ok = (not finite or math.isfinite(sum(block))) and all(
-                all(map(float.is_integer, block[header.index(name)::width])) for name in whole
-            )
-        except ValueError:
-            ok = False
-        if not ok:  # find the row at fault, if any (a finite sum may also overflow)
-            _raise_bad_cell(path, header, cells, lines[start:stop], whole, finite)
-        values += block
-    if whole_rows < len(rows):
-        raise ParseError(
-            f"{path}: line {lines[whole_rows]}: {commas[whole_rows] + 1} cells, "
-            f"header has {width}"
-        )
-    columns = {name: texts.get(i) or values[i::width] for i, name in enumerate(header)}
-    return Log(header, rows, columns, lines)
-
-
-def _parsed(cell: str) -> float | None:
-    try:
-        return float(cell)
-    except ValueError:
-        return None
-
-
-def _raise_bad_cell(path, header, cells, lines, whole, finite: bool) -> None:
-    """Raise the ParseError of the first row of the flat `cells` with a bad cell.
-
-    A row with a cell that is no number (or, if ``finite``, no finite one)
-    names its first cell that is no finite number; else its first ``whole``
-    column holding a fraction.
-    """
-    width = len(header)
-    for k, line in enumerate(lines[:len(cells) // width]):
-        row = cells[k * width:(k + 1) * width]
-        values = list(map(_parsed, row))
-        if None in values or finite and not all(map(math.isfinite, values)):
-            i = next(i for i, x in enumerate(values) if x is None or not math.isfinite(x))
-            raise ParseError(
-                f"{path}: line {line}, column {header[i]!r}: {row[i]!r} is not a finite number"
-            )
-        for name in whole:
-            i = header.index(name)
-            if not values[i].is_integer():
-                raise ParseError(
-                    f"{path}: line {line}, column {name!r}: {row[i]!r} is not a whole number"
-                )
-
-
-def read_slots_csv(path) -> Log:
-    """Read a slots log back as columns of floats (ids and slots as floats), with its row orders.
-
-    A column of an ``int`` field must hold whole numbers.
-    """
-    log = read_log(path, SLOTS_HEADER, whole=_WHOLE_COLUMNS)
-    if not len(log):
-        raise SimError(f"{path}: no rows")
-    log.orders = _row_orders(log)
-    return log
-
-
-def read_sweep_csv(path) -> Log:
-    """Read a sweep log back as columns of floats; its MG ids must be whole numbers."""
-    log = read_log(path, SWEEP_HEADER, whole=_SWEEP_WHOLE)
-    if not len(log):
-        raise SimError(f"{path}: empty")
-    return log
-
-
-def _row_orders(log: Log) -> tuple[list[int], list[int], dict[int, slice]]:
-    """The slots log's rows sorted by slot, and by MG and slot, with each MG's slice.
-
-    Both sorts are stable, so rows tied on the key keep their file order.
-    MGs come in the order they first appear, and each MG's rows form one
-    slice of the second order, in slot order.
-    """
-    slot, mg = log["slot"], log["mg_id"]
-    rows = Counter(mg)  # each MG's row count, in order of first appearance
-    rank = {mid: k for k, mid in enumerate(rows)}
-    by_slot = sorted(range(len(slot)), key=slot.__getitem__)
-    by_mg = sorted(by_slot, key=list(map(rank.__getitem__, mg)).__getitem__)
-    ends = accumulate(rows.values())
-    spans = {int(mid): slice(end - n, end) for (mid, n), end in zip(rows.items(), ends)}
-    return by_slot, by_mg, spans
-
-
-def _reorder(log: Log, order: list[int], names) -> dict[str, Sequence]:
-    """The columns `names` of `log`, their rows taken in `order` by one itemgetter."""
-    if order == list(range(len(order))):  # a log written by a run is in slot order
-        return {name: log[name] for name in names}
-    take = itemgetter(*order)  # of two indices or more, so it returns a tuple
-    return {name: take(log[name]) for name in names}
-
-
-def verify_audit_csv(path, log: Log) -> list[str]:
-    """Check auction_audit.csv line by line against the slots log `log`.
-
-    Every bid logged with a positive quantity has one line, buys then sells
-    in book order (rounding may tie prices), with the MG's logged bid, fill
-    and, when accepted, the market price. A line is accepted when its fill or
-    unit price is nonzero: in memory a fill is positive exactly when the unit
-    price is the positive market price. A cell that is not finite matches no
-    logged number.
-    """
-    audit = read_log(path, AUDIT_HEADER, text=("side",), finite=False)
-    logged = dict(zip(zip(log["slot"], log["mg_id"]), range(len(log))))  # (slot, MG) -> row
-    # each side's bid price and kWh, fill, unit price and market price columns
-    bids = {
-        side: [log[n] for n in (*names, f"market_{side}_price")]
-        for side, names in _SIDE_FIELDS.items()
-    }
-    listed: dict[int, str] = {}  # the side of each listed row's bid
-    problems: list[str] = []
-
-    def problem(why: str) -> None:  # about line k
-        cells = audit.row(k)
-        problems.append(
-            f"auction_audit.csv line {audit.lines[k]}: slot {cells[0]} mg {cells[1]}: {why}"
-        )
-
-    slot = audit["slot"]
-    last = (-math.inf,)  # the book order key of the line before
-    for k, (r, t, side, line) in enumerate(zip(
-        map(logged.get, zip(slot, audit["mg_id"])), slot, audit["side"],
-        zip(*(audit[n] for n in AUDIT_HEADER[3:])),  # price, kWh, accepted, cleared
-    )):
-        side_bids = bids.get(side)
-        if r is None or side_bids is None or r in listed:
-            problem("no such bid in slots.csv, or listed twice")
-            continue
-        listed[r] = side
-        at = (t, side, line[0] if side == "sell" else -line[0])  # "buy" < "sell"
-        if at < last:
-            problem("out of book order")
-        last = at
-        prices, kwh, fills, units, markets = side_bids
-        fill, unit = fills[r], units[r]
-        won = fill != 0.0 or unit != 0.0
-        want = prices[r], kwh[r], won, markets[r] if won else 0.0, fill
-        if line != want:
-            problem(f"{audit.row(k)[3:]} != {_AUDIT_CELLS[9:] % want} from slots.csv")
-    buy_kwh, sell_kwh = log["bid_buy_qty"], log["bid_sell_qty"]
-    for key, r in logged.items():
-        side = "buy" if buy_kwh[r] > 0.0 else "sell" if sell_kwh[r] > 0.0 else None
-        if side and listed.get(r) != side:
-            problems.append(f"slot {key[0]:.0f} mg {key[1]:.0f}: no audit line for its {side} bid")
-    return problems
-
-
-def verify_summary_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
-    """Check summary.csv against the config and the slots log `log`.
-
-    It holds one row per configured MG, in id order, and records no
-    violations. Each MG's maxima, minima and worst job age equal those of
-    its logged column exactly: rounding to 6 decimals keeps the order of
-    values, so the rendered extreme is the extreme of the rendered values.
-
-    A total is the in-memory sum of the MG's n values, rendered. Each logged
-    value is off its in-memory one by at most 5e-7, plus 2**-53 of it for
-    reading it back; each of the two sums (in memory, and here of the logged
-    values) errs by at most (n - 1) * 2**-53 * S, S the values' absolute
-    sum; and the rendered total is off by 5e-7 and its reading. So a total
-    lies within 5e-7 * (n + 1) + (2n + 2) * 2**-53 * S of the logged
-    values' sum, and the check allows tol = 5e-7 * (n + 1) + 2**-50 * n * S.
-    ``time_avg_cost`` is the in-memory total cost over the horizon h,
-    rendered: it lies within 5e-7 + tol / h of the logged costs' sum over h.
-    """
-    summary = read_log(path, SUMMARY_HEADER, whole=(*_SUMMARY_WHOLE, "violations"))
-    _, by_mg, spans = log.orders
-    mg_rows = _reorder(log, by_mg, {column for _, _, column in _SUMMARY_OF})
-    problems: list[str] = []
-    ids = sorted(m.params.id for m in config.mgs)
-    if summary["mg_id"] != ids:
-        logged_ids = list(map(int, summary["mg_id"]))
-        problems.append(f"summary.csv: mg ids {logged_ids} are not the configured {ids}")
-    h = config.horizon_slots
-    for k, (mid, line) in enumerate(zip(map(int, summary["mg_id"]), summary.lines)):
-        tag = f"summary.csv line {line}: mg {mid}"
-        if summary["violations"][k]:
-            problems.append(f"{tag}: {summary['violations'][k]:.0f} violations recorded")
-        span = spans.get(mid)
-        if span is None:  # no rows in slots.csv, which `verify_log_rows` reports
-            continue
-        n = span.stop - span.start
-
-        def check(name: str, want: float, tol: float) -> None:
-            got = summary[name][k]
-            if abs(got - want) > tol:
-                problems.append(f"{tag}: {name} {got} != {want} from slots.csv")
-
-        for name, reduce_, column in _SUMMARY_OF:
-            values = mg_rows[column][span]
-            want, tol = reduce_(values), 0.0
-            if reduce_ is sum:  # the rounding a total carries, as derived above
-                tol = 5e-7 * (n + 1) + 2.0**-50 * n * sum(map(abs, values))
-            if name == "total_cost":
-                check("time_avg_cost", want / h, 5e-7 + tol / h)
-            check(name, want, tol)
-    return problems
-
-
-# Tolerance of the log checks. Logs hold 6-decimal renderings, so this is loose
-# relative to the in-memory checks but still far below any physical quantity.
-LOG_TOL = 1e-4
-
-# the columns after the slot and MG id, in the order `_mg_problems` unpacks them
-_ROW_COLUMNS = MGSlotRow._fields[2:]
-
-
-def verify_log_rows(config: ScenarioConfig, log: Log) -> list[str]:
-    """Re-derive every per-slot invariant from a written log alone.
-
-    Every configured MG must log exactly one row per slot of the horizon.
-    Quantities are compared within `LOG_TOL`; the recomputed cost also
-    allows for the rounding of its six operands. Each row's
-    ``oldest_pending_age`` is re-derived, as the run derives it, from the
-    prefix sums of the logged ``dt_load_kwh`` and ``serve_kwh``, and each
-    MG's slot-0 battery must be the ``initial_battery`` of the config.
-
-    The log's rows are sorted once by MG and slot, so each MG's rows are one
-    slice of every column, checked in one pass over the zipped slices; a
-    message is built only for a failing row. Then each slot's market is
-    checked over its own slice.
-    """
-    by_slot, by_mg, spans = log.orders
-    columns = _reorder(log, by_mg, ("slot", *_ROW_COLUMNS))
-    problems: list[str] = []
-    horizon = range(config.horizon_slots)
-    every_slot = list(horizon)
-    for m in config.mgs:
-        mid = m.params.id
-        slots = list(columns["slot"][spans[mid]]) if mid in spans else []
-        if slots != every_slot:
-            problems.append(
-                f"mg {mid}: logged slots are not 0..{horizon[-1]}: "
-                f"{len(set(horizon) - set(slots))} missing, "
-                f"{len(slots) - len(set(slots))} repeated"
-            )
-
-    configured = {m.params.id: (m.params, b) for m, b in zip(config.mgs, config.bounds())}
-    for mid, span in spans.items():
-        if mid not in configured:
-            problems.append(f"mg {mid}: not in config")
-            continue
-        p, db = configured[mid]
-        b0 = initial_battery(p, db, config.initial_battery_kwh)
-        problems += _mg_problems(mid, p, db, b0, {n: c[span] for n, c in columns.items()})
-
-    columns = _reorder(log, by_slot, log.header)
-    start = 0
-    for t, n in Counter(columns["slot"]).items():  # slots in ascending order
-        problems += _market_problems(int(t), {k: c[start:start + n] for k, c in columns.items()})
-        start += n
-    return problems
-
-
-def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list[str]:
-    """The problems of one MG's rows; ``c`` maps each column to them, in slot order.
-
-    One pass checks every row, and every step from the row before; the
-    problems of the steps follow those of the rows.
-    """
-    problems: list[str] = []
-    steps: list[str] = []
-
-    def note(found: list[str], why: str) -> None:  # about the row of slot t
-        found.append(f"slot {int(t)} mg {mid}: {why}")
-
-    # the run starts from `initial_battery`, which the log renders to 6 decimals
-    first = c["battery_kwh"][0]
-    if c["slot"][0] == 0 and abs(first - b0) > 5e-7 + 2.0**-50 * b0:
-        problems.append(f"slot 0 mg {mid}: battery {first} != initial battery {b0}")
-    arrived = list(accumulate(c["dt_load_kwh"], initial=0.0))[1:]  # by the end of each slot
-    served = 0.0
-    low, high = 0.0 - LOG_TOL, p.battery_capacity_kwh + LOG_TOL
-    q_max, z_max, age_max = db.q_max + LOG_TOL, db.z_max + LOG_TOL, db.delta_max_slots + LOG_TOL
-    v, floor, j_max = p.v_weight, p.price_floor, p.serve_rate_max_kwh
-    rounding = 1.5e-6 + 1e-6 / v
-    for n, (
-        t, b, q, z, x, r, di, dt, pg, sell_price, buy_price, sell_kwh, buy_kwh, bought, sold,
-        pb, ps, charge, discharge, j, grid, spill, cost, age,
-    ) in enumerate(zip(c["slot"], *(c[name] for name in _ROW_COLUMNS)), 1):
-        served += j
-        # the age as `oldest_pending_age` derives it; every logged kWh is off
-        # by up to 5e-7 and each sum by its rounding, so a job boundary that
-        # close to the threshold admits either side
-        e = n * (1e-6 + 2.0**-52 * (arrived[n - 1] + abs(served)))
-        young = t + 1 - bisect_right(arrived, served + FEAS_TOL + e, 0, n)
-        old = t + 1 - bisect_right(arrived, served + FEAS_TOL - e, 0, n)
-        if not young <= age <= old:
-            note(problems, f"oldest pending age {age:.0f} is not {young:.0f}..{old:.0f}, "
-                 "from the logged serves and arrivals")
-        if not low <= b <= high:
-            note(problems, f"battery {b} out of range")
-        if q > q_max:
-            note(problems, f"Q {q} > {db.q_max}")
-        if z > z_max:
-            note(problems, f"Z {z} > {db.z_max}")
-        if abs(x - virtual_battery(b, p, db)) > LOG_TOL:
-            note(problems, f"X {x} != B - theta - D_max")
-        if charge > LOG_TOL and discharge > LOG_TOL:
-            note(problems, "simultaneous charge and discharge")
-        # each operand is off by at most 5e-7 after 6-decimal rounding, so a
-        # product a*b is off by at most 5e-7 * (|a| + |b|)
-        recomputed = pg * grid + pb * bought - ps * sold
-        off = abs(recomputed - cost)
-        if off > LOG_TOL and off > LOG_TOL + 5e-7 * (
-            abs(pg) + abs(grid) + abs(pb) + abs(bought) + abs(ps) + abs(sold)
-        ):
-            note(problems, f"cost {cost} != recomputed {recomputed}")
-        balance = r + grid + discharge + bought - di - j - sold - charge
-        if balance < -LOG_TOL:
-            note(problems, f"balance short by {-balance}")
-        if abs(balance - spill) > LOG_TOL:
-            note(problems, f"spill {spill} != balance slack {balance}")
-        if age > age_max:
-            note(problems, f"pending job age {age}")
-        # the bids `make_bids` posts from the logged Q, Z, R and I. Those and
-        # the logged bids are off by up to 5e-7 each, so a price (Q + Z) / V
-        # by 5e-7 + 1e-6 / V and a quantity by 1.5e-6, plus float rounding;
-        # within that of R - I = 0 the MG may have sold or bought
-        value, surplus = (q + z) / v, r - di
-        e = rounding + 2.0**-50 * (value + q + r + di)
-        if not (
-            abs(sell_price - value) <= e
-            and abs(buy_price - (floor if floor > value else value)) <= e  # max(value, floor)
-            and (
-                surplus > -e and abs(sell_kwh - surplus) <= e and abs(buy_kwh) <= e
-                or surplus < e and abs(sell_kwh) <= e
-                and abs(buy_kwh - min(max(j_max - r, 0.0), q)) <= e
-            )
-        ):
-            note(problems, f"bids {[sell_price, buy_price, sell_kwh, buy_kwh]} != "
-                 "make_bids of the logged Q, Z, R, I")
-        if n > 1:  # the step from the row before
-            want_b = last_b - last_discharge + last_charge
-            if abs(b - want_b) > LOG_TOL:
-                note(steps, f"battery {b} != step {want_b}")
-            # `0.0 if 0.0 > d else d` is max(d, 0.0)
-            backlog = last_q - last_j
-            want_q = (0.0 if 0.0 > backlog else backlog) + last_dt
-            if abs(q - want_q) > LOG_TOL:
-                note(steps, f"Q {q} != step {want_q}")
-            base_z = last_z - last_j
-            base_z = 0.0 if 0.0 > base_z else base_z
-            # a backlog indistinguishable from zero at log precision: the
-            # indicator could have read either way in memory
-            want_z = (base_z + p.epsilon,) if last_q > LOG_TOL else (base_z, base_z + p.epsilon)
-            if abs(z - want_z[0]) > LOG_TOL and abs(z - want_z[-1]) > LOG_TOL:
-                note(steps, f"Z {z} != step {want_z}")
-        last_b, last_q, last_z, last_charge, last_discharge, last_j, last_dt = (
-            b, q, z, charge, discharge, j, dt
-        )
-    return problems + steps
-
-
-def _market_problems(t: int, c) -> list[str]:
-    """Check one slot's market columns against each other and its MG rows.
-
-    ``c`` maps each column to the slot's rows, in file order. Rounding to 6
-    decimals keeps the order of two values, and renders two copies of one
-    in-memory number identically, so the price checks are exact; sums and
-    products allow for the rounding of their operands.
-    """
-    problems: list[str] = []
-    market = tuple(c[k][0] for k in _MARKET_COLUMNS)
-    pb, ps, volume, surplus = market
-    grid = c["grid_price"][0]
-    bought = sold = 0.0
-    for mid, row_market, grid_price, buy_unit, sell_unit, got, gave in zip(
-        c["mg_id"], zip(*(c[k] for k in _MARKET_COLUMNS)), c["grid_price"],
-        c["buy_unit_price"], c["sell_unit_price"], c["bought_kwh"], c["sold_kwh"],
-    ):
-        tag = f"slot {t} mg {int(mid)}"
-        if row_market != market:
-            problems.append(f"{tag}: market columns differ from the slot's first row")
-        if grid_price != grid:
-            problems.append(f"{tag}: grid price differs from the slot's first row")
-        if buy_unit not in (0.0, pb) or sell_unit not in (0.0, ps):
-            problems.append(f"{tag}: unit price is not the market price")
-        if got > 0.0 and gave > 0.0:
-            problems.append(f"{tag}: both bought and sold")
-        bought += got
-        sold += gave
-    tag = f"slot {t}"
-    # every logged kWh is off by at most 5e-7
-    slack = LOG_TOL + 5e-7 * (len(c["mg_id"]) + 1)
-    if abs(bought - volume) > slack or abs(sold - volume) > slack:
-        problems.append(
-            f"{tag}: bought {bought:.6f} / sold {sold:.6f} kWh != market volume {volume}"
-        )
-    if volume > 0.0 and pb > grid:
-        problems.append(f"{tag}: market buy price {pb} above grid price {grid}")
-    if volume > 0.0 and pb < ps:
-        problems.append(f"{tag}: market buy price {pb} below sell price {ps}")
-    # pb - ps is off by at most 1e-6 and the volume by 5e-7
-    if abs((pb - ps) * volume - surplus) > LOG_TOL + 5e-7 * (2 * abs(volume) + abs(pb - ps)):
-        problems.append(f"{tag}: surplus {surplus} != (buy - sell price) * volume")
-    return problems

@@ -13,8 +13,9 @@ import numpy as np
 
 from mgtrade.auction import ClearingOutcome, OrderBook
 from mgtrade.controller import Bids, make_bids, solve_slot_program
+from mgtrade.logs import MarketRow, MGSlotRow
 from mgtrade.model import ControlAction, DerivedBounds, Fleet
-from mgtrade.sim import MarketRow, MGSlotRow, SlotRecord
+from mgtrade.sim import SlotRecord
 
 from oracles import TradeAllocation
 

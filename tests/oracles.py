@@ -819,7 +819,7 @@ def reference_read_slots_csv(path) -> list[dict[str, float]]:
     from typing import get_type_hints
 
     from mgtrade.errors import ParseError, SimError
-    from mgtrade.sim import SLOTS_HEADER, MGSlotRow
+    from mgtrade.logs import SLOTS_HEADER, MGSlotRow
 
     whole = [SLOTS_HEADER.index(n) for n, t in get_type_hints(MGSlotRow).items() if t is int]
     out: list[dict[str, float]] = []
@@ -841,7 +841,7 @@ def reference_verify_audit_csv(path, rows: list[dict[str, float]]) -> list[str]:
     """Check auction_audit.csv line by line against the slots log `rows`."""
     from operator import itemgetter
 
-    from mgtrade.sim import _AUDIT_CELLS, _SIDE_FIELDS, AUDIT_HEADER
+    from mgtrade.logs import _AUDIT_CELLS, _SIDE_FIELDS, AUDIT_HEADER
 
     side_columns = {
         side: itemgetter(*names, f"market_{side}_price") for side, names in _SIDE_FIELDS.items()
@@ -887,7 +887,7 @@ def reference_verify_log_rows(config, rows: list[dict[str, float]]) -> list[str]
     from operator import itemgetter
 
     from mgtrade.model import FEAS_TOL, initial_battery, virtual_battery
-    from mgtrade.sim import LOG_TOL
+    from mgtrade.logs import LOG_TOL
 
     cost_operands = itemgetter(
         "grid_price", "grid_kwh", "buy_unit_price", "bought_kwh", "sell_unit_price", "sold_kwh"
@@ -1002,7 +1002,7 @@ def reference_verify_log_rows(config, rows: list[dict[str, float]]) -> list[str]
 
 def _reference_market_problems(t: int, rows: list[dict[str, float]]) -> list[str]:
     """Check one slot's market columns against each other and its MG rows."""
-    from mgtrade.sim import _MARKET_COLUMNS, LOG_TOL
+    from mgtrade.logs import _MARKET_COLUMNS, LOG_TOL
 
     problems: list[str] = []
     first = rows[0]

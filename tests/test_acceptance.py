@@ -19,27 +19,23 @@ import pytest
 from mgtrade.auction import ClearingOutcome, OrderBook, budget_check, clear, pair_quantity
 from mgtrade.cli import default_scenario
 from mgtrade.controller import Bids
-from mgtrade.ingest import LoadModel, Trace
+from mgtrade.ingest import Trace
+from mgtrade.logs import write_slots_csv
 from mgtrade.model import (
+    MODE_AUCTION,
+    MODE_SOLO,
+    LoadModel,
     MGParams,
+    MGSpec,
     PriceBounds,
+    ScenarioConfig,
     compute_a_const,
     compute_bounds,
     compute_v_max,
+    mg_subseed,
     virtual_battery,
 )
-from mgtrade.sim import (
-    MODE_AUCTION,
-    MODE_SOLO,
-    MGSpec,
-    ScenarioConfig,
-    ScenarioTraces,
-    mg_subseed,
-    offline_oracle,
-    realized_inputs,
-    run,
-    write_slots_csv,
-)
+from mgtrade.sim import ScenarioTraces, offline_oracle, realized_inputs, run
 from columnar import allocations_by_id, bid_all, book_of, book_sides, solve_one, trade_of
 from oracles import (
     BidPair,

@@ -22,7 +22,7 @@ from mgtrade.auction import (
 )
 from mgtrade.controller import Bids
 from mgtrade.errors import InvariantViolation, MarketError
-from mgtrade.sim import AUDIT_HEADER, audit_rows, write_audit_csv
+from mgtrade.logs import AUDIT_HEADER, audit_rows, write_audit_csv
 
 from columnar import allocations_by_id, book_of, book_sides, record_of, trade_of
 from oracles import (

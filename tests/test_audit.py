@@ -17,11 +17,8 @@ from hypothesis import strategies as st
 
 from mgtrade.cli import config_from_dict, default_scenario
 from mgtrade.errors import ParseError, SimError
-from mgtrade.sim import (
-    MODE_AUCTION,
-    MODE_SOLO,
+from mgtrade.logs import (
     read_slots_csv,
-    run,
     verify_audit_csv,
     verify_log_rows,
     verify_summary_csv,
@@ -29,6 +26,8 @@ from mgtrade.sim import (
     write_slots_csv,
     write_summary_csv,
 )
+from mgtrade.model import MODE_AUCTION, MODE_SOLO
+from mgtrade.sim import run
 
 from oracles import (
     reference_read_slots_csv,

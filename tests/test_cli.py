@@ -24,8 +24,7 @@ from mgtrade.cli import (
     main,
 )
 from mgtrade.errors import ConfigError
-from mgtrade.model import compute_v_max
-from mgtrade.sim import MODE_AUCTION, MODE_SOLO, mg_subseed
+from mgtrade.model import MODE_AUCTION, MODE_SOLO, compute_v_max, mg_subseed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CONFIG = str(CONFIG_DIR / "sweep_small.json")
@@ -787,7 +786,7 @@ def test_sweep_solves_one_oracle_lp_per_initial_battery(tmp_path, monkeypatch):
     The default sweep (6 MGs, 5 fractions) solves one min-cost flow per
     distinct (MG, b0), and writes the same sweep.csv as solving all 30.
     """
-    from mgtrade import cli, sim
+    from mgtrade import sim
     from mgtrade.model import compute_bounds, initial_battery
 
     base = default_scenario(mode=MODE_SOLO)
@@ -808,8 +807,8 @@ def test_sweep_solves_one_oracle_lp_per_initial_battery(tmp_path, monkeypatch):
     assert run_cli("sweep", "--out", str(tmp_path / "shared")) == EXIT_OK
     assert len(solves) == len(b0s)
 
-    real_oracle = cli.offline_oracle
-    monkeypatch.setattr(cli, "offline_oracle", lambda cfg, inputs, _: real_oracle(cfg, inputs))
+    real_oracle = sim.offline_oracle
+    monkeypatch.setattr(sim, "offline_oracle", lambda cfg, inputs, _: real_oracle(cfg, inputs))
     assert run_cli("sweep", "--out", str(tmp_path / "each")) == EXIT_OK
     assert len(solves) == len(b0s) + 30
     shared, each = ((tmp_path / d / "sweep.csv").read_bytes() for d in ("shared", "each"))
@@ -819,14 +818,13 @@ def test_sweep_solves_one_oracle_lp_per_initial_battery(tmp_path, monkeypatch):
 def test_sweep_draws_its_inputs_once(tmp_path, monkeypatch):
     """V changes no draw: a 10-fraction sweep draws its inputs once, not twice
     per fraction, and writes the sweep.csv that drawing them 20 times did."""
-    from mgtrade import cli, sim
+    from mgtrade import sim
 
     draws = []
 
     def counted(draw):
         return lambda *a: draws.append(1) or draw(*a)
 
-    monkeypatch.setattr(cli, "realized_inputs", counted(cli.realized_inputs))
     monkeypatch.setattr(sim, "realized_inputs", counted(sim.realized_inputs))
     fractions = ",".join(f"{k / 10:.1f}" for k in range(1, 11))
     assert run_cli("sweep", "--fractions", fractions, "--out", str(tmp_path)) == EXIT_OK
@@ -841,7 +839,7 @@ def test_run_both_draws_its_inputs_once(tmp_path, monkeypatch):
     """The mode changes no draw: `run --mode both` builds its traces and draws its
     inputs once, after --seed and --horizon, and writes the slots.csv files that
     drawing them once per mode did."""
-    from mgtrade import cli, sim
+    from mgtrade import sim
 
     calls = []
 
@@ -850,7 +848,6 @@ def test_run_both_draws_its_inputs_once(tmp_path, monkeypatch):
         return lambda *a: calls.append(name) or real(*a)
 
     for name in ("build_traces", "realized_inputs"):
-        monkeypatch.setattr(cli, name, counted(name))
         monkeypatch.setattr(sim, name, counted(name))
     argv = ("run", "--seed", "3", "--horizon", "48", "--out", str(tmp_path))
     assert run_cli(*argv) == EXIT_OK
@@ -1056,6 +1053,81 @@ assert len(rows) == 4 and all(float(r["oracle_time_avg_cost"]) >= 0.0 for r in r
     done = subprocess.run(
         [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
         timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_audit_loads_only_the_log_layer(tmp_path):
+    """`import mgtrade` loads no submodule, and auditing a run and a sweep loads
+    none of the simulator's modules; `from mgtrade import run` is still `sim.run`."""
+    run_dir, sweep_dir = str(tmp_path / "run"), str(tmp_path / "sweep")
+    assert run_cli("run", "--horizon", "4", "--out", run_dir) == EXIT_OK
+    assert run_cli(
+        "sweep", "--config", CONFIG, "--fractions", "1.0", "--out", sweep_dir
+    ) == EXIT_OK
+    script = f"""
+import sys
+import mgtrade
+submodules = sorted(m for m in sys.modules if m.startswith("mgtrade."))
+assert not submodules, f"import mgtrade loaded {{submodules}}"
+import mgtrade.cli as cli
+assert cli.main(["audit", {run_dir!r}]) == 0
+assert cli.main(["audit", {sweep_dir!r}]) == 0
+unused = {{"mgtrade.sim", "mgtrade.auction", "mgtrade.controller", "mgtrade.flow",
+          "mgtrade.ingest", "numpy", "scipy"}}
+loaded = sorted(unused & set(sys.modules))
+assert not loaded, f"audit loaded {{loaded}}"
+from mgtrade import run
+import mgtrade.sim
+assert run is mgtrade.sim.run
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_probes_run_on_this_checkout(tmp_path):
+    """The benchmark's set-up and simulation probes start from this checkout's
+    `src` and find every name they import, the lazy ones included."""
+    root = Path(__file__).resolve().parent.parent
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"reference_seed": 7, "configs": [CONFIG]}))
+    probe = [sys.executable, str(root / "mgbench" / "probe.py")]
+    setup = subprocess.run(
+        [*probe, "setup", str(spec)], cwd=root, env=src_env(), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert setup.returncode == 0, setup.stderr
+    module_file = Path(json.loads(setup.stdout.splitlines()[-1])["module_file"])
+    assert module_file.resolve().is_relative_to(root / "src")
+    sim = subprocess.run(
+        [*probe, "sim", str(spec)], cwd=root, env=src_env(), input="go\n",
+        capture_output=True, text=True, timeout=120,
+    )
+    assert sim.returncode == 0, sim.stderr
+    ready, reply = map(json.loads, sim.stdout.splitlines())
+
+    from mgtrade import run
+    from mgtrade.cli import default_scenario, load_config, materialize_traces
+    from mgtrade.sim import MODE_AUCTION, MODE_SOLO
+
+    cfg, traces_doc = load_config(CONFIG)
+    assert ready["mg_slots"] == 2 * 6 * 120 + len(cfg.mgs) * cfg.horizon_slots
+    assert reply["violations"] == 0
+    assert run(cfg, materialize_traces(cfg, traces_doc))[0].violation_count == 0
+    assert default_scenario(mode=MODE_SOLO).mode == MODE_SOLO != MODE_AUCTION
+
+
+def test_readme_library_example_runs():
+    """The README's Library code block runs, as written, from the repository root."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text()
+    example = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    done = subprocess.run(
+        [sys.executable, "-c", example], cwd=root, env=src_env(), capture_output=True,
+        text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
 

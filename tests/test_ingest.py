@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mgtrade.errors import ConfigError, ParseError
 from mgtrade.ingest import (
-    LoadModel,
     Trace,
     draw_load_grid,
     load_trace,
@@ -18,7 +17,7 @@ from mgtrade.ingest import (
     synthetic_price,
     synthetic_wind,
 )
-from mgtrade.model import PriceBounds
+from mgtrade.model import LoadModel, PriceBounds
 from oracles import reference_draw_loads
 
 

@@ -11,34 +11,36 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgtrade.errors import ConfigError, ParseError, SimError
-from mgtrade.ingest import LoadModel
+from mgtrade.logs import (
+    SLOTS_HEADER,
+    audit_rows,
+    bound_audit,
+    read_slots_csv,
+    verify_log_rows,
+    write_slots_csv,
+)
 from mgtrade.model import (
+    MODE_AUCTION,
+    MODE_SOLO,
+    LoadModel,
     MGParams,
+    MGSpec,
     PriceBounds,
+    ScenarioConfig,
     SlotInputs,
     compute_v_max,
     initial_battery,
+    mg_subseed,
     virtual_battery,
 )
 from mgtrade.sim import (
-    MODE_AUCTION,
-    MODE_SOLO,
-    SLOTS_HEADER,
-    MGSpec,
-    ScenarioConfig,
     World,
-    audit_rows,
-    bound_audit,
     build_traces,
-    mg_subseed,
     offline_oracle,
-    read_slots_csv,
     realized_inputs,
     run,
     step,
     summarize,
-    verify_log_rows,
-    write_slots_csv,
 )
 
 from oracles import (
