@@ -1102,12 +1102,12 @@ def test_benchmark_probes_run_on_this_checkout(tmp_path):
     assert setup.returncode == 0, setup.stderr
     module_file = Path(json.loads(setup.stdout.splitlines()[-1])["module_file"])
     assert module_file.resolve().is_relative_to(root / "src")
-    sim = subprocess.run(
+    served = subprocess.run(
         [*probe, "sim", str(spec)], cwd=root, env=src_env(), input="go\n",
         capture_output=True, text=True, timeout=120,
     )
-    assert sim.returncode == 0, sim.stderr
-    ready, reply = map(json.loads, sim.stdout.splitlines())
+    assert served.returncode == 0, served.stderr
+    ready, reply = map(json.loads, served.stdout.splitlines())
 
     from mgtrade import run
     from mgtrade.cli import default_scenario, load_config, materialize_traces
