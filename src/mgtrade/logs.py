@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
-from operator import itemgetter
+from itertools import accumulate, chain, compress, repeat
+from operator import getitem, itemgetter, or_
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 
@@ -293,6 +293,8 @@ _SIDE_FIELDS = {
 }
 # and the rows of a record's columns that hold them
 _SIDE_ROWS = {side: list(map(_ROW_FLOATS.index, names)) for side, names in _SIDE_FIELDS.items()}
+# the cells of each side an audit line shows, which `read_slots_csv` keeps as written
+_LINE_CELLS = {side: (*names[:3], f"market_{side}_price") for side, names in _SIDE_FIELDS.items()}
 
 
 def audit_rows(record: SlotRecord) -> list[tuple]:
@@ -323,18 +325,19 @@ class Log:
 
     ``log[name]`` is a column: a list of floats, or of the cells as written
     for a text column. ``len(log)`` is the row count, ``log.row(k)`` row k's
-    cells as written and ``log.lines[k]`` its line in the file. A slots log
-    also holds its `_row_orders` as ``log.orders``.
+    cells as written and ``log.lines[k]`` its line in the file;
+    ``log.cells[name]`` is a column `read_log` also kept as written. A slots
+    log also holds its `_row_orders` as ``log.orders``.
     """
 
-    __slots__ = ("header", "rows", "columns", "lines", "orders")
+    __slots__ = ("header", "rows", "columns", "lines", "cells", "orders")
 
     def __init__(
         self, header: tuple[str, ...], rows: list[str], columns: dict[str, list],
-        lines: Sequence[int],
+        lines: Sequence[int], cells: dict[str, list[str]],
     ) -> None:
         self.header, self.rows, self.columns, self.lines = header, rows, columns, lines
-        self.orders = None
+        self.cells, self.orders = cells, None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -351,13 +354,14 @@ class Log:
 _BLOCK_ROWS = 512
 
 
-def read_log(path, header: tuple[str, ...], text=(), whole=(), finite: bool = True) -> Log:
+def read_log(path, header: tuple[str, ...], text=(), whole=(), finite=True, keep=()) -> Log:
     """Read a log as columns: blocks of rows split into flat cell lists, each one `map(float)`.
 
     Logs quote no cell (see `_log_columns`), so the rows after the header
     are the nonblank lines (ended by any of LF, CRLF, CR) split at the
     commas. Every column but the ``text`` ones holds numbers, finite ones if
-    ``finite``, and the ``whole`` ones whole numbers. A missing log is a
+    ``finite``, and the ``whole`` ones whole numbers; the ``keep`` ones are
+    also kept as written, in ``log.cells``. A missing log is a
     SimError. A different header, a row of the wrong width or a bad cell is
     a ParseError naming the file, and the line (and column) of the first bad
     row in it.
@@ -381,10 +385,13 @@ def read_log(path, header: tuple[str, ...], text=(), whole=(), finite: bool = Tr
     if commas.count(width - 1) != whole_rows:
         whole_rows = next(k for k, n in enumerate(commas) if n != width - 1)
     texts = {header.index(name): [] for name in text}
+    kept = {header.index(name): [] for name in keep}
     values: list[float] = []
     for start in range(0, whole_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, whole_rows)
         cells = ",".join(rows[start:stop]).split(",")
+        for i, column in kept.items():
+            column += cells[i::width]
         for i, column in texts.items():
             column += cells[i::width]
             cells[i::width] = ["0"] * (stop - start)
@@ -404,7 +411,7 @@ def read_log(path, header: tuple[str, ...], text=(), whole=(), finite: bool = Tr
             f"header has {width}"
         )
     columns = {name: texts.get(i) or values[i::width] for i, name in enumerate(header)}
-    return Log(header, rows, columns, lines)
+    return Log(header, rows, columns, lines, {header[i]: c for i, c in kept.items()})
 
 
 def _parsed(cell: str) -> float | None:
@@ -443,7 +450,7 @@ def read_slots_csv(path) -> Log:
 
     A column of an ``int`` field must hold whole numbers.
     """
-    log = read_log(path, SLOTS_HEADER, whole=_WHOLE_COLUMNS)
+    log = read_log(path, SLOTS_HEADER, whole=_WHOLE_COLUMNS, keep=[*chain(*_LINE_CELLS.values())])
     if not len(log):
         raise SimError(f"{path}: no rows")
     log.orders = _row_orders(log)
@@ -463,9 +470,16 @@ def _row_orders(log: Log) -> tuple[list[int], list[int], dict[int, slice]]:
 
     Both sorts are stable, so rows tied on the key keep their file order.
     MGs come in the order they first appear, and each MG's rows form one
-    slice of the second order, in slot order.
+    slice of the second order, in slot order. A log in the run's layout is
+    in both orders, and MG k's rows are rows k, k + n, ... of n MGs a slot.
     """
     slot, mg = log["slot"], log["mg_id"]
+    n = slot.count(0.0)
+    first, h = mg[:n], len(mg) // max(n, 1)
+    if n and len(set(first)) == n and mg == first * h:  # every slot logs each MG once, in one order
+        if slot == list(chain.from_iterable(map(repeat, range(h), repeat(n)))):  # slots 0..h-1
+            order = list(range(len(slot)))
+            return order, order, {int(mid): slice(k, None, n) for k, mid in enumerate(first)}
     rows = Counter(mg)  # each MG's row count, in order of first appearance
     rank = {mid: k for k, mid in enumerate(rows)}
     by_slot = sorted(range(len(slot)), key=slot.__getitem__)
@@ -483,6 +497,36 @@ def _reorder(log: Log, order: list[int], names) -> dict[str, Sequence]:
     return {name: take(log[name]) for name in names}
 
 
+def _audit_text(log: Log, n: int) -> str | None:
+    """The text auction_audit.csv holds for a slots log in the run's layout, n rows a slot:
+    each slot's nonzero bids, buys by falling then sells by rising logged price (ties in
+    file order), with whole slots and MG ids and the log's cells as written (a cell of 7
+    decimals stays one). None if a row bids on both sides.
+    """
+    if any(compress(log["bid_sell_qty"], log["bid_buy_qty"])):
+        return None
+    rows, h = len(log), len(log) // n
+    # row r's buy is entry r of a column of both sides, its sell entry rows + r
+    price, kwh, fill, unit = (log[b] + log[s] for b, s in zip(*_SIDE_FIELDS.values()))
+    cells = [log.cells[b] + log.cells[s] for b, s in zip(*_LINE_CELLS.values())]
+    order: list[int] = []
+    for a in (a for t in range(0, rows, n) for a in (t, t + rows)):  # a slot's buys, then sells
+        bids = compress(range(a, a + n), kwh[a:a + n])
+        order += sorted(bids, key=price.__getitem__, reverse=a < rows)
+
+    def take(column: list) -> Iterator:  # the column's entries in book order
+        return map(column.__getitem__, order)
+
+    won = list(map(or_, map(bool, take(fill)), map(bool, take(unit))))  # accepted
+    paid = map(getitem, zip(repeat("0.000000"), take(cells[3])), won)  # the cleared price
+    slot = [cell for t in range(h) for cell in repeat(f"\n{t},", n)] * 2
+    ids = [[f"{mid:.0f},{side}," for mid in log["mg_id"][:n]] * h for side in _SIDE_FIELDS]
+    return ",".join(AUDIT_HEADER) + "".join(chain.from_iterable(zip(
+        take(slot), take(ids[0] + ids[1]), take(cells[0]), repeat(","), take(cells[1]),
+        map((",0,", ",1,").__getitem__, won), paid, repeat(","), take(cells[2]),
+    ))) + "\n"
+
+
 def verify_audit_csv(path, log: Log) -> list[str]:
     """Check auction_audit.csv line by line against the slots log `log`.
 
@@ -491,8 +535,25 @@ def verify_audit_csv(path, log: Log) -> list[str]:
     and, when accepted, the market price. A line is accepted when its fill or
     unit price is nonzero: in memory a fill is positive exactly when the unit
     price is the positive market price. A cell that is not finite matches no
-    logged number.
+    logged number. A file that holds the `_audit_text` of a log in the run's
+    layout, lines tied on slot, side and price cells in any order, passes all
+    this, so it is not walked.
     """
+    n = next(iter(log.orders[2].values())).step  # MGs a slot in the run's layout, else None
+    want = _audit_text(log, n) if n else None
+    try:  # universal newlines, as `read_log` reads
+        got = Path(path).read_text() if want else None
+    except (OSError, UnicodeDecodeError):  # for the walk to raise
+        got = None
+    if got and want:
+        if got == want:
+            return []
+        got, want = got.split("\n"), want.split("\n")
+        moved = [line for pair in zip(got, want) if pair[0] != pair[1] for line in pair]
+        keys = [(c[0], c[2:4]) for c in map(str.split, moved, repeat(","))]  # slot, side, price
+        if len(got) == len(want) and keys[::2] == keys[1::2]:
+            if sorted(moved[::2]) == sorted(moved[1::2]):
+                return []
     audit = read_log(path, AUDIT_HEADER, text=("side",), finite=False)
     logged = dict(zip(zip(log["slot"], log["mg_id"]), range(len(log))))  # (slot, MG) -> row
     # each side's bid price and kWh, fill, unit price and market price columns
@@ -572,7 +633,6 @@ def verify_summary_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
         span = spans.get(mid)
         if span is None:  # no rows in slots.csv, which `verify_log_rows` reports
             continue
-        n = span.stop - span.start
 
         def check(name: str, want: float, tol: float) -> None:
             got = summary[name][k]
@@ -581,7 +641,7 @@ def verify_summary_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
 
         for name, reduce_, column in _SUMMARY_OF:
             values = mg_rows[column][span]
-            want, tol = reduce_(values), 0.0
+            want, tol, n = reduce_(values), 0.0, len(values)
             if reduce_ is sum:  # the rounding a total carries, as derived above
                 tol = 5e-7 * (n + 1) + 2.0**-50 * n * sum(map(abs, values))
             if name == "total_cost":
@@ -608,8 +668,8 @@ def verify_log_rows(config: ScenarioConfig, log: Log) -> list[str]:
     prefix sums of the logged ``dt_load_kwh`` and ``serve_kwh``, and each
     MG's slot-0 battery must be the ``initial_battery`` of the config.
 
-    The log's rows are sorted once by MG and slot, so each MG's rows are one
-    slice of every column, checked in one pass over the zipped slices; a
+    The log's rows are taken by MG and slot (`_row_orders`), so each MG's rows
+    are one slice of every column, checked in one pass over the zipped slices; a
     message is built only for a failing row. Then each slot's market is
     checked over its own slice.
     """

@@ -3,9 +3,13 @@
 `tests/oracles.py` keeps the row-dict `read_slots_csv`, `verify_log_rows`
 and `verify_audit_csv`. On clean logs both report nothing; on edited logs
 they raise the same error or report the same problems, in the same order.
+A run's own logs take the fast paths: slots.csv is not sorted, and
+auction_audit.csv is compared with its rendering from slots.csv, not walked.
 """
 
+import dataclasses
 import functools
+import math
 import random
 import shutil
 import tempfile
@@ -17,7 +21,11 @@ from hypothesis import strategies as st
 
 from mgtrade.cli import config_from_dict, default_scenario
 from mgtrade.errors import ParseError, SimError
+from mgtrade import logs
 from mgtrade.logs import (
+    _ROW_FLOATS,
+    _SIDE_FIELDS,
+    SLOTS_HEADER,
     read_slots_csv,
     verify_audit_csv,
     verify_log_rows,
@@ -118,41 +126,186 @@ def test_clean_logs_pass_both_audits(tmp_path, name):
     assert verify_summary_csv(tmp_path / "summary.csv", config, log) == []
 
 
+def logs_read(monkeypatch) -> list[str]:
+    """The names of the logs `read_log` reads from now on."""
+    names, read_log = [], logs.read_log
+
+    def spy(path, *args, **kwargs):
+        names.append(Path(path).name)
+        return read_log(path, *args, **kwargs)
+
+    monkeypatch.setattr(logs, "read_log", spy)
+    return names
+
+
+@pytest.mark.parametrize(
+    "name", ["reference-auction", "reference-solo", "24-mg-solo", "96-mg-auction"]
+)
+def test_clean_logs_take_the_fast_paths(tmp_path, monkeypatch, name):
+    """slots.csv is in the run's layout, so its rows are taken in file order
+    with every n-th row an MG's; auction_audit.csv is the rendering of
+    slots.csv, so it is never read as a log."""
+    config, texts = written(name)
+    write_logs(tmp_path, texts)
+    log = read_slots_csv(tmp_path / "slots.csv")
+    by_slot, by_mg, spans = log.orders
+    n = len(config.mgs)
+    assert by_slot == by_mg == list(range(len(log)))
+    assert spans == {m.params.id: slice(k, None, n) for k, m in enumerate(config.mgs)}
+    read = logs_read(monkeypatch)
+    assert verify_audit_csv(tmp_path / "auction_audit.csv", log) == []
+    assert read == []
+
+
+def test_sells_that_render_alike_pass_in_either_order(tmp_path, monkeypatch):
+    """Two sells of one slot priced 1e-9 apart render alike, so the run may
+    write them out of MG id order; the rendering lists them in id order, and
+    the audit passes them without the walk, as the walk does."""
+    config = default_scenario(mode=MODE_AUCTION)
+    _, records = run(config)
+    t, record = next((t, r) for t, r in enumerate(records) if len(r.sell_bids) >= 2)
+    low, high = sorted(record.sell_bids[:2], key=record.ids.__getitem__)
+    price = _ROW_FLOATS.index("bid_sell_price")
+    # below every other sell of the slot, and 1e-9 short of the next rendering
+    x = math.floor(record.columns[price, record.sell_bids[0]] * 1e6) / 1e6 - 1e-6
+    record.columns[price, high], record.columns[price, low] = x, x + 1e-9
+    sells = record.sell_bids.copy()
+    sells[:2] = high, low
+    records[t] = dataclasses.replace(record, sell_bids=sells)
+    write_slots_csv(tmp_path / "slots.csv", records)
+    write_audit_csv(tmp_path / "auction_audit.csv", records)
+
+    text = (tmp_path / "auction_audit.csv").read_text()
+    ids = (record.ids[high], record.ids[low])
+    tied = [line for line in text.split("\n") if line.startswith(f"{t},") and f",{x:.6f}," in line]
+    assert [int(line.split(",")[1]) for line in tied] == list(ids)
+    log = read_slots_csv(tmp_path / "slots.csv")
+    assert logs._audit_text(log, len(config.mgs)) != text
+    read = logs_read(monkeypatch)
+    assert verify_audit_csv(tmp_path / "auction_audit.csv", log) == []
+    assert read == []
+    rows = reference_read_slots_csv(tmp_path / "slots.csv")
+    assert reference_verify_audit_csv(tmp_path / "auction_audit.csv", rows) == []
+
+
+def test_slots_that_repeat_an_mg_are_sorted(tmp_path):
+    """Every slot logs its first MG twice, in place of its second: not the
+    run's layout, so the rows are sorted, and both audits agree."""
+    config, texts = written("small-auction")
+    rows = [row.split(",") for row in texts["slots.csv"].split("\r\n")]
+    first, second = (cells[1] for cells in rows[1:3])
+    for cells in rows[1:-1]:
+        cells[1] = first if cells[1] == second else cells[1]
+    write_logs(tmp_path, {**texts, "slots.csv": "\r\n".join(map(",".join, rows))})
+    log = read_slots_csv(tmp_path / "slots.csv")
+    assert log.orders[1] != list(range(len(log)))
+    columnar, reference = both_audits(config, tmp_path)
+    assert columnar == reference
+    assert any(f"mg {second}: logged slots" in problem for problem in columnar)
+
+
+def matching_row(rows: list[str], line: str) -> int:
+    """The slots.csv row of an auction_audit.csv line: the one of its slot and MG."""
+    return next(j for j, row in enumerate(rows) if row.split(",")[:2] == line.split(",")[:2])
+
+
+def line_book(line: str) -> tuple[int, str]:
+    """An auction_audit.csv line's slot and side, in the order of the file."""
+    cells = line.split(",")
+    return int(cells[0]), cells[2]
+
+
+def book_key(line: str) -> list[str]:
+    """An auction_audit.csv line's slot, side and price cells."""
+    cells = line.split(",")
+    return [cells[0], *cells[2:4]]
+
+
 @st.composite
 def log_edits(draw):
-    """A scenario and one edit of one of its logs: a cell moved, or a row
-    deleted, duplicated or swapped with another."""
+    """A scenario and its logs with one edit.
+
+    One log is edited: a cell moved, or a row deleted, duplicated or swapped
+    with another. Or both are edited alike: a bid cell given a 7th decimal
+    in slots.csv, and in its auction_audit.csv line either the same cell or
+    its 6-decimal rendering; a row made to bid on both sides, with a line
+    for its second bid first in its book; or a row duplicated with its
+    line. Or two audit lines are swapped that tie on their slot, side and
+    price cells, or that do not.
+    """
     name = draw(st.sampled_from(["small-auction", "small-solo"]))
-    file = draw(st.sampled_from(["slots.csv", "auction_audit.csv"]))
-    lines = written(name)[1][file].split("\r\n")[:-1]
-    k = draw(st.integers(1, len(lines) - 1))
-    kind = draw(st.sampled_from(["cell", "cell", "cell", "delete", "duplicate", "swap"]))
-    if kind == "cell":
-        cells = lines[k].split(",")
-        i = draw(st.integers(0, len(cells) - 1))
-        if file == "auction_audit.csv" and i == 2:
-            cells[i] = {"buy": "sell", "sell": "buy"}[cells[i]]
-        else:
-            delta = draw(st.floats(1e-6, 1e3)) * draw(st.sampled_from([1, -1]))
-            cells[i] = f"{float(cells[i]) + delta:.6f}"
-        lines[k] = ",".join(cells)
-    elif kind == "delete":
-        del lines[k]
-    elif kind == "duplicate":
-        lines.insert(k, lines[k])
+    texts = written(name)[1]
+    kind = draw(st.sampled_from([
+        "cell", "cell", "cell", "delete", "duplicate", "swap",
+        "decimal", "both sides", "duplicate both", "swap tied", "swap untied",
+    ]))
+    rows = texts["slots.csv"].split("\r\n")[:-1]
+    audit = texts["auction_audit.csv"].split("\r\n")[:-1]
+    edited = {"slots.csv": rows, "auction_audit.csv": audit}
+    if kind == "decimal":
+        k = draw(st.integers(1, len(audit) - 1))
+        line, j = audit[k].split(","), matching_row(rows, audit[k])
+        i = draw(st.sampled_from([3, 4, 7]))  # price, quantity, cleared quantity
+        row = rows[j].split(",")
+        at = SLOTS_HEADER.index(_SIDE_FIELDS[line[2]][[3, 4, 7].index(i)])
+        assert row[at] == line[i]
+        row[at] += str(draw(st.integers(1, 9)))
+        line[i] = draw(st.sampled_from([row[at], f"{float(row[at]):.6f}"]))
+        rows[j], audit[k] = ",".join(row), ",".join(line)
+    elif kind == "both sides":
+        k = draw(st.integers(1, len(audit) - 1))
+        j = matching_row(rows, audit[k])
+        row = rows[j].split(",")
+        side = {"buy": "sell", "sell": "buy"}[audit[k].split(",")[2]]
+        price, kwh, fill, _ = (SLOTS_HEADER.index(c) for c in _SIDE_FIELDS[side])
+        row[price] = {"buy": "999.000000", "sell": "-1.000000"}[side]  # first in its book
+        row[kwh] = "1.000000"
+        rows[j] = ",".join(row)
+        at = (int(row[0]), side)
+        k = next((k for k, line in enumerate(audit[1:], 1) if line_book(line) >= at), len(audit))
+        audit.insert(k, f"{row[0]},{row[1]},{side},{row[price]},{row[kwh]},0,0.000000,{row[fill]}")
+    elif kind == "duplicate both":
+        k = draw(st.integers(1, len(audit) - 1))
+        j = matching_row(rows, audit[k])
+        rows.insert(j, rows[j])
+        audit.insert(k, audit[k])
+    elif kind in ("swap tied", "swap untied"):
+        pairs = [
+            (k, j) for k in range(1, len(audit)) for j in range(k + 1, len(audit))
+            if (book_key(audit[k]) == book_key(audit[j])) == (kind == "swap tied")
+        ]
+        k, j = draw(st.sampled_from(pairs))
+        audit[k], audit[j] = audit[j], audit[k]
     else:
-        j = draw(st.integers(1, len(lines) - 1))
-        lines[k], lines[j] = lines[j], lines[k]
-    return name, file, "".join(line + "\r\n" for line in lines)
+        file = draw(st.sampled_from(["slots.csv", "auction_audit.csv"]))
+        lines = edited[file]
+        k = draw(st.integers(1, len(lines) - 1))
+        if kind == "cell":
+            cells = lines[k].split(",")
+            i = draw(st.integers(0, len(cells) - 1))
+            if file == "auction_audit.csv" and i == 2:
+                cells[i] = {"buy": "sell", "sell": "buy"}[cells[i]]
+            else:
+                delta = draw(st.floats(1e-6, 1e3)) * draw(st.sampled_from([1, -1]))
+                cells[i] = f"{float(cells[i]) + delta:.6f}"
+            lines[k] = ",".join(cells)
+        elif kind == "delete":
+            del lines[k]
+        elif kind == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            j = draw(st.integers(1, len(lines) - 1))
+            lines[k], lines[j] = lines[j], lines[k]
+    return name, {file: "".join(line + "\r\n" for line in lines) for file, lines in edited.items()}
 
 
-@settings(max_examples=240, deadline=None)
+@settings(max_examples=360, deadline=None)
 @given(log_edits())
 def test_edited_logs_get_the_reference_problems(tmp_path_factory, edit):
-    name, file, text = edit
+    name, edited = edit
     config, texts = written(name)
     run_dir = tmp_path_factory.mktemp("edited")
-    write_logs(run_dir, {**texts, file: text})
+    write_logs(run_dir, {**texts, **edited})
     columnar, reference = both_audits(config, run_dir)
     assert columnar == reference
     shutil.rmtree(run_dir)
