@@ -30,8 +30,10 @@ from .logs import (
     SweepRow,
     bound_audit,
     read_slots_csv,
+    read_summary_csv,
     read_sweep_csv,
     verify_audit_csv,
+    verify_layout,
     verify_log_rows,
     verify_summary_csv,
     write_audit_csv,
@@ -405,17 +407,30 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _audit_one(run_dir: Path) -> list[str]:
-    """The problems of a run directory: its logs against its config and each other."""
-    config_path = run_dir / "config.json"
+def _audited_config(out_dir: Path) -> ScenarioConfig:
+    """The config.json of a run or sweep directory; without one, the audit fails."""
+    config_path = out_dir / "config.json"
     if not config_path.exists():
-        raise SimError(f"{run_dir}: missing config.json")
-    config, _ = config_from_dict(json.loads(config_path.read_text()))
+        raise SimError(f"{out_dir}: missing config.json")
+    return config_from_dict(json.loads(config_path.read_text()))[0]
+
+
+def _audit_one(run_dir: Path) -> list[str]:
+    """The problems of a run directory: its logs against its config and each other.
+
+    A slots.csv out of the run's layout is the one problem: every other
+    check reads its rows in that layout.
+    """
+    config = _audited_config(run_dir)
     log = read_slots_csv(run_dir / "slots.csv")
+    misplaced = verify_layout(config, log)
+    if misplaced:
+        return misplaced
+    summary = read_summary_csv(run_dir / "summary.csv")
     return (
         verify_log_rows(config, log)
-        + verify_audit_csv(run_dir / "auction_audit.csv", log)
-        + verify_summary_csv(run_dir / "summary.csv", config, log)
+        + verify_audit_csv(run_dir / "auction_audit.csv", config, log)
+        + verify_summary_csv(summary, config, log)
     )
 
 

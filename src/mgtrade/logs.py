@@ -3,19 +3,22 @@
 A log's columns are the fields of a record class (`MGSlotRow` and
 `MarketRow`, `MGSummary`, `SweepRow`). The `verify_*` checks re-derive a
 run's invariants from its logs alone, and `bound_audit` checks a run's
-summary against the stability guarantees. Only `model`, `errors` and the
-stdlib are imported, so `mgtrade audit` loads no simulator and no numpy.
+summary against the stability guarantees. A slots log passes only in the
+layout `mgtrade run` writes, which the config gives (`verify_layout`): the
+checks take MG k's rows as ``column[k::n]`` and slot t's as
+``column[t*n:(t+1)*n]``, and compare auction_audit.csv, as text, with what
+slots.csv renders. Only `model`, `errors` and the stdlib are imported, so
+`mgtrade audit` loads no simulator and no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
-from operator import getitem, itemgetter, or_
+from itertools import accumulate, chain, compress, groupby, repeat
+from operator import getitem, or_
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 
@@ -326,18 +329,17 @@ class Log:
     ``log[name]`` is a column: a list of floats, or of the cells as written
     for a text column. ``len(log)`` is the row count, ``log.row(k)`` row k's
     cells as written and ``log.lines[k]`` its line in the file;
-    ``log.cells[name]`` is a column `read_log` also kept as written. A slots
-    log also holds its `_row_orders` as ``log.orders``.
+    ``log.cells[name]`` is a column `read_log` also kept as written.
     """
 
-    __slots__ = ("header", "rows", "columns", "lines", "cells", "orders")
+    __slots__ = ("header", "rows", "columns", "lines", "cells")
 
     def __init__(
         self, header: tuple[str, ...], rows: list[str], columns: dict[str, list],
         lines: Sequence[int], cells: dict[str, list[str]],
     ) -> None:
         self.header, self.rows, self.columns, self.lines = header, rows, columns, lines
-        self.cells, self.orders = cells, None
+        self.cells = cells
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -347,6 +349,14 @@ class Log:
 
     def row(self, k: int) -> list[str]:
         return self.rows[k].split(",")
+
+
+def _text(path) -> str:
+    """A log's text, each line end (LF, CRLF or CR) read as "\\n"; a missing log is a SimError."""
+    if not Path(path).exists():
+        raise SimError(f"missing log: {path}")
+    with open(path) as fh:  # universal newlines
+        return fh.read()
 
 
 # How many rows `read_log` splits and converts at once: a block's cell strings
@@ -366,14 +376,11 @@ def read_log(path, header: tuple[str, ...], text=(), whole=(), finite=True, keep
     a ParseError naming the file, and the line (and column) of the first bad
     row in it.
     """
-    if not Path(path).exists():
-        raise SimError(f"missing log: {path}")
-    with open(path) as fh:  # universal newlines: every line end reads as "\n"
-        head = fh.readline().rstrip("\n").split(",")
-        rows = fh.read().split("\n")
+    rows = _text(path).split("\n")
+    head = rows.pop(0).split(",")
     if tuple(head) != header:
         raise ParseError(f"{path}: unexpected header {head}")
-    if not rows[-1]:
+    if rows and not rows[-1]:
         rows.pop()  # what follows the last line end
     lines: Sequence[int] = range(2, len(rows) + 2)
     if "" in rows:  # a blank line holds no row
@@ -446,15 +453,19 @@ def _raise_bad_cell(path, header, cells, lines, whole, finite: bool) -> None:
 
 
 def read_slots_csv(path) -> Log:
-    """Read a slots log back as columns of floats (ids and slots as floats), with its row orders.
+    """Read a slots log back as columns of floats (ids and slots as floats).
 
     A column of an ``int`` field must hold whole numbers.
     """
     log = read_log(path, SLOTS_HEADER, whole=_WHOLE_COLUMNS, keep=[*chain(*_LINE_CELLS.values())])
     if not len(log):
         raise SimError(f"{path}: no rows")
-    log.orders = _row_orders(log)
     return log
+
+
+def read_summary_csv(path) -> Log:
+    """Read a summary log back as columns of floats; its ``int`` columns must be whole."""
+    return read_log(path, SUMMARY_HEADER, whole=(*_SUMMARY_WHOLE, "violations"))
 
 
 def read_sweep_csv(path) -> Log:
@@ -465,46 +476,54 @@ def read_sweep_csv(path) -> Log:
     return log
 
 
-def _row_orders(log: Log) -> tuple[list[int], list[int], dict[int, slice]]:
-    """The slots log's rows sorted by slot, and by MG and slot, with each MG's slice.
+def _first_difference(got: list, want: list) -> int:
+    """The first index where `got` and `want` differ, or the shorter one's length."""
+    return next(
+        (k for k, pair in enumerate(zip(got, want)) if pair[0] != pair[1]), min(len(got), len(want))
+    )
 
-    Both sorts are stable, so rows tied on the key keep their file order.
-    MGs come in the order they first appear, and each MG's rows form one
-    slice of the second order, in slot order. A log in the run's layout is
-    in both orders, and MG k's rows are rows k, k + n, ... of n MGs a slot.
+
+def _misplaced(log: Log, name: str, writer: str, cells: str, got: list, want: list) -> str:
+    """The problem of log `name`, whose rows' keys `got` are not the keys `want` that
+    `writer` writes: its first line out of place, the keys there and those written there.
+
+    ``cells`` formats one row's keys.
     """
-    slot, mg = log["slot"], log["mg_id"]
-    n = slot.count(0.0)
-    first, h = mg[:n], len(mg) // max(n, 1)
-    if n and len(set(first)) == n and mg == first * h:  # every slot logs each MG once, in one order
-        if slot == list(chain.from_iterable(map(repeat, range(h), repeat(n)))):  # slots 0..h-1
-            order = list(range(len(slot)))
-            return order, order, {int(mid): slice(k, None, n) for k, mid in enumerate(first)}
-    rows = Counter(mg)  # each MG's row count, in order of first appearance
-    rank = {mid: k for k, mid in enumerate(rows)}
-    by_slot = sorted(range(len(slot)), key=slot.__getitem__)
-    by_mg = sorted(by_slot, key=list(map(rank.__getitem__, mg)).__getitem__)
-    ends = accumulate(rows.values())
-    spans = {int(mid): slice(end - n, end) for (mid, n), end in zip(rows.items(), ends)}
-    return by_slot, by_mg, spans
+    k = _first_difference(got, want)
+    line = log.lines[k] if k < len(log) else log.lines[-1] + 1
+
+    def at(rows: list) -> str:
+        return cells.format(*rows[k]) if k < len(rows) else "no row"
+
+    return f"{name} line {line}: {at(got)}, where {writer} writes {at(want)}"
 
 
-def _reorder(log: Log, order: list[int], names) -> dict[str, Sequence]:
-    """The columns `names` of `log`, their rows taken in `order` by one itemgetter."""
-    if order == list(range(len(order))):  # a log written by a run is in slot order
-        return {name: log[name] for name in names}
-    take = itemgetter(*order)  # of two indices or more, so it returns a tuple
-    return {name: take(log[name]) for name in names}
+def verify_layout(config: ScenarioConfig, log: Log) -> list[str]:
+    """Check that the slots log `log` is in the layout `mgtrade run` writes.
+
+    The config alone gives that layout: of n configured MGs, row k is slot
+    k // n of the config's MG k % n, for every slot of the horizon. A
+    missing MG, a missing slot and a repeated row all break it. A log out of
+    it is one problem, naming its first line out of place. The other checks
+    read MG k's rows as ``column[k::n]`` and slot t's as ``column[t*n:(t+1)*n]``,
+    so they are for a log this check passes.
+    """
+    ids = [m.params.id for m in config.mgs]
+    h = config.horizon_slots
+    slots = list(chain.from_iterable(map(repeat, range(h), repeat(len(ids)))))
+    if log["slot"] == slots and log["mg_id"] == ids * h:
+        return []
+    got = list(zip(log["slot"], log["mg_id"]))
+    want = list(zip(slots, ids * h))
+    return [_misplaced(log, "slots.csv", "the run", "slot {:.0f} mg {:.0f}", got, want)]
 
 
-def _audit_text(log: Log, n: int) -> str | None:
+def _audit_text(log: Log, n: int) -> str:
     """The text auction_audit.csv holds for a slots log in the run's layout, n rows a slot:
     each slot's nonzero bids, buys by falling then sells by rising logged price (ties in
     file order), with whole slots and MG ids and the log's cells as written (a cell of 7
-    decimals stays one). None if a row bids on both sides.
+    decimals stays one).
     """
-    if any(compress(log["bid_sell_qty"], log["bid_buy_qty"])):
-        return None
     rows, h = len(log), len(log) // n
     # row r's buy is entry r of a column of both sides, its sell entry rows + r
     price, kwh, fill, unit = (log[b] + log[s] for b, s in zip(*_SIDE_FIELDS.values()))
@@ -527,112 +546,85 @@ def _audit_text(log: Log, n: int) -> str | None:
     ))) + "\n"
 
 
-def verify_audit_csv(path, log: Log) -> list[str]:
-    """Check auction_audit.csv line by line against the slots log `log`.
+def _tied_sorted(text: str) -> list[tuple[str, int]]:
+    """The nonblank lines of `text` with their line numbers, each run of consecutive
+    lines that share slot, side and price cells sorted."""
+    lines = [(line, k) for k, line in enumerate(text.split("\n"), 1) if line]
+    return [line for _, run in groupby(lines, _book_key) for line in sorted(run)]
 
-    Every bid logged with a positive quantity has one line, buys then sells
-    in book order (rounding may tie prices), with the MG's logged bid, fill
-    and, when accepted, the market price. A line is accepted when its fill or
-    unit price is nonzero: in memory a fill is positive exactly when the unit
-    price is the positive market price. A cell that is not finite matches no
-    logged number. A file that holds the `_audit_text` of a log in the run's
-    layout, lines tied on slot, side and price cells in any order, passes all
-    this, so it is not walked.
+
+def _book_key(line: tuple[str, int]) -> tuple[str, list[str]]:
+    """An auction_audit.csv line's slot, side and price cells."""
+    cells = line[0].split(",", 4)
+    return cells[0], cells[2:4]
+
+
+def verify_audit_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
+    """Check auction_audit.csv against the slots log `log`, in the run's layout.
+
+    The file must be the `_audit_text` of `log`: every bid logged with a
+    positive quantity has one line, buys then sells in book order, with the
+    MG's logged bid, fill and, when accepted, the market price. A line is
+    accepted when its fill or unit price is nonzero: in memory a fill is
+    positive exactly when the unit price is the positive market price. The
+    file may end its lines as `read_log` allows, and skip blank lines, and
+    lines tied on their slot, side and price cells may come in any order,
+    as a run may write two prices that round alike. A file that differs is
+    read with `read_log`, so a header or cell that does not parse is a
+    ParseError; else its first line that differs is one problem.
     """
-    n = next(iter(log.orders[2].values())).step  # MGs a slot in the run's layout, else None
-    want = _audit_text(log, n) if n else None
-    try:  # universal newlines, as `read_log` reads
-        got = Path(path).read_text() if want else None
-    except (OSError, UnicodeDecodeError):  # for the walk to raise
-        got = None
-    if got and want:
-        if got == want:
-            return []
-        got, want = got.split("\n"), want.split("\n")
-        moved = [line for pair in zip(got, want) if pair[0] != pair[1] for line in pair]
-        keys = [(c[0], c[2:4]) for c in map(str.split, moved, repeat(","))]  # slot, side, price
-        if len(got) == len(want) and keys[::2] == keys[1::2]:
-            if sorted(moved[::2]) == sorted(moved[1::2]):
-                return []
-    audit = read_log(path, AUDIT_HEADER, text=("side",), finite=False)
-    logged = dict(zip(zip(log["slot"], log["mg_id"]), range(len(log))))  # (slot, MG) -> row
-    # each side's bid price and kWh, fill, unit price and market price columns
-    bids = {
-        side: [log[n] for n in (*names, f"market_{side}_price")]
-        for side, names in _SIDE_FIELDS.items()
-    }
-    listed: dict[int, str] = {}  # the side of each listed row's bid
-    problems: list[str] = []
+    want = _audit_text(log, len(config.mgs))
+    got = _text(path)
+    if got == want:
+        return []
+    got, want = _tied_sorted(got), _tied_sorted(want)
+    k = _first_difference([text for text, _ in got], [text for text, _ in want])
+    if k == len(got) == len(want):
+        return []
+    read_log(path, AUDIT_HEADER, text=("side",), finite=False)
+    line = got[k][1] if k < len(got) else got[-1][1] + 1
+    cells = (got[k] if k < len(got) else want[k])[0].split(",")
 
-    def problem(why: str) -> None:  # about line k
-        cells = audit.row(k)
-        problems.append(
-            f"auction_audit.csv line {audit.lines[k]}: slot {cells[0]} mg {cells[1]}: {why}"
-        )
+    def at(lines: list[tuple[str, int]]) -> str:
+        return repr(lines[k][0]) if k < len(lines) else "no line"
 
-    slot = audit["slot"]
-    last = (-math.inf,)  # the book order key of the line before
-    for k, (r, t, side, line) in enumerate(zip(
-        map(logged.get, zip(slot, audit["mg_id"])), slot, audit["side"],
-        zip(*(audit[n] for n in AUDIT_HEADER[3:])),  # price, kWh, accepted, cleared
-    )):
-        side_bids = bids.get(side)
-        if r is None or side_bids is None or r in listed:
-            problem("no such bid in slots.csv, or listed twice")
-            continue
-        listed[r] = side
-        at = (t, side, line[0] if side == "sell" else -line[0])  # "buy" < "sell"
-        if at < last:
-            problem("out of book order")
-        last = at
-        prices, kwh, fills, units, markets = side_bids
-        fill, unit = fills[r], units[r]
-        won = fill != 0.0 or unit != 0.0
-        want = prices[r], kwh[r], won, markets[r] if won else 0.0, fill
-        if line != want:
-            problem(f"{audit.row(k)[3:]} != {_AUDIT_CELLS[9:] % want} from slots.csv")
-    buy_kwh, sell_kwh = log["bid_buy_qty"], log["bid_sell_qty"]
-    for key, r in logged.items():
-        side = "buy" if buy_kwh[r] > 0.0 else "sell" if sell_kwh[r] > 0.0 else None
-        if side and listed.get(r) != side:
-            problems.append(f"slot {key[0]:.0f} mg {key[1]:.0f}: no audit line for its {side} bid")
-    return problems
+    return [
+        f"auction_audit.csv line {line}: slot {cells[0]} mg {cells[1]}: "
+        f"{at(got)} != {at(want)} from slots.csv"
+    ]
 
 
-def verify_summary_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
-    """Check summary.csv against the config and the slots log `log`.
+def verify_summary_csv(summary: Log, config: ScenarioConfig, log: Log) -> list[str]:
+    """Check the summary log `summary` against the config and the slots log `log`.
 
-    It holds one row per configured MG, in id order, and records no
-    violations. Each MG's maxima, minima and worst job age equal those of
-    its logged column exactly: rounding to 6 decimals keeps the order of
-    values, so the rendered extreme is the extreme of the rendered values.
+    It holds one row per configured MG, in id order, else that is its one
+    problem. It records no violations. Each MG's maxima, minima and worst
+    job age equal those of its logged column exactly: rounding to 6
+    decimals keeps the order of values, so the rendered extreme is the
+    extreme of the rendered values.
 
-    A total is the in-memory sum of the MG's n values, rendered. Each logged
-    value is off its in-memory one by at most 5e-7, plus 2**-53 of it for
-    reading it back; each of the two sums (in memory, and here of the logged
-    values) errs by at most (n - 1) * 2**-53 * S, S the values' absolute
-    sum; and the rendered total is off by 5e-7 and its reading. So a total
-    lies within 5e-7 * (n + 1) + (2n + 2) * 2**-53 * S of the logged
-    values' sum, and the check allows tol = 5e-7 * (n + 1) + 2**-50 * n * S.
-    ``time_avg_cost`` is the in-memory total cost over the horizon h,
-    rendered: it lies within 5e-7 + tol / h of the logged costs' sum over h.
+    A total is the in-memory sum of the MG's values over the h slots of the
+    horizon, rendered. Each logged value is off its in-memory one by at most
+    5e-7, plus 2**-53 of it for reading it back; each of the two sums (in
+    memory, and here of the logged values) errs by at most
+    (h - 1) * 2**-53 * S, S the values' absolute sum; and the rendered total
+    is off by 5e-7 and its reading. So a total lies within
+    5e-7 * (h + 1) + (2h + 2) * 2**-53 * S of the logged values' sum, and
+    the check allows tol = 5e-7 * (h + 1) + 2**-50 * h * S.
+    ``time_avg_cost`` is the in-memory total cost over h, rendered: it lies
+    within 5e-7 + tol / h of the logged costs' sum over h.
     """
-    summary = read_log(path, SUMMARY_HEADER, whole=(*_SUMMARY_WHOLE, "violations"))
-    _, by_mg, spans = log.orders
-    mg_rows = _reorder(log, by_mg, {column for _, _, column in _SUMMARY_OF})
-    problems: list[str] = []
     ids = sorted(m.params.id for m in config.mgs)
     if summary["mg_id"] != ids:
         logged_ids = list(map(int, summary["mg_id"]))
-        problems.append(f"summary.csv: mg ids {logged_ids} are not the configured {ids}")
-    h = config.horizon_slots
-    for k, (mid, line) in enumerate(zip(map(int, summary["mg_id"]), summary.lines)):
+        return [f"summary.csv: mg ids {logged_ids} are not the configured {ids}"]
+    n, h = len(ids), config.horizon_slots
+    first = {m.params.id: k for k, m in enumerate(config.mgs)}  # each MG's first slots.csv row
+    problems: list[str] = []
+    for k, (mid, line) in enumerate(zip(ids, summary.lines)):
         tag = f"summary.csv line {line}: mg {mid}"
         if summary["violations"][k]:
             problems.append(f"{tag}: {summary['violations'][k]:.0f} violations recorded")
-        span = spans.get(mid)
-        if span is None:  # no rows in slots.csv, which `verify_log_rows` reports
-            continue
 
         def check(name: str, want: float, tol: float) -> None:
             got = summary[name][k]
@@ -640,10 +632,10 @@ def verify_summary_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
                 problems.append(f"{tag}: {name} {got} != {want} from slots.csv")
 
         for name, reduce_, column in _SUMMARY_OF:
-            values = mg_rows[column][span]
-            want, tol, n = reduce_(values), 0.0, len(values)
+            values = log[column][first[mid]::n]
+            want, tol = reduce_(values), 0.0
             if reduce_ is sum:  # the rounding a total carries, as derived above
-                tol = 5e-7 * (n + 1) + 2.0**-50 * n * sum(map(abs, values))
+                tol = 5e-7 * (h + 1) + 2.0**-50 * h * sum(map(abs, values))
             if name == "total_cost":
                 check("time_avg_cost", want / h, 5e-7 + tol / h)
             check(name, want, tol)
@@ -661,51 +653,29 @@ _ROW_COLUMNS = MGSlotRow._fields[2:]
 def verify_log_rows(config: ScenarioConfig, log: Log) -> list[str]:
     """Re-derive every per-slot invariant from a written log alone.
 
-    Every configured MG must log exactly one row per slot of the horizon.
-    Quantities are compared within `LOG_TOL`; the recomputed cost also
-    allows for the rounding of its six operands. Each row's
+    The log must be in the run's layout (`verify_layout`), so MG k's rows
+    are every n-th row from row k, and slot t's rows the n rows from row
+    t * n. Quantities are compared within `LOG_TOL`; the recomputed cost
+    also allows for the rounding of its six operands. Each row's
     ``oldest_pending_age`` is re-derived, as the run derives it, from the
     prefix sums of the logged ``dt_load_kwh`` and ``serve_kwh``, and each
     MG's slot-0 battery must be the ``initial_battery`` of the config.
 
-    The log's rows are taken by MG and slot (`_row_orders`), so each MG's rows
-    are one slice of every column, checked in one pass over the zipped slices; a
-    message is built only for a failing row. Then each slot's market is
-    checked over its own slice.
+    One pass over each MG's zipped column slices checks its rows; a message
+    is built only for a failing row. Then each slot's market is checked
+    over its own slice.
     """
-    by_slot, by_mg, spans = log.orders
-    columns = _reorder(log, by_mg, ("slot", *_ROW_COLUMNS))
+    n = len(config.mgs)
     problems: list[str] = []
-    horizon = range(config.horizon_slots)
-    every_slot = list(horizon)
-    for m in config.mgs:
-        mid = m.params.id
-        slots = list(columns["slot"][spans[mid]]) if mid in spans else []
-        if slots != every_slot:
-            problems.append(
-                f"mg {mid}: logged slots are not 0..{horizon[-1]}: "
-                f"{len(set(horizon) - set(slots))} missing, "
-                f"{len(slots) - len(set(slots))} repeated"
-            )
-
-    configured = {m.params.id: (m.params, b) for m, b in zip(config.mgs, config.bounds())}
-    for mid, span in spans.items():
-        if mid not in configured:
-            problems.append(f"mg {mid}: not in config")
-            continue
-        p, db = configured[mid]
-        b0 = initial_battery(p, db, config.initial_battery_kwh)
-        problems += _mg_problems(mid, p, db, b0, {n: c[span] for n, c in columns.items()})
-
-    columns = _reorder(log, by_slot, log.header)
-    start = 0
-    for t, n in Counter(columns["slot"]).items():  # slots in ascending order
-        problems += _market_problems(int(t), {k: c[start:start + n] for k, c in columns.items()})
-        start += n
+    for k, (m, db) in enumerate(zip(config.mgs, config.bounds())):
+        b0 = initial_battery(m.params, db, config.initial_battery_kwh)
+        problems += _mg_problems(m.params, db, b0, {c: log[c][k::n] for c in _ROW_COLUMNS})
+    for t in range(config.horizon_slots):
+        problems += _market_problems(t, {c: log[c][t * n:(t + 1) * n] for c in log.header})
     return problems
 
 
-def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list[str]:
+def _mg_problems(p: MGParams, db: DerivedBounds, b0: float, c) -> list[str]:
     """The problems of one MG's rows; ``c`` maps each column to them, in slot order.
 
     One pass checks every row, and every step from the row before; the
@@ -715,29 +685,30 @@ def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list
     steps: list[str] = []
 
     def note(found: list[str], why: str) -> None:  # about the row of slot t
-        found.append(f"slot {int(t)} mg {mid}: {why}")
+        found.append(f"slot {t} mg {p.id}: {why}")
 
     # the run starts from `initial_battery`, which the log renders to 6 decimals
     first = c["battery_kwh"][0]
-    if c["slot"][0] == 0 and abs(first - b0) > 5e-7 + 2.0**-50 * b0:
-        problems.append(f"slot 0 mg {mid}: battery {first} != initial battery {b0}")
+    if abs(first - b0) > 5e-7 + 2.0**-50 * b0:
+        problems.append(f"slot 0 mg {p.id}: battery {first} != initial battery {b0}")
     arrived = list(accumulate(c["dt_load_kwh"], initial=0.0))[1:]  # by the end of each slot
     served = 0.0
     low, high = 0.0 - LOG_TOL, p.battery_capacity_kwh + LOG_TOL
     q_max, z_max, age_max = db.q_max + LOG_TOL, db.z_max + LOG_TOL, db.delta_max_slots + LOG_TOL
     v, floor, j_max = p.v_weight, p.price_floor, p.serve_rate_max_kwh
     rounding = 1.5e-6 + 1e-6 / v
-    for n, (
-        t, b, q, z, x, r, di, dt, pg, sell_price, buy_price, sell_kwh, buy_kwh, bought, sold,
+    for t, (
+        b, q, z, x, r, di, dt, pg, sell_price, buy_price, sell_kwh, buy_kwh, bought, sold,
         pb, ps, charge, discharge, j, grid, spill, cost, age,
-    ) in enumerate(zip(c["slot"], *(c[name] for name in _ROW_COLUMNS)), 1):
+    ) in enumerate(zip(*(c[name] for name in _ROW_COLUMNS))):
+        n = t + 1  # the rows so far
         served += j
         # the age as `oldest_pending_age` derives it; every logged kWh is off
         # by up to 5e-7 and each sum by its rounding, so a job boundary that
         # close to the threshold admits either side
-        e = n * (1e-6 + 2.0**-52 * (arrived[n - 1] + abs(served)))
-        young = t + 1 - bisect_right(arrived, served + FEAS_TOL + e, 0, n)
-        old = t + 1 - bisect_right(arrived, served + FEAS_TOL - e, 0, n)
+        e = n * (1e-6 + 2.0**-52 * (arrived[t] + abs(served)))
+        young = n - bisect_right(arrived, served + FEAS_TOL + e, 0, n)
+        old = n - bisect_right(arrived, served + FEAS_TOL - e, 0, n)
         if not young <= age <= old:
             note(problems, f"oldest pending age {age:.0f} is not {young:.0f}..{old:.0f}, "
                  "from the logged serves and arrivals")
@@ -783,7 +754,9 @@ def _mg_problems(mid: int, p: MGParams, db: DerivedBounds, b0: float, c) -> list
         ):
             note(problems, f"bids {[sell_price, buy_price, sell_kwh, buy_kwh]} != "
                  "make_bids of the logged Q, Z, R, I")
-        if n > 1:  # the step from the row before
+        if sell_kwh > 0.0 and buy_kwh > 0.0:  # `make_bids` posts one side, the other 0
+            note(problems, "bids on both sides")
+        if t:  # the step from the row before
             want_b = last_b - last_discharge + last_charge
             if abs(b - want_b) > LOG_TOL:
                 note(steps, f"battery {b} != step {want_b}")

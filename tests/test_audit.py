@@ -1,10 +1,12 @@
 """The columnar log audit against the row-dict audit it replaced.
 
 `tests/oracles.py` keeps the row-dict `read_slots_csv`, `verify_log_rows`
-and `verify_audit_csv`. On clean logs both report nothing; on edited logs
-they raise the same error or report the same problems, in the same order.
-A run's own logs take the fast paths: slots.csv is not sorted, and
-auction_audit.csv is compared with its rendering from slots.csv, not walked.
+and `verify_audit_csv`, which sort the rows of slots.csv by MG and slot and
+walk auction_audit.csv line by line. On clean logs both report nothing. The
+audit accepts only the layout `mgtrade run` writes, and compares
+auction_audit.csv with its rendering from slots.csv, so on edited logs it
+catches every edit the reference catches, and some that the reference
+sorts back into place.
 """
 
 import dataclasses
@@ -27,7 +29,9 @@ from mgtrade.logs import (
     _SIDE_FIELDS,
     SLOTS_HEADER,
     read_slots_csv,
+    read_summary_csv,
     verify_audit_csv,
+    verify_layout,
     verify_log_rows,
     verify_summary_csv,
     write_audit_csv,
@@ -100,9 +104,12 @@ def outcome(audit):
 def both_audits(config, run_dir):
     """The columnar and the reference outcome of auditing slots.csv and auction_audit.csv."""
 
-    def columnar():
+    def columnar():  # as `mgtrade audit` checks them
         log = read_slots_csv(run_dir / "slots.csv")
-        return verify_log_rows(config, log) + verify_audit_csv(run_dir / "auction_audit.csv", log)
+        return verify_layout(config, log) or (
+            verify_log_rows(config, log)
+            + verify_audit_csv(run_dir / "auction_audit.csv", config, log)
+        )
 
     def reference():
         rows = reference_read_slots_csv(run_dir / "slots.csv")
@@ -123,7 +130,7 @@ def test_clean_logs_pass_both_audits(tmp_path, name):
     assert both_audits(config, tmp_path) == ([], [])
     log = read_slots_csv(tmp_path / "slots.csv")
     assert len(log) == len(config.mgs) * config.horizon_slots
-    assert verify_summary_csv(tmp_path / "summary.csv", config, log) == []
+    assert verify_summary_csv(read_summary_csv(tmp_path / "summary.csv"), config, log) == []
 
 
 def logs_read(monkeypatch) -> list[str]:
@@ -142,18 +149,17 @@ def logs_read(monkeypatch) -> list[str]:
     "name", ["reference-auction", "reference-solo", "24-mg-solo", "96-mg-auction"]
 )
 def test_clean_logs_take_the_fast_paths(tmp_path, monkeypatch, name):
-    """slots.csv is in the run's layout, so its rows are taken in file order
-    with every n-th row an MG's; auction_audit.csv is the rendering of
-    slots.csv, so it is never read as a log."""
+    """slots.csv is in the layout the config gives, slot by slot with the
+    config's MGs in order; auction_audit.csv is the rendering of slots.csv,
+    so it is never read as a log."""
     config, texts = written(name)
     write_logs(tmp_path, texts)
     log = read_slots_csv(tmp_path / "slots.csv")
-    by_slot, by_mg, spans = log.orders
     n = len(config.mgs)
-    assert by_slot == by_mg == list(range(len(log)))
-    assert spans == {m.params.id: slice(k, None, n) for k, m in enumerate(config.mgs)}
+    assert log["mg_id"][:n] == [m.params.id for m in config.mgs]
+    assert verify_layout(config, log) == []
     read = logs_read(monkeypatch)
-    assert verify_audit_csv(tmp_path / "auction_audit.csv", log) == []
+    assert verify_audit_csv(tmp_path / "auction_audit.csv", config, log) == []
     assert read == []
 
 
@@ -182,26 +188,24 @@ def test_sells_that_render_alike_pass_in_either_order(tmp_path, monkeypatch):
     log = read_slots_csv(tmp_path / "slots.csv")
     assert logs._audit_text(log, len(config.mgs)) != text
     read = logs_read(monkeypatch)
-    assert verify_audit_csv(tmp_path / "auction_audit.csv", log) == []
+    assert verify_audit_csv(tmp_path / "auction_audit.csv", config, log) == []
     assert read == []
     rows = reference_read_slots_csv(tmp_path / "slots.csv")
     assert reference_verify_audit_csv(tmp_path / "auction_audit.csv", rows) == []
 
 
-def test_slots_that_repeat_an_mg_are_sorted(tmp_path):
-    """Every slot logs its first MG twice, in place of its second: not the
-    run's layout, so the rows are sorted, and both audits agree."""
+def test_slots_that_repeat_an_mg_are_out_of_layout(tmp_path):
+    """Every slot logs its first MG twice, in place of its second: the audit
+    names the first such line, and the reference also fails the log."""
     config, texts = written("small-auction")
     rows = [row.split(",") for row in texts["slots.csv"].split("\r\n")]
     first, second = (cells[1] for cells in rows[1:3])
     for cells in rows[1:-1]:
         cells[1] = first if cells[1] == second else cells[1]
     write_logs(tmp_path, {**texts, "slots.csv": "\r\n".join(map(",".join, rows))})
-    log = read_slots_csv(tmp_path / "slots.csv")
-    assert log.orders[1] != list(range(len(log)))
     columnar, reference = both_audits(config, tmp_path)
-    assert columnar == reference
-    assert any(f"mg {second}: logged slots" in problem for problem in columnar)
+    assert columnar == [f"slots.csv line 3: slot 0 mg {first}, where the run writes slot 0 mg {second}"]
+    assert any(f"mg {second}: logged slots" in problem for problem in reference)
 
 
 def matching_row(rows: list[str], line: str) -> int:
@@ -223,7 +227,7 @@ def book_key(line: str) -> list[str]:
 
 @st.composite
 def log_edits(draw):
-    """A scenario and its logs with one edit.
+    """A scenario, the kind of one edit, and its logs with that edit.
 
     One log is edited: a cell moved, or a row deleted, duplicated or swapped
     with another. Or both are edited alike: a bid cell given a 7th decimal
@@ -296,16 +300,42 @@ def log_edits(draw):
         else:
             j = draw(st.integers(1, len(lines) - 1))
             lines[k], lines[j] = lines[j], lines[k]
-    return name, {file: "".join(line + "\r\n" for line in lines) for file, lines in edited.items()}
+    texts = {file: "".join(line + "\r\n" for line in lines) for file, lines in edited.items()}
+    return name, kind, texts
+
+
+# The edit kinds that only the audit catches: two rows of slots.csv swapped
+# keep every row, so the reference, which sorts them back, may pass them;
+# but they are out of the run's layout.
+ONLY_THE_AUDIT_CATCHES = {"swap"}
 
 
 @settings(max_examples=360, deadline=None)
 @given(log_edits())
 def test_edited_logs_get_the_reference_problems(tmp_path_factory, edit):
-    name, edited = edit
+    """Where the reference reports a problem, the audit reports one too (or
+    raises the same error); and where slots.csv keeps the run's layout,
+    `verify_log_rows` reports what the reference's row checks report, and a
+    row bidding on both sides besides."""
+    name, kind, edited = edit
     config, texts = written(name)
     run_dir = tmp_path_factory.mktemp("edited")
     write_logs(run_dir, {**texts, **edited})
     columnar, reference = both_audits(config, run_dir)
-    assert columnar == reference
+    if isinstance(reference, tuple):  # an error, which the audit raises alike
+        assert columnar == reference
+    elif reference:
+        assert columnar
+    if kind in ONLY_THE_AUDIT_CATCHES and edited["slots.csv"] != texts["slots.csv"]:
+        assert columnar
+    rows = outcome(lambda: reference_read_slots_csv(run_dir / "slots.csv"))
+    if isinstance(rows, list):
+        log = read_slots_csv(run_dir / "slots.csv")
+        if not verify_layout(config, log):
+            found = verify_log_rows(config, log)
+            assert [p for p in found if not p.endswith(": bids on both sides")] == (
+                reference_verify_log_rows(config, rows)
+            )
+            if kind == "both sides":
+                assert any(p.endswith(": bids on both sides") for p in found)
     shutil.rmtree(run_dir)

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -377,21 +378,17 @@ def audit_rewritten(slots: Path, rows: list[list[str]], capsys) -> tuple[int, st
     return code, capsys.readouterr().out
 
 
+# A slots.csv out of the layout the run writes (slot t's rows are rows 6t to
+# 6t + 5, MG 1 to 6) is one problem: its first line out of place.
 @pytest.mark.parametrize(
     "tamper, message",
     [
-        (
-            lambda rows: [r for r in rows if r[1] != "3"],
-            "mg 3: logged slots are not 0..23: 24 missing, 0 repeated",
-        ),
-        (
-            lambda rows: [r for r in rows if r[0] != "23"],
-            "mg 5: logged slots are not 0..23: 1 missing, 0 repeated",
-        ),
-        (
-            lambda rows: rows[:40] + [rows[39]] + rows[40:],
-            "logged slots are not 0..23: 0 missing, 1 repeated",
-        ),
+        (lambda rows: [r for r in rows if r[1] != "3"],
+         "slots.csv line 4: slot 0 mg 4, where the run writes slot 0 mg 3"),
+        (lambda rows: [r for r in rows if r[0] != "23"],
+         "slots.csv line 140: no row, where the run writes slot 23 mg 1"),
+        (lambda rows: rows[:40] + [rows[39]] + rows[40:],
+         "slots.csv line 42: slot 6 mg 4, where the run writes slot 6 mg 5"),
     ],
     ids=["mg-deleted", "slot-deleted", "row-duplicated"],
 )
@@ -399,7 +396,34 @@ def test_audit_catches_incomplete_log(tmp_path, capsys, tamper, message):
     slots, rows = solo_log(tmp_path)
     code, out = audit_rewritten(slots, rows[:1] + tamper(rows[1:]), capsys)
     assert code == EXIT_INVARIANT
-    assert message in out
+    assert f"FAIL (1 problems)\n  {message}\n" in out
+
+
+def move_slot(rows, t, to):
+    """The rows of 6 MGs a slot with slot t's rows moved to before slot `to`."""
+    moved = rows[6 * t:6 * t + 6]
+    rest = rows[:6 * t] + rows[6 * t + 6:]
+    return rest[:6 * (to - 1)] + moved + rest[6 * (to - 1):]
+
+
+@pytest.mark.parametrize(
+    "mode, tamper, message",
+    [
+        ("solo", lambda rows: rows[:31] + [rows[32], rows[31]] + rows[33:],
+         "slots.csv line 33: slot 5 mg 3, where the run writes slot 5 mg 2"),
+        ("auction", lambda rows: rows[:31] + [rows[32], rows[31]] + rows[33:],
+         "slots.csv line 33: slot 5 mg 3, where the run writes slot 5 mg 2"),
+        ("solo", lambda rows: move_slot(rows, 3, 10),
+         "slots.csv line 20: slot 4 mg 1, where the run writes slot 3 mg 1"),
+    ],
+    ids=["mgs-swapped-solo", "mgs-swapped-auction", "slot-moved"],
+)
+def test_audit_catches_reordered_log(tmp_path, capsys, mode, tamper, message):
+    """Every row is still there, but not where the run writes it."""
+    slots, rows = (solo_log if mode == "solo" else auction_log)(tmp_path)
+    code, out = audit_rewritten(slots, rows[:1] + tamper(rows[1:]), capsys)
+    assert code == EXIT_INVARIANT
+    assert f"FAIL (1 problems)\n  {message}\n" in out
 
 
 def test_audit_catches_edited_virtual_queue(tmp_path, capsys):
@@ -545,33 +569,45 @@ def set_cell(row, k, value):
     row[k] = value
 
 
+def first_difference(written: list[list[str]], edited: list[list[str]]) -> str:
+    """The problem the audit reports for an edited auction_audit.csv without tied
+    lines: the first line of the file that is not the written one."""
+    k = next(k for k, pair in enumerate(zip_longest(edited, written)) if pair[0] != pair[1])
+    got, want = (repr(",".join(f[k])) if k < len(f) else "no line" for f in (edited, written))
+    cells = (edited if k < len(edited) else written)[k]
+    return (
+        f"auction_audit.csv line {k + 1}: slot {cells[0]} mg {cells[1]}: {got} != {want} "
+        "from slots.csv"
+    )
+
+
 @pytest.mark.parametrize(
-    "tamper, message",
+    "tamper",
     [
-        (lambda lines: [set_cell(r, 6, "99.000000") for r in lines[1:]],
-         "from slots.csv"),
-        (lambda lines: set_cell(winner(lines), 5, "0"), "from slots.csv"),
-        (lambda lines: set_cell(winner(lines), 7, "0.000000"), "from slots.csv"),
-        (lambda lines: set_cell(lines[1], 3, "7.000000"), "from slots.csv"),
-        (lambda lines: lines.remove(winner(lines)), "no audit line for its"),
-        (lambda lines: lines.append(lines[-1]), "or listed twice"),
-        (lambda lines: set_cell(lines[1], 2, {"buy": "sell", "sell": "buy"}[lines[1][2]]),
-         "no audit line for its"),
-        (swap_first_tie, "out of book order"),
+        lambda lines: [set_cell(r, 6, "99.000000") for r in lines[1:]],
+        lambda lines: set_cell(winner(lines), 5, "0"),
+        lambda lines: set_cell(winner(lines), 7, "0.000000"),
+        lambda lines: set_cell(lines[1], 3, "7.000000"),
+        lambda lines: lines.remove(winner(lines)),
+        lambda lines: lines.append(lines[-1]),
+        lambda lines: set_cell(lines[1], 2, {"buy": "sell", "sell": "buy"}[lines[1][2]]),
+        swap_first_tie,
     ],
     ids=[
         "cleared-price", "accepted", "cleared-quantity", "price", "line-deleted",
         "line-repeated", "side", "book-order",
     ],
 )
-def test_audit_checks_the_auction_audit(tmp_path, capsys, tamper, message):
-    """auction_audit.csv must list the logged bids and fills of slots.csv."""
+def test_audit_checks_the_auction_audit(tmp_path, capsys, tamper):
+    """auction_audit.csv must list the logged bids and fills of slots.csv: its
+    first line that differs from what slots.csv renders is one problem."""
     run_cli(
         "run", "--out", str(tmp_path), "--mode", "auction",
         "--horizon", "48", "--seed", "3",
     )
     run_dir = tmp_path / "auction"
-    lines = audit_lines_of(run_dir)
+    written = audit_lines_of(run_dir)
+    lines = [list(line) for line in written]
     tamper(lines)
     with open(run_dir / "auction_audit.csv", "w", newline="") as fh:
         csv.writer(fh).writerows(lines)
@@ -579,7 +615,27 @@ def test_audit_checks_the_auction_audit(tmp_path, capsys, tamper, message):
     code = run_cli("audit", str(run_dir))
     out = capsys.readouterr().out
     assert code == EXIT_INVARIANT
-    assert message in out
+    assert f"FAIL (1 problems)\n  {first_difference(written, lines)}\n" in out
+
+
+def test_audit_catches_a_tiny_second_bid(tmp_path, capsys):
+    """A row given a 0.000001 kWh bid on its other side, with a line for it in
+    auction_audit.csv, fails: `make_bids` posts one side only."""
+    slots, rows = auction_log(tmp_path)
+    col = rows[0].index
+    k = next(k for k in range(1, len(rows)) if float(rows[k][col("bid_sell_qty")]) > 0.0)
+    rows[k][col("bid_buy_qty")] = "0.000001"
+    t, mid, price = *rows[k][:2], rows[k][col("bid_buy_price")]
+    # its line goes after the slot's buys at a price at least its own
+    lines = audit_lines_of(slots.parent)
+    slot = [j for j, line in enumerate(lines) if line[0] == t]
+    above = [j for j in slot if lines[j][2] == "buy" and float(lines[j][3]) >= float(price)]
+    at = above[-1] + 1 if above else slot[0]
+    lines.insert(at, [t, mid, "buy", price, "0.000001", "0", "0.000000", "0.000000"])
+    write_unquoted(slots.parent / "auction_audit.csv", lines)
+    code, out = audit_rewritten(slots, rows, capsys)
+    assert code == EXIT_INVARIANT
+    assert f"FAIL (1 problems)\n  slot {t} mg {mid}: bids on both sides\n" in out
 
 
 def write_unquoted(path: Path, rows: list[list[str]], eol: str = "\r\n") -> None:
@@ -588,18 +644,20 @@ def write_unquoted(path: Path, rows: list[list[str]], eol: str = "\r\n") -> None
 
 
 # A cell that does not parse, or a line of the wrong width, is a data error
-# (exit 3) naming the line; an infinite cell parses and, matching no logged
-# number, is an invariant failure (exit 4) of the line it sits on.
+# (exit 3) naming the line; an infinite cell parses and, differing from what
+# slots.csv renders, is an invariant failure (exit 4) of the line it sits on.
 @pytest.mark.parametrize(
     "cell, code, message",
     [
         ("abc", EXIT_DATA,
          "auction_audit.csv: line 4, column 'price': 'abc' is not a finite number"),
         (None, EXIT_DATA, "auction_audit.csv: line 4: 7 cells"),
-        ("inf", EXIT_INVARIANT, "auction_audit.csv line 4: slot 0 mg 6: ['inf', '45.443812', "
-         "'0', '0.000000', '0.000000'] != 0.000000,45.443812,False,0.000000,0.000000 from "
-         "slots.csv"),
-        ("-inf", EXIT_INVARIANT, "auction_audit.csv line 4: slot 0 mg 6: out of book order"),
+        ("inf", EXIT_INVARIANT, "auction_audit.csv line 4: slot 0 mg 6: "
+         "'0,6,sell,inf,45.443812,0,0.000000,0.000000' != "
+         "'0,6,sell,0.000000,45.443812,0,0.000000,0.000000' from slots.csv"),
+        ("-inf", EXIT_INVARIANT, "auction_audit.csv line 4: slot 0 mg 6: "
+         "'0,6,sell,-inf,45.443812,0,0.000000,0.000000' != "
+         "'0,6,sell,0.000000,45.443812,0,0.000000,0.000000' from slots.csv"),
         ("", EXIT_DATA, "auction_audit.csv: line 4, column 'price': '' is not a finite number"),
         ('"1.0"', EXIT_DATA,
          "auction_audit.csv: line 4, column 'price': '\"1.0\"' is not a finite number"),
