@@ -33,9 +33,11 @@ from .logs import (
     read_summary_csv,
     read_sweep_csv,
     verify_audit_csv,
+    verify_audit_txt,
     verify_layout,
     verify_log_rows,
     verify_summary_csv,
+    verify_sweep_csv,
     write_audit_csv,
     write_slots_csv,
     write_summary_csv,
@@ -431,6 +433,7 @@ def _audit_one(run_dir: Path) -> list[str]:
         verify_log_rows(config, log)
         + verify_audit_csv(run_dir / "auction_audit.csv", config, log)
         + verify_summary_csv(summary, config, log)
+        + verify_audit_txt(run_dir / "audit.txt", config, summary)
     )
 
 
@@ -465,6 +468,7 @@ def cmd_audit(args) -> int:
 
 
 def _audit_sweep(sweep_csv: Path) -> int:
+    config = _audited_config(sweep_csv.parent)
     log = read_sweep_csv(sweep_csv)
     fraction, mg, v, online, oracle, gap, av = (log[n] for n in SWEEP_HEADER)
     print(f"{'fraction':>8} {'mg':>4} {'v_weight':>12} {'online':>12} "
@@ -489,10 +493,12 @@ def _audit_sweep(sweep_csv: Path) -> int:
         if gap[k] > av[k] + 1e-6:
             problems.append(f"{tag}: gap {written['gap']} above a_over_v {written['a_over_v']}")
     print("a_over_v monotone: " + ("PASS" if monotone else "FAIL"))
-    print(f"gap within a_over_v: {'FAIL' if problems else 'PASS'}")
-    for p in problems:
-        print(f"  {p}")
-    return EXIT_OK if monotone and not problems else EXIT_INVARIANT
+    derived = verify_sweep_csv(config, log)
+    for check, found in (("gap within a_over_v", problems), ("rows follow config.json", derived)):
+        print(f"{check}: {'FAIL' if found else 'PASS'}")
+        for p in found:
+            print(f"  {p}")
+    return EXIT_OK if monotone and not problems + derived else EXIT_INVARIANT
 
 
 def cmd_sweep(args) -> int:

@@ -3,11 +3,12 @@
 A log's columns are the fields of a record class (`MGSlotRow` and
 `MarketRow`, `MGSummary`, `SweepRow`). The `verify_*` checks re-derive a
 run's invariants from its logs alone, and `bound_audit` checks a run's
-summary against the stability guarantees. A slots log passes only in the
-layout `mgtrade run` writes, which the config gives (`verify_layout`): the
-checks take MG k's rows as ``column[k::n]`` and slot t's as
-``column[t*n:(t+1)*n]``, and compare auction_audit.csv, as text, with what
-slots.csv renders. Only `model`, `errors` and the stdlib are imported, so
+summary against the stability guarantees. A log passes only in the layout
+its command writes, which the config gives (`verify_layout`,
+`verify_sweep_csv`): the checks take MG k's rows of slots.csv as
+``column[k::n]`` and slot t's as ``column[t*n:(t+1)*n]``, and compare
+auction_audit.csv and audit.txt, as text, with what slots.csv and
+summary.csv render. Only `model`, `errors` and the stdlib are imported, so
 `mgtrade audit` loads no simulator and no numpy.
 """
 
@@ -28,7 +29,9 @@ from .model import (
     DerivedBounds,
     MGParams,
     ScenarioConfig,
+    compute_a_const,
     compute_bounds,
+    compute_v_max,
     initial_battery,
     virtual_battery,
 )
@@ -639,6 +642,84 @@ def verify_summary_csv(summary: Log, config: ScenarioConfig, log: Log) -> list[s
             if name == "total_cost":
                 check("time_avg_cost", want / h, 5e-7 + tol / h)
             check(name, want, tol)
+    return problems
+
+
+def verify_audit_txt(path, config: ScenarioConfig, summary: Log) -> list[str]:
+    """Check audit.txt: it is the `bound_audit` report of the summary log `summary`.
+
+    The report is rendered from a `RunSummary` of one `MGSummary` per row of
+    summary.csv, its ``violations`` column the count, and the config. Every
+    value it shows is whole or rendered at 6 decimals, as summary.csv
+    renders it, so it reads as the run's report did. Its verdicts compare
+    the rendered values with the bounds: a value in memory within 5e-7 of a
+    bound could get another verdict than the run gave it, and fail here. A
+    report that differs is one problem, naming its first line that differs.
+    """
+    if summary["mg_id"] != sorted(m.params.id for m in config.mgs):
+        return []  # a problem of summary.csv, which `verify_summary_csv` reports
+    columns = [
+        list(map(int, summary[name])) if name in _SUMMARY_WHOLE else summary[name]
+        for name in _SUMMARY_COLUMNS
+    ]
+    per_mg = {s.mg_id: s for s in map(MGSummary._make, zip(*columns))}
+    report = bound_audit(RunSummary(
+        mode=config.mode,
+        horizon_slots=config.horizon_slots,
+        per_mg=per_mg,
+        total_cost=sum(summary["total_cost"]),
+        total_grid_kwh=sum(summary["total_grid_kwh"]),
+        total_traded_kwh=sum(summary["total_bought_kwh"]),
+        violation_count=int(summary["violations"][0]),
+    ), config)
+    got, want = _text(path).split("\n"), (report.render() + "\n").split("\n")
+    k = _first_difference(got, want)
+    if k == len(got) == len(want):
+        return []
+
+    def at(lines: list[str]) -> str:
+        return repr(lines[k]) if k < len(lines) else "no line"
+
+    return [f"audit.txt line {k + 1}: {at(got)} != {at(want)} from summary.csv"]
+
+
+def verify_sweep_csv(config: ScenarioConfig, log: Log) -> list[str]:
+    """Check the sweep log `log` against the config of its sweep.
+
+    Each fraction holds one row per configured MG, in config order, as
+    `mgtrade sweep` writes them; a log out of that layout is one problem,
+    naming its first line out of place. Each row's ``v_weight`` is its
+    fraction f of the MG's ``compute_v_max``, and its ``a_over_v`` is
+    ``compute_a_const`` over that ``v_weight``.
+
+    The fraction cell c is f rendered, so f lies in [c - 5e-7, c + 5e-7] and
+    the in-memory v_weight v = f * v_max in [lo, hi] = [max(c - 5e-7, 0) *
+    v_max, (c + 5e-7) * v_max]. The ``v_weight`` cell is v rendered, within
+    5e-7 of it, and the ``a_over_v`` cell is within 5e-7 of a / v, which
+    lies in [a / hi, a / lo] (unbounded above if lo is 0). Each bound also
+    allows 2**-50 of itself for the few float roundings (2**-53 each) of
+    the products, the quotients and the readings.
+    """
+    ids = [m.params.id for m in config.mgs]
+    n = len(ids)
+    fraction = log["fraction"]
+    want = [(fraction[k - k % n], ids[k % n]) for k in range(-(-len(log) // n) * n)]
+    got = list(zip(fraction, log["mg_id"]))
+    if got != want:
+        return [_misplaced(log, "sweep.csv", "the sweep", "fraction {:.6f} mg {:.0f}", got, want)]
+    problems: list[str] = []
+    up, down = 1.0 + 2.0**-50, 1.0 - 2.0**-50
+    for k, (c, v, a_over_v, line) in enumerate(
+        zip(fraction, log["v_weight"], log["a_over_v"], log.lines)
+    ):
+        p = config.mgs[k % n].params
+        v_max, a = compute_v_max(p, config.price_bounds), compute_a_const(p)
+        lo, hi = max(c - 5e-7, 0.0) * v_max, (c + 5e-7) * v_max
+        tag = f"sweep.csv line {line}: fraction {c:.6f} mg {p.id}"
+        if not lo * down - 5e-7 <= v <= hi * up + 5e-7:
+            problems.append(f"{tag}: v_weight {v} is not the fraction of v_max {v_max}")
+        if not a / hi * down - 5e-7 <= a_over_v <= (a / lo * up if lo else math.inf) + 5e-7:
+            problems.append(f"{tag}: a_over_v {a_over_v} is not a_const {a} / v_weight")
     return problems
 
 

@@ -465,14 +465,22 @@ def test_audit_checks_the_first_battery_level(tmp_path, capsys):
     for r in mg_rows:
         for col in (rows[0].index("battery_kwh"), rows[0].index("virtual_kwh")):
             r[col] = f"{float(r[col]) + shift:.6f}"
-    # and summary.csv's battery range with it, so only the start differs
-    summary = slots.parent / "summary.csv"
+    # and the battery range of summary.csv and audit.txt with it, so only the start differs
+    summary, report = slots.parent / "summary.csv", slots.parent / "audit.txt"
     with open(summary, newline="") as fh:
         lines = list(csv.reader(fh))
-    for col in (lines[0].index("min_b_kwh"), lines[0].index("max_b_kwh")):
-        lines[2][col] = f"{float(lines[2][col]) + shift:.6f}"
+    cols = (lines[0].index("min_b_kwh"), lines[0].index("max_b_kwh"))
+    ranges = []
+    for edit in (0.0, shift):
+        for col in cols:
+            lines[2][col] = f"{float(lines[2][col]) + edit:.6f}"
+        ranges.append("B in [{}, {}]".format(*(lines[2][col] for col in cols)))
     with open(summary, "w", newline="") as fh:
         csv.writer(fh).writerows(lines)
+    report.write_text("".join(
+        line.replace(*ranges) if line.startswith("mg2 battery range") else line
+        for line in report.read_text().splitlines(keepends=True)
+    ))
     code, out = audit_rewritten(slots, rows, capsys)
     assert code == EXIT_INVARIANT
     assert f"slot 0 mg 2: battery {levels[0] + shift} != initial battery" in out
@@ -731,6 +739,25 @@ def test_audit_needs_the_summary(tmp_path, capsys):
     assert "missing log" in capsys.readouterr().err
 
 
+def test_audit_checks_the_audit_report(tmp_path, capsys):
+    """audit.txt must be the bound report that summary.csv and the config
+    render; every PASS turned into FAIL is one problem, at its first line."""
+    run_cli("run", "--out", str(tmp_path), "--mode", "auction", "--horizon", "8")
+    report = tmp_path / "auction" / "audit.txt"
+    written = report.read_text()
+    report.write_text(written.replace("PASS", "FAIL"))
+    capsys.readouterr()
+    assert run_cli("audit", str(report.parent)) == EXIT_INVARIANT
+    first = written.splitlines()[0]
+    edited = first.replace("PASS", "FAIL")
+    assert f"FAIL (1 problems)\n  audit.txt line 1: {edited!r} != {first!r} from summary.csv\n" in (
+        capsys.readouterr().out
+    )
+    report.unlink()
+    assert run_cli("audit", str(report.parent)) == EXIT_INVARIANT
+    assert "missing log" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "cell, message",
     [
@@ -986,6 +1013,51 @@ def test_sweep_audit_checks_the_gap(tmp_path, capsys, cells, code, message):
     assert got == code
     assert message in out
     assert "a_over_v monotone: PASS" in out
+
+
+def rescale(rows, column: str, by: float) -> None:
+    k = rows[0].index(column)
+    rows[1][k] = f"{float(rows[1][k]) * by:.6f}"
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda rows: set_cell(rows[1], rows[0].index("v_weight"), "1.000000"),
+         "sweep.csv line 2: fraction 0.500000 mg 1: v_weight 1.0 is not the fraction of v_max"),
+        (lambda rows: rescale(rows, "a_over_v", 10.0),
+         "sweep.csv line 2: fraction 0.500000 mg 1: a_over_v"),
+        (lambda rows: rows.insert(1, rows.pop(2)),
+         "sweep.csv line 2: fraction 0.500000 mg 2, where the sweep writes fraction 0.500000 mg 1"),
+        (lambda rows: rows.pop(2),
+         "sweep.csv line 3: fraction 1.000000 mg 1, where the sweep writes fraction 0.500000 mg 2"),
+    ],
+    ids=["v-weight", "a-over-v", "mgs-swapped", "row-deleted"],
+)
+def test_sweep_audit_checks_the_config(tmp_path, capsys, tamper, message):
+    """Each fraction of sweep.csv holds one row per MG of config.json, in its
+    order, whose v_weight is the fraction of v_max and a_over_v is A / V."""
+    assert run_cli(
+        "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", "0.5,1.0"
+    ) == EXIT_OK
+    sweep_csv = tmp_path / "sweep.csv"
+    with open(sweep_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    tamper(rows)
+    code, out = audit_rewritten(sweep_csv, rows, capsys)
+    assert code == EXIT_INVARIANT
+    assert f"rows follow config.json: FAIL\n  {message}" in out
+    assert out.count("\n  sweep.csv") == 1
+
+
+def test_sweep_audit_needs_the_config(tmp_path, capsys):
+    assert run_cli(
+        "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", "1.0"
+    ) == EXIT_OK
+    (tmp_path / "config.json").unlink()
+    capsys.readouterr()
+    assert run_cli("audit", str(tmp_path)) == EXIT_INVARIANT
+    assert "missing config.json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
