@@ -83,12 +83,12 @@ class OrderBook:
         """
         if rho1 <= 0 or rho2 <= 0:
             raise MarketError("welfare weights rho1, rho2 must be > 0")
-        ids = np.asarray(ids)
-        if len(ids) and np.min(bids) < 0:
-            bad = (np.array(bids) < 0).any(axis=0).argmax()
+        ids, table = np.asarray(ids), np.array(bids)
+        if len(ids) and table.min() < 0:
+            bad = (table < 0).any(axis=0).argmax()
             raise MarketError(f"mg {ids[bad]}: negative bid price or quantity")
         sell_price, buy_price, sell_kwh, buy_kwh = bids
-        buys, sells = np.flatnonzero(buy_kwh > 0.0), np.flatnonzero(sell_kwh > 0.0)
+        (buys,), (sells,) = (buy_kwh > 0.0).nonzero(), (sell_kwh > 0.0).nonzero()
         live = ids[np.concatenate((buys, sells))].tolist()
         if len(set(live)) < len(live):
             twice = next(m for k, m in enumerate(live) if m in live[:k])

@@ -362,20 +362,20 @@ def _scenario(args, mode: str):
 def cmd_run(args) -> int:
     from . import sim
 
-    modes = [MODE_AUCTION, MODE_SOLO] if args.mode == "both" else [_MODE_FLAG[args.mode]]
-    base, traces_doc, inputs = _scenario(args, modes[0])
+    flags = ["auction", "solo"] if args.mode == "both" else [args.mode]
+    base, traces_doc, inputs = _scenario(args, _MODE_FLAG[flags[0]])
+    configs = [dataclasses.replace(base, mode=_MODE_FLAG[flag]) for flag in flags]
     out_root = _resolve_out(args)
+    t0 = time.perf_counter()
+    runs = sim.simulate_runs(configs, inputs, [f"{flag} run" for flag in flags])
+    elapsed = time.perf_counter() - t0  # the runs step together, so they share it
     results: dict[str, RunSummary] = {}
-    for mode in modes:
-        cfg = dataclasses.replace(base, mode=mode)
-        t0 = time.perf_counter()
-        summary, records = sim.simulate(cfg, inputs)
-        elapsed = time.perf_counter() - t0
-        sub = out_root / ("auction" if mode == MODE_AUCTION else "solo")
+    for flag, cfg, (summary, records) in zip(flags, configs, runs):
+        sub = out_root / flag
         _emit_run(sub, cfg, traces_doc, summary, records)
-        results[mode] = summary
+        results[cfg.mode] = summary
         print(
-            f"{mode}: mean time-avg cost {summary.mean_time_avg_cost():.6f}, "
+            f"{cfg.mode}: mean time-avg cost {summary.mean_time_avg_cost():.6f}, "
             f"grid {summary.total_grid_kwh:.1f} kWh, traded "
             f"{summary.total_traded_kwh:.1f} kWh, violations "
             f"{summary.violation_count}, {elapsed:.2f}s -> {sub}"
@@ -517,19 +517,19 @@ def cmd_sweep(args) -> int:
 
     out_root = _resolve_out(args)
     out_root.mkdir(parents=True, exist_ok=True)
+    configs = [
+        dataclasses.replace(base, mgs=tuple(
+            dataclasses.replace(m, params=dataclasses.replace(
+                m.params, v_weight=f * compute_v_max(m.params, base.price_bounds)
+            ))
+            for m in base.mgs
+        ))
+        for f in fractions
+    ]
+    runs = sim.simulate_runs(configs, inputs, [f"fraction {f}" for f in fractions])
     rows: list[SweepRow] = []
     solved: dict[tuple[int, float], float] = {}  # oracle costs by (MG id, b0)
-    for f in fractions:
-        mgs = []
-        for m in base.mgs:
-            v_max = compute_v_max(m.params, base.price_bounds)
-            mgs.append(
-                dataclasses.replace(
-                    m, params=dataclasses.replace(m.params, v_weight=f * v_max)
-                )
-            )
-        cfg = dataclasses.replace(base, mgs=tuple(mgs))
-        summary, _ = sim.simulate(cfg, inputs)
+    for f, cfg, (summary, _) in zip(fractions, configs, runs):
         oracle = sim.offline_oracle(cfg, inputs, solved)
         for spec in cfg.mgs:
             p = spec.params
@@ -543,6 +543,10 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(out_root / "sweep.csv", rows)
     _write_config(out_root, base, traces_doc)
     print(f"wrote {out_root / 'sweep.csv'}")
+    broken = [v for summary, _ in runs for v in summary.violations]
+    if broken:
+        print(f"invariant violations recorded; the first: {broken[0]}", file=sys.stderr)
+        return EXIT_INVARIANT
     return EXIT_OK
 
 

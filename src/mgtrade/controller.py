@@ -92,7 +92,7 @@ def solve_slot_program(
     battery flow u = sign*v, is convex piecewise-linear, so its minimum sits
     on a vertex of the box edges and the breakpoint lines u = s2,
     j = s1 - s2 and u + j = s1. Every MG's two branches are columns of one
-    table of those 14 vertices, each column scanned in lexicographic (v, j)
+    table of those 13 vertices, each column scanned in lexicographic (v, j)
     order; a later vertex wins only by more than 1e-12, so ties resolve
     toward inaction.
     """
@@ -111,19 +111,20 @@ def solve_slot_program(
     # (vertex, branch, MG) tables, the charge branch first
     sign = np.array(((1.0,), (-1.0,)))
     ub_v = np.array((ub_c, ub_d))
-    v = np.empty((14, 2, n))
-    j = np.empty((14, 2, n))
+    rows = 13
+    v = np.empty((rows, 2, n))
+    j = np.empty((rows, 2, n))
     # the box and breakpoint crossings: (v, j) for v in (0, ub_v, sign*s2)
     # for j in (0, ub_j, s1 - s2)
     v[0:3], v[3:6], v[6:9] = 0.0, ub_v, sign * s2
     j[0:9:3], j[1:9:3], j[2:9:3] = 0.0, ub_j, s1 - s2
-    # the diagonal u + j = s1 from each of those v, and from j = 0 and j =
-    # ub_j; it meets j = s1 - s2 at (sign*s2, s1 - s2), already listed, and
-    # a recomputed copy can be an ulp off and win the scan instead
-    v[9:12] = v[0:9:3]
-    j[9:12] = s1 - sign * v[9:12]
-    j[12:14] = j[0:2]
-    v[12:14] = sign * (s1 - j[12:14])
+    # the diagonal u + j = s1 from v = 0 and v = ub_v, and from j = 0 and
+    # j = ub_j. From v = sign*s2 it meets j = s1 - s2 at row 8, bit for bit
+    # (a product with sign is exact), so that vertex is not listed twice
+    v[9:11] = v[0:6:3]
+    j[9:11] = s1 - sign * v[9:11]
+    j[11:13] = j[0:2]
+    v[11:13] = sign * (s1 - j[11:13])
 
     ok = (-FEAS_TOL <= v) & (v <= ub_v + FEAS_TOL) & (-FEAS_TOL <= j) & (j <= ub_j + FEAS_TOL)
     v = np.minimum(np.maximum(v, 0.0), ub_v)
@@ -135,17 +136,17 @@ def solve_slot_program(
     # the scan, in (v, j) order (the sort is stable). An infeasible vertex
     # never takes the lead and the first feasible one always does (obj < inf
     # - 1e-12), so this is the scan over feasible vertices alone
-    v, j, obj = (a.reshape(14, 2 * n) for a in (v, j, obj))
+    v, j, obj = (a.reshape(rows, 2 * n) for a in (v, j, obj))
     cols = np.arange(2 * n)
     order = np.lexsort((j, v), axis=0)
     obj = obj[order, cols]
     limit = obj - 1e-12
     bar = limit[0].copy()
-    took = np.zeros((14, 2 * n), dtype=bool)
+    took = np.zeros((rows, 2 * n), dtype=bool)
     for o, lim, t in zip(obj[1:], limit[1:], took[1:]):
         np.less(o, bar, out=t)
         np.copyto(bar, lim, where=t)
-    lead = np.where(took.any(axis=0), 13 - took[::-1].argmax(axis=0), 0)
+    lead = np.where(took.any(axis=0), rows - 1 - took[::-1].argmax(axis=0), 0)
     obj, best = obj[lead, cols], order[lead, cols]
     # snap to zero (the vertices already lie within their bounds), then
     # pick each MG's branch and recompute the exact minimal grid purchase

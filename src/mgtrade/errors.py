@@ -10,7 +10,12 @@ class ParseError(ValueError):
 
 
 class RejectedAction(ValueError):
-    """A control action violates a feasibility constraint; message names it."""
+    """A control action violates a feasibility constraint; message names it,
+    and ``at`` the fleet position of the MG that took it."""
+
+    def __init__(self, message: str, at: int = 0):
+        super().__init__(message)
+        self.at = at
 
 
 class MarketError(ValueError):

@@ -242,7 +242,7 @@ def check_action(battery_kwh, action: ControlAction, fleet: Fleet) -> None:
         f"charge {c} exceeds min(capacity - B, charge rate) = {charge_cap}",
         f"discharge {d} exceeds min(B, discharge rate) = {discharge_cap}",
     )
-    raise RejectedAction(f"mg {fleet.id[k]}: {reasons[int(broken[:, k].argmax())]}")
+    raise RejectedAction(f"mg {fleet.id[k]}: {reasons[int(broken[:, k].argmax())]}", k)
 
 
 def battery_step(battery_kwh, action: ControlAction, fleet: Fleet):

@@ -12,6 +12,12 @@ floats. A record keeps the slot's columns and book order, not its book, and
 `mgtrade.logs` builds its log rows and audit lines from them when it writes
 them.
 
+A world can hold several runs over the same inputs, their MGs' columns
+stacked run after run (`simulate_runs`; `run --mode both` steps its modes
+together, `sweep` its V fractions), so a slot pays numpy's per-call cost
+once, not once per run. Only the market goes run by run. Each run's records
+and summary are the ones `simulate`, the one-run case, gives it alone.
+
 The offline oracle solves the whole horizon as one linear program per MG with
 all randomness known and trading disabled. It is the benchmark the
 drift-plus-penalty bound is audited against: online time-average cost must
@@ -26,12 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from .auction import ClearingOutcome, OrderBook, budget_check, clear
 from .controller import (
+    Bids,
     make_bids,
     post_trade_settlement,
     solve_slot_program,
@@ -122,29 +129,38 @@ def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInput
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class World:
-    """Every MG's state at the start of `slot`, as columns: entry k is MG k.
+    """Every run's MGs' state at the start of `slot`, as columns.
 
+    A world steps one or more runs of equal MG count over shared inputs.
+    Their MGs are stacked run after run: entry r*n + k of a column is MG k
+    of run r, and ``fleet`` holds their parameters the same way.
     ``served_kwh`` is the delay-tolerant work each MG served before `slot`.
     With the horizon's arrival prefix sums it names the oldest pending job,
-    so the job FIFO itself is never stored.
+    so the job FIFO itself is never stored. ``names`` name the runs in errors.
     """
 
-    config: ScenarioConfig
+    configs: tuple[ScenarioConfig, ...]
     fleet: Fleet
     battery_kwh: Any
     demand_queue_kwh: Any
     delay_queue_kwh: Any
     served_kwh: Any
     slot: int
+    names: tuple[str, ...]
 
     @classmethod
-    def initial(cls, config: ScenarioConfig) -> "World":
-        params, bounds = [m.params for m in config.mgs], config.bounds()
-        b0 = config.initial_battery_kwh
-        battery = np.array([initial_battery(p, b, b0) for p, b in zip(params, bounds)])
+    def initial(cls, *configs: ScenarioConfig, names=()) -> "World":
+        params = [m.params for cfg in configs for m in cfg.mgs]
+        bounds = [db for cfg in configs for db in cfg.bounds()]
+        b0 = [cfg.initial_battery_kwh for cfg in configs for _ in cfg.mgs]
+        battery = np.array(list(map(initial_battery, params, bounds, b0)))
         empty = (np.zeros(len(params)) for _ in range(3))  # Q, Z, served
-        return cls(config, Fleet.of(params, bounds), battery, *empty, slot=0)
+        names = tuple(names) or tuple(f"run {r}" for r in range(len(configs)))
+        return cls(configs, Fleet.of(params, bounds), battery, *empty, slot=0, names=names)
 
+    def where(self, run: int) -> str:
+        """The slot, and the run when there are several, as an error message names them."""
+        return f"slot {self.slot}" + (f" ({self.names[run]})" if len(self.configs) > 1 else "")
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -173,9 +189,9 @@ class SlotRecord:
 
 
 def _monitor(
-    slot: int, fleet: Fleet, battery_kwh, demand_kwh, delay_kwh, spill, oldest_age
-) -> list[str]:
-    """Check every MG's queue/battery bounds after the slot's updates.
+    slot: int, fleet: Fleet, battery_kwh, demand_kwh, delay_kwh, spill, oldest_age, runs: int
+) -> list[tuple[str, ...]]:
+    """Check every MG's queue/battery bounds after the slot's updates, run by run.
 
     ``oldest_age`` is the age of each MG's oldest pending job at the start
     of the next slot; jobs are served oldest first, so no other job is older.
@@ -187,8 +203,8 @@ def _monitor(
         spill < -FEAS_TOL, oldest_age > fleet.delta_max_slots + FEAS_TOL,
     ])
     if not failed.any():
-        return []
-    bad: list[str] = []
+        return [()] * runs
+    bad: list[list[str]] = [[] for _ in range(runs)]
     for k in np.flatnonzero(failed.any(axis=0)).tolist():
         age = int(oldest_age[k])
         reasons = (
@@ -199,37 +215,52 @@ def _monitor(
             f"job from slot {slot + 1 - age} is {age} slots old",
         )
         tag = f"slot {slot} mg {fleet.id[k]}"
-        bad.extend(f"{tag}: {why}" for why, hit in zip(reasons, failed[:, k]) if hit)
-    return bad
+        run = bad[k * runs // len(fleet.id)]
+        run.extend(f"{tag}: {why}" for why, hit in zip(reasons, failed[:, k]) if hit)
+    return list(map(tuple, bad))
 
 
-def step(world: World, inputs: SlotInputs) -> tuple[World, SlotRecord]:
-    """Advance every MG one slot: bids, clearing, slot programs, queue updates.
+def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
+    """Advance every run's MGs one slot: bids, clearing, slot programs, queue updates.
 
-    ``inputs`` holds the whole horizon; the step reads its row ``world.slot``,
-    and the arrival prefix sums up to it for the job ages.
+    ``inputs`` holds the whole horizon, one column per fleet entry; the step
+    reads its row ``world.slot``, and the arrival prefix sums up to it for
+    the job ages. Every stage is one array expression over the whole fleet
+    but the market: each run's MGs post their own book, and each
+    auction-mode run clears its own. Returns each run's record of the slot.
     """
-    cfg, fleet, t = world.config, world.fleet, world.slot
-    n, got = len(fleet.id), inputs.renewable_kwh.shape[1]
-    if got != n:
-        raise SimError(f"slot {t}: got {got} inputs for {n} MGs")
+    configs, fleet, t = world.configs, world.fleet, world.slot
+    size, got = len(fleet.id), inputs.renewable_kwh.shape[1]
+    if got != size:
+        raise SimError(f"slot {t}: got {got} inputs for {size} MGs")
     r, di, dt, price = inputs.slot(t)
     b, q, z = world.battery_kwh, world.demand_queue_kwh, world.delay_queue_kwh
-    try:
-        bids = make_bids(q, z, r, di, fleet)
-        book = OrderBook.from_bids(fleet.id, bids, cfg.rho1, cfg.rho2)
-        outcome = clear(book, price) if cfg.mode == MODE_AUCTION else ClearingOutcome.empty()
-        surplus = budget_check(outcome)
-    except Exception as e:
-        raise SimError(f"slot {t}: market stage failed: {e}") from e
+    n = size // len(configs)
+    runs = [slice(k * n, k * n + n) for k in range(len(configs))]
+    bids = make_bids(q, z, r, di, fleet)
+    fills, markets = np.zeros((4, size)), []  # each run's book and market row
+    for k, (cfg, at) in enumerate(zip(configs, runs)):
+        try:
+            run_bids = Bids(bids[0][at], bids[1][at], bids[2][at], bids[3][at])
+            book = OrderBook.from_bids(fleet.id[at], run_bids, cfg.rho1, cfg.rho2)
+            outcome = clear(book, price) if cfg.mode == MODE_AUCTION else ClearingOutcome.empty()
+            surplus = budget_check(outcome)
+        except Exception as e:
+            raise SimError(f"{world.where(k)}: market stage failed: {e}") from e
+        if outcome.allocations:
+            fills[:, at] = outcome.fills(n)
+        markets.append((book, MarketRow(
+            outcome.buy_clearing_price, outcome.sell_clearing_price,
+            outcome.total_volume(), surplus,
+        )))
 
-    bought, sold, buy_unit, sell_unit = outcome.fills(n)
+    bought, sold, buy_unit, sell_unit = fills
     x = virtual_battery(b, fleet, fleet)
     action = solve_slot_program(b, q, z, x, r, di, price, bought, sold, fleet)
     try:
         new_b = battery_step(b, action, fleet)
     except RejectedAction as e:
-        raise SimError(f"slot {t} {e}") from e
+        raise SimError(f"{world.where(e.at // n)} {e}") from e
     c, d, j, g = action[:4]
     cost = post_trade_settlement(price, g, buy_unit, bought, sell_unit, sold)
     spill = spilled_kwh(r, di, action)
@@ -237,20 +268,20 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, SlotRecord]:
     new_q = demand_queue_step(q, j, dt)
     served = world.served_kwh + j
     oldest_age = oldest_pending_age(inputs.arrived_kwh, served, t + 1)
-    violations = _monitor(t, fleet, new_b, new_q, new_z, spill, oldest_age)
+    violations = _monitor(t, fleet, new_b, new_q, new_z, spill, oldest_age, len(configs))
 
     columns = np.array((
-        b, q, z, x, r, di, dt, np.full(n, price), *bids, bought, sold, buy_unit, sell_unit,
+        b, q, z, x, r, di, dt, np.full(size, price), *bids, bought, sold, buy_unit, sell_unit,
         c, d, j, g, spill, cost,
     ))
-    market = MarketRow(
-        outcome.buy_clearing_price, outcome.sell_clearing_price,
-        outcome.total_volume(), surplus,
-    )
-    record = SlotRecord(
-        t, columns, oldest_age, market, tuple(violations), fleet.id, book.buy_bids, book.sell_bids
-    )
-    return World(cfg, fleet, new_b, new_q, new_z, served, t + 1), record
+    records = [
+        SlotRecord(
+            t, columns[:, at], oldest_age[at], market, bad, fleet.id[at],
+            book.buy_bids, book.sell_bids,
+        )
+        for at, (book, market), bad in zip(runs, markets, violations)
+    ]
+    return World(configs, fleet, new_b, new_q, new_z, served, t + 1, world.names), records
 
 
 def summarize(config: ScenarioConfig, records: list[SlotRecord]) -> RunSummary:
@@ -304,14 +335,32 @@ def simulate(
     config: ScenarioConfig, inputs: SlotInputs
 ) -> tuple[RunSummary, list[SlotRecord]]:
     """Simulate the whole horizon on inputs already drawn."""
-    if len(inputs) < config.horizon_slots:
-        raise SimError(f"inputs cover {len(inputs)} slots of {config.horizon_slots}")
-    world = World.initial(config)
-    records: list[SlotRecord] = []
-    for _ in range(config.horizon_slots):
-        world, rec = step(world, inputs)
-        records.append(rec)
-    return summarize(config, records), records
+    return simulate_runs([config], inputs)[0]
+
+
+def simulate_runs(
+    configs: Sequence[ScenarioConfig], inputs: SlotInputs, names: Sequence[str] = ()
+) -> list[tuple[RunSummary, list[SlotRecord]]]:
+    """Simulate several runs over the same drawn inputs in one pass over the horizon.
+
+    The runs share their MG count and horizon; a mode, V or any other
+    parameter may differ. Each run's summary and records are the ones
+    `simulate` gives it alone. ``names`` label the runs in error messages.
+    """
+    horizon = configs[0].horizon_slots
+    if any(len(c.mgs) != len(configs[0].mgs) or c.horizon_slots != horizon for c in configs):
+        raise SimError("runs stepped together need one MG count and one horizon")
+    if len(inputs) < horizon:
+        raise SimError(f"inputs cover {len(inputs)} slots of {horizon}")
+    world = World.initial(*configs, names=names)
+    columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh
+    tiled = (np.tile(c, (1, len(configs))) for c in columns)  # every run reads the same ones
+    inputs = SlotInputs(*tiled, inputs.grid_price)
+    slots = []
+    for _ in range(horizon):
+        world, records = step(world, inputs)
+        slots.append(records)
+    return [(summarize(c, run), run) for c, run in zip(configs, map(list, zip(*slots)))]
 
 
 def offline_oracle(

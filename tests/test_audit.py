@@ -310,7 +310,7 @@ def log_edits(draw):
 ONLY_THE_AUDIT_CATCHES = {"swap"}
 
 
-@settings(max_examples=360, deadline=None)
+@settings(max_examples=360, deadline=None, derandomize=True)
 @given(log_edits())
 def test_edited_logs_get_the_reference_problems(tmp_path_factory, edit):
     """Where the reference reports a problem, the audit reports one too (or

@@ -944,6 +944,149 @@ def test_run_both_draws_its_inputs_once(tmp_path, monkeypatch):
     }
 
 
+def test_run_both_writes_the_bytes_of_separate_runs(tmp_path):
+    """Stepped together, the two modes write every byte that `--mode auction`
+    and `--mode solo` write on their own."""
+    common = ("--config", str(CONFIG_DIR / "sv_synthetic.json"), "--seed", "4", "--horizon", "40")
+    assert run_cli("run", *common, "--out", str(tmp_path / "both")) == EXIT_OK
+    for flag in ("auction", "solo"):
+        alone = tmp_path / flag
+        assert run_cli("run", *common, "--mode", flag, "--out", str(alone)) == EXIT_OK
+        names = sorted(p.name for p in (alone / flag).iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "both" / flag).iterdir())
+        assert len(names) == 5
+        for name in names:
+            assert (tmp_path / "both" / flag / name).read_bytes() == (
+                alone / flag / name
+            ).read_bytes(), f"{flag}/{name}"
+
+
+@pytest.mark.parametrize("flag", ["solo", "auction"])
+def test_sweep_csv_equals_a_loop_of_single_runs(tmp_path, flag):
+    """The sweep's fractions, stepped together, write the sweep.csv that
+    simulating each fraction on its own gives."""
+    from mgtrade import sim
+    from mgtrade.logs import SweepRow, write_sweep_csv
+    from mgtrade.model import compute_a_const
+
+    fractions = (0.3, 0.65, 1.0)
+    argv = ("--config", CONFIG, "--mode", flag, "--fractions", ",".join(map(str, fractions)))
+    assert run_cli("sweep", *argv, "--out", str(tmp_path / "cli")) == EXIT_OK
+
+    cfg, traces_doc = load_config(CONFIG)
+    base = dataclasses.replace(cfg, mode={"solo": MODE_SOLO, "auction": MODE_AUCTION}[flag])
+    inputs = sim.realized_inputs(base, sim.build_traces(base, traces_doc))
+    rows = []
+    for f in fractions:
+        mgs = tuple(
+            dataclasses.replace(m, params=dataclasses.replace(
+                m.params, v_weight=f * compute_v_max(m.params, base.price_bounds)
+            ))
+            for m in base.mgs
+        )
+        one = dataclasses.replace(base, mgs=mgs)
+        summary, _ = sim.simulate(one, inputs)
+        oracle = sim.offline_oracle(one, inputs)
+        for m in one.mgs:
+            p = m.params
+            online = summary.per_mg[p.id].time_avg_cost
+            rows.append(SweepRow(
+                f, p.id, p.v_weight, online, oracle[p.id], online - oracle[p.id],
+                compute_a_const(p) / p.v_weight,
+            ))
+    write_sweep_csv(tmp_path / "loop.csv", rows)
+    assert (tmp_path / "cli" / "sweep.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+
+def test_sweep_reports_invariant_violations(tmp_path, capsys, monkeypatch):
+    """A bound broken in one fraction's run still writes sweep.csv, then exits 4."""
+    from mgtrade import sim
+
+    real_monitor = sim._monitor
+
+    def one_violation(slot, *args):
+        found = real_monitor(slot, *args)
+        if slot == 5:
+            found[1] += ("slot 5 mg 2: Q 1e9 > q_max 1.0",)
+        return found
+
+    monkeypatch.setattr(sim, "_monitor", one_violation)
+    code = run_cli("sweep", "--config", CONFIG, "--fractions", "0.5,1.0", "--out", str(tmp_path))
+    assert code == EXIT_INVARIANT
+    assert (tmp_path / "sweep.csv").exists()
+    err = capsys.readouterr().err
+    assert "invariant violations recorded" in err
+    assert "slot 5 mg 2: Q 1e9 > q_max 1.0" in err
+
+
+def renumbered_config(tmp_path) -> str:
+    """configs/sweep_small.json with its MGs renumbered 7 and 3, so that an MG's id
+    is not its position."""
+    doc = json.loads(Path(CONFIG).read_text())
+    doc["mgs"][0]["id"], doc["mgs"][1]["id"] = 7, 3
+    path = tmp_path / "renumbered.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "command, label",
+    [
+        (("run",), "solo run"),
+        (("sweep", "--fractions", "0.5,1.0"), "fraction 1.0"),
+    ],
+)
+def test_a_rejected_action_names_its_slot_run_and_mg(tmp_path, capsys, monkeypatch, command, label):
+    """An infeasible action in the second run of a batched command names the slot,
+    that run, and the real id of its MG; nothing of the command is written."""
+    from mgtrade import sim
+
+    real_program = sim.solve_slot_program
+    calls = []
+
+    def charge_below_zero(*args):
+        action = real_program(*args)
+        if len(calls) == 3:  # slot 3; the fleet is two runs of two MGs
+            action.charge_kwh[3] = -1.0
+        calls.append(1)
+        return action
+
+    monkeypatch.setattr(sim, "solve_slot_program", charge_below_zero)
+    out = tmp_path / "out"
+    code = run_cli(*command, "--config", renumbered_config(tmp_path), "--out", str(out))
+    assert code == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert f"slot 3 ({label}) mg 3: charge_kwh -1.0 < 0" in err
+    assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+@pytest.mark.parametrize(
+    "command, calls, label",
+    [
+        (("run",), 3, "auction run"),
+        (("sweep", "--mode", "auction", "--fractions", "0.5,1.0"), 7, "fraction 1.0"),
+    ],
+)
+def test_a_failed_clearing_names_its_slot_and_run(tmp_path, capsys, monkeypatch, command, calls, label):
+    """`clear` failing in one auction run names the slot and that run."""
+    from mgtrade import sim
+    from mgtrade.errors import MarketError
+
+    real_clear = sim.clear
+    seen = []
+
+    def fail_once(book, price):
+        seen.append(1)
+        if len(seen) == calls + 1:
+            raise MarketError("no book today")
+        return real_clear(book, price)
+
+    monkeypatch.setattr(sim, "clear", fail_once)
+    code = run_cli(*command, "--config", CONFIG, "--out", str(tmp_path))
+    assert code == EXIT_INVARIANT
+    assert f"slot 3 ({label}): market stage failed: no book today" in capsys.readouterr().err
+
+
 def test_sweep_fails_on_an_infeasible_oracle(tmp_path, capsys):
     """Serving 10 kWh a slot cannot clear the backlog by the horizon: exit 4."""
     doc = {

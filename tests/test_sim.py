@@ -39,6 +39,8 @@ from mgtrade.sim import (
     offline_oracle,
     realized_inputs,
     run,
+    simulate,
+    simulate_runs,
     step,
     summarize,
 )
@@ -191,7 +193,7 @@ def test_step_all_zero_slot_is_free():
     cfg = idle_band_config()
     world = World.initial(cfg)
     zeros = slots([(0.0, 0.0, 0.0, 0.0)] * 2)
-    after, rec = step(world, zeros)
+    after, (rec,) = step(world, zeros)
     assert rec.market.volume_kwh == 0.0
     for row in rec.rows:
         assert row.cost == 0.0
@@ -261,15 +263,15 @@ def crossing_market() -> tuple[ScenarioConfig, World, SlotInputs]:
 def test_step_crossing_market_preserves_buyer_battery():
     """A cleared trade lets the winning buyer serve jobs without draining storage."""
     cfg, world, inputs = crossing_market()
-    next_world, rec = step(world, inputs)
+    next_world, (rec,) = step(world, inputs)
     assert rec.market.volume_kwh == pytest.approx(300.0)
     assert rec.market.buy_price == pytest.approx(20.0)
     assert rec.market.sell_price == 0.0
     assert rec.violations == ()
 
     solo_cfg = dataclasses.replace(cfg, mode=MODE_SOLO)
-    solo_world = dataclasses.replace(world, config=solo_cfg)
-    solo_next, solo_rec = step(solo_world, inputs)
+    solo_world = dataclasses.replace(world, configs=(solo_cfg,))
+    solo_next, (solo_rec,) = step(solo_world, inputs)
     assert solo_rec.market.volume_kwh == 0.0
 
     buyer = rec.rows[0]
@@ -337,6 +339,58 @@ def test_run_small_scenario_is_clean():
     assert summary.violation_count == 0
     assert summary.violations == ()
     assert summary.total_grid_kwh >= 0.0
+
+
+def with_v_fraction(cfg: ScenarioConfig, fraction: float) -> ScenarioConfig:
+    """`cfg` with every MG's V at `fraction` of its admissible maximum."""
+    mgs = tuple(
+        dataclasses.replace(m, params=dataclasses.replace(
+            m.params, v_weight=fraction * compute_v_max(m.params, cfg.price_bounds)
+        ))
+        for m in cfg.mgs
+    )
+    return dataclasses.replace(cfg, mgs=mgs)
+
+
+def test_runs_stepped_together_are_the_runs_alone():
+    """Each run of a fleet gets the summary and records, bit for bit, that
+    `simulate` gives it alone, whatever the other runs' modes, V and MG ids."""
+    from mgtrade.cli import default_scenario
+
+    base = default_scenario(seed=3, horizon=30)
+    configs = [
+        with_v_fraction(dataclasses.replace(base, mode=mode), f)
+        for mode, f in ((MODE_AUCTION, 1.0), (MODE_SOLO, 1.0), (MODE_AUCTION, 0.3), (MODE_SOLO, 0.6))
+    ]
+    renumbered = tuple(  # ids 16 down to 11, so ties in the book break the other way
+        dataclasses.replace(m, params=dataclasses.replace(m.params, id=17 - m.params.id))
+        for m in base.mgs
+    )
+    configs.append(dataclasses.replace(base, mgs=renumbered))
+    inputs = realized_inputs(base, build_traces(base))
+    together = simulate_runs(configs, inputs)
+    assert len(together) == len(configs)
+    for cfg, (summary, records) in zip(configs, together):
+        alone_summary, alone = simulate(cfg, inputs)
+        assert summary == alone_summary
+        assert len(records) == len(alone) == 30
+        for got, want in zip(records, alone):
+            assert got.rows == want.rows
+            assert (got.market, got.violations, got.ids) == (want.market, want.violations, want.ids)
+            assert got.buy_bids.tolist() == want.buy_bids.tolist()
+            assert got.sell_bids.tolist() == want.sell_bids.tolist()
+            assert audit_rows(got) == audit_rows(want)
+    assert sum(s.total_traded_kwh for s, _ in together) > 0.0  # the auction runs trade
+
+
+def test_runs_stepped_together_share_mg_count_and_horizon():
+    cfg = small_scenario(horizon=5)
+    inputs = realized_inputs(cfg, build_traces(cfg))
+    fewer = dataclasses.replace(cfg, mgs=cfg.mgs[:1])
+    with pytest.raises(SimError, match="one MG count and one horizon"):
+        simulate_runs([cfg, fewer], inputs)
+    with pytest.raises(SimError, match="one MG count and one horizon"):
+        simulate_runs([cfg, dataclasses.replace(cfg, horizon_slots=4)], inputs)
 
 
 def test_paired_runs_both_modes_clean_and_market_fires():
@@ -731,7 +785,7 @@ def test_read_slots_csv_rejects_foreign_header(tmp_path):
 
 def test_summarize_counts_trades_and_ages():
     cfg, world, inputs = crossing_market()
-    _, rec = step(world, inputs)
+    _, (rec,) = step(world, inputs)
     summary = summarize(cfg, [rec])
     assert summary.total_traded_kwh == pytest.approx(300.0)
     assert summary.per_mg[1].total_bought_kwh == pytest.approx(300.0)
