@@ -449,6 +449,11 @@ class ScenarioConfig:
     def bounds(self) -> tuple[DerivedBounds, ...]:
         return tuple(compute_bounds(m.params, self.price_bounds) for m in self.mgs)
 
+    @cached_property
+    def ids(self) -> list[int]:
+        """The MG ids in config order: one list, which every slot record of a run shares."""
+        return [m.params.id for m in self.mgs]
+
 
 def mg_subseed(seed: int, index: int) -> int:
     """Stable per-MG stream seed; distinct streams come from tags in ingest."""

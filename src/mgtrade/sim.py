@@ -13,10 +13,8 @@ floats. A record keeps the slot's columns and book order, not its book, and
 them.
 
 A world can hold several runs over the same inputs, their MGs' columns
-stacked run after run (`simulate_runs`; `run --mode both` steps its modes
-together, `sweep` its V fractions), so a slot pays numpy's per-call cost
-once, not once per run. Only the market goes run by run. Each run's records
-and summary are the ones `simulate`, the one-run case, gives it alone.
+stacked run after run (`simulate_runs`), so a slot pays numpy's per-call
+cost once, not once per run; only the market goes run by run.
 
 The offline oracle solves the whole horizon as one linear program per MG with
 all randomness known and trading disabled. It is the benchmark the
@@ -131,9 +129,8 @@ def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInput
 class World:
     """Every run's MGs' state at the start of `slot`, as columns.
 
-    A world steps one or more runs of equal MG count over shared inputs.
-    Their MGs are stacked run after run: entry r*n + k of a column is MG k
-    of run r, and ``fleet`` holds their parameters the same way.
+    Entry r*n + k of a column is MG k of run r: a world steps runs of n MGs
+    each over shared inputs, and ``fleet`` holds their parameters so too.
     ``served_kwh`` is the delay-tolerant work each MG served before `slot`.
     With the horizon's arrival prefix sums it names the oldest pending job,
     so the job FIFO itself is never stored. ``names`` name the runs in errors.
@@ -242,13 +239,12 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
     for k, (cfg, at) in enumerate(zip(configs, runs)):
         try:
             run_bids = Bids(bids[0][at], bids[1][at], bids[2][at], bids[3][at])
-            book = OrderBook.from_bids(fleet.id[at], run_bids, cfg.rho1, cfg.rho2)
+            book = OrderBook.from_bids(cfg.ids, run_bids, cfg.rho1, cfg.rho2)
             outcome = clear(book, price) if cfg.mode == MODE_AUCTION else ClearingOutcome.empty()
             surplus = budget_check(outcome)
         except Exception as e:
             raise SimError(f"{world.where(k)}: market stage failed: {e}") from e
-        if outcome.allocations:
-            fills[:, at] = outcome.fills(n)
+        fills[:, at] = outcome.fills(n)
         markets.append((book, MarketRow(
             outcome.buy_clearing_price, outcome.sell_clearing_price,
             outcome.total_volume(), surplus,
@@ -276,10 +272,9 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
     ))
     records = [
         SlotRecord(
-            t, columns[:, at], oldest_age[at], market, bad, fleet.id[at],
-            book.buy_bids, book.sell_bids,
+            t, columns[:, at], oldest_age[at], market, bad, cfg.ids, book.buy_bids, book.sell_bids
         )
-        for at, (book, market), bad in zip(runs, markets, violations)
+        for cfg, at, (book, market), bad in zip(configs, runs, markets, violations)
     ]
     return World(configs, fleet, new_b, new_q, new_z, served, t + 1, world.names), records
 
@@ -341,21 +336,18 @@ def simulate(
 def simulate_runs(
     configs: Sequence[ScenarioConfig], inputs: SlotInputs, names: Sequence[str] = ()
 ) -> list[tuple[RunSummary, list[SlotRecord]]]:
-    """Simulate several runs over the same drawn inputs in one pass over the horizon.
-
-    The runs share their MG count and horizon; a mode, V or any other
-    parameter may differ. Each run's summary and records are the ones
-    `simulate` gives it alone. ``names`` label the runs in error messages.
-    """
+    """Simulate runs of one MG count and horizon over the same drawn inputs, in one
+    pass. Each run's summary and records are the ones `simulate` gives it alone;
+    ``names`` label the runs in error messages."""
     horizon = configs[0].horizon_slots
     if any(len(c.mgs) != len(configs[0].mgs) or c.horizon_slots != horizon for c in configs):
         raise SimError("runs stepped together need one MG count and one horizon")
     if len(inputs) < horizon:
         raise SimError(f"inputs cover {len(inputs)} slots of {horizon}")
     world = World.initial(*configs, names=names)
-    columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh
-    tiled = (np.tile(c, (1, len(configs))) for c in columns)  # every run reads the same ones
-    inputs = SlotInputs(*tiled, inputs.grid_price)
+    if len(configs) > 1:  # every run reads the same input columns; one run reads them as they are
+        columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh
+        inputs = SlotInputs(*(np.tile(c, (1, len(configs))) for c in columns), inputs.grid_price)
     slots = []
     for _ in range(horizon):
         world, records = step(world, inputs)
