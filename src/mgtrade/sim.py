@@ -270,11 +270,12 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
         b, q, z, x, r, di, dt, np.full(size, price), *bids, bought, sold, buy_unit, sell_unit,
         c, d, j, g, spill, cost,
     ))
+    own = [(columns, oldest_age)]  # a lone run's records hold the step's arrays, not views
+    if len(runs) > 1:
+        own = [(columns[:, at], oldest_age[at]) for at in runs]
     records = [
-        SlotRecord(
-            t, columns[:, at], oldest_age[at], market, bad, cfg.ids, book.buy_bids, book.sell_bids
-        )
-        for cfg, at, (book, market), bad in zip(configs, runs, markets, violations)
+        SlotRecord(t, cols, ages, market, bad, cfg.ids, book.buy_bids, book.sell_bids)
+        for cfg, (cols, ages), (book, market), bad in zip(configs, own, markets, violations)
     ]
     return World(configs, fleet, new_b, new_q, new_z, served, t + 1, world.names), records
 
