@@ -317,7 +317,7 @@ def _emit_run(
     write_slots_csv(out_dir / "slots.csv", records)
     write_summary_csv(out_dir / "summary.csv", summary)
     write_audit_csv(out_dir / "auction_audit.csv", records)
-    report = bound_audit(summary, config, oracle=None)
+    report = bound_audit(summary, config)
     (out_dir / "audit.txt").write_text(report.render() + "\n")
     _write_config(out_dir, config, traces_doc)
 

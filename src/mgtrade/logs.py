@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, groupby, repeat
+from itertools import accumulate, chain, repeat
 from operator import getitem, or_
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, get_type_hints
@@ -166,16 +166,13 @@ class AuditReport:
         return "\n".join(out + [verdict])
 
 
-def bound_audit(
-    summary: RunSummary,
-    config: ScenarioConfig,
-    oracle: dict[int, float] | None = None,
-) -> AuditReport:
+def bound_audit(summary: RunSummary, config: ScenarioConfig) -> AuditReport:
     """Assert the stability guarantees on a finished run.
 
-    Per MG: time-average cost within a_const / v_weight of the oracle (when
-    one is supplied), zero recorded bound violations, job ages under the
-    worst-case ceiling, and the v_weight <= v_max precondition.
+    Per MG: zero recorded bound violations, job ages under the worst-case
+    ceiling, and the v_weight <= v_max precondition. The cost gap to the
+    oracle is a SKIP line: a run solves no oracle (`mgtrade sweep` reports
+    the gap).
     """
     lines: list[AuditLine] = []
 
@@ -216,18 +213,10 @@ def bound_audit(
             f"mg{mid} worst job age", s.max_job_age_slots <= db.delta_max_slots + FEAS_TOL,
             f"age={s.max_job_age_slots} bound={db.delta_max_slots:.3f}",
         )
-        if oracle is None:
-            check(
-                f"mg{mid} cost gap vs oracle", None,
-                "`mgtrade run` does not solve the oracle; `mgtrade sweep` does",
-            )
-        else:
-            gap_cap = db.a_const / m.params.v_weight
-            check(
-                f"mg{mid} cost gap vs oracle",
-                s.time_avg_cost <= oracle[mid] + gap_cap + 1e-6,
-                f"online={s.time_avg_cost:.6f} oracle={oracle[mid]:.6f} a/v={gap_cap:.6f}",
-            )
+        check(
+            f"mg{mid} cost gap vs oracle", None,
+            "`mgtrade run` does not solve the oracle; `mgtrade sweep` does",
+        )
     check(
         "recorded violations", summary.violation_count == 0,
         f"count={summary.violation_count}",
@@ -297,27 +286,52 @@ _SIDE_FIELDS = {
     side: (f"bid_{side}_price", f"bid_{side}_qty", fill, f"{side}_unit_price")
     for side, fill in (("buy", "bought_kwh"), ("sell", "sold_kwh"))
 }
-# and the rows of a record's columns that hold them
-_SIDE_ROWS = {side: list(map(_ROW_FLOATS.index, names)) for side, names in _SIDE_FIELDS.items()}
+# and the rows of a record's columns that hold them, the buy side's first
+_AUDIT_ROWS = [_ROW_FLOATS.index(name) for names in _SIDE_FIELDS.values() for name in names]
 # the cells of each side an audit line shows, which `read_slots_csv` keeps as written
 _LINE_CELLS = {side: (*names[:3], f"market_{side}_price") for side, names in _SIDE_FIELDS.items()}
 
 
+def _audit_order(live: Iterable[int], shown, buys: bool) -> list[int]:
+    """One slot side's lines in auction_audit.csv: its live bids `live`, given in MG id
+    order, buys by falling and sells by rising price as slots.csv shows it (``shown[k]``,
+    or a number in its order), ties by MG id. Two prices that render alike are listed
+    by id, whatever order the clearing's book, which sorts unrounded prices, gave them.
+    """
+    return sorted(live, key=shown.__getitem__, reverse=buys)
+
+
+def _millionths(prices):
+    """The millionths `%.6f` renders each of `prices` (an array) at, as whole floats:
+    ``prices * 1e6`` is off the exact product by under 1e-4 below 1e11, so it rounds to
+    them unless within 1e-4 of a half. Those few prices, and any larger, are read off
+    their rendering."""
+    scaled = prices * 1e6
+    shown = scaled.round()
+    odd = (abs(abs(scaled - shown) - 0.5) < 1e-4) | ~(abs(scaled) < 1e11)
+    for at in zip(*odd.nonzero()):
+        shown[at] = float(("%.6f" % prices[at]).replace(".", ""))
+    return shown
+
+
 def audit_rows(record: SlotRecord) -> list[tuple]:
-    """The slot's audit lines: every live bid, buys then sells, each side in book order.
+    """The slot's audit lines: every live bid, buys then sells, in `_audit_order`.
 
     A line is (slot, MG id, side, price, quantity, accepted, cleared price,
-    cleared quantity), read from the record's columns. A bid is accepted
-    when its MG traded on its side; its cleared price is then its unit price
-    and its cleared quantity its fill, and both are zero otherwise.
+    cleared quantity), read from the record's columns. A bid is live when
+    its quantity is positive, and accepted when its MG traded on its side;
+    its cleared price is then its unit price and its cleared quantity its
+    fill, and both are zero otherwise.
     """
-    rows: list[tuple] = []
-    for side, at in (("buy", record.buy_bids), ("sell", record.sell_bids)):
-        price, kwh, got, unit = record.columns[_SIDE_ROWS[side]][:, at]
+    ids, rows = record.ids, []
+    sides = record.columns[_AUDIT_ROWS].reshape(2, 4, -1)  # the buy side's rows, the sell side's
+    for side, columns, shown in zip(_SIDE_FIELDS, sides, _millionths(sides[:, 0]).tolist()):
+        live = sorted((columns[1] > 0.0).nonzero()[0].tolist(), key=ids.__getitem__)
+        at = _audit_order(live, shown, side == "buy")
+        price, kwh, got, unit = columns[:, at]
         rows.extend(zip(
-            repeat(record.slot), [record.ids[k] for k in at.tolist()], repeat(side),
-            price.tolist(), kwh.tolist(), (got > 0.0).astype(int).tolist(), unit.tolist(),
-            got.tolist(),
+            repeat(record.slot), map(ids.__getitem__, at), repeat(side), price.tolist(),
+            kwh.tolist(), (got > 0.0).astype(int).tolist(), unit.tolist(), got.tolist(),
         ))
     return rows
 
@@ -523,18 +537,18 @@ def verify_layout(config: ScenarioConfig, log: Log) -> list[str]:
 
 def _audit_text(log: Log, n: int) -> str:
     """The text auction_audit.csv holds for a slots log in the run's layout, n rows a slot:
-    each slot's nonzero bids, buys by falling then sells by rising logged price (ties in
-    file order), with whole slots and MG ids and the log's cells as written (a cell of 7
-    decimals stays one).
+    each slot's nonzero bids, buys then sells, in `_audit_order` of their logged prices,
+    with whole slots and MG ids and the log's cells as written (a cell of 7 decimals
+    stays one).
     """
     rows, h = len(log), len(log) // n
     # row r's buy is entry r of a column of both sides, its sell entry rows + r
     price, kwh, fill, unit = (log[b] + log[s] for b, s in zip(*_SIDE_FIELDS.values()))
     cells = [log.cells[b] + log.cells[s] for b, s in zip(*_LINE_CELLS.values())]
+    by_id = sorted(range(n), key=log["mg_id"].__getitem__)  # a slot's rows in MG id order
     order: list[int] = []
     for a in (a for t in range(0, rows, n) for a in (t, t + rows)):  # a slot's buys, then sells
-        bids = compress(range(a, a + n), kwh[a:a + n])
-        order += sorted(bids, key=price.__getitem__, reverse=a < rows)
+        order += _audit_order([a + k for k in by_id if kwh[a + k]], price, a < rows)
 
     def take(column: list) -> Iterator:  # the column's entries in book order
         return map(column.__getitem__, order)
@@ -549,52 +563,33 @@ def _audit_text(log: Log, n: int) -> str:
     ))) + "\n"
 
 
-def _tied_sorted(text: str) -> list[tuple[str, int]]:
-    """The nonblank lines of `text` with their line numbers, each run of consecutive
-    lines that share slot, side and price cells sorted."""
-    lines = [(line, k) for k, line in enumerate(text.split("\n"), 1) if line]
-    return [line for _, run in groupby(lines, _book_key) for line in sorted(run)]
-
-
-def _book_key(line: tuple[str, int]) -> tuple[str, list[str]]:
-    """An auction_audit.csv line's slot, side and price cells."""
-    cells = line[0].split(",", 4)
-    return cells[0], cells[2:4]
-
-
 def verify_audit_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
     """Check auction_audit.csv against the slots log `log`, in the run's layout.
 
     The file must be the `_audit_text` of `log`: every bid logged with a
-    positive quantity has one line, buys then sells in book order, with the
-    MG's logged bid, fill and, when accepted, the market price. A line is
-    accepted when its fill or unit price is nonzero: in memory a fill is
+    positive quantity has one line, buys then sells in `_audit_order`, with
+    the MG's logged bid, fill and, when accepted, the market price. A line
+    is accepted when its fill or unit price is nonzero: in memory a fill is
     positive exactly when the unit price is the positive market price. The
-    file may end its lines as `read_log` allows, and skip blank lines, and
-    lines tied on their slot, side and price cells may come in any order,
-    as a run may write two prices that round alike. A file that differs is
-    read with `read_log`, so a header or cell that does not parse is a
-    ParseError; else its first line that differs is one problem.
+    file may end its lines as `read_log` allows, and skip blank lines; it
+    is otherwise that text exactly. A file that differs is read with
+    `read_log`, so a header or cell that does not parse is a ParseError;
+    else its first line that differs is one problem.
     """
-    want = _audit_text(log, len(config.mgs))
-    got = _text(path)
-    if got == want:
+    text, want = _text(path), _audit_text(log, len(config.mgs))
+    if text == want:
         return []
-    got, want = _tied_sorted(got), _tied_sorted(want)
-    k = _first_difference([text for text, _ in got], [text for text, _ in want])
+    numbered = [(k, line) for k, line in enumerate(text.split("\n"), 1) if line]
+    got, want = [line for _, line in numbered], want.split("\n")[:-1]  # want ends in a line end
+    k = _first_difference(got, want)
     if k == len(got) == len(want):
         return []
     read_log(path, AUDIT_HEADER, text=("side",), finite=False)
-    line = got[k][1] if k < len(got) else got[-1][1] + 1
-    cells = (got[k] if k < len(got) else want[k])[0].split(",")
-
-    def at(lines: list[tuple[str, int]]) -> str:
-        return repr(lines[k][0]) if k < len(lines) else "no line"
-
-    return [
-        f"auction_audit.csv line {line}: slot {cells[0]} mg {cells[1]}: "
-        f"{at(got)} != {at(want)} from slots.csv"
-    ]
+    line = numbered[k][0] if k < len(got) else numbered[-1][0] + 1
+    cells = (got[k] if k < len(got) else want[k]).split(",")
+    got, want = (repr(lines[k]) if k < len(lines) else "no line" for lines in (got, want))
+    return [f"auction_audit.csv line {line}: slot {cells[0]} mg {cells[1]}: {got} != {want} "
+            "from slots.csv"]
 
 
 def verify_summary_csv(summary: Log, config: ScenarioConfig, log: Log) -> list[str]:

@@ -8,9 +8,9 @@ horizon's exogenous inputs to the next slot's world plus a flat record, so
 replays and golden logs are exact. A world holds every MG's state as
 columns, and each stage of a step is one array expression over all MGs,
 the market's included; only the clearing's per-bid loops read Python
-floats. A record keeps the slot's columns and book order, not its book, and
+floats. A record keeps the slot's columns, not its book, and
 `mgtrade.logs` builds its log rows and audit lines from them when it writes
-them.
+them. Only an auction run posts a book: a solo run's market stays empty.
 
 A world can hold several runs over the same inputs, their MGs' columns
 stacked run after run (`simulate_runs`), so a slot pays numpy's per-call
@@ -34,7 +34,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .auction import ClearingOutcome, OrderBook, budget_check, clear
+from .auction import OrderBook, budget_check, clear
 from .controller import (
     Bids,
     make_bids,
@@ -165,9 +165,8 @@ class SlotRecord:
     """One slot of a run, its MGs' log rows held as columns.
 
     ``columns[i, k]`` is field ``_ROW_FLOATS[i]`` of MG k's row, in config
-    order, and ``ids[k]`` its MG id. ``buy_bids`` and ``sell_bids`` are the
-    positions of the slot's live bids in book order. ``rows`` builds the log
-    rows from them, and `audit_rows` the slot's auction_audit.csv lines.
+    order, and ``ids[k]`` its MG id. ``rows`` builds the log rows from them,
+    and `audit_rows` the slot's auction_audit.csv lines.
     """
 
     slot: int
@@ -176,8 +175,6 @@ class SlotRecord:
     market: MarketRow
     violations: tuple[str, ...]
     ids: list[int]
-    buy_bids: Any
-    sell_bids: Any
 
     @property
     def rows(self) -> tuple[MGSlotRow, ...]:
@@ -223,8 +220,8 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
     ``inputs`` holds the whole horizon, one column per fleet entry; the step
     reads its row ``world.slot``, and the arrival prefix sums up to it for
     the job ages. Every stage is one array expression over the whole fleet
-    but the market: each run's MGs post their own book, and each
-    auction-mode run clears its own. Returns each run's record of the slot.
+    but the market: the MGs of each auction-mode run post their own book,
+    which it clears. Returns each run's record of the slot.
     """
     configs, fleet, t = world.configs, world.fleet, world.slot
     size, got = len(fleet.id), inputs.renewable_kwh.shape[1]
@@ -235,20 +232,20 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
     n = size // len(configs)
     runs = [slice(k * n, k * n + n) for k in range(len(configs))]
     bids = make_bids(q, z, r, di, fleet)
-    fills, markets = np.zeros((4, size)), []  # each run's book and market row
+    fills, markets = np.zeros((4, size)), [MarketRow(0.0, 0.0, 0.0, 0.0)] * len(configs)
     for k, (cfg, at) in enumerate(zip(configs, runs)):
+        if cfg.mode != MODE_AUCTION:  # a solo run posts no book
+            continue
         try:
             run_bids = Bids(bids[0][at], bids[1][at], bids[2][at], bids[3][at])
-            book = OrderBook.from_bids(cfg.ids, run_bids, cfg.rho1, cfg.rho2)
-            outcome = clear(book, price) if cfg.mode == MODE_AUCTION else ClearingOutcome.empty()
+            outcome = clear(OrderBook.from_bids(cfg.ids, run_bids, cfg.rho1, cfg.rho2), price)
             surplus = budget_check(outcome)
         except Exception as e:
             raise SimError(f"{world.where(k)}: market stage failed: {e}") from e
         fills[:, at] = outcome.fills(n)
-        markets.append((book, MarketRow(
-            outcome.buy_clearing_price, outcome.sell_clearing_price,
-            outcome.total_volume(), surplus,
-        )))
+        markets[k] = MarketRow(
+            outcome.buy_clearing_price, outcome.sell_clearing_price, outcome.total_volume(), surplus
+        )
 
     bought, sold, buy_unit, sell_unit = fills
     x = virtual_battery(b, fleet, fleet)
@@ -274,8 +271,8 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
     if len(runs) > 1:
         own = [(columns[:, at], oldest_age[at]) for at in runs]
     records = [
-        SlotRecord(t, cols, ages, market, bad, cfg.ids, book.buy_bids, book.sell_bids)
-        for cfg, (cols, ages), (book, market), bad in zip(configs, own, markets, violations)
+        SlotRecord(t, cols, ages, market, bad, cfg.ids)
+        for cfg, (cols, ages), market, bad in zip(configs, own, markets, violations)
     ]
     return World(configs, fleet, new_b, new_q, new_z, served, t + 1, world.names), records
 

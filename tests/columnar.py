@@ -114,5 +114,5 @@ def record_of(slot: int, book: OrderBook, fills) -> SlotRecord:
     columns[bids : bids + 8] = (*book.bids, *fills)  # four bid fields, then four fills
     return SlotRecord(
         slot, columns, np.zeros(len(book.ids), dtype=int), MarketRow(0.0, 0.0, 0.0, 0.0), (),
-        book.ids.tolist(), book.buy_bids, book.sell_bids,
+        book.ids.tolist(),
     )

@@ -640,7 +640,8 @@ def check_action(state: MGState, action, params) -> None:
 # `audit_rows` that `mgtrade.auction` used before the book became columns
 # indexed by fleet position. With `reference_clear` they make the whole
 # market stage of one slot; the columnar stage must reproduce its book order,
-# fills, unit prices and audit lines bit for bit.
+# fills, unit prices and audit lines bit for bit. Only the audit lines'
+# order has changed since: they follow the rendered prices, not the book.
 
 
 @dataclass(frozen=True)
@@ -733,13 +734,16 @@ def reference_audit_rows(
     slot: int, book: TupleBook, buy_price: float, sell_price: float,
     trades: dict[int, TradeAllocation],
 ) -> list[AuditRow]:
-    """One row per bid, buys then sells in book order."""
+    """One row per bid, buys then sells. A side's rows go by the price the
+    log renders, falling for buys and rising for sells, ties by MG id; so
+    bids whose prices differ by less than the rendering shows are listed by
+    id, whatever their book order."""
     rows: list[AuditRow] = []
-    for side, bids, cleared in (
-        ("buy", book.buy_bids, buy_price),
-        ("sell", book.sell_bids, sell_price),
+    for side, bids, cleared, sign in (
+        ("buy", book.buy_bids, buy_price, -1.0),
+        ("sell", book.sell_bids, sell_price, 1.0),
     ):
-        for mg_id, price, qty in bids:
+        for mg_id, price, qty in sorted(bids, key=lambda b: (sign * float("%.6f" % b[1]), b[0])):
             trade = trades.get(mg_id)
             if trade is None:
                 rows.append(AuditRow(slot, mg_id, side, price, qty, 0, 0.0, 0.0))

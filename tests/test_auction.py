@@ -22,7 +22,7 @@ from mgtrade.auction import (
 )
 from mgtrade.controller import Bids
 from mgtrade.errors import InvariantViolation, MarketError
-from mgtrade.logs import AUDIT_HEADER, audit_rows, write_audit_csv
+from mgtrade.logs import AUDIT_HEADER, _millionths, audit_rows, write_audit_csv
 
 from columnar import allocations_by_id, book_of, book_sides, record_of, trade_of
 from oracles import (
@@ -578,6 +578,32 @@ def test_recorded_books_clear_like_the_reference_scan(n_mgs):
 
 
 # ----------------------------------------------------------------- audit trail
+
+
+# prices anywhere, and prices within a few ulps of half a millionth, where
+# the scaled price alone cannot tell which way the rendering rounds
+RENDERED_PRICES = st.one_of(
+    st.floats(0.0, 1e13),
+    st.tuples(st.integers(0, 10**13), st.integers(-3, 3)).map(
+        lambda k: bumped_by((k[0] + 0.5) / 1e6, k[1])
+    ),
+)
+
+
+def bumped_by(price: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        price = math.nextafter(price, math.copysign(math.inf, ulps))
+    return price
+
+
+@given(st.lists(RENDERED_PRICES, min_size=1, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_millionths_are_the_rendered_prices(prices):
+    """`_millionths` gives each price's rendered millionths, so its numbers order
+    and equate prices exactly as slots.csv shows them."""
+    rendered = [float(("%.6f" % p).replace(".", "")) for p in prices]
+    assert _millionths(np.array(prices)).tolist() == rendered
+    assert _millionths(np.array([prices, prices[::-1]])).tolist() == [rendered, rendered[::-1]]
 
 
 def test_audit_rows_cover_every_bid(tmp_path):

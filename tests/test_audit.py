@@ -9,9 +9,8 @@ catches every edit the reference catches, and some that the reference
 sorts back into place.
 """
 
-import dataclasses
 import functools
-import math
+import json
 import random
 import shutil
 import tempfile
@@ -21,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtrade.cli import config_from_dict, default_scenario
+from mgtrade.cli import EXIT_INVARIANT, config_from_dict, default_scenario, main
 from mgtrade.errors import ParseError, SimError
 from mgtrade import logs
 from mgtrade.logs import (
@@ -48,12 +47,12 @@ from oracles import (
 )
 
 
-def fleet_config(n_mgs: int, mode: str, horizon: int, seed: int):
+def fleet_doc(n_mgs: int, mode: str, horizon: int, seed: int) -> dict:
     """n_mgs reference-battery MGs, half type1 and half type2 in seeded order."""
     rng = random.Random(f"audit:{n_mgs}:{seed}")
     types = ["type1"] * (n_mgs // 2) + ["type2"] * (n_mgs - n_mgs // 2)
     rng.shuffle(types)
-    doc = {
+    return {
         "seed": seed, "horizon_slots": horizon, "mode": mode,
         "mgs": [
             {"id": k + 1, "mg_type": t, "battery_capacity_kwh": 3000.0,
@@ -62,7 +61,10 @@ def fleet_config(n_mgs: int, mode: str, horizon: int, seed: int):
             for k, t in enumerate(types)
         ],
     }
-    return config_from_dict(doc)[0]
+
+
+def fleet_config(n_mgs: int, mode: str, horizon: int, seed: int):
+    return config_from_dict(fleet_doc(n_mgs, mode, horizon, seed))[0]
 
 
 SCENARIOS = {
@@ -163,35 +165,34 @@ def test_clean_logs_take_the_fast_paths(tmp_path, monkeypatch, name):
     assert read == []
 
 
-def test_sells_that_render_alike_pass_in_either_order(tmp_path, monkeypatch):
-    """Two sells of one slot priced 1e-9 apart render alike, so the run may
-    write them out of MG id order; the rendering lists them in id order, and
-    the audit passes them without the walk, as the walk does."""
-    config = default_scenario(mode=MODE_AUCTION)
-    _, records = run(config)
-    t, record = next((t, r) for t, r in enumerate(records) if len(r.sell_bids) >= 2)
-    low, high = sorted(record.sell_bids[:2], key=record.ids.__getitem__)
-    price = _ROW_FLOATS.index("bid_sell_price")
-    # below every other sell of the slot, and 1e-9 short of the next rendering
-    x = math.floor(record.columns[price, record.sell_bids[0]] * 1e6) / 1e6 - 1e-6
-    record.columns[price, high], record.columns[price, low] = x, x + 1e-9
-    sells = record.sell_bids.copy()
-    sells[:2] = high, low
-    records[t] = dataclasses.replace(record, sell_bids=sells)
-    write_slots_csv(tmp_path / "slots.csv", records)
-    write_audit_csv(tmp_path / "auction_audit.csv", records)
+def test_sells_that_render_alike_are_listed_by_mg_id(tmp_path, capsys):
+    """In slot 1 of this run, MGs 21 and 92 sell at prices 4.3e-7 apart that
+    slots.csv renders alike. The book clears MG 92's, the lower, first; the
+    run lists MG 21's first, by id, so auction_audit.csv is the text the
+    audit renders from slots.csv, byte for byte. With the two swapped it is
+    one problem."""
+    doc = fleet_doc(96, MODE_AUCTION, 2, seed=3)
+    record = run(config_from_dict(doc)[0])[1][1]
+    price = record.columns[_ROW_FLOATS.index("bid_sell_price")].tolist()
+    by_id, first = (price[record.ids.index(mid)] for mid in (21, 92))
+    assert first < by_id and f"{first:.6f}" == f"{by_id:.6f}" == "1.031192"
+    (tmp_path / "fleet.json").write_text(json.dumps(doc))
+    assert main(["run", "--config", str(tmp_path / "fleet.json"), "--out", str(tmp_path)]) == 0
 
-    text = (tmp_path / "auction_audit.csv").read_text()
-    ids = (record.ids[high], record.ids[low])
-    tied = [line for line in text.split("\n") if line.startswith(f"{t},") and f",{x:.6f}," in line]
-    assert [int(line.split(",")[1]) for line in tied] == list(ids)
-    log = read_slots_csv(tmp_path / "slots.csv")
-    assert logs._audit_text(log, len(config.mgs)) != text
-    read = logs_read(monkeypatch)
-    assert verify_audit_csv(tmp_path / "auction_audit.csv", config, log) == []
-    assert read == []
-    rows = reference_read_slots_csv(tmp_path / "slots.csv")
-    assert reference_verify_audit_csv(tmp_path / "auction_audit.csv", rows) == []
+    run_dir = tmp_path / "auction"
+    path = run_dir / "auction_audit.csv"
+    lines = path.read_bytes().decode().split("\r\n")
+    k, j = (k for k, line in enumerate(lines) if line.startswith("1,") and ",sell,1.031192," in line)
+    assert [lines[k].split(",")[1], lines[j].split(",")[1]] == ["21", "92"]
+    text = logs._audit_text(read_slots_csv(run_dir / "slots.csv"), len(doc["mgs"]))
+    assert path.read_bytes() == text.replace("\n", "\r\n").encode()
+
+    lines[k], lines[j] = lines[j], lines[k]
+    path.write_bytes("\r\n".join(lines).encode())
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert f"FAIL (1 problems)\n  auction_audit.csv line {k + 1}: slot 1 mg 92: " in out
 
 
 def test_slots_that_repeat_an_mg_are_out_of_layout(tmp_path):

@@ -1087,6 +1087,27 @@ def test_a_failed_clearing_names_its_slot_and_run(tmp_path, capsys, monkeypatch,
     assert f"slot 3 ({label}): market stage failed: no book today" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("run", "--mode", "solo"), ("sweep", "--mode", "solo", "--fractions", "0.5,1.0")],
+    ids=["run", "sweep"],
+)
+def test_solo_runs_post_no_book(tmp_path, monkeypatch, command):
+    """A solo run trades nothing, so no slot of it builds an order book."""
+    from mgtrade.auction import OrderBook
+
+    books, from_bids = [], OrderBook.from_bids
+
+    def counted(*args):
+        books.append(args)
+        return from_bids(*args)
+
+    monkeypatch.setattr(OrderBook, "from_bids", counted)
+    assert run_cli(*command, "--config", CONFIG, "--horizon", "12", "--out", str(tmp_path)) == 0
+    assert books == []
+    assert run_cli("audit", str(tmp_path)) == 0
+
+
 def test_sweep_fails_on_an_infeasible_oracle(tmp_path, capsys):
     """Serving 10 kWh a slot cannot clear the backlog by the horizon: exit 4."""
     doc = {

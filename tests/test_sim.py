@@ -377,8 +377,6 @@ def test_runs_stepped_together_are_the_runs_alone():
         for got, want in zip(records, alone):
             assert got.rows == want.rows
             assert (got.market, got.violations, got.ids) == (want.market, want.violations, want.ids)
-            assert got.buy_bids.tolist() == want.buy_bids.tolist()
-            assert got.sell_bids.tolist() == want.sell_bids.tolist()
             assert audit_rows(got) == audit_rows(want)
     assert sum(s.total_traded_kwh for s, _ in together) > 0.0  # the auction runs trade
 
