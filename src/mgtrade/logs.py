@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, repeat
-from operator import getitem, or_
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 
@@ -238,15 +237,14 @@ def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], str, tuple[str
     return tuple(hints), cells, tuple(n for n, t in hints.items() if t is int)
 
 
-def _write_log(path, header: tuple[str, ...], blocks) -> None:
-    """Write a log: its header, then the lines of `blocks`, each ended as csv.writer ends it.
-
-    A block is the %-format of one line's cells and the rows it renders, in order.
-    """
+def _write_log(path, header: tuple[str, ...], blocks: Iterable[Iterable[str]]) -> None:
+    """Write a log: its header, then the lines of each block, each ended as csv.writer ends it."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for cells, rows in blocks:
-            fh.writelines(map((cells + "\r\n").__mod__, rows))
+        for lines in blocks:
+            text = "\r\n".join(lines)
+            if text:
+                fh.write(text + "\r\n")
 
 
 _MG_COLUMNS, _MG_CELLS, _WHOLE_COLUMNS = _log_columns(MGSlotRow)
@@ -255,8 +253,8 @@ SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
 
 
 def write_slots_csv(path, records: list[SlotRecord]) -> None:
-    blocks = ((_MG_CELLS + "," + _MARKET_CELLS % rec.market, rec.rows) for rec in records)
-    _write_log(path, SLOTS_HEADER, blocks)
+    rows = (map((_MG_CELLS + "," + _MARKET_CELLS % r.market).__mod__, r.rows) for r in records)
+    _write_log(path, SLOTS_HEADER, rows)
 
 
 _SUMMARY_COLUMNS, _SUMMARY_CELLS, _SUMMARY_WHOLE = _log_columns(MGSummary)
@@ -265,79 +263,87 @@ SUMMARY_HEADER = _SUMMARY_COLUMNS + ("violations",)
 
 def write_summary_csv(path, summary: RunSummary) -> None:
     rows = [summary.per_mg[mid] for mid in sorted(summary.per_mg)]
-    _write_log(path, SUMMARY_HEADER, [(_SUMMARY_CELLS + f",{summary.violation_count}", rows)])
+    cells = _SUMMARY_CELLS + f",{summary.violation_count}"
+    _write_log(path, SUMMARY_HEADER, [map(cells.__mod__, rows)])
 
 
 SWEEP_HEADER, _SWEEP_CELLS, _SWEEP_WHOLE = _log_columns(SweepRow)
 
 
 def write_sweep_csv(path, rows: list[SweepRow]) -> None:
-    _write_log(path, SWEEP_HEADER, [(_SWEEP_CELLS, rows)])
+    _write_log(path, SWEEP_HEADER, [map(_SWEEP_CELLS.__mod__, rows)])
 
 
-# auction_audit.csv: the fields of an `audit_rows` line and their cells
+# auction_audit.csv: the fields of a line, one per bid logged with a nonzero quantity
 AUDIT_HEADER = (
     "slot", "mg_id", "side", "price", "quantity", "accepted", "cleared_price",
     "cleared_quantity",
 )
-_AUDIT_CELLS = "%s,%s,%s,%.6f,%.6f,%s,%.6f,%.6f"
 # each side's bid price and kWh, fill and unit price, as the log rows name them
 _SIDE_FIELDS = {
     side: (f"bid_{side}_price", f"bid_{side}_qty", fill, f"{side}_unit_price")
     for side, fill in (("buy", "bought_kwh"), ("sell", "sold_kwh"))
 }
-# and the rows of a record's columns that hold them, the buy side's first
-_AUDIT_ROWS = [_ROW_FLOATS.index(name) for names in _SIDE_FIELDS.values() for name in names]
 # the cells of each side an audit line shows, which `read_slots_csv` keeps as written
 _LINE_CELLS = {side: (*names[:3], f"market_{side}_price") for side, names in _SIDE_FIELDS.items()}
 
 
-def _audit_order(live: Iterable[int], shown, buys: bool) -> list[int]:
-    """One slot side's lines in auction_audit.csv: its live bids `live`, given in MG id
-    order, buys by falling and sells by rising price as slots.csv shows it (``shown[k]``,
-    or a number in its order), ties by MG id. Two prices that render alike are listed
-    by id, whatever order the clearing's book, which sorts unrounded prices, gave them.
+def _audit_slot(slot: int, sides) -> list[str]:
+    """Slot `slot`'s lines of auction_audit.csv, from its bids as slots.csv logs them.
+
+    ``sides`` holds the buys, then the sells, each as (at, ids, price, kwh,
+    fill, unit, price cells, kwh cells, fill cells, market cell): the
+    positions of the side's bids in MG id order; by position, their MG ids
+    as written and their logged price, kWh, fill and unit price, then the
+    first three as written; and the side's market price as written. A bid
+    has a line when its kWh is nonzero. The buys go by falling and the sells
+    by rising price, ties by MG id. A line is accepted when its fill or unit
+    price is nonzero, and its cleared price is then the market price, else
+    zero.
     """
-    return sorted(live, key=shown.__getitem__, reverse=buys)
-
-
-def _millionths(prices):
-    """The millionths `%.6f` renders each of `prices` (an array) at, as whole floats:
-    ``prices * 1e6`` is off the exact product by under 1e-4 below 1e11, so it rounds to
-    them unless within 1e-4 of a half. Those few prices, and any larger, are read off
-    their rendering."""
-    scaled = prices * 1e6
-    shown = scaled.round()
-    odd = (abs(abs(scaled - shown) - 0.5) < 1e-4) | ~(abs(scaled) < 1e11)
-    for at in zip(*odd.nonzero()):
-        shown[at] = float(("%.6f" % prices[at]).replace(".", ""))
-    return shown
-
-
-def audit_rows(record: SlotRecord) -> list[tuple]:
-    """The slot's audit lines: every live bid, buys then sells, in `_audit_order`.
-
-    A line is (slot, MG id, side, price, quantity, accepted, cleared price,
-    cleared quantity), read from the record's columns. A bid is live when
-    its quantity is positive, and accepted when its MG traded on its side;
-    its cleared price is then its unit price and its cleared quantity its
-    fill, and both are zero otherwise.
-    """
-    ids, rows = record.ids, []
-    sides = record.columns[_AUDIT_ROWS].reshape(2, 4, -1)  # the buy side's rows, the sell side's
-    for side, columns, shown in zip(_SIDE_FIELDS, sides, _millionths(sides[:, 0]).tolist()):
-        live = sorted((columns[1] > 0.0).nonzero()[0].tolist(), key=ids.__getitem__)
-        at = _audit_order(live, shown, side == "buy")
-        price, kwh, got, unit = columns[:, at]
-        rows.extend(zip(
-            repeat(record.slot), map(ids.__getitem__, at), repeat(side), price.tolist(),
-            kwh.tolist(), (got > 0.0).astype(int).tolist(), unit.tolist(), got.tolist(),
-        ))
-    return rows
+    lines: list[str] = []
+    for side, (at, ids, price, kwh, fill, unit, *cells, market) in zip(_SIDE_FIELDS, sides):
+        live = compress(at, map(kwh.__getitem__, at))
+        price_cells, kwh_cells, fill_cells = cells
+        head, tag, won, lost = f"{slot},", f",{side},", f",1,{market},", ",0,0.000000,"
+        lines += [
+            f"{head}{ids[k]}{tag}{price_cells[k]},{kwh_cells[k]}"
+            f"{won if fill[k] or unit[k] else lost}{fill_cells[k]}"
+            for k in sorted(live, key=price.__getitem__, reverse=side == "buy")
+        ]
+    return lines
 
 
 def write_audit_csv(path, records: list[SlotRecord]) -> None:
-    _write_log(path, AUDIT_HEADER, ((_AUDIT_CELLS, audit_rows(rec)) for rec in records))
+    """Write auction_audit.csv slot by slot: the `_audit_slot` lines of the cells
+    slots.csv gives each record's live bids and market prices.
+
+    The records are a run's, sharing one id list. A bid is live when its kWh
+    is positive; `_audit_slot` drops those whose kWh renders as zero. A unit
+    price is zero or the market price, so it is logged nonzero exactly when
+    it is nonzero and the market price is logged nonzero.
+    """
+    rows = [_ROW_FLOATS.index(name) for names in _SIDE_FIELDS.values() for name in names]
+    ids = records[0].ids if records else []
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    names = [str(ids[k]) for k in by_id]
+
+    def lines(rec: SlotRecord) -> list[str]:
+        sides = []
+        for columns, market in zip(rec.columns[rows][:, by_id].reshape(2, 4, -1), rec.market):
+            live = (columns[1] > 0.0).nonzero()[0]
+            m = len(live)
+            shown = (*columns[:3, live].ravel().tolist(), market)
+            cells = (("%.6f," * 3 * m + "%.6f") % shown).split(",")
+            price, kwh, fill, market = cells[:m], cells[m:2 * m], cells[2 * m:-1], cells[-1]
+            unit = (columns[3, live] != 0.0).tolist() if float(market) else [False] * m
+            sides.append((
+                range(m), list(map(names.__getitem__, live.tolist())),
+                *([*map(float, c)] for c in (price, kwh, fill)), unit, price, kwh, fill, market,
+            ))
+        return _audit_slot(rec.slot, sides)
+
+    _write_log(path, AUDIT_HEADER, map(lines, records))
 
 
 class Log:
@@ -537,44 +543,35 @@ def verify_layout(config: ScenarioConfig, log: Log) -> list[str]:
 
 def _audit_text(log: Log, n: int) -> str:
     """The text auction_audit.csv holds for a slots log in the run's layout, n rows a slot:
-    each slot's nonzero bids, buys then sells, in `_audit_order` of their logged prices,
-    with whole slots and MG ids and the log's cells as written (a cell of 7 decimals
-    stays one).
+    the `_audit_slot` lines of each slot's rows, with whole slots and MG ids and the log's
+    cells as written (a cell of 7 decimals stays one).
     """
-    rows, h = len(log), len(log) // n
-    # row r's buy is entry r of a column of both sides, its sell entry rows + r
-    price, kwh, fill, unit = (log[b] + log[s] for b, s in zip(*_SIDE_FIELDS.values()))
-    cells = [log.cells[b] + log.cells[s] for b, s in zip(*_LINE_CELLS.values())]
-    by_id = sorted(range(n), key=log["mg_id"].__getitem__)  # a slot's rows in MG id order
-    order: list[int] = []
-    for a in (a for t in range(0, rows, n) for a in (t, t + rows)):  # a slot's buys, then sells
-        order += _audit_order([a + k for k in by_id if kwh[a + k]], price, a < rows)
-
-    def take(column: list) -> Iterator:  # the column's entries in book order
-        return map(column.__getitem__, order)
-
-    won = list(map(or_, map(bool, take(fill)), map(bool, take(unit))))  # accepted
-    paid = map(getitem, zip(repeat("0.000000"), take(cells[3])), won)  # the cleared price
-    slot = [cell for t in range(h) for cell in repeat(f"\n{t},", n)] * 2
-    ids = [[f"{mid:.0f},{side}," for mid in log["mg_id"][:n]] * h for side in _SIDE_FIELDS]
-    return ",".join(AUDIT_HEADER) + "".join(chain.from_iterable(zip(
-        take(slot), take(ids[0] + ids[1]), take(cells[0]), repeat(","), take(cells[1]),
-        map((",0,", ",1,").__getitem__, won), paid, repeat(","), take(cells[2]),
-    ))) + "\n"
+    mg_ids = log["mg_id"]
+    at = sorted(range(n), key=mg_ids.__getitem__)  # a slot's rows in MG id order
+    ids = [f"{mid:.0f}" for mid in mg_ids[:n]]
+    sides = [
+        (*map(log.__getitem__, names), *map(log.cells.__getitem__, cells))
+        for names, cells in zip(_SIDE_FIELDS.values(), _LINE_CELLS.values())
+    ]
+    lines = [",".join(AUDIT_HEADER)]
+    for a in range(0, len(log), n):
+        lines += _audit_slot(a // n, [
+            (at, ids, *(column[a:a + n] for column in side[:7]), side[7][a]) for side in sides
+        ])
+    return "\n".join(lines) + "\n"
 
 
 def verify_audit_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
     """Check auction_audit.csv against the slots log `log`, in the run's layout.
 
-    The file must be the `_audit_text` of `log`: every bid logged with a
-    positive quantity has one line, buys then sells in `_audit_order`, with
-    the MG's logged bid, fill and, when accepted, the market price. A line
-    is accepted when its fill or unit price is nonzero: in memory a fill is
-    positive exactly when the unit price is the positive market price. The
-    file may end its lines as `read_log` allows, and skip blank lines; it
-    is otherwise that text exactly. A file that differs is read with
-    `read_log`, so a header or cell that does not parse is a ParseError;
-    else its first line that differs is one problem.
+    The file must be the `_audit_text` of `log`: each slot's `_audit_slot`
+    lines, one per bid logged with a nonzero quantity, with the MG's logged
+    bid, fill and, when accepted, the market price. `write_audit_csv`
+    renders the run's file with `_audit_slot` too, from the cells it logs
+    in slots.csv. The file may end its lines as `read_log` allows, and skip
+    blank lines; it is otherwise that text exactly. A file that differs is
+    read with `read_log`, so a header or cell that does not parse is a
+    ParseError; else its first line that differs is one problem.
     """
     text, want = _text(path), _audit_text(log, len(config.mgs))
     if text == want:

@@ -8,9 +8,9 @@ horizon's exogenous inputs to the next slot's world plus a flat record, so
 replays and golden logs are exact. A world holds every MG's state as
 columns, and each stage of a step is one array expression over all MGs,
 the market's included; only the clearing's per-bid loops read Python
-floats. A record keeps the slot's columns, not its book, and
-`mgtrade.logs` builds its log rows and audit lines from them when it writes
-them. Only an auction run posts a book: a solo run's market stays empty.
+floats. A record keeps the slot's columns, not its book; `mgtrade.logs`
+renders its log rows and audit lines when it writes them. Only an auction
+run posts a book: a solo run's market stays empty.
 
 A world can hold several runs over the same inputs, their MGs' columns
 stacked run after run (`simulate_runs`), so a slot pays numpy's per-call
@@ -166,7 +166,7 @@ class SlotRecord:
 
     ``columns[i, k]`` is field ``_ROW_FLOATS[i]`` of MG k's row, in config
     order, and ``ids[k]`` its MG id. ``rows`` builds the log rows from them,
-    and `audit_rows` the slot's auction_audit.csv lines.
+    and `write_audit_csv` renders the slot's auction_audit.csv lines.
     """
 
     slot: int

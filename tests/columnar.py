@@ -105,14 +105,15 @@ def trade_of(book: OrderBook, outcome: ClearingOutcome, mg_id: int) -> TradeAllo
     return TradeAllocation(mg_id, *outcome.fills(len(book.ids))[:, k].tolist())
 
 
-def record_of(slot: int, book: OrderBook, fills) -> SlotRecord:
-    """A slot record of the book's bids and `fills` (as `ClearingOutcome.fills`
-    returns them); its other columns are zero."""
+def record_of(slot: int, book: OrderBook, fills, prices=(0.0, 0.0)) -> SlotRecord:
+    """A slot record of the book's bids, `fills` (as `ClearingOutcome.fills`
+    returns them) and the clearing (buy, sell) `prices`; its other columns and
+    market cells are zero."""
     fields = MGSlotRow._fields[2:-1]  # the record's column rows
     columns = np.zeros((len(fields), len(book.ids)))
     bids = fields.index("bid_sell_price")
     columns[bids : bids + 8] = (*book.bids, *fills)  # four bid fields, then four fills
     return SlotRecord(
-        slot, columns, np.zeros(len(book.ids), dtype=int), MarketRow(0.0, 0.0, 0.0, 0.0), (),
+        slot, columns, np.zeros(len(book.ids), dtype=int), MarketRow(*prices, 0.0, 0.0), (),
         book.ids.tolist(),
     )

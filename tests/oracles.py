@@ -640,8 +640,9 @@ def check_action(state: MGState, action, params) -> None:
 # `audit_rows` that `mgtrade.auction` used before the book became columns
 # indexed by fleet position. With `reference_clear` they make the whole
 # market stage of one slot; the columnar stage must reproduce its book order,
-# fills, unit prices and audit lines bit for bit. Only the audit lines'
-# order has changed since: they follow the rendered prices, not the book.
+# fills and unit prices bit for bit, and its audit lines rendered. The audit
+# lines have changed since: they follow the rendered prices, not the book,
+# and a bid whose quantity renders as 0.000000 has none.
 
 
 @dataclass(frozen=True)
@@ -730,20 +731,25 @@ class AuditRow(NamedTuple):
     cleared_quantity: float
 
 
+# the cells of an AuditRow's line in auction_audit.csv
+AUDIT_CELLS = "%s,%s,%s,%.6f,%.6f,%s,%.6f,%.6f"
+
+
 def reference_audit_rows(
     slot: int, book: TupleBook, buy_price: float, sell_price: float,
     trades: dict[int, TradeAllocation],
 ) -> list[AuditRow]:
-    """One row per bid, buys then sells. A side's rows go by the price the
-    log renders, falling for buys and rising for sells, ties by MG id; so
-    bids whose prices differ by less than the rendering shows are listed by
-    id, whatever their book order."""
+    """One row per bid whose quantity renders nonzero, buys then sells. A
+    side's rows go by the price the log renders, falling for buys and rising
+    for sells, ties by MG id; so bids whose prices differ by less than the
+    rendering shows are listed by id, whatever their book order."""
     rows: list[AuditRow] = []
     for side, bids, cleared, sign in (
         ("buy", book.buy_bids, buy_price, -1.0),
         ("sell", book.sell_bids, sell_price, 1.0),
     ):
-        for mg_id, price, qty in sorted(bids, key=lambda b: (sign * float("%.6f" % b[1]), b[0])):
+        shown = [b for b in bids if "%.6f" % b[2] != "0.000000"]
+        for mg_id, price, qty in sorted(shown, key=lambda b: (sign * float("%.6f" % b[1]), b[0])):
             trade = trades.get(mg_id)
             if trade is None:
                 rows.append(AuditRow(slot, mg_id, side, price, qty, 0, 0.0, 0.0))
@@ -845,7 +851,7 @@ def reference_verify_audit_csv(path, rows: list[dict[str, float]]) -> list[str]:
     """Check auction_audit.csv line by line against the slots log `rows`."""
     from operator import itemgetter
 
-    from mgtrade.logs import _AUDIT_CELLS, _SIDE_FIELDS, AUDIT_HEADER
+    from mgtrade.logs import _SIDE_FIELDS, AUDIT_HEADER
 
     side_columns = {
         side: itemgetter(*names, f"market_{side}_price") for side, names in _SIDE_FIELDS.items()
@@ -877,7 +883,7 @@ def reference_verify_audit_csv(path, rows: list[dict[str, float]]) -> list[str]:
         won = fill != 0.0 or unit != 0.0
         want = bid_price, bid_kwh, won, market if won else 0.0, fill
         if (price, kwh, accepted, paid, got) != want:
-            problem(f"{cells[3:]} != {_AUDIT_CELLS[9:] % want} from slots.csv")
+            problem(f"{cells[3:]} != {AUDIT_CELLS[9:] % want} from slots.csv")
     for key, r in logged.items():
         side = "buy" if r["bid_buy_qty"] > 0.0 else "sell" if r["bid_sell_qty"] > 0.0 else None
         if side and listed.get(key) != side:

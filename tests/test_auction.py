@@ -1,10 +1,11 @@
 """Double-auction clearing, pricing, budget balance, and audit output."""
 
-import csv
 import functools
 import math
 import random
+import tempfile
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +23,11 @@ from mgtrade.auction import (
 )
 from mgtrade.controller import Bids
 from mgtrade.errors import InvariantViolation, MarketError
-from mgtrade.logs import AUDIT_HEADER, _millionths, audit_rows, write_audit_csv
+from mgtrade.logs import AUDIT_HEADER, write_audit_csv
 
 from columnar import allocations_by_id, book_of, book_sides, record_of, trade_of
 from oracles import (
+    AUDIT_CELLS,
     TradeAllocation,
     TupleBook,
     enumerate_clearings,
@@ -580,63 +582,41 @@ def test_recorded_books_clear_like_the_reference_scan(n_mgs):
 # ----------------------------------------------------------------- audit trail
 
 
-# prices anywhere, and prices within a few ulps of half a millionth, where
-# the scaled price alone cannot tell which way the rendering rounds
-RENDERED_PRICES = st.one_of(
-    st.floats(0.0, 1e13),
-    st.tuples(st.integers(0, 10**13), st.integers(-3, 3)).map(
-        lambda k: bumped_by((k[0] + 0.5) / 1e6, k[1])
-    ),
-)
+def written_audit(records) -> list[str]:
+    """The lines `write_audit_csv` writes for `records`, split at their CRLF ends."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "auction_audit.csv"
+        write_audit_csv(path, records)
+        return path.read_bytes().decode().split("\r\n")
 
 
-def bumped_by(price: float, ulps: int) -> float:
-    for _ in range(abs(ulps)):
-        price = math.nextafter(price, math.copysign(math.inf, ulps))
-    return price
-
-
-@given(st.lists(RENDERED_PRICES, min_size=1, max_size=12))
-@settings(max_examples=300, deadline=None)
-def test_millionths_are_the_rendered_prices(prices):
-    """`_millionths` gives each price's rendered millionths, so its numbers order
-    and equate prices exactly as slots.csv shows them."""
-    rendered = [float(("%.6f" % p).replace(".", "")) for p in prices]
-    assert _millionths(np.array(prices)).tolist() == rendered
-    assert _millionths(np.array([prices, prices[::-1]])).tolist() == [rendered, rendered[::-1]]
-
-
-def test_audit_rows_cover_every_bid(tmp_path):
+def test_audit_rows_cover_every_bid():
     b = book(
         buys=[(1, 5.0, 100.0), (2, 3.0, 100.0)],
         sells=[(3, 1.0, 100.0), (4, 2.0, 100.0)],
     )
     out = clear(b, grid_price=10.0)
+    prices = (out.buy_clearing_price, out.sell_clearing_price)
+    header, *lines, end = written_audit([record_of(7, b, out.fills(len(b.ids)), prices)])
+    assert (header, end) == (",".join(AUDIT_HEADER), "")
     line = namedtuple("line", AUDIT_HEADER)
-    record = record_of(7, b, out.fills(len(b.ids)))
-    rows = list(map(line._make, audit_rows(record)))
+    rows = [line(*text.split(",")) for text in lines]
     assert len(rows) == 4
-    by_mg = {r.mg_id: r for r in rows}
-    assert by_mg[1].accepted == 1 and by_mg[2].accepted == 0  # winner and marginal buyer
-    assert by_mg[3].accepted == 1 and by_mg[4].accepted == 0
-    assert by_mg[1].slot == 7
-    assert by_mg[1].cleared_quantity == by_mg[3].cleared_quantity == out.total_volume()
-    assert by_mg[2].cleared_price == by_mg[2].cleared_quantity == 0.0
-
-    path = tmp_path / "audit.csv"
-    write_audit_csv(path, [record])
-    with open(path, newline="") as fh:
-        got = list(csv.reader(fh))
-    assert tuple(got[0]) == AUDIT_HEADER
-    assert len(got) == 5
-    assert got[1] == ["7", "1", "buy", "5.000000", "100.000000", "1", "3.000000", "100.000000"]
+    by_mg = {int(r.mg_id): r for r in rows}
+    assert by_mg[1].accepted == "1" and by_mg[2].accepted == "0"  # winner and marginal buyer
+    assert by_mg[3].accepted == "1" and by_mg[4].accepted == "0"
+    assert by_mg[1].slot == "7"
+    assert float(by_mg[1].cleared_quantity) == float(by_mg[3].cleared_quantity) == out.total_volume()
+    assert by_mg[2].cleared_price == by_mg[2].cleared_quantity == "0.000000"
+    assert lines[0] == "7,1,buy,5.000000,100.000000,1,3.000000,100.000000"
 
 
 # ------------------------------------------- the tuple market stage, frozen
 
 
 def assert_market_stage_equals_the_reference(slot: int, b: OrderBook, grid: float) -> None:
-    """Book order, fills, unit prices and audit lines equal the tuple stage's, by repr.
+    """Book order, fills and unit prices equal the tuple stage's, by repr, and the
+    written audit lines are the tuple stage's rendered.
 
     The reference rebuilds the book as sorted tuples from the same bid
     columns, clears it with the frozen scan and joins fills to bids by MG id.
@@ -657,7 +637,9 @@ def assert_market_stage_equals_the_reference(slot: int, b: OrderBook, grid: floa
             [t.bought_kwh, t.sold_kwh, t.buy_unit_price, t.sell_unit_price] for t in want
         ])
         rows = reference_audit_rows(slot, ref, bp, sp, trades)
-        assert repr(audit_rows(record_of(slot, b, fills))) == repr([tuple(r) for r in rows])
+        assert written_audit([record_of(slot, b, fills, (bp, sp))]) == [
+            ",".join(AUDIT_HEADER), *(AUDIT_CELLS % row for row in rows), ""
+        ]
 
 
 @pytest.mark.parametrize("n_mgs", [24, 96, 200])

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgtrade.cli import EXIT_INVARIANT, config_from_dict, default_scenario, main
+from mgtrade.cli import EXIT_INVARIANT, _emit_run, config_from_dict, default_scenario, main
 from mgtrade.errors import ParseError, SimError
 from mgtrade import logs
 from mgtrade.logs import (
@@ -37,8 +37,8 @@ from mgtrade.logs import (
     write_slots_csv,
     write_summary_csv,
 )
-from mgtrade.model import MODE_AUCTION, MODE_SOLO
-from mgtrade.sim import run
+from mgtrade.model import MODE_AUCTION, MODE_SOLO, SlotInputs
+from mgtrade.sim import build_traces, realized_inputs, run, simulate
 
 from oracles import (
     reference_read_slots_csv,
@@ -193,6 +193,28 @@ def test_sells_that_render_alike_are_listed_by_mg_id(tmp_path, capsys):
     assert main(["audit", str(run_dir)]) == EXIT_INVARIANT
     out = capsys.readouterr().out
     assert f"FAIL (1 problems)\n  auction_audit.csv line {k + 1}: slot 1 mg 92: " in out
+
+
+def test_a_bid_that_logs_zero_kwh_has_no_line(tmp_path):
+    """MG 1's slot-0 renewable is its DI load + 1e-7, so it bids to sell
+    about 1e-7 kWh, which slots.csv logs as 0.000000. The run writes no
+    auction_audit.csv line for that bid, as the audit renders none from
+    slots.csv, so the run passes its audit."""
+    config = default_scenario(horizon=3)
+    drawn = realized_inputs(config, build_traces(config))
+    renewable = drawn.renewable_kwh.copy()
+    renewable[0, 0] = drawn.di_load_kwh[0, 0] + 1e-7
+    inputs = SlotInputs(renewable, drawn.di_load_kwh, drawn.dt_load_kwh, drawn.grid_price)
+    summary, records = simulate(config, inputs)
+    assert records[0].ids[0] == 1
+    sell = records[0].columns[_ROW_FLOATS.index("bid_sell_qty"), 0]
+    assert 0.0 < sell and f"{sell:.6f}" == "0.000000"
+    _emit_run(tmp_path, config, {}, summary, records)
+    log = read_slots_csv(tmp_path / "slots.csv")
+    assert verify_audit_csv(tmp_path / "auction_audit.csv", config, log) == []
+    assert main(["audit", str(tmp_path)]) == 0
+    lines = (tmp_path / "auction_audit.csv").read_text().split("\n")
+    assert not any(line.startswith("0,1,") for line in lines)
 
 
 def test_slots_that_repeat_an_mg_are_out_of_layout(tmp_path):

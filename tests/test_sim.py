@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from mgtrade.errors import ConfigError, ParseError, SimError
 from mgtrade.logs import (
     SLOTS_HEADER,
-    audit_rows,
     bound_audit,
     read_slots_csv,
     verify_log_rows,
+    write_audit_csv,
     write_slots_csv,
 )
 from mgtrade.model import (
@@ -260,7 +260,7 @@ def crossing_market() -> tuple[ScenarioConfig, World, SlotInputs]:
     return cfg, world, inputs
 
 
-def test_step_crossing_market_preserves_buyer_battery():
+def test_step_crossing_market_preserves_buyer_battery(tmp_path):
     """A cleared trade lets the winning buyer serve jobs without draining storage."""
     cfg, world, inputs = crossing_market()
     next_world, (rec,) = step(world, inputs)
@@ -283,7 +283,8 @@ def test_step_crossing_market_preserves_buyer_battery():
     assert buyer.discharge_kwh == 0.0
     assert buyer_solo.discharge_kwh == pytest.approx(300.0)
     assert next_world.battery_kwh[0] > solo_next.battery_kwh[0]
-    assert len(audit_rows(rec)) == 4
+    write_audit_csv(tmp_path / "auction_audit.csv", [rec])
+    assert len((tmp_path / "auction_audit.csv").read_text().splitlines()) == 1 + 4
 
 
 def test_step_one_sided_books_make_modes_identical():
@@ -352,7 +353,7 @@ def with_v_fraction(cfg: ScenarioConfig, fraction: float) -> ScenarioConfig:
     return dataclasses.replace(cfg, mgs=mgs)
 
 
-def test_runs_stepped_together_are_the_runs_alone():
+def test_runs_stepped_together_are_the_runs_alone(tmp_path):
     """Each run of a fleet gets the summary and records, bit for bit, that
     `simulate` gives it alone, whatever the other runs' modes, V and MG ids."""
     from mgtrade.cli import default_scenario
@@ -377,7 +378,9 @@ def test_runs_stepped_together_are_the_runs_alone():
         for got, want in zip(records, alone):
             assert got.rows == want.rows
             assert (got.market, got.violations, got.ids) == (want.market, want.violations, want.ids)
-            assert audit_rows(got) == audit_rows(want)
+        write_audit_csv(tmp_path / "together.csv", records)
+        write_audit_csv(tmp_path / "alone.csv", alone)
+        assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
     assert sum(s.total_traded_kwh for s, _ in together) > 0.0  # the auction runs trade
 
 
