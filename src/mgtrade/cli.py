@@ -15,17 +15,22 @@ infeasible oracle.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import sys
+import tempfile
 import time
+from itertools import starmap
 from pathlib import Path
 
 from .errors import ConfigError, InvariantViolation, ParseError, SimError
 from .logs import (
     SWEEP_HEADER,
+    Log,
+    RunLogs,
     RunSummary,
     SweepRow,
     bound_audit,
@@ -38,8 +43,6 @@ from .logs import (
     verify_log_rows,
     verify_summary_csv,
     verify_sweep_csv,
-    write_audit_csv,
-    write_slots_csv,
     write_summary_csv,
     write_sweep_csv,
 )
@@ -306,20 +309,30 @@ def _write_config(out_dir: Path, config: ScenarioConfig, traces_doc: dict) -> No
     )
 
 
-def _emit_run(
-    out_dir: Path,
-    config: ScenarioConfig,
-    traces_doc: dict,
-    summary: RunSummary,
-    records,
-) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_slots_csv(out_dir / "slots.csv", records)
+def _emit_run(out_dir: Path, config: ScenarioConfig, traces_doc: dict, summary: RunSummary) -> None:
+    """The files of a run directory that its summary gives: summary.csv, audit.txt
+    and config.json. Its logs are written by `RunLogs` as the run steps."""
     write_summary_csv(out_dir / "summary.csv", summary)
-    write_audit_csv(out_dir / "auction_audit.csv", records)
     report = bound_audit(summary, config)
     (out_dir / "audit.txt").write_text(report.render() + "\n")
     _write_config(out_dir, config, traces_doc)
+
+
+@contextlib.contextmanager
+def _staged(out_root: Path):
+    """A directory in `out_root` to write a command's files in. When the block
+    succeeds, each file moves to its place in `out_root`, replacing any there;
+    a block that fails leaves none."""
+    out_root.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=".staging-", dir=out_root) as tmp:
+        stage = Path(tmp)
+        yield stage
+        for path in sorted(stage.rglob("*")):  # a directory before its files
+            target = out_root / path.relative_to(stage)
+            if path.is_dir():
+                target.mkdir(exist_ok=True)
+            else:
+                os.replace(path, target)
 
 
 def _resolve_out(args) -> Path:
@@ -366,47 +379,62 @@ def cmd_run(args) -> int:
     base, traces_doc, inputs = _scenario(args, _MODE_FLAG[flags[0]])
     configs = [dataclasses.replace(base, mode=_MODE_FLAG[flag]) for flag in flags]
     out_root = _resolve_out(args)
-    t0 = time.perf_counter()
-    runs = sim.simulate_runs(configs, inputs, [f"{flag} run" for flag in flags])
-    elapsed = time.perf_counter() - t0  # the runs step together, so they share it
-    results: dict[str, RunSummary] = {}
-    for flag, cfg, (summary, records) in zip(flags, configs, runs):
-        sub = out_root / flag
-        _emit_run(sub, cfg, traces_doc, summary, records)
-        results[cfg.mode] = summary
-        print(
-            f"{cfg.mode}: mean time-avg cost {summary.mean_time_avg_cost():.6f}, "
-            f"grid {summary.total_grid_kwh:.1f} kWh, traded "
-            f"{summary.total_traded_kwh:.1f} kWh, violations "
-            f"{summary.violation_count}, {elapsed:.2f}s -> {sub}"
-        )
-
-    if len(results) == 2:
-        solo = results[MODE_SOLO].total_cost
-        auct = results[MODE_AUCTION].total_cost
-        lines = [
-            f"no_auction total cost:   {solo:.6f}",
-            f"with_auction total cost: {auct:.6f}",
-        ]
-        if solo > 0:
-            reduction = 100.0 * (solo - auct) / solo
-            lines.append(f"cost reduction: {reduction:.2f}%")
-        grid_solo = results[MODE_SOLO].total_grid_kwh
-        grid_auct = results[MODE_AUCTION].total_grid_kwh
-        if grid_solo > 0:
-            lines.append(
-                f"grid purchase reduction: "
-                f"{100.0 * (grid_solo - grid_auct) / grid_solo:.2f}%"
+    with _staged(out_root) as stage, contextlib.ExitStack() as files:
+        logs = []
+        for flag, cfg in zip(flags, configs):
+            (stage / flag).mkdir()
+            logs.append(files.enter_context(RunLogs(stage / flag, cfg.ids)))
+        t0 = time.perf_counter()
+        names = [f"{flag} run" for flag in flags]
+        summaries = sim.fold_runs(configs, inputs, names, [log.write for log in logs])
+        elapsed = time.perf_counter() - t0  # the runs step together, so they share it
+        results: dict[str, RunSummary] = {}
+        for flag, cfg, summary in zip(flags, configs, summaries):
+            _emit_run(stage / flag, cfg, traces_doc, summary)
+            results[cfg.mode] = summary
+            print(
+                f"{cfg.mode}: mean time-avg cost {summary.mean_time_avg_cost():.6f}, "
+                f"grid {summary.total_grid_kwh:.1f} kWh, traded "
+                f"{summary.total_traded_kwh:.1f} kWh, violations "
+                f"{summary.violation_count}, {elapsed:.2f}s -> {out_root / flag}"
             )
-        text = "\n".join(lines)
-        print(text)
-        out_root.mkdir(parents=True, exist_ok=True)
-        (out_root / "comparison.txt").write_text(text + "\n")
+
+        if len(results) == 2:
+            solo, auction = results[MODE_SOLO], results[MODE_AUCTION]
+            text = "\n".join(starmap(_rendered, _comparison(
+                solo.total_cost, auction.total_cost, solo.total_grid_kwh, auction.total_grid_kwh
+            )))
+            print(text)
+            (stage / "comparison.txt").write_text(text + "\n")
 
     if any(s.violation_count for s in results.values()):
         print("invariant violations recorded; see audit output", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
+
+
+# the heads of comparison.txt's lines, in order: two total costs, then two reductions
+_COMPARED = (
+    "no_auction total cost:   ", "with_auction total cost: ", "cost reduction: ",
+    "grid purchase reduction: ",
+)
+
+
+def _comparison(solo_cost, auction_cost, solo_grid, auction_grid) -> list[tuple[str, float]]:
+    """The lines of comparison.txt, each as its head and value: the two runs'
+    total costs, and the auction run's reductions of the solo run's cost and
+    grid purchase, in percent, where the solo one is positive."""
+    lines = list(zip(_COMPARED, (solo_cost, auction_cost)))
+    if solo_cost > 0:
+        lines.append((_COMPARED[2], 100.0 * (solo_cost - auction_cost) / solo_cost))
+    if solo_grid > 0:
+        lines.append((_COMPARED[3], 100.0 * (solo_grid - auction_grid) / solo_grid))
+    return lines
+
+
+def _rendered(head: str, value: float) -> str:
+    """A comparison.txt line: a total at 6 decimals, a reduction at 2 and a percent sign."""
+    return f"{head}{value:.6f}" if head in _COMPARED[:2] else f"{head}{value:.2f}%"
 
 
 def _audited_config(out_dir: Path) -> ScenarioConfig:
@@ -458,13 +486,89 @@ def cmd_audit(args) -> int:
     all_ok = True
     for t in targets:
         problems = _audit_one(t)
-        print(f"{t}: {'FAIL' if problems else 'PASS'} ({len(problems)} problems)")
-        for p in problems[:20]:
-            print(f"  {p}")
-        if len(problems) > 20:
-            print(f"  ... {len(problems) - 20} more")
+        _report(t, problems)
         all_ok = all_ok and not problems
+    if targets != [root]:  # a parent of runs: a failure of its own is reported too
+        problems = _audit_parent(root, targets)
+        if problems:
+            _report(root, problems)
+            all_ok = False
     return EXIT_OK if all_ok else EXIT_INVARIANT
+
+
+def _report(target: Path, problems: list[str]) -> None:
+    print(f"{target}: {'FAIL' if problems else 'PASS'} ({len(problems)} problems)")
+    for p in problems[:20]:
+        print(f"  {p}")
+    if len(problems) > 20:
+        print(f"  ... {len(problems) - 20} more")
+
+
+def _audit_parent(root: Path, targets: list[Path]) -> list[str]:
+    """The problems of a parent of runs, as `mgtrade run --mode both` writes one.
+
+    Its auction/ and solo/ runs, when it has both, must share their
+    config.json but for the mode, and its comparison.txt, when it has one,
+    must follow from their summary.csv files.
+    """
+    runs = {t.name: t for t in targets if t.name in _MODE_FLAG}
+    problems: list[str] = []
+    if len(runs) == 2:
+        docs = [json.loads((runs[flag] / "config.json").read_text()) for flag in _MODE_FLAG]
+        keys = (docs[0].keys() | docs[1].keys()) - {"mode"}
+        differ = sorted(k for k in keys if docs[0].get(k) != docs[1].get(k))
+        if differ:
+            problems.append(f"auction/config.json and solo/config.json differ in {differ}, "
+                            "not only in mode")
+    if (root / "comparison.txt").exists():
+        if len(runs) < 2:
+            problems.append("comparison.txt: no auction/ and solo/ runs to compare")
+        else:
+            problems += _verify_comparison(root / "comparison.txt", *(
+                read_summary_csv(runs[flag] / "summary.csv") for flag in _MODE_FLAG
+            ))
+    return problems
+
+
+def _verify_comparison(path: Path, auction: Log, solo: Log) -> list[str]:
+    """Check comparison.txt against the summary.csv logs of its two runs.
+
+    A total cost in it is a run's in-memory sum of its n per-MG totals,
+    rendered. summary.csv renders each of those, so the total lies within
+    tol = (n + 1) * (5e-7 + 2**-50 * S) of the sum of the logged ones, S
+    their absolute sum, as `verify_summary_csv` derives it for a total over
+    slots. A reduction 100 * (s - a) / s, of a solo total s and an auction
+    total a each within its tol of the logged sums, is rendered at 2
+    decimals: within 0.005 + 100 * (tol_a + |a| * tol_s / s) / (s - tol_s)
+    of the one the logged sums give. The file must hold the lines
+    `_comparison` gives for the logged sums, each head and format as
+    `_rendered` writes them and each value within that; its first line that
+    does not is one problem.
+    """
+    def total(log: Log, name: str) -> tuple[float, float]:
+        values = log[name]
+        return sum(values), (len(values) + 1) * (5e-7 + 2.0**-50 * sum(map(abs, values)))
+
+    def reduction_tol(solo_total: tuple, auction_total: tuple) -> float:
+        (s, tol_s), (a, tol_a) = solo_total, auction_total
+        return 0.005 + 100.0 * (tol_a + abs(a) * tol_s / s) / (s - tol_s) if s > tol_s else math.inf
+
+    cost, grid = ((total(solo, name), total(auction, name)) for name in ("total_cost", "total_grid_kwh"))
+    tol = dict(zip(_COMPARED, (cost[0][1], cost[1][1], reduction_tol(*cost), reduction_tol(*grid))))
+    want = _comparison(cost[0][0], cost[1][0], grid[0][0], grid[1][0])
+    got = path.read_text().splitlines()
+    for k in range(max(len(got), len(want))):
+        line = got[k] if k < len(got) else None
+        head, value = want[k] if k < len(want) else (None, None)
+        try:
+            shown = float(line.removeprefix(head).removesuffix("%"))
+            ok = line == _rendered(head, shown) and abs(shown - value) <= tol[head]
+        except (AttributeError, TypeError, ValueError):  # a line or a number missing
+            ok = False
+        if not ok:
+            wanted = "no line" if head is None else repr(_rendered(head, value))
+            return [f"comparison.txt line {k + 1}: {line!r} != {wanted} from the summary.csv files"]
+    return []
 
 
 def _audit_sweep(sweep_csv: Path) -> int:
@@ -526,10 +630,10 @@ def cmd_sweep(args) -> int:
         ))
         for f in fractions
     ]
-    runs = sim.simulate_runs(configs, inputs, [f"fraction {f}" for f in fractions])
+    summaries = sim.fold_runs(configs, inputs, [f"fraction {f}" for f in fractions])
     rows: list[SweepRow] = []
     solved: dict[tuple[int, float], float] = {}  # oracle costs by (MG id, b0)
-    for f, cfg, (summary, _) in zip(fractions, configs, runs):
+    for f, cfg, summary in zip(fractions, configs, summaries):
         oracle = sim.offline_oracle(cfg, inputs, solved)
         for spec in cfg.mgs:
             p = spec.params
@@ -543,7 +647,7 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(out_root / "sweep.csv", rows)
     _write_config(out_root, base, traces_doc)
     print(f"wrote {out_root / 'sweep.csv'}")
-    broken = [v for summary, _ in runs for v in summary.violations]
+    broken = [v for summary in summaries for v in summary.violations]
     if broken:
         print(f"invariant violations recorded; the first: {broken[0]}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -237,14 +237,26 @@ def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], str, tuple[str
     return tuple(hints), cells, tuple(n for n, t in hints.items() if t is int)
 
 
+class _LogFile:
+    """A log being written: its header on opening, then each block of lines as it
+    comes, each line ended as csv.writer ends it."""
+
+    def __init__(self, path, header: tuple[str, ...]) -> None:
+        self.fh = open(path, "w", newline="")
+        self.fh.write(",".join(header) + "\r\n")
+
+    def write(self, lines: Iterable[str]) -> None:
+        text = "\r\n".join(lines)
+        if text:
+            self.fh.write(text + "\r\n")
+
+
 def _write_log(path, header: tuple[str, ...], blocks: Iterable[Iterable[str]]) -> None:
-    """Write a log: its header, then the lines of each block, each ended as csv.writer ends it."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+    """Write a log: its header, then the lines of each block."""
+    log = _LogFile(path, header)
+    with log.fh:
         for lines in blocks:
-            text = "\r\n".join(lines)
-            if text:
-                fh.write(text + "\r\n")
+            log.write(lines)
 
 
 _MG_COLUMNS, _MG_CELLS, _WHOLE_COLUMNS = _log_columns(MGSlotRow)
@@ -252,9 +264,13 @@ _MARKET_COLUMNS, _MARKET_CELLS, _ = _log_columns(MarketRow, prefix="market_")
 SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
 
 
-def write_slots_csv(path, records: list[SlotRecord]) -> None:
-    rows = (map((_MG_CELLS + "," + _MARKET_CELLS % r.market).__mod__, r.rows) for r in records)
-    _write_log(path, SLOTS_HEADER, rows)
+def _slot_lines(rec: SlotRecord):
+    """A record's lines of slots.csv: its MGs' rows, each with the slot's market cells."""
+    return map((_MG_CELLS + "," + _MARKET_CELLS % rec.market).__mod__, rec.rows)
+
+
+def write_slots_csv(path, records: Iterable[SlotRecord]) -> None:
+    _write_log(path, SLOTS_HEADER, map(_slot_lines, records))
 
 
 _SUMMARY_COLUMNS, _SUMMARY_CELLS, _SUMMARY_WHOLE = _log_columns(MGSummary)
@@ -314,17 +330,17 @@ def _audit_slot(slot: int, sides) -> list[str]:
     return lines
 
 
-def write_audit_csv(path, records: list[SlotRecord]) -> None:
-    """Write auction_audit.csv slot by slot: the `_audit_slot` lines of the cells
-    slots.csv gives each record's live bids and market prices.
+def _audit_lines(ids: list[int]):
+    """The renderer of a run's auction_audit.csv lines, its MGs' ids ``ids``: from a
+    record, the `_audit_slot` lines of the cells slots.csv gives its live bids and
+    market prices.
 
-    The records are a run's, sharing one id list. A bid is live when its kWh
-    is positive; `_audit_slot` drops those whose kWh renders as zero. A unit
-    price is zero or the market price, so it is logged nonzero exactly when
-    it is nonzero and the market price is logged nonzero.
+    A bid is live when its kWh is positive; `_audit_slot` drops those whose
+    kWh renders as zero. A unit price is zero or the market price, so it is
+    logged nonzero exactly when it is nonzero and the market price is logged
+    nonzero.
     """
     rows = [_ROW_FLOATS.index(name) for names in _SIDE_FIELDS.values() for name in names]
-    ids = records[0].ids if records else []
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     names = [str(ids[k]) for k in by_id]
 
@@ -343,7 +359,40 @@ def write_audit_csv(path, records: list[SlotRecord]) -> None:
             ))
         return _audit_slot(rec.slot, sides)
 
-    _write_log(path, AUDIT_HEADER, map(lines, records))
+    return lines
+
+
+def write_audit_csv(path, records: list[SlotRecord]) -> None:
+    """Write auction_audit.csv slot by slot; the records are a run's, sharing one id list."""
+    _write_log(path, AUDIT_HEADER, map(_audit_lines(records[0].ids if records else []), records))
+
+
+class RunLogs:
+    """A run's slots.csv and auction_audit.csv in ``out_dir``, written a record at a
+    time as the run steps (`write`), as `write_slots_csv` and `write_audit_csv`
+    write them whole; ``ids`` are the run's MG ids. A context manager: the files
+    close when it exits.
+    """
+
+    def __init__(self, out_dir: Path, ids: list[int]) -> None:
+        self.slots = _LogFile(out_dir / "slots.csv", SLOTS_HEADER)
+        try:
+            self.audit = _LogFile(out_dir / "auction_audit.csv", AUDIT_HEADER)
+        except BaseException:
+            self.slots.fh.close()
+            raise
+        self.audit_lines = _audit_lines(ids)
+
+    def write(self, rec: SlotRecord) -> None:
+        self.slots.write(_slot_lines(rec))
+        self.audit.write(self.audit_lines(rec))
+
+    def __enter__(self) -> "RunLogs":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.slots.fh.close()
+        self.audit.fh.close()
 
 
 class Log:

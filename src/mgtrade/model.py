@@ -274,7 +274,7 @@ def delay_queue_step(delay_kwh, demand_kwh, serve_kwh, fleet: Fleet):
     return _max(delay_kwh - serve_kwh, 0.0) + grow
 
 
-def oldest_pending_age(arrived_kwh, served_kwh, slot: int):
+def oldest_pending_age(arrived_kwh, served_kwh, slot: int, start: int = 0):
     """Age at the start of `slot` of each MG's oldest unserved job, 0 if none.
 
     ``arrived_kwh[a]`` is the work arrived by the end of slot a, for the
@@ -284,8 +284,13 @@ def oldest_pending_age(arrived_kwh, served_kwh, slot: int):
     FEAS_TOL counts as done, as a FIFO serving each job to within FEAS_TOL
     would have it. The rows are nondecreasing, so the count of those at or
     below the threshold is that job's slot.
+
+    Rows before ``start`` are counted without comparing them, so every MG's
+    count must have reached ``start`` already. Arrivals and served work only
+    grow, so a count never falls: ``start`` may be the smallest count of an
+    earlier slot, and the rows compared are then the window of pending jobs.
     """
-    return slot - (arrived_kwh[:slot] <= served_kwh + FEAS_TOL).sum(axis=0)
+    return slot - start - (arrived_kwh[start:slot] <= served_kwh + FEAS_TOL).sum(axis=0)
 
 
 def compute_a_const(params: MGParams) -> float:

@@ -13,8 +13,11 @@ renders its log rows and audit lines when it writes them. Only an auction
 run posts a book: a solo run's market stays empty.
 
 A world can hold several runs over the same inputs, their MGs' columns
-stacked run after run (`simulate_runs`), so a slot pays numpy's per-call
-cost once, not once per run; only the market goes run by run.
+stacked run after run (`step_runs`), so a slot pays numpy's per-call cost
+once, not once per run; only the market goes run by run. The records are
+handed on a block of slots at a time as the runs step (`fold_runs`), and
+`RunFold` folds a run's summary from them as they go by, so a command that
+writes its logs as it steps (`mgtrade run`) holds no horizon of records.
 
 The offline oracle solves the whole horizon as one linear program per MG with
 all randomness known and trading disabled. It is the benchmark the
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -133,7 +136,9 @@ class World:
     each over shared inputs, and ``fleet`` holds their parameters so too.
     ``served_kwh`` is the delay-tolerant work each MG served before `slot`.
     With the horizon's arrival prefix sums it names the oldest pending job,
-    so the job FIFO itself is never stored. ``names`` name the runs in errors.
+    so the job FIFO itself is never stored; ``finished`` counts the arrival
+    rows each MG's served work has finished, so the next slot's ages compare
+    only the rows from the smallest count on. ``names`` name the runs in errors.
     """
 
     configs: tuple[ScenarioConfig, ...]
@@ -142,6 +147,7 @@ class World:
     demand_queue_kwh: Any
     delay_queue_kwh: Any
     served_kwh: Any
+    finished: Any
     slot: int
     names: tuple[str, ...]
 
@@ -153,7 +159,8 @@ class World:
         battery = np.array(list(map(initial_battery, params, bounds, b0)))
         empty = (np.zeros(len(params)) for _ in range(3))  # Q, Z, served
         names = tuple(names) or tuple(f"run {r}" for r in range(len(configs)))
-        return cls(configs, Fleet.of(params, bounds), battery, *empty, slot=0, names=names)
+        finished = np.zeros(len(params), dtype=int)
+        return cls(configs, Fleet.of(params, bounds), battery, *empty, finished, 0, names)
 
     def where(self, run: int) -> str:
         """The slot, and the run when there are several, as an error message names them."""
@@ -260,7 +267,7 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
     new_z = delay_queue_step(z, q, j, fleet)
     new_q = demand_queue_step(q, j, dt)
     served = world.served_kwh + j
-    oldest_age = oldest_pending_age(inputs.arrived_kwh, served, t + 1)
+    oldest_age = oldest_pending_age(inputs.arrived_kwh, served, t + 1, int(world.finished.min()))
     violations = _monitor(t, fleet, new_b, new_q, new_z, spill, oldest_age, len(configs))
 
     columns = np.array((
@@ -274,45 +281,108 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
         SlotRecord(t, cols, ages, market, bad, cfg.ids)
         for cfg, (cols, ages), market, bad in zip(configs, own, markets, violations)
     ]
-    return World(configs, fleet, new_b, new_q, new_z, served, t + 1, world.names), records
+    finished = t + 1 - oldest_age
+    return World(configs, fleet, new_b, new_q, new_z, served, finished, t + 1, world.names), records
 
 
-def summarize(config: ScenarioConfig, records: list[SlotRecord]) -> RunSummary:
-    """Per-MG totals and extremes of a run.
+# How many slots `fold_runs` holds before it hands them on, at least, and how
+# many logged floats, at most, once that is more slots: numpy's per-call cost
+# is paid once a block, the log writers format a block in one go rather than
+# between the steps, and a block's memory does not grow with the horizon.
+# 8,192 floats are 54 slots of 6 MGs.
+_BLOCK_SLOTS, _BLOCK_FLOATS = 16, 8192
+# the columns `_SUMMARY_OF` totals; then those it takes an extreme of but the age,
+# each with the sign that makes its extreme the largest value
+_TOTALLED = [_ROW_FLOATS.index(column) for _, reduce_, column in _SUMMARY_OF if reduce_ is sum]
+_TOPPED = [
+    (_ROW_FLOATS.index(column), 1.0 if reduce_ is max else -1.0)
+    for _, reduce_, column in _SUMMARY_OF if reduce_ is not sum and column in _ROW_FLOATS
+]
+_TOPPED_SIGN = np.array([[sign] for _, sign in _TOPPED])
+_FOLDED = _TOTALLED + [row for row, _ in _TOPPED]  # the rows a fold reads, in that order
 
-    The worst job age is the largest logged ``oldest_pending_age``: a run
-    starts with no backlog, jobs are served oldest first and never in the
-    slot they arrive, so a served job is never older than the oldest job
-    pending at the end of the slot before.
+
+def _first_largest(carried, rows):
+    """Per column, the value `max` picks from ``carried`` and then ``rows``, in order:
+    the first value that no later one exceeds. A NaN exceeds nothing and, carried,
+    is exceeded by nothing; ``argmax`` takes the first of equal values, so of
+    zeros of either sign the first one."""
+    rows = np.where(np.isnan(rows), -np.inf, rows)
+    first = np.take_along_axis(rows, rows.argmax(axis=0)[np.newaxis], axis=0)[0]
+    return np.where(first > carried, first, carried)
+
+
+class RunFold:
+    """A run's `RunSummary`, folded from its records a block of slots at a time,
+    in slot order (`add`).
+
+    Each block's reduction starts from the values of the blocks before, so
+    each MG's fields are those of
+    `_SUMMARY_OF`'s reductions of its whole logged columns, bit for bit. A
+    total is a plain float sum in slot order from 0, as `sum` adds on Python
+    3.11 (`np.add.accumulate` adds one slot after another), and an extreme
+    is the value `max` or `min` picks (`_first_largest`; a smallest value is
+    the largest of the negated ones, and negation is exact). The worst job
+    age is the largest logged ``oldest_pending_age``: a run starts with no
+    backlog, jobs are served oldest first and never in the slot they arrive,
+    so a served job is never older than the oldest job pending at the end of
+    the slot before.
     """
-    horizon = len(records)
-    violations: list[str] = []
-    for rec in records:
-        violations.extend(rec.violations)
-    logged = np.array([rec.columns for rec in records])  # (slot, field, MG)
-    ages = np.array([rec.oldest_age for rec in records])  # (slot, MG)
 
-    def each_mg(reduce, column: str) -> list:
-        """`reduce` of each MG's logged `column`, its slots in order."""
-        at = ages if column == "oldest_pending_age" else logged[:, _ROW_FLOATS.index(column)]
-        return list(map(reduce, at.T.tolist()))
+    def __init__(self, config: ScenarioConfig) -> None:
+        self.config = config
+        self.slots, self.traded, self.violations = 0, 0, []
+        self.totals = np.zeros((len(_TOTALLED), len(config.mgs)))  # (field, MG) so far
+        self.tops = self.ages = None  # (field, MG) and (MG,) so far, once a slot is in
 
-    reduced = zip(*(each_mg(reduce, column) for _, reduce, column in _SUMMARY_OF))
-    # the time average is the total cost, `_SUMMARY_OF`'s first field, over the horizon
-    per_mg = {
-        m.params.id: MGSummary(m.params.id, fields[0] / horizon, *fields)
-        for m, fields in zip(config.mgs, reduced)
-    }
-    return RunSummary(
-        mode=config.mode,
-        horizon_slots=horizon,
-        per_mg=per_mg,
-        total_cost=sum(s.total_cost for s in per_mg.values()),
-        total_grid_kwh=sum(s.total_grid_kwh for s in per_mg.values()),
-        total_traded_kwh=sum(rec.market.volume_kwh for rec in records),
-        violation_count=len(violations),
-        violations=tuple(violations),
-    )
+    def add(self, block: Sequence[SlotRecord]) -> None:
+        """Fold the records of the next slots, one or more, in slot order."""
+        for rec in block:
+            self.traded += rec.market.volume_kwh
+            self.violations += rec.violations
+        logged = np.array([rec.columns[_FOLDED] for rec in block])  # (slot, row, MG)
+        ages = np.array([rec.oldest_age for rec in block])  # (slot, MG)
+        self.slots += len(block)
+        totals = logged[:, :len(_TOTALLED)]
+        totals[0] += self.totals
+        self.totals = np.add.accumulate(totals)[-1]
+        tops = logged[:, len(_TOTALLED):] * _TOPPED_SIGN
+        if self.tops is None:  # `max` starts from the first slot's value
+            self.tops, self.ages, tops, ages = tops[0], ages[0], tops[1:], ages[1:]
+        if len(tops):
+            self.tops = _first_largest(self.tops, tops)
+            self.ages = np.maximum(self.ages, ages.max(axis=0))
+
+    def summary(self) -> RunSummary:
+        totals = iter(self.totals.tolist())
+        tops = iter((self.tops * _TOPPED_SIGN).tolist())
+        columns = [
+            next(totals) if reduce_ is sum
+            else self.ages.tolist() if column == "oldest_pending_age" else next(tops)
+            for _, reduce_, column in _SUMMARY_OF
+        ]
+        # the time average is the total cost, `_SUMMARY_OF`'s first field, over the horizon
+        per_mg = {
+            m.params.id: MGSummary(m.params.id, fields[0] / self.slots, *fields)
+            for m, fields in zip(self.config.mgs, zip(*columns))
+        }
+        return RunSummary(
+            mode=self.config.mode,
+            horizon_slots=self.slots,
+            per_mg=per_mg,
+            total_cost=sum(s.total_cost for s in per_mg.values()),
+            total_grid_kwh=sum(s.total_grid_kwh for s in per_mg.values()),
+            total_traded_kwh=self.traded,
+            violation_count=len(self.violations),
+            violations=tuple(self.violations),
+        )
+
+
+def summarize(config: ScenarioConfig, records: Sequence[SlotRecord]) -> RunSummary:
+    """Per-MG totals and extremes of a run: its records folded by `RunFold`."""
+    fold = RunFold(config)
+    fold.add(records)
+    return fold.summary()
 
 
 def run(
@@ -337,6 +407,53 @@ def simulate_runs(
     """Simulate runs of one MG count and horizon over the same drawn inputs, in one
     pass. Each run's summary and records are the ones `simulate` gives it alone;
     ``names`` label the runs in error messages."""
+    kept: list[list[SlotRecord]] = [[] for _ in configs]
+    summaries = fold_runs(configs, inputs, names, [run.append for run in kept])
+    return list(zip(summaries, kept))
+
+
+def fold_runs(
+    configs: Sequence[ScenarioConfig],
+    inputs: SlotInputs,
+    names: Sequence[str] = (),
+    sinks: Sequence[Callable[[SlotRecord], Any]] = (),
+) -> list[RunSummary]:
+    """Each run's summary, as `simulate_runs` gives it, folded a block of slots
+    at a time.
+
+    The runs' records are held for a block of slots (`_BLOCK_SLOTS`); then
+    each run's go to its sink in ``sinks``, if it has one, one after another
+    in slot order, and to its fold, and are dropped. No more than a block of
+    records is held, whatever the horizon, and a sink that writes logs
+    formats a block at a time: slot by slot between the steps, a 96-MG x
+    120-slot run took 5-14% longer.
+    """
+    folds = [RunFold(c) for c in configs]
+    size = max(_BLOCK_SLOTS, _BLOCK_FLOATS // (len(_ROW_FLOATS) * len(configs[0].mgs)))
+    block: list[list[SlotRecord]] = []
+
+    def hand_on() -> None:
+        runs = list(zip(*block))  # each run's records of the block
+        for sink, records in zip(sinks, runs):
+            for rec in records:
+                sink(rec)
+        for fold, records in zip(folds, runs):
+            fold.add(records)
+        block.clear()
+
+    for records in step_runs(configs, inputs, names):
+        block.append(records)
+        if len(block) == size:
+            hand_on()
+    hand_on()
+    return [fold.summary() for fold in folds]
+
+
+def step_runs(
+    configs: Sequence[ScenarioConfig], inputs: SlotInputs, names: Sequence[str] = ()
+) -> Iterator[list[SlotRecord]]:
+    """Step runs of one MG count and horizon over the same drawn inputs as one
+    world, and yield each slot's records, one per run, in slot order."""
     horizon = configs[0].horizon_slots
     if any(len(c.mgs) != len(configs[0].mgs) or c.horizon_slots != horizon for c in configs):
         raise SimError("runs stepped together need one MG count and one horizon")
@@ -346,11 +463,9 @@ def simulate_runs(
     if len(configs) > 1:  # every run reads the same input columns; one run reads them as they are
         columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh
         inputs = SlotInputs(*(np.tile(c, (1, len(configs))) for c in columns), inputs.grid_price)
-    slots = []
     for _ in range(horizon):
         world, records = step(world, inputs)
-        slots.append(records)
-    return [(summarize(c, run), run) for c, run in zip(configs, map(list, zip(*slots)))]
+        yield records
 
 
 def offline_oracle(

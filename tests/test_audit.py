@@ -209,7 +209,9 @@ def test_a_bid_that_logs_zero_kwh_has_no_line(tmp_path):
     assert records[0].ids[0] == 1
     sell = records[0].columns[_ROW_FLOATS.index("bid_sell_qty"), 0]
     assert 0.0 < sell and f"{sell:.6f}" == "0.000000"
-    _emit_run(tmp_path, config, {}, summary, records)
+    write_slots_csv(tmp_path / "slots.csv", records)
+    write_audit_csv(tmp_path / "auction_audit.csv", records)
+    _emit_run(tmp_path, config, {}, summary)
     log = read_slots_csv(tmp_path / "slots.csv")
     assert verify_audit_csv(tmp_path / "auction_audit.csv", config, log) == []
     assert main(["audit", str(tmp_path)]) == 0

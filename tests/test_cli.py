@@ -758,6 +758,66 @@ def test_audit_checks_the_audit_report(tmp_path, capsys):
     assert "missing log" in capsys.readouterr().err
 
 
+def test_audit_fails_a_parent_whose_runs_have_other_configs(tmp_path, capsys):
+    """An auction run of another seed written over a parent of both modes'
+    runs: each run passes its own audit, but auction/ and solo/ no longer
+    share a config, so the parent fails."""
+    out = str(tmp_path)
+    assert run_cli("run", "--horizon", "12", "--seed", "1", "--out", out) == EXIT_OK
+    assert run_cli("run", "--horizon", "12", "--seed", "2", "--mode", "auction", "--out", out) == 0
+    (tmp_path / "comparison.txt").unlink()  # its own check is the next test's
+    capsys.readouterr()
+    assert run_cli("audit", out) == EXIT_INVARIANT
+    text = capsys.readouterr().out
+    assert text.count(": PASS (0 problems)") == 2
+    assert text.endswith(
+        f"{tmp_path}: FAIL (1 problems)\n  auction/config.json and solo/config.json differ "
+        "in ['mgs', 'seed'], not only in mode\n"
+    )
+
+
+def bumped(line: str, by: float) -> str:
+    """A comparison.txt line with its value moved by `by`, rendered as before."""
+    head, _, cell = line.rpartition(" ")
+    value, percent = cell.removesuffix("%"), "%" * cell.endswith("%")
+    return f"{head} {float(value) + by:.{len(value.split('.')[1])}f}{percent}"
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        (1, lambda s: s, None),  # as written
+        (2, lambda s: bumped(s, 1e-6), None),  # within the rendering
+        (2, lambda s: bumped(s, 1e-5), "with_auction total cost"),
+        (3, lambda s: s.replace("%", "0%"), "cost reduction"),
+        (3, lambda s: bumped(s, 0.01), "cost reduction"),
+        (4, lambda s: "", "grid purchase reduction"),
+    ],
+    ids=["as-written", "last-digit", "auction-total", "format", "reduction", "missing"],
+)
+def test_audit_checks_the_comparison(tmp_path, capsys, line, edit, message):
+    """comparison.txt must show the totals that the two summary.csv logs sum
+    to, within their 6-decimal rendering, and the reductions those give."""
+    out = str(tmp_path)
+    assert run_cli("run", "--horizon", "12", "--seed", "1", "--out", out) == EXIT_OK
+    comparison = tmp_path / "comparison.txt"
+    lines = comparison.read_text().splitlines()
+    edited = edit(lines[line - 1])
+    comparison.write_text("\n".join(lines[:line - 1] + [edited] * bool(edited) + lines[line:]) + "\n")
+    capsys.readouterr()
+    code = run_cli("audit", out)
+    text = capsys.readouterr().out
+    if message is None:
+        assert code == EXIT_OK and f"{tmp_path}:" not in text
+        return
+    assert code == EXIT_INVARIANT
+    got = repr(edited) if edited else "None"
+    assert f"{tmp_path}: FAIL (1 problems)\n  comparison.txt line {line}: {got} != '{message}" in text
+    (tmp_path / "solo" / "slots.csv").unlink()
+    assert run_cli("audit", out) == EXIT_INVARIANT
+    assert "comparison.txt: no auction/ and solo/ runs to compare" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "cell, message",
     [
@@ -959,6 +1019,61 @@ def test_run_both_writes_the_bytes_of_separate_runs(tmp_path):
             assert (tmp_path / "both" / flag / name).read_bytes() == (
                 alone / flag / name
             ).read_bytes(), f"{flag}/{name}"
+
+
+def test_a_run_holds_no_slot_records_over_its_horizon(tmp_path):
+    """A run writes its logs as it steps, so the traced memory peak of a
+    24-MG auction run at 480 slots is above the one at 60 slots by less than
+    the records of the 420 slots between would take: 25 logged floats of 8
+    bytes per MG and slot."""
+    import tracemalloc
+
+    doc = reference_doc()
+    doc["mgs"] = [{**m, "id": k + 1} for k, m in enumerate(doc["mgs"] * 4)]
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps(doc))
+
+    def run(horizon: int) -> None:
+        out = str(tmp_path / str(horizon))
+        argv = ("run", "--config", str(path), "--mode", "auction", "--horizon", str(horizon))
+        assert run_cli(*argv, "--out", out) == EXIT_OK
+
+    run(2)  # the simulator's modules load before anything is traced
+    peaks = []
+    for horizon in (60, 480):
+        tracemalloc.start()
+        try:
+            run(horizon)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 24 * 25 * 8 * 420
+
+
+def test_a_failed_run_keeps_the_files_it_would_replace(tmp_path, capsys, monkeypatch):
+    """A run writes in a staging directory and moves its files into place only
+    when it succeeds: one that fails in its last slot leaves the run directory
+    as an earlier run wrote it, and no staging directory."""
+    from mgtrade import sim
+    from mgtrade.errors import RejectedAction
+
+    common = ("--config", CONFIG, "--mode", "auction", "--horizon", "6", "--out", str(tmp_path))
+    assert run_cli("run", *common, "--seed", "1") == EXIT_OK
+    written = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    real_step = sim.battery_step
+
+    def fail_last_slot(battery_kwh, action, fleet):
+        if len(slots) == 5:
+            raise RejectedAction("mg 1: charge_kwh -1.0 < 0", 0)
+        slots.append(1)
+        return real_step(battery_kwh, action, fleet)
+
+    slots: list[int] = []
+    monkeypatch.setattr(sim, "battery_step", fail_last_slot)
+    assert run_cli("run", *common, "--seed", "2") == EXIT_INVARIANT
+    assert "slot 5 mg 1: charge_kwh -1.0 < 0" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["auction"]
 
 
 @pytest.mark.parametrize("flag", ["solo", "auction"])

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import random
+from functools import reduce
+from operator import add
 from pathlib import Path
 from statistics import mean
 
@@ -12,7 +15,10 @@ from hypothesis import strategies as st
 
 from mgtrade.errors import ConfigError, ParseError, SimError
 from mgtrade.logs import (
+    _ROW_FLOATS,
+    _SUMMARY_OF,
     SLOTS_HEADER,
+    MarketRow,
     bound_audit,
     read_slots_csv,
     verify_log_rows,
@@ -31,11 +37,15 @@ from mgtrade.model import (
     compute_v_max,
     initial_battery,
     mg_subseed,
+    oldest_pending_age,
     virtual_battery,
 )
 from mgtrade.sim import (
+    RunFold,
+    SlotRecord,
     World,
     build_traces,
+    fold_runs,
     offline_oracle,
     realized_inputs,
     run,
@@ -382,6 +392,100 @@ def test_runs_stepped_together_are_the_runs_alone(tmp_path):
         write_audit_csv(tmp_path / "alone.csv", alone)
         assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
     assert sum(s.total_traded_kwh for s, _ in together) > 0.0  # the auction runs trade
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["finite", "with-nan"])
+def test_a_fold_gives_the_totals_and_extremes_of_whole_columns(nan):
+    """A `RunFold` folds a run's records a block of slots at a time, yet each
+    MG's total is the plain float sum of its logged column in slot order from
+    0, and each extreme the first of its values that no later one beats, as
+    `max` and `min` pick it, bit for bit, whatever the blocks: over 250
+    slots of 40 MGs, of values whose sums depend on their order, with ties
+    of signed zeros."""
+    rng = random.Random(f"fold:{nan}")
+    # MG 1's largest value and MG 2's smallest are zeros of either sign, and so on
+    pools = [[0.0, -0.0, -1.0, -2.5], [0.0, -0.0, 1.0, 2.5], [0.1, 1.0, 1e16, -1e16, 3.3]]
+    pools = [pools[k % 3] + [math.nan] * nan for k in range(40)]
+    cfg = small_scenario(n_mgs=40, horizon=250)
+    records = [
+        SlotRecord(
+            t, np.array([[rng.choice(pool) for pool in pools] for _ in _ROW_FLOATS]),
+            np.array([rng.randrange(5) for _ in pools]),
+            MarketRow(0.0, 0.0, rng.choice(pools[2]), 0.0), (f"slot {t}",) * (t % 7 == 0),
+            cfg.ids,
+        )
+        for t in range(250)
+    ]
+    fold, at = RunFold(cfg), 0
+    while at < len(records):  # blocks of 1 to 20 slots
+        size = rng.randint(1, 20)
+        fold.add(records[at:at + size])
+        at += size
+    summary = fold.summary()
+    assert repr(summary) == repr(summarize(cfg, records))  # one block
+    for k, m in enumerate(cfg.mgs):
+        got = summary.per_mg[m.params.id]
+        for name, reduce_, column in _SUMMARY_OF:
+            if column == "oldest_pending_age":
+                values = [rec.oldest_age.tolist()[k] for rec in records]
+            else:
+                values = [rec.columns[_ROW_FLOATS.index(column)].tolist()[k] for rec in records]
+            want = reduce(add, values, 0) if reduce_ is sum else reduce_(values)
+            assert repr(getattr(got, name)) == repr(want), (m.params.id, name)
+        assert repr(got.time_avg_cost) == repr(got.total_cost / 250)
+    assert repr(summary.total_traded_kwh) == repr(reduce(add, (r.market.volume_kwh for r in records), 0))
+    assert summary.violations == tuple(f"slot {t}" for t in range(0, 250, 7))
+
+
+@pytest.mark.parametrize("serve", [1500.0, 160.0], ids=["reference", "long-backlog"])
+def test_job_ages_from_the_pending_window_are_those_of_every_arrival(serve):
+    """A step compares only the arrival rows from the smallest count of jobs
+    its MGs had finished; each job age is still the one the comparison of
+    every arrival row before the slot gives, also when jobs wait for tens of
+    slots."""
+    from mgtrade.cli import default_scenario
+
+    base = default_scenario(seed=3, horizon=150)
+    cfg = dataclasses.replace(base, mgs=tuple(
+        dataclasses.replace(m, params=dataclasses.replace(m.params, serve_rate_max_kwh=serve))
+        for m in base.mgs
+    ))
+    inputs = realized_inputs(cfg, build_traces(cfg))
+    _, records = simulate(cfg, inputs)
+    served = np.zeros(len(cfg.mgs))
+    for t, rec in enumerate(records):
+        served = served + rec.columns[_ROW_FLOATS.index("serve_kwh")]  # as `step` adds it
+        want = oldest_pending_age(inputs.arrived_kwh, served, t + 1)
+        assert rec.oldest_age.tolist() == want.tolist(), t
+    worst = max(max(rec.oldest_age.tolist()) for rec in records)
+    assert worst > 50 if serve < 1500.0 else worst < 20
+
+
+def test_runs_fold_as_they_step(monkeypatch):
+    """`fold_runs` gives the summaries `simulate_runs` gives, and hands each
+    run's records to its sink in slot order while the runs still step."""
+    from mgtrade import sim
+    from mgtrade.cli import default_scenario
+
+    base = default_scenario(seed=2, horizon=130)
+    configs = [dataclasses.replace(base, mode=mode) for mode in (MODE_AUCTION, MODE_SOLO)]
+    inputs = realized_inputs(base, build_traces(base))
+    kept = simulate_runs(configs, inputs)
+    steps, real_step = [], sim.step
+
+    def counted(world, inputs):
+        steps.append(world.slot)
+        return real_step(world, inputs)
+
+    monkeypatch.setattr(sim, "step", counted)
+    seen: list[list[tuple[int, int]]] = [[], []]  # per run, (slot, steps taken) of each record
+    summaries = fold_runs(configs, inputs, sinks=[
+        lambda rec, run=run: seen[run].append((rec.slot, len(steps))) for run in range(2)
+    ])
+    assert summaries == [summary for summary, _ in kept]
+    for run in seen:
+        assert [slot for slot, _ in run] == list(range(130))
+        assert run[0][1] < 130  # the first record is handed on before the last step
 
 
 def test_runs_stepped_together_share_mg_count_and_horizon():
