@@ -4,7 +4,7 @@ A slot's market is held as columns indexed by fleet position, as the slot
 step holds its MGs: the book keeps every MG's bid columns and the book order
 of each side, the fills name MGs by position, and each MG's bought and sold
 kWh and unit prices come from them as columns. The slot's record keeps
-those columns, not the book: `mgtrade.logs.write_audit_csv` lists the bids
+those columns, not the book: `mgtrade.logs.RunLogs` lists the bids
 in the order of their logged prices.
 
 The auctioneer sorts buy bids descending and sell bids ascending, then picks

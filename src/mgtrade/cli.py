@@ -7,9 +7,9 @@ when not given. Renewable and price traces default to the seeded synthetic
 generators; CSV paths can be supplied instead (renewables are rescaled to
 the configured mean, prices are clipped into the configured band).
 
-Exit codes: 0 success, 2 usage (bad flags, missing files), 3 data
-(unparseable config or trace, malformed logs), 4 invariant violations or an
-infeasible oracle.
+Exit codes: 0 success, 2 usage (bad flags, missing files, an output
+directory that holds the other mode's run), 3 data (unparseable config or
+trace, malformed logs), 4 invariant violations or an infeasible oracle.
 """
 
 from __future__ import annotations
@@ -376,9 +376,17 @@ def cmd_run(args) -> int:
     from . import sim
 
     flags = ["auction", "solo"] if args.mode == "both" else [args.mode]
+    out_root = _resolve_out(args)
+    if args.mode != "both":  # a parent of runs holds both modes' runs or neither
+        other = "solo" if args.mode == "auction" else "auction"
+        for name in (other, "comparison.txt"):
+            if (out_root / name).exists():
+                raise FileExistsError(
+                    f"{out_root / name} exists: a --mode {args.mode} run would leave it "
+                    "stale; choose another --out"
+                )
     base, traces_doc, inputs = _scenario(args, _MODE_FLAG[flags[0]])
     configs = [dataclasses.replace(base, mode=_MODE_FLAG[flag]) for flag in flags]
-    out_root = _resolve_out(args)
     with _staged(out_root) as stage, contextlib.ExitStack() as files:
         logs = []
         for flag, cfg in zip(flags, configs):
@@ -442,7 +450,7 @@ def _audited_config(out_dir: Path) -> ScenarioConfig:
     config_path = out_dir / "config.json"
     if not config_path.exists():
         raise SimError(f"{out_dir}: missing config.json")
-    return config_from_dict(json.loads(config_path.read_text()))[0]
+    return load_config(config_path)[0]
 
 
 def _audit_one(run_dir: Path) -> list[str]:
@@ -695,7 +703,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, FileExistsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ConfigError, ParseError) as e:

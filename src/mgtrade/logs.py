@@ -98,7 +98,7 @@ class MGSummary(NamedTuple):
 
 
 # each MGSummary field after the MG id and time average: the reduction of the
-# MG's logged column that it is made from, by `summarize` and again in the audit
+# MG's logged column that it is made from, by `sim.RunFold` and again in the audit
 _SUMMARY_OF = (
     ("total_cost", sum, "cost"),
     ("total_grid_kwh", sum, "grid_kwh"),
@@ -264,13 +264,12 @@ _MARKET_COLUMNS, _MARKET_CELLS, _ = _log_columns(MarketRow, prefix="market_")
 SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
 
 
-def _slot_lines(rec: SlotRecord):
-    """A record's lines of slots.csv: its MGs' rows, each with the slot's market cells."""
-    return map((_MG_CELLS + "," + _MARKET_CELLS % rec.market).__mod__, rec.rows)
-
-
-def write_slots_csv(path, records: Iterable[SlotRecord]) -> None:
-    _write_log(path, SLOTS_HEADER, map(_slot_lines, records))
+def _slot_lines(rec: SlotRecord, ids: list[int]):
+    """A record's lines of slots.csv, its MGs' ids ``ids``: each MG's row, rendered
+    from its column of the record, with the slot's market cells."""
+    cells = _MG_CELLS + "," + _MARKET_CELLS % rec.market
+    rows = zip(repeat(rec.slot), ids, *rec.columns.tolist(), rec.oldest_age.tolist())
+    return map(cells.__mod__, rows)
 
 
 _SUMMARY_COLUMNS, _SUMMARY_CELLS, _SUMMARY_WHOLE = _log_columns(MGSummary)
@@ -362,16 +361,10 @@ def _audit_lines(ids: list[int]):
     return lines
 
 
-def write_audit_csv(path, records: list[SlotRecord]) -> None:
-    """Write auction_audit.csv slot by slot; the records are a run's, sharing one id list."""
-    _write_log(path, AUDIT_HEADER, map(_audit_lines(records[0].ids if records else []), records))
-
-
 class RunLogs:
     """A run's slots.csv and auction_audit.csv in ``out_dir``, written a record at a
-    time as the run steps (`write`), as `write_slots_csv` and `write_audit_csv`
-    write them whole; ``ids`` are the run's MG ids. A context manager: the files
-    close when it exits.
+    time in slot order as the run steps (`write`); ``ids`` are the run's MG ids. A
+    context manager: the files close when it exits.
     """
 
     def __init__(self, out_dir: Path, ids: list[int]) -> None:
@@ -381,10 +374,10 @@ class RunLogs:
         except BaseException:
             self.slots.fh.close()
             raise
-        self.audit_lines = _audit_lines(ids)
+        self.ids, self.audit_lines = ids, _audit_lines(ids)
 
     def write(self, rec: SlotRecord) -> None:
-        self.slots.write(_slot_lines(rec))
+        self.slots.write(_slot_lines(rec, self.ids))
         self.audit.write(self.audit_lines(rec))
 
     def __enter__(self) -> "RunLogs":
@@ -615,7 +608,7 @@ def verify_audit_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
 
     The file must be the `_audit_text` of `log`: each slot's `_audit_slot`
     lines, one per bid logged with a nonzero quantity, with the MG's logged
-    bid, fill and, when accepted, the market price. `write_audit_csv`
+    bid, fill and, when accepted, the market price. `RunLogs`
     renders the run's file with `_audit_slot` too, from the cells it logs
     in slots.csv. The file may end its lines as `read_log` allows, and skip
     blank lines; it is otherwise that text exactly. A file that differs is

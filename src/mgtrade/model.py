@@ -456,7 +456,7 @@ class ScenarioConfig:
 
     @cached_property
     def ids(self) -> list[int]:
-        """The MG ids in config order: one list, which every slot record of a run shares."""
+        """The MG ids in config order, built once: each slot's book of a run reads them."""
         return [m.params.id for m in self.mgs]
 
 

@@ -55,7 +55,7 @@ from .ingest import (
     synthetic_price,
     synthetic_wind,
 )
-from .logs import _ROW_FLOATS, _SUMMARY_OF, MarketRow, MGSlotRow, MGSummary, RunSummary
+from .logs import _ROW_FLOATS, _SUMMARY_OF, MarketRow, MGSummary, RunSummary
 from .model import (  # the scenario names are re-exported
     FEAS_TOL,
     MODE_AUCTION,
@@ -171,9 +171,10 @@ class World:
 class SlotRecord:
     """One slot of a run, its MGs' log rows held as columns.
 
-    ``columns[i, k]`` is field ``_ROW_FLOATS[i]`` of MG k's row, in config
-    order, and ``ids[k]`` its MG id. ``rows`` builds the log rows from them,
-    and `write_audit_csv` renders the slot's auction_audit.csv lines.
+    ``columns[i, k]`` is field ``_ROW_FLOATS[i]`` of MG k's row and
+    ``oldest_age[k]`` its oldest pending job's age, in config order;
+    `mgtrade.logs.RunLogs` renders the slot's slots.csv and auction_audit.csv
+    lines from them.
     """
 
     slot: int
@@ -181,12 +182,6 @@ class SlotRecord:
     oldest_age: Any
     market: MarketRow
     violations: tuple[str, ...]
-    ids: list[int]
-
-    @property
-    def rows(self) -> tuple[MGSlotRow, ...]:
-        cells = zip(self.ids, self.columns.T.tolist(), self.oldest_age.tolist())
-        return tuple(MGSlotRow(self.slot, mid, *row, age) for mid, row, age in cells)
 
 
 def _monitor(
@@ -278,8 +273,8 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
     if len(runs) > 1:
         own = [(columns[:, at], oldest_age[at]) for at in runs]
     records = [
-        SlotRecord(t, cols, ages, market, bad, cfg.ids)
-        for cfg, (cols, ages), market, bad in zip(configs, own, markets, violations)
+        SlotRecord(t, cols, ages, market, bad)
+        for (cols, ages), market, bad in zip(own, markets, violations)
     ]
     finished = t + 1 - oldest_age
     return World(configs, fleet, new_b, new_q, new_z, served, finished, t + 1, world.names), records
@@ -378,38 +373,16 @@ class RunFold:
         )
 
 
-def summarize(config: ScenarioConfig, records: Sequence[SlotRecord]) -> RunSummary:
-    """Per-MG totals and extremes of a run: its records folded by `RunFold`."""
-    fold = RunFold(config)
-    fold.add(records)
-    return fold.summary()
-
-
 def run(
     config: ScenarioConfig, traces: ScenarioTraces | None = None
 ) -> tuple[RunSummary, list[SlotRecord]]:
-    """Simulate the whole horizon; deterministic for a fixed config and seed."""
+    """Simulate the whole horizon: the run's summary and its records, one per slot.
+    Deterministic for a fixed config and seed."""
     if traces is None:
         traces = build_traces(config)
-    return simulate(config, realized_inputs(config, traces))
-
-
-def simulate(
-    config: ScenarioConfig, inputs: SlotInputs
-) -> tuple[RunSummary, list[SlotRecord]]:
-    """Simulate the whole horizon on inputs already drawn."""
-    return simulate_runs([config], inputs)[0]
-
-
-def simulate_runs(
-    configs: Sequence[ScenarioConfig], inputs: SlotInputs, names: Sequence[str] = ()
-) -> list[tuple[RunSummary, list[SlotRecord]]]:
-    """Simulate runs of one MG count and horizon over the same drawn inputs, in one
-    pass. Each run's summary and records are the ones `simulate` gives it alone;
-    ``names`` label the runs in error messages."""
-    kept: list[list[SlotRecord]] = [[] for _ in configs]
-    summaries = fold_runs(configs, inputs, names, [run.append for run in kept])
-    return list(zip(summaries, kept))
+    records: list[SlotRecord] = []
+    [summary] = fold_runs([config], realized_inputs(config, traces), sinks=[records.append])
+    return summary, records
 
 
 def fold_runs(
@@ -418,8 +391,10 @@ def fold_runs(
     names: Sequence[str] = (),
     sinks: Sequence[Callable[[SlotRecord], Any]] = (),
 ) -> list[RunSummary]:
-    """Each run's summary, as `simulate_runs` gives it, folded a block of slots
-    at a time.
+    """Step runs of one MG count and horizon over the same drawn inputs
+    (`step_runs`), and fold each run's summary a block of slots at a time.
+    Each run's summary and records are the ones it gives stepped alone;
+    ``names`` label the runs in error messages.
 
     The runs' records are held for a block of slots (`_BLOCK_SLOTS`); then
     each run's go to its sink in ``sinks``, if it has one, one after another

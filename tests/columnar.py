@@ -9,11 +9,13 @@ result back into one tuple of floats per case.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from mgtrade.auction import ClearingOutcome, OrderBook
 from mgtrade.controller import Bids, make_bids, solve_slot_program
-from mgtrade.logs import MarketRow, MGSlotRow
+from mgtrade.logs import MarketRow, MGSlotRow, RunLogs
 from mgtrade.model import ControlAction, DerivedBounds, Fleet
 from mgtrade.sim import SlotRecord
 
@@ -114,6 +116,18 @@ def record_of(slot: int, book: OrderBook, fills, prices=(0.0, 0.0)) -> SlotRecor
     bids = fields.index("bid_sell_price")
     columns[bids : bids + 8] = (*book.bids, *fills)  # four bid fields, then four fills
     return SlotRecord(
-        slot, columns, np.zeros(len(book.ids), dtype=int), MarketRow(*prices, 0.0, 0.0), (),
-        book.ids.tolist(),
+        slot, columns, np.zeros(len(book.ids), dtype=int), MarketRow(*prices, 0.0, 0.0), ()
     )
+
+
+def rows_of(rec: SlotRecord, ids) -> tuple[MGSlotRow, ...]:
+    """The log rows of a record of MGs ``ids``, one per MG in config order."""
+    cells = zip(ids, rec.columns.T.tolist(), rec.oldest_age.tolist())
+    return tuple(MGSlotRow(rec.slot, mid, *row, age) for mid, row, age in cells)
+
+
+def write_logs(out_dir, ids, records) -> None:
+    """Write a run's records, its MGs ``ids``, to slots.csv and auction_audit.csv."""
+    with RunLogs(Path(out_dir), ids) as logs:
+        for rec in records:
+            logs.write(rec)

@@ -20,7 +20,6 @@ from mgtrade.auction import ClearingOutcome, OrderBook, budget_check, clear, pai
 from mgtrade.cli import default_scenario
 from mgtrade.controller import Bids
 from mgtrade.ingest import Trace
-from mgtrade.logs import write_slots_csv
 from mgtrade.model import (
     MODE_AUCTION,
     MODE_SOLO,
@@ -36,7 +35,9 @@ from mgtrade.model import (
     virtual_battery,
 )
 from mgtrade.sim import ScenarioTraces, offline_oracle, realized_inputs, run
-from columnar import allocations_by_id, bid_all, book_of, book_sides, solve_one, trade_of
+from columnar import (
+    allocations_by_id, bid_all, book_of, book_sides, solve_one, trade_of, write_logs,
+)
 from oracles import (
     BidPair,
     MGState,
@@ -612,9 +613,8 @@ def test_criterion_8_reruns_are_byte_identical(tmp_path):
     cfg = default_scenario()
     blobs = []
     for name in ("first", "second"):
-        _, records = run(cfg)
-        path = tmp_path / f"{name}.csv"
-        write_slots_csv(path, records)
-        blobs.append(path.read_bytes())
+        (tmp_path / name).mkdir()
+        write_logs(tmp_path / name, cfg.ids, run(cfg)[1])
+        blobs.append((tmp_path / name / "slots.csv").read_bytes())
     assert blobs[0] == blobs[1]
     _verdict(8, f"two runs, {len(blobs[0])} bytes of slot log, identical")

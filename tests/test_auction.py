@@ -23,9 +23,9 @@ from mgtrade.auction import (
 )
 from mgtrade.controller import Bids
 from mgtrade.errors import InvariantViolation, MarketError
-from mgtrade.logs import AUDIT_HEADER, write_audit_csv
+from mgtrade.logs import AUDIT_HEADER
 
-from columnar import allocations_by_id, book_of, book_sides, record_of, trade_of
+from columnar import allocations_by_id, book_of, book_sides, record_of, trade_of, write_logs
 from oracles import (
     AUDIT_CELLS,
     TradeAllocation,
@@ -582,12 +582,12 @@ def test_recorded_books_clear_like_the_reference_scan(n_mgs):
 # ----------------------------------------------------------------- audit trail
 
 
-def written_audit(records) -> list[str]:
-    """The lines `write_audit_csv` writes for `records`, split at their CRLF ends."""
+def written_audit(b: OrderBook, rec) -> list[str]:
+    """The lines `RunLogs` writes to auction_audit.csv for the record `rec` of the
+    book `b`'s MGs, split at their CRLF ends."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "auction_audit.csv"
-        write_audit_csv(path, records)
-        return path.read_bytes().decode().split("\r\n")
+        write_logs(tmp, b.ids.tolist(), [rec])
+        return (Path(tmp) / "auction_audit.csv").read_bytes().decode().split("\r\n")
 
 
 def test_audit_rows_cover_every_bid():
@@ -597,7 +597,7 @@ def test_audit_rows_cover_every_bid():
     )
     out = clear(b, grid_price=10.0)
     prices = (out.buy_clearing_price, out.sell_clearing_price)
-    header, *lines, end = written_audit([record_of(7, b, out.fills(len(b.ids)), prices)])
+    header, *lines, end = written_audit(b, record_of(7, b, out.fills(len(b.ids)), prices))
     assert (header, end) == (",".join(AUDIT_HEADER), "")
     line = namedtuple("line", AUDIT_HEADER)
     rows = [line(*text.split(",")) for text in lines]
@@ -637,7 +637,7 @@ def assert_market_stage_equals_the_reference(slot: int, b: OrderBook, grid: floa
             [t.bought_kwh, t.sold_kwh, t.buy_unit_price, t.sell_unit_price] for t in want
         ])
         rows = reference_audit_rows(slot, ref, bp, sp, trades)
-        assert written_audit([record_of(slot, b, fills, (bp, sp))]) == [
+        assert written_audit(b, record_of(slot, b, fills, (bp, sp))) == [
             ",".join(AUDIT_HEADER), *(AUDIT_CELLS % row for row in rows), ""
         ]
 

@@ -27,18 +27,17 @@ from mgtrade.logs import (
     _ROW_FLOATS,
     _SIDE_FIELDS,
     SLOTS_HEADER,
+    RunLogs,
     read_slots_csv,
     read_summary_csv,
     verify_audit_csv,
     verify_layout,
     verify_log_rows,
     verify_summary_csv,
-    write_audit_csv,
-    write_slots_csv,
     write_summary_csv,
 )
 from mgtrade.model import MODE_AUCTION, MODE_SOLO, SlotInputs
-from mgtrade.sim import build_traces, realized_inputs, run, simulate
+from mgtrade.sim import build_traces, fold_runs, realized_inputs, run
 
 from oracles import (
     reference_read_slots_csv,
@@ -81,11 +80,11 @@ SCENARIOS = {
 def written(name: str):
     """The config of a scenario and the text of the logs its run writes."""
     config = SCENARIOS[name]()
-    summary, records = run(config)
+    inputs = realized_inputs(config, build_traces(config))
     with tempfile.TemporaryDirectory() as tmp:
         run_dir = Path(tmp)
-        write_slots_csv(run_dir / "slots.csv", records)
-        write_audit_csv(run_dir / "auction_audit.csv", records)
+        with RunLogs(run_dir, config.ids) as run_logs:
+            [summary] = fold_runs([config], inputs, sinks=[run_logs.write])
         write_summary_csv(run_dir / "summary.csv", summary)
         return config, {p.name: p.read_bytes().decode() for p in run_dir.iterdir()}
 
@@ -174,7 +173,7 @@ def test_sells_that_render_alike_are_listed_by_mg_id(tmp_path, capsys):
     doc = fleet_doc(96, MODE_AUCTION, 2, seed=3)
     record = run(config_from_dict(doc)[0])[1][1]
     price = record.columns[_ROW_FLOATS.index("bid_sell_price")].tolist()
-    by_id, first = (price[record.ids.index(mid)] for mid in (21, 92))
+    by_id, first = (price[mid - 1] for mid in (21, 92))  # MG ids run from 1 in config order
     assert first < by_id and f"{first:.6f}" == f"{by_id:.6f}" == "1.031192"
     (tmp_path / "fleet.json").write_text(json.dumps(doc))
     assert main(["run", "--config", str(tmp_path / "fleet.json"), "--out", str(tmp_path)]) == 0
@@ -205,12 +204,14 @@ def test_a_bid_that_logs_zero_kwh_has_no_line(tmp_path):
     renewable = drawn.renewable_kwh.copy()
     renewable[0, 0] = drawn.di_load_kwh[0, 0] + 1e-7
     inputs = SlotInputs(renewable, drawn.di_load_kwh, drawn.dt_load_kwh, drawn.grid_price)
-    summary, records = simulate(config, inputs)
-    assert records[0].ids[0] == 1
+    records = []
+    [summary] = fold_runs([config], inputs, sinks=[records.append])
+    assert config.ids[0] == 1
     sell = records[0].columns[_ROW_FLOATS.index("bid_sell_qty"), 0]
     assert 0.0 < sell and f"{sell:.6f}" == "0.000000"
-    write_slots_csv(tmp_path / "slots.csv", records)
-    write_audit_csv(tmp_path / "auction_audit.csv", records)
+    with RunLogs(tmp_path, config.ids) as run_logs:
+        for rec in records:
+            run_logs.write(rec)
     _emit_run(tmp_path, config, {}, summary)
     log = read_slots_csv(tmp_path / "slots.csv")
     assert verify_audit_csv(tmp_path / "auction_audit.csv", config, log) == []

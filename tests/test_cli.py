@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from itertools import zip_longest
@@ -229,6 +230,29 @@ def test_run_single_mode_writes_one_dir(tmp_path):
     assert (tmp_path / "auction" / "slots.csv").exists()
     assert not (tmp_path / "solo").exists()
     assert not (tmp_path / "comparison.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, removed, refused",
+    [("auction", None, "solo"), ("solo", None, "auction"), ("auction", "solo", "comparison.txt")],
+)
+def test_a_single_mode_run_refuses_a_parent_of_both_modes(tmp_path, capsys, flag, removed, refused):
+    """A --mode auction or solo run into a directory that holds the other
+    mode's run or a comparison.txt would leave them stale, and the directory
+    would fail its audit: the run exits 2, names the entry and writes
+    nothing. A --mode both run there still replaces both runs."""
+    out = str(tmp_path)
+    assert run_cli("run", "--horizon", "12", "--seed", "1", "--out", out) == EXIT_OK
+    if removed:
+        shutil.rmtree(tmp_path / removed)
+    written = {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    capsys.readouterr()
+    argv = ("run", "--horizon", "12", "--seed", "2", "--out", out)
+    assert run_cli(*argv, "--mode", flag) == EXIT_USAGE
+    assert f"error: {tmp_path / refused} exists" in capsys.readouterr().err
+    assert {p: p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == written
+    assert run_cli(*argv) == EXIT_OK
+    assert run_cli("audit", out) == EXIT_OK
 
 
 def test_run_honors_out_env(tmp_path, monkeypatch):
@@ -759,21 +783,34 @@ def test_audit_checks_the_audit_report(tmp_path, capsys):
 
 
 def test_audit_fails_a_parent_whose_runs_have_other_configs(tmp_path, capsys):
-    """An auction run of another seed written over a parent of both modes'
+    """An auction run of another seed copied over a parent of both modes'
     runs: each run passes its own audit, but auction/ and solo/ no longer
     share a config, so the parent fails."""
-    out = str(tmp_path)
-    assert run_cli("run", "--horizon", "12", "--seed", "1", "--out", out) == EXIT_OK
-    assert run_cli("run", "--horizon", "12", "--seed", "2", "--mode", "auction", "--out", out) == 0
-    (tmp_path / "comparison.txt").unlink()  # its own check is the next test's
+    parent, other = tmp_path / "parent", tmp_path / "other"
+    assert run_cli("run", "--horizon", "12", "--seed", "1", "--out", str(parent)) == EXIT_OK
+    argv = ("run", "--horizon", "12", "--seed", "2", "--mode", "auction", "--out", str(other))
+    assert run_cli(*argv) == EXIT_OK
+    shutil.copytree(other / "auction", parent / "auction", dirs_exist_ok=True)
+    (parent / "comparison.txt").unlink()  # its own check is the next test's
     capsys.readouterr()
-    assert run_cli("audit", out) == EXIT_INVARIANT
+    assert run_cli("audit", str(parent)) == EXIT_INVARIANT
     text = capsys.readouterr().out
     assert text.count(": PASS (0 problems)") == 2
     assert text.endswith(
-        f"{tmp_path}: FAIL (1 problems)\n  auction/config.json and solo/config.json differ "
+        f"{parent}: FAIL (1 problems)\n  auction/config.json and solo/config.json differ "
         "in ['mgs', 'seed'], not only in mode\n"
     )
+
+
+def test_audit_of_a_truncated_config_is_a_data_error(tmp_path, capsys):
+    """A run directory whose config.json is cut short fails its audit as a data
+    error that names the file."""
+    assert run_cli("run", "--mode", "solo", "--horizon", "4", "--out", str(tmp_path)) == EXIT_OK
+    config = tmp_path / "solo" / "config.json"
+    config.write_text('{"seed": ')
+    capsys.readouterr()
+    assert run_cli("audit", str(tmp_path / "solo")) == EXIT_DATA
+    assert f"error: {config}: invalid JSON" in capsys.readouterr().err
 
 
 def bumped(line: str, by: float) -> str:
@@ -1021,6 +1058,30 @@ def test_run_both_writes_the_bytes_of_separate_runs(tmp_path):
             ).read_bytes(), f"{flag}/{name}"
 
 
+def test_the_library_run_writes_the_bytes_of_the_command(tmp_path):
+    """`mgtrade.run`'s records, written by `RunLogs`, and its summary, by
+    `write_summary_csv`, are the bytes `mgtrade run --mode auction` writes for
+    the same config: the library and the command are one path."""
+    from mgtrade import run
+    from mgtrade.logs import RunLogs, write_summary_csv
+    from mgtrade.sim import build_traces
+
+    path = CONFIG_DIR / "sv_synthetic.json"
+    argv = ("run", "--config", str(path), "--mode", "auction", "--horizon", "30")
+    assert run_cli(*argv, "--out", str(tmp_path / "cli")) == EXIT_OK
+    cfg, traces_doc = load_config(path)
+    cfg = dataclasses.replace(cfg, mode=MODE_AUCTION, horizon_slots=30)
+    summary, records = run(cfg, build_traces(cfg, traces_doc))
+    assert summary.total_traded_kwh > 0.0
+    with RunLogs(tmp_path, cfg.ids) as logs:
+        for rec in records:
+            logs.write(rec)
+    write_summary_csv(tmp_path / "summary.csv", summary)
+    for name in ("slots.csv", "auction_audit.csv", "summary.csv"):
+        want = (tmp_path / "cli" / "auction" / name).read_bytes()
+        assert (tmp_path / name).read_bytes() == want, name
+
+
 def test_a_run_holds_no_slot_records_over_its_horizon(tmp_path):
     """A run writes its logs as it steps, so the traced memory peak of a
     24-MG auction run at 480 slots is above the one at 60 slots by less than
@@ -1100,7 +1161,7 @@ def test_sweep_csv_equals_a_loop_of_single_runs(tmp_path, flag):
             for m in base.mgs
         )
         one = dataclasses.replace(base, mgs=mgs)
-        summary, _ = sim.simulate(one, inputs)
+        [summary] = sim.fold_runs([one], inputs)
         oracle = sim.offline_oracle(one, inputs)
         for m in one.mgs:
             p = m.params

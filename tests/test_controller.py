@@ -19,7 +19,7 @@ from mgtrade.controller import Bids, post_trade_settlement, spilled_kwh
 from mgtrade.errors import MarketError
 from mgtrade.model import ControlAction, MGParams
 
-from columnar import bid_all, solve_all
+from columnar import bid_all, rows_of, solve_all
 from oracles import (
     MGState,
     SlotInputs,
@@ -411,11 +411,12 @@ def test_simulated_rows_equal_the_scalar_references():
         dataclasses.replace(m, params=dataclasses.replace(m.params, id=k + 1))
         for k, m in enumerate(base.mgs * 4)
     )
-    _, records = run(dataclasses.replace(base, mgs=mgs))
+    cfg = dataclasses.replace(base, mgs=mgs)
+    _, records = run(cfg)
     params = {m.params.id: m.params for m in mgs}
     traded = 0
     for rec in records:
-        for row in rec.rows:
+        for row in rows_of(rec, cfg.ids):
             p = params[row.mg_id]
             state = MGState(row.battery_kwh, row.demand_queue_kwh, row.delay_queue_kwh)
             ins = SlotInputs(row.renewable_kwh, row.di_load_kwh, row.dt_load_kwh, row.grid_price)

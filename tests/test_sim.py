@@ -22,8 +22,6 @@ from mgtrade.logs import (
     bound_audit,
     read_slots_csv,
     verify_log_rows,
-    write_audit_csv,
-    write_slots_csv,
 )
 from mgtrade.model import (
     MODE_AUCTION,
@@ -49,12 +47,10 @@ from mgtrade.sim import (
     offline_oracle,
     realized_inputs,
     run,
-    simulate,
-    simulate_runs,
     step,
-    summarize,
 )
 
+from columnar import rows_of, write_logs
 from oracles import (
     brute_force_two_slot_cost,
     reference_offline_oracle,
@@ -205,7 +201,7 @@ def test_step_all_zero_slot_is_free():
     zeros = slots([(0.0, 0.0, 0.0, 0.0)] * 2)
     after, (rec,) = step(world, zeros)
     assert rec.market.volume_kwh == 0.0
-    for row in rec.rows:
+    for row in rows_of(rec, cfg.ids):
         assert row.cost == 0.0
         assert row.charge_kwh == row.discharge_kwh == row.serve_kwh == 0.0
         assert row.grid_kwh == 0.0
@@ -284,8 +280,8 @@ def test_step_crossing_market_preserves_buyer_battery(tmp_path):
     solo_next, (solo_rec,) = step(solo_world, inputs)
     assert solo_rec.market.volume_kwh == 0.0
 
-    buyer = rec.rows[0]
-    buyer_solo = solo_rec.rows[0]
+    buyer = rows_of(rec, cfg.ids)[0]
+    buyer_solo = rows_of(solo_rec, cfg.ids)[0]
     assert buyer.bought_kwh == pytest.approx(300.0)
     assert buyer_solo.bought_kwh == 0.0
     # both serve the backlog either way; the trade only changes the source
@@ -293,7 +289,7 @@ def test_step_crossing_market_preserves_buyer_battery(tmp_path):
     assert buyer.discharge_kwh == 0.0
     assert buyer_solo.discharge_kwh == pytest.approx(300.0)
     assert next_world.battery_kwh[0] > solo_next.battery_kwh[0]
-    write_audit_csv(tmp_path / "auction_audit.csv", [rec])
+    write_logs(tmp_path, cfg.ids, [rec])
     assert len((tmp_path / "auction_audit.csv").read_text().splitlines()) == 1 + 4
 
 
@@ -318,7 +314,7 @@ def test_step_one_sided_books_make_modes_identical():
     _, rec_a = run(cfg_a, traces)
     _, rec_s = run(cfg_s, traces)
     for ra, rs in zip(rec_a, rec_s):
-        assert ra.rows == rs.rows
+        assert rows_of(ra, cfg_a.ids) == rows_of(rs, cfg_s.ids)
         assert ra.market == rs.market
 
 
@@ -327,12 +323,11 @@ def test_step_one_sided_books_make_modes_identical():
 
 def test_run_is_deterministic(tmp_path):
     cfg = small_scenario(mode=MODE_AUCTION, seed=5, horizon=25)
-    _, rec1 = run(cfg)
-    _, rec2 = run(cfg)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_slots_csv(a, rec1)
-    write_slots_csv(b, rec2)
-    assert a.read_bytes() == b.read_bytes()
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        write_logs(tmp_path / name, cfg.ids, run(cfg)[1])
+    for log in ("slots.csv", "auction_audit.csv"):
+        assert (tmp_path / "a" / log).read_bytes() == (tmp_path / "b" / log).read_bytes()
 
 
 def test_run_horizon_one_summary_matches_rows():
@@ -340,7 +335,7 @@ def test_run_horizon_one_summary_matches_rows():
     summary, records = run(cfg)
     assert summary.horizon_slots == 1
     assert len(records) == 1
-    row_cost = sum(r.cost for r in records[0].rows)
+    row_cost = sum(r.cost for r in rows_of(records[0], cfg.ids))
     assert summary.total_cost == pytest.approx(row_cost)
     assert summary.mean_time_avg_cost() == pytest.approx(row_cost / 2)
 
@@ -365,7 +360,7 @@ def with_v_fraction(cfg: ScenarioConfig, fraction: float) -> ScenarioConfig:
 
 def test_runs_stepped_together_are_the_runs_alone(tmp_path):
     """Each run of a fleet gets the summary and records, bit for bit, that
-    `simulate` gives it alone, whatever the other runs' modes, V and MG ids."""
+    `fold_runs` gives it alone, whatever the other runs' modes, V and MG ids."""
     from mgtrade.cli import default_scenario
 
     base = default_scenario(seed=3, horizon=30)
@@ -379,19 +374,23 @@ def test_runs_stepped_together_are_the_runs_alone(tmp_path):
     )
     configs.append(dataclasses.replace(base, mgs=renumbered))
     inputs = realized_inputs(base, build_traces(base))
-    together = simulate_runs(configs, inputs)
-    assert len(together) == len(configs)
-    for cfg, (summary, records) in zip(configs, together):
-        alone_summary, alone = simulate(cfg, inputs)
-        assert summary == alone_summary
+    together: list[list[SlotRecord]] = [[] for _ in configs]
+    summaries = fold_runs(configs, inputs, sinks=[records.append for records in together])
+    assert len(summaries) == len(configs)
+    for cfg, summary, records in zip(configs, summaries, together):
+        alone: list[SlotRecord] = []
+        assert summary == fold_runs([cfg], inputs, sinks=[alone.append])[0]
         assert len(records) == len(alone) == 30
         for got, want in zip(records, alone):
-            assert got.rows == want.rows
-            assert (got.market, got.violations, got.ids) == (want.market, want.violations, want.ids)
-        write_audit_csv(tmp_path / "together.csv", records)
-        write_audit_csv(tmp_path / "alone.csv", alone)
-        assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
-    assert sum(s.total_traded_kwh for s, _ in together) > 0.0  # the auction runs trade
+            assert rows_of(got, cfg.ids) == rows_of(want, cfg.ids)
+            assert (got.market, got.violations) == (want.market, want.violations)
+        for name, kept in (("together", records), ("alone", alone)):
+            (tmp_path / name).mkdir(exist_ok=True)
+            write_logs(tmp_path / name, cfg.ids, kept)
+        for log in ("slots.csv", "auction_audit.csv"):
+            together_bytes = (tmp_path / "together" / log).read_bytes()
+            assert together_bytes == (tmp_path / "alone" / log).read_bytes(), log
+    assert sum(s.total_traded_kwh for s in summaries) > 0.0  # the auction runs trade
 
 
 @pytest.mark.parametrize("nan", [False, True], ids=["finite", "with-nan"])
@@ -412,7 +411,6 @@ def test_a_fold_gives_the_totals_and_extremes_of_whole_columns(nan):
             t, np.array([[rng.choice(pool) for pool in pools] for _ in _ROW_FLOATS]),
             np.array([rng.randrange(5) for _ in pools]),
             MarketRow(0.0, 0.0, rng.choice(pools[2]), 0.0), (f"slot {t}",) * (t % 7 == 0),
-            cfg.ids,
         )
         for t in range(250)
     ]
@@ -421,8 +419,9 @@ def test_a_fold_gives_the_totals_and_extremes_of_whole_columns(nan):
         size = rng.randint(1, 20)
         fold.add(records[at:at + size])
         at += size
-    summary = fold.summary()
-    assert repr(summary) == repr(summarize(cfg, records))  # one block
+    summary, whole = fold.summary(), RunFold(cfg)
+    whole.add(records)  # one block
+    assert repr(summary) == repr(whole.summary())
     for k, m in enumerate(cfg.mgs):
         got = summary.per_mg[m.params.id]
         for name, reduce_, column in _SUMMARY_OF:
@@ -451,7 +450,8 @@ def test_job_ages_from_the_pending_window_are_those_of_every_arrival(serve):
         for m in base.mgs
     ))
     inputs = realized_inputs(cfg, build_traces(cfg))
-    _, records = simulate(cfg, inputs)
+    records: list[SlotRecord] = []
+    fold_runs([cfg], inputs, sinks=[records.append])
     served = np.zeros(len(cfg.mgs))
     for t, rec in enumerate(records):
         served = served + rec.columns[_ROW_FLOATS.index("serve_kwh")]  # as `step` adds it
@@ -462,15 +462,16 @@ def test_job_ages_from_the_pending_window_are_those_of_every_arrival(serve):
 
 
 def test_runs_fold_as_they_step(monkeypatch):
-    """`fold_runs` gives the summaries `simulate_runs` gives, and hands each
-    run's records to its sink in slot order while the runs still step."""
+    """`fold_runs` gives the summaries each run gives alone (`run`), and hands
+    each run's records to its sink in slot order while the runs still step."""
     from mgtrade import sim
     from mgtrade.cli import default_scenario
 
     base = default_scenario(seed=2, horizon=130)
     configs = [dataclasses.replace(base, mode=mode) for mode in (MODE_AUCTION, MODE_SOLO)]
-    inputs = realized_inputs(base, build_traces(base))
-    kept = simulate_runs(configs, inputs)
+    traces = build_traces(base)
+    inputs = realized_inputs(base, traces)
+    alone = [run(cfg, traces)[0] for cfg in configs]
     steps, real_step = [], sim.step
 
     def counted(world, inputs):
@@ -480,12 +481,12 @@ def test_runs_fold_as_they_step(monkeypatch):
     monkeypatch.setattr(sim, "step", counted)
     seen: list[list[tuple[int, int]]] = [[], []]  # per run, (slot, steps taken) of each record
     summaries = fold_runs(configs, inputs, sinks=[
-        lambda rec, run=run: seen[run].append((rec.slot, len(steps))) for run in range(2)
+        lambda rec, k=k: seen[k].append((rec.slot, len(steps))) for k in range(2)
     ])
-    assert summaries == [summary for summary, _ in kept]
-    for run in seen:
-        assert [slot for slot, _ in run] == list(range(130))
-        assert run[0][1] < 130  # the first record is handed on before the last step
+    assert summaries == alone
+    for handed in seen:
+        assert [slot for slot, _ in handed] == list(range(130))
+        assert handed[0][1] < 130  # the first record is handed on before the last step
 
 
 def test_runs_stepped_together_share_mg_count_and_horizon():
@@ -493,9 +494,9 @@ def test_runs_stepped_together_share_mg_count_and_horizon():
     inputs = realized_inputs(cfg, build_traces(cfg))
     fewer = dataclasses.replace(cfg, mgs=cfg.mgs[:1])
     with pytest.raises(SimError, match="one MG count and one horizon"):
-        simulate_runs([cfg, fewer], inputs)
+        fold_runs([cfg, fewer], inputs)
     with pytest.raises(SimError, match="one MG count and one horizon"):
-        simulate_runs([cfg, dataclasses.replace(cfg, horizon_slots=4)], inputs)
+        fold_runs([cfg, dataclasses.replace(cfg, horizon_slots=4)], inputs)
 
 
 def test_paired_runs_both_modes_clean_and_market_fires():
@@ -777,20 +778,16 @@ def test_bound_audit_flags_injected_v_weight():
 
 def test_verify_log_rows_accepts_clean_logs(tmp_path):
     cfg = small_scenario(mode=MODE_AUCTION, seed=6, horizon=30)
-    _, records = run(cfg)
-    path = tmp_path / "slots.csv"
-    write_slots_csv(path, records)
-    log = read_slots_csv(path)
+    write_logs(tmp_path, cfg.ids, run(cfg)[1])
+    log = read_slots_csv(tmp_path / "slots.csv")
     assert log["slot"][0] == 0.0
     assert verify_log_rows(cfg, log) == []
 
 
 def test_verify_log_rows_catches_corruption(tmp_path):
     cfg = small_scenario(seed=6, horizon=10)
-    _, records = run(cfg)
-    path = tmp_path / "slots.csv"
-    write_slots_csv(path, records)
-    log = read_slots_csv(path)
+    write_logs(tmp_path, cfg.ids, run(cfg)[1])
+    log = read_slots_csv(tmp_path / "slots.csv")
     log["battery_kwh"][7] = 9e9
     problems = verify_log_rows(cfg, log)
     assert problems
@@ -891,11 +888,13 @@ def test_read_slots_csv_rejects_foreign_header(tmp_path):
 def test_summarize_counts_trades_and_ages():
     cfg, world, inputs = crossing_market()
     _, (rec,) = step(world, inputs)
-    summary = summarize(cfg, [rec])
+    fold = RunFold(cfg)
+    fold.add([rec])
+    summary = fold.summary()
     assert summary.total_traded_kwh == pytest.approx(300.0)
     assert summary.per_mg[1].total_bought_kwh == pytest.approx(300.0)
     assert summary.per_mg[3].total_sold_kwh == pytest.approx(300.0)
     assert summary.per_mg[1].max_job_age_slots == 0  # served in its arrival slot
     # the losing buyer covers its own backlog from storage in the same slot
-    assert rec.rows[1].serve_kwh == pytest.approx(200.0)
+    assert rows_of(rec, cfg.ids)[1].serve_kwh == pytest.approx(200.0)
     assert summary.per_mg[2].max_job_age_slots == 0
