@@ -43,6 +43,7 @@ bitwise the one scanning every pair with from-scratch fills gives.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import add
@@ -90,12 +91,13 @@ class OrderBook:
             raise MarketError(f"mg {ids[bad]}: negative bid price or quantity")
         sell_price, buy_price, sell_kwh, buy_kwh = bids
         (buys,), (sells,) = (buy_kwh > 0.0).nonzero(), (sell_kwh > 0.0).nonzero()
-        live = ids[np.concatenate((buys, sells))].tolist()
+        buy_ids, sell_ids = ids[buys], ids[sells]
+        live = buy_ids.tolist() + sell_ids.tolist()
         if len(set(live)) < len(live):
             twice = next(m for k, m in enumerate(live) if m in live[:k])
             raise MarketError(f"mg {twice}: appears more than once in the book")
-        buys = buys[np.lexsort((ids[buys], -buy_price[buys]))]
-        sells = sells[np.lexsort((ids[sells], sell_price[sells]))]
+        buys = buys[np.lexsort((buy_ids, -buy_price[buys]))]
+        sells = sells[np.lexsort((sell_ids, sell_price[sells]))]
         return cls(ids, bids, buys, sells, rho1, rho2)
 
     @cached_property
@@ -226,8 +228,9 @@ class _Candidates(NamedTuple):
     capped: dict[int, tuple[list[tuple[int, int, float]], float]]
 
 
-def _candidates(book: OrderBook, grid_price: float) -> _Candidates:
-    """Score every feasible marginal pair (mi, ml) of the book at once.
+def _candidates(book: OrderBook, grid_price: float) -> _Candidates | None:
+    """Score every feasible marginal pair (mi, ml) of the book at once; None if
+    there is none.
 
     On a saturated prefix of p path pairs the greedy fill's score is the sum
     of a*ln(x) - c*x*x/2 with a = rho1*bp and c = rho2*sp. Factored, that is
@@ -254,25 +257,27 @@ def _candidates(book: OrderBook, grid_price: float) -> _Candidates:
     buy_price, buy_kwh, sell_price, sell_kwh = book.floats
     rho = book.rho1, book.rho2
     buyer_at, seller_at, xs = zip(*book.fill_path)
-    logs = list(map(math.log, xs))
-    n = len(xs)
-    xs = np.array(xs, dtype=float)
-    sums = np.zeros((2, n + 1))  # L and Q: the sums of the first p pairs at [:, p]
-    np.cumsum((logs, xs * xs / 2.0), axis=1, out=sums[:, 1:])
-    top = np.zeros(n + 1)  # top[p]: largest x of the first p pairs
-    np.maximum.accumulate(xs, out=top[1:])
-    w_max = grid_price * (book.rho1 * sum(map(abs, logs)) + book.rho2 * sums[1, n])
-    error = (2 * n + 8) * 2.0**-53 * w_max + n * 2.0**-1070
-
-    by_buyer = np.searchsorted(buyer_at, np.arange(1, len(buy_kwh)))
-    by_seller = np.searchsorted(seller_at, np.arange(1, len(sell_kwh)))
+    # the path's length before each buyer's and each seller's first step
+    by_buyer = np.array([bisect_left(buyer_at, i) for i in range(1, len(buy_kwh))])
+    by_seller = np.array([bisect_left(seller_at, k) for k in range(1, len(sell_kwh))])
     bp, sp = np.array(buy_price[1:]), np.array(sell_price[1:])
     p = np.minimum(by_buyer[:, None], by_seller)
     feasible = np.logical_and.accumulate(bp[:, None] > sp, axis=1)
     feasible &= (bp <= grid_price)[:, None] & (p > 0)
-    cells = np.flatnonzero(feasible)
-    mi, ml = np.divmod(cells, len(sp))
-    p = p.ravel()[cells]
+    mi, ml = feasible.nonzero()
+    if not len(mi):
+        return None
+    p = p[mi, ml]
+    logs = list(map(math.log, xs))
+    n = len(xs)
+    xs = np.array(xs, dtype=float)
+    sums = np.zeros((2, n + 1))  # L and Q: the sums of the first p pairs at [:, p]
+    sums[0, 1:], sums[1, 1:] = logs, xs * xs / 2.0
+    np.cumsum(sums[:, 1:], axis=1, out=sums[:, 1:])
+    top = np.zeros(n + 1)  # top[p]: largest x of the first p pairs
+    np.maximum.accumulate(xs, out=top[1:])
+    w_max = grid_price * (book.rho1 * sum(map(abs, logs)) + book.rho2 * sums[1, n])
+    error = (2 * n + 8) * 2.0**-53 * w_max + n * 2.0**-1070
     a, c = book.rho1 * bp[mi], book.rho2 * sp[ml]  # the greedy fill's rho1*bp, rho2*sp
     ln_sum, sq_sum = sums[:, p]
     estimate = a * ln_sum - c * sq_sum
@@ -281,7 +286,7 @@ def _candidates(book: OrderBook, grid_price: float) -> _Candidates:
     mi += 1
     ml += 1
     capped = {}
-    for k in np.flatnonzero(cap_binds).tolist():
+    for k in cap_binds.nonzero()[0].tolist():
         i, j = int(mi[k]), int(ml[k])
         bp_i, sp_j = buy_price[i], sell_price[j]
         fill = _greedy_fill(buy_kwh[:i], sell_kwh[:j], pair_quantity(bp_i, sp_j, *rho))
@@ -311,7 +316,8 @@ def _band(estimate, error: float) -> list[int]:
         gap = ranked[:-1] - ranked[1:]
     margin = 2 * error + 1e-12 + 2.0**-50 * (np.abs(ranked[1:]) + error + 1e-12)
     clears = gap > margin
-    size = int(clears.argmax()) + 1 if clears.any() else len(order)
+    cut = clears.nonzero()[0]
+    size = int(cut[0]) + 1 if len(cut) else len(order)
     return sorted(order[:size].tolist())
 
 
@@ -331,6 +337,8 @@ def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
         return ClearingOutcome.empty()
     buy_price, _, sell_price, _ = book.floats
     cand = _candidates(book, grid_price)
+    if cand is None:  # no marginal pair is feasible
+        return ClearingOutcome.empty()
     best = None
     for k in _band(cand.estimate, cand.error):
         mi, ml = int(cand.mi[k]), int(cand.ml[k])

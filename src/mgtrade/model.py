@@ -182,7 +182,7 @@ class Fleet(NamedTuple):
     per run by :meth:`of`.
     """
 
-    id: list[int]
+    id: Any
     battery_capacity_kwh: Any
     charge_rate_max_kwh: Any
     discharge_rate_max_kwh: Any
@@ -203,15 +203,7 @@ class Fleet(NamedTuple):
             records = params if hasattr(params[0], name) else bounds
             return np.array([getattr(r, name) for r in records], dtype=float)
 
-        return cls([p.id for p in params], *map(column, cls._fields[1:]))
-
-
-def _max(a, b):
-    """Python's ``max(a, b)`` elementwise: ``a`` unless ``b > a``. ``np.maximum``
-    returns its second operand on a tie, so ``max(-0.0, 0.0)`` would lose its sign."""
-    import numpy as np
-
-    return np.where(b > a, b, a)
+        return cls(np.array([p.id for p in params]), *map(column, cls._fields[1:]))
 
 
 def check_action(battery_kwh, action: ControlAction, fleet: Fleet) -> None:
@@ -222,13 +214,13 @@ def check_action(battery_kwh, action: ControlAction, fleet: Fleet) -> None:
     c, d, j, g = action[:4]
     charge_cap = np.minimum(fleet.battery_capacity_kwh - battery_kwh, fleet.charge_rate_max_kwh)
     discharge_cap = np.minimum(battery_kwh, fleet.discharge_rate_max_kwh)
-    broken = np.array([
-        c < -FEAS_TOL, d < -FEAS_TOL, j < -FEAS_TOL, g < -FEAS_TOL,
-        (c > FEAS_TOL) & (d > FEAS_TOL),
-        c > charge_cap + FEAS_TOL, d > discharge_cap + FEAS_TOL,
-    ])
-    if not broken.any():
+    # one test of them all (c > TOL and d > TOL is -min(c, d) < -TOL, NaN or
+    # not); the table of which MG broke which is built only when one did
+    low = np.array((c, d, j, g, -np.minimum(c, d))) < -FEAS_TOL
+    high = np.array((c, d)) > np.array((charge_cap, discharge_cap)) + FEAS_TOL
+    if not np.count_nonzero(low) + np.count_nonzero(high):
         return
+    broken = np.concatenate((low, high))
     k = int(broken.any(axis=0).argmax())
     c, d, j, g, charge_cap, discharge_cap = (
         float(a[k]) for a in (c, d, j, g, charge_cap, discharge_cap)
@@ -251,15 +243,20 @@ def battery_step(battery_kwh, action: ControlAction, fleet: Fleet):
 
     check_action(battery_kwh, action, fleet)
     new_b = battery_kwh + (action.charge_kwh - action.discharge_kwh)
-    # snap float residue at the physical walls
-    new_b = np.where((-FEAS_TOL < new_b) & (new_b < 0), 0.0, new_b)
     cap = fleet.battery_capacity_kwh
-    return np.where((cap < new_b) & (new_b < cap + FEAS_TOL), cap, new_b)
+    if np.count_nonzero((new_b < 0) | (cap < new_b)):  # snap float residue at the physical walls
+        new_b = np.where((-FEAS_TOL < new_b) & (new_b < 0), 0.0, new_b)
+        new_b = np.where((cap < new_b) & (new_b < cap + FEAS_TOL), cap, new_b)
+    return new_b
 
 
 def demand_queue_step(demand_kwh, serve_kwh, arrival_kwh):
-    """Advance the backlog: Q' = max(Q - J, 0) + T."""
-    return _max(demand_kwh - serve_kwh, 0.0) + arrival_kwh
+    """Advance the backlog: Q' = max(Q - J, 0) + T. ``np.maximum`` returns its
+    second operand on a tie, so ``np.maximum(0.0, a)`` is Python's ``max(a, 0.0)``
+    elementwise, -0.0 and NaN included."""
+    import numpy as np
+
+    return np.maximum(0.0, demand_kwh - serve_kwh) + arrival_kwh
 
 
 def delay_queue_step(delay_kwh, demand_kwh, serve_kwh, fleet: Fleet):
@@ -271,7 +268,7 @@ def delay_queue_step(delay_kwh, demand_kwh, serve_kwh, fleet: Fleet):
     import numpy as np
 
     grow = np.where(demand_kwh > 0, fleet.epsilon, 0.0)
-    return _max(delay_kwh - serve_kwh, 0.0) + grow
+    return np.maximum(0.0, delay_kwh - serve_kwh) + grow
 
 
 def oldest_pending_age(arrived_kwh, served_kwh, slot: int, start: int = 0):
@@ -290,7 +287,9 @@ def oldest_pending_age(arrived_kwh, served_kwh, slot: int, start: int = 0):
     grow, so a count never falls: ``start`` may be the smallest count of an
     earlier slot, and the rows compared are then the window of pending jobs.
     """
-    return slot - start - (arrived_kwh[start:slot] <= served_kwh + FEAS_TOL).sum(axis=0)
+    import numpy as np
+
+    return slot - start - np.add.reduce(arrived_kwh[start:slot] <= served_kwh + FEAS_TOL, axis=0)
 
 
 def compute_a_const(params: MGParams) -> float:
@@ -456,7 +455,7 @@ class ScenarioConfig:
 
     @cached_property
     def ids(self) -> list[int]:
-        """The MG ids in config order, built once: each slot's book of a run reads them."""
+        """The MG ids in config order, built once: each slot's log lines of a run read them."""
         return [m.params.id for m in self.mgs]
 
 

@@ -193,13 +193,13 @@ def _monitor(
     of the next slot; jobs are served oldest first, so no other job is older.
     `battery_step` has already rejected charging and discharging at once.
     """
-    failed = np.array([
-        ~((-FEAS_TOL <= battery_kwh) & (battery_kwh <= fleet.battery_capacity_kwh + FEAS_TOL)),
-        demand_kwh > fleet.q_max + FEAS_TOL, delay_kwh > fleet.z_max + FEAS_TOL,
-        spill < -FEAS_TOL, oldest_age > fleet.delta_max_slots + FEAS_TOL,
-    ])
-    if not failed.any():
+    # one test of them all; the table of which MG broke which only when one did
+    inside = (-FEAS_TOL <= battery_kwh) & (battery_kwh <= fleet.battery_capacity_kwh + FEAS_TOL)
+    limits = np.array((fleet.q_max, fleet.z_max, fleet.delta_max_slots)) + FEAS_TOL
+    over, short = np.array((demand_kwh, delay_kwh, oldest_age)) > limits, spill < -FEAS_TOL
+    if np.count_nonzero(inside) == len(inside) and not np.count_nonzero(over) + np.count_nonzero(short):
         return [()] * runs
+    failed = np.array([~inside, over[0], over[1], short, over[2]])
     bad: list[list[str]] = [[] for _ in range(runs)]
     for k in np.flatnonzero(failed.any(axis=0)).tolist():
         age = int(oldest_age[k])
@@ -240,7 +240,7 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
             continue
         try:
             run_bids = Bids(bids[0][at], bids[1][at], bids[2][at], bids[3][at])
-            outcome = clear(OrderBook.from_bids(cfg.ids, run_bids, cfg.rho1, cfg.rho2), price)
+            outcome = clear(OrderBook.from_bids(fleet.id[at], run_bids, cfg.rho1, cfg.rho2), price)
             surplus = budget_check(outcome)
         except Exception as e:
             raise SimError(f"{world.where(k)}: market stage failed: {e}") from e
@@ -266,9 +266,9 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
     violations = _monitor(t, fleet, new_b, new_q, new_z, spill, oldest_age, len(configs))
 
     columns = np.array((
-        b, q, z, x, r, di, dt, np.full(size, price), *bids, bought, sold, buy_unit, sell_unit,
-        c, d, j, g, spill, cost,
+        b, q, z, x, r, di, dt, b, *bids, bought, sold, buy_unit, sell_unit, c, d, j, g, spill, cost,
     ))
+    columns[7] = price  # every MG's row logs the slot's one grid price
     own = [(columns, oldest_age)]  # a lone run's records hold the step's arrays, not views
     if len(runs) > 1:
         own = [(columns[:, at], oldest_age[at]) for at in runs]
@@ -294,7 +294,7 @@ _TOPPED = [
     for _, reduce_, column in _SUMMARY_OF if reduce_ is not sum and column in _ROW_FLOATS
 ]
 _TOPPED_SIGN = np.array([[sign] for _, sign in _TOPPED])
-_FOLDED = _TOTALLED + [row for row, _ in _TOPPED]  # the rows a fold reads, in that order
+_FOLDED = np.array(_TOTALLED + [row for row, _ in _TOPPED])  # the rows a fold reads, in order
 
 
 def _first_largest(carried, rows):

@@ -3,9 +3,10 @@
 Everything here is deliberately written from the problem statement rather
 than from the package modules: grid searches and exhaustive enumerations
 whose only shared vocabulary with the implementation is plain numbers. Tests
-compare the fast implementations against these. The last three sections are
-the exception: frozen copies of the scalar slot step, of the tuple market
-stage and of the row-dict log audit that the columnar ones replaced.
+compare the fast implementations against these. The last four sections are
+the exception: frozen copies of the scalar slot step, of the columnar checks
+and scan, of the tuple market stage and of the row-dict log audit that the
+package's versions replaced.
 """
 
 from __future__ import annotations
@@ -631,6 +632,84 @@ def check_action(state: MGState, action, params) -> None:
         raise RejectedAction(
             f"discharge {d} exceeds min(B, discharge rate) = {discharge_cap}"
         )
+
+
+# --------------------------------------------------------------------------
+# The columnar checks and the slot program's scan, frozen.
+#
+# `reference_check_action` and `reference_monitor` are `mgtrade.model.check_action`
+# and `mgtrade.sim._monitor` as they were before each became one fused test:
+# they build the whole (constraint, MG) table every slot. `reference_scan` is
+# the slot program's 1e-12 scan, one row after another. The package's versions
+# must raise, report and choose exactly as these do.
+
+
+def reference_scan(column) -> int:
+    """The row that leads a column: row 0 first, then each later row whose value is
+    below the leader's less 1e-12, in row order."""
+    lead, bar = 0, column[0] - 1e-12
+    for k, value in enumerate(column[1:], 1):
+        if value < bar:
+            lead, bar = k, value - 1e-12
+    return lead
+
+
+def reference_check_action(battery_kwh, action, fleet) -> None:
+    """Raise RejectedAction naming the first MG that breaks a feasibility
+    constraint, and the first constraint it breaks."""
+    from mgtrade.errors import RejectedAction
+
+    c, d, j, g = action[:4]
+    charge_cap = np.minimum(fleet.battery_capacity_kwh - battery_kwh, fleet.charge_rate_max_kwh)
+    discharge_cap = np.minimum(battery_kwh, fleet.discharge_rate_max_kwh)
+    broken = np.array([
+        c < -FEAS_TOL, d < -FEAS_TOL, j < -FEAS_TOL, g < -FEAS_TOL,
+        (c > FEAS_TOL) & (d > FEAS_TOL),
+        c > charge_cap + FEAS_TOL, d > discharge_cap + FEAS_TOL,
+    ])
+    if not broken.any():
+        return
+    k = int(broken.any(axis=0).argmax())
+    c, d, j, g, charge_cap, discharge_cap = (
+        float(a[k]) for a in (c, d, j, g, charge_cap, discharge_cap)
+    )
+    reasons = (
+        f"charge_kwh {c} < 0",
+        f"discharge_kwh {d} < 0",
+        f"serve_dt_kwh {j} < 0",
+        f"grid_purchase_kwh {g} < 0",
+        f"charge {c} and discharge {d} both positive",
+        f"charge {c} exceeds min(capacity - B, charge rate) = {charge_cap}",
+        f"discharge {d} exceeds min(B, discharge rate) = {discharge_cap}",
+    )
+    raise RejectedAction(f"mg {fleet.id[k]}: {reasons[int(broken[:, k].argmax())]}", k)
+
+
+def reference_monitor(
+    slot: int, fleet, battery_kwh, demand_kwh, delay_kwh, spill, oldest_age, runs: int
+) -> list[tuple[str, ...]]:
+    """Every MG's queue/battery bound violations after a slot, run by run."""
+    failed = np.array([
+        ~((-FEAS_TOL <= battery_kwh) & (battery_kwh <= fleet.battery_capacity_kwh + FEAS_TOL)),
+        demand_kwh > fleet.q_max + FEAS_TOL, delay_kwh > fleet.z_max + FEAS_TOL,
+        spill < -FEAS_TOL, oldest_age > fleet.delta_max_slots + FEAS_TOL,
+    ])
+    if not failed.any():
+        return [()] * runs
+    bad: list[list[str]] = [[] for _ in range(runs)]
+    for k in np.flatnonzero(failed.any(axis=0)).tolist():
+        age = int(oldest_age[k])
+        reasons = (
+            f"battery {float(battery_kwh[k])} outside [0, capacity]",
+            f"Q {float(demand_kwh[k])} > q_max {float(fleet.q_max[k])}",
+            f"Z {float(delay_kwh[k])} > z_max {float(fleet.z_max[k])}",
+            f"energy balance short by {-float(spill[k])}",
+            f"job from slot {slot + 1 - age} is {age} slots old",
+        )
+        tag = f"slot {slot} mg {fleet.id[k]}"
+        run = bad[k * runs // len(fleet.id)]
+        run.extend(f"{tag}: {why}" for why, hit in zip(reasons, failed[:, k]) if hit)
+    return list(map(tuple, bad))
 
 
 # --------------------------------------------------------------------------

@@ -1590,6 +1590,41 @@ def test_benchmark_probes_run_on_this_checkout(tmp_path):
     assert default_scenario(mode=MODE_SOLO).mode == MODE_SOLO != MODE_AUCTION
 
 
+def test_benchmark_tracer_finds_every_traced_layer(tmp_path):
+    """The traced benchmark session patches this checkout's layers where the slot
+    step calls them: only the names the program no longer has are absent, and a
+    short run goes through every patched layer of the step."""
+    root = Path(__file__).resolve().parent.parent
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(root / "mgbench")!r})
+from probe import Tracer
+tracer = Tracer()
+missing = tracer.install()
+from mgtrade import run
+from mgtrade.cli import default_scenario
+run(default_scenario(seed=2, horizon=6))
+print(json.dumps({{"missing": missing, "layers": sorted(tracer.layer_stats())}}))
+"""
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=src_env(), capture_output=True,
+        text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    traced = json.loads(done.stdout.splitlines()[-1])
+    assert traced["missing"] == [
+        "mgtrade.cli.build_traces", "mgtrade.cli.realized_inputs", "mgtrade.sim.draw_loads",
+        "mgtrade.sim.audit_rows", "mgtrade.sim.fifo_serve", "mgtrade.model.fifo_serve",
+        "mgtrade.sim.summarize", "mgtrade.cli.write_slots_csv", "mgtrade.cli.write_audit_csv",
+        "mgtrade.cli.offline_oracle",
+    ]
+    assert traced["layers"] == [
+        "auction.budget_check", "auction.clear", "cli.config", "controller.make_bids",
+        "controller.solve_slot_program", "ingest.build_traces", "model.queue_step",
+        "sim.monitor", "sim.realized_inputs", "sim.step",
+    ]
+
+
 def test_readme_library_example_runs():
     """The README's Library code block runs, as written, from the repository root."""
     root = Path(__file__).resolve().parent.parent

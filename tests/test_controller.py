@@ -6,16 +6,17 @@ columnar functions the simulator runs must equal them bit for bit
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgtrade import run
 from mgtrade.auction import OrderBook
 from mgtrade.cli import default_scenario
-from mgtrade.controller import Bids, post_trade_settlement, spilled_kwh
+from mgtrade.controller import Bids, _scan, post_trade_settlement, spilled_kwh
 from mgtrade.errors import MarketError
 from mgtrade.model import ControlAction, MGParams
 
@@ -28,6 +29,7 @@ from oracles import (
     check_action,
     make_bids,
     marginal_value,
+    reference_scan,
     slot_objective,
     slot_objective_with_settlement,
     solve_slot_program,
@@ -353,35 +355,37 @@ def slot_cases(draw):
     The program's vertices sit at the box bounds and at s2 = R - sold and
     s1 - s2 = bought - I; a case may put bought - I on Q, on J_max or on 0,
     or s2 on the charge or discharge bound, where a vertex reached two ways
-    can differ by an ulp.
+    can differ by an ulp. In the tiny mode every kWh is at most 1e-6, where
+    the snaps to FEAS_TOL and the scan's 1e-12 margin decide more vertices.
     """
-    capacity = draw(st.floats(1.0, 500.0))
+    kwh = draw(st.sampled_from([1.0, 1e-9]))  # the tiny mode scales every energy
+    capacity = draw(st.floats(1.0, 500.0)) * kwh
     b = draw(st.floats(0.0, 1.0)) * capacity
     p = mg(
         battery_capacity_kwh=capacity,
         charge_rate_max_kwh=draw(st.floats(0.0, 1.0)) * capacity,
-        discharge_rate_max_kwh=draw(amounts),
-        serve_rate_max_kwh=draw(amounts),
+        discharge_rate_max_kwh=draw(amounts) * kwh,
+        serve_rate_max_kwh=draw(amounts) * kwh,
         price_floor=draw(st.floats(0.0, 5.0)),
         v_weight=draw(st.floats(0.01, 50.0)),
     )
-    q, z, r, di = (draw(amounts) for _ in range(4))
+    q, z, r, di = (draw(amounts) * kwh for _ in range(4))
     bought = sold = 0.0
     side = draw(st.sampled_from(["none", "buy", "sell"]))
     if side == "buy":
-        bought = draw(amounts)
+        bought = draw(amounts) * kwh
         landing = draw(st.sampled_from(["free", "q", "j_max", "zero"]))
         target = {"free": bought - di, "q": q, "j_max": p.serve_rate_max_kwh, "zero": 0.0}
         bought = max(target[landing] + di, 0.0)
     elif side == "sell":
-        sold = draw(amounts)
+        sold = draw(amounts) * kwh
         landing = draw(st.sampled_from(["free", "charge", "discharge"]))
         ub_c = min(capacity - b, p.charge_rate_max_kwh)
         ub_d = min(b, p.discharge_rate_max_kwh)
         target = {"free": r - sold, "charge": ub_c, "discharge": -ub_d}
         r = max(target[landing] + sold, 0.0)
     # X near zero puts the two branches' optima within 1e-12 of each other
-    x = draw(st.one_of(st.floats(-2.0, 2.0).map(lambda f: f * p.v_weight * 16.0),
+    x = draw(st.one_of(st.floats(-2.0, 2.0).map(lambda f: f * p.v_weight * 16.0 * kwh),
                        st.floats(-1e-13, 1e-13)))
     state = MGState(b, q, z)
     return state, x, (r, di), TradeAllocation(1, bought, sold, 0.0, 0.0), p
@@ -402,6 +406,30 @@ def test_columnar_slot_equals_the_scalar_references(cases, price):
         assert repr(action[:4]) == repr(want[:4]), case
         s, _, ins, _, p = case
         assert repr(bid) == repr(tuple(make_bids(s, ins, p)[1:])), case
+
+
+@st.composite
+def scan_tables(draw):
+    """Objective columns, one per branch and MG, whose values step by fractions of
+    1e-12 from a common base, so a row that does not take the lead can still have
+    its value less 1e-12 below the bar: it lowers a running minimum that the scan
+    does not lower. Now and then a row is inf or NaN."""
+    rows, cols = draw(st.integers(1, 13)), draw(st.integers(1, 6))
+    base = draw(st.sampled_from([0.0, 1.0, -3.0, 250.0]))
+    step = draw(st.sampled_from([0.25e-12, 0.3e-12, 0.5e-12, 0.7e-12, 1e-12]))
+    cell = st.one_of(st.integers(-8, 8).map(lambda k: base + k * step),
+                     st.sampled_from([math.inf, -math.inf, math.nan]))
+    return np.array(draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                                  min_size=rows, max_size=rows)))
+
+
+@given(table=scan_tables())
+@example(table=np.array([[0.0], [-0.5e-12], [-1.2e-12]]))  # row 1 lowers the running minimum
+@settings(max_examples=500, deadline=None)
+def test_the_scan_leads_as_the_row_by_row_scan(table):
+    """The slot program's scan picks, in every column, the row a row-by-row scan picks."""
+    want = [reference_scan(table[:, k].tolist()) for k in range(table.shape[1])]
+    assert repr(_scan(table).tolist()) == repr(want), table
 
 
 def test_simulated_rows_equal_the_scalar_references():

@@ -11,6 +11,7 @@ from mgtrade.errors import ConfigError, RejectedAction
 from mgtrade.model import (
     FEAS_TOL,
     ControlAction,
+    Fleet,
     MGParams,
     PriceBounds,
     SlotInputs,
@@ -25,9 +26,10 @@ from mgtrade.model import (
     oldest_pending_age,
     virtual_battery,
 )
+from mgtrade.sim import _monitor
 
 from columnar import fleet_of
-from oracles import MGState, fifo_serve, within
+from oracles import MGState, fifo_serve, reference_check_action, reference_monitor, within
 
 
 def isclose_kwh(a: float, b: float, tol: float = FEAS_TOL) -> bool:
@@ -156,6 +158,80 @@ def test_check_action_names_the_first_offending_mg():
                            col(0.0, 0.0, 0.0))
     with pytest.raises(RejectedAction, match="^mg 5: charge 1.0 and discharge 1.0 both"):
         check_action(col(100.0, 100.0, 100.0), action, fleet_of(ids))
+
+
+# an entry at or next to a constraint's edge: zeros of either sign, FEAS_TOL, NaN
+EDGES = (0.0, -0.0, FEAS_TOL, -FEAS_TOL, 2 * FEAS_TOL, -2 * FEAS_TOL, math.nan, 1.0, -1.0)
+
+
+def near(value: float):
+    """``value`` itself, the next float either side of it, or an edge entry."""
+    return st.one_of(
+        st.sampled_from([value, np.nextafter(value, math.inf), np.nextafter(value, -math.inf)]),
+        st.sampled_from(EDGES), st.floats(-3.0, 3.0),
+    )
+
+
+@st.composite
+def checked_actions(draw):
+    """Columns of battery levels, bounds and actions whose entries sit on the edges
+    of `check_action`'s constraints: a charge or discharge at its cap plus FEAS_TOL
+    or an ulp past it, and every quantity at +-FEAS_TOL, -0.0 or NaN."""
+    cells = []
+    for _ in range(draw(st.integers(1, 5))):
+        cap, c_max, d_max = (draw(st.sampled_from([0.0, 1.0, 2.5, math.nan])) for _ in range(3))
+        b = draw(st.one_of(st.sampled_from([0.0, -0.0, cap, 1.0]), st.floats(-0.5, 3.0)))
+        charge_cap, discharge_cap = min(cap - b, c_max), min(b, d_max)
+        c, d = draw(near(charge_cap + FEAS_TOL)), draw(near(discharge_cap + FEAS_TOL))
+        cells.append((b, cap, c_max, d_max, c, d, draw(near(-FEAS_TOL)), draw(near(-FEAS_TOL))))
+    b, cap, c_max, d_max, c, d, j, g = map(np.array, zip(*cells))
+    zeros = np.zeros(len(b))
+    fleet = Fleet(np.arange(7, 7 + len(b)), cap, c_max, d_max, *[zeros] * 8)
+    return b, ControlAction(c, d, j, g, zeros, zeros), fleet
+
+
+def rejection(check, *args) -> tuple[str, int] | None:
+    """The message and fleet position a check rejects its arguments with, if it does."""
+    try:
+        check(*args)
+    except RejectedAction as e:
+        return str(e), e.at
+    return None
+
+
+@given(case=checked_actions())
+@settings(max_examples=400, deadline=None)
+def test_check_action_rejects_as_the_per_constraint_table(case):
+    """The fused test raises exactly when the whole (constraint, MG) table has a
+    broken entry, naming the same first MG and its first broken constraint."""
+    assert rejection(check_action, *case) == rejection(reference_check_action, *case), case
+
+
+@st.composite
+def monitored_slots(draw):
+    """A slot's end of one to three runs: battery levels, queues, spills and job
+    ages at or an ulp past their bounds plus FEAS_TOL, at -0.0 or NaN."""
+    runs, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cells = []
+    for _ in range(runs * n):
+        cap, q_max, z_max = (draw(st.sampled_from([0.0, 1.0, 2.5, math.nan])) for _ in range(3))
+        age_max = draw(st.sampled_from([0.0, 3.0, 3.5, 1e9, math.nan]))
+        b = draw(st.one_of(near(cap + FEAS_TOL), near(-FEAS_TOL)))
+        q, z = draw(near(q_max + FEAS_TOL)), draw(near(z_max + FEAS_TOL))
+        cells.append((cap, q_max, z_max, age_max, b, q, z, draw(near(-FEAS_TOL)),
+                      draw(st.integers(0, 5))))
+    cap, q_max, z_max, age_max, b, q, z, spill, age = map(np.array, zip(*cells))
+    zeros = np.zeros(len(cap))
+    fleet = Fleet(np.arange(3, 3 + len(cap)), cap, *[zeros] * 7, q_max, z_max, age_max)
+    return draw(st.integers(0, 9)), fleet, b, q, z, spill, age, runs
+
+
+@given(case=monitored_slots())
+@settings(max_examples=400, deadline=None)
+def test_monitor_reports_as_the_per_constraint_table(case):
+    """The fused test reports, run by run, the violations the whole (bound, MG)
+    table names, in the same words and order."""
+    assert _monitor(*case) == reference_monitor(*case), case
 
 
 # -------------------------------------------------------------- demand queue
