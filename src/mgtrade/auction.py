@@ -79,16 +79,18 @@ class OrderBook:
     def from_bids(cls, ids, bids: Bids, rho1: float, rho2: float) -> "OrderBook":
         """The book of every MG's bid pair: ``ids[k]`` posted entry k of each column.
 
-        Rejects welfare weights that are not positive, a negative price or
-        quantity on either side of any bid, live or not (naming the first MG
-        with one), and an MG live twice or on both sides.
+        Rejects welfare weights that are not positive, a price or quantity
+        that is not >= 0 (negative or NaN) on either side of any bid, live or
+        not (naming the first MG with one), and an MG live twice or on both
+        sides.
         """
         if rho1 <= 0 or rho2 <= 0:
             raise MarketError("welfare weights rho1, rho2 must be > 0")
         ids, table = np.asarray(ids), np.array(bids)
-        if len(ids) and table.min() < 0:
-            bad = (table < 0).any(axis=0).argmax()
-            raise MarketError(f"mg {ids[bad]}: negative bid price or quantity")
+        if len(ids) and not table.min() >= 0:  # a NaN anywhere makes the min NaN
+            bad = (~(table >= 0)).any(axis=0).argmax()
+            what = "negative" if (table[:, bad] < 0).any() else "NaN"
+            raise MarketError(f"mg {ids[bad]}: {what} bid price or quantity")
         sell_price, buy_price, sell_kwh, buy_kwh = bids
         (buys,), (sells,) = (buy_kwh > 0.0).nonzero(), (sell_kwh > 0.0).nonzero()
         buy_ids, sell_ids = ids[buys], ids[sells]

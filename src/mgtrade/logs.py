@@ -8,8 +8,10 @@ its command writes, which the config gives (`verify_layout`,
 `verify_sweep_csv`): the checks take MG k's rows of slots.csv as
 ``column[k::n]`` and slot t's as ``column[t*n:(t+1)*n]``, and compare
 auction_audit.csv and audit.txt, as text, with what slots.csv and
-summary.csv render. Only `model`, `errors` and the stdlib are imported, so
-`mgtrade audit` loads no simulator and no numpy.
+summary.csv render. One renderer, `_audit_slot`, makes auction_audit.csv
+from slots.csv's lines as written: the run from the lines it has just
+written, the audit from the lines it reads. Only `model`, `errors` and the
+stdlib are imported, so `mgtrade audit` loads no simulator and no numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 
@@ -264,12 +266,12 @@ _MARKET_COLUMNS, _MARKET_CELLS, _ = _log_columns(MarketRow, prefix="market_")
 SLOTS_HEADER = _MG_COLUMNS + _MARKET_COLUMNS
 
 
-def _slot_lines(rec: SlotRecord, ids: list[int]):
+def _slot_lines(rec: SlotRecord, ids: list[int]) -> list[str]:
     """A record's lines of slots.csv, its MGs' ids ``ids``: each MG's row, rendered
     from its column of the record, with the slot's market cells."""
     cells = _MG_CELLS + "," + _MARKET_CELLS % rec.market
     rows = zip(repeat(rec.slot), ids, *rec.columns.tolist(), rec.oldest_age.tolist())
-    return map(cells.__mod__, rows)
+    return list(map(cells.__mod__, rows))
 
 
 _SUMMARY_COLUMNS, _SUMMARY_CELLS, _SUMMARY_WHOLE = _log_columns(MGSummary)
@@ -299,65 +301,37 @@ _SIDE_FIELDS = {
     side: (f"bid_{side}_price", f"bid_{side}_qty", fill, f"{side}_unit_price")
     for side, fill in (("buy", "bought_kwh"), ("sell", "sold_kwh"))
 }
-# the cells of each side an audit line shows, which `read_slots_csv` keeps as written
-_LINE_CELLS = {side: (*names[:3], f"market_{side}_price") for side, names in _SIDE_FIELDS.items()}
+# where a slots.csv row holds each side's four cells and its market price
+_SIDE_CELLS = {
+    side: [SLOTS_HEADER.index(name) for name in (*names, f"market_{side}_price")]
+    for side, names in _SIDE_FIELDS.items()
+}
 
 
-def _audit_slot(slot: int, sides) -> list[str]:
-    """Slot `slot`'s lines of auction_audit.csv, from its bids as slots.csv logs them.
+def _audit_slot(slot: int, at: Sequence[int], rows: Sequence[str]) -> list[str]:
+    """Slot `slot`'s lines of auction_audit.csv, from its lines of slots.csv as written.
 
-    ``sides`` holds the buys, then the sells, each as (at, ids, price, kwh,
-    fill, unit, price cells, kwh cells, fill cells, market cell): the
-    positions of the side's bids in MG id order; by position, their MG ids
-    as written and their logged price, kWh, fill and unit price, then the
-    first three as written; and the side's market price as written. A bid
-    has a line when its kWh is nonzero. The buys go by falling and the sells
-    by rising price, ties by MG id. A line is accepted when its fill or unit
-    price is nonzero, and its cleared price is then the market price, else
-    zero.
+    ``at`` holds the positions of ``rows``, each a full row of slots.csv, in
+    MG id order. The rows are split once, and every cell a line shows, or
+    is chosen, ordered or accepted by, is read from them. A bid has a line
+    when its kWh is nonzero. The buys go by falling and the sells by rising
+    price, ties by MG id. A line is accepted when its fill or unit price is
+    nonzero, and its cleared price is then the market price of the slot's
+    first row, else zero.
     """
+    width = len(SLOTS_HEADER)
+    cells = ",".join(rows).split(",")
+    ids = cells[1::width]
     lines: list[str] = []
-    for side, (at, ids, price, kwh, fill, unit, *cells, market) in zip(_SIDE_FIELDS, sides):
-        live = compress(at, map(kwh.__getitem__, at))
-        price_cells, kwh_cells, fill_cells = cells
-        head, tag, won, lost = f"{slot},", f",{side},", f",1,{market},", ",0,0.000000,"
+    for side, columns in _SIDE_CELLS.items():
+        price, kwh, fill, unit = (cells[i::width] for i in columns[:4])
+        live = [k for k in at if float(kwh[k])]
+        head, tag, won, lost = f"{slot},", f",{side},", f",1,{cells[columns[4]]},", ",0,0.000000,"
         lines += [
-            f"{head}{ids[k]}{tag}{price_cells[k]},{kwh_cells[k]}"
-            f"{won if fill[k] or unit[k] else lost}{fill_cells[k]}"
-            for k in sorted(live, key=price.__getitem__, reverse=side == "buy")
+            f"{head}{ids[k]}{tag}{price[k]},{kwh[k]}"
+            f"{won if float(fill[k]) or float(unit[k]) else lost}{fill[k]}"
+            for k in sorted(live, key=lambda k: float(price[k]), reverse=side == "buy")
         ]
-    return lines
-
-
-def _audit_lines(ids: list[int]):
-    """The renderer of a run's auction_audit.csv lines, its MGs' ids ``ids``: from a
-    record, the `_audit_slot` lines of the cells slots.csv gives its live bids and
-    market prices.
-
-    A bid is live when its kWh is positive; `_audit_slot` drops those whose
-    kWh renders as zero. A unit price is zero or the market price, so it is
-    logged nonzero exactly when it is nonzero and the market price is logged
-    nonzero.
-    """
-    rows = [_ROW_FLOATS.index(name) for names in _SIDE_FIELDS.values() for name in names]
-    by_id = sorted(range(len(ids)), key=ids.__getitem__)
-    names = [str(ids[k]) for k in by_id]
-
-    def lines(rec: SlotRecord) -> list[str]:
-        sides = []
-        for columns, market in zip(rec.columns[rows][:, by_id].reshape(2, 4, -1), rec.market):
-            live = (columns[1] > 0.0).nonzero()[0]
-            m = len(live)
-            shown = (*columns[:3, live].ravel().tolist(), market)
-            cells = (("%.6f," * 3 * m + "%.6f") % shown).split(",")
-            price, kwh, fill, market = cells[:m], cells[m:2 * m], cells[2 * m:-1], cells[-1]
-            unit = (columns[3, live] != 0.0).tolist() if float(market) else [False] * m
-            sides.append((
-                range(m), list(map(names.__getitem__, live.tolist())),
-                *([*map(float, c)] for c in (price, kwh, fill)), unit, price, kwh, fill, market,
-            ))
-        return _audit_slot(rec.slot, sides)
-
     return lines
 
 
@@ -374,11 +348,13 @@ class RunLogs:
         except BaseException:
             self.slots.fh.close()
             raise
-        self.ids, self.audit_lines = ids, _audit_lines(ids)
+        self.ids, self.at = ids, sorted(range(len(ids)), key=ids.__getitem__)
 
     def write(self, rec: SlotRecord) -> None:
-        self.slots.write(_slot_lines(rec, self.ids))
-        self.audit.write(self.audit_lines(rec))
+        """Write a record's slots.csv lines, then the `_audit_slot` lines of those lines."""
+        lines = _slot_lines(rec, self.ids)
+        self.slots.write(lines)
+        self.audit.write(_audit_slot(rec.slot, self.at, lines))
 
     def __enter__(self) -> "RunLogs":
         return self
@@ -392,19 +368,18 @@ class Log:
     """A log read back as columns (see `read_log`), its rows in file order.
 
     ``log[name]`` is a column: a list of floats, or of the cells as written
-    for a text column. ``len(log)`` is the row count, ``log.row(k)`` row k's
-    cells as written and ``log.lines[k]`` its line in the file;
-    ``log.cells[name]`` is a column `read_log` also kept as written.
+    for a text column. ``len(log)`` is the row count, ``log.rows[k]`` row
+    k as written, ``log.row(k)`` its cells and ``log.lines[k]`` its line in
+    the file.
     """
 
-    __slots__ = ("header", "rows", "columns", "lines", "cells")
+    __slots__ = ("header", "rows", "columns", "lines")
 
     def __init__(
         self, header: tuple[str, ...], rows: list[str], columns: dict[str, list],
-        lines: Sequence[int], cells: dict[str, list[str]],
+        lines: Sequence[int],
     ) -> None:
         self.header, self.rows, self.columns, self.lines = header, rows, columns, lines
-        self.cells = cells
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -429,17 +404,16 @@ def _text(path) -> str:
 _BLOCK_ROWS = 512
 
 
-def read_log(path, header: tuple[str, ...], text=(), whole=(), finite=True, keep=()) -> Log:
+def read_log(path, header: tuple[str, ...], text=(), whole=(), finite=True) -> Log:
     """Read a log as columns: blocks of rows split into flat cell lists, each one `map(float)`.
 
     Logs quote no cell (see `_log_columns`), so the rows after the header
     are the nonblank lines (ended by any of LF, CRLF, CR) split at the
     commas. Every column but the ``text`` ones holds numbers, finite ones if
-    ``finite``, and the ``whole`` ones whole numbers; the ``keep`` ones are
-    also kept as written, in ``log.cells``. A missing log is a
-    SimError. A different header, a row of the wrong width or a bad cell is
-    a ParseError naming the file, and the line (and column) of the first bad
-    row in it.
+    ``finite``, and the ``whole`` ones whole numbers; the rows stay as
+    written, in ``log.rows``. A missing log is a SimError. A different
+    header, a row of the wrong width or a bad cell is a ParseError naming
+    the file, and the line (and column) of the first bad row in it.
     """
     rows = _text(path).split("\n")
     head = rows.pop(0).split(",")
@@ -457,13 +431,10 @@ def read_log(path, header: tuple[str, ...], text=(), whole=(), finite=True, keep
     if commas.count(width - 1) != whole_rows:
         whole_rows = next(k for k, n in enumerate(commas) if n != width - 1)
     texts = {header.index(name): [] for name in text}
-    kept = {header.index(name): [] for name in keep}
     values: list[float] = []
     for start in range(0, whole_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, whole_rows)
         cells = ",".join(rows[start:stop]).split(",")
-        for i, column in kept.items():
-            column += cells[i::width]
         for i, column in texts.items():
             column += cells[i::width]
             cells[i::width] = ["0"] * (stop - start)
@@ -483,7 +454,7 @@ def read_log(path, header: tuple[str, ...], text=(), whole=(), finite=True, keep
             f"header has {width}"
         )
     columns = {name: texts.get(i) or values[i::width] for i, name in enumerate(header)}
-    return Log(header, rows, columns, lines, {header[i]: c for i, c in kept.items()})
+    return Log(header, rows, columns, lines)
 
 
 def _parsed(cell: str) -> float | None:
@@ -522,7 +493,7 @@ def read_slots_csv(path) -> Log:
 
     A column of an ``int`` field must hold whole numbers.
     """
-    log = read_log(path, SLOTS_HEADER, whole=_WHOLE_COLUMNS, keep=[*chain(*_LINE_CELLS.values())])
+    log = read_log(path, SLOTS_HEADER, whole=_WHOLE_COLUMNS)
     if not len(log):
         raise SimError(f"{path}: no rows")
     return log
@@ -585,21 +556,12 @@ def verify_layout(config: ScenarioConfig, log: Log) -> list[str]:
 
 def _audit_text(log: Log, n: int) -> str:
     """The text auction_audit.csv holds for a slots log in the run's layout, n rows a slot:
-    the `_audit_slot` lines of each slot's rows, with whole slots and MG ids and the log's
-    cells as written (a cell of 7 decimals stays one).
+    the `_audit_slot` lines of each slot's rows as written (a cell of 7 decimals stays one).
     """
-    mg_ids = log["mg_id"]
-    at = sorted(range(n), key=mg_ids.__getitem__)  # a slot's rows in MG id order
-    ids = [f"{mid:.0f}" for mid in mg_ids[:n]]
-    sides = [
-        (*map(log.__getitem__, names), *map(log.cells.__getitem__, cells))
-        for names, cells in zip(_SIDE_FIELDS.values(), _LINE_CELLS.values())
-    ]
+    at = sorted(range(n), key=log["mg_id"].__getitem__)  # a slot's rows in MG id order
     lines = [",".join(AUDIT_HEADER)]
     for a in range(0, len(log), n):
-        lines += _audit_slot(a // n, [
-            (at, ids, *(column[a:a + n] for column in side[:7]), side[7][a]) for side in sides
-        ])
+        lines += _audit_slot(a // n, at, log.rows[a:a + n])
     return "\n".join(lines) + "\n"
 
 
@@ -608,9 +570,9 @@ def verify_audit_csv(path, config: ScenarioConfig, log: Log) -> list[str]:
 
     The file must be the `_audit_text` of `log`: each slot's `_audit_slot`
     lines, one per bid logged with a nonzero quantity, with the MG's logged
-    bid, fill and, when accepted, the market price. `RunLogs`
-    renders the run's file with `_audit_slot` too, from the cells it logs
-    in slots.csv. The file may end its lines as `read_log` allows, and skip
+    bid, fill and, when accepted, the market price. `RunLogs` renders the
+    run's file with `_audit_slot` too, from the slots.csv lines it has just
+    written. The file may end its lines as `read_log` allows, and skip
     blank lines; it is otherwise that text exactly. A file that differs is
     read with `read_log`, so a header or cell that does not parse is a
     ParseError; else its first line that differs is one problem.

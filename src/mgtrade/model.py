@@ -106,6 +106,7 @@ class SlotInputs:
 
     The per-MG fields become 2-D float arrays of one (slots, MGs) shape. The
     grid price is one price per slot that every MG pays, a (slots,) column.
+    Every entry must be finite and >= 0.
     """
 
     renewable_kwh: Any
@@ -118,6 +119,8 @@ class SlotInputs:
 
         for f in fields(self):
             values = np.ascontiguousarray(getattr(self, f.name), dtype=float)
+            if not np.isfinite(values).all():
+                raise ConfigError(f"slot input {f.name} must be finite")
             if (values < 0).any():
                 raise ConfigError(f"slot input {f.name} must be >= 0")
             object.__setattr__(self, f.name, values)

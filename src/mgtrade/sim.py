@@ -173,8 +173,8 @@ class SlotRecord:
 
     ``columns[i, k]`` is field ``_ROW_FLOATS[i]`` of MG k's row and
     ``oldest_age[k]`` its oldest pending job's age, in config order;
-    `mgtrade.logs.RunLogs` renders the slot's slots.csv and auction_audit.csv
-    lines from them.
+    `mgtrade.logs.RunLogs` renders the slot's slots.csv lines from them, and
+    its auction_audit.csv lines from those lines as written.
     """
 
     slot: int

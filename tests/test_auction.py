@@ -104,6 +104,30 @@ def test_book_rejects_negative_price():
         book(buys=[(1, 5.0, -3.0), (2, 4.0, 2.0)], sells=[(3, 1.0, 2.0)])
 
 
+@pytest.mark.parametrize("mg1, mg2, message", [
+    ("negative", "NaN", "mg 1: negative bid"),
+    ("NaN", "negative", "mg 1: NaN bid"),
+    ("NaN", None, "mg 1: NaN bid"),
+    (None, "NaN", "mg 2: NaN bid"),
+])
+def test_book_rejects_a_nan_as_it_rejects_a_negative_entry(mg1, mg2, message):
+    """MG 1 bids to buy -5 kWh or at a NaN price, MG 2 to sell at -5 or at
+    NaN. A NaN makes the table's minimum NaN: it must neither hide a
+    negative entry elsewhere nor pass itself. The first MG, by fleet
+    position, with an entry that is not >= 0 is named."""
+    buy_price = {"NaN": math.nan}.get(mg1, 5.0)
+    buy_kwh = {"negative": -5.0}.get(mg1, 1.0)
+    sell_price = {"NaN": math.nan, "negative": -5.0}.get(mg2, 1.0)
+    bids = Bids(
+        sell_price=np.array([0.0, sell_price, 2.0]),
+        buy_price=np.array([buy_price, 0.0, 0.0]),
+        sell_quantity_kwh=np.array([0.0, 2.0, 2.0]),
+        buy_quantity_kwh=np.array([buy_kwh, 0.0, 0.0]),
+    )
+    with pytest.raises(MarketError, match=message):
+        OrderBook.from_bids([1, 2, 3], bids, RHO1, RHO2)
+
+
 def test_book_rejects_bad_weights():
     with pytest.raises(MarketError):
         book(buys=[], sells=[], rho2=0.0)

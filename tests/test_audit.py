@@ -9,6 +9,7 @@ catches every edit the reference catches, and some that the reference
 sorts back into place.
 """
 
+import dataclasses
 import functools
 import json
 import random
@@ -218,6 +219,79 @@ def test_a_bid_that_logs_zero_kwh_has_no_line(tmp_path):
     assert main(["audit", str(tmp_path)]) == 0
     lines = (tmp_path / "auction_audit.csv").read_text().split("\n")
     assert not any(line.startswith("0,1,") for line in lines)
+
+
+def test_an_mg_id_logged_as_a_float_fails_the_audit_csv(tmp_path, capsys):
+    """slots.csv logs MG 3's id as 3.0 on a row whose bid has an
+    auction_audit.csv line. It still reads as MG 3, so the layout and the
+    log rows pass; but the audit renders the line from the cell as written,
+    as it does every other cell, so auction_audit.csv is one problem."""
+    assert main(["run", "--horizon", "12", "--mode", "auction", "--out", str(tmp_path)]) == 0
+    run_dir = tmp_path / "auction"
+    slots = run_dir / "slots.csv"
+    rows = slots.read_bytes().decode().split("\r\n")
+    lines = (run_dir / "auction_audit.csv").read_text().split("\n")
+    k = next(k for k, line in enumerate(lines) if line.split(",")[1:2] == ["3"])
+    j = matching_row(rows, lines[k])
+    cells = rows[j].split(",")
+    cells[1] = "3.0"
+    rows[j] = ",".join(cells)
+    slots.write_bytes("\r\n".join(rows).encode())
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    slot = lines[k].split(",")[0]
+    assert f"FAIL (1 problems)\n  auction_audit.csv line {k + 1}: slot {slot} mg 3: " in out
+
+
+@st.composite
+def drawn_fleets(draw):
+    """A config of 1-12 MGs whose ids are drawn in any order, its mode and a
+    short horizon, and which of its records' bids to shrink or tie: a bid
+    kWh scaled by 1e-11 renders as 0.000000, and a sell price set within
+    4e-7 of another MG's may render alike."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(1, 120), min_size=n, max_size=n, unique=True))
+    doc = fleet_doc(n, draw(st.sampled_from([MODE_AUCTION, MODE_SOLO])), draw(st.integers(1, 6)),
+                    seed=draw(st.integers(0, 2**16)))
+    for m, mid in zip(doc["mgs"], ids):
+        m["id"] = mid
+    h = doc["horizon_slots"]
+    cell = st.tuples(st.integers(0, h - 1), st.integers(0, n - 1))
+    shrunk = draw(st.lists(cell, max_size=2 * n))
+    tied = draw(st.lists(st.tuples(cell, st.integers(0, n - 1), st.floats(-4e-7, 4e-7)),
+                         max_size=2 * n))
+    return config_from_dict(doc)[0], shrunk, tied
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_fleets())
+def test_the_run_writes_the_audit_csv_the_audit_renders(fleet):
+    """Over drawn fleets with MG ids out of order, bids that log zero kWh and
+    sell prices that tie as logged, the auction_audit.csv `RunLogs` writes
+    is the `_audit_text` of the slots.csv it writes, byte for byte."""
+    config, shrunk, tied = fleet
+    rows = {name: _ROW_FLOATS.index(name) for name in ("bid_sell_price", "bid_sell_qty", "bid_buy_qty")}
+
+    def edited(rec):
+        columns = rec.columns.copy()
+        for t, k in shrunk:
+            if t == rec.slot:
+                columns[[rows["bid_sell_qty"], rows["bid_buy_qty"]], k] *= 1e-11
+        for (t, k), j, delta in tied:
+            if t == rec.slot:
+                columns[rows["bid_sell_price"], k] = columns[rows["bid_sell_price"], j] + delta
+        return dataclasses.replace(rec, columns=columns)
+
+    inputs = realized_inputs(config, build_traces(config))
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        with RunLogs(run_dir, config.ids) as run_logs:
+            fold_runs([config], inputs, sinks=[lambda rec: run_logs.write(edited(rec))])
+        written = (run_dir / "auction_audit.csv").read_bytes().decode()
+        log = read_slots_csv(run_dir / "slots.csv")
+    assert config.ids == log["mg_id"][:len(config.ids)]
+    assert written.replace("\r\n", "\n") == logs._audit_text(log, len(config.ids))
 
 
 def test_slots_that_repeat_an_mg_are_out_of_layout(tmp_path):

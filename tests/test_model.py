@@ -108,6 +108,17 @@ def test_slot_inputs_reject_negative():
         SlotInputs(renewable_kwh=-1.0, di_load_kwh=0.0, dt_load_kwh=0.0, grid_price=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["renewable_kwh", "di_load_kwh", "dt_load_kwh", "grid_price"])
+def test_slot_inputs_reject_non_finite(name, bad):
+    """NaN and inf are rejected in each field, which the message names."""
+    inputs = {"renewable_kwh": [[1.0]], "di_load_kwh": [[1.0]], "dt_load_kwh": [[1.0]],
+              "grid_price": [2.0]}
+    inputs[name] = [[bad]] if name != "grid_price" else [bad]
+    with pytest.raises(ConfigError, match=f"slot input {name} must be finite"):
+        SlotInputs(**inputs)
+
+
 def test_idle_action_is_all_zero():
     """The traded quantities default to zero, so four zeros make an idle action."""
     a = ControlAction(0.0, 0.0, 0.0, 0.0)
