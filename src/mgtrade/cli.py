@@ -313,8 +313,7 @@ def _emit_run(out_dir: Path, config: ScenarioConfig, traces_doc: dict, summary: 
     """The files of a run directory that its summary gives: summary.csv, audit.txt
     and config.json. Its logs are written by `RunLogs` as the run steps."""
     write_summary_csv(out_dir / "summary.csv", summary)
-    report = bound_audit(summary, config)
-    (out_dir / "audit.txt").write_text(report.render() + "\n")
+    (out_dir / "audit.txt").write_text(bound_audit(summary, config))
     _write_config(out_dir, config, traces_doc)
 
 

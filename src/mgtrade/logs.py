@@ -2,8 +2,9 @@
 
 A log's columns are the fields of a record class (`MGSlotRow` and
 `MarketRow`, `MGSummary`, `SweepRow`). The `verify_*` checks re-derive a
-run's invariants from its logs alone, and `bound_audit` checks a run's
-summary against the stability guarantees. A log passes only in the layout
+run's invariants from its logs alone, and `bound_audit` renders audit.txt,
+its verdicts on a run's summary as summary.csv writes it: the run from its
+summary in memory, the audit from summary.csv. A log passes only in the layout
 its command writes, which the config gives (`verify_layout`,
 `verify_sweep_csv`): the checks take MG k's rows of slots.csv as
 ``column[k::n]`` and slot t's as ``column[t*n:(t+1)*n]``, and compare
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, get_type_hints
@@ -129,57 +130,52 @@ class SweepRow(NamedTuple):
 
 @dataclass(frozen=True)
 class RunSummary:
-    mode: str
     horizon_slots: int
     per_mg: dict[int, MGSummary]
-    total_cost: float
-    total_grid_kwh: float
     total_traded_kwh: float
-    violation_count: int
-    violations: tuple[str, ...] = field(default_factory=tuple)
+    violations: tuple[str, ...] = ()
+
+    @property
+    def total_cost(self) -> float:
+        return sum(s.total_cost for s in self.per_mg.values())
+
+    @property
+    def total_grid_kwh(self) -> float:
+        return sum(s.total_grid_kwh for s in self.per_mg.values())
+
+    @property
+    def violation_count(self) -> int:
+        return len(self.violations)
 
     def mean_time_avg_cost(self) -> float:
         return self.total_cost / (len(self.per_mg) * self.horizon_slots)
 
 
-@dataclass(frozen=True)
-class AuditLine:
-    check: str
-    status: str  # PASS / FAIL / SKIP
-    detail: str
+def bound_audit(summary: RunSummary, config: ScenarioConfig) -> str:
+    """The text of audit.txt: the stability guarantees, checked on a run's summary.
 
+    Per MG: the queue ceilings, the battery range, job ages under the
+    worst-case ceiling, and the v_weight <= v_max precondition; then zero
+    recorded violations. The cost gap to the oracle is a SKIP line: a run
+    solves no oracle (`mgtrade sweep` reports the gap).
 
-@dataclass(frozen=True)
-class AuditReport:
-    lines: tuple[AuditLine, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(line.status != "FAIL" for line in self.lines)
-
-    def render(self) -> str:
-        width = max(len(line.check) for line in self.lines)
-        out = [
-            f"{line.check:<{width}}  {line.status:<4}  {line.detail}"
-            for line in self.lines
-        ]
-        verdict = "ALL CHECKS PASSED" if self.passed else "FAILURES PRESENT"
-        return "\n".join(out + [verdict])
-
-
-def bound_audit(summary: RunSummary, config: ScenarioConfig) -> AuditReport:
-    """Assert the stability guarantees on a finished run.
-
-    Per MG: zero recorded bound violations, job ages under the worst-case
-    ceiling, and the v_weight <= v_max precondition. The cost gap to the
-    oracle is a SKIP line: a run solves no oracle (`mgtrade sweep` reports
-    the gap).
+    Each 6-decimal value v is judged and shown as summary.csv writes it,
+    w(v) = float("%.6f" % v), against its bound b written alike, w(b +
+    FEAS_TOL) (w(-FEAS_TOL) for the battery's floor). Below 1e9 that text
+    has at most 15 significant digits, so it reads back as a double that
+    renders to it again: w(w(v)) = w(v). So the run, from its summary in
+    memory, and the audit, from summary.csv, get the same numbers and text.
+    w keeps the order of values: a value within its bound in memory passes.
+    One over it by less than 5e-7 may pass too, but the run's monitor
+    records it, and the recorded violations line fails.
     """
-    lines: list[AuditLine] = []
+    lines: list[tuple[str, str, str]] = []
+
+    def written(x: float) -> float:  # w(x), as summary.csv writes it and reads it back
+        return float("%.6f" % x)
 
     def check(name: str, ok: bool | None, detail: str) -> None:
-        status = "SKIP" if ok is None else "PASS" if ok else "FAIL"
-        lines.append(AuditLine(check=name, status=status, detail=detail))
+        lines.append((name, "SKIP" if ok is None else "PASS" if ok else "FAIL", detail))
 
     for m in config.mgs:
         mid = m.params.id
@@ -195,21 +191,17 @@ def bound_audit(summary: RunSummary, config: ScenarioConfig) -> AuditReport:
             f"mg{mid} v_weight precondition", True,
             f"v={m.params.v_weight:.6f} v_max={db.v_max:.6f}",
         )
+        q, z, low, high = map(written, (s.max_q_kwh, s.max_z_kwh, s.min_b_kwh, s.max_b_kwh))
         check(
-            f"mg{mid} demand queue ceiling", s.max_q_kwh <= db.q_max + FEAS_TOL,
-            f"max Q={s.max_q_kwh:.6f} q_max={db.q_max:.6f}",
-        )
-        check(
-            f"mg{mid} delay queue ceiling", s.max_z_kwh <= db.z_max + FEAS_TOL,
-            f"max Z={s.max_z_kwh:.6f} z_max={db.z_max:.6f}",
-        )
-        b_ok = (
-            s.min_b_kwh >= -FEAS_TOL
-            and s.max_b_kwh <= m.params.battery_capacity_kwh + FEAS_TOL
+            f"mg{mid} demand queue ceiling", q <= written(db.q_max + FEAS_TOL),
+            f"max Q={q:.6f} q_max={db.q_max:.6f}",
         )
         check(
-            f"mg{mid} battery range", b_ok, f"B in [{s.min_b_kwh:.6f}, {s.max_b_kwh:.6f}]"
+            f"mg{mid} delay queue ceiling", z <= written(db.z_max + FEAS_TOL),
+            f"max Z={z:.6f} z_max={db.z_max:.6f}",
         )
+        b_ok = low >= written(-FEAS_TOL) and high <= written(m.params.battery_capacity_kwh + FEAS_TOL)
+        check(f"mg{mid} battery range", b_ok, f"B in [{low:.6f}, {high:.6f}]")
         check(
             f"mg{mid} worst job age", s.max_job_age_slots <= db.delta_max_slots + FEAS_TOL,
             f"age={s.max_job_age_slots} bound={db.delta_max_slots:.3f}",
@@ -222,7 +214,12 @@ def bound_audit(summary: RunSummary, config: ScenarioConfig) -> AuditReport:
         "recorded violations", summary.violation_count == 0,
         f"count={summary.violation_count}",
     )
-    return AuditReport(lines=tuple(lines))
+    width = max(len(name) for name, _, _ in lines)
+    failed = any(status == "FAIL" for _, status, _ in lines)
+    return "".join(
+        [f"{name:<{width}}  {status:<4}  {detail}\n" for name, status, detail in lines]
+        + ["FAILURES PRESENT\n" if failed else "ALL CHECKS PASSED\n"]
+    )
 
 
 def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], str, tuple[str, ...]]:
@@ -645,11 +642,9 @@ def verify_audit_txt(path, config: ScenarioConfig, summary: Log) -> list[str]:
     """Check audit.txt: it is the `bound_audit` report of the summary log `summary`.
 
     The report is rendered from a `RunSummary` of one `MGSummary` per row of
-    summary.csv, its ``violations`` column the count, and the config. Every
-    value it shows is whole or rendered at 6 decimals, as summary.csv
-    renders it, so it reads as the run's report did. Its verdicts compare
-    the rendered values with the bounds: a value in memory within 5e-7 of a
-    bound could get another verdict than the run gave it, and fail here. A
+    summary.csv, as many violations as its ``violations`` column counts, and
+    the config. `bound_audit` judges and shows each value as summary.csv
+    writes it, so the run, from its summary in memory, wrote this report. A
     report that differs is one problem, naming its first line that differs.
     """
     if summary["mg_id"] != sorted(m.params.id for m in config.mgs):
@@ -660,15 +655,10 @@ def verify_audit_txt(path, config: ScenarioConfig, summary: Log) -> list[str]:
     ]
     per_mg = {s.mg_id: s for s in map(MGSummary._make, zip(*columns))}
     report = bound_audit(RunSummary(
-        mode=config.mode,
-        horizon_slots=config.horizon_slots,
-        per_mg=per_mg,
-        total_cost=sum(summary["total_cost"]),
-        total_grid_kwh=sum(summary["total_grid_kwh"]),
-        total_traded_kwh=sum(summary["total_bought_kwh"]),
-        violation_count=int(summary["violations"][0]),
+        config.horizon_slots, per_mg, sum(summary["total_bought_kwh"]),
+        ("counted in summary.csv",) * int(summary["violations"][0]),
     ), config)
-    got, want = _text(path).split("\n"), (report.render() + "\n").split("\n")
+    got, want = _text(path).split("\n"), report.split("\n")
     k = _first_difference(got, want)
     if k == len(got) == len(want):
         return []

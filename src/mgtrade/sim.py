@@ -361,16 +361,7 @@ class RunFold:
             m.params.id: MGSummary(m.params.id, fields[0] / self.slots, *fields)
             for m, fields in zip(self.config.mgs, zip(*columns))
         }
-        return RunSummary(
-            mode=self.config.mode,
-            horizon_slots=self.slots,
-            per_mg=per_mg,
-            total_cost=sum(s.total_cost for s in per_mg.values()),
-            total_grid_kwh=sum(s.total_grid_kwh for s in per_mg.values()),
-            total_traded_kwh=self.traded,
-            violation_count=len(self.violations),
-            violations=tuple(self.violations),
-        )
+        return RunSummary(self.slots, per_mg, self.traded, tuple(self.violations))
 
 
 def run(
