@@ -332,7 +332,7 @@ def clear(book: OrderBook, grid_price: float) -> ClearingOutcome:
     welfare, clears empty rather than erroring. Only the candidates of
     `_band` are scanned, each with the greedy fill's exact score (a prefix's
     is refolded bitwise), which picks the same pair as scanning them all.
-    The helpers import numpy when they run, so audits never load it.
+    This module imports numpy at its top; the audit never imports it.
     """
     # winners sit strictly ahead of the marginal bids and fill along the path
     if len(book.buy_bids) < 2 or len(book.sell_bids) < 2 or not book.fill_path:

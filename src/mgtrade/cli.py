@@ -7,9 +7,12 @@ when not given. Renewable and price traces default to the seeded synthetic
 generators; CSV paths can be supplied instead (renewables are rescaled to
 the configured mean, prices are clipped into the configured band).
 
+`mgtrade audit DIR` checks each run, parent of runs and sweep that DIR is or holds.
+
 Exit codes: 0 success, 2 usage (bad flags, missing files, an output
-directory that holds the other mode's run), 3 data (unparseable config or
-trace, malformed logs), 4 invariant violations or an infeasible oracle.
+directory that holds the other mode's run, or a run for a sweep), 3 data
+(unparseable config or trace, malformed logs), 4 invariant violations or an
+infeasible oracle.
 """
 
 from __future__ import annotations
@@ -477,20 +480,17 @@ def cmd_audit(args) -> int:
     if not root.exists():
         raise FileNotFoundError(f"audit target not found: {root}")
 
-    sweep_csv = root / "sweep.csv"
-    if sweep_csv.exists() and not (root / "slots.csv").exists():
-        return _audit_sweep(sweep_csv)
-
     if (root / "slots.csv").exists():
         targets = [root]
     else:
         targets = sorted(
             d for d in root.iterdir() if d.is_dir() and (d / "slots.csv").exists()
         )
-    if not targets:
+    sweep_csv = root / "sweep.csv"
+    if not targets and not sweep_csv.exists():
         raise SimError(f"{root}: no run outputs to audit")
 
-    all_ok = True
+    all_ok = not sweep_csv.exists() or _audit_sweep(sweep_csv) == EXIT_OK
     for t in targets:
         problems = _audit_one(t)
         _report(t, problems)
@@ -512,28 +512,35 @@ def _report(target: Path, problems: list[str]) -> None:
 
 
 def _audit_parent(root: Path, targets: list[Path]) -> list[str]:
-    """The problems of a parent of runs, as `mgtrade run --mode both` writes one.
+    """The problems of a parent of runs, as `mgtrade run` writes one.
 
-    Its auction/ and solo/ runs, when it has both, must share their
-    config.json but for the mode, and its comparison.txt, when it has one,
-    must follow from their summary.csv files.
+    Its auction/ run's config.json must hold mode with_auction and its
+    solo/ run's no_auction. When it holds both, as `--mode both` writes
+    them, they must share their config.json but for the mode, and it must
+    hold a comparison.txt that follows from their summary.csv files; when
+    it does not, it must hold no comparison.txt.
     """
     runs = {t.name: t for t in targets if t.name in _MODE_FLAG}
-    problems: list[str] = []
+    docs = {flag: json.loads((run / "config.json").read_text()) for flag, run in runs.items()}
+    problems = [
+        f"{flag}/config.json: mode {doc.get('mode')!r}, where the run writes {_MODE_FLAG[flag]!r}"
+        for flag, doc in docs.items() if doc.get("mode") != _MODE_FLAG[flag]
+    ]
+    comparison = root / "comparison.txt"
     if len(runs) == 2:
-        docs = [json.loads((runs[flag] / "config.json").read_text()) for flag in _MODE_FLAG]
-        keys = (docs[0].keys() | docs[1].keys()) - {"mode"}
-        differ = sorted(k for k in keys if docs[0].get(k) != docs[1].get(k))
+        keys = (docs["auction"].keys() | docs["solo"].keys()) - {"mode"}
+        differ = sorted(k for k in keys if docs["auction"].get(k) != docs["solo"].get(k))
         if differ:
             problems.append(f"auction/config.json and solo/config.json differ in {differ}, "
                             "not only in mode")
-    if (root / "comparison.txt").exists():
-        if len(runs) < 2:
-            problems.append("comparison.txt: no auction/ and solo/ runs to compare")
+        if not comparison.exists():
+            problems.append("comparison.txt: missing, where the run writes one")
         else:
-            problems += _verify_comparison(root / "comparison.txt", *(
+            problems += _verify_comparison(comparison, *(
                 read_summary_csv(runs[flag] / "summary.csv") for flag in _MODE_FLAG
             ))
+    elif comparison.exists():
+        problems.append("comparison.txt: no auction/ and solo/ runs to compare")
     return problems
 
 
@@ -615,6 +622,10 @@ def _audit_sweep(sweep_csv: Path) -> int:
 def cmd_sweep(args) -> int:
     from . import sim
 
+    out_root = _resolve_out(args)
+    if (out_root / "slots.csv").exists():  # a run's directory: its config.json is the run's
+        raise FileExistsError(f"{out_root / 'slots.csv'} exists: a sweep would replace its "
+                              "run's config.json; choose another --out")
     base, traces_doc, inputs = _scenario(args, _MODE_FLAG[args.mode])
     fractions = []
     for tok in args.fractions.split(","):
@@ -626,7 +637,6 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep fraction {f} outside (0, 1]")
         fractions.append(f)
 
-    out_root = _resolve_out(args)
     out_root.mkdir(parents=True, exist_ok=True)
     configs = [
         dataclasses.replace(base, mgs=tuple(

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, NamedTuple, get_type_hints
 from .errors import ConfigError, ParseError, SimError
 from .model import (
     FEAS_TOL,
+    MODE_SOLO,
     DerivedBounds,
     MGParams,
     ScenarioConfig,
@@ -715,6 +716,8 @@ LOG_TOL = 1e-4
 
 # the columns after the slot and MG id, in the order `_mg_problems` unpacks them
 _ROW_COLUMNS = MGSlotRow._fields[2:]
+# the cells a no_auction run logs as 0: its market's, and each MG's fills and unit prices
+_TRADE_COLUMNS = _MARKET_COLUMNS + ("bought_kwh", "sold_kwh", "buy_unit_price", "sell_unit_price")
 
 
 def verify_log_rows(config: ScenarioConfig, log: Log) -> list[str]:
@@ -737,8 +740,9 @@ def verify_log_rows(config: ScenarioConfig, log: Log) -> list[str]:
     for k, (m, db) in enumerate(zip(config.mgs, config.bounds())):
         b0 = initial_battery(m.params, db, config.initial_battery_kwh)
         problems += _mg_problems(m.params, db, b0, {c: log[c][k::n] for c in _ROW_COLUMNS})
+    solo = config.mode == MODE_SOLO
     for t in range(config.horizon_slots):
-        problems += _market_problems(t, {c: log[c][t * n:(t + 1) * n] for c in log.header})
+        problems += _market_problems(t, {c: log[c][t * n:(t + 1) * n] for c in log.header}, solo)
     return problems
 
 
@@ -845,13 +849,14 @@ def _mg_problems(p: MGParams, db: DerivedBounds, b0: float, c) -> list[str]:
     return problems + steps
 
 
-def _market_problems(t: int, c) -> list[str]:
+def _market_problems(t: int, c, solo: bool) -> list[str]:
     """Check one slot's market columns against each other and its MG rows.
 
     ``c`` maps each column to the slot's rows, in file order. Rounding to 6
     decimals keeps the order of two values, and renders two copies of one
     in-memory number identically, so the price checks are exact; sums and
-    products allow for the rounding of their operands.
+    products allow for the rounding of their operands. A ``solo`` run posts
+    no book, so each of its `_TRADE_COLUMNS` holds only zeros.
     """
     problems: list[str] = []
     market = tuple(c[k][0] for k in _MARKET_COLUMNS)
@@ -874,6 +879,9 @@ def _market_problems(t: int, c) -> list[str]:
         bought += got
         sold += gave
     tag = f"slot {t}"
+    traded = solo and next((k for k in _TRADE_COLUMNS if any(c[k])), None)
+    if traded:
+        problems.append(f"{tag}: {traded} is not 0 in a no_auction run")
     # every logged kWh is off by at most 5e-7
     slack = LOG_TOL + 5e-7 * (len(c["mg_id"]) + 1)
     if abs(bought - volume) > slack or abs(sold - volume) > slack:

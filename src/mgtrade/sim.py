@@ -269,12 +269,9 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
         b, q, z, x, r, di, dt, b, *bids, bought, sold, buy_unit, sell_unit, c, d, j, g, spill, cost,
     ))
     columns[7] = price  # every MG's row logs the slot's one grid price
-    own = [(columns, oldest_age)]  # a lone run's records hold the step's arrays, not views
-    if len(runs) > 1:
-        own = [(columns[:, at], oldest_age[at]) for at in runs]
     records = [
-        SlotRecord(t, cols, ages, market, bad)
-        for (cols, ages), market, bad in zip(own, markets, violations)
+        SlotRecord(t, columns[:, at], oldest_age[at], market, bad)
+        for at, market, bad in zip(runs, markets, violations)
     ]
     finished = t + 1 - oldest_age
     return World(configs, fleet, new_b, new_q, new_z, served, finished, t + 1, world.names), records

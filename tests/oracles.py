@@ -975,7 +975,7 @@ def reference_verify_log_rows(config, rows: list[dict[str, float]]) -> list[str]
     from bisect import bisect_right
     from operator import itemgetter
 
-    from mgtrade.model import FEAS_TOL, initial_battery, virtual_battery
+    from mgtrade.model import FEAS_TOL, MODE_SOLO, initial_battery, virtual_battery
     from mgtrade.logs import LOG_TOL
 
     cost_operands = itemgetter(
@@ -1085,12 +1085,13 @@ def reference_verify_log_rows(config, rows: list[dict[str, float]]) -> list[str]
             if all(abs(cur["delay_queue_kwh"] - w) > LOG_TOL for w in candidates):
                 problems.append(f"{tag}: Z {cur['delay_queue_kwh']} != step {candidates}")
     for t in sorted(by_slot):
-        problems.extend(_reference_market_problems(t, by_slot[t]))
+        problems.extend(_reference_market_problems(t, by_slot[t], config.mode == MODE_SOLO))
     return problems
 
 
-def _reference_market_problems(t: int, rows: list[dict[str, float]]) -> list[str]:
-    """Check one slot's market columns against each other and its MG rows."""
+def _reference_market_problems(t: int, rows: list[dict[str, float]], solo: bool) -> list[str]:
+    """Check one slot's market columns against each other and its MG rows; a
+    solo run's market, fills and unit prices must all be zero."""
     from mgtrade.logs import _MARKET_COLUMNS, LOG_TOL
 
     problems: list[str] = []
@@ -1113,6 +1114,11 @@ def _reference_market_problems(t: int, rows: list[dict[str, float]]) -> list[str
         bought += r["bought_kwh"]
         sold += r["sold_kwh"]
     tag = f"slot {t}"
+    if solo:
+        for k in [*_MARKET_COLUMNS, "bought_kwh", "sold_kwh", "buy_unit_price", "sell_unit_price"]:
+            if any(r[k] != 0.0 for r in rows):
+                problems.append(f"{tag}: {k} is not 0 in a no_auction run")
+                break
     slack = LOG_TOL + 5e-7 * (len(rows) + 1)
     if abs(bought - volume) > slack or abs(sold - volume) > slack:
         problems.append(

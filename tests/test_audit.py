@@ -28,16 +28,20 @@ from mgtrade.logs import (
     _ROW_FLOATS,
     _SIDE_FIELDS,
     SLOTS_HEADER,
+    MGSummary,
     RunLogs,
+    RunSummary,
+    bound_audit,
     read_slots_csv,
     read_summary_csv,
     verify_audit_csv,
+    verify_audit_txt,
     verify_layout,
     verify_log_rows,
     verify_summary_csv,
     write_summary_csv,
 )
-from mgtrade.model import MODE_AUCTION, MODE_SOLO, SlotInputs
+from mgtrade.model import FEAS_TOL, MODE_AUCTION, MODE_SOLO, SlotInputs
 from mgtrade.sim import build_traces, fold_runs, realized_inputs, run
 
 from oracles import (
@@ -133,6 +137,65 @@ def test_clean_logs_pass_both_audits(tmp_path, name):
     log = read_slots_csv(tmp_path / "slots.csv")
     assert len(log) == len(config.mgs) * config.horizon_slots
     assert verify_summary_csv(read_summary_csv(tmp_path / "summary.csv"), config, log) == []
+
+
+def test_an_auction_log_fails_a_no_auction_config_in_both_audits(tmp_path):
+    """A no_auction run posts no book, so its market cells, fills and unit
+    prices are all 0: an auction run's logs, read as a solo run's, fail each
+    slot that traded, in the audit and in the reference alike."""
+    config, texts = written("small-auction")
+    write_logs(tmp_path, texts)
+    solo = dataclasses.replace(config, mode=MODE_SOLO)
+    found = verify_log_rows(solo, read_slots_csv(tmp_path / "slots.csv"))
+    traded = sorted({int(line.split(",")[0]) for line in texts["auction_audit.csv"].split("\r\n")[1:]
+                     if line.split(",")[5:6] == ["1"]})
+    assert traded and found == [f"slot {t}: market_buy_price is not 0 in a no_auction run" for t in traded]
+    assert found == reference_verify_log_rows(solo, reference_read_slots_csv(tmp_path / "slots.csv"))
+    assert verify_log_rows(config, read_slots_csv(tmp_path / "slots.csv")) == []
+
+
+@st.composite
+def summaries_at_their_bounds(draw):
+    """A config of 1-4 MGs whose battery capacities and V have more than 6
+    decimals, and a summary of theirs whose extremes lie at, or within 1e-6
+    of, their bounds: q_max, z_max, 0 and the capacity."""
+    doc = fleet_doc(draw(st.integers(1, 4)), MODE_AUCTION, 12, seed=draw(st.integers(0, 9)))
+    for mg in doc["mgs"]:
+        capacity = draw(st.integers(7000, 40000)) / draw(st.sampled_from([3, 7, 11]))
+        mg.update(battery_capacity_kwh=capacity, charge_rate_max_kwh=0.45 * capacity,
+                  discharge_rate_max_kwh=0.45 * capacity, v_fraction=draw(st.floats(0.05, 1.0)))
+    config = config_from_dict(doc)[0]
+    near = st.sampled_from([0.0, 1e-6, -1e-6, 5e-7, -5e-7]) | st.floats(-1e-6, 1e-6)
+    per_mg = {
+        m.params.id: MGSummary(
+            m.params.id, 1.0, 12.0, 0.0, 0.0, 0.0, 0.0, db.q_max + draw(near),
+            db.z_max + draw(near), draw(near), m.params.battery_capacity_kwh + draw(near),
+            draw(st.integers(0, 20)),
+        )
+        for m, db in zip(config.mgs, config.bounds())
+    }
+    return config, RunSummary(12, per_mg, 0.0, ("drawn",) * draw(st.integers(0, 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(summaries_at_their_bounds())
+def test_audit_txt_reads_the_same_from_summary_csv(tmp_path_factory, drawn):
+    """`bound_audit` of a summary in memory is the report `verify_audit_txt`
+    renders from the summary.csv written of it; and a value within its bound
+    in memory passes."""
+    config, summary = drawn
+    run_dir = tmp_path_factory.mktemp("report")
+    write_summary_csv(run_dir / "summary.csv", summary)
+    report = bound_audit(summary, config)
+    (run_dir / "audit.txt").write_text(report)
+    assert verify_audit_txt(run_dir / "audit.txt", config, read_summary_csv(run_dir / "summary.csv")) == []
+    lines = report.splitlines()
+    for m in config.mgs:
+        s = summary.per_mg[m.params.id]
+        line = next(line for line in lines if line.startswith(f"mg{m.params.id} battery range "))
+        if -FEAS_TOL <= s.min_b_kwh and s.max_b_kwh <= m.params.battery_capacity_kwh + FEAS_TOL:
+            assert "  PASS  B in [" in line
+    shutil.rmtree(run_dir)
 
 
 def logs_read(monkeypatch) -> list[str]:

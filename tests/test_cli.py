@@ -791,15 +791,111 @@ def test_audit_fails_a_parent_whose_runs_have_other_configs(tmp_path, capsys):
     argv = ("run", "--horizon", "12", "--seed", "2", "--mode", "auction", "--out", str(other))
     assert run_cli(*argv) == EXIT_OK
     shutil.copytree(other / "auction", parent / "auction", dirs_exist_ok=True)
-    (parent / "comparison.txt").unlink()  # its own check is the next test's
+    (parent / "comparison.txt").unlink()  # one problem; its lines are the next tests'
     capsys.readouterr()
     assert run_cli("audit", str(parent)) == EXIT_INVARIANT
     text = capsys.readouterr().out
     assert text.count(": PASS (0 problems)") == 2
     assert text.endswith(
-        f"{parent}: FAIL (1 problems)\n  auction/config.json and solo/config.json differ "
+        f"{parent}: FAIL (2 problems)\n  auction/config.json and solo/config.json differ "
         "in ['mgs', 'seed'], not only in mode\n"
+        "  comparison.txt: missing, where the run writes one\n"
     )
+
+
+MODE_OF = {"auction": MODE_AUCTION, "solo": MODE_SOLO}
+
+
+@pytest.mark.parametrize("flag, mode", [("auction", MODE_SOLO), ("solo", MODE_AUCTION)])
+def test_audit_fails_a_run_relabelled_with_the_other_mode(tmp_path, capsys, flag, mode):
+    """A run's config.json edited to the other mode. A no_auction run posts no
+    book, so an auction run relabelled so fails at each slot that traded; a solo run
+    relabelled with_auction logs what an auction that never clears logs, and
+    passes alone. Under their parent, each run's mode must be its directory's."""
+    assert run_cli("run", "--horizon", "24", "--out", str(tmp_path)) == EXIT_OK
+    config = tmp_path / flag / "config.json"
+    config.write_text(config.read_text().replace(MODE_OF[flag], mode))
+    capsys.readouterr()
+    code = run_cli("audit", str(config.parent))
+    text = capsys.readouterr().out
+    if flag == "auction":
+        traded = sorted({int(line[0]) for line in audit_lines_of(config.parent)[1:] if line[5] == "1"})
+        assert code == EXIT_INVARIANT
+        assert f"FAIL ({len(traded)} problems)\n  slot {traded[0]}: market_buy_price is not 0 " \
+            "in a no_auction run\n" in text
+    else:
+        assert code == EXIT_OK and text == f"{config.parent}: PASS (0 problems)\n"
+    assert run_cli("audit", str(tmp_path)) == EXIT_INVARIANT
+    assert capsys.readouterr().out.endswith(
+        f"{tmp_path}: FAIL (1 problems)\n  {flag}/config.json: mode {mode!r}, where the run "
+        f"writes {MODE_OF[flag]!r}\n"
+    )
+
+
+def test_audit_fails_a_parent_of_both_runs_without_its_comparison(tmp_path, capsys):
+    """`mgtrade run --mode both` writes comparison.txt beside its two runs; a
+    parent that holds both runs and not the file fails."""
+    assert run_cli("run", "--horizon", "12", "--out", str(tmp_path)) == EXIT_OK
+    (tmp_path / "comparison.txt").unlink()
+    capsys.readouterr()
+    assert run_cli("audit", str(tmp_path)) == EXIT_INVARIANT
+    assert capsys.readouterr().out.endswith(
+        f"{tmp_path}: FAIL (1 problems)\n  comparison.txt: missing, where the run writes one\n"
+    )
+
+
+def test_audit_of_a_directory_with_a_sweep_audits_its_runs_too(tmp_path, capsys):
+    """A sweep written beside a parent of runs: the directory's audit checks the
+    sweep, each run and the parent, so one edited cell of a run's slots.csv fails it."""
+    out = str(tmp_path)
+    assert run_cli("run", "--horizon", "12", "--out", out) == EXIT_OK
+    assert run_cli("sweep", "--horizon", "12", "--out", out) == EXIT_OK
+    capsys.readouterr()
+    assert run_cli("audit", out) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "rows follow config.json: PASS\n" in text and text.count(": PASS (0 problems)") == 2
+    slots = tmp_path / "auction" / "slots.csv"
+    with open(slots, newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[6][2] = "99999999.000000"  # battery far beyond capacity
+    with open(slots, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert run_cli("audit", out) == EXIT_INVARIANT
+    text = capsys.readouterr().out
+    assert "rows follow config.json: PASS\n" in text
+    assert f"{tmp_path / 'auction'}: FAIL" in text and f"slot {rows[6][0]} mg {rows[6][1]}: " in text
+
+
+def test_a_sweep_refuses_a_run_directory(tmp_path, capsys):
+    """A sweep into a run's directory would replace the run's config.json with
+    its own; it is refused (exit 2), and the run keeps every file."""
+    assert run_cli("run", "--horizon", "12", "--out", str(tmp_path)) == EXIT_OK
+    run_dir = tmp_path / "auction"
+    files = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    capsys.readouterr()
+    assert run_cli("sweep", "--horizon", "12", "--out", str(run_dir)) == EXIT_USAGE
+    assert f"error: {run_dir / 'slots.csv'} exists: a sweep would replace" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == files
+    assert run_cli("audit", str(tmp_path)) == EXIT_OK
+
+
+def test_a_battery_capacity_of_many_decimals_passes_its_audit(tmp_path, capsys):
+    """MGs of 2000/3 kWh start full, so summary.csv writes max_b_kwh
+    666.666667, above the capacity in memory. audit.txt judges that value as
+    written, against the capacity as written, so the run and its audit agree."""
+    doc = {"seed": 7, "horizon_slots": 12, "mgs": [
+        {"id": k + 1, "mg_type": "type1" if k < 3 else "type2", "battery_capacity_kwh": 2000 / 3,
+         "charge_rate_max_kwh": 300.0, "discharge_rate_max_kwh": 300.0,
+         "serve_rate_max_kwh": 1500.0}
+        for k in range(6)
+    ]}
+    path = tmp_path / "third.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == EXIT_OK
+    report = (tmp_path / "out" / "auction" / "audit.txt").read_text()
+    assert "mg1 battery range          PASS  B in [" in report and ", 666.666667]\n" in report
+    capsys.readouterr()
+    assert run_cli("audit", str(tmp_path / "out")) == EXIT_OK
 
 
 def test_audit_of_a_truncated_config_is_a_data_error(tmp_path, capsys):
