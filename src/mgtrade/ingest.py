@@ -1,10 +1,13 @@
 """Exogenous data: renewable traces, grid prices, and randomized loads.
 
-Real traces come in as two-column CSV files (slot, value). When no files are
-given, seeded synthetic stand-ins are generated: a lognormal wind proxy
-scaled to a target mean and a daily sinusoid price with noise, clipped to the
-configured price band. Loads are uniform draws, independently for the
-inflexible (DI) and deferrable (DT) components.
+Real traces come in as two-column CSV files (slot, value), and every trace,
+read or synthetic, is a 1-D float array: `load_trace` rejects a bad file
+line where it enters, and `mgtrade.model.SlotInputs` checks the horizon's
+inputs once more. When no files are given, seeded synthetic stand-ins are
+generated: a lognormal wind proxy scaled to a target mean and a daily
+sinusoid price with noise, clipped to the configured price band. Loads are
+uniform draws, independently for the inflexible (DI) and deferrable (DT)
+components.
 
 All randomness comes from numpy's PCG64 seeded with (seed, stream) or
 (seed, stream, slot) tuples, so any single slot can be re-drawn without
@@ -20,7 +23,6 @@ from __future__ import annotations
 import csv
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -46,21 +48,9 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
-@dataclass(frozen=True)
-class Trace:
-    name: str
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) < 1:
-            raise ParseError(f"trace {self.name!r}: empty")
-        for k, v in enumerate(self.values):
-            if not math.isfinite(v) or v < 0:
-                raise ParseError(f"trace {self.name!r}: bad value {v!r} at slot {k}")
-
-
-def load_trace(path) -> Trace:
-    """Parse a `slot,value` CSV trace; bad cells are reported by line number."""
+def load_trace(path):
+    """The values of a `slot,value` CSV trace as a float array; bad cells are
+    reported by line number."""
     p = Path(path)
     if not p.exists():
         raise ParseError(f"trace file not found: {p}")
@@ -80,18 +70,19 @@ def load_trace(path) -> Trace:
             values.append(v)
     if not values:
         raise ParseError(f"{p}: no data rows")
-    return Trace(name=p.stem, values=tuple(values))
+    return np.array(values)
 
 
-def scale_wind(trace: Trace, target_mean_kwh: float) -> Trace:
-    """Scale a trace linearly so its mean hits the target."""
+def scale_wind(values, target_mean_kwh: float, name: str = "trace"):
+    """A trace's values scaled linearly so their mean hits the target; ``name``
+    names the trace in an error. The mean is Python's `sum` of the values,
+    in order, over their count."""
     if target_mean_kwh < 0:
         raise ConfigError("target mean must be >= 0")
-    m = sum(trace.values) / len(trace.values)
+    m = sum(values.tolist()) / len(values)
     if m <= 0:
-        raise ConfigError(f"trace {trace.name!r}: cannot scale an all-zero trace")
-    factor = target_mean_kwh / m
-    return Trace(name=trace.name, values=tuple(v * factor for v in trace.values))
+        raise ConfigError(f"{name}: cannot scale an all-zero trace")
+    return values * (target_mean_kwh / m)
 
 
 def draw_load_grid(
@@ -232,7 +223,7 @@ def _mul_hi(a):
     return a_hi * m_hi + (hi_lo >> 32) + (lo_hi >> 32) + (mid >> 32)
 
 
-def synthetic_wind(slot_count: int, mean_kwh: float, seed: int) -> Trace:
+def synthetic_wind(slot_count: int, mean_kwh: float, seed: int):
     """Lognormal wind-energy proxy scaled to an exact mean."""
     if slot_count < 1:
         raise ConfigError("slot_count must be >= 1")
@@ -241,10 +232,10 @@ def synthetic_wind(slot_count: int, mean_kwh: float, seed: int) -> Trace:
     rng = np.random.default_rng((seed, _STREAM_WIND))
     raw = rng.lognormal(mean=0.0, sigma=0.6, size=slot_count)
     raw *= mean_kwh / raw.mean()
-    return Trace(name=f"wind-synth-{seed}", values=tuple(float(v) for v in raw))
+    return raw
 
 
-def synthetic_price(slot_count: int, pb: PriceBounds, seed: int) -> Trace:
+def synthetic_price(slot_count: int, pb: PriceBounds, seed: int):
     """Daily sinusoid with noise, clipped into [p_min, p_max]."""
     if slot_count < 1:
         raise ConfigError("slot_count must be >= 1")
@@ -254,5 +245,4 @@ def synthetic_price(slot_count: int, pb: PriceBounds, seed: int) -> Trace:
     t = np.arange(slot_count)
     wave = mid + 0.45 * spread * np.sin(2.0 * np.pi * (t % 24) / 24.0)
     noise = rng.normal(0.0, 0.05 * spread, size=slot_count)
-    prices = np.clip(wave + noise, pb.p_min, pb.p_max)
-    return Trace(name=f"price-synth-{seed}", values=tuple(float(v) for v in prices))
+    return np.clip(wave + noise, pb.p_min, pb.p_max)

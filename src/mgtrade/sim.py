@@ -3,7 +3,10 @@
 Each slot runs a two-stage protocol: every MG computes its bid pair from its
 queues, the auctioneer clears (unless the run is in no_auction mode), then
 every MG solves its slot program with the cleared trade fixed and the queues
-advance. Everything is pure-functional: `step` maps a world and the
+advance. The horizon's exogenous inputs are arrays from where they enter:
+`build_traces` gives the renewables as (slot, MG) and the prices as (slot,),
+and `realized_inputs` adds the drawn loads in one `SlotInputs`, which checks
+them all. Everything is pure-functional: `step` maps a world and the
 horizon's exogenous inputs to the next slot's world plus a flat record, so
 replays and golden logs are exact. A world holds every MG's state as
 columns, and each stage of a step is one array expression over all MGs,
@@ -33,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
+from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
@@ -47,14 +51,7 @@ from .controller import (
 )
 from .errors import ConfigError, RejectedAction, SimError
 from .flow import min_cost_flow
-from .ingest import (
-    Trace,
-    draw_load_grid,
-    load_trace,
-    scale_wind,
-    synthetic_price,
-    synthetic_wind,
-)
+from .ingest import draw_load_grid, load_trace, scale_wind, synthetic_price, synthetic_wind
 from .logs import _ROW_FLOATS, _SUMMARY_OF, MarketRow, MGSummary, RunSummary
 from .model import (  # the scenario names are re-exported
     FEAS_TOL,
@@ -74,58 +71,54 @@ from .model import (  # the scenario names are re-exported
 )
 
 
-@dataclass(frozen=True)
-class ScenarioTraces:
-    renewables: tuple[Trace, ...]
-    prices: Trace
+def build_traces(config: ScenarioConfig, traces_doc: dict | None = None) -> tuple[Any, Any]:
+    """A config's traces, each built once and cut to the horizon: every MG's
+    renewables as a (slot, MG) array and the grid prices as a (slot,) one.
 
-
-def build_traces(config: ScenarioConfig, traces_doc: dict | None = None) -> ScenarioTraces:
-    """Each trace of a config once: from the file its trace block names, else synthetic.
-
-    ``traces_doc`` is the trace block `config_from_dict` returns. A price
-    file is clipped into the config's band and a renewable file scaled to
-    its MG's mean; without a file the trace is the seeded synthetic one, at
-    exactly the MG's mean, which must then be positive.
+    ``traces_doc`` is the trace block `config_from_dict` returns. A renewable
+    file is scaled to its MG's mean and a price file clipped into the
+    config's band, as ``min(max(v, p_min), p_max)`` picks; a file shorter
+    than the horizon is refused by its name. Without a file the trace is the
+    seeded synthetic one, at exactly the MG's mean, which must then be
+    positive.
     """
     doc = traces_doc or {}
     h, pb = config.horizon_slots, config.price_bounds
     paths = doc.get("renewable_traces") or [None] * len(config.mgs)
     if len(paths) != len(config.mgs):
         raise ConfigError(f"{len(paths)} renewable traces for {len(config.mgs)} MGs")
+
+    def cut(name: str, values):
+        if len(values) < h:
+            raise ConfigError(f"{name} covers {len(values)} slots, horizon needs {h}")
+        return values[:h]
+
     renewables = []
     for k, (m, path) in enumerate(zip(config.mgs, paths)):
         if path:
-            renewables.append(scale_wind(load_trace(path), m.renewable_mean_kwh))
+            name = f"mg {m.params.id}: renewable trace {Path(path).stem!r}"
+            renewables.append(cut(name, scale_wind(load_trace(path), m.renewable_mean_kwh, name)))
         elif m.renewable_mean_kwh > 0:
             renewables.append(synthetic_wind(h, m.renewable_mean_kwh, mg_subseed(config.seed, k)))
         else:
             raise ConfigError(f"mg {m.params.id}: renewable_mean_kwh 0 needs a trace file")
     if doc.get("price_trace"):
-        raw = load_trace(doc["price_trace"])
-        prices = Trace(raw.name, tuple(min(max(v, pb.p_min), pb.p_max) for v in raw.values))
+        path = doc["price_trace"]
+        prices = cut(f"price trace {Path(path).stem!r}", load_trace(path))
+        prices = np.where(pb.p_min > prices, pb.p_min, prices)  # max(v, p_min)
+        prices = np.where(prices > pb.p_max, pb.p_max, prices)  # then min(v, p_max)
     else:
         prices = synthetic_price(h, pb, config.seed)
-    return ScenarioTraces(renewables=tuple(renewables), prices=prices)
+    return np.column_stack(renewables), prices
 
 
-def realized_inputs(config: ScenarioConfig, traces: ScenarioTraces) -> SlotInputs:
-    """All slots' inputs, materialized once so oracles see the same draws.
-
-    The loads of every MG and slot come from one `draw_load_grid` call.
-    """
-    h = config.horizon_slots
-    named = [("price trace", traces.prices)] + [
-        (f"mg {m.params.id}: renewable trace", tr) for m, tr in zip(config.mgs, traces.renewables)
-    ]
-    for what, tr in named:
-        if len(tr.values) < h:
-            raise ConfigError(
-                f"{what} {tr.name!r} covers {len(tr.values)} slots, horizon needs {h}"
-            )
-    di, dt = draw_load_grid([m.load_model for m in config.mgs], range(h))
-    renewable = [tr.values[:h] for tr in traces.renewables]
-    return SlotInputs(np.array(renewable).T, di.T, dt.T, traces.prices.values[:h])
+def realized_inputs(config: ScenarioConfig, traces: tuple[Any, Any]) -> SlotInputs:
+    """All slots' inputs, materialized once so oracles see the same draws: the
+    traces `build_traces` gives, and the loads of every MG and slot from one
+    `draw_load_grid` call."""
+    renewable, prices = traces
+    di, dt = draw_load_grid([m.load_model for m in config.mgs], range(config.horizon_slots))
+    return SlotInputs(renewable, di.T, dt.T, prices)
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -362,7 +355,7 @@ class RunFold:
 
 
 def run(
-    config: ScenarioConfig, traces: ScenarioTraces | None = None
+    config: ScenarioConfig, traces: tuple[Any, Any] | None = None
 ) -> tuple[RunSummary, list[SlotRecord]]:
     """Simulate the whole horizon: the run's summary and its records, one per slot.
     Deterministic for a fixed config and seed."""

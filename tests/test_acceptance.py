@@ -19,7 +19,6 @@ import pytest
 from mgtrade.auction import ClearingOutcome, OrderBook, budget_check, clear, pair_quantity
 from mgtrade.cli import default_scenario
 from mgtrade.controller import Bids
-from mgtrade.ingest import Trace
 from mgtrade.model import (
     MODE_AUCTION,
     MODE_SOLO,
@@ -34,7 +33,7 @@ from mgtrade.model import (
     mg_subseed,
     virtual_battery,
 )
-from mgtrade.sim import ScenarioTraces, offline_oracle, realized_inputs, run
+from mgtrade.sim import offline_oracle, realized_inputs, run
 from columnar import (
     allocations_by_id, bid_all, book_of, book_sides, solve_one, trade_of, write_logs,
 )
@@ -73,10 +72,10 @@ def paired_runs():
 
 SWEEP_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
 
-SWEEP_PRICES = Trace("price", (3.0,) * 8 + (8.0,) * 8 + (14.0,) * 8)
-SWEEP_RENEWABLES = (
-    Trace("wind1", (10.0,) * 16 + (150.0,) * 8),
-    Trace("wind2", (30.0,) * 16 + (180.0,) * 8),
+# the two MGs' renewables as (slot, MG) and the grid prices, as `build_traces` gives them
+SWEEP_TRACES = (
+    np.array([(10.0, 30.0)] * 16 + [(150.0, 180.0)] * 8),
+    np.array((3.0,) * 8 + (8.0,) * 8 + (14.0,) * 8),
 )
 
 
@@ -126,12 +125,11 @@ def v_sweep():
     targets a V-dependent setpoint, so a shared oracle would start from the
     wrong state.
     """
-    traces = ScenarioTraces(renewables=SWEEP_RENEWABLES, prices=SWEEP_PRICES)
     points = []
     for fraction in SWEEP_FRACTIONS:
         cfg = _sweep_config(fraction)
-        inputs = realized_inputs(cfg, traces)
-        summary, _ = run(cfg, traces)
+        inputs = realized_inputs(cfg, SWEEP_TRACES)
+        summary, _ = run(cfg, SWEEP_TRACES)
         oracle = offline_oracle(cfg, inputs)
         points.append((fraction, cfg, summary, oracle))
     return points
@@ -243,10 +241,9 @@ def test_criterion_2_queue_and_battery_bounds_never_break(paired_runs, v_sweep):
 
 
 def test_criterion_3_cost_gap_shrinks_like_a_over_v(v_sweep):
-    traces = ScenarioTraces(renewables=SWEEP_RENEWABLES, prices=SWEEP_PRICES)
     gaps = []
     for fraction, cfg, summary, oracle in v_sweep:
-        inputs = realized_inputs(cfg, traces)
+        inputs = realized_inputs(cfg, SWEEP_TRACES)
         gap = 0.0
         for k, m in enumerate(cfg.mgs):
             mid = m.params.id

@@ -142,12 +142,30 @@ def test_mg_subseed_distinct():
 
 def test_build_traces_shapes_and_means():
     cfg = small_scenario(horizon=240)
-    traces = build_traces(cfg)
-    assert len(traces.prices.values) == 240
-    assert len(traces.renewables) == 2
-    for tr in traces.renewables:
-        assert len(tr.values) == 240
-        assert mean(tr.values) == pytest.approx(25.0, rel=1e-12)
+    renewables, prices = build_traces(cfg)
+    assert renewables.shape == (240, 2) and prices.shape == (240,)
+    for column in renewables.T:
+        assert mean(column.tolist()) == pytest.approx(25.0, rel=1e-12)
+
+
+def test_build_traces_scales_whole_files_then_cuts_them(tmp_path):
+    """Trace files longer than the horizon: a renewable file is scaled over
+    all its values, then cut; a price file is cut and clipped as
+    `min(max(v, p_min), p_max)` picks, value for value."""
+    from mgtrade.ingest import load_trace, scale_wind
+
+    cfg = small_scenario(horizon=12)
+    wind, price = tmp_path / "wind.csv", tmp_path / "price.csv"
+    wind.write_text("slot,value\n" + "".join(f"{t},{0.1 + 7.3 * (t % 5)}\n" for t in range(30)))
+    price.write_text("slot,value\n" + "".join(f"{t},{0.25 + 1.7 * t}\n" for t in range(30)))
+    doc = {"renewable_traces": [None, str(wind)], "price_trace": str(price)}
+    renewables, prices = build_traces(cfg, doc)
+    assert renewables.shape == (12, 2) and prices.shape == (12,)
+    assert renewables[:, 0].tolist() == build_traces(cfg)[0][:, 0].tolist()
+    assert renewables[:, 1].tolist() == scale_wind(load_trace(wind), 25.0).tolist()[:12]
+    assert mean(renewables[:, 1].tolist()) != pytest.approx(25.0)  # the mean is the file's
+    want = [min(max(v, PB.p_min), PB.p_max) for v in load_trace(price).tolist()[:12]]
+    assert prices.tolist() == want and min(want) == PB.p_min and max(want) == PB.p_max
 
 
 def test_realized_inputs_share_the_grid_price():
@@ -155,7 +173,7 @@ def test_realized_inputs_share_the_grid_price():
     traces = build_traces(cfg)
     inputs = realized_inputs(cfg, traces)
     assert len(inputs) == 12
-    assert inputs.grid_price.tolist() == list(traces.prices.values[:12])
+    assert inputs.grid_price.tolist() == traces[1].tolist()
 
 
 def test_realized_inputs_rejects_short_traces():
