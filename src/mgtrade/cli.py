@@ -10,9 +10,9 @@ the configured mean, prices are clipped into the configured band).
 `mgtrade audit DIR` checks each run, parent of runs and sweep that DIR is or holds.
 
 Exit codes: 0 success, 2 usage (bad flags, missing files, an output
-directory that holds the other mode's run, or a run for a sweep), 3 data
-(unparseable config or trace, malformed logs), 4 invariant violations or an
-infeasible oracle.
+directory that holds the other mode's run, a run a sweep would overwrite
+or a sweep a run would hide), 3 data (unparseable config or trace,
+malformed logs), 4 invariant violations or an infeasible oracle.
 """
 
 from __future__ import annotations
@@ -379,6 +379,9 @@ def cmd_run(args) -> int:
 
     flags = ["auction", "solo"] if args.mode == "both" else [args.mode]
     out_root = _resolve_out(args)
+    for stale in (out_root / flag / "sweep.csv" for flag in _MODE_FLAG):
+        if stale.exists():
+            raise FileExistsError(f"{stale} exists: a run would leave it stale; choose another --out")
     if args.mode != "both":  # a parent of runs holds both modes' runs or neither
         other = "solo" if args.mode == "auction" else "auction"
         for name in (other, "comparison.txt"):
@@ -458,16 +461,19 @@ def _audited_config(out_dir: Path) -> ScenarioConfig:
 def _audit_one(run_dir: Path) -> list[str]:
     """The problems of a run directory: its logs against its config and each other.
 
-    A slots.csv out of the run's layout is the one problem: every other
-    check reads its rows in that layout.
+    A slots.csv out of the run's layout is the one problem but for a
+    sweep.csv beside it, which no command writes: every other check reads
+    its rows in that layout.
     """
     config = _audited_config(run_dir)
+    stale = (run_dir / "sweep.csv").exists()
+    problems = ["sweep.csv: a sweep beside a run's logs, which no command writes"] if stale else []
     log = read_slots_csv(run_dir / "slots.csv")
     misplaced = verify_layout(config, log)
     if misplaced:
-        return misplaced
+        return problems + misplaced
     summary = read_summary_csv(run_dir / "summary.csv")
-    return (
+    return problems + (
         verify_log_rows(config, log)
         + verify_audit_csv(run_dir / "auction_audit.csv", config, log)
         + verify_summary_csv(summary, config, log)

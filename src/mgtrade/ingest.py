@@ -49,8 +49,7 @@ _PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 
 
 def load_trace(path):
-    """The values of a `slot,value` CSV trace as a float array; bad cells are
-    reported by line number."""
+    """A `slot,value` CSV trace's values as a float array; bad cells are named by line."""
     p = Path(path)
     if not p.exists():
         raise ParseError(f"trace file not found: {p}")
@@ -73,10 +72,9 @@ def load_trace(path):
     return np.array(values)
 
 
-def scale_wind(values, target_mean_kwh: float, name: str = "trace"):
-    """A trace's values scaled linearly so their mean hits the target; ``name``
-    names the trace in an error. The mean is Python's `sum` of the values,
-    in order, over their count."""
+def scale_wind(values, target_mean_kwh: float, name: str):
+    """A trace's values scaled linearly so their mean, Python's in-order `sum` over
+    their count, hits the target; ``name`` names the trace in an error."""
     if target_mean_kwh < 0:
         raise ConfigError("target mean must be >= 0")
     m = sum(values.tolist()) / len(values)

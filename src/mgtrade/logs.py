@@ -731,6 +731,14 @@ def verify_log_rows(config: ScenarioConfig, log: Log) -> list[str]:
     prefix sums of the logged ``dt_load_kwh`` and ``serve_kwh``, and each
     MG's slot-0 battery must be the ``initial_battery`` of the config.
 
+    `solve_slot_program` buys g = max(0, i + j + sold + c - r - d - bought,
+    c + sold - r - d), so a row that buys spills 0, or bought - di - serve
+    when the second term is the larger: grid_kwh > tol gives spill_kwh <=
+    max(0, bought - di - serve) + tol. The logged sides are off by 5e-7 and
+    1.5e-6; in memory the spill and g are at most 13 float additions of the
+    row's eight kWh, each off by at most 2**-53 * S, S their sum. So tol =
+    2e-6 + 2**-48 * S.
+
     One pass over each MG's zipped column slices checks its rows; a message
     is built only for a failing row. Then each slot's market is checked
     over its own slice.
@@ -806,6 +814,10 @@ def _mg_problems(p: MGParams, db: DerivedBounds, b0: float, c) -> list[str]:
             note(problems, f"balance short by {-balance}")
         if abs(balance - spill) > LOG_TOL:
             note(problems, f"spill {spill} != balance slack {balance}")
+        # the slot program's spill when it buys from the grid (`verify_log_rows`)
+        tol = 2e-6 + 2.0**-48 * (r + grid + discharge + bought + di + j + sold + charge)
+        if grid > tol and spill > max(bought - di - j, 0.0) + tol:
+            note(problems, f"spill {spill} with grid {grid} > max(0, bought - di - serve)")
         if age > age_max:
             note(problems, f"pending job age {age}")
         # the bids `make_bids` posts from the logged Q, Z, R and I. Those and

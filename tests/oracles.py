@@ -1053,6 +1053,18 @@ def reference_verify_log_rows(config, rows: list[dict[str, float]]) -> list[str]
                 problems.append(f"{tag}: balance short by {-balance}")
             if abs(balance - r["spill_kwh"]) > LOG_TOL:
                 problems.append(f"{tag}: spill {r['spill_kwh']} != balance slack {balance}")
+            # a row that buys from the grid spills 0 or bought - di - serve
+            kwh = (
+                r["renewable_kwh"] + r["grid_kwh"] + r["discharge_kwh"] + r["bought_kwh"]
+                + r["di_load_kwh"] + r["serve_kwh"] + r["sold_kwh"] + r["charge_kwh"]
+            )
+            tol = 2e-6 + 2.0**-48 * kwh
+            unmet = r["bought_kwh"] - r["di_load_kwh"] - r["serve_kwh"]
+            if r["grid_kwh"] > tol and r["spill_kwh"] > max(unmet, 0.0) + tol:
+                problems.append(
+                    f"{tag}: spill {r['spill_kwh']} with grid {r['grid_kwh']} "
+                    "> max(0, bought - di - serve)"
+                )
             if r["oldest_pending_age"] > db.delta_max_slots + LOG_TOL:
                 problems.append(f"{tag}: pending job age {r['oldest_pending_age']}")
             q, z, renewable, di = bid_operands(r)

@@ -12,6 +12,7 @@ sorts back into place.
 import dataclasses
 import functools
 import json
+import math
 import random
 import shutil
 import tempfile
@@ -137,6 +138,39 @@ def test_clean_logs_pass_both_audits(tmp_path, name):
     log = read_slots_csv(tmp_path / "slots.csv")
     assert len(log) == len(config.mgs) * config.horizon_slots
     assert verify_summary_csv(read_summary_csv(tmp_path / "summary.csv"), config, log) == []
+
+
+# (the edited cells of one row from its config's bounds, the start of the problem)
+ROW_EDITS = {
+    "Q ceiling": (lambda db, row: {"demand_queue_kwh": db.q_max + 1.0}, "Q "),
+    "Z ceiling": (lambda db, row: {"delay_queue_kwh": db.z_max + 1.0}, "Z "),
+    "charge and discharge": (
+        lambda db, row: {"charge_kwh": 1.0, "discharge_kwh": 1.0}, "simultaneous charge and discharge"
+    ),
+    "job age": (lambda db, row: {"oldest_pending_age": math.ceil(db.delta_max_slots) + 3},
+                "pending job age "),
+    "grid to spill": (
+        lambda db, row: {c: float(row[c]) + 1.0 for c in ("grid_kwh", "spill_kwh")}, "spill "
+    ),
+}
+
+
+@pytest.mark.parametrize("edit", list(ROW_EDITS))
+def test_a_row_past_its_bounds_gets_the_reference_problems(tmp_path, edit):
+    """One row of a solo run edited past a ceiling, to charge and discharge at
+    once, past the job-age bound, or to buy from the grid what it spills: the
+    audit reports that row's problem, and exactly the reference's problems."""
+    config, texts = written("small-solo")
+    rows = [row.split(",") for row in texts["slots.csv"].split("\r\n")]
+    k = 1 + 9 * len(config.mgs) + 1  # slot 9, the second MG
+    row = dict(zip(SLOTS_HEADER, rows[k]))
+    cells, problem = ROW_EDITS[edit]
+    for column, value in cells(config.bounds()[1], row).items():
+        rows[k][SLOTS_HEADER.index(column)] = f"{value:.6f}" if isinstance(value, float) else str(value)
+    write_logs(tmp_path, {**texts, "slots.csv": "\r\n".join(map(",".join, rows))})
+    found = verify_log_rows(config, read_slots_csv(tmp_path / "slots.csv"))
+    assert any(p.startswith(f"slot 9 mg {config.ids[1]}: {problem}") for p in found), found
+    assert found == reference_verify_log_rows(config, reference_read_slots_csv(tmp_path / "slots.csv"))
 
 
 def test_an_auction_log_fails_a_no_auction_config_in_both_audits(tmp_path):

@@ -172,6 +172,19 @@ def test_a_short_renewable_trace_names_its_mg_and_file(tmp_path, capsys):
     assert "error: mg 3: renewable trace 'gusts' covers 2 slots, horizon needs 6" in err
 
 
+def test_an_all_zero_renewable_trace_names_its_mg_and_file(tmp_path, capsys):
+    doc = reference_doc()
+    doc["horizon_slots"] = 2
+    wind = tmp_path / "calm.csv"
+    wind.write_text("slot,value\n0,0.0\n1,0.0\n")
+    doc["renewable_traces"] = [None, str(wind), None, None, None, None]
+    path = tmp_path / "calm.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "error: mg 2: renewable trace 'calm': cannot scale an all-zero trace" in err
+
+
 def test_unknown_mg_type_names_the_default_id(tmp_path, capsys):
     path = tmp_path / "one.json"
     doc = reference_doc()
@@ -355,6 +368,37 @@ def test_audit_catches_a_cent_on_a_large_cost(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_INVARIANT
     assert f"slot {rows[k][0]} mg {rows[k][1]}: cost" in out
+
+
+def test_audit_catches_grid_bought_to_spill(tmp_path, capsys):
+    """A solo row edited to buy 1 kWh more from the grid and spill it, its cost
+    and its MG's summary.csv totals edited to match, keeps every balance and
+    sum; but the slot program never buys energy to spill it, so the audit
+    fails that one row."""
+    run_cli("run", "--out", str(tmp_path), "--mode", "solo", "--horizon", "12", "--seed", "4")
+    run_dir = tmp_path / "solo"
+    with open(run_dir / "slots.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    col = {name: k for k, name in enumerate(rows[0])}
+    row = rows[9]
+    for name, add in (("grid_kwh", 1.0), ("spill_kwh", 1.0), ("cost", float(row[col["grid_price"]]))):
+        row[col[name]] = f"{float(row[col[name]]) + add:.6f}"
+    with open(run_dir / "slots.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with open(run_dir / "summary.csv", newline="") as fh:
+        summary = list(csv.reader(fh))
+    mine = [r for r in rows[1:] if r[1] == row[1]]
+    line = next(r for r in summary[1:] if r[0] == row[1])
+    cost, grid = (sum(float(r[col[name]]) for r in mine) for name in ("cost", "grid_kwh"))
+    for name, value in (("time_avg_cost", cost / 12), ("total_cost", cost), ("total_grid_kwh", grid)):
+        line[summary[0].index(name)] = f"{value:.6f}"
+    with open(run_dir / "summary.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(summary)
+    capsys.readouterr()
+    assert run_cli("audit", str(run_dir)) == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert out.startswith(f"{run_dir}: FAIL (1 problems)\n  slot {row[0]} mg {row[1]}: spill ")
+    assert "> max(0, bought - di - serve)" in out
 
 
 def test_audit_rederives_job_ages(tmp_path, capsys):
@@ -879,6 +923,41 @@ def test_a_sweep_refuses_a_run_directory(tmp_path, capsys):
     assert run_cli("audit", str(tmp_path)) == EXIT_OK
 
 
+def test_a_run_refuses_a_directory_holding_a_sweep(tmp_path, capsys, monkeypatch):
+    """A run into the parent of a sweep's directory would write its logs beside
+    the sweep's table, where each audit passes one of them and hides the other.
+    It is refused (exit 2) before anything is drawn, and the sweep keeps its files."""
+    from mgtrade import sim
+
+    sweep_dir = tmp_path / "auction"
+    assert run_cli("sweep", "--horizon", "12", "--out", str(sweep_dir)) == EXIT_OK
+    files = {p.name: p.read_bytes() for p in sweep_dir.iterdir()}
+    monkeypatch.setattr(sim, "build_traces", lambda *a: pytest.fail("a trace was built"))
+    capsys.readouterr()
+    for mode in ("both", "auction", "solo"):
+        argv = ("run", "--horizon", "12", "--mode", mode, "--out", str(tmp_path))
+        assert run_cli(*argv) == EXIT_USAGE
+        want = f"error: {sweep_dir / 'sweep.csv'} exists: a run would leave it stale; choose"
+        assert capsys.readouterr().err.startswith(want)
+    assert {p.name: p.read_bytes() for p in sweep_dir.iterdir()} == files
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["auction"]
+
+
+def test_audit_fails_a_run_directory_holding_a_sweep(tmp_path, capsys):
+    """No command writes sweep.csv beside a run's slots.csv, so a directory
+    holding both fails its audit, audited alone or under its parent."""
+    assert run_cli("run", "--horizon", "12", "--out", str(tmp_path / "runs")) == EXIT_OK
+    assert run_cli("sweep", "--horizon", "12", "--out", str(tmp_path / "sweep")) == EXIT_OK
+    run_dir = tmp_path / "runs" / "auction"
+    shutil.copy(tmp_path / "sweep" / "sweep.csv", run_dir / "sweep.csv")
+    for target in (run_dir, tmp_path / "runs"):
+        capsys.readouterr()
+        assert run_cli("audit", str(target)) == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        assert f"{run_dir}: FAIL (1 problems)\n  sweep.csv: a sweep beside a run's logs" in out
+    assert f"{tmp_path / 'runs' / 'solo'}: PASS" in out
+
+
 def test_a_battery_capacity_of_many_decimals_passes_its_audit(tmp_path, capsys):
     """MGs of 2000/3 kWh start full, so summary.csv writes max_b_kwh
     666.666667, above the capacity in memory. audit.txt judges that value as
@@ -1291,6 +1370,31 @@ def test_sweep_reports_invariant_violations(tmp_path, capsys, monkeypatch):
     assert "slot 5 mg 2: Q 1e9 > q_max 1.0" in err
 
 
+def test_run_reports_invariant_violations(tmp_path, capsys, monkeypatch):
+    """A bound broken in one slot of the auction run still writes both runs,
+    counts it in that run's summary.csv, exits 4, and its audit exits 4."""
+    from mgtrade import sim
+
+    real_monitor = sim._monitor
+
+    def one_violation(slot, *args):
+        found = real_monitor(slot, *args)
+        if slot == 5:
+            found[0] += ("slot 5 mg 2: Q 1e9 > q_max 1.0",)
+        return found
+
+    monkeypatch.setattr(sim, "_monitor", one_violation)
+    assert run_cli("run", "--horizon", "12", "--out", str(tmp_path)) == EXIT_INVARIANT
+    assert "invariant violations recorded" in capsys.readouterr().err
+    for flag, count in (("auction", "1"), ("solo", "0")):
+        with open(tmp_path / flag / "summary.csv", newline="") as fh:
+            assert {row["violations"] for row in csv.DictReader(fh)} == {count}
+    assert run_cli("audit", str(tmp_path)) == EXIT_INVARIANT
+    out = capsys.readouterr().out
+    assert f"{tmp_path / 'auction'}: FAIL" in out and "violations recorded" in out
+    assert f"{tmp_path / 'solo'}: PASS" in out
+
+
 def renumbered_config(tmp_path) -> str:
     """configs/sweep_small.json with its MGs renumbered 7 and 3, so that an MG's id
     is not its position."""
@@ -1449,6 +1553,24 @@ def test_sweep_audit_checks_the_gap(tmp_path, capsys, cells, code, message):
     assert got == code
     assert message in out
     assert "a_over_v monotone: PASS" in out
+
+
+def test_sweep_audit_fails_an_a_over_v_that_grows_with_v(tmp_path, capsys):
+    """A/V falls as V grows: an MG whose a_over_v at fraction 1.0 is raised above
+    its value at 0.5 fails the monotone check."""
+    assert run_cli(
+        "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", "0.5,1.0"
+    ) == EXIT_OK
+    sweep_csv = tmp_path / "sweep.csv"
+    with open(sweep_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    k = rows[0].index("a_over_v")
+    half, whole = (r for r in rows[1:] if r[1] == rows[1][1])
+    assert (half[0], whole[0]) == ("0.500000", "1.000000")
+    whole[k] = f"{float(half[k]) + 1.0:.6f}"
+    got, out = audit_rewritten(sweep_csv, rows, capsys)
+    assert got == EXIT_INVARIANT
+    assert "a_over_v monotone: FAIL" in out
 
 
 def rescale(rows, column: str, by: float) -> None:

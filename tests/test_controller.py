@@ -288,6 +288,30 @@ def test_program_never_spills_negative(inst):
 
 @given(inst=program_instances())
 @settings(max_examples=150, deadline=None)
+def test_program_buys_from_the_grid_only_what_it_does_not_spill(inst):
+    """The grid purchase is max(0, I + J + sold + C - R - D - bought, C + sold -
+    R - D), so a slot that buys spills 0, or bought - I - J when the second
+    term is the larger: never more than max(0, bought - I - J)."""
+    p, s, x, ins, trade = inst
+    action = solve_slot_program(s, x, ins, trade, p)
+    spill = spilled_kwh(ins.renewable_kwh, ins.di_load_kwh, action)
+    if action.grid_purchase_kwh > 0.0:
+        unmet = trade.bought_kwh - ins.di_load_kwh - action.serve_dt_kwh
+        assert spill <= max(unmet, 0.0) + 1e-9
+
+
+def test_program_may_buy_from_the_grid_and_spill():
+    """Auction energy never charges the battery: an MG far below its setpoint
+    charges from the grid, and spills what it bought beyond its loads."""
+    p = mg(v_weight=1.0)  # an empty battery sits at X = -72
+    trade = TradeAllocation(1, 10.0, 0.0, 1.0, 0.0)
+    [action] = solve_all([(state(b=0.0), -72.0, inputs(di=5.0, price=1.0), trade, p)])
+    assert (action.charge_kwh, action.serve_dt_kwh, action.grid_purchase_kwh) == (50.0, 0.0, 50.0)
+    assert spilled_kwh(0.0, 5.0, action) == 5.0  # bought - I - J
+
+
+@given(inst=program_instances())
+@settings(max_examples=150, deadline=None)
 def test_threshold_structure(inst):
     """Above the setpoint charging never pays; far enough below, discharging never does."""
     p, s, x, ins, trade = inst

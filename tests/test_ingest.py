@@ -77,14 +77,14 @@ def test_load_trace_rejects_a_non_finite_value(tmp_path, cell):
 
 
 def test_scale_wind_hits_target_mean():
-    scaled = scale_wind(np.array([25.0, 75.0]), 200.0)  # mean 50
+    scaled = scale_wind(np.array([25.0, 75.0]), 200.0, "t")  # mean 50
     assert mean(scaled) == pytest.approx(200.0)
     assert scaled.tolist() == [100.0, 300.0]  # factor 4 applied pointwise
 
 
 def test_scale_wind_identity():
     values = np.array([10.0, 30.0])
-    assert scale_wind(values, 20.0).tolist() == pytest.approx(values.tolist())
+    assert scale_wind(values, 20.0, "t").tolist() == pytest.approx(values.tolist())
 
 
 def test_scale_wind_takes_the_mean_python_sums():
@@ -94,7 +94,7 @@ def test_scale_wind_takes_the_mean_python_sums():
               83.8, 55.6, 64.2, 18.6, 99.3, 86.0, 12.1, 33.3, 72.1, 71.1, 93.6, 42.2]
     factor = 3.0 / (sum(values) / len(values))
     assert factor != 3.0 / np.array(values).mean()
-    assert scale_wind(np.array(values), 3.0).tolist() == [v * factor for v in values]
+    assert scale_wind(np.array(values), 3.0, "t").tolist() == [v * factor for v in values]
 
 
 def test_scale_wind_rejects_zero_trace():
@@ -104,7 +104,7 @@ def test_scale_wind_rejects_zero_trace():
 
 def test_scale_wind_rejects_negative_target():
     with pytest.raises(ConfigError):
-        scale_wind(np.array([1.0]), -1.0)
+        scale_wind(np.array([1.0]), -1.0, "t")
 
 
 @given(
@@ -112,7 +112,7 @@ def test_scale_wind_rejects_negative_target():
     target=st.floats(0.5, 1000.0),
 )
 def test_scale_wind_preserves_shape(values, target):
-    scaled = scale_wind(np.array(values), target)
+    scaled = scale_wind(np.array(values), target, "t")
     ratios = [s / v for s, v in zip(scaled.tolist(), values)]
     assert max(ratios) - min(ratios) < 1e-9
 

@@ -140,6 +140,19 @@ def test_battery_step_identity_when_idle():
     assert after[0] == 100.0
 
 
+def test_battery_step_snaps_residue_at_the_walls():
+    """An action within FEAS_TOL of its cap leaves float residue past 0 or
+    the capacity; the step snaps it onto the wall, and leaves an MG inside
+    the range, and one exactly at a wall, as they are."""
+    fleet = fleet_of([big_mg(id=k) for k in (1, 2, 3, 4)])
+    c, d = col(0.0, 100.0 + 5e-10, 50.0, 0.0), col(30.0 + 5e-10, 0.0, 0.0, 30.0)
+    before = col(30.0, 2900.0, 100.0, 30.0)
+    assert (before + (c - d)).tolist()[:2] != [0.0, 3000.0]  # the residue
+    zero = col(0.0, 0.0, 0.0, 0.0)
+    after = battery_step(before, ControlAction(c, d, zero, zero, zero, zero), fleet)
+    assert after.tolist() == [0.0, 3000.0, 150.0, 0.0]
+
+
 def test_battery_step_rejects_overflow():
     # headroom is 100 kWh, not the 1500 kWh rate
     p = big_mg()

@@ -162,7 +162,7 @@ def test_build_traces_scales_whole_files_then_cuts_them(tmp_path):
     renewables, prices = build_traces(cfg, doc)
     assert renewables.shape == (12, 2) and prices.shape == (12,)
     assert renewables[:, 0].tolist() == build_traces(cfg)[0][:, 0].tolist()
-    assert renewables[:, 1].tolist() == scale_wind(load_trace(wind), 25.0).tolist()[:12]
+    assert renewables[:, 1].tolist() == scale_wind(load_trace(wind), 25.0, "wind").tolist()[:12]
     assert mean(renewables[:, 1].tolist()) != pytest.approx(25.0)  # the mean is the file's
     want = [min(max(v, PB.p_min), PB.p_max) for v in load_trace(price).tolist()[:12]]
     assert prices.tolist() == want and min(want) == PB.p_min and max(want) == PB.p_max
