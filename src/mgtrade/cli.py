@@ -243,7 +243,8 @@ def config_to_dict(config: ScenarioConfig, traces_doc: dict | None = None) -> di
     return doc
 
 
-def load_config(path: str | os.PathLike) -> tuple[ScenarioConfig, dict]:
+def _read_config(path: str | os.PathLike) -> dict:
+    """A config file's JSON object, as a command or an audit reads it."""
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"config file not found: {p}")
@@ -253,36 +254,39 @@ def load_config(path: str | os.PathLike) -> tuple[ScenarioConfig, dict]:
         raise ParseError(f"{p}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ParseError(f"{p}: config must be a JSON object")
-    return config_from_dict(doc)
+    return doc
 
 
-def default_scenario(
-    seed: int = 7, mode: str = MODE_AUCTION, horizon: int = 120
-) -> ScenarioConfig:
-    """Six-MG reference scenario: three light and three heavy microgrids."""
-    doc = {
-        "seed": seed,
-        "horizon_slots": horizon,
-        "mode": mode,
-        "rho1": 1000.0,
-        "rho2": 0.0001,
-        "price_bounds": {"p_min": 2.0, "p_max": 16.0},
-        "mgs": [
-            {
-                "id": k + 1,
-                "mg_type": "type1" if k < 3 else "type2",
-                "battery_capacity_kwh": 3000.0,
-                "charge_rate_max_kwh": 1500.0,
-                "discharge_rate_max_kwh": 1500.0,
-                "serve_rate_max_kwh": 1500.0,
-                "price_floor": 1.0,
-                "v_fraction": 1.0,
-            }
-            for k in range(6)
-        ],
-    }
-    config, _ = config_from_dict(doc)
-    return config
+def load_config(path: str | os.PathLike) -> tuple[ScenarioConfig, dict]:
+    return config_from_dict(_read_config(path))
+
+
+_REFERENCE = {  # the six-MG reference scenario: three light and three heavy MGs
+    "seed": 7,
+    "horizon_slots": 120,
+    "mode": MODE_AUCTION,
+    "rho1": 1000.0,
+    "rho2": 0.0001,
+    "price_bounds": {"p_min": 2.0, "p_max": 16.0},
+    "mgs": [
+        {
+            "id": k + 1,
+            "mg_type": "type1" if k < 3 else "type2",
+            "battery_capacity_kwh": 3000.0,
+            "charge_rate_max_kwh": 1500.0,
+            "discharge_rate_max_kwh": 1500.0,
+            "serve_rate_max_kwh": 1500.0,
+            "price_floor": 1.0,
+            "v_fraction": 1.0,
+        }
+        for k in range(6)
+    ],
+}
+
+
+def default_scenario(seed: int = 7, mode: str = MODE_AUCTION, horizon: int = 120) -> ScenarioConfig:
+    """The reference scenario, built from `_REFERENCE` as a command without --config builds it."""
+    return config_from_dict({**_REFERENCE, "seed": seed, "mode": mode, "horizon_slots": horizon})[0]
 
 
 def materialize_traces(config: ScenarioConfig, traces_doc: dict | None = None):
@@ -343,35 +347,27 @@ def _resolve_out(args) -> Path:
     return Path(os.environ.get(OUT_ENV, "out"))
 
 
-def _apply_overrides(config: ScenarioConfig, args, mode: str) -> ScenarioConfig:
-    updates: dict = {"mode": mode}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-        mgs = []
-        for k, m in enumerate(config.mgs):
-            lm = dataclasses.replace(m.load_model, rng_seed=mg_subseed(args.seed, k))
-            mgs.append(dataclasses.replace(m, load_model=lm))
-        updates["mgs"] = tuple(mgs)
-    if args.horizon is not None:
-        updates["horizon_slots"] = args.horizon
-    return dataclasses.replace(config, **updates)
-
-
 def _scenario(args, mode: str):
-    """The config of `args` (its file, else the default) in `mode` with the flags
-    applied, its trace block, and its inputs, drawn once.
-
-    Neither the mode nor V changes a draw, so one set of inputs serves every
-    mode of a run and every fraction of a sweep, with its oracle.
+    """The document of `args` (its --config file, else `_REFERENCE`) with `mode` and
+    the flags written in (--seed drops every MG's load_seed), the config and trace
+    block it gives, and its inputs, drawn once. Neither the mode nor V changes a
+    draw, so one set of inputs serves every mode of a run and every fraction of a
+    sweep, with its oracle.
     """
     from . import sim
 
+    doc = _REFERENCE
     if args.config:
-        config, traces_doc = load_config(args.config)
-    else:
-        config, traces_doc = default_scenario(), {}
-    base = _apply_overrides(config, args, mode)
-    return base, traces_doc, sim.realized_inputs(base, sim.build_traces(base, traces_doc))
+        doc = _read_config(args.config)
+        config_from_dict(doc)  # refused as written, whatever a flag would replace
+    doc = {**doc, "mode": mode}
+    if args.seed is not None:
+        doc.update(seed=args.seed, mgs=[
+            {k: v for k, v in mg.items() if k != "load_seed"} for mg in doc["mgs"]])
+    if args.horizon is not None:
+        doc["horizon_slots"] = args.horizon
+    config, traces_doc = config_from_dict(doc)
+    return doc, config, traces_doc, sim.realized_inputs(config, sim.build_traces(config, traces_doc))
 
 
 def cmd_run(args) -> int:
@@ -390,8 +386,8 @@ def cmd_run(args) -> int:
                     f"{out_root / name} exists: a --mode {args.mode} run would leave it "
                     "stale; choose another --out"
                 )
-    base, traces_doc, inputs = _scenario(args, _MODE_FLAG[flags[0]])
-    configs = [dataclasses.replace(base, mode=_MODE_FLAG[flag]) for flag in flags]
+    doc, _, traces_doc, inputs = _scenario(args, _MODE_FLAG[flags[0]])
+    configs = [config_from_dict({**doc, "mode": _MODE_FLAG[flag]})[0] for flag in flags]
     with _staged(out_root) as stage, contextlib.ExitStack() as files:
         logs = []
         for flag, cfg in zip(flags, configs):
@@ -527,7 +523,7 @@ def _audit_parent(root: Path, targets: list[Path]) -> list[str]:
     it does not, it must hold no comparison.txt.
     """
     runs = {t.name: t for t in targets if t.name in _MODE_FLAG}
-    docs = {flag: json.loads((run / "config.json").read_text()) for flag, run in runs.items()}
+    docs = {flag: _read_config(run / "config.json") for flag, run in runs.items()}
     problems = [
         f"{flag}/config.json: mode {doc.get('mode')!r}, where the run writes {_MODE_FLAG[flag]!r}"
         for flag, doc in docs.items() if doc.get("mode") != _MODE_FLAG[flag]
@@ -632,7 +628,7 @@ def cmd_sweep(args) -> int:
     if (out_root / "slots.csv").exists():  # a run's directory: its config.json is the run's
         raise FileExistsError(f"{out_root / 'slots.csv'} exists: a sweep would replace its "
                               "run's config.json; choose another --out")
-    base, traces_doc, inputs = _scenario(args, _MODE_FLAG[args.mode])
+    doc, base, traces_doc, inputs = _scenario(args, _MODE_FLAG[args.mode])
     fractions = []
     for tok in args.fractions.split(","):
         try:
@@ -644,15 +640,9 @@ def cmd_sweep(args) -> int:
         fractions.append(f)
 
     out_root.mkdir(parents=True, exist_ok=True)
-    configs = [
-        dataclasses.replace(base, mgs=tuple(
-            dataclasses.replace(m, params=dataclasses.replace(
-                m.params, v_weight=f * compute_v_max(m.params, base.price_bounds)
-            ))
-            for m in base.mgs
-        ))
-        for f in fractions
-    ]
+    configs = [config_from_dict({**doc, "mgs": [
+        {**{k: v for k, v in mg.items() if k != "v_weight"}, "v_fraction": f} for mg in doc["mgs"]
+    ]})[0] for f in fractions]
     summaries = sim.fold_runs(configs, inputs, [f"fraction {f}" for f in fractions])
     rows: list[SweepRow] = []
     solved: dict[tuple[int, float], float] = {}  # oracle costs by (MG id, b0)
