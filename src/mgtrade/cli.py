@@ -5,14 +5,16 @@ Per-MG blocks accept either an explicit `v_weight` or a `v_fraction` of the
 MG's admissible maximum, and derive `dt_load_max_kwh` from the load model
 when not given. Renewable and price traces default to the seeded synthetic
 generators; CSV paths can be supplied instead (renewables are rescaled to
-the configured mean, prices are clipped into the configured band).
+the configured mean, prices are clipped into the configured band). Every
+config a command steps is built from its document by `config_from_dict`:
+the flags, a run's modes and a sweep's fractions edit the document first.
 
 `mgtrade audit DIR` checks each run, parent of runs and sweep that DIR is or holds.
 
-Exit codes: 0 success, 2 usage (bad flags, missing files, an output
-directory that holds the other mode's run, a run a sweep would overwrite
-or a sweep a run would hide), 3 data (unparseable config or trace,
-malformed logs), 4 invariant violations or an infeasible oracle.
+Exit codes: 0 success, 2 usage (bad flags or flag values, missing files,
+an output directory that holds the other mode's run, a run a sweep would
+overwrite or a sweep a run would hide), 3 data (unparseable config or
+trace, malformed logs), 4 invariant violations or an infeasible oracle.
 """
 
 from __future__ import annotations
@@ -181,6 +183,8 @@ def config_from_dict(doc: dict) -> tuple[ScenarioConfig, dict]:
             p_min=_number(pb_doc, "p_min", 2.0), p_max=_number(pb_doc, "p_max", 16.0)
         )
         seed = _integer(doc, "seed", 0)
+        if seed < 0:  # before the MGs' load seeds are derived from it
+            raise ConfigError("seed must be >= 0")
         mgs = tuple(
             _mg_from_dict(d, seed, k, pb) for k, d in enumerate(doc.get("mgs", []))
         )
@@ -386,8 +390,8 @@ def cmd_run(args) -> int:
                     f"{out_root / name} exists: a --mode {args.mode} run would leave it "
                     "stale; choose another --out"
                 )
-    doc, _, traces_doc, inputs = _scenario(args, _MODE_FLAG[flags[0]])
-    configs = [config_from_dict({**doc, "mode": _MODE_FLAG[flag]})[0] for flag in flags]
+    doc, config, traces_doc, inputs = _scenario(args, _MODE_FLAG[flags[0]])
+    configs = [config, *(config_from_dict({**doc, "mode": _MODE_FLAG[f]})[0] for f in flags[1:])]
     with _staged(out_root) as stage, contextlib.ExitStack() as files:
         logs = []
         for flag, cfg in zip(flags, configs):
@@ -629,20 +633,14 @@ def cmd_sweep(args) -> int:
         raise FileExistsError(f"{out_root / 'slots.csv'} exists: a sweep would replace its "
                               "run's config.json; choose another --out")
     doc, base, traces_doc, inputs = _scenario(args, _MODE_FLAG[args.mode])
-    fractions = []
-    for tok in args.fractions.split(","):
-        try:
-            f = float(tok)
-        except ValueError:
-            raise ConfigError(f"sweep fraction {tok!r} is not a number") from None
-        if not 0 < f <= 1:
-            raise ConfigError(f"sweep fraction {f} outside (0, 1]")
-        fractions.append(f)
-
+    fractions = args.fractions  # each in (0, 1], as the flag's type checks
     out_root.mkdir(parents=True, exist_ok=True)
-    configs = [config_from_dict({**doc, "mgs": [
-        {**{k: v for k, v in mg.items() if k != "v_weight"}, "v_fraction": f} for mg in doc["mgs"]
-    ]})[0] for f in fractions]
+    configs = [  # each fraction's: every MG at v_fraction f, its v_weight dropped
+        config_from_dict({**doc, "mgs": [
+            {**{k: v for k, v in mg.items() if k != "v_weight"}, "v_fraction": f} for mg in doc["mgs"]
+        ]})[0]
+        for f in fractions
+    ]
     summaries = sim.fold_runs(configs, inputs, [f"fraction {f}" for f in fractions])
     rows: list[SweepRow] = []
     solved: dict[tuple[int, float], float] = {}  # oracle costs by (MG id, b0)
@@ -667,12 +665,26 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _flag(parse, ok, wanted: str):
+    """An argparse type: a flag's text parsed, or a usage error that names the flag."""
+    def value(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(parsed := parse(text)):
+                return parsed
+        raise argparse.ArgumentTypeError(f"want {wanted}, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mgtrade",
         description="Microgrid energy trading simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = _flag(int, lambda n: n >= 0, "an integer >= 0")
+    horizon = _flag(int, lambda n: n >= 1, "an integer >= 1")
+    fractions = _flag(lambda text: [float(tok) for tok in text.split(",")],
+                      lambda fs: all(0 < f <= 1 for f in fs), "comma-separated fractions in (0, 1]")
 
     p_run = sub.add_parser("run", help="simulate a scenario")
     p_run.add_argument("--config", help="scenario JSON (built-in default if omitted)")
@@ -680,8 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--mode", choices=["auction", "solo", "both"], default="both"
     )
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--horizon", type=int)
+    p_run.add_argument("--seed", type=seed)
+    p_run.add_argument("--horizon", type=horizon)
     p_run.set_defaults(func=cmd_run)
 
     p_audit = sub.add_parser("audit", help="re-verify a run directory from its logs")
@@ -691,10 +703,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep v_weight fractions of v_max")
     p_sweep.add_argument("--config", help="scenario JSON (built-in default if omitted)")
     p_sweep.add_argument("--out", help=f"output dir (default ${OUT_ENV} or ./out)")
-    p_sweep.add_argument("--fractions", default="0.2,0.4,0.6,0.8,1.0")
+    p_sweep.add_argument("--fractions", type=fractions, default="0.2,0.4,0.6,0.8,1.0")
     p_sweep.add_argument("--mode", choices=sorted(_MODE_FLAG), default="solo")
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--horizon", type=int)
+    p_sweep.add_argument("--seed", type=seed)
+    p_sweep.add_argument("--horizon", type=horizon)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

@@ -16,9 +16,9 @@ renders its log rows and audit lines when it writes them. Only an auction
 run posts a book: a solo run's market stays empty.
 
 A world can hold several runs over the same inputs, their MGs' columns
-stacked run after run (`step_runs`), so a slot pays numpy's per-call cost
-once, not once per run; only the market goes run by run. The records are
-handed on a block of slots at a time as the runs step (`fold_runs`), and
+stacked run after run, so a slot pays numpy's per-call cost once, not once
+per run; only the market goes run by run. `fold_runs` steps such a world
+and hands the records on a block of slots at a time as it steps, and
 `RunFold` folds a run's summary from them as they go by, so a command that
 writes its logs as it steps (`mgtrade run`) holds no horizon of records.
 
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 from pathlib import Path
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -372,10 +372,10 @@ def fold_runs(
     names: Sequence[str] = (),
     sinks: Sequence[Callable[[SlotRecord], Any]] = (),
 ) -> list[RunSummary]:
-    """Step runs of one MG count and horizon over the same drawn inputs
-    (`step_runs`), and fold each run's summary a block of slots at a time.
-    Each run's summary and records are the ones it gives stepped alone;
-    ``names`` label the runs in error messages.
+    """Step runs of one MG count and horizon over the same drawn inputs as one
+    world, and fold each run's summary a block of slots at a time. Each run's
+    summary and records are the ones it gives stepped alone; ``names`` label
+    the runs in error messages.
 
     The runs' records are held for a block of slots (`_BLOCK_SLOTS`); then
     each run's go to its sink in ``sinks``, if it has one, one after another
@@ -384,6 +384,15 @@ def fold_runs(
     formats a block at a time: slot by slot between the steps, a 96-MG x
     120-slot run took 5-14% longer.
     """
+    horizon = configs[0].horizon_slots
+    if any(len(c.mgs) != len(configs[0].mgs) or c.horizon_slots != horizon for c in configs):
+        raise SimError("runs stepped together need one MG count and one horizon")
+    if len(inputs) < horizon:
+        raise SimError(f"inputs cover {len(inputs)} slots of {horizon}")
+    world = World.initial(*configs, names=names)
+    if len(configs) > 1:  # every run reads the same input columns; one run reads them as they are
+        columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh
+        inputs = SlotInputs(*(np.tile(c, (1, len(configs))) for c in columns), inputs.grid_price)
     folds = [RunFold(c) for c in configs]
     size = max(_BLOCK_SLOTS, _BLOCK_FLOATS // (len(_ROW_FLOATS) * len(configs[0].mgs)))
     block: list[list[SlotRecord]] = []
@@ -397,31 +406,13 @@ def fold_runs(
             fold.add(records)
         block.clear()
 
-    for records in step_runs(configs, inputs, names):
+    for _ in range(horizon):
+        world, records = step(world, inputs)
         block.append(records)
         if len(block) == size:
             hand_on()
     hand_on()
     return [fold.summary() for fold in folds]
-
-
-def step_runs(
-    configs: Sequence[ScenarioConfig], inputs: SlotInputs, names: Sequence[str] = ()
-) -> Iterator[list[SlotRecord]]:
-    """Step runs of one MG count and horizon over the same drawn inputs as one
-    world, and yield each slot's records, one per run, in slot order."""
-    horizon = configs[0].horizon_slots
-    if any(len(c.mgs) != len(configs[0].mgs) or c.horizon_slots != horizon for c in configs):
-        raise SimError("runs stepped together need one MG count and one horizon")
-    if len(inputs) < horizon:
-        raise SimError(f"inputs cover {len(inputs)} slots of {horizon}")
-    world = World.initial(*configs, names=names)
-    if len(configs) > 1:  # every run reads the same input columns; one run reads them as they are
-        columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh
-        inputs = SlotInputs(*(np.tile(c, (1, len(configs))) for c in columns), inputs.grid_price)
-    for _ in range(horizon):
-        world, records = step(world, inputs)
-        yield records
 
 
 def offline_oracle(

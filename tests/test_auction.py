@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgtrade import auction
@@ -408,6 +408,9 @@ def assert_estimates_bound_exact_scores(b: OrderBook, grid: float) -> None:
     if len(b.buy_bids) < 2 or len(b.sell_bids) < 2 or not b.fill_path:
         return  # clear never scores such a book
     cand = _candidates(b, grid)
+    if cand is None:  # no feasible marginal pair: the book clears empty, unscored
+        assert not clear(b, grid).allocations
+        return
     buy_price, _, sell_price, _ = b.floats
     for k, (mi, ml, p) in enumerate(zip(cand.mi, cand.ml, cand.prefix)):
         if k in cand.capped:
@@ -464,8 +467,15 @@ def seeded_wide_book(rng: random.Random, rho1: float, rho2: float) -> OrderBook:
     return book(buys, sells, rho1=rho1, rho2=rho2)
 
 
+# every buy bids above the grid price, so no marginal pair is feasible
+NO_FEASIBLE_PAIR = book_of(
+    [(k, 4.0, 1.0) for k in range(20)], [(100 + k, 0.0, 1.0) for k in range(20)], 1.0, 1e-4
+), 3.0
+
+
 @given(bg=wide_books())
 @settings(max_examples=120, deadline=None)
+@example(bg=NO_FEASIBLE_PAIR)
 def test_wide_books_clear_like_the_reference_scan(bg):
     b, grid = bg
     assert len(b.buy_bids) + len(b.sell_bids) >= 40

@@ -210,6 +210,122 @@ def test_load_config_missing_file():
         load_config("configs/does_not_exist.json")
 
 
+def small_doc(**top) -> dict:
+    """configs/sweep_small.json's document (two MGs), with top-level keys replaced."""
+    return {**json.loads(Path(CONFIG).read_text()), **top}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(mgs=[5]), "bad config document: mgs[0] must be a JSON object"),
+        (lambda d: d["mgs"][0].update(v_fraction=1.5),
+         "bad config document: mg 1: v_fraction must be in (0, 1]"),
+        (lambda d: d["mgs"][1].update(price_floor=-1.0),
+         "bad config document: mg 2: price_floor must be >= 0"),
+        (lambda d: d["mgs"][0].update(renewable_mean_kwh=-1.0),
+         "bad config document: mg 1: renewable mean must be >= 0"),
+        (lambda d: d.update(mgs=[]), "bad config document: need at least one MG"),
+        (lambda d: d.update(renewable_traces=[None]), "1 renewable traces for 2 MGs"),
+        (lambda d: d.update(seed=-1), "bad config document: seed must be >= 0"),
+    ],
+    ids=["mg-not-an-object", "v-fraction-above-1", "negative-price-floor",
+         "negative-renewable-mean", "no-mgs", "renewable-trace-count", "negative-seed"],
+)
+def test_run_refuses_a_bad_config_file(tmp_path, capsys, edit, message):
+    """Each refusal of a config file is a data error (exit 3) with its own
+    message. A negative seed is refused as the seed, before any MG's load
+    seed is derived from it."""
+    doc = small_doc()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(path), "--out", str(tmp_path / "out")) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"error: {message}\n" in err
+    assert "rng_seed" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, flags",
+    [
+        (lambda d: d.update(mode="auction"), ("--mode", "auction")),
+        (lambda d: d["mgs"][0].update(load_seed=-3), ("--seed", "4")),
+        (lambda d: d.update(horizon_slots=0), ("--horizon", "12")),
+    ],
+    ids=["mode", "load-seed", "horizon"],
+)
+def test_a_config_file_is_refused_as_written_whatever_a_flag_replaces(
+    tmp_path, capsys, edit, flags
+):
+    """The flags edit a valid document: a file that is no config as written
+    is refused (exit 3), even where a flag would replace the bad value."""
+    doc = small_doc()
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    argv = ("run", "--config", str(path), *flags, "--out", str(tmp_path / "out"))
+    assert run_cli(*argv) == EXIT_DATA
+    assert "error: bad config document: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("run", "--horizon", "0"), "argument --horizon: want an integer >= 1, got '0'"),
+        (("run", "--horizon", "2.5"), "argument --horizon: want an integer >= 1, got '2.5'"),
+        (("run", "--seed", "-1"), "argument --seed: want an integer >= 0, got '-1'"),
+        (("sweep", "--seed", "x"), "argument --seed: want an integer >= 0, got 'x'"),
+        (("sweep", "--horizon", "-4"), "argument --horizon: want an integer >= 1, got '-4'"),
+    ],
+    ids=["horizon-0", "horizon-fraction", "seed-negative", "sweep-seed-word", "sweep-horizon"],
+)
+def test_a_bad_flag_value_is_a_usage_error_naming_the_flag(tmp_path, capsys, argv, message):
+    """A seed below 0 or a horizon below 1 never reaches the config document: exit 2."""
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_flags_edit_the_config_document(tmp_path):
+    """--seed sets the seed and re-seeds every MG's loads, a file's load_seed
+    included; --horizon sets horizon_slots; a sweep's fraction sets every
+    MG's V, one given as a v_weight included, while its config.json keeps
+    the file's weights."""
+    doc = small_doc()
+    doc["mgs"][0]["load_seed"] = 12345
+    doc["mgs"][1] = {**doc["mgs"][1], "v_weight": 10.0}
+    del doc["mgs"][1]["v_fraction"]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+
+    def written(out: Path):
+        return config_from_dict(json.loads((out / "config.json").read_text()))[0]
+
+    assert run_cli("run", "--config", str(path), "--mode", "solo",
+                   "--out", str(tmp_path / "as-is")) == EXIT_OK
+    cfg = written(tmp_path / "as-is" / "solo")
+    assert [m.load_model.rng_seed for m in cfg.mgs] == [12345, mg_subseed(0, 1)]
+    assert (cfg.seed, cfg.horizon_slots, cfg.mgs[1].params.v_weight) == (0, 24, 10.0)
+
+    argv = ("--config", str(path), "--seed", "9", "--horizon", "30")
+    assert run_cli("run", *argv, "--mode", "solo", "--out", str(tmp_path / "run")) == EXIT_OK
+    cfg = written(tmp_path / "run" / "solo")
+    assert [m.load_model.rng_seed for m in cfg.mgs] == [mg_subseed(9, 0), mg_subseed(9, 1)]
+    assert (cfg.seed, cfg.horizon_slots, cfg.mgs[1].params.v_weight) == (9, 30, 10.0)
+
+    sweep = tmp_path / "sweep"
+    assert run_cli("sweep", *argv, "--fractions", "0.5,1.0", "--out", str(sweep)) == EXIT_OK
+    assert written(sweep) == cfg
+    with open(sweep / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for r, (f, m) in zip(rows, [(f, m) for f in (0.5, 1.0) for m in cfg.mgs]):
+        v = f * compute_v_max(m.params, cfg.price_bounds)
+        assert (float(r["fraction"]), int(r["mg_id"])) == (f, m.params.id)
+        assert float(r["v_weight"]) == pytest.approx(v, abs=5e-7)
+
+
 # ----------------------------------------------------------------------- run
 
 
@@ -284,9 +400,11 @@ def test_run_missing_config_is_usage_error(tmp_path, capsys):
 
 def test_run_bad_json_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = run_cli("run", "--config", str(bad))
-    assert code == EXIT_DATA
+    for text, message in (("{not json", "invalid JSON"), ("[]", "config must be a JSON object")):
+        bad.write_text(text)
+        code = run_cli("run", "--config", str(bad))
+        assert code == EXIT_DATA
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
 def test_run_seed_changes_draws(tmp_path):
@@ -1100,6 +1218,26 @@ def test_audit_missing_dir_is_usage_error(tmp_path):
     assert run_cli("audit", str(tmp_path / "missing")) == EXIT_USAGE
 
 
+def test_audit_of_a_directory_without_outputs_fails(tmp_path, capsys):
+    assert run_cli("audit", str(tmp_path)) == EXIT_INVARIANT
+    assert f"error: {tmp_path}: no run outputs to audit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, log, message",
+    [(("run", "--mode", "solo"), "solo/slots.csv", "no rows"),
+     (("sweep", "--fractions", "1.0"), "sweep.csv", "empty")],
+    ids=["slots", "sweep"],
+)
+def test_audit_fails_a_log_holding_only_its_header(tmp_path, capsys, command, log, message):
+    assert run_cli(*command, "--horizon", "6", "--out", str(tmp_path)) == EXIT_OK
+    path = tmp_path / log
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    capsys.readouterr()
+    assert run_cli("audit", str(path.parent)) == EXIT_INVARIANT
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- sweep
 
 
@@ -1506,12 +1644,17 @@ def test_sweep_fails_on_an_infeasible_oracle(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
-def test_sweep_rejects_bad_fraction(tmp_path):
-    for bad in ("1.5", "abc"):
+def test_sweep_rejects_bad_fraction(tmp_path, capsys):
+    """A fraction that is no number in (0, 1] is a bad flag value: a usage
+    error (exit 2) that names the flag, before anything is drawn or written."""
+    for bad in ("1.5", "abc", "0", "0.5,nan", "0.5,,1"):
         code = run_cli(
-            "sweep", "--config", CONFIG, "--out", str(tmp_path), "--fractions", bad
+            "sweep", "--config", CONFIG, "--out", str(tmp_path / "out"), "--fractions", bad
         )
-        assert code == EXIT_DATA
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"argument --fractions: want comma-separated fractions in (0, 1], got {bad!r}" in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_sweep_rejects_mode_both(tmp_path):
