@@ -82,8 +82,9 @@ class MarketRow(NamedTuple):
     surplus: float
 
 
-# the float fields of a log row: all but the slot, the MG id and the age
-_ROW_FLOATS = MGSlotRow._fields[2:-1]
+# the fields of a log row after the slot and MG id: a `SlotRecord`'s columns, and
+# the order `_mg_problems` unpacks them in
+_ROW_COLUMNS = MGSlotRow._fields[2:]
 
 
 class MGSummary(NamedTuple):
@@ -229,11 +230,12 @@ def _log_columns(cls, prefix: str = "") -> tuple[tuple[str, ...], str, tuple[str
 
     The record's annotated fields are the columns, in order. Fields declared
     ``float`` are written at 6 decimals (``%.6f`` renders as ``format(x,
-    ".6f")`` does), every other field as it is, and those declared ``int``
-    are the whole ones. No cell needs CSV quoting.
+    ".6f")`` does), and those declared ``int`` are the whole ones, written
+    with ``%d``: a whole number held as a float, as a `SlotRecord` holds a
+    job age, prints as its int does. No cell needs CSV quoting.
     """
     hints = {prefix + n: t for n, t in get_type_hints(cls).items()}
-    cells = ",".join("%.6f" if t is float else "%s" for t in hints.values())
+    cells = ",".join("%.6f" if t is float else "%d" for t in hints.values())
     return tuple(hints), cells, tuple(n for n, t in hints.items() if t is int)
 
 
@@ -268,7 +270,7 @@ def _slot_lines(rec: SlotRecord, ids: list[int]) -> list[str]:
     """A record's lines of slots.csv, its MGs' ids ``ids``: each MG's row, rendered
     from its column of the record, with the slot's market cells."""
     cells = _MG_CELLS + "," + _MARKET_CELLS % rec.market
-    rows = zip(repeat(rec.slot), ids, *rec.columns.tolist(), rec.oldest_age.tolist())
+    rows = zip(repeat(rec.slot), ids, *rec.columns.tolist())
     return list(map(cells.__mod__, rows))
 
 
@@ -714,8 +716,6 @@ def verify_sweep_csv(config: ScenarioConfig, log: Log) -> list[str]:
 # relative to the in-memory checks but still far below any physical quantity.
 LOG_TOL = 1e-4
 
-# the columns after the slot and MG id, in the order `_mg_problems` unpacks them
-_ROW_COLUMNS = MGSlotRow._fields[2:]
 # the cells a no_auction run logs as 0: its market's, and each MG's fills and unit prices
 _TRADE_COLUMNS = _MARKET_COLUMNS + ("bought_kwh", "sold_kwh", "buy_unit_price", "sell_unit_price")
 

@@ -52,7 +52,7 @@ from .controller import (
 from .errors import ConfigError, RejectedAction, SimError
 from .flow import min_cost_flow
 from .ingest import draw_load_grid, load_trace, scale_wind, synthetic_price, synthetic_wind
-from .logs import _ROW_FLOATS, _SUMMARY_OF, MarketRow, MGSummary, RunSummary
+from .logs import _ROW_COLUMNS, _SUMMARY_OF, _SUMMARY_WHOLE, MarketRow, MGSummary, RunSummary
 from .model import (  # the scenario names are re-exported
     FEAS_TOL,
     MODE_AUCTION,
@@ -164,15 +164,15 @@ class World:
 class SlotRecord:
     """One slot of a run, its MGs' log rows held as columns.
 
-    ``columns[i, k]`` is field ``_ROW_FLOATS[i]`` of MG k's row and
-    ``oldest_age[k]`` its oldest pending job's age, in config order;
-    `mgtrade.logs.RunLogs` renders the slot's slots.csv lines from them, and
-    its auction_audit.csv lines from those lines as written.
+    ``columns[i, k]`` is field ``_ROW_COLUMNS[i]`` of MG k's row, MGs in
+    config order: every field after the slot and the MG id, the job age
+    too, as a float; `mgtrade.logs.RunLogs` renders the slot's slots.csv
+    lines from them, and its auction_audit.csv lines from those lines as
+    written.
     """
 
     slot: int
     columns: Any
-    oldest_age: Any
     market: MarketRow
     violations: tuple[str, ...]
 
@@ -207,6 +207,9 @@ def _monitor(
         run = bad[k * runs // len(fleet.id)]
         run.extend(f"{tag}: {why}" for why, hit in zip(reasons, failed[:, k]) if hit)
     return list(map(tuple, bad))
+
+
+_PRICE_ROW = _ROW_COLUMNS.index("grid_price")
 
 
 def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
@@ -260,10 +263,11 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
 
     columns = np.array((
         b, q, z, x, r, di, dt, b, *bids, bought, sold, buy_unit, sell_unit, c, d, j, g, spill, cost,
+        oldest_age,
     ))
-    columns[7] = price  # every MG's row logs the slot's one grid price
+    columns[_PRICE_ROW] = price  # every MG's row logs the slot's one grid price
     records = [
-        SlotRecord(t, columns[:, at], oldest_age[at], market, bad)
+        SlotRecord(t, columns[:, at], market, bad)
         for at, market, bad in zip(runs, markets, violations)
     ]
     finished = t + 1 - oldest_age
@@ -274,17 +278,13 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
 # many logged floats, at most, once that is more slots: numpy's per-call cost
 # is paid once a block, the log writers format a block in one go rather than
 # between the steps, and a block's memory does not grow with the horizon.
-# 8,192 floats are 54 slots of 6 MGs.
+# 8,192 floats are 59 slots of 6 MGs' 23 columns.
 _BLOCK_SLOTS, _BLOCK_FLOATS = 16, 8192
-# the columns `_SUMMARY_OF` totals; then those it takes an extreme of but the age,
-# each with the sign that makes its extreme the largest value
-_TOTALLED = [_ROW_FLOATS.index(column) for _, reduce_, column in _SUMMARY_OF if reduce_ is sum]
-_TOPPED = [
-    (_ROW_FLOATS.index(column), 1.0 if reduce_ is max else -1.0)
-    for _, reduce_, column in _SUMMARY_OF if reduce_ is not sum and column in _ROW_FLOATS
-]
-_TOPPED_SIGN = np.array([[sign] for _, sign in _TOPPED])
-_FOLDED = np.array(_TOTALLED + [row for row, _ in _TOPPED])  # the rows a fold reads, in order
+# the record rows `_SUMMARY_OF` folds, in its order (its totals first), and the
+# sign of each: -1 for a smallest value, which is the largest of the negated ones
+_FOLDED = np.array([_ROW_COLUMNS.index(column) for _, _, column in _SUMMARY_OF])
+_SIGN = np.array([[-1.0 if reduce_ is min else 1.0] for _, reduce_, _ in _SUMMARY_OF])
+_TOTALS = [reduce_ for _, reduce_, _ in _SUMMARY_OF].count(sum)
 
 
 def _first_largest(carried, rows):
@@ -302,49 +302,42 @@ class RunFold:
     in slot order (`add`).
 
     Each block's reduction starts from the values of the blocks before, so
-    each MG's fields are those of
-    `_SUMMARY_OF`'s reductions of its whole logged columns, bit for bit. A
-    total is a plain float sum in slot order from 0, as `sum` adds on Python
-    3.11 (`np.add.accumulate` adds one slot after another), and an extreme
-    is the value `max` or `min` picks (`_first_largest`; a smallest value is
-    the largest of the negated ones, and negation is exact). The worst job
-    age is the largest logged ``oldest_pending_age``: a run starts with no
-    backlog, jobs are served oldest first and never in the slot they arrive,
-    so a served job is never older than the oldest job pending at the end of
-    the slot before.
+    each MG's fields are those of `_SUMMARY_OF`'s reductions of its whole
+    logged columns, bit for bit. A total is a plain float sum in slot order
+    from 0, as `sum` adds on Python 3.11 (`np.add.accumulate` adds one slot
+    after another), and an extreme is the value `max` or `min` picks
+    (`_first_largest`; a smallest value is the largest of the negated ones,
+    and negation is exact). The worst job age is one more extreme, the
+    largest logged ``oldest_pending_age``: a run starts with no backlog,
+    jobs are served oldest first and never in the slot they arrive, so a
+    served job is never older than the oldest job pending at the end of the
+    slot before. A field `MGSummary` declares ``int`` is cast in `summary`.
     """
 
     def __init__(self, config: ScenarioConfig) -> None:
         self.config = config
         self.slots, self.traded, self.violations = 0, 0, []
-        self.totals = np.zeros((len(_TOTALLED), len(config.mgs)))  # (field, MG) so far
-        self.tops = self.ages = None  # (field, MG) and (MG,) so far, once a slot is in
+        self.folded = np.zeros((len(_FOLDED), len(config.mgs)))  # (field, MG) so far, signed
 
     def add(self, block: Sequence[SlotRecord]) -> None:
         """Fold the records of the next slots, one or more, in slot order."""
         for rec in block:
             self.traded += rec.market.volume_kwh
             self.violations += rec.violations
-        logged = np.array([rec.columns[_FOLDED] for rec in block])  # (slot, row, MG)
-        ages = np.array([rec.oldest_age for rec in block])  # (slot, MG)
+        logged = np.array([rec.columns[_FOLDED] for rec in block]) * _SIGN  # (slot, field, MG)
+        totals, tops = logged[:, :_TOTALS], logged[:, _TOTALS:]
+        totals[0] += self.folded[:_TOTALS]
+        if not self.slots:  # `max` starts from the first slot's value
+            self.folded[_TOTALS:], tops = tops[0], tops[1:]
         self.slots += len(block)
-        totals = logged[:, :len(_TOTALLED)]
-        totals[0] += self.totals
-        self.totals = np.add.accumulate(totals)[-1]
-        tops = logged[:, len(_TOTALLED):] * _TOPPED_SIGN
-        if self.tops is None:  # `max` starts from the first slot's value
-            self.tops, self.ages, tops, ages = tops[0], ages[0], tops[1:], ages[1:]
+        self.folded[:_TOTALS] = np.add.accumulate(totals)[-1]
         if len(tops):
-            self.tops = _first_largest(self.tops, tops)
-            self.ages = np.maximum(self.ages, ages.max(axis=0))
+            self.folded[_TOTALS:] = _first_largest(self.folded[_TOTALS:], tops)
 
     def summary(self) -> RunSummary:
-        totals = iter(self.totals.tolist())
-        tops = iter((self.tops * _TOPPED_SIGN).tolist())
         columns = [
-            next(totals) if reduce_ is sum
-            else self.ages.tolist() if column == "oldest_pending_age" else next(tops)
-            for _, reduce_, column in _SUMMARY_OF
+            list(map(int, row)) if name in _SUMMARY_WHOLE else row
+            for (name, _, _), row in zip(_SUMMARY_OF, (self.folded * _SIGN).tolist())
         ]
         # the time average is the total cost, `_SUMMARY_OF`'s first field, over the horizon
         per_mg = {
@@ -394,7 +387,7 @@ def fold_runs(
         columns = inputs.renewable_kwh, inputs.di_load_kwh, inputs.dt_load_kwh
         inputs = SlotInputs(*(np.tile(c, (1, len(configs))) for c in columns), inputs.grid_price)
     folds = [RunFold(c) for c in configs]
-    size = max(_BLOCK_SLOTS, _BLOCK_FLOATS // (len(_ROW_FLOATS) * len(configs[0].mgs)))
+    size = max(_BLOCK_SLOTS, _BLOCK_FLOATS // (len(_ROW_COLUMNS) * len(configs[0].mgs)))
     block: list[list[SlotRecord]] = []
 
     def hand_on() -> None:

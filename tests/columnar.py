@@ -15,7 +15,7 @@ import numpy as np
 
 from mgtrade.auction import ClearingOutcome, OrderBook
 from mgtrade.controller import Bids, make_bids, solve_slot_program
-from mgtrade.logs import MarketRow, MGSlotRow, RunLogs
+from mgtrade.logs import _ROW_COLUMNS, MarketRow, MGSlotRow, RunLogs
 from mgtrade.model import ControlAction, DerivedBounds, Fleet
 from mgtrade.sim import SlotRecord
 
@@ -111,19 +111,17 @@ def record_of(slot: int, book: OrderBook, fills, prices=(0.0, 0.0)) -> SlotRecor
     """A slot record of the book's bids, `fills` (as `ClearingOutcome.fills`
     returns them) and the clearing (buy, sell) `prices`; its other columns and
     market cells are zero."""
-    fields = MGSlotRow._fields[2:-1]  # the record's column rows
-    columns = np.zeros((len(fields), len(book.ids)))
-    bids = fields.index("bid_sell_price")
+    columns = np.zeros((len(_ROW_COLUMNS), len(book.ids)))
+    bids = _ROW_COLUMNS.index("bid_sell_price")
     columns[bids : bids + 8] = (*book.bids, *fills)  # four bid fields, then four fills
-    return SlotRecord(
-        slot, columns, np.zeros(len(book.ids), dtype=int), MarketRow(*prices, 0.0, 0.0), ()
-    )
+    return SlotRecord(slot, columns, MarketRow(*prices, 0.0, 0.0), ())
 
 
 def rows_of(rec: SlotRecord, ids) -> tuple[MGSlotRow, ...]:
-    """The log rows of a record of MGs ``ids``, one per MG in config order."""
-    cells = zip(ids, rec.columns.T.tolist(), rec.oldest_age.tolist())
-    return tuple(MGSlotRow(rec.slot, mid, *row, age) for mid, row, age in cells)
+    """The log rows of a record of MGs ``ids``, one per MG in config order, the
+    job age an int as the row declares it."""
+    cells = zip(ids, rec.columns.T.tolist())
+    return tuple(MGSlotRow(rec.slot, mid, *row[:-1], int(row[-1])) for mid, row in cells)
 
 
 def write_logs(out_dir, ids, records) -> None:

@@ -26,7 +26,7 @@ from mgtrade.cli import EXIT_INVARIANT, _emit_run, config_from_dict, default_sce
 from mgtrade.errors import ParseError, SimError
 from mgtrade import logs
 from mgtrade.logs import (
-    _ROW_FLOATS,
+    _ROW_COLUMNS,
     _SIDE_FIELDS,
     SLOTS_HEADER,
     MGSummary,
@@ -270,7 +270,7 @@ def test_sells_that_render_alike_are_listed_by_mg_id(tmp_path, capsys):
     one problem."""
     doc = fleet_doc(96, MODE_AUCTION, 2, seed=3)
     record = run(config_from_dict(doc)[0])[1][1]
-    price = record.columns[_ROW_FLOATS.index("bid_sell_price")].tolist()
+    price = record.columns[_ROW_COLUMNS.index("bid_sell_price")].tolist()
     by_id, first = (price[mid - 1] for mid in (21, 92))  # MG ids run from 1 in config order
     assert first < by_id and f"{first:.6f}" == f"{by_id:.6f}" == "1.031192"
     (tmp_path / "fleet.json").write_text(json.dumps(doc))
@@ -305,7 +305,7 @@ def test_a_bid_that_logs_zero_kwh_has_no_line(tmp_path):
     records = []
     [summary] = fold_runs([config], inputs, sinks=[records.append])
     assert config.ids[0] == 1
-    sell = records[0].columns[_ROW_FLOATS.index("bid_sell_qty"), 0]
+    sell = records[0].columns[_ROW_COLUMNS.index("bid_sell_qty"), 0]
     assert 0.0 < sell and f"{sell:.6f}" == "0.000000"
     with RunLogs(tmp_path, config.ids) as run_logs:
         for rec in records:
@@ -368,7 +368,7 @@ def test_the_run_writes_the_audit_csv_the_audit_renders(fleet):
     sell prices that tie as logged, the auction_audit.csv `RunLogs` writes
     is the `_audit_text` of the slots.csv it writes, byte for byte."""
     config, shrunk, tied = fleet
-    rows = {name: _ROW_FLOATS.index(name) for name in ("bid_sell_price", "bid_sell_qty", "bid_buy_qty")}
+    rows = {name: _ROW_COLUMNS.index(name) for name in ("bid_sell_price", "bid_sell_qty", "bid_buy_qty")}
 
     def edited(rec):
         columns = rec.columns.copy()
