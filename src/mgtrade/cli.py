@@ -12,9 +12,9 @@ the flags, a run's modes and a sweep's fractions edit the document first.
 `mgtrade audit DIR` checks each run, parent of runs and sweep that DIR is or holds.
 
 Exit codes: 0 success, 2 usage (bad flags or flag values, missing files,
-an output directory that holds the other mode's run, a run a sweep would
-overwrite or a sweep a run would hide), 3 data (unparseable config or
-trace, malformed logs), 4 invariant violations or an infeasible oracle.
+an output directory that is a run's or holds the other mode's run or a
+sweep a run would hide), 3 data (unparseable config or trace, malformed
+logs), 4 invariant violations or an infeasible oracle.
 """
 
 from __future__ import annotations
@@ -102,27 +102,26 @@ def _check_keys(where: str, d, allowed: frozenset) -> None:
         raise ConfigError(f"{where}: unknown keys {unknown}")
 
 
-def _number(d: dict, key: str, default: float | None = None) -> float:
-    """``d[key]`` as a finite float; ``default`` stands in for an absent key."""
+def _number(d: dict, key: str, default=None, whole: bool = False):
+    """``d[key]`` as a finite float, or as an int if ``whole`` (an int exactly, a
+    float only without a fractional part); ``default`` stands in for an absent
+    key. Only a JSON number is one: not a boolean, not a string."""
     value = d[key] if default is None else d.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if whole and isinstance(value, int):
+        return value
     x = float(value)
     if not math.isfinite(x):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return x
-
-
-def _integer(d: dict, key: str, default: int | None = None) -> int:
-    """``d[key]`` as an int; a number with a fractional part is rejected."""
-    value = d[key] if default is None else d.get(key, default)
-    x = value if isinstance(value, int) else _number(d, key, default)  # ints exact
-    if x != int(x):
+    if whole and x != int(x):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return int(x)
+    return int(x) if whole else x
 
 
 def _mg_from_dict(d: dict, seed: int, index: int, pb: PriceBounds) -> MGSpec:
     _check_keys(f"mgs[{index}]", d, _MG_KEYS)
-    mg_id = _integer(d, "id", index + 1)
+    mg_id = _number(d, "id", index + 1, whole=True)
     mg_type = d.get("mg_type", "type1")
     if mg_type not in _TYPE_DEFAULTS:
         raise ConfigError(f"mg {mg_id}: unknown mg_type {mg_type!r}")
@@ -154,7 +153,7 @@ def _mg_from_dict(d: dict, seed: int, index: int, pb: PriceBounds) -> MGSpec:
             raise ConfigError(f"mg {mg_id}: v_fraction must be in (0, 1]")
         v_weight = fraction * compute_v_max(probe, pb)
     params = dataclasses.replace(probe, v_weight=v_weight)
-    load_seed = _integer(merged, "load_seed", mg_subseed(seed, index))
+    load_seed = _number(merged, "load_seed", mg_subseed(seed, index), whole=True)
     return MGSpec(
         params=params,
         load_model=LoadModel(
@@ -182,7 +181,7 @@ def config_from_dict(doc: dict) -> tuple[ScenarioConfig, dict]:
         pb = PriceBounds(
             p_min=_number(pb_doc, "p_min", 2.0), p_max=_number(pb_doc, "p_max", 16.0)
         )
-        seed = _integer(doc, "seed", 0)
+        seed = _number(doc, "seed", 0, whole=True)
         if seed < 0:  # before the MGs' load seeds are derived from it
             raise ConfigError("seed must be >= 0")
         mgs = tuple(
@@ -194,7 +193,7 @@ def config_from_dict(doc: dict) -> tuple[ScenarioConfig, dict]:
         config = ScenarioConfig(
             mgs=mgs,
             price_bounds=pb,
-            horizon_slots=_integer(doc, "horizon_slots", 120),
+            horizon_slots=_number(doc, "horizon_slots", 120, whole=True),
             rho1=_number(doc, "rho1", 1000.0),
             rho2=_number(doc, "rho2", 0.0001),
             mode=str(doc.get("mode", MODE_AUCTION)),
@@ -374,22 +373,24 @@ def _scenario(args, mode: str):
     return doc, config, traces_doc, sim.realized_inputs(config, sim.build_traces(config, traces_doc))
 
 
+def _refuse(path: Path, why: str) -> None:
+    """A usage error if ``path`` exists, naming it and why a command refuses to write there."""
+    if path.exists():
+        raise FileExistsError(f"{path} exists: {why}; choose another --out")
+
+
 def cmd_run(args) -> int:
     from . import sim
 
     flags = ["auction", "solo"] if args.mode == "both" else [args.mode]
     out_root = _resolve_out(args)
-    for stale in (out_root / flag / "sweep.csv" for flag in _MODE_FLAG):
-        if stale.exists():
-            raise FileExistsError(f"{stale} exists: a run would leave it stale; choose another --out")
+    _refuse(out_root / "slots.csv", "runs written into a run's directory are hidden from its audit")
+    for flag in _MODE_FLAG:
+        _refuse(out_root / flag / "sweep.csv", "a run would leave it stale")
     if args.mode != "both":  # a parent of runs holds both modes' runs or neither
         other = "solo" if args.mode == "auction" else "auction"
         for name in (other, "comparison.txt"):
-            if (out_root / name).exists():
-                raise FileExistsError(
-                    f"{out_root / name} exists: a --mode {args.mode} run would leave it "
-                    "stale; choose another --out"
-                )
+            _refuse(out_root / name, f"a --mode {args.mode} run would leave it stale")
     doc, config, traces_doc, inputs = _scenario(args, _MODE_FLAG[flags[0]])
     configs = [config, *(config_from_dict({**doc, "mode": _MODE_FLAG[f]})[0] for f in flags[1:])]
     with _staged(out_root) as stage, contextlib.ExitStack() as files:
@@ -458,16 +459,23 @@ def _audited_config(out_dir: Path) -> ScenarioConfig:
     return load_config(config_path)[0]
 
 
+# what a sweep or a parent of runs holds, by name: no command writes it in a run's directory
+_FOREIGN = {"sweep.csv": "a sweep", "comparison.txt": "a comparison of runs",
+            "auction/": "a run", "solo/": "a run"}
+
+
 def _audit_one(run_dir: Path) -> list[str]:
     """The problems of a run directory: its logs against its config and each other.
 
-    A slots.csv out of the run's layout is the one problem but for a
-    sweep.csv beside it, which no command writes: every other check reads
-    its rows in that layout.
+    A slots.csv out of the run's layout is the one problem but for what a
+    sweep or a parent of runs holds beside it, which no command writes:
+    every other check reads its rows in that layout.
     """
     config = _audited_config(run_dir)
-    stale = (run_dir / "sweep.csv").exists()
-    problems = ["sweep.csv: a sweep beside a run's logs, which no command writes"] if stale else []
+    problems = [
+        f"{name}: {what} beside a run's logs, which no command writes"
+        for name, what in _FOREIGN.items() if (run_dir / name).exists()
+    ]
     log = read_slots_csv(run_dir / "slots.csv")
     misplaced = verify_layout(config, log)
     if misplaced:
@@ -629,9 +637,7 @@ def cmd_sweep(args) -> int:
     from . import sim
 
     out_root = _resolve_out(args)
-    if (out_root / "slots.csv").exists():  # a run's directory: its config.json is the run's
-        raise FileExistsError(f"{out_root / 'slots.csv'} exists: a sweep would replace its "
-                              "run's config.json; choose another --out")
+    _refuse(out_root / "slots.csv", "a sweep would replace its run's config.json")
     doc, base, traces_doc, inputs = _scenario(args, _MODE_FLAG[args.mode])
     fractions = args.fractions  # each in (0, 1], as the flag's type checks
     out_root.mkdir(parents=True, exist_ok=True)

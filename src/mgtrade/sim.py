@@ -209,9 +209,6 @@ def _monitor(
     return list(map(tuple, bad))
 
 
-_PRICE_ROW = _ROW_COLUMNS.index("grid_price")
-
-
 def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
     """Advance every run's MGs one slot: bids, clearing, slot programs, queue updates.
 
@@ -265,7 +262,7 @@ def step(world: World, inputs: SlotInputs) -> tuple[World, list[SlotRecord]]:
         b, q, z, x, r, di, dt, b, *bids, bought, sold, buy_unit, sell_unit, c, d, j, g, spill, cost,
         oldest_age,
     ))
-    columns[_PRICE_ROW] = price  # every MG's row logs the slot's one grid price
+    columns[_ROW_COLUMNS.index("grid_price")] = price  # every MG's row logs the slot's one price
     records = [
         SlotRecord(t, columns[:, at], market, bad)
         for at, market, bad in zip(runs, markets, violations)

@@ -216,6 +216,20 @@ def test_clear_declines_negative_welfare():
     assert out.total_volume() == 0.0
 
 
+def test_a_book_whose_capped_fills_are_all_dust_clears_empty():
+    """At rho1 = 1e-20 every pair's stationary quantity is below 1e-9 kWh, so
+    each candidate's capped fill trades nothing, and the book clears empty."""
+    b = book(
+        buys=[(1, 5.0, 100.0), (2, 3.0, 100.0), (3, 2.0, 100.0)],
+        sells=[(4, 1.0, 100.0), (5, 2.0, 100.0), (6, 4.0, 100.0)],
+        rho1=1e-20, rho2=1.0,
+    )
+    assert pair_quantity(3.0, 1.0, 1e-20, 1.0) <= auction.DUST_KWH
+    cand = _candidates(b, grid_price=10.0)
+    assert len(cand.capped) == len(cand.mi) and not any(fill for fill, _ in cand.capped.values())
+    assert clear(b, grid_price=10.0) == ClearingOutcome.empty()
+
+
 def test_candidate_scores_cover_all_feasible_pairs():
     b = book(
         buys=[(1, 5.0, 100.0), (2, 3.0, 100.0), (3, 2.5, 100.0)],

@@ -318,6 +318,25 @@ def test_a_bid_that_logs_zero_kwh_has_no_line(tmp_path):
     assert not any(line.startswith("0,1,") for line in lines)
 
 
+def test_run_logs_close_slots_csv_when_the_audit_csv_cannot_open(tmp_path, monkeypatch):
+    """A directory named auction_audit.csv cannot be opened for writing: the
+    writer raises, and the slots.csv it opened first is closed, not leaked."""
+    opened = []
+    open_log = logs._LogFile.__init__
+
+    def recording(self, *args):
+        opened.append(self)
+        open_log(self, *args)
+
+    monkeypatch.setattr(logs._LogFile, "__init__", recording)
+    (tmp_path / "auction_audit.csv").mkdir()
+    with pytest.raises(IsADirectoryError):
+        RunLogs(tmp_path, [1, 2])
+    slots, audit = opened  # the second never got a file
+    assert Path(slots.fh.name).name == "slots.csv" and slots.fh.closed
+    assert not hasattr(audit, "fh")
+
+
 def test_an_mg_id_logged_as_a_float_fails_the_audit_csv(tmp_path, capsys):
     """slots.csv logs MG 3's id as 3.0 on a row whose bid has an
     auction_audit.csv line. It still reads as MG 3, so the layout and the

@@ -248,6 +248,35 @@ def test_run_refuses_a_bad_config_file(tmp_path, capsys, edit, message):
 
 
 @pytest.mark.parametrize(
+    "path, value",
+    [
+        (("horizon_slots",), True),
+        (("seed",), False),
+        (("mgs", 0, "load_seed"), True),
+        (("mgs", 0, "battery_capacity_kwh"), "3000"),
+        (("mgs", 0, "id"), "7"),
+        (("rho1",), "1e3"),
+        (("price_bounds", "p_min"), " 2 "),
+    ],
+    ids=["horizon-true", "seed-false", "load-seed-true", "capacity-string", "id-string",
+         "rho1-string", "p-min-padded-string"],
+)
+def test_a_config_number_is_a_json_number(tmp_path, capsys, path, value):
+    """A JSON boolean or string is no number, though Python's int() and float()
+    would read it as one (true as 1, "1e3" as 1000.0): it is a data error
+    (exit 3) naming the key and the value, and nothing is written."""
+    doc = block = small_doc()
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run_cli("run", "--config", str(bad), "--out", str(tmp_path / "out")) == EXIT_DATA
+    assert f"{path[-1]} must be a number, got {value!r}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "edit, flags",
     [
         (lambda d: d.update(mode="auction"), ("--mode", "auction")),
@@ -1059,6 +1088,49 @@ def test_a_run_refuses_a_directory_holding_a_sweep(tmp_path, capsys, monkeypatch
         assert capsys.readouterr().err.startswith(want)
     assert {p.name: p.read_bytes() for p in sweep_dir.iterdir()} == files
     assert sorted(p.name for p in tmp_path.iterdir()) == ["auction"]
+
+
+def test_a_run_refuses_a_run_directory(tmp_path, capsys, monkeypatch):
+    """A run into a run's directory would write runs that neither the run's
+    audit nor its parent's reads; it is refused (exit 2) before anything is
+    drawn, and the run keeps every file."""
+    from mgtrade import sim
+
+    assert run_cli("run", "--horizon", "6", "--out", str(tmp_path)) == EXIT_OK
+    run_dir = tmp_path / "auction"
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    monkeypatch.setattr(sim, "build_traces", lambda *a: pytest.fail("a trace was built"))
+    capsys.readouterr()
+    for mode in ("both", "auction", "solo"):
+        argv = ("run", "--horizon", "6", "--seed", "3", "--mode", mode, "--out", str(run_dir))
+        assert run_cli(*argv) == EXIT_USAGE
+        want = f"error: {run_dir / 'slots.csv'} exists: runs written into a run's directory"
+        assert capsys.readouterr().err.startswith(want)
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
+
+
+@pytest.mark.parametrize(
+    "entry, what",
+    [("comparison.txt", "a comparison of runs"), ("auction", "a run"), ("solo", "a run")],
+)
+def test_audit_fails_a_run_directory_holding_runs(tmp_path, capsys, entry, what):
+    """No command writes a parent's entries (comparison.txt, an auction/ or
+    solo/ run) into a run's directory, and its audit would read none of
+    them, so a run directory holding one fails its audit (exit 4), audited
+    alone or under its parent."""
+    assert run_cli("run", "--horizon", "6", "--out", str(tmp_path / "runs")) == EXIT_OK
+    assert run_cli("run", "--horizon", "6", "--seed", "3", "--out", str(tmp_path / "other")) == EXIT_OK
+    run_dir = tmp_path / "runs" / "auction"
+    copy = shutil.copytree if entry != "comparison.txt" else shutil.copy
+    copy(tmp_path / "other" / entry, run_dir / entry)
+    name = entry if entry == "comparison.txt" else f"{entry}/"
+    for target in (run_dir, tmp_path / "runs"):
+        capsys.readouterr()
+        assert run_cli("audit", str(target)) == EXIT_INVARIANT
+        out = capsys.readouterr().out
+        want = f"{run_dir}: FAIL (1 problems)\n  {name}: {what} beside a run's logs, which no command"
+        assert want in out
+    assert f"{tmp_path / 'runs' / 'solo'}: PASS" in out
 
 
 def test_audit_fails_a_run_directory_holding_a_sweep(tmp_path, capsys):

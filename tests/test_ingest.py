@@ -264,6 +264,11 @@ def test_synthetic_wind_validation():
         synthetic_wind(10, 0.0, seed=1)
 
 
+def test_synthetic_price_validation():
+    with pytest.raises(ConfigError, match="slot_count must be >= 1"):
+        synthetic_price(0, PriceBounds(2.0, 16.0), seed=1)
+
+
 def test_synthetic_price_stays_in_band():
     pb = PriceBounds(2.0, 16.0)
     prices = synthetic_price(480, pb, seed=7).tolist()

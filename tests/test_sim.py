@@ -516,6 +516,19 @@ def test_runs_stepped_together_share_mg_count_and_horizon():
         fold_runs([cfg, dataclasses.replace(cfg, horizon_slots=4)], inputs)
 
 
+def test_runs_need_inputs_over_their_horizon():
+    cfg = small_scenario(horizon=5)
+    inputs = realized_inputs(cfg, build_traces(cfg))
+    longer = dataclasses.replace(cfg, horizon_slots=6)
+    with pytest.raises(SimError, match="inputs cover 5 slots of 6"):
+        fold_runs([longer], inputs)
+
+
+def test_a_config_built_directly_refuses_a_negative_seed():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        dataclasses.replace(small_scenario(), seed=-1)
+
+
 def test_paired_runs_both_modes_clean_and_market_fires():
     """Same seeds, both modes: no invariant violations, and with four MGs the
     auction actually clears trades somewhere (the books are two-sided often
