@@ -102,8 +102,8 @@ class MGSummary(NamedTuple):
     max_job_age_slots: int
 
 
-# each MGSummary field after the MG id and time average: the reduction of the
-# MG's logged column that it is made from, by `sim.RunFold` and again in the audit
+# each MGSummary field after the MG id and time average, in order (the totals first):
+# the reduction of the MG's logged column it is made from, by `sim.RunFold` and the audit
 _SUMMARY_OF = (
     ("total_cost", sum, "cost"),
     ("total_grid_kwh", sum, "grid_kwh"),
